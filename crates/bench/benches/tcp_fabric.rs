@@ -6,7 +6,7 @@
 //! fetch-adds — every one a full client → server → home → server → client
 //! round trip for remote workers. On `MuninRt` that round trip is two
 //! channel sends and two thread wake-ups; on `MuninTcp` the same logical
-//! path crosses the control stream (forwarded op + resume) and a
+//! path crosses the data stream to the thread's node (op + resume) and a
 //! per-node-pair data stream (AtomicReq/AtomicReply frames), so the ratio
 //! between the two columns is the per-op price of serialization + loopback
 //! TCP + an extra process hop. A bulk-payload row (whole-row reads of a

@@ -20,12 +20,19 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const MIB: u32 = 1 << 20;
 
+/// `big_allocs` is process-wide (an application thread reads it about work
+/// its server does on another thread), so a world run in parallel would
+/// leak its legitimate full-object transfer into the other's window: one
+/// world at a time.
+static ONE_WORLD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn run_world(
     n_nodes: usize,
     cfg: MuninConfig,
     sync: SyncDecls,
     setup: impl FnOnce(&mut WorldBuilder),
 ) -> RunReport {
+    let _alone = ONE_WORLD.lock().unwrap_or_else(|p| p.into_inner());
     let mut b = WorldBuilder::new(n_nodes);
     setup(&mut b);
     let servers: Vec<MuninServer> = (0..n_nodes)

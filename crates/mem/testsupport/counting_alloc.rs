@@ -2,21 +2,33 @@
 //! and benches (included via `#[path]`, not a cargo dependency, because a
 //! `#[global_allocator]` must be installed by each binary itself).
 //!
-//! Counts every allocation, and separately those at or above [`BIG`] —
-//! the "full-object copy" detector for the 1 MiB flush workloads: 64 KiB
-//! is three orders of magnitude above any legitimate per-flush allocation,
-//! so the threshold separates object clones from ordinary bookkeeping with
-//! a huge margin.
+//! Counts every allocation **per thread**, and process-wide those at or
+//! above [`BIG`] — the "full-object copy" detector for the 1 MiB flush
+//! workloads: 64 KiB is three orders of magnitude above any legitimate
+//! per-flush allocation, so the threshold separates object clones from
+//! ordinary bookkeeping with a huge margin.
+//!
+//! The two scopes follow their users. [`allocs_of`] asserts "this call
+//! allocates nothing" about work done on the calling thread, so it must not
+//! see what a test running in parallel on another thread allocates (with a
+//! process-wide counter `crates/obs/tests/alloc.rs` failed about one run in
+//! seven). [`big_allocs`] is read by an application thread about work its
+//! node's server does on another thread, so it stays process-wide.
 #![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocations of at least this size count as "big" (full-object copies in
 /// the 1 MiB workloads).
 pub const BIG: usize = 64 * 1024;
 
-static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor: touching it from inside
+    // the allocator neither allocates nor registers anything.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 static BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 pub struct CountingAlloc;
@@ -38,23 +50,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 fn note(size: usize) {
-    TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    // `try_with`: a thread may still free and allocate while its locals
+    // are being torn down.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
     if size >= BIG {
         BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Total allocations (of any size) so far.
+/// Allocations (of any size) the calling thread has made so far.
 pub fn total_allocs() -> u64 {
-    TOTAL_ALLOCS.load(Ordering::Relaxed)
+    THREAD_ALLOCS.with(Cell::get)
 }
 
-/// Allocations of at least [`BIG`] bytes so far.
+/// Allocations of at least [`BIG`] bytes so far, by any thread.
 pub fn big_allocs() -> u64 {
     BIG_ALLOCS.load(Ordering::Relaxed)
 }
 
-/// Allocations performed while running `f`.
+/// Allocations the calling thread performs while running `f`.
 pub fn allocs_of(mut f: impl FnMut()) -> u64 {
     let before = total_allocs();
     f();

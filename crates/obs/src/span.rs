@@ -28,8 +28,8 @@ use crate::hist::OpClass;
 use munin_types::ThreadId;
 
 /// The server half of a span, recorded by the node that served the op
-/// (and shipped over the control stream when that node is a remote
-/// process).
+/// (and shipped home in the op's `Resume` frame when that node is a
+/// remote process).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SrvSpan {
     /// Per-thread dispatch sequence number (starts at 1, matching the

@@ -2,8 +2,8 @@
 //!
 //! Unlike the simulator's rendezvous ([`munin_sim::ThreadCtx`]), an
 //! [`RtCtx`] never hands control to a scheduler: threads run whenever the
-//! OS runs them, mail operations to their node's server inbox, and block on
-//! a private resume channel until the protocol completes the fault. The
+//! OS runs them, submit operations to their node through an [`OpPort`], and
+//! block on a private resume channel until the protocol completes the fault. The
 //! recv loop wakes periodically to check the stall watchdog's poison flag,
 //! so a wedged protocol tears the thread down (with a panic the harness
 //! reports) instead of hanging the process.
@@ -26,6 +26,7 @@ use munin_types::{
     BarrierId, ByteRange, CondId, LockId, NodeId, ObjectDecl, ObjectId, ThreadId, TokenState,
 };
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
@@ -43,6 +44,30 @@ const WC_MAX_BYTES: usize = 64 * 1024;
 /// contended lock can block for milliseconds, and letting that pull the
 /// estimate up would make every subsequent fast op spin to its cap.
 const EWMA_CLAMP_US: u64 = 1_000;
+
+/// Where an application thread's ops enter its node. The in-process fabric
+/// mails them to the node server's inbox (this impl on the inbox `Sender`);
+/// the TCP fabric runs a node-0 thread's op inline under the node's mutex
+/// and encodes a node-j thread's op onto the coordinator's link to node j.
+/// Whatever the port, per-thread issue order is the order the node's op
+/// gate sees.
+pub trait OpPort: Send {
+    /// Hand `op` to the node. A port may only queue it: it is on its way
+    /// for certain once [`OpPort::flush`] returned. `false` means the
+    /// fabric is gone (teardown).
+    fn submit(&mut self, thread: ThreadId, op: DsmOp) -> bool;
+
+    /// Push out whatever `submit` queued. The context calls this before it
+    /// parks for a completion (a blocking op, a token wait, a full window)
+    /// and before it sleeps or spins in modelled compute.
+    fn flush(&mut self) {}
+}
+
+impl<P: Send + Sync> OpPort for Sender<NodeEvent<P>> {
+    fn submit(&mut self, thread: ThreadId, op: DsmOp) -> bool {
+        self.send(NodeEvent::Op(thread, op)).is_ok()
+    }
+}
 
 /// One op this thread has issued but not yet seen complete.
 #[derive(Clone, Copy)]
@@ -94,7 +119,7 @@ pub struct RtCtx<P> {
     pub(crate) node: NodeId,
     pub(crate) n_nodes: usize,
     pub(crate) n_threads: usize,
-    pub(crate) to_server: Sender<NodeEvent<P>>,
+    pub(crate) to_server: Box<dyn OpPort>,
     pub(crate) resume_rx: Receiver<OpResult>,
     pub(crate) shared: Arc<Shared>,
     pub(crate) tuning: RtTuning,
@@ -118,19 +143,22 @@ pub struct RtCtx<P> {
     /// Spinning is pointless when waiter and server cannot run in parallel
     /// (1-core CI); decided once at construction.
     can_spin: bool,
+    /// The protocol payload type of the world this context belongs to (the
+    /// harness picks the `Par` impl by it); the context itself never
+    /// touches a payload.
+    _payload: PhantomData<fn() -> P>,
 }
 
 impl<P> RtCtx<P> {
-    /// Assemble a context for an alternate wall-clock fabric. `munin-tcp`'s
-    /// coordinator hosts every application thread and uses this to point
-    /// each one at its logical node's server — a local channel for the
-    /// coordinator's own node, a socket-forwarding channel for remote ones.
+    /// Assemble a context over `to_server`, the fabric's [`OpPort`] for this
+    /// thread's node. `munin-tcp`'s coordinator hosts every application
+    /// thread and uses this to point each one at its logical node.
     pub fn new(
         thread: ThreadId,
         node: NodeId,
         n_nodes: usize,
         n_threads: usize,
-        to_server: Sender<NodeEvent<P>>,
+        to_server: Box<dyn OpPort>,
         resume_rx: Receiver<OpResult>,
         shared: Arc<Shared>,
         tuning: RtTuning,
@@ -153,6 +181,7 @@ impl<P> RtCtx<P> {
             wc: None,
             ewma_us: 15,
             can_spin,
+            _payload: PhantomData,
         }
     }
 
@@ -332,7 +361,7 @@ impl<P> RtCtx<P> {
         }
         let class = op_class(&op);
         let issue_wall = if self.tuning.telemetry.spans() { wall_us() } else { 0 };
-        if self.to_server.send(NodeEvent::Op(self.thread, op)).is_err() {
+        if !self.to_server.submit(self.thread, op) {
             panic!("real-time kernel vanished while issuing '{label}'");
         }
         self.next_seq += 1;
@@ -424,6 +453,7 @@ impl<P> RtCtx<P> {
     /// is the *single* wait path — blocking ops and token waits both end
     /// here, so neither can miss poisoning.
     fn recv_result(&mut self, wait_label: &'static str) -> OpResult {
+        self.to_server.flush();
         let spin_us = match self.tuning.spin_wait {
             _ if !self.can_spin => 0,
             SpinWait::Off => 0,
@@ -613,6 +643,10 @@ impl<P> RtCtx<P> {
         if us == 0 {
             return;
         }
+        if self.tuning.compute != ComputeMode::Skip {
+            // Going away for `us`: let queued async ops travel meanwhile.
+            self.to_server.flush();
+        }
         match self.tuning.compute {
             ComputeMode::Sleep => std::thread::sleep(Duration::from_micros(us)),
             ComputeMode::Spin => {
@@ -635,8 +669,16 @@ mod tests {
         let (op_tx, op_rx) = channel();
         let (res_tx, res_rx) = channel();
         let shared = Arc::new(Shared::new(Vec::new(), 1, munin_types::Telemetry::default()));
-        let ctx =
-            RtCtx::new(ThreadId(0), NodeId(0), 1, 1, op_tx, res_rx, shared, RtTuning::default());
+        let ctx = RtCtx::new(
+            ThreadId(0),
+            NodeId(0),
+            1,
+            1,
+            Box::new(op_tx),
+            res_rx,
+            shared,
+            RtTuning::default(),
+        );
         (ctx, op_rx, res_tx)
     }
 

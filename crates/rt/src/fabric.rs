@@ -42,10 +42,12 @@ impl<P> MsgBody<P> {
     }
 }
 
-/// One event in a node server's inbox. The server thread drains these in
-/// arrival order; everything a server does happens on its own thread, so
-/// server state needs no locking (the same single-writer discipline the
-/// simulator enforces).
+/// One input to a node's protocol step ([`crate::NodeStep::step`]). On the
+/// channel fabric these are the node server's inbox: the server thread
+/// drains them in arrival order and everything a server does happens on its
+/// own thread, so server state needs no locking (the same single-writer
+/// discipline the simulator enforces). The TCP fabric builds them from
+/// decoded frames and feeds them to the step under the node's mutex.
 pub enum NodeEvent<P> {
     /// A local application thread issued a DSM operation.
     Op(ThreadId, DsmOp),
@@ -61,11 +63,6 @@ pub enum NodeEvent<P> {
     Timer(u64),
     /// The watchdog wants `debug_stuck_state` captured into the error log.
     DumpStuck,
-    /// Someone wants `debug_stuck_state` delivered to them instead of the
-    /// error log — the on-demand (SIGUSR1 / wire-requested) dump path. The
-    /// server loop replies on the channel and the requester decides where
-    /// the text goes.
-    DumpTo(std::sync::mpsc::Sender<String>),
     /// The run is over; exit the server loop.
     Shutdown,
 }

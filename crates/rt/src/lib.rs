@@ -75,8 +75,8 @@ pub mod serve;
 pub mod timer;
 mod world;
 
-pub use ctx::RtCtx;
+pub use ctx::{OpPort, RtCtx};
 pub use fabric::{MsgBody, NodeEvent, Shared};
 pub use kernel::RtKernel;
-pub use serve::{drive_app_thread, request_dump, server_loop, NodeKernel};
+pub use serve::{drive_app_thread, panic_message, server_loop, NodeKernel, NodeStep};
 pub use world::{ComputeMode, RtTuning, RtWorldBuilder, SpinWait};

@@ -1,22 +1,37 @@
-//! The node-server event loop, shared by every wall-clock fabric.
+//! One node's protocol step, shared by every wall-clock fabric.
 //!
-//! PR 3 wrote this loop for the in-process channel fabric; the TCP fabric
-//! (`munin-tcp`) hosts exactly the same loop in a different process, with a
-//! kernel whose remote deliveries are socket writes instead of channel
-//! sends. [`NodeKernel`] is the small extra contract the loop needs beyond
+//! A [`NodeStep`] is a node's `{server, kernel, op gate}`. Its one entry
+//! point, [`NodeStep::step`], handles a run of [`NodeEvent`]s in order
+//! (dispatch through the gate / `on_message` / `on_timer` / stall dump),
+//! settles the completions each event caused, and ends by flushing what the
+//! kernel queued outbound, under a single activity-epoch bump. The fabrics
+//! differ only in *which thread* calls it:
+//!
+//! * the in-process channel fabric runs it on one server thread per node
+//!   ([`server_loop`]: a blocking `recv`, then `try_recv`s up to
+//!   `batch_max`, is one step);
+//! * the TCP fabric (`munin-tcp`) keeps the step behind a mutex and runs it
+//!   on whichever thread already holds the event: the data-stream reader
+//!   that decoded the frames, the coordinator-hosted application thread
+//!   issuing an op on node 0, the timer thread. See `munin_tcp::node`.
+//!
+//! Either way the protocol server sees one event at a time and at most one
+//! outstanding op per thread, the concurrency model it was written for.
+//! [`NodeKernel`] is the small extra contract the step needs beyond
 //! [`KernelApi`]: local thread resumption, access to the run-wide shared
-//! state, and the traffic shard the loop returns at exit.
+//! state, and the traffic shard taken at teardown.
 
-use crate::fabric::{NodeEvent, Shared};
+use crate::fabric::{MsgBody, NodeEvent, Shared};
 use munin_net::PayloadInfo;
-use munin_sim::{KernelApi, OpOutcome, OpResult, Server};
+use munin_sim::{DsmOp, KernelApi, OpOutcome, OpResult, Server};
 use munin_types::{NodeId, ThreadId};
+use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What a wall-clock fabric's kernel provides to the shared server loop, on
-/// top of the protocol-facing [`KernelApi`]. Implemented by the in-process
+/// What a wall-clock fabric's kernel provides to the shared step, on top of
+/// the protocol-facing [`KernelApi`]. Implemented by the in-process
 /// [`crate::RtKernel`] and by `munin-tcp`'s socket kernel.
 pub trait NodeKernel<P: PayloadInfo + Clone>: KernelApi<P> {
     /// The node this kernel serves.
@@ -30,27 +45,27 @@ pub trait NodeKernel<P: PayloadInfo + Clone>: KernelApi<P> {
     fn resume(&mut self, thread: ThreadId, result: OpResult);
 
     /// Threads whose *blocked* op the protocol completed (via
-    /// [`KernelApi::complete`]) since the last call. The server loop's op
-    /// gate uses this to dispatch those threads' queued pipelined ops; the
-    /// synchronous Done path never lands here (the loop sees it inline).
+    /// [`KernelApi::complete`]) since the last call. The op gate uses this
+    /// to dispatch those threads' queued pipelined ops; the synchronous
+    /// Done path never lands here (the step sees it inline).
     fn take_completions(&mut self) -> Vec<ThreadId>;
 
-    /// This node's traffic counters, taken when the loop exits (the world
-    /// merges every node's shard into the run totals).
+    /// This node's traffic counters, taken at teardown (the world merges
+    /// every node's shard into the run totals).
     fn take_stats(&mut self) -> munin_net::NetStats;
 }
 
 /// The per-thread op gate: the protocol servers were written for at most
 /// one outstanding op per thread (their pending structures are keyed by
 /// thread), so pipelining is a *fabric* property — clients may have K ops
-/// in flight, but the loop feeds the server a thread's ops strictly one at
+/// in flight, but the step feeds the server a thread's ops strictly one at
 /// a time, queueing the rest here. Completions are per-thread FIFO by
 /// construction, which is what lets the client match results to tokens with
 /// a plain sequence counter.
 #[derive(Default)]
 struct OpGate {
     /// Ops waiting behind the thread's in-flight op, oldest first.
-    queued: Vec<std::collections::VecDeque<munin_sim::DsmOp>>,
+    queued: Vec<VecDeque<DsmOp>>,
     /// Thread has an op inside the server that hasn't completed yet.
     busy: Vec<bool>,
 }
@@ -69,13 +84,13 @@ impl OpGate {
         self.busy[t.index()]
     }
 
-    fn enqueue(&mut self, t: ThreadId, op: munin_sim::DsmOp) {
+    fn enqueue(&mut self, t: ThreadId, op: DsmOp) {
         self.ensure(t);
         self.queued[t.index()].push_back(op);
     }
 
     /// Mark `t`'s blocked op done and hand back its next queued op, if any.
-    fn unblock(&mut self, t: ThreadId) -> Option<munin_sim::DsmOp> {
+    fn unblock(&mut self, t: ThreadId) -> Option<DsmOp> {
         self.ensure(t);
         self.busy[t.index()] = false;
         self.queued[t.index()].pop_front()
@@ -90,7 +105,6 @@ pub fn drive_app_thread<P: Send + Sync + Clone + 'static>(
     mut ctx: crate::RtCtx<P>,
     body: Box<dyn FnOnce(&mut crate::RtCtx<P>) + Send>,
 ) -> munin_sim::report::WaitTable {
-    use munin_sim::DsmOp;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let shared = ctx.shared.clone();
     let tid = ctx.thread;
@@ -115,37 +129,144 @@ pub fn drive_app_thread<P: Send + Sync + Clone + 'static>(
     ctx.waits
 }
 
-pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+/// The text of a caught panic payload.
+pub fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     p.downcast_ref::<String>()
         .cloned()
         .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Ask a server loop for its `debug_stuck_state` through its inbox,
-/// bounded by `timeout` so a wedged (or gone) server cannot hang the
-/// requester. Used by the tcp fabric's on-demand/stall dump paths on both
-/// ends of the wire.
-pub fn request_dump<P>(inbox: &std::sync::mpsc::Sender<NodeEvent<P>>, timeout: Duration) -> String {
-    let (tx, rx) = std::sync::mpsc::channel();
-    if inbox.send(NodeEvent::DumpTo(tx)).is_err() {
-        return "(server loop gone)".into();
-    }
-    rx.recv_timeout(timeout).unwrap_or_else(|_| "(server loop unresponsive)".into())
+/// One node's protocol state and the step that advances it. Not `Sync` by
+/// itself: exactly one thread at a time may call [`NodeStep::step`] — the
+/// rt fabric owns it on the node's server thread, the TCP fabric guards it
+/// with the node's mutex.
+pub struct NodeStep<S, K> {
+    pub server: S,
+    pub kernel: K,
+    gate: OpGate,
 }
 
-/// One node's event loop: drain the inbox in bounded batches, hand
-/// everything to the server. Single-threaded per node by construction —
-/// the concurrency model the protocol servers were written for.
-///
-/// Each wake-up takes one blocking `recv` then greedily `try_recv`s up to
-/// `batch_max` events in total, under a single activity-epoch bump; the
-/// step ends by flushing the kernel's coalesced outbound batches (so
-/// nothing this step sent can be stranded while the loop blocks again).
-/// Returns this node's traffic shard for the world to merge at teardown.
+impl<S, K> NodeStep<S, K>
+where
+    S: Server,
+    K: NodeKernel<S::Payload>,
+{
+    pub fn new(server: S, kernel: K) -> Self {
+        NodeStep { server, kernel, gate: OpGate::default() }
+    }
+
+    /// One server step: handle `events` in order under a single
+    /// activity-epoch bump (the watchdog only needs to know the node made
+    /// progress, not how much), then flush everything the kernel queued
+    /// outbound, so nothing this step sent can be stranded while its caller
+    /// blocks again. Returns `false` once the events contained `Shutdown`.
+    pub fn step(&mut self, events: impl IntoIterator<Item = NodeEvent<S::Payload>>) -> bool {
+        self.kernel.shared().mark_activity();
+        let live = events.into_iter().all(|ev| self.handle(ev));
+        self.kernel.flush_outbound();
+        live
+    }
+
+    /// Handle one event, then settle what it completed.
+    fn handle(&mut self, ev: NodeEvent<S::Payload>) -> bool {
+        match ev {
+            NodeEvent::Op(thread, op) => {
+                if self.gate.is_busy(thread) {
+                    self.gate.enqueue(thread, op);
+                } else {
+                    self.dispatch(thread, op);
+                }
+            }
+            NodeEvent::Msg(from, body) => self.on_message(from, body),
+            // One channel op from one peer step; per-(src,dst) FIFO is the
+            // vector order.
+            NodeEvent::Batch(items) => {
+                for (from, body) in items {
+                    self.on_message(from, body);
+                }
+            }
+            NodeEvent::Timer(token) => self.server.on_timer(&mut self.kernel, token),
+            NodeEvent::DumpStuck => self.dump_stuck(),
+            NodeEvent::Shutdown => return false,
+        }
+        // Settle: any event (a Done op, a protocol message, a timer) can
+        // complete other threads' blocked ops; reopen their gates and
+        // dispatch what queued behind them — repeatedly, since a dispatched
+        // op can itself complete further threads.
+        loop {
+            let completed = self.kernel.take_completions();
+            if completed.is_empty() {
+                return true;
+            }
+            for t in completed {
+                if let Some(op) = self.gate.unblock(t) {
+                    self.dispatch(t, op);
+                }
+            }
+        }
+    }
+
+    /// Feed one thread's op to the server, then keep feeding that thread's
+    /// queue while ops complete synchronously; a Blocked outcome closes the
+    /// thread's gate until the protocol calls `complete`.
+    fn dispatch(&mut self, thread: ThreadId, first: DsmOp) {
+        let mut next = Some(first);
+        while let Some(op) = next {
+            // Gate dispatch *is* the protocol server's handle instant: the
+            // span's dispatch timestamp and its server half open here. The
+            // matching `srv_finish` happens inside the kernel's resume /
+            // complete paths (whichever ends this op).
+            self.kernel.shared().obs.srv_dispatch(thread);
+            match self.server.on_op(&mut self.kernel, thread, op) {
+                OpOutcome::Done { result, cost_us: _ } => {
+                    self.kernel.resume(thread, result);
+                    next = self.gate.unblock(thread);
+                }
+                OpOutcome::Blocked => {
+                    self.gate.ensure(thread);
+                    self.gate.busy[thread.index()] = true;
+                    next = None;
+                }
+            }
+        }
+    }
+
+    fn on_message(&mut self, from: NodeId, body: MsgBody<S::Payload>) {
+        let obs = &self.kernel.shared().obs;
+        if obs.spans() {
+            if let Some(t) = body.payload().span_home_thread() {
+                obs.srv_home(t);
+            }
+        }
+        self.server.on_message(&mut self.kernel, from, body.into_payload());
+    }
+
+    /// The rt watchdog's stall dump: captured state is both an error-log
+    /// diagnostic and a `RunReport::dumps` entry.
+    fn dump_stuck(&mut self) {
+        let dump = self.server.debug_stuck_state();
+        if dump.is_empty() {
+            return;
+        }
+        let shared = self.kernel.shared();
+        let msg = format!("[stall dump n{}] {dump}", self.kernel.node_id().index());
+        if shared.debug_errors {
+            eprintln!("{msg}");
+        }
+        shared.dump(msg.clone());
+        shared.errors.lock().expect("error log poisoned").push(msg);
+    }
+}
+
+/// One node's event loop on the channel fabric: single-threaded per node by
+/// construction. Each wake-up takes one blocking `recv` then greedily
+/// `try_recv`s up to `batch_max` events in total and hands them to
+/// [`NodeStep::step`] as one step. Returns this node's traffic shard for
+/// the world to merge at teardown.
 pub fn server_loop<S, K>(
-    mut server: S,
-    mut kernel: K,
+    server: S,
+    kernel: K,
     inbox: Receiver<NodeEvent<S::Payload>>,
     batch_max: usize,
 ) -> munin_net::NetStats
@@ -154,43 +275,9 @@ where
     K: NodeKernel<S::Payload>,
 {
     let shared = kernel.shared().clone();
-    let node = kernel.node_id();
     let batch_max = batch_max.max(1);
-    let mut gate = OpGate::default();
-    let mut done = false;
-
-    // Feed one thread's op to the server, then keep feeding that thread's
-    // queue while ops complete synchronously; a Blocked outcome closes the
-    // thread's gate until the protocol calls `complete`.
-    fn dispatch<S: Server, K: NodeKernel<S::Payload>>(
-        server: &mut S,
-        kernel: &mut K,
-        gate: &mut OpGate,
-        thread: ThreadId,
-        first: munin_sim::DsmOp,
-    ) {
-        let mut next = Some(first);
-        while let Some(op) = next {
-            // Gate dispatch *is* the protocol server's handle instant: the
-            // span's dispatch timestamp and its server half open here. The
-            // matching `srv_finish` happens inside the kernel's resume /
-            // complete paths (whichever ends this op).
-            kernel.shared().obs.srv_dispatch(thread);
-            match server.on_op(kernel, thread, op) {
-                OpOutcome::Done { result, cost_us: _ } => {
-                    kernel.resume(thread, result);
-                    gate.ensure(thread);
-                    next = gate.queued[thread.index()].pop_front();
-                }
-                OpOutcome::Blocked => {
-                    gate.ensure(thread);
-                    gate.busy[thread.index()] = true;
-                    next = None;
-                }
-            }
-        }
-    }
-    while !done {
+    let mut node = NodeStep::new(server, kernel);
+    loop {
         let first = match inbox.recv_timeout(Duration::from_millis(50)) {
             Ok(ev) => ev,
             Err(RecvTimeoutError::Timeout) => {
@@ -204,88 +291,10 @@ where
             }
             Err(RecvTimeoutError::Disconnected) => break,
         };
-        // One epoch bump covers the whole drained batch: the watchdog only
-        // needs to know the server made progress, not how much.
-        shared.mark_activity();
-        let mut next = Some(first);
-        let mut handled = 0usize;
-        while let Some(ev) = next {
-            handled += 1;
-            match ev {
-                NodeEvent::Op(thread, op) => {
-                    if gate.is_busy(thread) {
-                        gate.enqueue(thread, op);
-                    } else {
-                        dispatch(&mut server, &mut kernel, &mut gate, thread, op);
-                    }
-                }
-                NodeEvent::Msg(from, body) => {
-                    if shared.obs.spans() {
-                        if let Some(t) = body.payload().span_home_thread() {
-                            shared.obs.srv_home(t);
-                        }
-                    }
-                    server.on_message(&mut kernel, from, body.into_payload());
-                }
-                NodeEvent::Batch(items) => {
-                    // One channel op from one peer step; per-(src,dst) FIFO
-                    // is the vector order.
-                    for (from, body) in items {
-                        if shared.obs.spans() {
-                            if let Some(t) = body.payload().span_home_thread() {
-                                shared.obs.srv_home(t);
-                            }
-                        }
-                        server.on_message(&mut kernel, from, body.into_payload());
-                    }
-                }
-                NodeEvent::Timer(token) => server.on_timer(&mut kernel, token),
-                NodeEvent::DumpStuck => {
-                    let dump = server.debug_stuck_state();
-                    if !dump.is_empty() {
-                        let msg = format!("[stall dump n{}] {dump}", node.index());
-                        if shared.debug_errors {
-                            eprintln!("{msg}");
-                        }
-                        // Captured state is both an error-log diagnostic and
-                        // a `RunReport::dumps` entry — the rt fabric used to
-                        // fill only the error log, leaving `dumps` a
-                        // tcp-only field.
-                        shared.dump(msg.clone());
-                        shared.errors.lock().expect("error log poisoned").push(msg);
-                    }
-                }
-                NodeEvent::DumpTo(reply) => {
-                    // On-demand diagnostics: the caller decides where the
-                    // text goes (stderr, the report's dump section, a wire
-                    // reply), so nothing lands in the error log here.
-                    let _ = reply.send(server.debug_stuck_state());
-                }
-                NodeEvent::Shutdown => {
-                    done = true;
-                    break;
-                }
-            }
-            // Settle: any event (a Done op, a protocol message, a timer)
-            // can complete other threads' blocked ops; reopen their gates
-            // and dispatch what queued behind them — repeatedly, since a
-            // dispatched op can itself complete further threads.
-            loop {
-                let completed = kernel.take_completions();
-                if completed.is_empty() {
-                    break;
-                }
-                for t in completed {
-                    if let Some(op) = gate.unblock(t) {
-                        dispatch(&mut server, &mut kernel, &mut gate, t, op);
-                    }
-                }
-            }
-            next = if handled < batch_max { inbox.try_recv().ok() } else { None };
+        let rest = std::iter::from_fn(|| inbox.try_recv().ok());
+        if !node.step(std::iter::once(first).chain(rest).take(batch_max)) {
+            break;
         }
-        // Everything the server sent while handling this batch goes out as
-        // one channel message per destination, before the loop can block.
-        kernel.flush_outbound();
     }
-    kernel.take_stats()
+    node.kernel.take_stats()
 }

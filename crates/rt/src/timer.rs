@@ -3,28 +3,29 @@
 //!
 //! Servers arm timers through `KernelApi::set_timer`; the kernel converts
 //! the relative delay into a deadline, bumps `timers_pending`, and mails it
-//! here. The thread keeps a min-heap of deadlines and delivers
-//! `NodeEvent::Timer(token)` to the owning node's inbox when each comes
-//! due. It exits when every `TimerReq` sender (one per node kernel plus the
-//! builder's) is gone.
+//! here. The thread keeps a min-heap of deadlines and hands `(node, token)`
+//! to the fabric's `deliver` sink when each comes due: the channel fabric
+//! mails `NodeEvent::Timer(token)` to the owning node's inbox, the TCP
+//! fabric runs the node's step on this thread. It exits when every
+//! `TimerReq` sender (one per node kernel plus the builder's) is gone.
 //!
 //! Two invariants matter for the stall watchdog:
 //!
 //! * **`timers_pending` is decremented only after delivery.** The watchdog
 //!   treats "a timer is pending" as proof the run can still make progress,
-//!   so the event must be in the destination inbox before the counter
+//!   so the event must be delivered before the counter
 //!   drops — decrementing first opens a window where a due-but-undelivered
 //!   timer looks like a genuine stall.
 //! * **Firing counts as activity.** The epoch bump on fire restarts the
 //!   watchdog's stability window, giving the destination server a full
 //!   stall timeout to drain the event it was just handed.
 
-use crate::fabric::{NodeEvent, Shared};
+use crate::fabric::Shared;
 use munin_types::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -39,9 +40,9 @@ pub struct TimerReq {
 /// arming sequence number as tie-break so equal deadlines fire in order.
 type Entry = Reverse<(Instant, u64, u16, u64)>;
 
-pub fn run_timer_thread<P: Send + Sync + 'static>(
+pub fn run_timer_thread(
     rx: Receiver<TimerReq>,
-    inboxes: Vec<Sender<NodeEvent<P>>>,
+    mut deliver: impl FnMut(NodeId, u64),
     shared: Arc<Shared>,
 ) {
     let pending = &shared.timers_pending;
@@ -56,8 +57,7 @@ pub fn run_timer_thread<P: Send + Sync + 'static>(
             }
             heap.pop();
             // Deliver, then mark activity, then decrement — in that order.
-            // Ignore send errors: the node shut down during teardown.
-            let _ = inboxes[node as usize].send(NodeEvent::Timer(token));
+            deliver(NodeId(node), token);
             shared.mark_activity();
             pending.fetch_sub(1, Ordering::Release);
         }
@@ -93,8 +93,9 @@ pub fn run_timer_thread<P: Send + Sync + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::NodeEvent;
     use std::sync::atomic::Ordering;
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Sender};
     use std::time::Duration;
 
     // The payload type is irrelevant to the timer thread; any Send type do.
@@ -105,7 +106,10 @@ mod tests {
         let (inbox_tx, inbox_rx) = channel::<Ev>();
         let shared = Arc::new(Shared::new(Vec::new(), 0, munin_types::Telemetry::Off));
         let s = shared.clone();
-        let j = std::thread::spawn(move || run_timer_thread(timer_rx, vec![inbox_tx], s));
+        let deliver = move |_node, token| {
+            let _ = inbox_tx.send(NodeEvent::Timer(token));
+        };
+        let j = std::thread::spawn(move || run_timer_thread(timer_rx, deliver, s));
         (timer_tx, inbox_rx, shared, j)
     }
 

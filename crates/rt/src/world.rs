@@ -47,12 +47,14 @@ pub struct RtTuning {
     /// single activity-epoch bump) before flushing its outbound batches and
     /// re-checking the channel. `1` reproduces the one-event-per-wake-up
     /// fabric; larger values amortize channel and wake-up overhead under
-    /// heavy traffic.
+    /// heavy traffic. Channel fabric only: the TCP fabric has no inbox, its
+    /// step is every complete frame one socket read returned.
     pub batch_max: usize,
     /// Coalesce the protocol messages a server sends during one step into
     /// one channel message per destination (flush-fan-out batching; see
     /// [`crate::RtKernel`]). Off, every protocol message is its own
-    /// channel send.
+    /// channel send. Channel fabric only: the TCP fabric always leaves a
+    /// step's frames to one destination in one socket write.
     pub coalesce: bool,
     /// How a thread waits for an op completion: park immediately, or spin
     /// first in the hope of skipping the futex wake + context switch.
@@ -233,9 +235,13 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
         let timer_join = {
             let inboxes = inbox_txs.clone();
             let shared = shared.clone();
+            // Send errors are ignored: the node shut down during teardown.
+            let deliver = move |node: NodeId, token| {
+                let _ = inboxes[node.index()].send(NodeEvent::Timer(token));
+            };
             std::thread::Builder::new()
                 .name("rt-timer".into())
-                .spawn(move || run_timer_thread(timer_rx, inboxes, shared))
+                .spawn(move || run_timer_thread(timer_rx, deliver, shared))
                 .expect("failed to spawn timer thread")
         };
 
@@ -285,7 +291,7 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
                 node,
                 n_nodes,
                 n_threads,
-                inbox_txs[node.index()].clone(),
+                Box::new(inbox_txs[node.index()].clone()),
                 resume_rx,
                 shared.clone(),
                 self.tuning.clone(),

@@ -1,23 +1,28 @@
 //! [`TcpKernel`]: the socket implementation of the kernel seam.
 //!
-//! One instance per node process, owned by that node's server thread (the
-//! same single-writer discipline as `munin_rt::RtKernel`). Remote sends
-//! serialize protocol payloads into length-prefixed frames on the
-//! per-node-pair TCP stream; with coalescing on, everything one server step
-//! sends to a destination leaves as a single [`DataFrame::Batch`] frame —
-//! the batching seam built in PR 4 is exactly the message boundary a socket
-//! wants, so `flush_outbound` is where syscalls are coalesced
-//! (Nagle-without-the-latency; the sockets themselves run `TCP_NODELAY`).
+//! One instance per node process, living beside the node's protocol server
+//! in its [`crate::node::NodeCell`] and used only under that cell's lock
+//! (the same single-writer discipline as `munin_rt::RtKernel`, kept by a
+//! mutex instead of by a dedicated thread). A remote send encodes the
+//! payload once, straight into the destination [`Link`]'s out-buffer;
+//! `flush_outbound`, which ends every step, gives each link this step wrote
+//! to one non-blocking socket write. So everything one step sends to a
+//! destination leaves in a single write, the kernel never blocks on a
+//! socket (see [`crate::link`] for the flow-control invariant), and the
+//! only blocking call a step can make while it holds the cell is the
+//! registry RPC (`register_decl` / `retype`), which is served by threads
+//! that need no node state.
 
-use crate::frames::{encode_data_batch, encode_data_msg, send_shared, CtrlFrame, SharedWriter};
-use crate::frames::{RegReply, RegRequest};
+use crate::frames::{put_msg, put_resume, RegReply, RegRequest};
+use crate::link::Link;
 use crate::registry::RegClient;
-use crate::wire::Wire;
 use munin_net::PayloadInfo;
+use munin_proto::Wire;
 use munin_rt::timer::TimerReq;
-use munin_rt::{MsgBody, NodeKernel, Shared};
+use munin_rt::{NodeKernel, Shared};
 use munin_sim::{KernelApi, OpResult};
 use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, SharingType, ThreadId, VirtualTime};
+use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -29,73 +34,102 @@ pub enum ResumeSink {
     /// the thread's in-process channel.
     Local(Vec<Sender<OpResult>>),
     /// A child process: the thread lives in the coordinator, so the resume
-    /// travels back over the control stream.
-    Remote(SharedWriter),
+    /// travels back as a `Resume` frame on the link to node 0.
+    Remote,
 }
 
-/// Kernel services for one node's server thread, over sockets.
+/// Kernel services for one node's protocol steps, over sockets.
 pub struct TcpKernel<P> {
-    pub(crate) node: NodeId,
-    pub(crate) cost: CostModel,
-    /// Per-pair data-stream writers, indexed by destination node
-    /// (`None` at our own index).
-    pub(crate) peers: Vec<Option<SharedWriter>>,
-    pub(crate) resumes: ResumeSink,
-    pub(crate) timer_tx: Sender<TimerReq>,
-    pub(crate) shared: Arc<Shared>,
-    pub(crate) registry: RegClient,
-    pub(crate) stats: munin_net::NetStats,
-    pub(crate) coalesce: bool,
-    /// Outbound messages buffered during the current server step, one queue
-    /// per destination. Multicast payloads ride one `Arc` until they are
-    /// serialized here.
-    pub(crate) outbox: Vec<Vec<MsgBody<P>>>,
-    /// Reusable frame-encoding buffer.
-    pub(crate) scratch: Vec<u8>,
+    node: NodeId,
+    cost: CostModel,
+    /// Per-pair links, indexed by destination node (`None` at our own
+    /// index).
+    links: Vec<Option<Arc<Link>>>,
+    /// Links this step pushed frames onto; `flush_outbound` flushes these.
+    dirty: Vec<bool>,
+    resumes: ResumeSink,
+    timer_tx: Sender<TimerReq>,
+    shared: Arc<Shared>,
+    registry: RegClient,
+    stats: munin_net::NetStats,
     /// Threads whose blocked op completed this step (via
-    /// [`KernelApi::complete`]); drained by the server loop's op gate.
-    pub(crate) completions: Vec<ThreadId>,
+    /// [`KernelApi::complete`]); drained by the step's op gate.
+    completions: Vec<ThreadId>,
+    _payload: PhantomData<fn(P)>,
 }
 
-impl<P: Wire> TcpKernel<P> {
-    /// Write the scratch frame to `dst` (unless encoding already failed),
-    /// reporting a dead stream or an unencodable frame exactly once — by
-    /// poisoning the run with an error naming the peer — instead of
-    /// panicking the server thread.
-    fn write_scratch(&mut self, dst: usize, encoded: std::io::Result<()>) {
-        let Some(w) = &self.peers[dst] else {
-            // No writer can only mean a send to our own node index. The
+impl<P> TcpKernel<P> {
+    pub(crate) fn new(
+        node: NodeId,
+        cost: CostModel,
+        links: Vec<Option<Arc<Link>>>,
+        resumes: ResumeSink,
+        timer_tx: Sender<TimerReq>,
+        registry: RegClient,
+        shared: Arc<Shared>,
+    ) -> Self {
+        TcpKernel {
+            node,
+            cost,
+            dirty: vec![false; links.len()],
+            links,
+            resumes,
+            timer_tx,
+            shared,
+            registry,
+            stats: munin_net::NetStats::new(),
+            completions: Vec::new(),
+            _payload: PhantomData,
+        }
+    }
+
+    /// The links whose non-blocking send stopped fitting (small socket
+    /// buffers, a slow peer), for the SIGUSR1 / stall dump; links that never
+    /// overflowed are left out, so an empty string means none did.
+    pub(crate) fn overflows(&self) -> String {
+        let overflowed: Vec<String> = self
+            .links
+            .iter()
+            .flatten()
+            .filter_map(|l| match l.overflow_stats() {
+                (0, 0) => None,
+                (frames, bytes) => Some(format!(
+                    "to n{}: {frames} frame(s) took the overflow writer, {bytes} B left behind",
+                    l.peer().index()
+                )),
+            })
+            .collect();
+        overflowed.join("; ")
+    }
+
+    /// Queue one frame for `dst`; it leaves at the end of the step.
+    fn push(&mut self, dst: NodeId, encode: impl FnOnce(&mut Vec<u8>)) {
+        let Some(link) = &self.links[dst.index()] else {
+            // No link can only mean a send to our own node index. The
             // other fabrics would deliver it, so dropping silently would
             // turn a protocol change into an unexplained stall — surface
             // it loudly instead (and fail fast in debug builds).
             debug_assert!(false, "send to self over the socket fabric");
             self.shared.error(format!(
-                "node n{}: dropped a frame addressed to n{dst} with no stream (self-send?)",
-                self.node.index()
+                "node n{}: dropped a frame addressed to n{} with no stream (self-send?)",
+                self.node.index(),
+                dst.index()
             ));
             return;
         };
-        let r =
-            encoded.and_then(|()| w.lock().expect("frame writer poisoned").send_raw(&self.scratch));
-        if let Err(e) = r {
-            if !self.shared.is_poisoned() {
-                self.shared.error(format!(
-                    "node n{}: data stream to peer n{dst} failed: {e} — poisoning run",
-                    self.node.index()
-                ));
-                self.shared.poisoned.store(true, Ordering::Release);
-            }
-        }
+        link.push(encode);
+        self.dirty[dst.index()] = true;
     }
 
-    fn deliver(&mut self, dst: NodeId, body: MsgBody<P>) {
-        if self.coalesce {
-            self.outbox[dst.index()].push(body);
+    fn deliver_result(&mut self, thread: ThreadId, result: OpResult) {
+        // Close the op's server span half. On node 0 (Local) the span stays
+        // in the coordinator's collector directly; on a child (Remote) it
+        // rides the Resume frame back to the coordinator's span table.
+        let span = self.shared.obs.srv_finish(thread);
+        if let ResumeSink::Local(resumes) = &self.resumes {
+            let _ = resumes[thread.index()].send(result);
         } else {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let encoded = encode_data_msg(&mut scratch, body.payload());
-            self.scratch = scratch;
-            self.write_scratch(dst.index(), encoded);
+            self.push(NodeId(0), |out| put_resume(thread, &result, &span, out));
         }
     }
 }
@@ -110,8 +144,8 @@ impl<P: PayloadInfo + Wire + Clone> NodeKernel<P> for TcpKernel<P> {
     }
 
     fn resume(&mut self, thread: ThreadId, result: OpResult) {
-        // The loop's Done path: deliver without recording a completion (the
-        // loop dispatches the thread's next queued op itself).
+        // The step's Done path: deliver without recording a completion (the
+        // step dispatches the thread's next queued op itself).
         self.deliver_result(thread, result);
     }
 
@@ -121,31 +155,6 @@ impl<P: PayloadInfo + Wire + Clone> NodeKernel<P> for TcpKernel<P> {
 
     fn take_stats(&mut self) -> munin_net::NetStats {
         std::mem::take(&mut self.stats)
-    }
-}
-
-impl<P: PayloadInfo + Wire + Clone> TcpKernel<P> {
-    fn deliver_result(&mut self, thread: ThreadId, result: OpResult) {
-        // Close the op's server span half. On node 0 (Local) the span stays
-        // in the coordinator's collector directly; on a child (Remote) it
-        // rides the Resume frame back to the coordinator's span table.
-        let span = self.shared.obs.srv_finish(thread);
-        match &self.resumes {
-            ResumeSink::Local(resumes) => {
-                let _ = resumes[thread.index()].send(result);
-            }
-            ResumeSink::Remote(ctrl) => {
-                if let Err(e) = send_shared(ctrl, &CtrlFrame::Resume { thread, result, span }) {
-                    if !self.shared.is_poisoned() {
-                        self.shared.error(format!(
-                            "node n{}: control stream failed while resuming {thread}: {e}",
-                            self.node.index()
-                        ));
-                        self.shared.poisoned.store(true, Ordering::Release);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -162,7 +171,7 @@ impl<P: PayloadInfo + Wire + Clone> KernelApi<P> for TcpKernel<P> {
         debug_assert_eq!(src, self.node, "tcp kernels send on behalf of their own node");
         debug_assert_ne!(src, dst, "servers handle local work locally, not by self-send");
         self.stats.record(payload.class(), payload.kind(), payload.wire_bytes());
-        self.deliver(dst, MsgBody::Owned(payload));
+        self.push(dst, |out| put_msg(&payload, out));
     }
 
     fn multicast(&mut self, src: NodeId, dsts: &[NodeId], payload: P) {
@@ -174,41 +183,19 @@ impl<P: PayloadInfo + Wire + Clone> KernelApi<P> for TcpKernel<P> {
         for _ in dsts {
             self.stats.record(payload.class(), payload.kind(), payload.wire_bytes());
         }
-        // No hardware multicast on a socket fabric: fanout == sends. The
-        // payload is shared behind one `Arc` until each destination's frame
-        // is serialized.
+        // No hardware multicast on a socket fabric: fanout == sends, each
+        // encoded from the one payload into its destination's link.
         self.stats.record_multicast(dsts.len(), dsts.len());
-        let shared_payload = Arc::new(payload);
         for &dst in dsts {
             debug_assert_ne!(src, dst);
-            self.deliver(dst, MsgBody::Shared(shared_payload.clone()));
+            self.push(dst, |out| put_msg(&payload, out));
         }
     }
 
     fn flush_outbound(&mut self) {
-        if !self.coalesce {
-            return;
-        }
-        for dst in 0..self.outbox.len() {
-            match self.outbox[dst].len() {
-                0 => continue,
-                // A lone message needs no batch wrapper (and no Vec on the
-                // receiving side).
-                1 => {
-                    let body = self.outbox[dst].pop().expect("len checked");
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    let encoded = encode_data_msg(&mut scratch, body.payload());
-                    self.scratch = scratch;
-                    self.write_scratch(dst, encoded);
-                }
-                _ => {
-                    let items = std::mem::take(&mut self.outbox[dst]);
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    let encoded =
-                        encode_data_batch(&mut scratch, items.iter().map(|b| b.payload()));
-                    self.scratch = scratch;
-                    self.write_scratch(dst, encoded);
-                }
+        for (link, dirty) in self.links.iter().zip(&mut self.dirty) {
+            if std::mem::take(dirty) {
+                link.as_ref().expect("only existing links get dirty").flush();
             }
         }
     }

@@ -1,15 +1,19 @@
 //! The coordinator: builds a distributed world, spawns one `munin-node`
-//! process per remote node, hosts node 0's server and **every** application
-//! thread, and assembles the final [`RunReport`].
+//! process per remote node, hosts node 0's protocol state and **every**
+//! application thread, and assembles the final [`RunReport`].
 //!
 //! Application thread bodies are closures, and closures do not cross
-//! process boundaries — so the coordinator keeps them, and a thread placed
-//! on node `j` reaches node `j`'s server (in another process) through a
-//! forwarder that turns its `NodeEvent::Op`s into `Op` control frames; the
-//! remote server's completion comes back as a `Resume` frame and lands on
-//! the thread's ordinary resume channel. The programming model, the typed
-//! `Par` surface, and the apps are completely unchanged — only the fabric
-//! under the kernel seam is different.
+//! process boundaries — so the coordinator keeps them. A thread placed on
+//! node 0 runs its ops inline, as steps of node 0's [`NodeCell`] on its own
+//! thread. A thread placed on node `j` reaches node `j` (in another
+//! process) through `Op` frames it encodes onto the coordinator's data link
+//! to `j`; the completion comes back on the same stream as a `Resume` frame,
+//! which the coordinator's reader of that stream hands straight to the
+//! thread's ordinary resume channel. No server thread, no inbox, no
+//! forwarder: see [`crate::node`] for the thread model, the lock order and
+//! the flow-control invariant. The programming model, the typed `Par`
+//! surface, and the apps are completely unchanged — only the fabric under
+//! the kernel seam is different.
 //!
 //! The distributed stall watchdog mirrors `munin-rt`'s: children report
 //! activity epochs and pending-timer counts in heartbeats; when every live
@@ -21,19 +25,18 @@
 //! poisoning (see [`crate::sig`]).
 
 use crate::frames::{
-    accept_streams, read_frame, send_shared, shared_writer, CtrlFrame, RegReply, SharedWriter,
-    StartConfig, TestFault, STREAM_CTRL, STREAM_DATA,
+    accept_streams, read_frame, send_shared, shared_writer, CtrlFrame, DataFrame, RegReply,
+    SharedWriter, StartConfig, TestFault, STREAM_CTRL, STREAM_DATA,
 };
 use crate::kernel::{ResumeSink, TcpKernel};
-use crate::node::spawn_data_reader;
-use crate::registry::{RegCache, RegClient, RegEvent, RegPort, RegWritePath};
+use crate::link::Link;
+use crate::node::{spawn_data_reader, spawn_timer, InlinePort, LinkPort, NodeCell};
+use crate::registry::{run_registry_service, RegCache, RegClient, RegEvent, RegPort, RegWritePath};
 use crate::sig;
 use crate::spawn::spawn_node;
-use crate::wire::Wire;
 use munin_net::{NetStats, PayloadInfo};
-use munin_proto::Protocol;
-use munin_rt::timer::run_timer_thread;
-use munin_rt::{drive_app_thread, server_loop, NodeEvent, RtCtx, RtTuning, Shared};
+use munin_proto::{Protocol, Wire};
+use munin_rt::{drive_app_thread, OpPort, RtCtx, RtTuning, Shared};
 use munin_sim::report::{RunReport, WaitTable, WallClock};
 use munin_sim::{OpResult, Server};
 use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, SyncDecls, ThreadId, VirtualTime};
@@ -51,7 +54,8 @@ fn loopback(port: u16) -> SocketAddr {
 }
 
 /// Tuning of a distributed run. Embeds [`RtTuning`] (compute mode, stall
-/// timeout, batching knobs — same meanings as on the in-process kernel)
+/// timeout, op window — same meanings as on the in-process kernel; its
+/// `batch_max` and `coalesce` are channel-fabric knobs and unused here)
 /// plus the fabric-specific knobs.
 #[derive(Clone)]
 pub struct TcpTuning {
@@ -150,8 +154,8 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
     }
 
     /// Spawn an application thread on `node`. The closure runs in the
-    /// coordinator process; its DSM operations are forwarded to `node`'s
-    /// server process.
+    /// coordinator process; its DSM operations travel to `node`'s process
+    /// as `Op` frames (or run inline when `node` is node 0).
     pub fn spawn(
         &mut self,
         node: NodeId,
@@ -165,7 +169,7 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
 }
 
 impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> TcpWorldBuilder<P> {
-    /// Run under protocol `Pr`: node 0's server in-process, one
+    /// Run under protocol `Pr`: node 0's protocol state in-process, one
     /// `munin-node` process per remote node. The children rebuild the same
     /// server from `Pr::TAG` plus the `Wire`-encoded config in the start
     /// frame, so any protocol whose tag the node binary links runs over
@@ -216,7 +220,6 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
         sig::install();
 
         // ---- node 0 plumbing --------------------------------------------
-        let (inbox_tx, inbox_rx) = channel::<NodeEvent<P>>();
         let mut resume_txs: Vec<Sender<OpResult>> = Vec::with_capacity(n_threads);
         let mut resume_rxs: Vec<Receiver<OpResult>> = Vec::with_capacity(n_threads);
         for _ in 0..n_threads {
@@ -278,12 +281,10 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
             let start = StartConfig {
                 node: NodeId(i as u16),
                 n_nodes: n_nodes as u16,
-                proto_tag: crate::wire::ProtoTag(proto_tag),
+                proto_tag: munin_proto::wire::ProtoTag(proto_tag),
                 proto_cfg: proto_cfg.clone(),
                 decls: self.decls.clone(),
                 sync: sync.clone(),
-                batch_max: tuning.rt.batch_max,
-                coalesce: tuning.rt.coalesce,
                 heartbeat: tuning.heartbeat,
                 peers: peers_table.clone(),
                 test_fault: tuning.test_fault,
@@ -299,7 +300,7 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
         }
 
         // ---- accept the children's data streams to node 0 ---------------
-        let mut peer_writers: Vec<Option<SharedWriter>> = (0..n_nodes).map(|_| None).collect();
+        let mut data_streams: Vec<Option<TcpStream>> = (0..n_nodes).map(|_| None).collect();
         accept_streams(&listener, deadline, n_nodes - 1, |kind, mut stream| {
             if kind != STREAM_DATA {
                 return Err(io::Error::new(
@@ -308,18 +309,10 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
                 ));
             }
             let mut buf = Vec::new();
-            match read_frame::<crate::frames::DataFrame<P>>(&mut stream, &mut buf)? {
-                crate::frames::DataFrame::Hello { src } => {
+            match read_frame::<DataFrame<P>>(&mut stream, &mut buf)? {
+                DataFrame::Hello { src } => {
                     stream.set_read_timeout(None)?;
-                    spawn_data_reader::<P>(
-                        stream.try_clone()?,
-                        src,
-                        inbox_tx.clone(),
-                        shared.clone(),
-                        finishing.clone(),
-                        None,
-                    );
-                    peer_writers[src.index()] = Some(shared_writer(stream));
+                    data_streams[src.index()] = Some(stream);
                     Ok(())
                 }
                 other => Err(io::Error::new(
@@ -348,7 +341,6 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
             spawn_coord_ctrl_reader(
                 stream,
                 NodeId(i as u16),
-                resume_txs.clone(),
                 reg_tx.clone(),
                 ready_tx.clone(),
                 done_tx.clone(),
@@ -399,112 +391,61 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
             }
         }
 
-        // ---- node 0's server thread and timer ---------------------------
+        // ---- node 0's cell, its links, readers and timer -----------------
+        let links: Vec<Option<Arc<Link>>> = data_streams
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let stream = s.as_ref()?.try_clone().expect("clone data stream");
+                Some(Link::new(
+                    NodeId(0),
+                    NodeId(i as u16),
+                    stream,
+                    shared.clone(),
+                    finishing.clone(),
+                ))
+            })
+            .collect();
         let (timer_tx, timer_rx) = channel();
-        let timer_join = {
-            let inboxes = vec![inbox_tx.clone(); n_nodes];
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("tcp-n0-timer".into())
-                .spawn(move || run_timer_thread(timer_rx, inboxes, shared))
-                .expect("failed to spawn timer thread")
-        };
-        let kernel = TcpKernel {
-            node: NodeId(0),
-            cost,
-            peers: peer_writers,
-            resumes: ResumeSink::Local(resume_txs.clone()),
-            timer_tx,
+        let registry = RegClient {
+            cache: cache0,
+            path: RegWritePath::Local { tx: reg_tx, node: NodeId(0) },
+            reply_rx: reg_reply_rx0,
             shared: shared.clone(),
-            registry: RegClient {
-                cache: cache0,
-                path: RegWritePath::Local { tx: reg_tx.clone(), node: NodeId(0) },
-                reply_rx: reg_reply_rx0,
-                shared: shared.clone(),
-            },
-            stats: NetStats::new(),
-            coalesce: tuning.rt.coalesce,
-            outbox: (0..n_nodes).map(|_| Vec::new()).collect(),
-            scratch: Vec::new(),
-            completions: Vec::new(),
         };
-        let node0_join = {
-            let inbox_rx = inbox_rx;
-            let batch_max = tuning.rt.batch_max;
-            std::thread::Builder::new()
-                .name("tcp-n0-server".into())
-                .spawn(move || server_loop(server0, kernel, inbox_rx, batch_max))
-                .expect("failed to spawn node 0 server thread")
-        };
-        drop(reg_tx);
-        drop(reg_reply_tx0);
-
-        // ---- forwarders: remote-node app ops → control frames -----------
-        let mut op_txs: Vec<Option<Sender<NodeEvent<P>>>> = (0..n_nodes).map(|_| None).collect();
-        for i in 1..n_nodes {
-            let (tx, rx) = channel::<NodeEvent<P>>();
-            op_txs[i] = Some(tx);
-            let ctrl = ctrl_writers[i].as_ref().expect("ctrl writer exists").clone();
-            let shared = shared.clone();
-            let finishing = finishing.clone();
-            let node = NodeId(i as u16);
-            std::thread::Builder::new()
-                .name(format!("tcp-fwd-n{i}"))
-                .spawn(move || {
-                    // With pipelined clients, ops pile up in the channel
-                    // while the previous frame is on the wire: drain them
-                    // into one OpBatch frame per wake-up (bounded, so one
-                    // hot thread cannot starve the flush) instead of one
-                    // frame — and one syscall — per op.
-                    const FWD_BATCH_MAX: usize = 64;
-                    let mut batch: Vec<(munin_types::ThreadId, munin_sim::DsmOp)> = Vec::new();
-                    for ev in rx.iter() {
-                        batch.clear();
-                        if let NodeEvent::Op(thread, op) = ev {
-                            batch.push((thread, op));
-                        }
-                        while batch.len() < FWD_BATCH_MAX {
-                            match rx.try_recv() {
-                                Ok(NodeEvent::Op(thread, op)) => batch.push((thread, op)),
-                                Ok(_) => continue,
-                                Err(_) => break,
-                            }
-                        }
-                        // Spans: stamp the drain instant as the ops' "hit
-                        // the wire" mark (one clock read per frame — the
-                        // drained ops leave together anyway).
-                        let fwd_us = if shared.obs.spans() { munin_obs::wall_us() } else { 0 };
-                        let r = match batch.len() {
-                            0 => continue,
-                            1 => {
-                                let (thread, op) = batch.pop().expect("len checked");
-                                send_shared(&ctrl, &CtrlFrame::Op { thread, op, fwd_us })
-                            }
-                            _ => send_shared(
-                                &ctrl,
-                                &CtrlFrame::OpBatch { ops: std::mem::take(&mut batch), fwd_us },
-                            ),
-                        };
-                        if let Err(e) = r {
-                            if !finishing.load(Ordering::SeqCst) && !shared.is_poisoned() {
-                                shared.error(format!(
-                                    "forwarding op to node n{} failed: {e} — peer lost",
-                                    node.index()
-                                ));
-                                shared.poisoned.store(true, Ordering::Release);
-                            }
-                        }
-                    }
-                })
-                .expect("failed to spawn op forwarder");
+        let kernel = TcpKernel::new(
+            NodeId(0),
+            cost,
+            links.clone(),
+            ResumeSink::Local(resume_txs.clone()),
+            timer_tx,
+            registry,
+            shared.clone(),
+        );
+        let cell = NodeCell::new(
+            NodeId(0),
+            server0,
+            kernel,
+            resume_txs,
+            None,
+            finishing.clone(),
+            tuning.test_fault,
+        );
+        for (i, stream) in data_streams.into_iter().enumerate() {
+            if let Some(stream) = stream {
+                spawn_data_reader(stream, NodeId(i as u16), cell.clone());
+            }
         }
+        let timer_join = spawn_timer(&cell, timer_rx);
+        drop(reg_reply_tx0);
 
         // ---- watchdog ----------------------------------------------------
         let (watchdog_stop_tx, watchdog_stop_rx) = channel::<()>();
         let watchdog_join = {
             let shared = shared.clone();
             let hb = hb.clone();
-            let inbox_tx = inbox_tx.clone();
+            let cell = cell.clone();
+            let dump0 = move || cell.dump(Duration::from_secs(2));
             let ctrl_writers = ctrl_writers.clone();
             let tuning = tuning.clone();
             let dumps = dumps.clone();
@@ -514,7 +455,7 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
                     coordinator_watchdog(
                         shared,
                         hb,
-                        inbox_tx,
+                        dump0,
                         ctrl_writers,
                         dump_rx,
                         tuning,
@@ -530,10 +471,9 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
         for ((idx, (node, body)), resume_rx) in self.spawns.into_iter().enumerate().zip(resume_rxs)
         {
             let tid = ThreadId(idx as u32);
-            let to_server = if node.index() == 0 {
-                inbox_tx.clone()
-            } else {
-                op_txs[node.index()].as_ref().expect("forwarder exists").clone()
+            let to_server: Box<dyn OpPort> = match &links[node.index()] {
+                None => Box::new(InlinePort(cell.clone())),
+                Some(link) => Box::new(LinkPort { link: link.clone(), spans: shared.obs.spans() }),
             };
             let ctx = RtCtx::new(
                 tid,
@@ -552,7 +492,7 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
                     .expect("failed to spawn application thread"),
             );
         }
-        drop(op_txs);
+        drop(links);
 
         let thread_waits: Vec<WaitTable> =
             app_joins.into_iter().map(|j| j.join().unwrap_or_default()).collect();
@@ -566,8 +506,7 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
             let frame = if poisoned { CtrlFrame::Poison } else { CtrlFrame::Finish };
             let _ = send_shared(w, &frame);
         }
-        let _ = inbox_tx.send(NodeEvent::Shutdown);
-        let mut stats = node0_join.join().unwrap_or_default();
+        let mut stats = cell.close();
         // Collect the children's Done reports (traffic shards + error logs)
         // on poisoned runs too — that is where a child-side root-cause
         // error recorded via `KernelApi::error` lives. Surviving children
@@ -622,7 +561,6 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
                 let _ = send_shared(w, &CtrlFrame::Bye);
             }
         }
-        drop(inbox_tx);
         let _ = timer_join.join();
         reap_children(children, &shared);
         let _ = registry_join.join();
@@ -648,12 +586,13 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
     }
 }
 
-/// The coordinator's reader for one child's control stream.
+/// The coordinator's reader for one child's control stream. It touches no
+/// node state, so it always drains: registry requests and acks, heartbeats
+/// and error reports get through whatever node 0's cell is doing.
 #[allow(clippy::too_many_arguments)]
 fn spawn_coord_ctrl_reader(
     mut stream: TcpStream,
     node: NodeId,
-    resume_txs: Vec<Sender<OpResult>>,
     reg_tx: Sender<RegEvent>,
     ready_tx: Sender<NodeId>,
     #[allow(clippy::type_complexity)] done_tx: Sender<(
@@ -676,22 +615,6 @@ fn spawn_coord_ctrl_reader(
                 match read_frame::<CtrlFrame>(&mut stream, &mut buf) {
                     Ok(CtrlFrame::Ready) => {
                         let _ = ready_tx.send(node);
-                    }
-                    Ok(CtrlFrame::Resume { thread, result, span }) => {
-                        if let Some(span) = span {
-                            // The child's server half of this op's span:
-                            // file it under the issuing thread before the
-                            // resume lands (the client half joins by seq).
-                            shared.obs.srv_record(thread, span);
-                        }
-                        match resume_txs.get(thread.index()) {
-                            Some(tx) => {
-                                let _ = tx.send(result);
-                            }
-                            None => {
-                                shared.error(format!("n{} resumed unknown {thread}", node.index()))
-                            }
-                        }
                     }
                     Ok(CtrlFrame::Reg(req)) => {
                         let _ = reg_tx.send(RegEvent::Request { from: node, req });
@@ -742,10 +665,10 @@ fn spawn_coord_ctrl_reader(
 
 /// The distributed stall watchdog plus the SIGUSR1 on-demand dump service.
 #[allow(clippy::too_many_arguments)]
-fn coordinator_watchdog<P: Send + Sync + 'static>(
+fn coordinator_watchdog(
     shared: Arc<Shared>,
     hb: Arc<HbTable>,
-    inbox_tx: Sender<NodeEvent<P>>,
+    dump0: impl Fn() -> String,
     ctrl_writers: Vec<Option<SharedWriter>>,
     dump_rx: Receiver<(NodeId, String)>,
     tuning: TcpTuning,
@@ -768,7 +691,7 @@ fn coordinator_watchdog<P: Send + Sync + 'static>(
             }
         }
         if sig::take_dump_request() {
-            let entries = collect_dumps(n_nodes, &inbox_tx, &ctrl_writers, &dump_rx);
+            let entries = collect_dumps(n_nodes, &dump0, &ctrl_writers, &dump_rx);
             let mut log = dumps.lock().expect("dump log poisoned");
             for (node, text) in entries {
                 let text = if text.is_empty() { "(no stuck state)" } else { text.as_str() };
@@ -813,7 +736,7 @@ fn coordinator_watchdog<P: Send + Sync + 'static>(
              deadlock",
             tuning.rt.stall_timeout
         ));
-        let entries = collect_dumps(n_nodes, &inbox_tx, &ctrl_writers, &dump_rx);
+        let entries = collect_dumps(n_nodes, &dump0, &ctrl_writers, &dump_rx);
         {
             let mut errors = shared.errors.lock().expect("error log poisoned");
             for (node, text) in entries {
@@ -837,12 +760,13 @@ fn coordinator_watchdog<P: Send + Sync + 'static>(
     }
 }
 
-/// Pull `debug_stuck_state` from every node: node 0 through its inbox, the
-/// children over their control streams. Bounded by a 2-second collection
-/// window per phase so a wedged node cannot hang the watchdog.
-fn collect_dumps<P>(
+/// Pull `debug_stuck_state` from every node: node 0 through `dump0` (its
+/// cell's bounded `try_lock`), the children over their control streams.
+/// Bounded by a 2-second collection window per phase so a wedged node
+/// cannot hang the watchdog.
+fn collect_dumps(
     n_nodes: usize,
-    inbox_tx: &Sender<NodeEvent<P>>,
+    dump0: &impl Fn() -> String,
     ctrl_writers: &[Option<SharedWriter>],
     dump_rx: &Receiver<(NodeId, String)>,
 ) -> Vec<(NodeId, String)> {
@@ -855,7 +779,7 @@ fn collect_dumps<P>(
             expected += 1;
         }
     }
-    out.push((NodeId(0), munin_rt::request_dump(inbox_tx, Duration::from_secs(2))));
+    out.push((NodeId(0), dump0()));
     let deadline = Instant::now() + Duration::from_secs(2);
     while out.len() < expected + 1 {
         let left = deadline.saturating_duration_since(Instant::now());
@@ -873,6 +797,11 @@ fn collect_dumps<P>(
 /// design).
 fn reap_children(children: Vec<(NodeId, Child)>, shared: &Shared) {
     let deadline = Instant::now() + Duration::from_secs(5);
+    // A child is usually a fraction of a millisecond from exiting when the
+    // coordinator gets here (both just saw the end of the `Bye` phase), so
+    // the poll starts short and backs off: a fixed 20 ms nap made every
+    // run's wall time bimodal on who won that race.
+    let mut nap = Duration::from_micros(250);
     for (node, mut child) in children {
         loop {
             match child.try_wait() {
@@ -883,7 +812,8 @@ fn reap_children(children: Vec<(NodeId, Child)>, shared: &Shared) {
                         let _ = child.wait();
                         break;
                     }
-                    std::thread::sleep(Duration::from_millis(20));
+                    std::thread::sleep(nap);
+                    nap = (nap * 2).min(Duration::from_millis(20));
                 }
                 Err(e) => {
                     shared.error(format!("waiting for node n{} process: {e}", node.index()));
@@ -893,5 +823,3 @@ fn reap_children(children: Vec<(NodeId, Child)>, shared: &Shared) {
         }
     }
 }
-
-use crate::registry::run_registry_service;

@@ -1,21 +1,20 @@
 //! Round-trip property tests for the wire codec: `decode(encode(x)) == x`
-//! for **every** `MuninMsg`, `IvyMsg` and `TardisMsg` variant, for batch
-//! frames (including payloads that travel behind a multicast's shared
-//! `Arc`), for the control-plane vocabulary, and for boundary-shaped
-//! diffs. Corrupt and truncated inputs must fail as `WireError`s, never
-//! panic.
+//! for **every** `MuninMsg`, `IvyMsg` and `TardisMsg` variant, for the data
+//! stream's `Op`/`Resume` frames, for the control-plane vocabulary, and for
+//! boundary-shaped diffs; a multi-frame buffer fed to the buffered reader
+//! at every cut point yields the same frames. Corrupt and truncated inputs
+//! must fail as `WireError`s, never panic.
 
 use munin_core::{MuninMsg, UpdateItem};
 use munin_ivy::IvyMsg;
 use munin_mem::{Diff, PageId};
-use munin_rt::MsgBody;
+use munin_proto::wire::{ProtoTag, Wire};
 use munin_sim::{DsmOp, OpResult};
 use munin_tardis::TardisMsg;
 use munin_tcp::frames::{
-    encode_data_batch, encode_data_msg, CtrlFrame, DataFrame, RegReply, RegRequest, StartConfig,
+    append_frame, put_msg, CtrlFrame, DataFrame, FrameReader, RegReply, RegRequest, StartConfig,
     TestFault,
 };
-use munin_tcp::wire::{ProtoTag, Wire};
 use munin_types::{
     BarrierId, ByteRange, CondId, DsmError, IvyConfig, LockId, MuninConfig, NodeId, ObjectDecl,
     ObjectId, SharingType, SyncDecls, TardisConfig, ThreadId,
@@ -317,51 +316,77 @@ proptest! {
         }
     }
 
-    /// Batch frames — the wire form of `NodeEvent::Batch` — round-trip for
-    /// arbitrary mixed-variant contents, and the zero-copy encode path from
-    /// `MsgBody::Shared` (multicast payloads behind one `Arc`) produces
-    /// byte-identical frames to encoding owned payloads.
+    /// A buffer of several data frames (protocol messages, a forwarded
+    /// op, a resume) fed to the buffered reader in two reads, split at
+    /// **every** byte, yields exactly those frames in order — whichever
+    /// frame, prefix or body the cut falls into.
     #[test]
-    fn batch_frames_roundtrip_including_shared_payloads(seed in any::<u64>()) {
+    fn buffered_reader_yields_the_same_frames_at_every_cut(seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let n = rng.gen_range(1u64..8) as usize;
-        let msgs: Vec<MuninMsg> = (0..n)
-            .map(|i| {
-                let variant = rng.gen_range(0u64..999) as usize + i;
-                arb_munin(&mut rng, variant)
+        let mut frames: Vec<DataFrame<MuninMsg>> = (0..rng.gen_range(1u64..5))
+            .map(|_| {
+                let variant = rng.gen_range(0u64..999) as usize;
+                DataFrame::Msg(arb_munin(&mut rng, variant))
             })
             .collect();
-        let frame = DataFrame::Batch(msgs.clone());
-        roundtrip(&frame);
-
-        // The kernel's encode path: a mix of owned and Arc-shared bodies.
-        let bodies: Vec<MsgBody<MuninMsg>> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                if i % 2 == 0 {
-                    MsgBody::Owned(m.clone())
-                } else {
-                    MsgBody::Shared(Arc::new(m.clone()))
+        frames.push(DataFrame::Op {
+            thread: ThreadId(3),
+            op: arb_dsmop(&mut rng, 2),
+            fwd_us: 1_754_000_000_017,
+        });
+        frames.push(DataFrame::Resume {
+            thread: ThreadId(3),
+            result: OpResult::Bytes(arb_bytes(&mut rng, 64)),
+            span: None,
+        });
+        let mut bytes = Vec::new();
+        for f in &frames {
+            append_frame(&mut bytes, |out| f.put(out)).expect("frame under the cap");
+        }
+        for cut in 0..=bytes.len() {
+            let mut reader = FrameReader::default();
+            let mut got = Vec::new();
+            for mut part in [&bytes[..cut], &bytes[cut..]] {
+                while !part.is_empty() {
+                    reader.fill(&mut part).expect("reading from a slice");
+                    while let Some(f) = reader.next_frame::<DataFrame<MuninMsg>>().expect("decodes") {
+                        got.push(f);
+                    }
                 }
-            })
-            .collect();
-        let mut from_bodies = Vec::new();
-        encode_data_batch(&mut from_bodies, bodies.iter().map(|b| b.payload()))
-            .expect("batch under the frame cap");
-        let mut reference = Vec::new();
-        reference.extend_from_slice(&(frame.encode().len() as u32).to_le_bytes());
-        reference.extend_from_slice(&frame.encode());
-        prop_assert_eq!(from_bodies, reference);
+            }
+            prop_assert_eq!(&got, &frames, "cut at {}", cut);
+        }
     }
 
-    /// Application operations and results (the forwarded-op control plane).
+    /// Application operations and results, bare and inside the data
+    /// stream's `Op` / `Resume` frames.
     #[test]
     fn ops_and_results_roundtrip(seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
         for variant in 0..DSMOP_VARIANTS {
-            roundtrip(&arb_dsmop(&mut rng, variant));
+            let op = arb_dsmop(&mut rng, variant);
+            roundtrip(&op);
+            roundtrip(&DataFrame::<MuninMsg>::Op {
+                thread: ThreadId(variant as u32),
+                op,
+                fwd_us: rng.gen_range(0u64..u64::MAX),
+            });
         }
+        roundtrip(&DataFrame::<IvyMsg>::Resume {
+            thread: ThreadId(5),
+            result: OpResult::Bytes(arb_bytes(&mut rng, 256)),
+            span: Some(munin_obs::SrvSpan {
+                seq: 42,
+                fwd_us: 1_754_000_000_017,
+                dispatch_us: 1_754_000_000_103,
+                reply_us: 1_754_000_000_251,
+            }),
+        });
+        roundtrip(&DataFrame::<TardisMsg>::Resume {
+            thread: ThreadId(6),
+            result: OpResult::Unit,
+            span: None,
+        });
         roundtrip(&OpResult::Unit);
         roundtrip(&OpResult::Bytes(arb_bytes(&mut rng, 256)));
         roundtrip(&OpResult::Value(rng.gen_range(i64::MIN..i64::MAX)));
@@ -431,6 +456,12 @@ fn control_frames_roundtrip() {
         (1, IvyConfig::default().encode()),
         (2, TardisConfig::default().encode()),
     ];
+    let after = Duration::from_millis(250);
+    let faults = [
+        TestFault::Exit { node: NodeId(1), after },
+        TestFault::HalfClose { node: NodeId(1), peer: NodeId(0), after },
+        TestFault::StepPanic { node: NodeId(0), after },
+    ];
     for (tag, proto_cfg) in protos {
         let start = StartConfig {
             node: NodeId(2),
@@ -439,15 +470,9 @@ fn control_frames_roundtrip() {
             proto_cfg,
             decls: decls.clone(),
             sync: SyncDecls::round_robin(3, 2, 4, 4),
-            batch_max: 128,
-            coalesce: true,
             heartbeat: Duration::from_millis(25),
             peers: vec![(NodeId(0), 4000), (NodeId(1), 4001), (NodeId(2), 4002)],
-            test_fault: Some(TestFault::HalfClose {
-                node: NodeId(1),
-                peer: NodeId(0),
-                after: Duration::from_millis(250),
-            }),
+            test_fault: Some(faults[tag as usize]),
             telemetry: munin_types::Telemetry::Spans,
             coverage: true,
             n_threads: 6,
@@ -457,22 +482,6 @@ fn control_frames_roundtrip() {
     let frames = vec![
         CtrlFrame::Hello { node: NodeId(3), data_port: 40123 },
         CtrlFrame::Ready,
-        CtrlFrame::Op {
-            thread: ThreadId(5),
-            op: DsmOp::Lock(LockId(1)),
-            fwd_us: 1_754_000_000_017,
-        },
-        CtrlFrame::Resume {
-            thread: ThreadId(5),
-            result: OpResult::Bytes(vec![1, 2, 3]),
-            span: Some(munin_obs::SrvSpan {
-                seq: 42,
-                fwd_us: 1_754_000_000_017,
-                dispatch_us: 1_754_000_000_103,
-                reply_us: 1_754_000_000_251,
-            }),
-        },
-        CtrlFrame::Resume { thread: ThreadId(6), result: OpResult::Unit, span: None },
         CtrlFrame::Reg(RegRequest::Retype {
             obj: ObjectId(9),
             sharing: SharingType::ProducerConsumer,
@@ -499,13 +508,6 @@ fn control_frames_roundtrip() {
         },
         CtrlFrame::Poison,
         CtrlFrame::Bye,
-        CtrlFrame::OpBatch {
-            ops: vec![
-                (ThreadId(5), DsmOp::AtomicFetchAdd { obj: ObjectId(2), offset: 8, delta: -3 }),
-                (ThreadId(7), DsmOp::Lock(LockId(1))),
-            ],
-            fwd_us: 1_754_000_000_001,
-        },
     ];
     for f in frames {
         roundtrip(&f);
@@ -583,14 +585,15 @@ fn tardis_corrupt_input_fails_closed() {
     assert!(TardisMsg::decode(&evil).is_err());
 }
 
-/// An encoded `Msg` frame written by `encode_data_msg` parses back as the
-/// same message through the reader's `DataFrame` path.
+/// A `Msg` frame encoded from a borrowed payload the way the kernel does
+/// it (`append_frame` + `put_msg`) parses back as the same message through
+/// the reader's `DataFrame` path.
 #[test]
 fn single_msg_frame_encode_matches_dataframe() {
     let mut rng = SmallRng::seed_from_u64(3);
     let msg = arb_munin(&mut rng, 1);
     let mut framed = Vec::new();
-    encode_data_msg(&mut framed, &msg).expect("message under the frame cap");
+    append_frame(&mut framed, |out| put_msg(&msg, out)).expect("message under the frame cap");
     let (len_bytes, body) = framed.split_at(4);
     assert_eq!(u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize, body.len());
     match DataFrame::<MuninMsg>::decode(body).expect("frame decodes") {
