@@ -80,11 +80,9 @@ pub fn node_protos() -> Vec<(u8, munin_tcp::node::NodeRunFn)> {
 pub use harness::{Backend, Outcome, ProgramBuilder};
 pub use monitor::Monitor;
 pub use munin_obs::{MetricsSnapshot, OpClass, OpSpan};
-pub use munin_rt::{ComputeMode, RtTuning, SpinWait};
+pub use munin_rt::{ComputeMode, RtTuning};
 pub use munin_tcp::{tcp_support, TcpTuning};
 pub use munin_types::{
     Element, OpToken, SharedArray, SharedScalar, Telemetry, TokenState, TokenValue,
 };
-#[allow(deprecated)]
-pub use par::ParExt;
 pub use par::{Par, ParTyped, Region};

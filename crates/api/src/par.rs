@@ -77,7 +77,7 @@ pub trait Par {
     // which is the correct degenerate pipelining for backends whose ops
     // already finish inline (the simulator's rendezvous, the native
     // backend). The real-time kernels override these with a genuinely
-    // asynchronous issue path bounded by `RtTuning::max_inflight`.
+    // asynchronous issue path bounded by `munin_rt::MAX_INFLIGHT`.
 
     /// Issue a write without waiting for completion. The op is complete by
     /// the time the returned state is redeemed ([`Par::token_wait`]) or the
@@ -324,7 +324,7 @@ pub trait ParTyped: Par {
     // [`ParTyped::wait`] / [`ParTyped::wait_all`], or let the next sync
     // point (acquire/release/barrier/flush/exit — any blocking op, in
     // fact) complete it implicitly, per release consistency. On the
-    // real-time kernels this keeps up to `RtTuning::max_inflight` ops in
+    // real-time kernels this keeps up to `munin_rt::MAX_INFLIGHT` ops in
     // flight per thread; on the simulator and native backends the token
     // comes back already complete.
 
@@ -496,98 +496,6 @@ impl<P: Par + ?Sized, T: Element> Drop for Region<'_, P, T> {
     }
 }
 
-/// Byte-offset views over raw [`ObjectId`]s — the pre-typed-handle API.
-///
-/// Deprecated: use [`ParTyped`] with [`SharedArray`] / [`SharedScalar`]
-/// handles, which carry the element type and length and bounds-check every
-/// access. The only sanctioned caller left is the typed-vs-byte comparison
-/// in `benches/micro.rs` (opt-in via `MUNIN_BENCH_BYTE_PATH=1`), kept so
-/// the deprecation can cite measured numbers; everything else must go
-/// through the typed layer.
-#[deprecated(
-    note = "use ParTyped with SharedArray/SharedScalar handles; the sole sanctioned caller \
-            is the gated byte-path comparison in benches/micro.rs (MUNIN_BENCH_BYTE_PATH=1)"
-)]
-pub trait ParExt: Par {
-    fn read_f64(&mut self, obj: ObjectId, idx: u32) -> f64 {
-        let mut buf = [0u8; 8];
-        self.read_raw_into(obj, ByteRange::new(idx * 8, 8), &mut buf);
-        f64::from_le_bytes(buf)
-    }
-
-    fn write_f64(&mut self, obj: ObjectId, idx: u32, v: f64) {
-        self.write_raw(obj, idx * 8, &v.to_le_bytes());
-    }
-
-    /// Read `n` consecutive f64 elements starting at element `start`.
-    fn read_f64s(&mut self, obj: ObjectId, start: u32, n: u32) -> Vec<f64> {
-        let mut out = vec![0f64; n as usize];
-        let arr = SharedArray::<f64>::from_raw(obj, start + n, munin_types::SharingType::WriteMany);
-        self.read_into(&arr, start, &mut out);
-        out
-    }
-
-    /// Write consecutive f64 elements starting at element `start`.
-    fn write_f64s(&mut self, obj: ObjectId, start: u32, vals: &[f64]) {
-        let arr = SharedArray::<f64>::from_raw(
-            obj,
-            start + vals.len() as u32,
-            munin_types::SharingType::WriteMany,
-        );
-        self.write_from(&arr, start, vals);
-    }
-
-    fn read_i64(&mut self, obj: ObjectId, idx: u32) -> i64 {
-        let mut buf = [0u8; 8];
-        self.read_raw_into(obj, ByteRange::new(idx * 8, 8), &mut buf);
-        i64::from_le_bytes(buf)
-    }
-
-    fn write_i64(&mut self, obj: ObjectId, idx: u32, v: i64) {
-        self.write_raw(obj, idx * 8, &v.to_le_bytes());
-    }
-
-    fn read_i64s(&mut self, obj: ObjectId, start: u32, n: u32) -> Vec<i64> {
-        let mut out = vec![0i64; n as usize];
-        let arr = SharedArray::<i64>::from_raw(obj, start + n, munin_types::SharingType::WriteMany);
-        self.read_into(&arr, start, &mut out);
-        out
-    }
-
-    fn write_i64s(&mut self, obj: ObjectId, start: u32, vals: &[i64]) {
-        let arr = SharedArray::<i64>::from_raw(
-            obj,
-            start + vals.len() as u32,
-            munin_types::SharingType::WriteMany,
-        );
-        self.write_from(&arr, start, vals);
-    }
-
-    fn read_u8(&mut self, obj: ObjectId, idx: u32) -> u8 {
-        let mut buf = [0u8; 1];
-        self.read_raw_into(obj, ByteRange::new(idx, 1), &mut buf);
-        buf[0]
-    }
-
-    fn write_u8(&mut self, obj: ObjectId, idx: u32, v: u8) {
-        self.write_raw(obj, idx, &[v]);
-    }
-
-    /// Bulk byte read (fills `out`), the symmetric partner `read_u8`
-    /// lacked; routed through the zero-copy path.
-    fn read_u8s(&mut self, obj: ObjectId, start: u32, out: &mut [u8]) {
-        self.read_raw_into(obj, ByteRange::new(start, out.len() as u32), out);
-    }
-
-    /// Bulk byte write, the symmetric partner `write_u8` lacked.
-    fn write_u8s(&mut self, obj: ObjectId, start: u32, vals: &[u8]) {
-        self.write_raw(obj, start, vals);
-    }
-}
-
-#[allow(deprecated)]
-impl<T: Par + ?Sized> ParExt for T {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,47 +644,5 @@ mod tests {
         let a: SharedArray<f64> = SharedArray::from_raw(obj, 8, SharingType::WriteMany);
         #[allow(clippy::reversed_empty_ranges)]
         let _ = p.region(&a, 5..2);
-    }
-
-    #[allow(deprecated)]
-    mod parext_shim {
-        use super::super::*;
-        use super::mempar;
-
-        #[test]
-        fn f64_roundtrip() {
-            let (mut p, obj) = mempar(64);
-            p.write_f64(obj, 3, -2.5);
-            assert_eq!(p.read_f64(obj, 3), -2.5);
-            p.write_f64s(obj, 0, &[1.0, 2.0, 3.0]);
-            assert_eq!(p.read_f64s(obj, 0, 4), vec![1.0, 2.0, 3.0, -2.5]);
-        }
-
-        #[test]
-        fn i64_and_u8_roundtrip() {
-            let (mut p, obj) = mempar(64);
-            p.write_i64s(obj, 1, &[7, -9]);
-            assert_eq!(p.read_i64s(obj, 1, 2), vec![7, -9]);
-            assert_eq!(p.read_i64(obj, 2), -9);
-            p.write_u8(obj, 0, 200);
-            assert_eq!(p.read_u8(obj, 0), 200);
-        }
-
-        #[test]
-        fn u8_bulk_is_symmetric() {
-            let (mut p, obj) = mempar(16);
-            p.write_u8s(obj, 4, &[1, 2, 3, 4]);
-            let mut out = [0u8; 4];
-            p.read_u8s(obj, 4, &mut out);
-            assert_eq!(out, [1, 2, 3, 4]);
-        }
-
-        #[test]
-        fn fetch_add_on_mempar() {
-            let (mut p, obj) = mempar(8);
-            assert_eq!(p.fetch_add(obj, 0, 5), 0);
-            assert_eq!(p.fetch_add(obj, 0, 2), 5);
-            assert_eq!(p.read_i64(obj, 0), 7);
-        }
     }
 }

@@ -4,24 +4,16 @@
 //! translation Ivy performs on every access — and the typed zero-copy
 //! access path (time *and* allocations per access, measured on the native
 //! backend).
-//!
-//! The comparison against the deprecated `ParExt` byte path only runs when
-//! `MUNIN_BENCH_BYTE_PATH=1` is set: this bench is the byte path's one
-//! sanctioned caller (kept so the deprecation can cite a measured reason),
-//! and gating it keeps routine bench runs from exercising — and normal
-//! builds from appearing to bless — a deprecated API.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use munin_api::native::{NativeCtx, NativeWorld};
-#[allow(deprecated)]
-use munin_api::ParExt;
 use munin_api::ParTyped;
 use munin_check::VectorClock;
 use munin_mem::{AddressSpace, Diff, TwinStore};
 use munin_types::{AllocPolicy, ByteRange, ObjectId, SharedArray, SharingType, ThreadId};
 
-/// Counts heap allocations so the typed-vs-byte comparison reports
-/// allocations per access, not just time.
+/// Counts heap allocations so the typed access bench reports allocations
+/// per access, not just time.
 #[path = "../../mem/testsupport/counting_alloc.rs"]
 mod counting_alloc;
 use counting_alloc::{allocs_of, CountingAlloc};
@@ -29,28 +21,17 @@ use counting_alloc::{allocs_of, CountingAlloc};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Is the deprecated-byte-path comparison enabled for this run?
-fn byte_path_enabled() -> bool {
-    std::env::var("MUNIN_BENCH_BYTE_PATH").map(|v| v == "1").unwrap_or(false)
-}
-
 /// Typed zero-copy access on the native backend (no simulator in the way,
-/// so the measurement isolates the API layer itself). With
-/// `MUNIN_BENCH_BYTE_PATH=1`, also measures the deprecated `ParExt` byte
-/// path alongside it and asserts the typed path stays strictly cheaper —
-/// the bench is that path's only sanctioned caller.
-#[allow(deprecated)]
-fn bench_typed_vs_byte_api(c: &mut Criterion) {
+/// so the measurement isolates the API layer itself), plus the assertion
+/// that bulk typed access into caller buffers never allocates.
+fn bench_typed_api(c: &mut Criterion) {
     const N: u32 = 256; // elements per bulk op
     let world = NativeWorld::new([(ObjectId(0), N as usize * 8)], 0, &[], 0, 1);
     let mut par = NativeCtx::new(world, 0);
     let arr: SharedArray<f64> = SharedArray::from_raw(ObjectId(0), N, SharingType::WriteMany);
-    let obj = ObjectId(0);
     let vals = vec![1.5f64; N as usize];
     let mut buf = vec![0f64; N as usize];
 
-    // Allocations per bulk read+write round on the typed path: always
-    // asserted, with or without the comparison.
     par.write_from(&arr, 0, &vals);
     let typed_allocs = allocs_of(|| {
         par.write_from(&arr, 0, black_box(&vals));
@@ -61,36 +42,7 @@ fn bench_typed_vs_byte_api(c: &mut Criterion) {
     );
     assert_eq!(typed_allocs, 0, "typed bulk access into caller buffers is allocation-free");
 
-    if byte_path_enabled() {
-        let byte_allocs = allocs_of(|| {
-            par.write_f64s(obj, 0, black_box(&vals));
-            black_box(par.read_f64s(obj, 0, N));
-        });
-        println!(
-            "alloc  parext byte path                                 ... {byte_allocs:>10} allocs / {N}-element read+write round"
-        );
-        assert!(
-            typed_allocs < byte_allocs,
-            "typed path must allocate less than the byte path ({typed_allocs} vs {byte_allocs})"
-        );
-    } else {
-        println!(
-            "skip   deprecated ParExt byte-path comparison (set MUNIN_BENCH_BYTE_PATH=1 to run)"
-        );
-    }
-
     let mut g = c.benchmark_group("access256xf64");
-    if byte_path_enabled() {
-        g.bench_function("parext_read_f64s", |b| {
-            b.iter(|| black_box(par.read_f64s(black_box(obj), 0, N)))
-        });
-        g.bench_function("parext_write_f64s", |b| {
-            b.iter(|| par.write_f64s(black_box(obj), 0, black_box(&vals)))
-        });
-        g.bench_function("parext_read_f64_single", |b| {
-            b.iter(|| black_box(par.read_f64(black_box(obj), 17)))
-        });
-    }
     g.bench_function("typed_read_into", |b| {
         b.iter(|| par.read_into(black_box(&arr), 0, black_box(&mut buf)))
     });
@@ -212,7 +164,7 @@ fn bench_addr(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_typed_vs_byte_api,
+    bench_typed_api,
     bench_diff,
     bench_twins,
     bench_reorder,

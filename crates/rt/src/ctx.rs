@@ -8,17 +8,16 @@
 //! so a wedged protocol tears the thread down (with a panic the harness
 //! reports) instead of hanging the process.
 //!
-//! PR 7 made the issue path pipelined: ops can be issued asynchronously
-//! (up to [`RtTuning::max_inflight`] per thread) and completed later by a
-//! token wait or, implicitly, by the next blocking op — every blocking op
-//! waits for its *own* completion, which on the per-thread FIFO resume
-//! channel drains everything issued before it. Adjacent writes to the same
-//! object are combined client-side ([`RtTuning::write_combine`]) and a
-//! bounded adaptive spin ([`SpinWait`]) runs before each park so short
-//! waits skip the futex wake + context-switch pair.
+//! The issue path is pipelined: ops can be issued asynchronously (up to
+//! [`MAX_INFLIGHT`] per thread) and completed later by a token wait or,
+//! implicitly, by the next blocking op — every blocking op waits for its
+//! *own* completion, which on the per-thread FIFO resume channel drains
+//! everything issued before it. Adjacent writes to the same object are
+//! always combined client-side and leave as one async write at the next
+//! non-write op.
 
 use crate::fabric::{NodeEvent, Shared};
-use crate::world::{ComputeMode, RtTuning, SpinWait};
+use crate::world::{ComputeMode, RtTuning};
 use munin_obs::{wall_us, AccessKind, OpClass};
 use munin_sim::report::WaitTable;
 use munin_sim::{DsmOp, OpResult};
@@ -28,9 +27,13 @@ use munin_types::{
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Most ops one thread keeps in flight before an issue blocks on the
+/// oldest completion.
+pub const MAX_INFLIGHT: usize = 16;
 
 /// How often a blocked thread wakes to check for poisoning.
 const POISON_POLL: Duration = Duration::from_millis(25);
@@ -39,11 +42,6 @@ const POISON_POLL: Duration = Duration::from_millis(25);
 /// combined write larger than this is emitted immediately rather than
 /// accumulating further.
 const WC_MAX_BYTES: usize = 64 * 1024;
-
-/// Observations above this never feed the spin EWMA: a barrier or a
-/// contended lock can block for milliseconds, and letting that pull the
-/// estimate up would make every subsequent fast op spin to its cap.
-const EWMA_CLAMP_US: u64 = 1_000;
 
 /// Where an application thread's ops enter its node. The in-process fabric
 /// mails them to the node server's inbox (this impl on the inbox `Sender`);
@@ -59,7 +57,7 @@ pub trait OpPort: Send {
 
     /// Push out whatever `submit` queued. The context calls this before it
     /// parks for a completion (a blocking op, a token wait, a full window)
-    /// and before it sleeps or spins in modelled compute.
+    /// and before it sleeps in modelled compute.
     fn flush(&mut self) {}
 }
 
@@ -138,11 +136,6 @@ pub struct RtCtx<P> {
     claimable: Vec<(u64, &'static str, OpResult)>,
     /// Pending write-combining buffer, flushed by any non-write op.
     wc: Option<WcBuf>,
-    /// EWMA of recent op completion times (µs), the adaptive spin's input.
-    ewma_us: u64,
-    /// Spinning is pointless when waiter and server cannot run in parallel
-    /// (1-core CI); decided once at construction.
-    can_spin: bool,
     /// The protocol payload type of the world this context belongs to (the
     /// harness picks the `Par` impl by it); the context itself never
     /// touches a payload.
@@ -163,7 +156,6 @@ impl<P> RtCtx<P> {
         shared: Arc<Shared>,
         tuning: RtTuning,
     ) -> Self {
-        let can_spin = std::thread::available_parallelism().map(|p| p.get() >= 2).unwrap_or(false);
         RtCtx {
             thread,
             node,
@@ -179,8 +171,6 @@ impl<P> RtCtx<P> {
             pending: VecDeque::new(),
             claimable: Vec::new(),
             wc: None,
-            ewma_us: 15,
-            can_spin,
             _payload: PhantomData,
         }
     }
@@ -241,8 +231,8 @@ impl<P> RtCtx<P> {
 
     /// Issue an operation without waiting; returns a token state redeemable
     /// with [`RtCtx::token_wait`]. Writes go through the combining buffer
-    /// when enabled and come back [`TokenState::Ready`] — the combined op
-    /// is emitted (still async) by the next non-write op.
+    /// and come back [`TokenState::Ready`] — the combined op is emitted
+    /// (still async) by the next non-write op.
     pub fn op_async(&mut self, op: DsmOp) -> TokenState {
         let label = op.label();
         self.check_issue_poison(label);
@@ -254,13 +244,9 @@ impl<P> RtCtx<P> {
                 self.compute_inner(us);
                 TokenState::Ready(0)
             }
-            DsmOp::Write { obj, range, data } if self.tuning.write_combine => {
+            DsmOp::Write { obj, range, data } => {
                 self.wc_absorb(obj, range.start, data);
                 TokenState::Ready(0)
-            }
-            DsmOp::Write { obj, range, data } => {
-                let seq = self.issue(DsmOp::Write { obj, range, data }, label, false, true);
-                TokenState::Pending(seq)
             }
             other => {
                 self.flush_wc();
@@ -354,8 +340,7 @@ impl<P> RtCtx<P> {
     /// Mail one op to the server and enqueue it in the in-flight window,
     /// first making room if the window is full.
     fn issue(&mut self, op: DsmOp, label: &'static str, claimed: bool, pipelined: bool) -> u64 {
-        let cap = self.tuning.max_inflight.max(1);
-        while self.pending.len() >= cap {
+        while self.pending.len() >= MAX_INFLIGHT {
             let (seq, l, c, r) = self.receive_one(label);
             self.park_result(seq, l, c, r);
         }
@@ -378,9 +363,9 @@ impl<P> RtCtx<P> {
         seq
     }
 
-    /// Block (spin, then park) until op `seq` completes and return its
-    /// result. Earlier in-flight results received along the way are parked
-    /// for their tokens (or dropped if unit/unclaimed).
+    /// Block until op `seq` completes and return its result. Earlier
+    /// in-flight results received along the way are parked for their
+    /// tokens (or dropped if unit/unclaimed).
     fn wait_seq(&mut self, seq: u64, wait_label: &'static str) -> OpResult {
         if seq <= self.received_through {
             return self.claim(seq);
@@ -418,9 +403,9 @@ impl<P> RtCtx<P> {
         }
     }
 
-    /// Receive the oldest in-flight op's completion off the resume channel,
-    /// spinning briefly before parking. `wait_label` names the op the
-    /// *caller* is blocked in, for poison/teardown panics.
+    /// Receive the oldest in-flight op's completion off the resume channel.
+    /// `wait_label` names the op the *caller* is blocked in, for
+    /// poison/teardown panics.
     fn receive_one(&mut self, wait_label: &'static str) -> (u64, &'static str, bool, OpResult) {
         let head = *self.pending.front().expect("receive with nothing in flight");
         self.shared.blocked.fetch_add(1, Ordering::SeqCst);
@@ -428,11 +413,10 @@ impl<P> RtCtx<P> {
         self.shared.blocked.fetch_sub(1, Ordering::SeqCst);
         self.pending.pop_front();
         self.received_through = head.seq;
-        let observed = u64::try_from(head.issued.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.ewma_us = (self.ewma_us * 7 + observed.min(EWMA_CLAMP_US)) / 8;
         // The single client-side completion point: every op's latency is
         // recorded here, and the client half of its span when enabled.
         if self.tuning.telemetry.enabled() {
+            let observed = u64::try_from(head.issued.elapsed().as_micros()).unwrap_or(u64::MAX);
             self.shared.obs.record_op(self.thread, head.class, head.pipelined, observed);
             if self.tuning.telemetry.spans() {
                 self.shared.obs.client_span(
@@ -448,35 +432,12 @@ impl<P> RtCtx<P> {
         (head.seq, head.label, head.claimed, result)
     }
 
-    /// One completion off the channel: bounded spin, then a parked wait
-    /// that wakes every [`POISON_POLL`] to check the watchdog's flag. This
-    /// is the *single* wait path — blocking ops and token waits both end
-    /// here, so neither can miss poisoning.
+    /// One completion off the channel: a parked wait that wakes every
+    /// [`POISON_POLL`] to check the watchdog's flag. This is the *single*
+    /// wait path — blocking ops and token waits both end here, so neither
+    /// can miss poisoning.
     fn recv_result(&mut self, wait_label: &'static str) -> OpResult {
         self.to_server.flush();
-        let spin_us = match self.tuning.spin_wait {
-            _ if !self.can_spin => 0,
-            SpinWait::Off => 0,
-            SpinWait::Fixed { us } => us,
-            SpinWait::Adaptive { cap_us } => (self.ewma_us * 2).min(cap_us),
-        };
-        if spin_us > 0 {
-            let deadline = Instant::now() + Duration::from_micros(spin_us);
-            loop {
-                match self.resume_rx.try_recv() {
-                    Ok(r) => return r,
-                    Err(TryRecvError::Empty) => {
-                        if Instant::now() >= deadline {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                    Err(TryRecvError::Disconnected) => panic!(
-                        "real-time kernel tore down while thread was blocked in '{wait_label}'"
-                    ),
-                }
-            }
-        }
         loop {
             match self.resume_rx.recv_timeout(POISON_POLL) {
                 Ok(r) => return r,
@@ -573,16 +534,14 @@ impl<P> RtCtx<P> {
         out.copy_from_slice(&bytes);
     }
 
-    /// Write bytes at `start` within an object. With write combining on
-    /// (the default) consecutive contiguous writes coalesce client-side and
-    /// complete asynchronously by the next non-write op; program order per
-    /// thread is preserved either way.
+    /// Write bytes at `start` within an object. Consecutive contiguous
+    /// writes coalesce client-side and complete asynchronously by the next
+    /// non-write op; program order per thread is preserved.
     pub fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
         let range = ByteRange::new(start, data.len() as u32);
-        let state = self.op_async(DsmOp::Write { obj, range, data });
-        // Uncombined async writes complete at the next blocking op; nothing
-        // to redeem (unit result), and errors fail closed in park_result.
-        let _ = state;
+        // Always `Ready`: nothing to redeem, and an error of the combined
+        // write fails closed in `park_result`.
+        let _ = self.op_async(DsmOp::Write { obj, range, data });
     }
 
     /// Write borrowed bytes at `start` within an object.
@@ -639,24 +598,12 @@ impl<P> RtCtx<P> {
     }
 
     fn compute_inner(&mut self, us: u64) {
-        let us = (us as f64 * self.tuning.compute_scale).round() as u64;
-        if us == 0 {
+        if us == 0 || self.tuning.compute == ComputeMode::Skip {
             return;
         }
-        if self.tuning.compute != ComputeMode::Skip {
-            // Going away for `us`: let queued async ops travel meanwhile.
-            self.to_server.flush();
-        }
-        match self.tuning.compute {
-            ComputeMode::Sleep => std::thread::sleep(Duration::from_micros(us)),
-            ComputeMode::Spin => {
-                let end = Instant::now() + Duration::from_micros(us);
-                while Instant::now() < end {
-                    std::hint::spin_loop();
-                }
-            }
-            ComputeMode::Skip => {}
-        }
+        // Going away for `us`: let queued async ops travel meanwhile.
+        self.to_server.flush();
+        std::thread::sleep(Duration::from_micros(us));
     }
 }
 
@@ -721,7 +668,6 @@ mod tests {
     #[test]
     fn write_combining_coalesces_and_flushes_in_order() {
         let (mut ctx, op_rx, res_tx) = lone_ctx();
-        assert!(ctx.tuning.write_combine);
         ctx.write(ObjectId(3), 0, vec![1, 2, 3, 4]);
         ctx.write(ObjectId(3), 4, vec![5, 6]); // appends
         ctx.write(ObjectId(3), 2, vec![9, 9]); // contained overwrite
@@ -892,20 +838,20 @@ mod tests {
     #[test]
     fn inflight_window_caps_at_max_inflight() {
         let (mut ctx, op_rx, res_tx) = lone_ctx();
-        ctx.tuning.max_inflight = 2;
-        ctx.tuning.write_combine = false;
-        let t1 = ctx.op_async(DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 });
-        let _t2 = ctx.op_async(DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 });
-        assert_eq!(ctx.pending.len(), 2);
+        let add = DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 };
+        let tokens: Vec<TokenState> =
+            (0..MAX_INFLIGHT).map(|_| ctx.op_async(add.clone())).collect();
+        assert_eq!(ctx.pending.len(), MAX_INFLIGHT);
         res_tx.send(OpResult::Value(10)).unwrap();
-        let t3 = ctx.op_async(DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 });
-        assert_eq!(ctx.pending.len(), 2, "issue retired the oldest op to make room");
-        // t1 completed out from under the window; its token redeems from
-        // the claimable set without touching the channel.
-        assert_eq!(ctx.token_wait(t1), 10);
-        res_tx.send(OpResult::Value(11)).unwrap();
-        res_tx.send(OpResult::Value(12)).unwrap();
-        assert_eq!(ctx.token_wait(t3), 12);
+        let last = ctx.op_async(add);
+        assert_eq!(ctx.pending.len(), MAX_INFLIGHT, "issue retired the oldest op to make room");
+        // The first op completed out from under the window; its token
+        // redeems from the claimable set without touching the channel.
+        assert_eq!(ctx.token_wait(tokens[0]), 10);
+        for v in 11..=(10 + MAX_INFLIGHT as i64) {
+            res_tx.send(OpResult::Value(v)).unwrap();
+        }
+        assert_eq!(ctx.token_wait(last), 10 + MAX_INFLIGHT as i64);
         drop(op_rx);
     }
 }

@@ -20,10 +20,10 @@ use std::time::{Duration, Instant};
 /// ordering the protocols assume. Send failures are ignored by design: they
 /// only happen when the destination already shut down during teardown.
 ///
-/// With `coalesce` on (the default), protocol sends issued while the server
-/// handles one batch of inbox events are buffered per destination and
-/// flushed as a single [`NodeEvent::Batch`] channel message when the step
-/// ends ([`KernelApi::flush_outbound`], called by the server loop before it
+/// Protocol sends issued while the server handles one batch of inbox
+/// events are buffered per destination and flushed as a single
+/// [`NodeEvent::Batch`] channel message when the step ends
+/// ([`KernelApi::flush_outbound`], called by the server loop before it
 /// blocks again) — a K-item fan-out costs the fabric one channel operation
 /// and one receiver wake-up per destination instead of one per item. The
 /// outbox is strictly per-destination and in send order, so coalescing
@@ -39,9 +39,6 @@ pub struct RtKernel<P> {
     /// when its loop exits and merged into the run totals there — keeps the
     /// send path free of cross-node locking.
     pub(crate) stats: munin_net::NetStats,
-    /// Coalesce outbound sends into per-destination batches (see above);
-    /// off reproduces the one-channel-send-per-message fabric.
-    pub(crate) coalesce: bool,
     /// Outbound messages buffered during the current server step, one queue
     /// per destination node.
     pub(crate) outbox: Vec<Vec<(NodeId, MsgBody<P>)>>,
@@ -55,14 +52,6 @@ impl<P> RtKernel<P> {
     /// it exits (the world merges every node's share into the run totals).
     pub(crate) fn take_stats(&mut self) -> munin_net::NetStats {
         std::mem::take(&mut self.stats)
-    }
-
-    fn deliver(&mut self, dst: NodeId, src: NodeId, body: MsgBody<P>) {
-        if self.coalesce {
-            self.outbox[dst.index()].push((src, body));
-        } else {
-            let _ = self.inboxes[dst.index()].send(NodeEvent::Msg(src, body));
-        }
     }
 }
 
@@ -105,7 +94,7 @@ impl<P: PayloadInfo + Clone> KernelApi<P> for RtKernel<P> {
         debug_assert_eq!(src, self.node, "rt kernels send on behalf of their own node");
         debug_assert_ne!(src, dst, "servers handle local work locally, not by self-send");
         self.stats.record(payload.class(), payload.kind(), payload.wire_bytes());
-        self.deliver(dst, src, MsgBody::Owned(payload));
+        self.outbox[dst.index()].push((src, MsgBody::Owned(payload)));
     }
 
     fn multicast(&mut self, src: NodeId, dsts: &[NodeId], payload: P) {
@@ -124,14 +113,11 @@ impl<P: PayloadInfo + Clone> KernelApi<P> for RtKernel<P> {
         let shared_payload = Arc::new(payload);
         for &dst in dsts {
             debug_assert_ne!(src, dst);
-            self.deliver(dst, src, MsgBody::Shared(shared_payload.clone()));
+            self.outbox[dst.index()].push((src, MsgBody::Shared(shared_payload.clone())));
         }
     }
 
     fn flush_outbound(&mut self) {
-        if !self.coalesce {
-            return;
-        }
         for dst in 0..self.outbox.len() {
             match self.outbox[dst].len() {
                 0 => continue,

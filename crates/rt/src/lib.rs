@@ -27,18 +27,19 @@
 //!   per destination, so the per-(src,dst) FIFO ordering the protocols
 //!   assume carries over from the simulated transport;
 //! * **a batched message pipeline** — server loops drain their inbox in
-//!   bounded batches (one blocking `recv` plus `try_recv`s up to
-//!   [`RtTuning::batch_max`], one watchdog activity bump per batch), and
-//!   every protocol message a server sends while handling one batch is
-//!   coalesced into a single channel message per destination
-//!   (`NodeEvent::Batch`, flushed through `KernelApi::flush_outbound`
-//!   before the loop blocks again). A K-item flush or eager fan-out costs
-//!   the fabric one send and one receiver wake-up per destination instead
-//!   of one per item; multicast payloads are shared behind an `Arc` rather
-//!   than deep-cloned per destination. Batching never reorders a
-//!   (src,dst) pair — batch items are delivered in send order — and
-//!   `RtTuning::unbatched()` restores the one-message-per-send fabric for
-//!   A/B measurement (`benches/traffic_rt.rs`);
+//!   bounded batches (one blocking `recv` plus `try_recv`s, at most 128
+//!   events, one watchdog activity bump per batch), and every protocol
+//!   message a server sends while handling one batch is coalesced into a
+//!   single channel message per destination (`NodeEvent::Batch`, flushed
+//!   through `KernelApi::flush_outbound` before the loop blocks again). A
+//!   K-item flush or eager fan-out costs the fabric one send and one
+//!   receiver wake-up per destination instead of one per item; multicast
+//!   payloads are shared behind an `Arc` rather than deep-cloned per
+//!   destination. Batching never reorders a (src,dst) pair — batch items
+//!   are delivered in send order;
+//! * **a pipelined client** — a thread keeps up to [`MAX_INFLIGHT`] ops in
+//!   flight, combines adjacent writes client-side, and parks on its resume
+//!   channel while it waits;
 //! * **a wall-clock timer thread** replacing virtual-time timers (Ivy's
 //!   spin backoff and barrier sense polling work unmodified);
 //! * **a stall watchdog** replacing quiescence-based deadlock detection:
@@ -64,9 +65,8 @@
 //! [`ComputeMode`]: the default `Sleep` performs a timed wait of `us`
 //! microseconds, which overlaps across workers even on a single host core,
 //! so measured speedup tracks the runtime's ability to overlap modelled
-//! compute with coherence traffic; `Spin` burns the CPU for cycle-accurate
-//! single-machine realism; `Skip` drops compute entirely for pure protocol
-//! stress.
+//! compute with coherence traffic; `Skip` drops compute entirely for pure
+//! protocol stress.
 
 mod ctx;
 pub mod fabric;
@@ -75,8 +75,8 @@ pub mod serve;
 pub mod timer;
 mod world;
 
-pub use ctx::{OpPort, RtCtx};
+pub use ctx::{OpPort, RtCtx, MAX_INFLIGHT};
 pub use fabric::{MsgBody, NodeEvent, Shared};
 pub use kernel::RtKernel;
 pub use serve::{drive_app_thread, panic_message, server_loop, NodeKernel, NodeStep};
-pub use world::{ComputeMode, RtTuning, RtWorldBuilder, SpinWait};
+pub use world::{ComputeMode, RtTuning, RtWorldBuilder, WATCHDOG_POLL};

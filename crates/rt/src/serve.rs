@@ -9,7 +9,7 @@
 //!
 //! * the in-process channel fabric runs it on one server thread per node
 //!   ([`server_loop`]: a blocking `recv`, then `try_recv`s up to
-//!   `batch_max`, is one step);
+//!   `BATCH_MAX` events in all, is one step);
 //! * the TCP fabric (`munin-tcp`) keeps the step behind a mutex and runs it
 //!   on whichever thread already holds the event: the data-stream reader
 //!   that decoded the frames, the coordinator-hosted application thread
@@ -29,6 +29,11 @@ use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Most inbox events one channel-fabric server wake-up drains (and
+/// processes under a single activity-epoch bump) before flushing its
+/// outbound batches and re-checking the channel.
+const BATCH_MAX: usize = 128;
 
 /// What a wall-clock fabric's kernel provides to the shared step, on top of
 /// the protocol-facing [`KernelApi`]. Implemented by the in-process
@@ -261,21 +266,19 @@ where
 
 /// One node's event loop on the channel fabric: single-threaded per node by
 /// construction. Each wake-up takes one blocking `recv` then greedily
-/// `try_recv`s up to `batch_max` events in total and hands them to
+/// `try_recv`s up to `BATCH_MAX` events in total and hands them to
 /// [`NodeStep::step`] as one step. Returns this node's traffic shard for
 /// the world to merge at teardown.
 pub fn server_loop<S, K>(
     server: S,
     kernel: K,
     inbox: Receiver<NodeEvent<S::Payload>>,
-    batch_max: usize,
 ) -> munin_net::NetStats
 where
     S: Server,
     K: NodeKernel<S::Payload>,
 {
     let shared = kernel.shared().clone();
-    let batch_max = batch_max.max(1);
     let mut node = NodeStep::new(server, kernel);
     loop {
         let first = match inbox.recv_timeout(Duration::from_millis(50)) {
@@ -292,7 +295,7 @@ where
             Err(RecvTimeoutError::Disconnected) => break,
         };
         let rest = std::iter::from_fn(|| inbox.try_recv().ok());
-        if !node.step(std::iter::once(first).chain(rest).take(batch_max)) {
+        if !node.step(std::iter::once(first).chain(rest).take(BATCH_MAX)) {
             break;
         }
     }

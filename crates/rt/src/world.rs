@@ -23,51 +23,25 @@ pub enum ComputeMode {
     /// speedup isolates the runtime's overlap/overhead behaviour from host
     /// core count.
     Sleep,
-    /// Busy-spin for `us` microseconds: occupies a core, for CPU-bound
-    /// realism on hosts with enough cores.
-    Spin,
     /// Drop modelled compute entirely (pure protocol stress).
     Skip,
 }
 
-/// Tuning knobs of the real-time kernel. Everything has a sensible default;
-/// the stall timeout can also be overridden with `MUNIN_RT_STALL_MS` (handy
-/// for tests that *want* fast stall detection).
+/// Sampling period of the stall watchdogs (this kernel's and the TCP
+/// coordinator's).
+pub const WATCHDOG_POLL: Duration = Duration::from_millis(50);
+
+/// What a real-time run lets its caller choose. Everything else about the
+/// client path is fixed: a thread keeps up to [`crate::MAX_INFLIGHT`] ops
+/// in flight, adjacent writes are always combined client-side, a waiter
+/// always parks on its resume channel, and a server step drains a bounded
+/// batch of inbox events and coalesces its sends per destination.
 #[derive(Debug, Clone)]
 pub struct RtTuning {
     pub compute: ComputeMode,
-    /// Multiplier applied to every modelled compute duration.
-    pub compute_scale: f64,
     /// How long all live threads must sit blocked, with zero kernel
     /// activity and no pending timer, before the run is declared stalled.
     pub stall_timeout: Duration,
-    /// Watchdog sampling period.
-    pub watchdog_poll: Duration,
-    /// Most inbox events one server wake-up drains (and processes under a
-    /// single activity-epoch bump) before flushing its outbound batches and
-    /// re-checking the channel. `1` reproduces the one-event-per-wake-up
-    /// fabric; larger values amortize channel and wake-up overhead under
-    /// heavy traffic. Channel fabric only: the TCP fabric has no inbox, its
-    /// step is every complete frame one socket read returned.
-    pub batch_max: usize,
-    /// Coalesce the protocol messages a server sends during one step into
-    /// one channel message per destination (flush-fan-out batching; see
-    /// [`crate::RtKernel`]). Off, every protocol message is its own
-    /// channel send. Channel fabric only: the TCP fabric always leaves a
-    /// step's frames to one destination in one socket write.
-    pub coalesce: bool,
-    /// How a thread waits for an op completion: park immediately, or spin
-    /// first in the hope of skipping the futex wake + context switch.
-    pub spin_wait: SpinWait,
-    /// Most pipelined (async) ops one thread keeps in flight before an
-    /// issue blocks on the oldest completion. `1` reproduces the fully
-    /// synchronous one-round-trip-per-op fabric.
-    pub max_inflight: usize,
-    /// Coalesce adjacent/overlapping writes to the same object in the
-    /// issuing thread and emit them as one combined (async) write at the
-    /// next non-write op. Program order per thread is preserved: any read,
-    /// atomic, or sync op flushes the buffer first.
-    pub write_combine: bool,
     /// What the run records about itself: `Off` (nothing; hot paths reduce
     /// to one predicted branch), `Counters` (latency histograms + per-object
     /// access counters; the default), or `Spans` (counters plus causal
@@ -75,52 +49,13 @@ pub struct RtTuning {
     pub telemetry: Telemetry,
 }
 
-/// How a blocked application thread waits on its resume channel.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SpinWait {
-    /// Park on the channel immediately (the pre-PR-7 behaviour).
-    Off,
-    /// Spin for a fixed budget of microseconds before parking.
-    Fixed { us: u64 },
-    /// Spin for twice the EWMA-tracked completion time of this thread's
-    /// recent ops, bounded by `cap_us`. Tracks the fast path (in-process
-    /// round trips are ~14 µs) without burning a core on slow waits such
-    /// as barriers or contended locks. Spinning is disabled entirely when
-    /// the host cannot run waiter and server in parallel
-    /// (`available_parallelism() < 2`, e.g. a 1-core CI runner).
-    Adaptive { cap_us: u64 },
-}
-
 impl Default for RtTuning {
     fn default() -> Self {
-        let stall_ms = std::env::var("MUNIN_RT_STALL_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(5_000);
         RtTuning {
             compute: ComputeMode::Sleep,
-            compute_scale: 1.0,
-            stall_timeout: Duration::from_millis(stall_ms),
-            watchdog_poll: Duration::from_millis(50),
-            batch_max: 128,
-            coalesce: true,
-            spin_wait: SpinWait::Adaptive { cap_us: 40 },
-            max_inflight: 16,
-            write_combine: true,
+            stall_timeout: Duration::from_secs(5),
             telemetry: Telemetry::default(),
         }
-    }
-}
-
-impl RtTuning {
-    /// The pre-batching fabric: one inbox event per wake-up, one channel
-    /// send per protocol message. The baseline the batching pipeline is
-    /// benchmarked against (`benches/traffic_rt.rs`), and a useful A/B for
-    /// tests asserting batching changes no observable result.
-    pub fn unbatched(mut self) -> Self {
-        self.batch_max = 1;
-        self.coalesce = false;
-        self
     }
 }
 
@@ -255,15 +190,13 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
                 timer_tx: timer_tx.clone(),
                 shared: shared.clone(),
                 stats: munin_net::NetStats::new(),
-                coalesce: self.tuning.coalesce,
                 outbox: (0..n_nodes).map(|_| Vec::new()).collect(),
                 completions: Vec::new(),
             };
-            let batch_max = self.tuning.batch_max;
             server_joins.push(
                 std::thread::Builder::new()
                     .name(format!("rt-node-{i}"))
-                    .spawn(move || server_loop(server, kernel, inbox, batch_max))
+                    .spawn(move || server_loop(server, kernel, inbox))
                     .expect("failed to spawn server thread"),
             );
         }
@@ -359,7 +292,7 @@ fn watchdog<P: Send + Sync + 'static>(
     let mut last_epoch = shared.activity.load(Ordering::Relaxed);
     let mut stable_since = Instant::now();
     loop {
-        match stop.recv_timeout(tuning.watchdog_poll) {
+        match stop.recv_timeout(WATCHDOG_POLL) {
             // The run is over (sender dropped or an explicit stop).
             Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
             Err(RecvTimeoutError::Timeout) => {}

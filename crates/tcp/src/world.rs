@@ -36,7 +36,7 @@ use crate::sig;
 use crate::spawn::spawn_node;
 use munin_net::{NetStats, PayloadInfo};
 use munin_proto::{Protocol, Wire};
-use munin_rt::{drive_app_thread, OpPort, RtCtx, RtTuning, Shared};
+use munin_rt::{drive_app_thread, OpPort, RtCtx, RtTuning, Shared, WATCHDOG_POLL};
 use munin_sim::report::{RunReport, WaitTable, WallClock};
 use munin_sim::{OpResult, Server};
 use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, SyncDecls, ThreadId, VirtualTime};
@@ -54,9 +54,8 @@ fn loopback(port: u16) -> SocketAddr {
 }
 
 /// Tuning of a distributed run. Embeds [`RtTuning`] (compute mode, stall
-/// timeout, op window — same meanings as on the in-process kernel; its
-/// `batch_max` and `coalesce` are channel-fabric knobs and unused here)
-/// plus the fabric-specific knobs.
+/// timeout, telemetry — same meanings as on the in-process kernel) plus
+/// the fabric-specific knobs.
 #[derive(Clone)]
 pub struct TcpTuning {
     pub rt: RtTuning,
@@ -73,10 +72,10 @@ pub struct TcpTuning {
 
 impl Default for TcpTuning {
     fn default() -> Self {
-        // `MUNIN_TCP_DUMP_AFTER_MS` mirrors `MUNIN_RT_STALL_MS`: an
-        // environment override (read once at tuning construction) that the
-        // `study` binary uses to demonstrate the SIGUSR1 dump without
-        // plumbing a flag through every harness layer.
+        // `MUNIN_TCP_DUMP_AFTER_MS`: an environment override (read once at
+        // tuning construction) that the `study` binary uses to demonstrate
+        // the SIGUSR1 dump without plumbing a flag through every harness
+        // layer.
         let dump_after = std::env::var("MUNIN_TCP_DUMP_AFTER_MS")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
@@ -680,7 +679,7 @@ fn coordinator_watchdog(
     let mut stable_since = Instant::now();
     let mut dump_at = tuning.dump_after.map(|d| shared.start + d);
     loop {
-        match stop.recv_timeout(tuning.rt.watchdog_poll) {
+        match stop.recv_timeout(WATCHDOG_POLL) {
             Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
             Err(RecvTimeoutError::Timeout) => {}
         }

@@ -22,9 +22,7 @@ fn skip() -> bool {
 }
 
 /// Run a named scenario on its native TCP target with a tight stall
-/// timeout (the programmatic equivalent of `MUNIN_RT_STALL_MS`, set as a
-/// field so racing test threads never touch the process environment), and
-/// assert the run tears down promptly instead of hanging.
+/// timeout, and assert the run tears down promptly instead of hanging.
 fn assert_fault_scenario(name: &str) {
     let s = find(name).unwrap_or_else(|| panic!("unknown scenario {name}"));
     let mut opts = ExecOptions::default();

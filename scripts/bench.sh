@@ -2,21 +2,20 @@
 # Regenerate the perf-trajectory records at the workspace root:
 #   BENCH_flush.json — flush-pipeline diff throughput (virtual-time kernel)
 #   BENCH_rt.json    — wall-clock speedup vs worker count (real-time kernel)
-#   BENCH_traffic.json — batched vs unbatched rt fabric throughput
 #   BENCH_tcp.json   — multi-process TCP fabric vs in-process rt kernel
 #                      (throughput plus per-op p50/p90/p99 latency rows)
 #   metrics.json     — full telemetry snapshot (histograms, per-object
 #                      counters, span tail) from the tcp latency pass
 # Usage:
-#   scripts/bench.sh [flush|rt|traffic|tcp|all] [extra cargo-bench args...]
+#   scripts/bench.sh [flush|rt|tcp|all] [extra cargo-bench args...]
 # A first argument that is not a selector is treated as a cargo-bench arg
-# and both benches run (so `scripts/bench.sh --quiet` still works).
+# and every bench runs (so `scripts/bench.sh --quiet` still works).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 which="all"
 case "${1:-}" in
-    flush | rt | traffic | tcp | all)
+    flush | rt | tcp | all)
         which="$1"
         shift
         ;;
@@ -32,12 +31,6 @@ if [ "$which" = "rt" ] || [ "$which" = "all" ]; then
     cargo bench --bench runtime_rt "$@"
     echo "--- BENCH_rt.json ---"
     cat BENCH_rt.json
-fi
-
-if [ "$which" = "traffic" ] || [ "$which" = "all" ]; then
-    cargo bench --bench traffic_rt "$@"
-    echo "--- BENCH_traffic.json ---"
-    cat BENCH_traffic.json
 fi
 
 if [ "$which" = "tcp" ] || [ "$which" = "all" ]; then

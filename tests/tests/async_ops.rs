@@ -10,7 +10,7 @@
 //! `tcp-kill-pipelined` scenario, because only same-package tests force
 //! the `munin-node` binary to build.)
 
-use munin_api::{Backend, Par, ParTyped, ProgramBuilder, RtTuning};
+use munin_api::{Backend, Par, ParTyped, ProgramBuilder};
 use munin_types::{IvyConfig, MuninConfig, SharingType};
 use std::sync::{Arc, Mutex};
 
@@ -62,7 +62,7 @@ fn tokens_outlive_their_sync_block() {
 /// stores coalesce client-side, and a read of the same range must flush
 /// the buffer first and observe both pending values.
 #[test]
-fn write_combined_buffer_is_flushed_by_a_read_of_the_same_range() {
+fn combined_writes_are_flushed_by_a_read_of_the_same_range() {
     let mut p = ProgramBuilder::new(1);
     let arr = p.array::<i64>("a", 4, SharingType::WriteMany, 0);
     p.thread(0, move |par: &mut dyn Par| {
@@ -77,9 +77,6 @@ fn write_combined_buffer_is_flushed_by_a_read_of_the_same_range() {
         assert_eq!(par.get(&arr, 1), 11);
         par.wait(t2);
     });
-    let mut tuning = RtTuning::default();
-    tuning.write_combine = true;
-    p.rt_tuning(tuning);
     p.run(Backend::MuninRt(MuninConfig::default())).assert_clean();
 }
 
