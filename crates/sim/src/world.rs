@@ -835,6 +835,84 @@ mod tests {
         assert!(report.errors.iter().any(|e| e.contains("read")), "{:?}", report.errors);
     }
 
+    /// Node 1's server panics on the first message it receives.
+    struct PanickyServer {
+        node: NodeId,
+    }
+
+    impl Server for PanickyServer {
+        type Payload = EchoMsg;
+        fn on_op(&mut self, k: &mut dyn KernelApi<EchoMsg>, t: ThreadId, op: DsmOp) -> OpOutcome {
+            match op {
+                DsmOp::Read { range, .. } => {
+                    k.send(self.node, NodeId(1), EchoMsg::Req { thread: t, len: range.len });
+                    OpOutcome::Blocked
+                }
+                _ => OpOutcome::unit(0),
+            }
+        }
+        fn on_message(&mut self, _k: &mut dyn KernelApi<EchoMsg>, _f: NodeId, _p: EchoMsg) {
+            panic!("handler bug");
+        }
+    }
+
+    #[test]
+    fn handler_panic_leaves_run_on_the_callers_thread_with_its_payload() {
+        let mut b = WorldBuilder::new(2);
+        for _ in 0..3 {
+            b.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+                ctx.read(ObjectId(0), ByteRange::new(0, 4));
+            });
+        }
+        let world =
+            b.build(vec![PanickyServer { node: NodeId(0) }, PanickyServer { node: NodeId(1) }]);
+        let payload = catch_unwind(AssertUnwindSafe(|| world.run())).expect_err("run must panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"handler bug"));
+    }
+
+    /// Completes `BarrierWait` once all four threads of the world arrive.
+    struct BarrierServer {
+        waiting: Vec<ThreadId>,
+    }
+
+    impl Server for BarrierServer {
+        type Payload = EchoMsg;
+        fn on_op(&mut self, k: &mut dyn KernelApi<EchoMsg>, t: ThreadId, op: DsmOp) -> OpOutcome {
+            match op {
+                DsmOp::BarrierWait(_) => {
+                    self.waiting.push(t);
+                    if self.waiting.len() == 4 {
+                        for w in self.waiting.drain(..) {
+                            k.complete(w, OpResult::Unit, 0);
+                        }
+                    }
+                    OpOutcome::Blocked
+                }
+                _ => OpOutcome::unit(0),
+            }
+        }
+        fn on_message(&mut self, _k: &mut dyn KernelApi<EchoMsg>, _f: NodeId, _p: EchoMsg) {}
+    }
+
+    #[test]
+    fn a_thread_panicking_before_a_barrier_reports_its_panic_and_the_deadlock_only() {
+        let mut b = WorldBuilder::new(1);
+        for i in 0..4 {
+            b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+                ctx.compute(10);
+                if i == 2 {
+                    panic!("boom");
+                }
+                ctx.barrier(munin_types::BarrierId(0));
+            });
+        }
+        let report = b.build(vec![BarrierServer { waiting: Vec::new() }]).run();
+        assert!(report.deadlocked);
+        assert_eq!(report.errors.len(), 2, "{:?}", report.errors);
+        assert_eq!(report.errors[0], "t2 panicked: boom");
+        assert!(report.errors[1].starts_with("deadlock: 3 thread(s)"), "{:?}", report.errors);
+    }
+
     #[test]
     fn declared_objects_are_visible_in_registry() {
         let mut b = WorldBuilder::new(2);
