@@ -58,7 +58,7 @@ pub trait Par {
 
     /// Read a byte range into a fresh buffer. Allocating shim over
     /// [`Par::read_raw_into`]; backends may override when they already own
-    /// a buffer (the simulator's rendezvous does).
+    /// a buffer (the simulator's ops do).
     fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
         let mut out = vec![0u8; range.len as usize];
         self.read_raw_into(obj, range, &mut out);
@@ -75,9 +75,9 @@ pub trait Par {
     //
     // The defaults complete the op immediately and hand back a Ready token,
     // which is the correct degenerate pipelining for backends whose ops
-    // already finish inline (the simulator's rendezvous, the native
-    // backend). The real-time kernels override these with a genuinely
-    // asynchronous issue path bounded by `munin_rt::MAX_INFLIGHT`.
+    // already finish inline (the simulator, the native backend). The
+    // real-time kernels override these with a genuinely asynchronous issue
+    // path bounded by `munin_rt::MAX_INFLIGHT`.
 
     /// Issue a write without waiting for completion. The op is complete by
     /// the time the returned state is redeemed ([`Par::token_wait`]) or the
@@ -124,8 +124,8 @@ impl Par for ThreadCtx {
         ThreadCtx::write_raw(self, obj, start, data)
     }
     fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        // The rendezvous already hands us an owned buffer; return it rather
-        // than copying into a second one.
+        // The simulator's op already hands us an owned buffer; return it
+        // rather than copying into a second one.
         ThreadCtx::read(self, obj, range)
     }
     fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {

@@ -6,7 +6,7 @@
 //!
 //! ## Why a second kernel
 //!
-//! The simulator rendezvouses every application thread with one event loop:
+//! The simulator's application threads pass one event queue between them:
 //! exactly one thread runs at a time, every latency is modelled, and a run
 //! is a deterministic function of (program, configuration, seed). That is
 //! the right instrument for reproducing the paper's *claims* (message

@@ -14,9 +14,10 @@
 //! * **virtual time** — every latency comes from the
 //!   [`munin_types::CostModel`]; wall clock never affects results;
 //! * **deterministic scheduling** — application threads are real OS threads,
-//!   but exactly one runs at a time, rendezvoused with the event loop, so a
-//!   given (program, config, seed) always produces the identical event
-//!   sequence, message counts and traces;
+//!   but exactly one runs at a time, holding the world state as a baton that
+//!   it passes to the next thread an event resumes, so a given (program,
+//!   config, seed) always produces the identical event sequence, message
+//!   counts and traces;
 //! * **a server abstraction** ([`Server`]) — each node hosts a coherence
 //!   server (Munin's per-node server, or the Ivy manager) that handles local
 //!   threads' access faults and remote protocol messages;
@@ -25,7 +26,8 @@
 //!   V kernel's reliable layer), multicast, and full traffic accounting.
 //!
 //! Application code is written in ordinary blocking style against
-//! [`ThreadCtx`]; each DSM operation is a rendezvous with the event loop.
+//! [`ThreadCtx`]; each DSM operation runs the event queue on the calling
+//! thread until some thread resumes.
 
 pub mod event;
 pub mod kernel;

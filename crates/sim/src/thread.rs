@@ -1,22 +1,37 @@
-//! The application-thread side of the rendezvous.
+//! The application-thread side of the simulation.
 //!
 //! Application code receives a [`ThreadCtx`] and performs blocking DSM
-//! operations on it. Each operation is a rendezvous: the thread sends the
-//! request to the event loop and parks until the loop resumes it with the
-//! result. Exactly one application thread executes at any wall-clock moment,
-//! which is what makes runs deterministic.
+//! operations on it. There is no event-loop thread: the world state is a
+//! [`Baton`] that exactly one application thread holds at a time. An
+//! operation takes the baton, dispatches itself and runs the event queue on
+//! the calling thread until an event resumes some thread. If that is the
+//! caller, the operation returns without a thread switch; otherwise the
+//! caller wakes that thread and parks until an event resumes it in turn.
+//! Exactly one application thread executes at any wall-clock moment, which
+//! is what makes runs deterministic.
 
 use crate::op::{DsmOp, OpResult};
-use crossbeam_channel::{Receiver, Sender};
+use crossbeam_channel::Receiver;
 use munin_types::{BarrierId, ByteRange, CondId, LockId, NodeId, ObjectDecl, ObjectId, ThreadId};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
-/// What a thread tells the world.
-#[derive(Debug)]
-pub(crate) enum ThreadReq {
-    Op(DsmOp),
-    /// The thread body returned (`None`) or panicked (`Some(msg)`).
-    Exited(Option<String>),
+/// The world state as a thread sees it: each call holds the baton until it
+/// returns.
+pub(crate) trait Baton: Send + Sync {
+    /// Dispatch `op` for `thread`, then run events until one resumes a
+    /// thread: `Some(result)` if that is `thread` itself, `None` if `thread`
+    /// must park on its resume channel.
+    fn op(&self, thread: ThreadId, op: DsmOp) -> Option<OpResult>;
+    /// `thread`'s body returned (`None`) or panicked (`Some(msg)`): retire
+    /// it and pass the baton on.
+    fn exit(&self, thread: ThreadId, panic: Option<String>);
 }
+
+/// The payload a parked thread unwinds with when the world tears down
+/// (deadlock, handler panic); [`ThreadCtx::run`] swallows it silently.
+struct TornDown;
 
 /// Handle through which application code talks to the simulated DSM.
 pub struct ThreadCtx {
@@ -24,7 +39,7 @@ pub struct ThreadCtx {
     pub(crate) node: NodeId,
     pub(crate) n_nodes: usize,
     pub(crate) n_threads: usize,
-    pub(crate) req_tx: Sender<(ThreadId, ThreadReq)>,
+    pub(crate) baton: Arc<dyn Baton>,
     pub(crate) resume_rx: Receiver<OpResult>,
 }
 
@@ -51,15 +66,37 @@ impl ThreadCtx {
 
     /// Issue a raw operation and block until it completes.
     ///
-    /// Panics if the simulation kernel went away (deadlock teardown) — the
-    /// panic is caught by the thread wrapper and reported as a run error.
+    /// If the world tears down while this thread is blocked, it unwinds
+    /// with a private payload that its wrapper swallows: the run reports
+    /// the deadlock once, not once per blocked thread.
     pub fn op(&mut self, op: DsmOp) -> OpResult {
-        self.req_tx
-            .send((self.thread, ThreadReq::Op(op)))
-            .expect("simulation kernel vanished while thread was running");
-        self.resume_rx
-            .recv()
-            .expect("simulation kernel tore down (deadlock?) while thread was blocked")
+        match self.baton.op(self.thread, op) {
+            Some(result) => result,
+            None => self.park(),
+        }
+    }
+
+    /// Wait until an event resumes this thread.
+    fn park(&self) -> OpResult {
+        self.resume_rx.recv().unwrap_or_else(|_| resume_unwind(Box::new(TornDown)))
+    }
+
+    /// A simulated thread's whole life: wait for the t=0 resume, run `body`,
+    /// exit, and report a panic as a run error.
+    pub(crate) fn run(mut self, body: impl FnOnce(&mut ThreadCtx)) {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            self.park();
+            body(&mut self);
+            // Graceful exit is itself a synchronization point (flushes the
+            // delayed update queue).
+            self.op(DsmOp::Exit);
+        }));
+        let panic = match result {
+            Ok(()) => None,
+            Err(p) if p.is::<TornDown>() => return,
+            Err(p) => Some(panic_message(&*p)),
+        };
+        self.baton.exit(self.thread, panic);
     }
 
     // ---- convenience wrappers -------------------------------------------
@@ -76,9 +113,9 @@ impl ThreadCtx {
     }
 
     /// Read a byte range of an object into a caller-owned buffer
-    /// (`out.len()` must equal `range.len`). The rendezvous still transfers
-    /// one owned buffer from the server side, but the caller-facing path
-    /// allocates nothing, which is what the typed API layers on.
+    /// (`out.len()` must equal `range.len`). The op still returns one owned
+    /// buffer from the server side, but the caller-facing path allocates
+    /// nothing, which is what the typed API layers on.
     pub fn read_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
         let bytes = self.op(DsmOp::Read { obj, range }).into_bytes();
         assert_eq!(
@@ -98,8 +135,7 @@ impl ThreadCtx {
     }
 
     /// Write borrowed bytes at `start` within an object. One copy into the
-    /// request message is inherent to the rendezvous; the caller keeps its
-    /// buffer.
+    /// owned [`DsmOp`] is inherent; the caller keeps its buffer.
     pub fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
         self.write(obj, start, data.to_vec());
     }
@@ -151,40 +187,55 @@ impl ThreadCtx {
     }
 }
 
+fn panic_message(p: &(dyn Any + Send)) -> String {
+    p.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     // ThreadCtx is exercised end-to-end in world.rs tests; here we only pin
     // down the request encoding of the convenience wrappers via a fake
-    // kernel loop.
+    // baton that records each dispatched op and completes it at once.
     use super::*;
-    use crossbeam_channel::unbounded;
+    use std::sync::Mutex;
 
-    fn fake_ctx() -> (ThreadCtx, Receiver<(ThreadId, ThreadReq)>, Sender<OpResult>) {
-        let (req_tx, req_rx) = unbounded();
-        let (resume_tx, resume_rx) = unbounded();
+    #[derive(Default)]
+    struct FakeBaton(Mutex<Vec<(ThreadId, DsmOp)>>);
+
+    impl Baton for FakeBaton {
+        fn op(&self, thread: ThreadId, op: DsmOp) -> Option<OpResult> {
+            self.0.lock().unwrap().push((thread, op));
+            Some(OpResult::Unit)
+        }
+        fn exit(&self, _thread: ThreadId, _panic: Option<String>) {}
+    }
+
+    fn fake_ctx() -> (ThreadCtx, Arc<FakeBaton>) {
+        let baton = Arc::new(FakeBaton::default());
         let ctx = ThreadCtx {
             thread: ThreadId(3),
             node: NodeId(1),
             n_nodes: 4,
             n_threads: 8,
-            req_tx,
-            resume_rx,
+            baton: baton.clone(),
+            resume_rx: crossbeam_channel::unbounded().1,
         };
-        (ctx, req_rx, resume_tx)
+        (ctx, baton)
     }
 
     #[test]
     fn write_encodes_range_from_data_len() {
-        let (mut ctx, req_rx, resume_tx) = fake_ctx();
-        resume_tx.send(OpResult::Unit).unwrap();
+        let (mut ctx, baton) = fake_ctx();
         ctx.write(ObjectId(5), 8, vec![1, 2, 3]);
-        let (tid, req) = req_rx.try_recv().unwrap();
-        assert_eq!(tid, ThreadId(3));
-        match req {
-            ThreadReq::Op(DsmOp::Write { obj, range, data }) => {
-                assert_eq!(obj, ObjectId(5));
-                assert_eq!(range, ByteRange::new(8, 3));
-                assert_eq!(data, vec![1, 2, 3]);
+        let ops = baton.0.lock().unwrap();
+        match &ops[..] {
+            [(ThreadId(3), DsmOp::Write { obj, range, data })] => {
+                assert_eq!(*obj, ObjectId(5));
+                assert_eq!(*range, ByteRange::new(8, 3));
+                assert_eq!(*data, vec![1, 2, 3]);
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -192,7 +243,7 @@ mod tests {
 
     #[test]
     fn metadata_accessors() {
-        let (ctx, _rx, _tx) = fake_ctx();
+        let (ctx, _baton) = fake_ctx();
         assert_eq!(ctx.thread_id(), ThreadId(3));
         assert_eq!(ctx.node(), NodeId(1));
         assert_eq!(ctx.n_nodes(), 4);

@@ -1,26 +1,29 @@
-//! The simulation world: event loop, kernel services, and the [`Server`]
-//! trait that coherence runtimes implement.
+//! The simulation world: the event queue, kernel services, and the
+//! [`Server`] trait that coherence runtimes implement.
 //!
 //! One [`World`] = one distributed system: `n` nodes, each hosting one
 //! protocol server and any number of application threads. The world owns a
 //! virtual clock and an event queue; application threads are real OS threads
-//! but exactly one executes at a time (rendezvous with the loop), so the
-//! entire run — message counts, interleavings, traces — is a deterministic
-//! function of (program, configuration, seed).
+//! but exactly one executes at a time. There is no loop thread: the world
+//! state is a baton, and the thread holding it pops events until one resumes
+//! a thread, then hands the baton to that thread. The run — message counts,
+//! interleavings, traces — is a deterministic function of (program,
+//! configuration, seed).
 
 use crate::event::{EventKind, EventQueue};
 use crate::kernel::KernelApi;
 use crate::op::{DsmOp, OpOutcome, OpResult};
 use crate::report::{RunReport, WaitTable};
-use crate::thread::{ThreadCtx, ThreadReq};
+use crate::thread::{Baton, ThreadCtx};
 use crate::tracer::{NullTracer, TraceEvent, Tracer};
 use crate::transport::{Transport, TransportConfig, Wire};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use munin_net::PayloadInfo;
 use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, ThreadId, VirtualTime};
+use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A per-node coherence server: the software that the paper's page-fault
 /// handler invokes ("the server checks what type of object the thread
@@ -362,69 +365,16 @@ impl WorldBuilder {
     }
 
     /// Finalize with one server per node (`servers[i]` serves `NodeId(i)`).
-    pub fn build<S: Server>(self, servers: Vec<S>) -> World<S> {
+    pub fn build<S: Server + 'static>(self, servers: Vec<S>) -> World<S> {
         assert_eq!(servers.len(), self.n_nodes, "need exactly one server per node");
-        let (req_tx, req_rx) = unbounded();
         let n_threads = self.spawns.len();
-        let mut threads = Vec::with_capacity(n_threads);
-        let mut threads_on: Vec<Vec<ThreadId>> = vec![Vec::new(); self.n_nodes];
-        let mut joins = Vec::with_capacity(n_threads);
-
-        for (idx, (node, body)) in self.spawns.into_iter().enumerate() {
-            let tid = ThreadId(idx as u32);
-            let (resume_tx, resume_rx) = unbounded();
-            threads_on[node.index()].push(tid);
-            let mut ctx = ThreadCtx {
-                thread: tid,
-                node,
-                n_nodes: self.n_nodes,
-                n_threads,
-                req_tx: req_tx.clone(),
-                resume_rx,
-            };
-            let join = std::thread::Builder::new()
-                .name(format!("sim-{tid}"))
-                .spawn(move || {
-                    // Wait for the initial resume before running the body.
-                    if ctx.resume_rx.recv().is_err() {
-                        return; // World torn down before start.
-                    }
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        body(&mut ctx);
-                        // Graceful exit is itself a synchronization point
-                        // (flushes the delayed update queue).
-                        ctx.op(DsmOp::Exit);
-                    }));
-                    let exit = match result {
-                        Ok(()) => ThreadReq::Exited(None),
-                        Err(p) => {
-                            let msg = p
-                                .downcast_ref::<String>()
-                                .cloned()
-                                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                                .unwrap_or_else(|| "non-string panic payload".to_string());
-                            ThreadReq::Exited(Some(msg))
-                        }
-                    };
-                    let _ = ctx.req_tx.send((tid, exit));
-                })
-                .expect("failed to spawn simulation thread");
-            joins.push(join);
-            threads.push(ThreadRec {
-                node,
-                resume_tx,
-                done: false,
-                pending: None,
-                waits: WaitTable::new(),
-            });
-        }
-
         let mut registry = HashMap::new();
         for d in self.decls {
             registry.insert(d.id, d);
         }
 
-        World {
+        let (done_tx, done_rx) = unbounded();
+        let sim = Arc::new(Mutex::new(Sim {
             kernel: Kernel {
                 now: VirtualTime::ZERO,
                 events: EventQueue::new(),
@@ -433,26 +383,100 @@ impl WorldBuilder {
                 registry,
                 registry_version: 0,
                 next_object: self.next_object,
-                threads,
-                threads_on,
+                threads: Vec::with_capacity(n_threads),
+                threads_on: vec![Vec::new(); self.n_nodes],
                 tracer: self.tracer,
                 ops: 0,
                 errors: Vec::new(),
                 coverage: self.coverage,
             },
             servers,
-            req_rx,
-            joins,
+            torn_down: false,
+            done_tx,
+        }));
+        let baton: Arc<dyn Baton> = sim.clone();
+        let mut bodies = Vec::with_capacity(n_threads);
+        let mut state = take(&sim);
+        let kernel = &mut state.kernel;
+        for (idx, (node, body)) in self.spawns.into_iter().enumerate() {
+            let thread = ThreadId(idx as u32);
+            let (resume_tx, resume_rx) = unbounded();
+            kernel.threads_on[node.index()].push(thread);
+            kernel.threads.push(ThreadRec {
+                node,
+                resume_tx,
+                done: false,
+                pending: None,
+                waits: WaitTable::new(),
+            });
+            // All threads become runnable at t=0 in spawn order.
+            kernel.events.push(
+                VirtualTime::ZERO,
+                EventKind::ThreadResume { thread, result: OpResult::Unit },
+            );
+            let ctx = ThreadCtx {
+                thread,
+                node,
+                n_nodes: self.n_nodes,
+                n_threads,
+                baton: baton.clone(),
+                resume_rx,
+            };
+            bodies.push((ctx, body));
         }
+        drop(state);
+        World { sim, bodies, done_rx }
     }
 }
 
 /// A fully built distributed system, ready to run.
 pub struct World<S: Server> {
+    sim: Arc<Mutex<Sim<S>>>,
+    bodies: Vec<(ThreadCtx, ThreadBody)>,
+    /// Signalled once, by whichever thread holds the baton when the event
+    /// queue runs dry (`None`) or a protocol handler panics (its payload).
+    done_rx: Receiver<Option<HandlerPanic>>,
+}
+
+type HandlerPanic = Box<dyn Any + Send>;
+
+type ThreadBody = Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>;
+
+/// The world state: the baton that exactly one thread holds at a time.
+struct Sim<S: Server> {
     kernel: Kernel<S::Payload>,
     servers: Vec<S>,
-    req_rx: Receiver<(ThreadId, ThreadReq)>,
-    joins: Vec<JoinHandle<()>>,
+    /// Set when `World::run` tears the world down. A body that caught the
+    /// teardown unwind and then exits must not touch the report.
+    torn_down: bool,
+    done_tx: Sender<Option<HandlerPanic>>,
+}
+
+/// Take the baton. Every panic raised while it is held is caught by
+/// [`Sim::guarded`], so the lock is never poisoned.
+fn take<S: Server>(baton: &Mutex<Sim<S>>) -> MutexGuard<'_, Sim<S>> {
+    baton.lock().expect("a panic escaped while the baton was held")
+}
+
+impl<S: Server> Baton for Mutex<Sim<S>> {
+    fn op(&self, thread: ThreadId, op: DsmOp) -> Option<OpResult> {
+        take(self).guarded(|sim| {
+            sim.dispatch_op(thread, op);
+            sim.run_events(Some(thread))
+        })
+    }
+
+    fn exit(&self, thread: ThreadId, panic: Option<String>) {
+        let mut sim = take(self);
+        if sim.torn_down {
+            return;
+        }
+        sim.kernel.threads[thread.index()].done = true;
+        if let Some(msg) = panic {
+            sim.kernel.error(format!("{thread} panicked: {msg}"));
+        }
+        sim.guarded(|sim| sim.run_events(None));
+    }
 }
 
 impl<S: Server> World<S> {
@@ -460,18 +484,118 @@ impl<S: Server> World<S> {
     /// in-flight message has been delivered. Returns the run report; the
     /// world (and its tracer) are consumed — retrieve tracer output via the
     /// tracer's own shared state.
-    pub fn run(mut self) -> RunReport {
-        let n_threads = self.kernel.threads.len();
-        let mut live = n_threads;
+    ///
+    /// The event queue runs on the application threads (see
+    /// [`ThreadCtx::op`]); the calling thread only starts the first one and
+    /// waits for the queue to run dry. A panicking protocol handler ends the
+    /// run and is rethrown here, on the caller's thread, with its payload.
+    pub fn run(self) -> RunReport {
+        let World { sim, bodies, done_rx } = self;
+        let joins: Vec<_> = bodies
+            .into_iter()
+            .map(|(ctx, body)| {
+                std::thread::Builder::new()
+                    .name(format!("sim-{}", ctx.thread))
+                    .spawn(move || ctx.run(body))
+                    .expect("failed to spawn simulation thread")
+            })
+            .collect();
+        // Hand the baton to the first thread.
+        take(&sim).guarded(|sim| sim.run_events(None));
+        let handler_panic = done_rx.recv().ok().flatten();
 
-        // All threads become runnable at t=0 in spawn order.
-        for idx in 0..n_threads {
-            self.kernel.events.push(
-                VirtualTime::ZERO,
-                EventKind::ThreadResume { thread: ThreadId(idx as u32), result: OpResult::Unit },
-            );
+        {
+            let mut sim = take(&sim);
+            sim.torn_down = true;
+            // Dropping the resume senders unwinds every parked thread.
+            for rec in &mut sim.kernel.threads {
+                rec.resume_tx = unbounded().0;
+            }
+        }
+        for j in joins {
+            let _ = j.join();
+        }
+        if let Some(payload) = handler_panic {
+            std::panic::resume_unwind(payload);
+        }
+        let Ok(sim) = Arc::try_unwrap(sim) else {
+            unreachable!("every thread context is dropped once its thread is joined")
+        };
+        let Sim { mut kernel, servers, .. } =
+            sim.into_inner().expect("a panic escaped while the baton was held");
+
+        if kernel.stats_ext.gave_up > 0 {
+            // A link fault outlasted the retransmission budget: messages were
+            // silently abandoned, so protocol state may be inconsistent. The
+            // run must not read as clean.
+            kernel.error(format!(
+                "transport gave up on {} message(s) after exhausting retransmissions \
+                 (link fault outlasted the retry budget)",
+                kernel.stats_ext.gave_up
+            ));
         }
 
+        let blocked: Vec<String> = kernel
+            .threads
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !r.done)
+            .map(|(i, r)| {
+                let label = r.pending.map(|(_, l)| l).unwrap_or("<not blocked in an op>");
+                format!("t{i} blocked in '{label}'")
+            })
+            .collect();
+        let deadlocked = !blocked.is_empty();
+        if deadlocked {
+            kernel.error(format!(
+                "deadlock: {} thread(s) still blocked with no pending events: {}",
+                blocked.len(),
+                blocked.join(", ")
+            ));
+            if std::env::var_os("MUNIN_DEBUG_ERRORS").is_some() {
+                for (i, srv) in servers.iter().enumerate() {
+                    let dump = srv.debug_stuck_state();
+                    if !dump.is_empty() {
+                        eprintln!("[deadlock dump n{i}] {dump}");
+                    }
+                }
+            }
+        }
+
+        RunReport {
+            finished_at: kernel.now,
+            stats: kernel.stats_ext,
+            ops: kernel.ops,
+            thread_waits: kernel.threads.into_iter().map(|t| t.waits).collect(),
+            errors: kernel.errors,
+            deadlocked,
+            wall: None,
+            dumps: Vec::new(),
+            metrics: None,
+        }
+    }
+}
+
+impl<S: Server> Sim<S> {
+    /// Run `step` with the baton held. A protocol handler that panics ends
+    /// the run: its payload is kept for `World::run` to rethrow, and the
+    /// caller parks like any other thread until teardown.
+    fn guarded(&mut self, step: impl FnOnce(&mut Self) -> Option<OpResult>) -> Option<OpResult> {
+        match catch_unwind(AssertUnwindSafe(|| step(self))) {
+            Ok(resumed) => resumed,
+            Err(payload) => {
+                let _ = self.done_tx.send(Some(payload));
+                None
+            }
+        }
+    }
+
+    /// Pop events in `(time, seq)` order until one resumes a thread. That
+    /// thread gets the result directly if it is `me`, else through its
+    /// resume channel; either way it dispatches its next op (or exits)
+    /// before anything else is popped, since nobody else holds the baton.
+    /// When the queue runs dry, wake `World::run`.
+    fn run_events(&mut self, me: Option<ThreadId>) -> Option<OpResult> {
         while let Some(ev) = self.kernel.events.pop() {
             self.kernel.now = ev.at;
             match ev.kind {
@@ -494,33 +618,13 @@ impl<S: Server> World<S> {
                             waited_us: waited,
                         });
                     }
-                    if self.kernel.threads[thread.index()].resume_tx.send(result).is_err() {
-                        // Thread body aborted outside our protocol.
-                        self.kernel.threads[thread.index()].done = true;
-                        live -= 1;
-                        self.kernel.error(format!("{thread} dropped its resume channel"));
-                        continue;
+                    if me == Some(thread) {
+                        return Some(result);
                     }
-                    // The resumed thread is the only runnable one; it either
-                    // issues the next op or exits.
-                    match self.req_rx.recv() {
-                        Ok((tid, ThreadReq::Op(op))) => {
-                            debug_assert_eq!(tid, thread, "rendezvous protocol violated");
-                            self.dispatch_op(tid, op);
-                        }
-                        Ok((tid, ThreadReq::Exited(panic))) => {
-                            debug_assert_eq!(tid, thread);
-                            self.kernel.threads[tid.index()].done = true;
-                            live -= 1;
-                            if let Some(msg) = panic {
-                                self.kernel.error(format!("{tid} panicked: {msg}"));
-                            }
-                        }
-                        Err(_) => {
-                            self.kernel.error("request channel closed unexpectedly".to_string());
-                            break;
-                        }
-                    }
+                    rec.resume_tx
+                        .send(result)
+                        .expect("a thread keeps its resume channel until it exits");
+                    return None;
                 }
                 EventKind::Deliver { src, dst, seq, wire } => {
                     let released = self.kernel.transport.receive(
@@ -550,69 +654,8 @@ impl<S: Server> World<S> {
                 }
             }
         }
-
-        if self.kernel.stats_ext.gave_up > 0 {
-            // A link fault outlasted the retransmission budget: messages were
-            // silently abandoned, so protocol state may be inconsistent. The
-            // run must not read as clean.
-            self.kernel.error(format!(
-                "transport gave up on {} message(s) after exhausting retransmissions \
-                 (link fault outlasted the retry budget)",
-                self.kernel.stats_ext.gave_up
-            ));
-        }
-
-        let deadlocked = live > 0;
-        if deadlocked {
-            let blocked: Vec<String> = self
-                .kernel
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| !r.done)
-                .map(|(i, r)| {
-                    let label = r.pending.map(|(_, l)| l).unwrap_or("<not blocked in an op>");
-                    format!("t{i} blocked in '{label}'")
-                })
-                .collect();
-            self.kernel.error(format!(
-                "deadlock: {} thread(s) still blocked with no pending events: {}",
-                live,
-                blocked.join(", ")
-            ));
-            if std::env::var_os("MUNIN_DEBUG_ERRORS").is_some() {
-                for (i, srv) in self.servers.iter().enumerate() {
-                    let dump = srv.debug_stuck_state();
-                    if !dump.is_empty() {
-                        eprintln!("[deadlock dump n{i}] {dump}");
-                    }
-                }
-            }
-            // Tear down: dropping resume senders makes blocked threads panic
-            // out of their recv, which their wrappers catch.
-            for rec in &mut self.kernel.threads {
-                let (dead_tx, _) = unbounded();
-                rec.resume_tx = dead_tx;
-            }
-        }
-
-        // The world-side req receiver must outlive thread teardown; drain it.
-        drop(self.req_rx);
-        for j in self.joins {
-            let _ = j.join();
-        }
-
-        RunReport {
-            finished_at: self.kernel.now,
-            stats: self.kernel.stats_ext,
-            ops: self.kernel.ops,
-            thread_waits: self.kernel.threads.into_iter().map(|t| t.waits).collect(),
-            errors: self.kernel.errors,
-            deadlocked,
-            wall: None,
-            dumps: Vec::new(),
-            metrics: None,
-        }
+        let _ = self.done_tx.send(None);
+        None
     }
 
     fn dispatch_op(&mut self, thread: ThreadId, op: DsmOp) {
@@ -926,8 +969,9 @@ mod tests {
             EchoServer { node: NodeId(0), served: 0 },
             EchoServer { node: NodeId(1), served: 0 },
         ]);
-        assert_eq!(w.kernel.decl(id).unwrap().home, NodeId(1));
-        assert_eq!(w.kernel.decl(id).unwrap().name, "m");
+        let decl = w.sim.lock().unwrap().kernel.decl(id).cloned().unwrap();
+        assert_eq!(decl.home, NodeId(1));
+        assert_eq!(decl.name, "m");
         let report = w.run();
         report.assert_clean();
     }
