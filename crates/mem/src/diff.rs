@@ -19,17 +19,38 @@
 //!
 //! ## Scan cost
 //!
-//! [`Diff::between`] compares u64-sized chunks and only drops to byte
-//! granularity around a mismatch, so scanning the unchanged portions of a
-//! buffer runs at word speed. The flush path never hands it a whole object
-//! anyway: [`crate::twin::TwinStore`] bounds the scan to the byte ranges
-//! local writes actually touched, making flush cost O(bytes written).
+//! [`Diff::between`] walks both kinds of stretch eight bytes at a time and
+//! touches single bytes only in the last < 8 bytes of a window. An *equal*
+//! stretch ends at the first word whose two halves differ; the lowest set
+//! bit of their XOR names the first differing byte. A *differing* stretch
+//! ends at the first zero byte of the XOR `x`, found with the SWAR test
+//! `(x - 0x01..01) & !x & 0x80..80`. That test can raise a false flag only
+//! in a byte *above* a true zero byte (a `0x01` byte that the borrow out of
+//! the zero wraps to `0xFF`), so its lowest flag is exact and the run ends
+//! there. Both stretches therefore cost word speed, and the runs are exactly
+//! the ones a byte-at-a-time scan finds.
+//!
+//! The flush path never hands the scanner a whole object anyway:
+//! [`crate::twin::TwinStore`] bounds the scan to the byte ranges local
+//! writes actually touched, making flush cost O(bytes written).
 
 use munin_types::ByteRange;
 use serde::{Deserialize, Serialize};
 
 /// Per-range wire overhead: offset (4) + length (4).
 const RANGE_HEADER_BYTES: usize = 8;
+
+/// `0x01` in every byte of a word.
+const LOW_BITS: u64 = u64::from_le_bytes([0x01; 8]);
+/// `0x80` in every byte of a word.
+const HIGH_BITS: u64 = u64::from_le_bytes([0x80; 8]);
+
+/// The eight bytes of `b` at `i`, little-endian, so byte `i` is the word's
+/// lowest byte.
+#[inline(always)]
+fn le_word(b: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(b[i..i + 8].try_into().expect("8-byte chunk"))
+}
 
 /// One run of the table: `range` within the object, payload at
 /// `data[offset .. offset + range.len]`.
@@ -73,8 +94,8 @@ impl Diff {
             // straight to its first differing byte (little-endian order puts
             // the lowest-index byte in the lowest bits of the XOR).
             while i + 8 <= n {
-                let a = u64::from_le_bytes(old[i..i + 8].try_into().expect("8-byte chunk"));
-                let b = u64::from_le_bytes(new[i..i + 8].try_into().expect("8-byte chunk"));
+                let a = le_word(old, i);
+                let b = le_word(new, i);
                 if a == b {
                     i += 8;
                 } else {
@@ -89,6 +110,19 @@ impl Diff {
                 break;
             }
             let start = i;
+            // Extend the differing run a word at a time: an equal byte is a
+            // zero byte of the XOR, and the lowest flag of the SWAR zero-byte
+            // test marks the first one (see "Scan cost" above).
+            while i + 8 <= n {
+                let x = le_word(old, i) ^ le_word(new, i);
+                let zero = x.wrapping_sub(LOW_BITS) & !x & HIGH_BITS;
+                if zero == 0 {
+                    i += 8;
+                } else {
+                    i += (zero.trailing_zeros() / 8) as usize;
+                    break;
+                }
+            }
             while i < n && old[i] != new[i] {
                 i += 1;
             }
@@ -127,17 +161,20 @@ impl Diff {
     }
 
     /// Append a run while rebuilding a diff from its wire form. Runs must
-    /// arrive in ascending object order with non-empty payloads — exactly
-    /// the invariant [`Diff::runs`] iterates in — so a decode → encode of
-    /// any diff is the identity. Returns `false` (leaving the diff
-    /// untouched) instead of panicking when the input violates the
-    /// invariant, so a corrupt frame surfaces as a decode error rather than
-    /// a crash in the transport.
+    /// arrive in ascending object order with non-empty payloads and a gap
+    /// between neighbours — exactly the invariant [`Diff::runs`] iterates
+    /// in — so a decode → encode of any diff is the identity. A run that
+    /// touches the previous one is rejected rather than coalesced: no
+    /// encoder emits one, and merging it would decode a diff other than the
+    /// one the frame carried. Returns `false` (leaving the diff untouched)
+    /// instead of panicking when the input violates the invariant, so a
+    /// corrupt frame surfaces as a decode error rather than a crash in the
+    /// transport.
     pub fn append_run(&mut self, start: u32, bytes: &[u8]) -> bool {
         if bytes.is_empty()
             || u32::try_from(bytes.len()).is_err()
             || start.checked_add(bytes.len() as u32).is_none()
-            || self.runs.last().is_some_and(|last| last.range.end() > start)
+            || self.runs.last().is_some_and(|last| last.range.end() >= start)
         {
             return false;
         }
@@ -265,11 +302,6 @@ impl Diff {
     pub fn ranges(&self) -> Vec<ByteRange> {
         self.runs.iter().map(|r| r.range).collect()
     }
-
-    /// Does this diff write any byte that `other` also writes?
-    pub fn overlaps(&self, other: &Diff) -> bool {
-        self.runs.iter().any(|r| other.runs.iter().any(|o| r.range.overlaps(o.range)))
-    }
 }
 
 #[cfg(test)]
@@ -335,6 +367,88 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time scanner the word scan must agree with exactly.
+    fn reference_scan(old: &[u8], new: &[u8]) -> Diff {
+        let mut d = Diff::default();
+        let mut i = 0;
+        while i < new.len() {
+            if old[i] == new[i] {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < new.len() && old[i] != new[i] {
+                i += 1;
+            }
+            d.push_run(start as u32, &new[start..i]);
+        }
+        d
+    }
+
+    /// xorshift64 bytes: a fixed, incompressible pattern per seed.
+    fn noise(len: usize, mut s: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn word_scan_matches_reference_on_every_16_byte_mask() {
+        // Each set bit of `mask` makes one byte of a 16-byte window differ;
+        // the window sits at every alignment within its buffer. The XOR
+        // bytes include 0x01 (which the borrow out of an equal byte below it
+        // turns into the SWAR false flag), 0x80 and 0xFF (the high bit
+        // already set) and 0x7F.
+        const XORS: [u8; 4] = [0x01, 0x7F, 0x80, 0xFF];
+        let pattern = noise(40, 7);
+        for base in 0..8 {
+            // One buffer ends with the window, so runs reach the byte tail;
+            // the other has a word of equal bytes after it.
+            for len in [base + 16, base + 24] {
+                let old = &pattern[..len];
+                for mask in 0..=u16::MAX {
+                    // Pass 0: every differing byte is 0x01, so every run
+                    // that follows an equal byte begins with the borrow case.
+                    for pass in 0..2 {
+                        let mut new = old.to_vec();
+                        for bit in (0..16).filter(|b| mask & (1 << b) != 0) {
+                            let xor =
+                                if pass == 0 { 0x01 } else { XORS[(bit + mask as usize) % 4] };
+                            new[base + bit] ^= xor;
+                        }
+                        let got = Diff::between(old, &new);
+                        assert_eq!(
+                            got,
+                            reference_scan(old, &new),
+                            "base={base} len={len} mask={mask:#06x} pass={pass}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_scan_matches_reference_on_the_bulk_shape() {
+        // Two independent 512 KiB patterns: runs of every short length.
+        let old = noise(512 << 10, 1);
+        let new = noise(512 << 10, 2);
+        let d = Diff::between(&old, &new);
+        assert_eq!(d, reference_scan(&old, &new));
+        assert!(d.run_count() > 1000, "{} runs", d.run_count());
+
+        // Every byte flipped: exactly one run, the whole buffer.
+        let flipped: Vec<u8> = old.iter().map(|b| !b).collect();
+        let d = Diff::between(&old, &flipped);
+        assert_eq!(d.ranges(), vec![ByteRange::new(0, old.len() as u32)]);
+        assert_eq!(d, reference_scan(&old, &flipped));
+    }
+
     #[test]
     fn disjoint_diffs_commute() {
         // Two threads write independent halves — the heart of write-many.
@@ -345,7 +459,8 @@ mod tests {
         b_ver[4..8].copy_from_slice(&[2, 2, 2, 2]);
         let da = Diff::between(&base, &a_ver);
         let db = Diff::between(&base, &b_ver);
-        assert!(!da.overlaps(&db));
+        assert_eq!(da.ranges(), vec![ByteRange::new(0, 4)]);
+        assert_eq!(db.ranges(), vec![ByteRange::new(4, 4)]);
 
         let mut ab = base.clone();
         da.apply(&mut ab);

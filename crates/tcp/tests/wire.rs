@@ -442,6 +442,33 @@ fn max_size_diffs_roundtrip() {
     assert!(!over.append_run(u32::MAX - 99, &tail), "run crossing u32::MAX must be rejected");
 }
 
+/// A diff whose second run starts exactly where the first ends is not
+/// canonical: every encoder coalesces such runs. Decoding it fails instead
+/// of silently merging the two into a one-run diff the frame never carried.
+#[test]
+fn touching_diff_runs_fail_closed() {
+    // Two 4-byte runs at offsets 0 and `second`, in the `Diff` wire layout:
+    // run count, then (start, length, payload) per run.
+    let frame = |second: u32| {
+        let mut out = Vec::new();
+        for word in [2, 0, 4] {
+            out.extend_from_slice(&u32::to_le_bytes(word));
+        }
+        out.extend_from_slice(&[1; 4]);
+        for word in [second, 4] {
+            out.extend_from_slice(&u32::to_le_bytes(word));
+        }
+        out.extend_from_slice(&[2; 4]);
+        out
+    };
+    let gapped = Diff::decode(&frame(5)).expect("runs with a gap decode");
+    assert_eq!(gapped.ranges(), vec![ByteRange::new(0, 4), ByteRange::new(5, 4)]);
+    assert_eq!(gapped.encode(), frame(5), "decode -> encode is the identity");
+
+    let err = Diff::decode(&frame(4)).expect_err("touching runs must not decode");
+    assert!(err.0.contains("run-table order"), "{err}");
+}
+
 /// Control-plane vocabulary round-trips, including a fully-populated
 /// `StartConfig` for each protocol. The start frame carries the protocol
 /// config as an opaque byte blob behind a tag, so the fabric never learns
