@@ -1,10 +1,12 @@
 //! The program harness: declare shared objects and synchronization objects,
 //! spawn threads, pick a backend, run.
 //!
-//! The same [`ProgramBuilder`] program runs on Munin (type-specific
-//! coherence), Ivy (page-based strict coherence) or native threads; the
-//! experiments in `munin-bench` are all phrased as "build program once, run
-//! under several backends/configurations, compare reports".
+//! The same [`ProgramBuilder`] program runs on any protocol (Munin's
+//! type-specific coherence, Ivy's page-based strict coherence, Tardis
+//! timestamp leases) on any fabric (simulator, real-time kernel, TCP), or
+//! on native threads; the experiments in `munin-bench` are all phrased as
+//! "build program once, run under several backends/configurations, compare
+//! reports".
 
 use crate::native::{NativeCtx, NativeWorld};
 use crate::par::Par;
@@ -14,103 +16,170 @@ use munin_proto::Protocol;
 use munin_rt::{RtCtx, RtTuning, RtWorldBuilder};
 use munin_sim::{RunReport, ThreadCtx, Tracer, TransportConfig, WorldBuilder};
 use munin_tardis::TardisProto;
-use munin_tcp::{TcpTuning, TcpWorldBuilder, TestFault};
+use munin_tcp::{TcpWorldBuilder, TestFault};
 use munin_types::{
-    BarrierDecl, BarrierId, CondDecl, CondId, Element, IvyConfig, LockDecl, LockId, MuninConfig,
-    NodeId, ObjectDecl, ObjectId, SharedArray, SharedScalar, SharingType, SyncDecls, TardisConfig,
+    BarrierDecl, BarrierId, CondDecl, CondId, CostModel, Element, IvyConfig, LockDecl, LockId,
+    MuninConfig, NodeId, ObjectDecl, ObjectId, SharedArray, SharedScalar, SharingType, SyncDecls,
+    TardisConfig,
 };
+
+/// A coherence protocol with its configuration: the protocol axis of a
+/// [`Backend`].
+#[derive(Debug, Clone)]
+pub enum Proto {
+    /// Munin's type-specific coherence.
+    Munin(MuninConfig),
+    /// The Ivy page-based strict-coherence baseline.
+    Ivy(IvyConfig),
+    /// Tardis timestamp-lease coherence.
+    Tardis(TardisConfig),
+}
+
+impl From<MuninConfig> for Proto {
+    fn from(cfg: MuninConfig) -> Self {
+        Proto::Munin(cfg)
+    }
+}
+
+impl From<IvyConfig> for Proto {
+    fn from(cfg: IvyConfig) -> Self {
+        Proto::Ivy(cfg)
+    }
+}
+
+impl From<TardisConfig> for Proto {
+    fn from(cfg: TardisConfig) -> Self {
+        Proto::Tardis(cfg)
+    }
+}
+
+impl Proto {
+    /// The protocol's [`Protocol::NAME`] (`"munin"`, `"ivy"`, `"tardis"`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Proto::Munin(_) => MuninProto::NAME,
+            Proto::Ivy(_) => IvyProto::NAME,
+            Proto::Tardis(_) => TardisProto::NAME,
+        }
+    }
+
+    /// The cost model inside the protocol's config.
+    pub fn cost(&self) -> &CostModel {
+        match self {
+            Proto::Munin(c) => MuninProto::cost(c),
+            Proto::Ivy(c) => IvyProto::cost(c),
+            Proto::Tardis(c) => TardisProto::cost(c),
+        }
+    }
+}
+
+/// Which kernel a backend runs its protocol servers on: the fabric axis
+/// of a [`Backend`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fabric {
+    /// The deterministic virtual-time simulator.
+    Sim,
+    /// The in-process real-time kernel: truly parallel app threads,
+    /// wall-clock measurements.
+    Rt,
+    /// The multi-process TCP fabric: one OS process per node (`munin-node`
+    /// children), protocol messages as length-prefixed frames on one stream
+    /// per node pair, application threads hosted by the coordinator. Probe
+    /// [`tcp_support`](munin_tcp::tcp_support) before selecting it in an
+    /// environment that may lack loopback sockets or the node binary.
+    Tcp,
+}
+
+impl Fabric {
+    const ALL: [Fabric; 3] = [Fabric::Sim, Fabric::Rt, Fabric::Tcp];
+
+    /// The fabric's part of a backend name (empty for the simulator).
+    fn suffix(self) -> &'static str {
+        match self {
+            Fabric::Sim => "",
+            Fabric::Rt => "rt",
+            Fabric::Tcp => "tcp",
+        }
+    }
+}
 
 /// Which runtime executes the program.
 #[derive(Debug, Clone)]
 pub enum Backend {
-    /// The Munin runtime on the deterministic simulator.
-    Munin(MuninConfig),
-    /// The Ivy baseline on the deterministic simulator.
-    Ivy(IvyConfig),
-    /// The Munin runtime on the real-time kernel: one OS thread per node
-    /// server, truly parallel app threads, wall-clock measurements.
-    MuninRt(MuninConfig),
-    /// The Ivy baseline on the real-time kernel.
-    IvyRt(IvyConfig),
-    /// The Munin runtime on the multi-process TCP fabric: one OS process
-    /// per node (`munin-node` children), protocol messages as
-    /// length-prefixed frames on one stream per node pair, application
-    /// threads hosted by the coordinator. Probe
-    /// [`tcp_support`](munin_tcp::tcp_support) before selecting this in an
-    /// environment that may lack loopback sockets or the node binary.
-    MuninTcp(MuninConfig),
-    /// The Ivy baseline on the TCP fabric.
-    IvyTcp(IvyConfig),
-    /// Tardis timestamp-lease coherence on the deterministic simulator.
-    Tardis(TardisConfig),
-    /// Tardis on the real-time kernel.
-    TardisRt(TardisConfig),
-    /// Tardis on the TCP fabric.
-    TardisTcp(TardisConfig),
+    /// Protocol `proto` on fabric `fabric`.
+    Dsm { proto: Proto, fabric: Fabric },
     /// Real threads, real shared memory (semantic reference).
     Native,
 }
 
-/// Which kernel a backend runs its servers on. Every non-native backend is
-/// a (protocol × fabric) product; this is the fabric axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fabric {
-    /// The deterministic virtual-time simulator.
-    Sim = 0,
-    /// The in-process real-time kernel (one OS thread per node server).
-    Rt = 1,
-    /// The multi-process TCP fabric (one OS process per node).
-    Tcp = 2,
-}
-
 impl Backend {
-    /// The fabric axis of the (protocol × fabric) decomposition; `None`
-    /// for the native reference backend.
-    fn fabric(&self) -> Option<Fabric> {
+    /// `cfg`'s protocol on the deterministic simulator.
+    pub fn sim(cfg: impl Into<Proto>) -> Backend {
+        Backend::Dsm { proto: cfg.into(), fabric: Fabric::Sim }
+    }
+
+    /// `cfg`'s protocol on the in-process real-time kernel.
+    pub fn rt(cfg: impl Into<Proto>) -> Backend {
+        Backend::Dsm { proto: cfg.into(), fabric: Fabric::Rt }
+    }
+
+    /// `cfg`'s protocol on the multi-process TCP fabric.
+    pub fn tcp(cfg: impl Into<Proto>) -> Backend {
+        Backend::Dsm { proto: cfg.into(), fabric: Fabric::Tcp }
+    }
+
+    /// The protocol axis; `None` for the native reference backend.
+    pub fn proto(&self) -> Option<&Proto> {
         match self {
-            Backend::Munin(_) | Backend::Ivy(_) | Backend::Tardis(_) => Some(Fabric::Sim),
-            Backend::MuninRt(_) | Backend::IvyRt(_) | Backend::TardisRt(_) => Some(Fabric::Rt),
-            Backend::MuninTcp(_) | Backend::IvyTcp(_) | Backend::TardisTcp(_) => Some(Fabric::Tcp),
+            Backend::Dsm { proto, .. } => Some(proto),
             Backend::Native => None,
         }
     }
 
-    /// The protocol axis: the protocol's per-fabric backend-name table
-    /// ([`Protocol::BACKEND_NAMES`]). `None` for native.
-    fn proto_names(&self) -> Option<[&'static str; 3]> {
+    /// The fabric axis; `None` for the native reference backend.
+    pub fn fabric(&self) -> Option<Fabric> {
         match self {
-            Backend::Munin(_) | Backend::MuninRt(_) | Backend::MuninTcp(_) => {
-                Some(MuninProto::BACKEND_NAMES)
-            }
-            Backend::Ivy(_) | Backend::IvyRt(_) | Backend::IvyTcp(_) => {
-                Some(IvyProto::BACKEND_NAMES)
-            }
-            Backend::Tardis(_) | Backend::TardisRt(_) | Backend::TardisTcp(_) => {
-                Some(TardisProto::BACKEND_NAMES)
-            }
+            Backend::Dsm { fabric, .. } => Some(*fabric),
             Backend::Native => None,
         }
     }
 
     /// Default lossless transport matching the backend's cost model. The
-    /// real-time backends use OS channels, not the simulated transport, so
-    /// (like Native) the value is unused for them.
+    /// wall-clock fabrics do not use the simulated transport, so (like
+    /// Native) they get the default.
     fn transport(&self) -> TransportConfig {
         match self {
-            Backend::Munin(c) => TransportConfig::lossless(c.cost.clone()),
-            Backend::Ivy(c) => TransportConfig::lossless(c.cost.clone()),
-            Backend::Tardis(c) => TransportConfig::lossless(c.cost.clone()),
+            Backend::Dsm { proto, fabric: Fabric::Sim } => {
+                TransportConfig::lossless(proto.cost().clone())
+            }
             _ => TransportConfig::default(),
         }
     }
 
-    /// Short display name, used in reports and error messages. Sourced
-    /// from each protocol's [`Protocol::BACKEND_NAMES`], so a protocol's
-    /// naming lives in its own crate.
-    pub fn name(&self) -> &'static str {
-        match (self.proto_names(), self.fabric()) {
-            (Some(names), Some(fabric)) => names[fabric as usize],
-            _ => "Native",
+    /// Display name, used in reports and error messages: `Munin`,
+    /// `MuninRt`, `TardisTcp`, `Native`.
+    pub fn name(&self) -> String {
+        self.spelling(false)
+    }
+
+    /// Command-line spelling: `munin`, `munin-rt`, `tardis-tcp`, `native`.
+    pub fn cli_name(&self) -> String {
+        self.spelling(true)
+    }
+
+    /// Both spellings, from the protocol's [`Protocol::NAME`] and the
+    /// fabric: kebab-case for the command line, each part capitalised for
+    /// display.
+    fn spelling(&self, cli: bool) -> String {
+        let (proto, fabric) = match self {
+            Backend::Dsm { proto, fabric } => (proto.name(), fabric.suffix()),
+            Backend::Native => ("native", ""),
+        };
+        let parts = [proto, fabric].into_iter().filter(|p| !p.is_empty());
+        if cli {
+            parts.collect::<Vec<_>>().join("-")
+        } else {
+            parts.map(|p| p[..1].to_ascii_uppercase() + &p[1..]).collect()
         }
     }
 
@@ -127,35 +196,31 @@ impl Backend {
 
     /// Every (protocol × fabric) backend with default configs, in
     /// protocol-major order. The one list the cross-backend tests and
-    /// traffic benches iterate — a new protocol shows up everywhere by
-    /// extending this (and [`Backend::parse`]), nowhere else. `Native` is
-    /// excluded: it is the semantic reference, not a protocol backend, and
-    /// callers that want it add it explicitly. Distributed entries are
-    /// included; gate them with [`Backend::is_distributed`] +
-    /// [`munin_tcp::tcp_support`] where the environment may lack them.
+    /// traffic benches iterate. `Native` is excluded: it is the semantic
+    /// reference, not a protocol backend, and callers that want it add it
+    /// explicitly. Distributed entries are included; gate them with
+    /// [`Backend::is_distributed`] + [`munin_tcp::tcp_support`] where the
+    /// environment may lack them.
     pub fn matrix() -> Vec<Backend> {
-        vec![
-            Backend::Munin(MuninConfig::default()),
-            Backend::MuninRt(MuninConfig::default()),
-            Backend::MuninTcp(MuninConfig::default()),
-            Backend::Ivy(IvyConfig::default()),
-            Backend::IvyRt(IvyConfig::default()),
-            Backend::IvyTcp(IvyConfig::default()),
-            Backend::Tardis(TardisConfig::default()),
-            Backend::TardisRt(TardisConfig::default()),
-            Backend::TardisTcp(TardisConfig::default()),
-        ]
+        let protos = [
+            Proto::Munin(MuninConfig::default()),
+            Proto::Ivy(IvyConfig::default()),
+            Proto::Tardis(TardisConfig::default()),
+        ];
+        protos
+            .iter()
+            .flat_map(|p| Fabric::ALL.map(|fabric| Backend::Dsm { proto: p.clone(), fabric }))
+            .collect()
     }
 
-    /// Parse a backend name (as printed by [`Backend::name`], or the
-    /// kebab-case CLI spelling like `munin-tcp`/`tardis-rt`) into a
-    /// default-config backend. Drives the study/bench CLIs.
+    /// Parse a backend name (its display name or its CLI spelling, any
+    /// case) into a default-config backend. Drives the study/bench CLIs.
     pub fn parse(name: &str) -> Option<Backend> {
-        if name.eq_ignore_ascii_case("native") {
-            return Some(Backend::Native);
-        }
         let canon: String = name.chars().filter(|c| *c != '-' && *c != '_').collect();
-        Backend::matrix().into_iter().find(|b| b.name().eq_ignore_ascii_case(&canon))
+        Backend::matrix()
+            .into_iter()
+            .chain([Backend::Native])
+            .find(|b| b.name().eq_ignore_ascii_case(&canon))
     }
 }
 
@@ -167,7 +232,7 @@ pub struct Outcome {
     /// native runs).
     pub wall: std::time::Duration,
     /// Which backend produced this outcome (for diagnostics).
-    backend: &'static str,
+    backend: String,
 }
 
 impl Outcome {
@@ -192,8 +257,8 @@ impl Outcome {
     }
 
     /// Name of the backend that produced this outcome.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend
+    pub fn backend_name(&self) -> &str {
+        &self.backend
     }
 
     /// The run's telemetry snapshot, if the backend records one (wall-clock
@@ -445,171 +510,126 @@ impl ProgramBuilder {
         tracer: Option<Box<dyn Tracer>>,
     ) -> Outcome {
         let started = std::time::Instant::now();
-        let backend_name = backend.name();
-        match backend {
-            Backend::Native => {
-                let world = NativeWorld::new(
-                    self.objects.iter().map(|d| (d.id, d.size as usize)),
-                    self.locks.len(),
-                    &self.barriers.iter().map(|b| b.count as usize).collect::<Vec<_>>(),
-                    self.conds.len(),
-                    self.threads.len(),
-                );
-                let mut joins = Vec::new();
-                for (i, (_node, body)) in self.threads.into_iter().enumerate() {
-                    let w = world.clone();
-                    joins.push(std::thread::spawn(move || {
-                        let mut ctx = NativeCtx::new(w, i);
-                        body(&mut ctx);
-                    }));
-                }
-                for j in joins {
-                    j.join().expect("native program thread panicked");
-                }
-                Outcome { report: None, wall: started.elapsed(), backend: backend_name }
-            }
-            // Every other backend is a (protocol × fabric) product: one
-            // generic arm per fabric, protocol plugged in via the
-            // `Protocol` seam. Adding a protocol means adding its three
-            // `Backend` variants here — no new run logic.
-            Backend::Munin(cfg) => {
-                self.run_sim_proto::<MuninProto>(cfg, transport, tracer, started, backend_name)
-            }
-            Backend::Ivy(cfg) => {
-                self.run_sim_proto::<IvyProto>(cfg, transport, tracer, started, backend_name)
-            }
-            Backend::Tardis(cfg) => {
-                self.run_sim_proto::<TardisProto>(cfg, transport, tracer, started, backend_name)
-            }
-            // The real-time backends run over OS channels: simulated-wire
-            // features (loss injection, shared medium, tracing) cannot be
-            // honored, and silently dropping them would let an experiment
-            // measure something other than what it configured — reject
-            // loudly instead (in `run_rt_proto`/`run_tcp_proto`).
-            Backend::MuninRt(cfg) => {
-                self.run_rt_proto::<MuninProto>(cfg, &transport, &tracer, started, backend_name)
-            }
-            Backend::IvyRt(cfg) => {
-                self.run_rt_proto::<IvyProto>(cfg, &transport, &tracer, started, backend_name)
-            }
-            Backend::TardisRt(cfg) => {
-                self.run_rt_proto::<TardisProto>(cfg, &transport, &tracer, started, backend_name)
-            }
-            // The distributed backends: same thread bodies, same `RtCtx`
-            // surface — the world builder forwards remote-node operations
-            // over the per-node control streams.
-            Backend::MuninTcp(cfg) => {
-                self.run_tcp_proto::<MuninProto>(cfg, &transport, &tracer, started, backend_name)
-            }
-            Backend::IvyTcp(cfg) => {
-                self.run_tcp_proto::<IvyProto>(cfg, &transport, &tracer, started, backend_name)
-            }
-            Backend::TardisTcp(cfg) => {
-                self.run_tcp_proto::<TardisProto>(cfg, &transport, &tracer, started, backend_name)
-            }
+        let name = backend.name();
+        let Backend::Dsm { proto, fabric } = backend else {
+            self.run_native();
+            return Outcome { report: None, wall: started.elapsed(), backend: name };
+        };
+        if fabric != Fabric::Sim {
+            assert_rt_supports(&transport, &tracer, &name);
+        }
+        // One arm per protocol picks the type; `run_proto` is written once
+        // against the `Protocol` seam.
+        let report = match proto {
+            Proto::Munin(cfg) => self.run_proto::<MuninProto>(cfg, fabric, transport, tracer),
+            Proto::Ivy(cfg) => self.run_proto::<IvyProto>(cfg, fabric, transport, tracer),
+            Proto::Tardis(cfg) => self.run_proto::<TardisProto>(cfg, fabric, transport, tracer),
+        };
+        Outcome { report: Some(report), wall: started.elapsed(), backend: name }
+    }
+
+    /// Run the threads on real shared memory.
+    fn run_native(self) {
+        let world = NativeWorld::new(
+            self.objects.iter().map(|d| (d.id, d.size as usize)),
+            self.locks.len(),
+            &self.barriers.iter().map(|b| b.count as usize).collect::<Vec<_>>(),
+            self.conds.len(),
+            self.threads.len(),
+        );
+        let mut joins = Vec::new();
+        for (i, (_node, body)) in self.threads.into_iter().enumerate() {
+            let w = world.clone();
+            joins.push(std::thread::spawn(move || {
+                let mut ctx = NativeCtx::new(w, i);
+                body(&mut ctx);
+            }));
+        }
+        for j in joins {
+            j.join().expect("native program thread panicked");
         }
     }
 
-    /// Run protocol `Pr` on the deterministic simulator.
-    fn run_sim_proto<Pr: Protocol>(
+    /// Run protocol `Pr` on `fabric`. Only the simulator reads `transport`
+    /// and `tracer`; `run_with` has already rejected them for the others.
+    fn run_proto<Pr: Protocol>(
         self,
         cfg: Pr::Config,
+        fabric: Fabric,
         transport: TransportConfig,
         tracer: Option<Box<dyn Tracer>>,
-        started: std::time::Instant,
-        backend: &'static str,
-    ) -> Outcome {
+    ) -> RunReport {
         let sync = self.sync_decls();
         let n_nodes = self.n_nodes;
-        let decls = self.objects.clone();
-        let mut b = WorldBuilder::new(n_nodes).transport(transport);
-        if let Some(t) = tracer {
-            b = b.tracer(t);
+        let decls = &self.objects;
+        let servers = || -> Vec<Pr::Server> {
+            (0..n_nodes)
+                .map(|i| Pr::server(&cfg, NodeId(i as u16), n_nodes, decls, &sync))
+                .collect()
+        };
+        match fabric {
+            Fabric::Sim => {
+                let mut b = WorldBuilder::new(n_nodes).transport(transport);
+                if let Some(t) = tracer {
+                    b = b.tracer(t);
+                }
+                if let Some(map) = self.coverage {
+                    b = b.coverage(map);
+                }
+                for d in decls {
+                    let id = b.declare(d.clone(), d.home);
+                    debug_assert_eq!(id, d.id, "builder ids must stay dense");
+                }
+                for (node, body) in self.threads {
+                    b.spawn(node, move |ctx: &mut ThreadCtx| body(ctx));
+                }
+                b.build(servers()).run()
+            }
+            Fabric::Rt => {
+                let mut b = RtWorldBuilder::<Pr::Msg>::new(n_nodes)
+                    .cost(Pr::cost(&cfg).clone())
+                    .tuning(self.rt_tuning);
+                if let Some(map) = self.coverage {
+                    b = b.coverage(map);
+                }
+                for d in decls {
+                    let id = b.declare(d.clone(), d.home);
+                    debug_assert_eq!(id, d.id, "builder ids must stay dense");
+                }
+                for (node, body) in self.threads {
+                    b.spawn(node, move |ctx: &mut RtCtx<Pr::Msg>| body(ctx));
+                }
+                b.run(servers())
+            }
+            // Same thread bodies, same `RtCtx` surface: the world builder
+            // forwards remote-node operations over the per-node streams.
+            Fabric::Tcp => {
+                let mut b = TcpWorldBuilder::<Pr::Msg>::new(n_nodes).tuning(self.rt_tuning);
+                if let Some(fault) = self.tcp_fault {
+                    b = b.test_fault(fault);
+                }
+                if let Some(map) = self.coverage {
+                    b = b.coverage(map);
+                }
+                for d in decls {
+                    let id = b.declare(d.clone(), d.home);
+                    debug_assert_eq!(id, d.id, "builder ids must stay dense");
+                }
+                for (node, body) in self.threads {
+                    b.spawn(node, move |ctx: &mut RtCtx<Pr::Msg>| body(ctx));
+                }
+                b.run_proto::<Pr>(cfg, sync)
+            }
         }
-        if let Some(map) = self.coverage.clone() {
-            b = b.coverage(map);
-        }
-        for d in &self.objects {
-            let id = b.declare(d.clone(), d.home);
-            debug_assert_eq!(id, d.id, "builder ids must stay dense");
-        }
-        for (node, body) in self.threads {
-            b.spawn(node, move |ctx: &mut ThreadCtx| body(ctx));
-        }
-        let servers: Vec<Pr::Server> = (0..n_nodes)
-            .map(|i| Pr::server(&cfg, NodeId(i as u16), n_nodes, &decls, &sync))
-            .collect();
-        let report = b.build(servers).run();
-        Outcome { report: Some(report), wall: started.elapsed(), backend }
-    }
-
-    /// Run protocol `Pr` on the in-process real-time kernel.
-    fn run_rt_proto<Pr: Protocol>(
-        self,
-        cfg: Pr::Config,
-        transport: &TransportConfig,
-        tracer: &Option<Box<dyn Tracer>>,
-        started: std::time::Instant,
-        backend: &'static str,
-    ) -> Outcome {
-        assert_rt_supports(transport, tracer, backend);
-        let sync = self.sync_decls();
-        let n_nodes = self.n_nodes;
-        let decls = self.objects.clone();
-        let mut b = RtWorldBuilder::<Pr::Msg>::new(n_nodes)
-            .cost(Pr::cost(&cfg).clone())
-            .tuning(self.rt_tuning.clone());
-        if let Some(map) = self.coverage.clone() {
-            b = b.coverage(map);
-        }
-        for d in &self.objects {
-            let id = b.declare(d.clone(), d.home);
-            debug_assert_eq!(id, d.id, "builder ids must stay dense");
-        }
-        for (node, body) in self.threads {
-            b.spawn(node, move |ctx: &mut RtCtx<Pr::Msg>| body(ctx));
-        }
-        let servers: Vec<Pr::Server> = (0..n_nodes)
-            .map(|i| Pr::server(&cfg, NodeId(i as u16), n_nodes, &decls, &sync))
-            .collect();
-        let report = b.run(servers);
-        Outcome { report: Some(report), wall: started.elapsed(), backend }
-    }
-
-    /// Run protocol `Pr` on the multi-process TCP fabric.
-    fn run_tcp_proto<Pr: Protocol>(
-        self,
-        cfg: Pr::Config,
-        transport: &TransportConfig,
-        tracer: &Option<Box<dyn Tracer>>,
-        started: std::time::Instant,
-        backend: &'static str,
-    ) -> Outcome {
-        assert_rt_supports(transport, tracer, backend);
-        let sync = self.sync_decls();
-        let mut tuning = TcpTuning::from(self.rt_tuning.clone());
-        tuning.test_fault = self.tcp_fault;
-        let mut b = TcpWorldBuilder::<Pr::Msg>::new(self.n_nodes).tuning(tuning);
-        if let Some(map) = self.coverage.clone() {
-            b = b.coverage(map);
-        }
-        for d in &self.objects {
-            let id = b.declare(d.clone(), d.home);
-            debug_assert_eq!(id, d.id, "builder ids must stay dense");
-        }
-        for (node, body) in self.threads {
-            b.spawn(node, move |ctx: &mut RtCtx<Pr::Msg>| body(ctx));
-        }
-        let report = b.run_proto::<Pr>(cfg, sync);
-        Outcome { report: Some(report), wall: started.elapsed(), backend }
     }
 }
 
-/// The real-time kernel's wires are OS channels: no loss injection, no
-/// shared-medium serialization, no tracer. Reject configurations that ask
-/// for them so experiments fail loudly instead of measuring the wrong
-/// thing. (The transport's cost model is irrelevant here — rt servers take
-/// their cost model from the backend config.)
+/// The wall-clock fabrics' wires are OS channels and sockets: no loss
+/// injection, no shared-medium serialization, no jitter, no scheduled
+/// partitions, no tracer. Reject configurations that ask for them so
+/// experiments fail loudly instead of measuring something other than what
+/// they configured. (The transport's cost model is irrelevant here: these
+/// servers take their cost model from the protocol config.)
 fn assert_rt_supports(
     transport: &TransportConfig,
     tracer: &Option<Box<dyn Tracer>>,
@@ -617,13 +637,17 @@ fn assert_rt_supports(
 ) {
     assert!(
         tracer.is_none(),
-        "the {backend} backend runs on the real-time kernel, which has no tracer hook; \
+        "the {backend} backend runs on a wall-clock kernel, which has no tracer hook; \
          run the program on the simulator backend to trace it"
     );
     assert!(
-        transport.drop_prob == 0.0 && !transport.serialize_medium,
-        "the {backend} backend runs over OS channels and cannot simulate message loss or a \
-         shared medium; use the simulator backend for transport experiments"
+        transport.drop_prob == 0.0
+            && !transport.serialize_medium
+            && transport.jitter_us == 0
+            && transport.link_faults.is_empty(),
+        "the {backend} backend runs over OS channels and cannot simulate message loss, a \
+         shared medium, jitter or link faults; use the simulator backend for transport \
+         experiments"
     );
 }
 
@@ -670,7 +694,7 @@ mod tests {
     #[test]
     fn try_report_present_on_sim_absent_on_native() {
         let (p, _) = counting_program(2);
-        let o = p.run(Backend::Munin(MuninConfig::default()));
+        let o = p.run(Backend::sim(MuninConfig::default()));
         assert!(o.try_report().is_some());
         assert_eq!(o.backend_name(), "Munin");
 
@@ -696,21 +720,21 @@ mod tests {
     #[test]
     fn same_program_runs_on_munin() {
         let (p, total) = counting_program(3);
-        p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+        p.run(Backend::sim(MuninConfig::default())).assert_clean();
         assert_eq!(total.load(Ordering::SeqCst), 15);
     }
 
     #[test]
     fn same_program_runs_on_ivy() {
         let (p, total) = counting_program(3);
-        p.run(Backend::Ivy(IvyConfig::default())).assert_clean();
+        p.run(Backend::sim(IvyConfig::default())).assert_clean();
         assert_eq!(total.load(Ordering::SeqCst), 15);
     }
 
     #[test]
     fn same_program_runs_on_ivy_central_locks() {
         let (p, total) = counting_program(3);
-        p.run(Backend::Ivy(IvyConfig::default().with_central_locks())).assert_clean();
+        p.run(Backend::sim(IvyConfig::default().with_central_locks())).assert_clean();
         assert_eq!(total.load(Ordering::SeqCst), 15);
     }
 
@@ -719,6 +743,37 @@ mod tests {
         let (p, total) = counting_program(3);
         p.run(Backend::Native).assert_clean();
         assert_eq!(total.load(Ordering::SeqCst), 15);
+    }
+
+    #[test]
+    fn every_matrix_cell_parses_from_both_spellings() {
+        // Reports and the golden ledger print these.
+        let names: Vec<String> = Backend::matrix().iter().map(Backend::name).collect();
+        assert_eq!(
+            names.join(" "),
+            "Munin MuninRt MuninTcp Ivy IvyRt IvyTcp Tardis TardisRt TardisTcp"
+        );
+        for b in Backend::matrix() {
+            for spelling in [b.name(), b.cli_name()] {
+                let parsed = Backend::parse(&spelling).unwrap_or_else(|| panic!("{spelling}"));
+                assert_eq!(parsed.name(), b.name(), "{spelling}");
+            }
+        }
+        // The spellings the benchmark and CI pass.
+        for (cli, cell) in [
+            ("munin", "Munin"),
+            ("munin-rt", "MuninRt"),
+            ("munin-tcp", "MuninTcp"),
+            ("ivy", "Ivy"),
+            ("ivy-tcp", "IvyTcp"),
+            ("tardis", "Tardis"),
+            ("tardis-tcp", "TardisTcp"),
+            ("native", "Native"),
+        ] {
+            assert_eq!(Backend::parse(cli).map(|b| b.name()).as_deref(), Some(cell), "{cli}");
+            assert_eq!(Backend::parse(cell).map(|b| b.cli_name()).as_deref(), Some(cli), "{cell}");
+        }
+        assert!(Backend::parse("munin-udp").is_none());
     }
 
     #[test]
@@ -739,9 +794,9 @@ mod tests {
             });
             p
         };
-        let munin = run_sim(build(2), Backend::Munin(MuninConfig::default()));
+        let munin = run_sim(build(2), Backend::sim(MuninConfig::default()));
         munin.assert_clean();
-        let ivy = run_sim(build(2), Backend::Ivy(IvyConfig::default()));
+        let ivy = run_sim(build(2), Backend::sim(IvyConfig::default()));
         ivy.assert_clean();
         assert!(
             munin.stats.messages <= 6,

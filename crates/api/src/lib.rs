@@ -14,13 +14,16 @@
 //! bulk access into caller-owned buffers is zero-copy down to the backend.
 //!
 //! Programs are written once against the object-safe [`Par`] contract and run
-//! unmodified on three backends:
+//! unmodified on any [`Backend`]: a protocol on a fabric, or native threads.
 //!
-//! * **Munin** — the type-specific coherence runtime (`munin-core`) on the
-//!   deterministic simulator;
-//! * **Ivy** — the page-based strictly-coherent baseline (`munin-ivy`) on the
-//!   same simulator;
-//! * **Native** — real OS threads against true shared memory (the "Sequent
+//! * The protocol ([`harness::Proto`]): **Munin**, the type-specific
+//!   coherence runtime (`munin-core`); **Ivy**, the page-based
+//!   strictly-coherent baseline (`munin-ivy`); or **Tardis**, timestamp-lease
+//!   coherence (`munin-tardis`).
+//! * The fabric ([`harness::Fabric`]): the deterministic virtual-time
+//!   simulator (`munin-sim`), the in-process real-time kernel (`munin-rt`),
+//!   or one OS process per node over loopback TCP (`munin-tcp`).
+//! * **Native**: real OS threads against true shared memory (the "Sequent
 //!   Symmetry" reference), used to validate results and compare behaviour.
 //!
 //! The [`harness`] builds the world, places objects and threads, runs the
@@ -49,7 +52,7 @@
 //!         }
 //!     });
 //! }
-//! let outcome = p.run(Backend::Munin(MuninConfig::default()));
+//! let outcome = p.run(Backend::sim(MuninConfig::default()));
 //! outcome.assert_clean();
 //! assert!(outcome.report().stats.messages > 0); // real coherence traffic
 //! ```
@@ -77,11 +80,11 @@ pub fn node_protos() -> Vec<(u8, munin_tcp::node::NodeRunFn)> {
     protos
 }
 
-pub use harness::{Backend, Outcome, ProgramBuilder};
+pub use harness::{Backend, Fabric, Outcome, ProgramBuilder, Proto};
 pub use monitor::Monitor;
 pub use munin_obs::{MetricsSnapshot, OpClass, OpSpan};
 pub use munin_rt::{ComputeMode, RtTuning};
-pub use munin_tcp::{tcp_support, TcpTuning};
+pub use munin_tcp::tcp_support;
 pub use munin_types::{
     Element, OpToken, SharedArray, SharedScalar, Telemetry, TokenState, TokenValue,
 };

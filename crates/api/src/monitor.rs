@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn bounded_buffer_producer_consumer_on_munin() {
-        bounded_buffer(Backend::Munin(MuninConfig::default()));
+        bounded_buffer(Backend::sim(MuninConfig::default()));
     }
 
     #[test]
@@ -140,6 +140,6 @@ mod tests {
             m.enter(par);
             m.exit(par);
         });
-        p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+        p.run(Backend::sim(MuninConfig::default())).assert_clean();
     }
 }

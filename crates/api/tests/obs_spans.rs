@@ -80,7 +80,7 @@ fn check_span_invariants(m: &MetricsSnapshot, fabric: &str) {
 
 #[test]
 fn rt_spans_are_monotone_and_fifo() {
-    let (m, _) = run_fetch_adds(Backend::MuninRt(MuninConfig::default()));
+    let (m, _) = run_fetch_adds(Backend::rt(MuninConfig::default()));
     assert_eq!(m.telemetry, Telemetry::Spans);
     check_span_invariants(&m, "rt");
     // In-process fabric: ops never cross the wire, so no span carries a
@@ -94,7 +94,7 @@ fn tcp_remote_fetch_add_decomposes_into_wire_segments() {
         eprintln!("skipping tcp span test: {notice}");
         return;
     }
-    let (m, run_wall_us) = run_fetch_adds(Backend::MuninTcp(MuninConfig::default()));
+    let (m, run_wall_us) = run_fetch_adds(Backend::tcp(MuninConfig::default()));
     check_span_invariants(&m, "tcp");
     // The counter is homed on node 1 (a child process): thread 0's adds
     // crossed the wire, so at least one fetch-add span must record the

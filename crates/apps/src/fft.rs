@@ -182,7 +182,7 @@ mod tests {
         let cfg = FftCfg { n: 64, nodes: 3, seed: 2 };
         let want = reference(&cfg);
         let (p, out) = build(&cfg);
-        p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+        p.run(Backend::sim(MuninConfig::default())).assert_clean();
         check(&out, &want);
     }
 

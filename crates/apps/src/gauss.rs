@@ -179,7 +179,7 @@ mod tests {
         let cfg = GaussCfg { n: 12, nodes: 3, seed: 8 };
         let want = reference(&cfg);
         let (p, out) = build(&cfg);
-        p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+        p.run(Backend::sim(MuninConfig::default())).assert_clean();
         check(&out, &want);
     }
 

@@ -221,7 +221,7 @@ mod tests {
         let cfg = LifeCfg { width: 24, height: 24, generations: 4, nodes: 3, seed: 9 };
         let want = reference(&cfg);
         let (p, out) = build(&cfg);
-        p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+        p.run(Backend::sim(MuninConfig::default())).assert_clean();
         check(&out, &want);
     }
 

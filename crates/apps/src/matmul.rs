@@ -168,7 +168,7 @@ mod tests {
         let cfg = MatmulCfg { n: 16, nodes: 3, seed: 42 };
         let want = reference(&cfg);
         let (p, out) = build(&cfg);
-        p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+        p.run(Backend::sim(MuninConfig::default())).assert_clean();
         check(&out, &want);
     }
 

@@ -191,7 +191,7 @@ mod tests {
         let cfg = QsortCfg { n: 128, nodes: 3, seed: 21, cutoff: 16 };
         let want = reference(&cfg);
         let (p, out) = build(&cfg);
-        p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+        p.run(Backend::sim(MuninConfig::default())).assert_clean();
         check(&out, &want);
     }
 
@@ -211,7 +211,7 @@ mod tests {
             let cfg = QsortCfg { n: 64, nodes: 2, seed, cutoff: 4 };
             let want = reference(&cfg);
             let (p, out) = build(&cfg);
-            p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+            p.run(Backend::sim(MuninConfig::default())).assert_clean();
             check(&out, &want);
         }
     }

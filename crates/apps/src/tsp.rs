@@ -250,7 +250,7 @@ mod tests {
         let cfg = TspCfg { cities: 7, nodes: 3, seed: 6 };
         let want = reference(&cfg);
         let (p, out) = build(&cfg);
-        p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+        p.run(Backend::sim(MuninConfig::default())).assert_clean();
         check(&out, want);
     }
 

@@ -121,7 +121,7 @@ fn e2e_flush(rounds: u32) -> (f64, f64) {
         let allocs = (big_allocs() - before_allocs) as f64 / rounds as f64;
         *timing2.lock().unwrap() = (ns, allocs);
     });
-    p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+    p.run(Backend::sim(MuninConfig::default())).assert_clean();
     let t = *timing.lock().unwrap();
     t
 }

@@ -37,7 +37,7 @@ fn one_run(telemetry: Telemetry) -> f64 {
         });
     }
     let started = Instant::now();
-    p.run(Backend::MuninRt(MuninConfig::default())).assert_clean();
+    p.run(Backend::rt(MuninConfig::default())).assert_clean();
     (WORKERS * OPS_PER_WORKER) as f64 / started.elapsed().as_secs_f64()
 }
 

@@ -20,7 +20,7 @@ fn bench_kernel(c: &mut Criterion) {
                     par.compute(1);
                 }
             });
-            black_box(p.run(Backend::Munin(MuninConfig::default())).report().ops)
+            black_box(p.run(Backend::sim(MuninConfig::default())).report().ops)
         })
     });
 }
@@ -36,7 +36,7 @@ fn bench_local_paths(c: &mut Criterion) {
                     par.unlock(l);
                 }
             });
-            p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+            p.run(Backend::sim(MuninConfig::default())).assert_clean();
         })
     });
     c.bench_function("munin local read/write x500", |b| {
@@ -49,7 +49,7 @@ fn bench_local_paths(c: &mut Criterion) {
                     let _ = par.get(&obj, i % 512);
                 }
             });
-            p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+            p.run(Backend::sim(MuninConfig::default())).assert_clean();
         })
     });
 }
@@ -69,7 +69,7 @@ fn bench_flush_round(c: &mut Criterion) {
             p.thread(0, move |par: &mut dyn Par| {
                 par.barrier(bar);
             });
-            p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+            p.run(Backend::sim(MuninConfig::default())).assert_clean();
         })
     });
 }
@@ -81,14 +81,14 @@ fn bench_apps(c: &mut Criterion) {
         b.iter(|| {
             let cfg = matmul::MatmulCfg { n: 16, nodes: 3, seed: 1 };
             let (p, _out) = matmul::build(&cfg);
-            p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+            p.run(Backend::sim(MuninConfig::default())).assert_clean();
         })
     });
     g.bench_function("ivy", |b| {
         b.iter(|| {
             let cfg = matmul::MatmulCfg { n: 16, nodes: 3, seed: 1 };
             let (p, _out) = matmul::build(&cfg);
-            p.run(Backend::Ivy(IvyConfig::default())).assert_clean();
+            p.run(Backend::sim(IvyConfig::default())).assert_clean();
         })
     });
     g.bench_function("native", |b| {

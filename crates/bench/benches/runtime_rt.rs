@@ -4,7 +4,7 @@
 //! bytes, modelled stalls); this benchmark measures the one thing the
 //! simulator cannot: how much faster the program actually finishes when the
 //! real-time kernel runs its workers in parallel. Each study app is run on
-//! `Backend::MuninRt` at 1, 2 and 4 workers (one worker thread per node,
+//! `Backend::rt(MuninConfig)` at 1, 2 and 4 workers (one worker thread per node,
 //! the paper's placement) and timed end to end; the headline figure is
 //! `speedup4 = wall(1 worker) / wall(4 workers)`.
 //!
@@ -87,24 +87,24 @@ fn main() {
     let apps: Vec<AppRow> = vec![
         AppRow {
             name: "matmul64",
-            wall_1: wall_s(REPS, || run_matmul(64, 1, Backend::MuninRt(MuninConfig::default()))),
-            wall_2: wall_s(REPS, || run_matmul(64, 2, Backend::MuninRt(MuninConfig::default()))),
-            wall_4: wall_s(REPS, || run_matmul(64, 4, Backend::MuninRt(MuninConfig::default()))),
-            ivy_rt_4: wall_s(REPS, || run_matmul(64, 4, Backend::IvyRt(IvyConfig::default()))),
+            wall_1: wall_s(REPS, || run_matmul(64, 1, Backend::rt(MuninConfig::default()))),
+            wall_2: wall_s(REPS, || run_matmul(64, 2, Backend::rt(MuninConfig::default()))),
+            wall_4: wall_s(REPS, || run_matmul(64, 4, Backend::rt(MuninConfig::default()))),
+            ivy_rt_4: wall_s(REPS, || run_matmul(64, 4, Backend::rt(IvyConfig::default()))),
         },
         AppRow {
             name: "life128x12",
-            wall_1: wall_s(REPS, || run_life(128, 12, 1, Backend::MuninRt(MuninConfig::default()))),
-            wall_2: wall_s(REPS, || run_life(128, 12, 2, Backend::MuninRt(MuninConfig::default()))),
-            wall_4: wall_s(REPS, || run_life(128, 12, 4, Backend::MuninRt(MuninConfig::default()))),
-            ivy_rt_4: wall_s(REPS, || run_life(128, 12, 4, Backend::IvyRt(IvyConfig::default()))),
+            wall_1: wall_s(REPS, || run_life(128, 12, 1, Backend::rt(MuninConfig::default()))),
+            wall_2: wall_s(REPS, || run_life(128, 12, 2, Backend::rt(MuninConfig::default()))),
+            wall_4: wall_s(REPS, || run_life(128, 12, 4, Backend::rt(MuninConfig::default()))),
+            ivy_rt_4: wall_s(REPS, || run_life(128, 12, 4, Backend::rt(IvyConfig::default()))),
         },
         AppRow {
             name: "tsp9",
-            wall_1: wall_s(REPS, || run_tsp(9, 1, Backend::MuninRt(MuninConfig::default()))),
-            wall_2: wall_s(REPS, || run_tsp(9, 2, Backend::MuninRt(MuninConfig::default()))),
-            wall_4: wall_s(REPS, || run_tsp(9, 4, Backend::MuninRt(MuninConfig::default()))),
-            ivy_rt_4: wall_s(REPS, || run_tsp(9, 4, Backend::IvyRt(IvyConfig::default()))),
+            wall_1: wall_s(REPS, || run_tsp(9, 1, Backend::rt(MuninConfig::default()))),
+            wall_2: wall_s(REPS, || run_tsp(9, 2, Backend::rt(MuninConfig::default()))),
+            wall_4: wall_s(REPS, || run_tsp(9, 4, Backend::rt(MuninConfig::default()))),
+            ivy_rt_4: wall_s(REPS, || run_tsp(9, 4, Backend::rt(IvyConfig::default()))),
         },
     ];
 

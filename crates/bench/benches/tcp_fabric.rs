@@ -112,7 +112,7 @@ fn run_latency_pass(workers: usize) -> MetricsSnapshot {
             }
         });
     }
-    let out = p.run(Backend::MuninTcp(MuninConfig::default()));
+    let out = p.run(Backend::tcp(MuninConfig::default()));
     out.assert_clean();
     out.metrics().expect("spans mode fills RunReport::metrics").clone()
 }
@@ -135,13 +135,13 @@ fn main() {
 
     // Correctness guard: one real app, bit-identical across the fabrics.
     let (p, verify) = App::Matmul.build_default(4);
-    p.run(Backend::MuninTcp(MuninConfig::default())).assert_clean();
+    p.run(Backend::tcp(MuninConfig::default())).assert_clean();
     verify();
 
     let mut rows = Vec::new();
     for workers in [2usize, 4] {
-        let (ops, rt_wall) = run_counter(workers, Backend::MuninRt(MuninConfig::default()), false);
-        let (_, tcp_wall) = run_counter(workers, Backend::MuninTcp(MuninConfig::default()), false);
+        let (ops, rt_wall) = run_counter(workers, Backend::rt(MuninConfig::default()), false);
+        let (_, tcp_wall) = run_counter(workers, Backend::tcp(MuninConfig::default()), false);
         let row = Row { workers, rt_ops_s: ops as f64 / rt_wall, tcp_ops_s: ops as f64 / tcp_wall };
         println!(
             "counter {}w   MuninRt {:>9.0} ops/s | MuninTcp {:>9.0} ops/s | tcp/rt {:>5.2}x",
@@ -157,8 +157,8 @@ fn main() {
     // The same 4-worker hammer pipelined: every add issued async, at most
     // `MAX_INFLIGHT` in flight per thread, all tokens redeemed at the end.
     let blocking = rows.last().expect("4-worker counter row");
-    let (ops, rt_wall) = run_counter(4, Backend::MuninRt(MuninConfig::default()), true);
-    let (_, tcp_wall) = run_counter(4, Backend::MuninTcp(MuninConfig::default()), true);
+    let (ops, rt_wall) = run_counter(4, Backend::rt(MuninConfig::default()), true);
+    let (_, tcp_wall) = run_counter(4, Backend::tcp(MuninConfig::default()), true);
     let pipe = Row { workers: 4, rt_ops_s: ops as f64 / rt_wall, tcp_ops_s: ops as f64 / tcp_wall };
     let pipe_gain = pipe.tcp_ops_s / blocking.tcp_ops_s;
     println!(
@@ -211,7 +211,7 @@ fn main() {
     // the real wire without a single invalidation message.
     let tcp_backends: Vec<Backend> =
         Backend::matrix().into_iter().filter(|b| b.is_distributed()).collect();
-    let mut proto_rows: Vec<(&'static str, f64, NetStats)> = Vec::new();
+    let mut proto_rows: Vec<(String, f64, NetStats)> = Vec::new();
     for backend in &tcp_backends {
         let name = backend.name();
         let (ops, wall) = run_counter(4, backend.clone(), false);
@@ -233,8 +233,8 @@ fn main() {
         "TardisTcp must finish the read-heavy workload with zero invalidation messages"
     );
 
-    let (bytes, rt_bulk) = run_bulk(4, Backend::MuninRt(MuninConfig::default()));
-    let (tcp_bytes, tcp_bulk) = run_bulk(4, Backend::MuninTcp(MuninConfig::default()));
+    let (bytes, rt_bulk) = run_bulk(4, Backend::rt(MuninConfig::default()));
+    let (tcp_bytes, tcp_bulk) = run_bulk(4, Backend::tcp(MuninConfig::default()));
     assert_eq!(bytes, tcp_bytes, "both fabrics must account identical protocol bytes");
     println!(
         "bulk 4w      MuninRt {:>9.1} MiB/s | MuninTcp {:>9.1} MiB/s (protocol payload)",

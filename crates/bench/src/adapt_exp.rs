@@ -58,7 +58,7 @@ pub fn e8_inval_vs_refresh(readers: usize, rounds: usize) -> Table {
             let mut cfg = MuninConfig::default();
             cfg.read_mostly = mode;
             let p = sharing_kernel(readers, rounds, permille);
-            let o = p.run(Backend::Munin(cfg));
+            let o = p.run(Backend::sim(cfg));
             o.assert_clean();
             // Compare data-plane traffic (barrier traffic is identical
             // across variants; acks scale with data messages).
@@ -124,7 +124,7 @@ pub fn e9_replication(readers: usize, ops: usize) -> Table {
         let run = |mode: ReadMostlyMode| {
             let mut cfg = MuninConfig::default();
             cfg.read_mostly = mode;
-            let o = build().run(Backend::Munin(cfg));
+            let o = build().run(Backend::sim(cfg));
             o.assert_clean();
             let r = o.report();
             (r.stats.messages, r.finished_at.as_millis_f64())
@@ -177,7 +177,7 @@ pub fn e11_adaptive_typing(generations: usize) -> Table {
         let mut cfg = MuninConfig::default();
         cfg.adaptive_typing = adaptive;
         cfg.adapt_min_samples = 12;
-        let o = p.run(Backend::Munin(cfg));
+        let o = p.run(Backend::sim(cfg));
         o.assert_clean();
         let r = o.report();
         t.row(vec![

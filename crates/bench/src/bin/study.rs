@@ -11,31 +11,17 @@
 //! Every app is verified against its sequential reference (bit for bit) and
 //! the line per app reports wall clock, DSM ops and protocol messages. For
 //! the TCP backends each run spawns `nodes - 1` real `munin-node` processes;
-//! `--dump-after-ms N` additionally raises SIGUSR1 mid-run to demonstrate
-//! the on-demand state dump (or send it yourself: `kill -USR1 <pid>`).
+//! `--dump-after-ms N` additionally raises SIGUSR1 once, N ms after start,
+//! to demonstrate the on-demand state dump of whichever TCP run is then in
+//! progress (or send it yourself: `kill -USR1 <pid>`).
 
 use munin_api::Backend;
 use munin_apps::App;
 
-/// Every matrix backend's kebab-case spelling plus `native`, for the usage
-/// line — derived from `Backend::matrix()`, so a new protocol shows up
-/// here without an edit.
+/// Every matrix backend's CLI spelling plus `native`, for the usage line.
 fn backend_names() -> String {
-    let mut names: Vec<String> = Backend::matrix()
-        .iter()
-        .map(|b| {
-            // CamelCase display name -> the kebab-case the CLI accepts.
-            let mut out = String::new();
-            for (i, ch) in b.name().char_indices() {
-                if ch.is_ascii_uppercase() && i > 0 {
-                    out.push('-');
-                }
-                out.push(ch.to_ascii_lowercase());
-            }
-            out
-        })
-        .collect();
-    names.push("native".into());
+    let mut names: Vec<String> = Backend::matrix().iter().map(Backend::cli_name).collect();
+    names.push(Backend::Native.cli_name());
     names.join("|")
 }
 
@@ -50,6 +36,7 @@ fn main() {
     let mut backend_name = "munin".to_string();
     let mut apps = "matmul,life,tsp".to_string();
     let mut nodes = 4usize;
+    let mut dump_timer = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -66,10 +53,13 @@ fn main() {
                     eprintln!("study: --dump-after-ms wants a number");
                     std::process::exit(2);
                 });
-                // Read by `TcpTuning::default()`; set before any run starts
-                // threads, so this is the one safe moment to touch the
-                // environment.
-                std::env::set_var("MUNIN_TCP_DUMP_AFTER_MS", ms.to_string());
+                // The handler first: SIGUSR1's default action ends the
+                // process.
+                munin_tcp::sig::install();
+                dump_timer = Some(std::thread::spawn(move || {
+                    std::thread::sleep(std::time::Duration::from_millis(ms));
+                    munin_tcp::sig::raise_dump_signal();
+                }));
             }
             other => {
                 eprintln!(
@@ -116,5 +106,8 @@ fn main() {
             backend.name(),
             outcome.wall.as_secs_f64() * 1e3,
         );
+    }
+    if let Some(timer) = dump_timer {
+        timer.join().expect("the dump timer only sleeps and raises");
     }
 }

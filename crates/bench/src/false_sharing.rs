@@ -48,7 +48,7 @@ pub fn e10_false_sharing(nodes: usize, rounds: usize) -> Table {
         cfg.page_size = page;
         cfg.alloc = AllocPolicy::Packed;
         cfg.sync = SyncStrategy::CentralServer;
-        let o = independent_writers(nodes, rounds, 64).run(Backend::Ivy(cfg));
+        let o = independent_writers(nodes, rounds, 64).run(Backend::sim(cfg));
         o.assert_clean();
         let r = o.report();
         let data =
@@ -64,7 +64,7 @@ pub fn e10_false_sharing(nodes: usize, rounds: usize) -> Table {
         let mut cfg = IvyConfig::default();
         cfg.alloc = AllocPolicy::PageAligned;
         cfg.sync = SyncStrategy::CentralServer;
-        let o = independent_writers(nodes, rounds, 64).run(Backend::Ivy(cfg));
+        let o = independent_writers(nodes, rounds, 64).run(Backend::sim(cfg));
         o.assert_clean();
         let r = o.report();
         let data =
@@ -77,7 +77,7 @@ pub fn e10_false_sharing(nodes: usize, rounds: usize) -> Table {
         ]);
     }
     {
-        let o = independent_writers(nodes, rounds, 64).run(Backend::Munin(MuninConfig::default()));
+        let o = independent_writers(nodes, rounds, 64).run(Backend::sim(MuninConfig::default()));
         o.assert_clean();
         let r = o.report();
         let data = r.stats.kind("FlushIn").count

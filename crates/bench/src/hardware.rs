@@ -41,12 +41,12 @@ pub fn e15_hardware(nodes: usize) -> Table {
         let mk_munin = |cost: CostModel| {
             let mut c = MuninConfig::default();
             c.cost = cost;
-            Backend::Munin(c)
+            Backend::sim(c)
         };
         let mk_ivy = |cost: CostModel| {
             let mut c = IvyConfig::default().with_central_locks();
             c.cost = cost;
-            Backend::Ivy(c)
+            Backend::sim(c)
         };
         let (_, m_eth) = run(app, nodes, mk_munin(CostModel::ethernet_1990()));
         let (_, i_eth) = run(app, nodes, mk_ivy(CostModel::ethernet_1990()));

@@ -55,7 +55,7 @@ pub fn e6_migratory(node_counts: &[usize], rounds: usize) -> Table {
     for &n in node_counts {
         let run = |sharing, associate| {
             let p = critical_section_program(n, rounds, sharing, associate);
-            let o = p.run(Backend::Munin(MuninConfig::default()));
+            let o = p.run(Backend::sim(MuninConfig::default()));
             o.assert_clean();
             o.report().stats.messages as f64
         };
@@ -100,7 +100,7 @@ pub fn e7_producer_consumer(node_counts: &[usize]) -> Table {
             }
             let mut mcfg = MuninConfig::default();
             mcfg.pc_policy = policy;
-            let o = p.run(Backend::Munin(mcfg));
+            let o = p.run(Backend::sim(mcfg));
             o.assert_clean();
             life::check(&out, &want);
             let r = o.report();
@@ -134,7 +134,7 @@ pub fn e13_locks(node_counts: &[usize], rounds: usize) -> Table {
         // Munin proxy locks.
         {
             let p = critical_section_program(n, rounds, SharingType::Migratory, true);
-            let o = p.run(Backend::Munin(MuninConfig::default()));
+            let o = p.run(Backend::sim(MuninConfig::default()));
             o.assert_clean();
             let r = o.report();
             t.row(vec![
@@ -148,7 +148,7 @@ pub fn e13_locks(node_counts: &[usize], rounds: usize) -> Table {
         // Ivy central lock server.
         {
             let p = critical_section_program(n, rounds, SharingType::GeneralReadWrite, false);
-            let o = p.run(Backend::Ivy(IvyConfig::default().with_central_locks()));
+            let o = p.run(Backend::sim(IvyConfig::default().with_central_locks()));
             o.assert_clean();
             let r = o.report();
             t.row(vec![
@@ -162,7 +162,7 @@ pub fn e13_locks(node_counts: &[usize], rounds: usize) -> Table {
         // Ivy DSM-resident spin locks (the "no special provisions" system).
         {
             let p = critical_section_program(n, rounds, SharingType::GeneralReadWrite, false);
-            let o = p.run(Backend::Ivy(IvyConfig::default()));
+            let o = p.run(Backend::sim(IvyConfig::default()));
             o.assert_clean();
             let r = o.report();
             t.row(vec![
@@ -205,7 +205,7 @@ pub fn e14_duq(writes_per_flush: &[usize]) -> Table {
                 par.barrier(bar);
             }
         });
-        let o = p.run(Backend::Munin(MuninConfig::default()));
+        let o = p.run(Backend::sim(MuninConfig::default()));
         o.assert_clean();
         let r = o.report();
         let flush_msgs = r.stats.kind("FlushIn").count;

@@ -12,7 +12,7 @@ fn trace_app(app: App, nodes: usize) -> (Vec<munin_trace::ObjectVerdict>, munin_
     let (p, verify) = app.build_default(nodes);
     let decls = p.objects();
     let (tracer, log) = StudyTracer::new();
-    let backend = Backend::Munin(MuninConfig::default());
+    let backend = Backend::sim(MuninConfig::default());
     let transport = munin_sim::TransportConfig::lossless(MuninConfig::default().cost);
     let out = p.run_with(backend, transport, Some(tracer));
     out.assert_clean();

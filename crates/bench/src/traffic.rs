@@ -37,11 +37,11 @@ pub fn e4_munin_vs_ivy(nodes: usize) -> Table {
         ],
     );
     for app in App::ALL {
-        let (mm, mb, _, _) = run_app(app, nodes, Backend::Munin(MuninConfig::default()), false);
-        let (im, ib, _, _) = run_app(app, nodes, Backend::Ivy(IvyConfig::default()), false);
+        let (mm, mb, _, _) = run_app(app, nodes, Backend::sim(MuninConfig::default()), false);
+        let (im, ib, _, _) = run_app(app, nodes, Backend::sim(IvyConfig::default()), false);
         let (icm, _, _, _) =
-            run_app(app, nodes, Backend::Ivy(IvyConfig::default().with_central_locks()), false);
-        let (gm, _, _, _) = run_app(app, nodes, Backend::Munin(MuninConfig::default()), true);
+            run_app(app, nodes, Backend::sim(IvyConfig::default().with_central_locks()), false);
+        let (gm, _, _, _) = run_app(app, nodes, Backend::sim(MuninConfig::default()), true);
         t.row(vec![
             app.name().into(),
             mm.to_string(),
@@ -108,8 +108,8 @@ pub fn e5_matmul_duq(nodes: usize, sizes: &[u32]) -> Table {
             let want = matmul::reference(&c);
             let (mut p, out) = matmul::build(&c);
             let backend = match variant {
-                Variant::Munin => Backend::Munin(MuninConfig::default()),
-                Variant::WriteThrough => Backend::Munin(MuninConfig::default().strict()),
+                Variant::Munin => Backend::sim(MuninConfig::default()),
+                Variant::WriteThrough => Backend::sim(MuninConfig::default().strict()),
                 Variant::StrictResult => {
                     p.retype_all(|s| {
                         if s == SharingType::Result {
@@ -118,9 +118,9 @@ pub fn e5_matmul_duq(nodes: usize, sizes: &[u32]) -> Table {
                             s
                         }
                     });
-                    Backend::Munin(MuninConfig::default())
+                    Backend::sim(MuninConfig::default())
                 }
-                Variant::Ivy => Backend::Ivy(IvyConfig::default()),
+                Variant::Ivy => Backend::sim(IvyConfig::default()),
             };
             let o = p.run(backend);
             o.assert_clean();
@@ -159,7 +159,7 @@ pub fn e12_scaling(node_counts: &[usize]) -> Table {
     );
     for app in App::ALL {
         for &n in node_counts {
-            let (m, b, ms, _) = run_app(app, n, Backend::Munin(MuninConfig::default()), false);
+            let (m, b, ms, _) = run_app(app, n, Backend::sim(MuninConfig::default()), false);
             t.row(vec![
                 app.name().into(),
                 n.to_string(),

@@ -7,7 +7,7 @@
 //! munin-campaign --plan failure.toml       # replay a saved plan
 //! munin-campaign --scenario tcp-kill       # a curated scenario
 //! munin-campaign --list-scenarios
-//! munin-campaign --list-targets            # every protocol × fabric target
+//! munin-campaign --list-targets            # every backend a campaign runs on
 //! munin-campaign explore --budget 64       # coverage-guided exploration
 //! ```
 //!
@@ -21,12 +21,16 @@
 //! fails, writes it to `--out` (if given), and prints the one-line repro.
 //! Exit code: 0 all passed, 1 campaign failure, 2 usage error.
 
-use munin_campaign::exec::{execute, CampaignOutcome, ExecOptions, Target};
+use munin_api::Backend;
+use munin_campaign::exec::{
+    campaign_backends, execute, parse_backend, supported, CampaignOutcome, ExecOptions,
+};
 use munin_campaign::explore::{explore, ExploreConfig};
 use munin_campaign::gen::{generate_with, GenConfig};
 use munin_campaign::plan::InteractionPlan;
 use munin_campaign::scenario;
 use munin_campaign::shrink::shrink_failing;
+use munin_types::MuninConfig;
 use std::process::ExitCode;
 
 struct Args {
@@ -35,7 +39,7 @@ struct Args {
     seed: Option<u64>,
     batch: Option<u64>,
     seed_base: u64,
-    target: Target,
+    backend: Backend,
     out: Option<String>,
     plan_file: Option<String>,
     scenario: Option<String>,
@@ -51,10 +55,10 @@ struct Args {
 fn usage() -> &'static str {
     "usage: munin-campaign (--seed N | --batch K [--seed-base B] | --plan FILE | \
      --scenario NAME | --list-scenarios | --list-targets | --export-scenario NAME)\n\
-     \x20       [--backend TARGET] [--out FILE] [--gen-only]\n\
+     \x20       [--backend BACKEND] [--out FILE] [--gen-only]\n\
      \x20       [--allow-kill] [--async-heavy] [--shrink-budget K]\n\
-     \x20  or:  munin-campaign explore [--budget N] [--seed N] [--backend TARGET] [--out FILE]\n\
-     \x20       TARGET is a protocol × fabric pair; see --list-targets"
+     \x20  or:  munin-campaign explore [--budget N] [--seed N] [--backend BACKEND] [--out FILE]\n\
+     \x20       BACKEND is a protocol on the simulator or TCP (e.g. tardis-tcp); see --list-targets"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -64,7 +68,7 @@ fn parse_args() -> Result<Args, String> {
         seed: None,
         batch: None,
         seed_base: 0,
-        target: Target::Munin,
+        backend: Backend::sim(MuninConfig::default()),
         out: None,
         plan_file: None,
         scenario: None,
@@ -92,7 +96,7 @@ fn parse_args() -> Result<Args, String> {
             "--seed-base" => {
                 args.seed_base = val("seed")?.parse().map_err(|e| format!("--seed-base: {e}"))?
             }
-            "--backend" => args.target = Target::parse(&val("backend")?)?,
+            "--backend" => args.backend = parse_backend(&val("backend")?)?,
             "--out" => args.out = Some(val("path")?),
             "--plan" => args.plan_file = Some(val("path")?),
             "--scenario" => args.scenario = Some(val("name")?),
@@ -140,7 +144,7 @@ fn report_failure(args: &Args, plan: &InteractionPlan, out: &CampaignOutcome) {
     }
     eprintln!("shrinking (budget {} executions)...", args.shrink_budget);
     let (min, spent) =
-        shrink_failing(plan, args.target, &ExecOptions::default(), args.shrink_budget);
+        shrink_failing(plan, &args.backend, &ExecOptions::default(), args.shrink_budget);
     eprintln!(
         "minimized after {spent} executions: {} round(s), {} fault(s), {} thread(s) on {} node(s)",
         min.rounds.len(),
@@ -198,7 +202,7 @@ fn metrics_artifact(m: &munin_api::MetricsSnapshot) -> String {
 }
 
 fn run_plan(args: &Args, plan: &InteractionPlan) -> Result<bool, String> {
-    let out = execute(plan, args.target, &ExecOptions::default())?;
+    let out = execute(plan, &args.backend, &ExecOptions::default())?;
     if out.passed() {
         println!("{}", out.verdict_line());
         Ok(true)
@@ -229,17 +233,17 @@ fn main() -> ExitCode {
 fn run(args: &Args) -> Result<bool, String> {
     if args.list_scenarios {
         for s in scenario::all() {
-            println!("{:-16} [{}] {}", s.name, s.target.name(), s.about);
+            println!("{:-16} [{}] {}", s.name, s.backend.cli_name(), s.about);
         }
         return Ok(true);
     }
     if args.list_targets {
-        for t in Target::ALL {
-            let here = match t.supported() {
+        for b in campaign_backends() {
+            let here = match supported(&b) {
                 Ok(()) => "",
                 Err(_) => " (unsupported here)",
             };
-            println!("{:-12} {}{}", t.name(), t.describe(), here);
+            println!("{:-12} {}{}", b.cli_name(), b.name(), here);
         }
         return Ok(true);
     }
@@ -250,12 +254,12 @@ fn run(args: &Args) -> Result<bool, String> {
     }
     if let Some(name) = &args.scenario {
         let s = scenario::find(name).ok_or_else(|| format!("no scenario named `{name}`"))?;
-        s.target.supported()?;
+        supported(&s.backend)?;
         let out = scenario::run(&s, &ExecOptions::default())?;
         println!("scenario {name}: expectations met ({})", out.verdict_line());
         return Ok(true);
     }
-    args.target.supported()?;
+    supported(&args.backend)?;
     let gen_cfg = GenConfig {
         allow_permanent: args.allow_kill,
         async_heavy: args.async_heavy,
@@ -263,7 +267,7 @@ fn run(args: &Args) -> Result<bool, String> {
     };
     if args.explore {
         let cfg = ExploreConfig {
-            target: args.target,
+            backend: args.backend.clone(),
             budget: args.budget,
             gen: gen_cfg,
             opts: ExecOptions::default(),
@@ -293,7 +297,7 @@ fn run(args: &Args) -> Result<bool, String> {
         let mut failures = 0u64;
         for seed in args.seed_base..args.seed_base + batch {
             let plan = generate_with(seed, &gen_cfg);
-            let out = execute(&plan, args.target, &ExecOptions::default())?;
+            let out = execute(&plan, &args.backend, &ExecOptions::default())?;
             if out.passed() {
                 println!("{}", out.verdict_line());
             } else {
@@ -301,7 +305,7 @@ fn run(args: &Args) -> Result<bool, String> {
                 report_failure(args, &plan, &out);
             }
         }
-        println!("batch done: {}/{batch} passed on {}", batch - failures, args.target.name());
+        println!("batch done: {}/{batch} passed on {}", batch - failures, args.backend.cli_name());
         return Ok(failures == 0);
     }
     let seed = args.seed.expect("mode check guarantees a seed");

@@ -22,87 +22,43 @@
 
 use crate::fault::{clock_skews, sim_transport, tcp_compatible, tcp_fault};
 use crate::plan::{CellType, InteractionPlan, PlanOp};
-use munin_api::{Backend, OpToken, Par, ParTyped, ProgramBuilder, RtTuning, SharedScalar};
-use munin_check::{check_campaign, CampaignHistory, ObsEvent, Violation};
-use munin_types::{
-    IvyConfig, LockId, MuninConfig, ObjectDecl, ObjectId, SharingType, TardisConfig, ThreadId,
+use munin_api::{
+    Backend, Fabric, OpToken, Par, ParTyped, ProgramBuilder, Proto, RtTuning, SharedScalar,
 };
+use munin_check::{check_campaign, CampaignHistory, ObsEvent, Violation};
+use munin_types::{LockId, ObjectDecl, ObjectId, SharingType, ThreadId};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Which backend executes a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Target {
-    /// Munin on the virtual-time simulator (the default; fully
-    /// deterministic).
-    Munin,
-    /// The Ivy baseline on the simulator.
-    Ivy,
-    /// Tardis timestamp-lease coherence on the simulator.
-    Tardis,
-    /// Munin on the multi-process TCP fabric.
-    MuninTcp,
-    /// Ivy on the TCP fabric.
-    IvyTcp,
-    /// Tardis on the TCP fabric.
-    TardisTcp,
+/// Every backend a campaign runs on, in the order `--list-targets` prints
+/// them: each protocol on the simulator (every fault class), then on the
+/// TCP fabric (process-level faults). The real-time kernel can inject
+/// neither, and native has no protocol to check.
+pub fn campaign_backends() -> Vec<Backend> {
+    [Fabric::Sim, Fabric::Tcp]
+        .into_iter()
+        .flat_map(|f| Backend::matrix().into_iter().filter(move |b| b.fabric() == Some(f)))
+        .collect()
 }
 
-impl Target {
-    /// Every campaign target, in the order `--list-targets` prints them.
-    pub const ALL: [Target; 6] = [
-        Target::Munin,
-        Target::Ivy,
-        Target::Tardis,
-        Target::MuninTcp,
-        Target::IvyTcp,
-        Target::TardisTcp,
-    ];
+/// Parse a `--backend` argument into one of [`campaign_backends`].
+pub fn parse_backend(s: &str) -> Result<Backend, String> {
+    let allowed = campaign_backends();
+    let name = Backend::parse(s).map(|b| b.name());
+    allowed.iter().find(|b| Some(b.name()) == name).cloned().ok_or_else(|| {
+        let names: Vec<String> = allowed.iter().map(Backend::cli_name).collect();
+        format!("no campaign backend `{s}`: campaigns run on {}", names.join(", "))
+    })
+}
 
-    pub fn parse(s: &str) -> Result<Target, String> {
-        Target::ALL
-            .iter()
-            .copied()
-            .find(|t| t.name() == s)
-            .ok_or_else(|| format!("unknown backend `{s}` (see --list-targets)"))
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Target::Munin => "munin",
-            Target::Ivy => "ivy",
-            Target::Tardis => "tardis",
-            Target::MuninTcp => "munin-tcp",
-            Target::IvyTcp => "ivy-tcp",
-            Target::TardisTcp => "tardis-tcp",
-        }
-    }
-
-    /// One-line description for `--list-targets`.
-    pub fn describe(&self) -> &'static str {
-        match self {
-            Target::Munin => "Munin type-specific coherence on the virtual-time simulator",
-            Target::Ivy => "Ivy write-invalidate baseline on the simulator",
-            Target::Tardis => "Tardis timestamp-lease coherence on the simulator",
-            Target::MuninTcp => "Munin on the multi-process TCP fabric",
-            Target::IvyTcp => "Ivy on the multi-process TCP fabric",
-            Target::TardisTcp => "Tardis on the multi-process TCP fabric",
-        }
-    }
-
-    pub fn is_tcp(&self) -> bool {
-        matches!(self, Target::MuninTcp | Target::IvyTcp | Target::TardisTcp)
-    }
-
-    /// Probe whether this target can run here (the TCP fabric needs
-    /// loopback sockets and the `munin-node` binary).
-    pub fn supported(&self) -> Result<(), String> {
-        if self.is_tcp() {
-            munin_api::tcp_support().map_err(|e| e.to_string())
-        } else {
-            Ok(())
-        }
+/// Probe whether `backend` can run here (the TCP fabric needs loopback
+/// sockets and the `munin-node` binary).
+pub fn supported(backend: &Backend) -> Result<(), String> {
+    if backend.is_distributed() {
+        munin_api::tcp_support()
+    } else {
+        Ok(())
     }
 }
 
@@ -114,17 +70,6 @@ pub struct ExecOptions {
     /// leisurely default — which doubles as the "watchdog-tight timeout"
     /// fault pressure of the harness.
     pub tcp_stall: Duration,
-    /// Munin backend configuration. Campaigns run the default config; the
-    /// checker-mutation tests ride their chaos knob
-    /// (`chaos_skip_updates`) in through here to prove the checker catches
-    /// a protocol that silently drops an update.
-    pub munin: MuninConfig,
-    /// Tardis backend configuration. The plan's `tardis_lease` /
-    /// `tardis_decay_us` overrides (if set) are applied on top, so a saved
-    /// plan replays with the lease geometry it was found under. The
-    /// Tardis checker-mutation tests ride `chaos_skip_wts` in through
-    /// here.
-    pub tardis: TardisConfig,
     /// Transition coverage map to attach to the run (explore mode). Every
     /// protocol server notes its state transitions into it; `None` (the
     /// default) costs one predicted branch per note site.
@@ -133,12 +78,7 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            tcp_stall: Duration::from_millis(800),
-            munin: MuninConfig::default(),
-            tardis: TardisConfig::default(),
-            coverage: None,
-        }
+        ExecOptions { tcp_stall: Duration::from_millis(800), coverage: None }
     }
 }
 
@@ -152,7 +92,7 @@ const PENDING_PREV: i64 = i64::MIN;
 #[derive(Debug, Clone)]
 pub struct CampaignOutcome {
     pub seed: u64,
-    pub target: Target,
+    pub backend: Backend,
     /// Did the run finish without errors or teardown?
     pub clean: bool,
     /// Run errors from the report (panics, deadlock/stall diagnostics,
@@ -188,12 +128,12 @@ impl CampaignOutcome {
     /// One-line verdict, with the replay command on failure.
     pub fn verdict_line(&self) -> String {
         if self.passed() {
-            format!("PASS seed {} on {}", self.seed, self.target.name())
+            format!("PASS seed {} on {}", self.seed, self.backend.cli_name())
         } else {
             format!(
                 "FAIL seed {} on {}: {} — replay with `munin-campaign --seed {}`",
                 self.seed,
-                self.target.name(),
+                self.backend.cli_name(),
                 self.reasons.first().map(String::as_str).unwrap_or("unknown"),
                 self.seed
             )
@@ -201,14 +141,20 @@ impl CampaignOutcome {
     }
 }
 
-/// Execute `plan` on `target` and judge the observation log.
+/// Execute `plan` on `backend` (a simulator or TCP cell, carrying the
+/// protocol config) and judge the observation log.
 pub fn execute(
     plan: &InteractionPlan,
-    target: Target,
+    backend: &Backend,
     opts: &ExecOptions,
 ) -> Result<CampaignOutcome, String> {
     plan.validate()?;
-    if target.is_tcp() && !tcp_compatible(plan) {
+    let tcp = backend.is_distributed();
+    let proto = match backend {
+        Backend::Dsm { proto, fabric: Fabric::Sim | Fabric::Tcp } => proto,
+        _ => return Err(format!("campaigns cannot run on {}", backend.cli_name())),
+    };
+    if tcp && !tcp_compatible(plan) {
         return Err(format!(
             "plan {} carries wire-level faults the TCP fabric cannot inject; \
              run it on the simulator or strip them",
@@ -225,12 +171,14 @@ pub fn execute(
     // The plan's lease geometry overrides travel with its TOML, so a
     // coverage-found failure replays under the exact lease/decay timing it
     // was discovered with.
-    let mut tardis_cfg = opts.tardis.clone();
-    if let Some(l) = plan.tardis_lease {
-        tardis_cfg.lease = l;
-    }
-    if let Some(d) = plan.tardis_decay_us {
-        tardis_cfg.decay_us = d;
+    let mut proto = proto.clone();
+    if let Proto::Tardis(cfg) = &mut proto {
+        if let Some(l) = plan.tardis_lease {
+            cfg.lease = l;
+        }
+        if let Some(d) = plan.tardis_decay_us {
+            cfg.decay_us = d;
+        }
     }
 
     // Declaration order fixes the dense ObjectId layout the checker
@@ -390,38 +338,21 @@ pub fn execute(
         });
     }
 
-    let report = match target {
-        Target::Munin => {
-            let cfg = opts.munin.clone();
-            let transport = sim_transport(plan, cfg.cost.clone());
-            p.run_with(Backend::Munin(cfg), transport, None)
+    let report = if tcp {
+        let mut tuning = RtTuning::default();
+        tuning.stall_timeout = opts.tcp_stall;
+        // Full span telemetry: when a seed fails and shrinks, the
+        // minimized plan's artifact carries the causal remote-op spans
+        // from the failing run.
+        tuning.telemetry = munin_types::Telemetry::Spans;
+        p.rt_tuning(tuning);
+        if let Some(f) = tcp_fault(plan) {
+            p.inject_tcp_fault(f);
         }
-        Target::Ivy => {
-            let cfg = IvyConfig::default();
-            let transport = sim_transport(plan, cfg.cost.clone());
-            p.run_with(Backend::Ivy(cfg), transport, None)
-        }
-        Target::Tardis => {
-            let transport = sim_transport(plan, tardis_cfg.cost.clone());
-            p.run_with(Backend::Tardis(tardis_cfg), transport, None)
-        }
-        Target::MuninTcp | Target::IvyTcp | Target::TardisTcp => {
-            let mut tuning = RtTuning::default();
-            tuning.stall_timeout = opts.tcp_stall;
-            // Full span telemetry: when a seed fails and shrinks, the
-            // minimized plan's artifact carries the causal remote-op spans
-            // from the failing run.
-            tuning.telemetry = munin_types::Telemetry::Spans;
-            p.rt_tuning(tuning);
-            if let Some(f) = tcp_fault(plan) {
-                p.inject_tcp_fault(f);
-            }
-            match target {
-                Target::MuninTcp => p.run(Backend::MuninTcp(opts.munin.clone())),
-                Target::IvyTcp => p.run(Backend::IvyTcp(IvyConfig::default())),
-                _ => p.run(Backend::TardisTcp(tardis_cfg)),
-            }
-        }
+        p.run(Backend::tcp(proto))
+    } else {
+        let transport = sim_transport(plan, proto.cost().clone());
+        p.run_with(Backend::sim(proto), transport, None)
     };
     let report = report.report().clone();
 
@@ -461,7 +392,7 @@ pub fn execute(
 
     Ok(CampaignOutcome {
         seed: plan.seed,
-        target,
+        backend: backend.clone(),
         clean,
         errors: report.errors.clone(),
         violations,
@@ -477,6 +408,11 @@ pub fn execute(
 mod tests {
     use super::*;
     use crate::plan::{FaultSpec, Round};
+    use munin_types::{IvyConfig, MuninConfig};
+
+    fn munin() -> Backend {
+        Backend::sim(MuninConfig::default())
+    }
 
     fn handoff_plan() -> InteractionPlan {
         // Two threads pass a locked cell back and forth and bump a counter;
@@ -509,9 +445,9 @@ mod tests {
 
     #[test]
     fn clean_plan_passes_on_munin_and_ivy() {
-        for target in [Target::Munin, Target::Ivy] {
-            let out = execute(&handoff_plan(), target, &ExecOptions::default()).unwrap();
-            assert!(out.passed(), "{target:?}: {:?}", out.reasons);
+        for backend in [munin(), Backend::sim(IvyConfig::default())] {
+            let out = execute(&handoff_plan(), &backend, &ExecOptions::default()).unwrap();
+            assert!(out.passed(), "{}: {:?}", backend.name(), out.reasons);
             assert!(out.clean);
             assert_eq!(out.final_counters, vec![6]);
         }
@@ -543,9 +479,9 @@ mod tests {
                 ],
             },
         ];
-        for target in [Target::Munin, Target::Ivy] {
-            let out = execute(&plan, target, &ExecOptions::default()).unwrap();
-            assert!(out.passed(), "{target:?}: {:?}", out.reasons);
+        for backend in [munin(), Backend::sim(IvyConfig::default())] {
+            let out = execute(&plan, &backend, &ExecOptions::default()).unwrap();
+            assert!(out.passed(), "{}: {:?}", backend.name(), out.reasons);
             assert_eq!(out.final_counters, vec![10]);
         }
     }
@@ -558,7 +494,7 @@ mod tests {
             FaultSpec::Jitter { max_us: 2_000 },
             FaultSpec::ClockSkew { thread: 1, us: 5_000 },
         ];
-        let out = execute(&plan, Target::Munin, &ExecOptions::default()).unwrap();
+        let out = execute(&plan, &munin(), &ExecOptions::default()).unwrap();
         assert!(out.passed(), "{:?}", out.reasons);
     }
 
@@ -568,7 +504,7 @@ mod tests {
         // completed prefix of the history must still be coherent.
         let mut plan = handoff_plan();
         plan.faults = vec![FaultSpec::Isolate { node: 1, from_us: 0, until_us: u64::MAX }];
-        let out = execute(&plan, Target::Munin, &ExecOptions::default()).unwrap();
+        let out = execute(&plan, &munin(), &ExecOptions::default()).unwrap();
         assert!(!out.clean, "a from-time-zero permanent isolation cannot end clean");
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.passed(), "unclean is expected, not a failure: {:?}", out.reasons);
@@ -578,7 +514,8 @@ mod tests {
     fn wire_faults_refuse_the_tcp_target() {
         let mut plan = handoff_plan();
         plan.faults = vec![FaultSpec::Loss { per_mille: 10 }];
-        let err = execute(&plan, Target::MuninTcp, &ExecOptions::default()).unwrap_err();
+        let err = execute(&plan, &Backend::tcp(MuninConfig::default()), &ExecOptions::default())
+            .unwrap_err();
         assert!(err.contains("cannot inject"), "{err}");
     }
 }

@@ -24,10 +24,11 @@
 //! the mutation choices, and (on the simulator) every verdict, so a
 //! coverage-found failure replays from its plan TOML alone.
 
-use crate::exec::{execute, ExecOptions, Target};
+use crate::exec::{execute, ExecOptions};
 use crate::gen::{generate_with, GenConfig};
 use crate::manifest::{Goal, MustReach};
 use crate::plan::{CellType, FaultSpec, InteractionPlan, PlanOp, Round};
+use munin_api::{Backend, Proto};
 use munin_net::seed::derive;
 use munin_obs::{CoverageMap, CoverageSnapshot};
 use rand::rngs::SmallRng;
@@ -38,7 +39,8 @@ use std::sync::Arc;
 /// Knobs for one exploration.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
-    pub target: Target,
+    /// Where every run executes, protocol config included.
+    pub backend: Backend,
     /// Total executions to spend (sweep seeds and mutants included).
     pub budget: usize,
     /// Bounds for the fresh-plan stream.
@@ -49,8 +51,12 @@ pub struct ExploreConfig {
 }
 
 impl ExploreConfig {
-    pub fn new(target: Target, budget: usize) -> Self {
-        ExploreConfig { target, budget, gen: GenConfig::default(), opts: ExecOptions::default() }
+    pub fn new(backend: Backend, budget: usize) -> Self {
+        ExploreConfig { backend, budget, gen: GenConfig::default(), opts: ExecOptions::default() }
+    }
+
+    fn is_tardis(&self) -> bool {
+        matches!(self.backend.proto(), Some(Proto::Tardis(_)))
     }
 }
 
@@ -58,7 +64,7 @@ impl ExploreConfig {
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
     pub seed: u64,
-    pub target: Target,
+    pub backend: Backend,
     pub executed: usize,
     /// Union coverage across every execution (counts accumulate).
     pub coverage: CoverageSnapshot,
@@ -67,7 +73,7 @@ pub struct ExploreReport {
     pub corpus: Vec<InteractionPlan>,
     /// Plans whose campaign verdict failed, with the failure reasons.
     pub failures: Vec<(InteractionPlan, Vec<String>)>,
-    /// Every must-reach goal for the target's protocol, with its verdict.
+    /// Every must-reach goal for the backend's protocol, with its verdict.
     pub goals: Vec<(Goal, bool)>,
 }
 
@@ -89,7 +95,7 @@ impl ExploreReport {
         let _ = writeln!(
             out,
             "explore: target {}, seed {}, {} executions, corpus {}, failures {}",
-            self.target.name(),
+            self.backend.cli_name(),
             self.seed,
             self.executed,
             self.corpus.len(),
@@ -133,11 +139,7 @@ pub fn explore(seed: u64, cfg: &ExploreConfig) -> Result<ExploreReport, String> 
     // sweep so the lease-expiry paths are exercised systematically, not by
     // luck.
     let mut queue: VecDeque<InteractionPlan> =
-        if matches!(cfg.target, Target::Tardis | Target::TardisTcp) {
-            decay_sweep_plans(seed).into()
-        } else {
-            VecDeque::new()
-        };
+        if cfg.is_tardis() { decay_sweep_plans(seed).into() } else { VecDeque::new() };
 
     while executed < cfg.budget {
         let plan = if let Some(p) = queue.pop_front() {
@@ -147,12 +149,12 @@ pub fn explore(seed: u64, cfg: &ExploreConfig) -> Result<ExploreReport, String> 
             fresh_plan(seed, fresh, &cfg.gen)
         } else {
             let parent = corpus[rng.gen_range(0..corpus.len())].clone();
-            mutate(&parent, &mut rng, cfg.target)
+            mutate(&parent, &mut rng, cfg.is_tardis())
         };
         let mut opts = cfg.opts.clone();
         let map = Arc::new(CoverageMap::new());
         opts.coverage = Some(map.clone());
-        let out = execute(&plan, cfg.target, &opts)?;
+        let out = execute(&plan, &cfg.backend, &opts)?;
         executed += 1;
         let snap = out.coverage.clone().unwrap_or_default();
         if snap.covers_new(&union) {
@@ -164,11 +166,12 @@ pub fn explore(seed: u64, cfg: &ExploreConfig) -> Result<ExploreReport, String> 
         }
     }
 
-    let manifest = MustReach::for_target(cfg.target);
+    let proto = cfg.backend.proto().ok_or("explore needs a protocol backend")?;
+    let manifest = MustReach::for_proto(proto.name());
     let goals = manifest.goals.iter().map(|g| (g.clone(), g.reached(&union))).collect();
     Ok(ExploreReport {
         seed,
-        target: cfg.target,
+        backend: cfg.backend.clone(),
         executed,
         coverage: union,
         corpus,
@@ -187,7 +190,7 @@ pub fn uniform_baseline(seed: u64, cfg: &ExploreConfig) -> Result<CoverageSnapsh
         let mut opts = cfg.opts.clone();
         let map = Arc::new(CoverageMap::new());
         opts.coverage = Some(map.clone());
-        let out = execute(&plan, cfg.target, &opts)?;
+        let out = execute(&plan, &cfg.backend, &opts)?;
         union.merge(&out.coverage.unwrap_or_default());
     }
     Ok(union)
@@ -260,8 +263,9 @@ fn max_label(plan: &InteractionPlan) -> u32 {
 
 /// Produce a mutated child of `parent`. Tries up to eight mutations and
 /// returns the first structurally valid one; falls back to the unmutated
-/// parent (a wasted but harmless execution) if none validates.
-fn mutate(parent: &InteractionPlan, rng: &mut SmallRng, target: Target) -> InteractionPlan {
+/// parent (a wasted but harmless execution) if none validates. Only Tardis
+/// runs (`tardis`) retime the lease geometry.
+fn mutate(parent: &InteractionPlan, rng: &mut SmallRng, tardis: bool) -> InteractionPlan {
     for _ in 0..8 {
         let mut cand = parent.clone();
         let kind = rng.gen_range(0u32..6);
@@ -272,7 +276,7 @@ fn mutate(parent: &InteractionPlan, rng: &mut SmallRng, target: Target) -> Inter
             3 => clone_round(&mut cand, rng),
             4 => retype_cell(&mut cand, rng),
             _ => {
-                if matches!(target, Target::Tardis | Target::TardisTcp) {
+                if tardis {
                     retime_tardis(&mut cand, rng)
                 } else {
                     retype_cell(&mut cand, rng)
@@ -478,7 +482,7 @@ mod tests {
         for seed in 0..10u64 {
             let parent = crate::gen::generate(seed);
             for _ in 0..20 {
-                let child = mutate(&parent, &mut rng, Target::Tardis);
+                let child = mutate(&parent, &mut rng, true);
                 child.validate().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             }
         }
@@ -488,8 +492,7 @@ mod tests {
     fn mutations_actually_change_plans() {
         let mut rng = SmallRng::seed_from_u64(4);
         let parent = crate::gen::generate(11);
-        let changed =
-            (0..30).filter(|_| mutate(&parent, &mut rng, Target::Munin) != parent).count();
+        let changed = (0..30).filter(|_| mutate(&parent, &mut rng, false) != parent).count();
         assert!(changed >= 20, "only {changed}/30 mutations changed the plan");
     }
 }

@@ -20,11 +20,11 @@
 //! * **Replayability** — every failure prints a one-line repro
 //!   (`munin-campaign --seed N`), and failing plans auto-shrink to a
 //!   locally minimal plan that still fails ([`shrink`]).
-//! * **Portability** — plans run on the virtual-time simulator for every
-//!   fault class; the process-fault subset re-runs on the real
-//!   multi-process TCP fabric ([`Target::MuninTcp`] / [`Target::IvyTcp`] /
-//!   [`Target::TardisTcp`]) — every protocol plugged into the dispatch seam
-//!   is a campaign target on both fabrics (`--list-targets`).
+//! * **Portability** — a campaign runs on a [`munin_api::Backend`]: plans
+//!   run on the virtual-time simulator for every fault class, and the
+//!   process-fault subset re-runs on the real multi-process TCP fabric.
+//!   Every protocol of the harness's matrix is a campaign backend on both
+//!   fabrics ([`exec::campaign_backends`], `--list-targets`).
 //!
 //! Plans serialize to a small TOML subset (first-party codec in
 //! [`toml`] — the workspace's vendored `serde` is a no-op stub), and
@@ -47,7 +47,7 @@ pub mod scenario;
 pub mod shrink;
 pub mod toml;
 
-pub use exec::{execute, CampaignOutcome, ExecOptions, Target};
+pub use exec::{campaign_backends, execute, parse_backend, CampaignOutcome, ExecOptions};
 pub use explore::{decay_sweep_plans, explore, uniform_baseline, ExploreConfig, ExploreReport};
 pub use gen::{generate, generate_with, GenConfig};
 pub use manifest::{Goal, MustReach};

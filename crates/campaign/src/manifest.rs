@@ -12,7 +12,6 @@
 //! A goal key may use `*` for any axis segment: `munin/*/copyset/*` matches
 //! every copyset distribution decision regardless of sharing type.
 
-use crate::exec::Target;
 use crate::toml::parse;
 use munin_obs::CoverageSnapshot;
 
@@ -47,9 +46,12 @@ pub struct MustReach {
     pub goals: Vec<Goal>,
 }
 
-const MUNIN_MANIFEST: &str = include_str!("manifests/munin.toml");
-const IVY_MANIFEST: &str = include_str!("manifests/ivy.toml");
-const TARDIS_MANIFEST: &str = include_str!("manifests/tardis.toml");
+/// Every protocol's embedded manifest, keyed by its `Protocol::NAME`.
+const MANIFESTS: [(&str, &str); 3] = [
+    ("munin", include_str!("manifests/munin.toml")),
+    ("ivy", include_str!("manifests/ivy.toml")),
+    ("tardis", include_str!("manifests/tardis.toml")),
+];
 
 impl MustReach {
     /// Parse a manifest from TOML text: one `[[goal]]` table per goal with
@@ -76,14 +78,13 @@ impl MustReach {
         Ok(MustReach { proto, goals })
     }
 
-    /// The embedded manifest for a campaign target's protocol.
-    pub fn for_target(target: Target) -> MustReach {
-        let (proto, text) = match target {
-            Target::Munin | Target::MuninTcp => ("munin", MUNIN_MANIFEST),
-            Target::Ivy | Target::IvyTcp => ("ivy", IVY_MANIFEST),
-            Target::Tardis | Target::TardisTcp => ("tardis", TARDIS_MANIFEST),
-        };
-        MustReach::parse_toml(proto, text).expect("embedded manifest parses")
+    /// The embedded manifest for the protocol named `proto`.
+    pub fn for_proto(proto: &str) -> MustReach {
+        let (name, text) = MANIFESTS
+            .iter()
+            .find(|(name, _)| *name == proto)
+            .unwrap_or_else(|| panic!("no must-reach manifest for protocol `{proto}`"));
+        MustReach::parse_toml(name, text).expect("embedded manifest parses")
     }
 
     /// Goals the snapshot does not reach.
@@ -140,15 +141,15 @@ mod tests {
 
     #[test]
     fn embedded_manifests_parse_for_every_target() {
-        for t in Target::ALL {
-            let m = MustReach::for_target(t);
-            assert!(!m.goals.is_empty(), "{t:?}");
+        for b in crate::exec::campaign_backends() {
+            let m = MustReach::for_proto(b.proto().expect("a protocol backend").name());
+            assert!(!m.goals.is_empty(), "{}", b.name());
         }
     }
 
     #[test]
     fn tardis_manifest_includes_a_lease_expiry_goal() {
-        let m = MustReach::for_target(Target::Tardis);
+        let m = MustReach::for_proto("tardis");
         assert!(
             m.goals
                 .iter()

@@ -8,8 +8,10 @@
 //! every scenario run also exercises the plan codec end to end, and
 //! `munin-campaign --export-scenario` can hand the TOML to humans.
 
-use crate::exec::{execute, CampaignOutcome, ExecOptions, Target};
+use crate::exec::{execute, CampaignOutcome, ExecOptions};
 use crate::plan::{FaultSpec, InteractionPlan, PlanOp, Round};
+use munin_api::Backend;
+use munin_types::{MuninConfig, TardisConfig};
 
 /// What a scenario run must produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +31,7 @@ pub struct Scenario {
     /// The backend the scenario is written for. Process-fault scenarios
     /// can also run on the simulator (faults lower to wire analogues);
     /// see [`run_on`].
-    pub target: Target,
+    pub backend: Backend,
     pub expect: Expect,
     build: fn() -> InteractionPlan,
 }
@@ -109,7 +111,7 @@ pub fn all() -> Vec<Scenario> {
             name: "tcp-kill",
             about: "kill node n1's process 300 ms into a counter hammer; \
                     the coordinator must name the lost peer and tear down promptly",
-            target: Target::MuninTcp,
+            backend: Backend::tcp(MuninConfig::default()),
             expect: Expect::UncleanNamedPeer("n1"),
             build: || hammer_plan(3, 60, 10_000, FaultSpec::TcpKill { node: 1, after_ms: 300 }),
         },
@@ -117,7 +119,7 @@ pub fn all() -> Vec<Scenario> {
             name: "tcp-half-close",
             about: "half-close the n1->n0 stream 300 ms in; the surviving \
                     reader sees EOF and names the peer",
-            target: Target::MuninTcp,
+            backend: Backend::tcp(MuninConfig::default()),
             expect: Expect::UncleanNamedPeer("n1"),
             build: || {
                 hammer_plan(
@@ -133,7 +135,7 @@ pub fn all() -> Vec<Scenario> {
             about: "kill node n1 while every thread has a full window of \
                     pipelined fetch-adds in flight; the failure must reach \
                     an outstanding token, name the peer, and tear down",
-            target: Target::MuninTcp,
+            backend: Backend::tcp(MuninConfig::default()),
             expect: Expect::UncleanNamedPeer("n1"),
             build: || {
                 pipelined_hammer_plan(3, 60, 10_000, FaultSpec::TcpKill { node: 1, after_ms: 300 })
@@ -143,7 +145,7 @@ pub fn all() -> Vec<Scenario> {
             name: "partition-heal",
             about: "a 50 ms partition separates node 0 mid-run; reliable \
                     delivery retransmits across the heal and the run ends clean",
-            target: Target::Munin,
+            backend: Backend::sim(MuninConfig::default()),
             expect: Expect::CleanPass,
             build: || {
                 hammer_plan(
@@ -159,7 +161,7 @@ pub fn all() -> Vec<Scenario> {
             about: "the same healed 50 ms partition under Tardis: leases \
                     expire during the outage, renewals retransmit across the \
                     heal, and the run ends clean with no lost updates",
-            target: Target::Tardis,
+            backend: Backend::sim(TardisConfig::default()),
             expect: Expect::CleanPass,
             build: || {
                 hammer_plan(
@@ -175,7 +177,7 @@ pub fn all() -> Vec<Scenario> {
             about: "permanently isolate node 1 five virtual ms in (the \
                     simulator's node kill); the transport gives up, the run \
                     tears down, and the completed history stays coherent",
-            target: Target::Munin,
+            backend: Backend::sim(MuninConfig::default()),
             expect: Expect::UncleanNamedPeer("n1"),
             build: || {
                 hammer_plan(
@@ -193,25 +195,29 @@ pub fn find(name: &str) -> Option<Scenario> {
     all().into_iter().find(|s| s.name == name)
 }
 
-/// Run a scenario on its native target.
+/// Run a scenario on the backend it is written for.
 pub fn run(s: &Scenario, opts: &ExecOptions) -> Result<CampaignOutcome, String> {
-    run_on(s, s.target, opts)
+    run_on(s, &s.backend, opts)
 }
 
-/// Run a scenario on an explicit target and check its expectations. The
+/// Run a scenario on an explicit backend and check its expectations. The
 /// plan goes through TOML parse/serialize first, so a codec regression
 /// fails here too. Peer-naming is only asserted on the TCP fabric —
 /// simulator teardown diagnostics name the fault, not a socket peer.
-pub fn run_on(s: &Scenario, target: Target, opts: &ExecOptions) -> Result<CampaignOutcome, String> {
+pub fn run_on(
+    s: &Scenario,
+    backend: &Backend,
+    opts: &ExecOptions,
+) -> Result<CampaignOutcome, String> {
     let toml = s.toml();
     let plan = InteractionPlan::from_toml(&toml)
         .map_err(|e| format!("scenario {}: plan does not round-trip: {e}", s.name))?;
-    let out = execute(&plan, target, opts)?;
+    let out = execute(&plan, backend, opts)?;
     let fail = |why: String| {
         Err(format!(
             "scenario {} on {}: {why}; errors: {:?}; reasons: {:?}",
             s.name,
-            target.name(),
+            backend.cli_name(),
             out.errors,
             out.reasons
         ))
@@ -229,7 +235,7 @@ pub fn run_on(s: &Scenario, target: Target, opts: &ExecOptions) -> Result<Campai
             if out.clean {
                 return fail("the fault never surfaced (run ended clean)".into());
             }
-            if target.is_tcp() && !out.errors.iter().any(|e| e.contains(peer)) {
+            if backend.is_distributed() && !out.errors.iter().any(|e| e.contains(peer)) {
                 return fail(format!("no error names the lost peer {peer}"));
             }
         }
@@ -285,7 +291,7 @@ mod tests {
         // isolation, so the run must still tear down without violations.
         for name in ["tcp-kill", "tcp-half-close", "tcp-kill-pipelined"] {
             let s = find(name).unwrap();
-            let out = run_on(&s, Target::Munin, &ExecOptions::default())
+            let out = run_on(&s, &Backend::sim(MuninConfig::default()), &ExecOptions::default())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(!out.clean, "{name}: fault must surface on sim");
         }

@@ -9,8 +9,9 @@
 //! plan. Re-executions are bounded by `budget`; the shrinker returns the
 //! best plan found when the budget runs out.
 
-use crate::exec::{execute, ExecOptions, Target};
+use crate::exec::{execute, ExecOptions};
 use crate::plan::{FaultSpec, InteractionPlan, PlanOp};
+use munin_api::Backend;
 
 /// Shrink `plan` while `fails` keeps returning true, calling `fails` at
 /// most `budget` times. Returns the minimized plan and the number of
@@ -113,19 +114,19 @@ impl Shrinker<'_> {
     }
 }
 
-/// Shrink a failing campaign by re-executing candidates on `target`.
+/// Shrink a failing campaign by re-executing candidates on `backend`.
 /// An execution error (not a judged failure) counts as "does not fail" so
 /// shrinking never walks into unrunnable territory.
 pub fn shrink_failing(
     plan: &InteractionPlan,
-    target: Target,
+    backend: &Backend,
     opts: &ExecOptions,
     budget: usize,
 ) -> (InteractionPlan, usize) {
     let opts = opts.clone();
     shrink(
         plan,
-        &mut |cand| execute(cand, target, &opts).map(|o| !o.passed()).unwrap_or(false),
+        &mut |cand| execute(cand, backend, &opts).map(|o| !o.passed()).unwrap_or(false),
         budget,
     )
 }

@@ -10,8 +10,10 @@
 //! that broke the original — a shrunk repro that no longer reproduces is
 //! worse than no repro at all.
 
+use munin_api::Backend;
 use munin_campaign::plan::{CellType, InteractionPlan, PlanOp, Round};
-use munin_campaign::{execute, generate, shrink_failing, ExecOptions, Target};
+use munin_campaign::{execute, generate, shrink_failing, ExecOptions};
+use munin_types::MuninConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -78,22 +80,17 @@ fn shrinker_output_reproduces_the_original_failure() {
     // exact options, and demand the minimized plan (and its TOML round
     // trip) still fails the same way.
     let plan = publish_plan();
-    let mut failing_opts = None;
-    for n in 1..=4u64 {
-        let mut opts = ExecOptions::default();
-        opts.munin.chaos_skip_updates = n;
-        if !execute(&plan, Target::Munin, &opts).unwrap().passed() {
-            failing_opts = Some(opts);
-            break;
-        }
-    }
-    let opts = failing_opts.expect("no chaos_skip_updates ordinal in 1..=4 fails publish_plan");
+    let opts = ExecOptions::default();
+    let backend = (1..=4u64)
+        .map(|n| Backend::sim(MuninConfig { chaos_skip_updates: n, ..MuninConfig::default() }))
+        .find(|b| !execute(&plan, b, &opts).unwrap().passed())
+        .expect("no chaos_skip_updates ordinal in 1..=4 fails publish_plan");
 
-    let (min, spent) = shrink_failing(&plan, Target::Munin, &opts, 200);
+    let (min, spent) = shrink_failing(&plan, &backend, &opts, 200);
     assert!(spent > 0, "the shrinker must attempt at least one candidate");
     min.validate().unwrap();
 
-    let out = execute(&min, Target::Munin, &opts).unwrap();
+    let out = execute(&min, &backend, &opts).unwrap();
     assert!(!out.passed(), "minimized plan no longer fails: {min:?}");
     assert!(
         out.reasons.iter().any(|r| r.contains("coherence violation")),
@@ -104,5 +101,5 @@ fn shrinker_output_reproduces_the_original_failure() {
     // The repro the user replays is the serialized form — it must fail too.
     let back = InteractionPlan::from_toml(&min.to_toml()).unwrap();
     assert_eq!(back, min);
-    assert!(!execute(&back, Target::Munin, &opts).unwrap().passed());
+    assert!(!execute(&back, &backend, &opts).unwrap().passed());
 }

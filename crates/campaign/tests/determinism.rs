@@ -7,8 +7,10 @@
 //! * A batch of 120 seeded campaigns (the CI gate in miniature) passes on
 //!   the Munin simulator backend, and a subset passes on the Ivy baseline.
 
-use munin_campaign::{execute, generate, ExecOptions, Target};
+use munin_api::Backend;
+use munin_campaign::{execute, generate, ExecOptions};
 use munin_net::SeedGuard;
+use munin_types::{IvyConfig, MuninConfig};
 
 #[test]
 fn same_seed_yields_byte_identical_plan_and_verdict() {
@@ -18,8 +20,12 @@ fn same_seed_yields_byte_identical_plan_and_verdict() {
         let plan_b = generate(seed);
         assert_eq!(plan_a.to_toml(), plan_b.to_toml(), "seed {seed}: plans must match bytewise");
 
-        let out_a = execute(&plan_a, Target::Munin, &ExecOptions::default()).unwrap();
-        let out_b = execute(&plan_b, Target::Munin, &ExecOptions::default()).unwrap();
+        let out_a =
+            execute(&plan_a, &Backend::sim(MuninConfig::default()), &ExecOptions::default())
+                .unwrap();
+        let out_b =
+            execute(&plan_b, &Backend::sim(MuninConfig::default()), &ExecOptions::default())
+                .unwrap();
         assert_eq!(out_a.reasons, out_b.reasons, "seed {seed}");
         assert_eq!(out_a.clean, out_b.clean, "seed {seed}");
         assert_eq!(out_a.final_counters, out_b.final_counters, "seed {seed}");
@@ -32,7 +38,7 @@ fn batch_of_120_seeded_campaigns_passes_on_munin() {
     for seed in 0..120u64 {
         let _guard = SeedGuard::new("munin campaign batch", seed);
         let plan = generate(seed);
-        let out = execute(&plan, Target::Munin, &ExecOptions::default())
+        let out = execute(&plan, &Backend::sim(MuninConfig::default()), &ExecOptions::default())
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(out.passed(), "seed {seed} failed: {:?}", out.reasons);
     }
@@ -46,7 +52,7 @@ fn seeded_campaigns_pass_on_the_ivy_baseline_too() {
     for seed in 0..30u64 {
         let _guard = SeedGuard::new("ivy campaign batch", seed);
         let plan = generate(seed);
-        let out = execute(&plan, Target::Ivy, &ExecOptions::default())
+        let out = execute(&plan, &Backend::sim(IvyConfig::default()), &ExecOptions::default())
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(out.passed(), "seed {seed} failed: {:?}", out.reasons);
     }

@@ -7,10 +7,12 @@
 //! lease-expiry transitions its manifest pins while every swept history
 //! stays coherent.
 
-use munin_campaign::exec::{execute, ExecOptions, Target};
+use munin_api::Backend;
+use munin_campaign::exec::{execute, ExecOptions};
 use munin_campaign::explore::{decay_sweep_plans, explore, uniform_baseline, ExploreConfig};
 use munin_campaign::manifest::MustReach;
 use munin_obs::CoverageMap;
+use munin_types::{MuninConfig, TardisConfig};
 use std::sync::Arc;
 
 #[test]
@@ -19,7 +21,7 @@ fn explore_beats_uniform_random_at_equal_budget() {
     // uniform generator only ever declares write-many cells, so the
     // read-mostly / producer-consumer protocol paths are reachable solely
     // through the corpus loop's retype-cell mutation.
-    let cfg = ExploreConfig::new(Target::Munin, 24);
+    let cfg = ExploreConfig::new(Backend::sim(MuninConfig::default()), 24);
     let seed = 0;
     let guided = explore(seed, &cfg).unwrap();
     let blind = uniform_baseline(seed, &cfg).unwrap();
@@ -36,7 +38,7 @@ fn explore_beats_uniform_random_at_equal_budget() {
 
 #[test]
 fn explore_is_deterministic() {
-    let cfg = ExploreConfig::new(Target::Tardis, 10);
+    let cfg = ExploreConfig::new(Backend::sim(TardisConfig::default()), 10);
     let a = explore(7, &cfg).unwrap();
     let b = explore(7, &cfg).unwrap();
     assert_eq!(a.coverage.rows, b.coverage.rows);
@@ -57,7 +59,7 @@ fn decay_sweep_covers_lease_expiry_and_histories_check_clean() {
     for plan in decay_sweep_plans(0) {
         let mut opts = ExecOptions::default();
         opts.coverage = Some(union.clone());
-        let out = execute(&plan, Target::Tardis, &opts).unwrap();
+        let out = execute(&plan, &Backend::sim(TardisConfig::default()), &opts).unwrap();
         assert!(
             out.passed(),
             "decay {:?} lease {:?}: {:?}",
@@ -80,11 +82,12 @@ fn explore_reaches_every_tardis_must_reach_goal() {
     // The CI gate in test form: a modest budget must satisfy the whole
     // Tardis manifest — including the lease-expiry transitions driven by
     // the seeded decay sweep.
-    let report = explore(0, &ExploreConfig::new(Target::Tardis, 16)).unwrap();
+    let report =
+        explore(0, &ExploreConfig::new(Backend::sim(TardisConfig::default()), 16)).unwrap();
     let missing: Vec<&str> =
         report.goals.iter().filter(|(_, ok)| !ok).map(|(g, _)| g.key.as_str()).collect();
     assert!(missing.is_empty(), "unreached Tardis goals: {missing:?}");
     assert!(report.passed());
-    let manifest = MustReach::for_target(Target::Tardis);
+    let manifest = MustReach::for_proto("tardis");
     assert!(manifest.unreached(&report.coverage).is_empty());
 }

@@ -14,8 +14,10 @@
 //! validating copies of the old version — the timestamp-coherence
 //! equivalent of a skipped invalidation.
 
+use munin_api::Backend;
 use munin_campaign::plan::{InteractionPlan, PlanOp, Round};
-use munin_campaign::{execute, ExecOptions, Target};
+use munin_campaign::{execute, ExecOptions};
+use munin_types::{MuninConfig, TardisConfig};
 
 /// Two nodes publish/subscribe on one write-many cell: t0 writes, t1 reads
 /// (joining the copyset), t0 overwrites, t1 reads again. Every round is
@@ -36,7 +38,9 @@ fn publish_plan() -> InteractionPlan {
 
 #[test]
 fn healthy_protocol_passes() {
-    let out = execute(&publish_plan(), Target::Munin, &ExecOptions::default()).unwrap();
+    let out =
+        execute(&publish_plan(), &Backend::sim(MuninConfig::default()), &ExecOptions::default())
+            .unwrap();
     assert!(out.passed(), "{:?}", out.reasons);
     assert!(out.clean);
 }
@@ -49,9 +53,8 @@ fn a_silently_skipped_update_is_caught_by_the_checker() {
     // produce a stale post-barrier read that check_campaign flags.
     let mut caught = false;
     for n in 1..=4u64 {
-        let mut opts = ExecOptions::default();
-        opts.munin.chaos_skip_updates = n;
-        let out = execute(&publish_plan(), Target::Munin, &opts).unwrap();
+        let cfg = MuninConfig { chaos_skip_updates: n, ..MuninConfig::default() };
+        let out = execute(&publish_plan(), &Backend::sim(cfg), &ExecOptions::default()).unwrap();
         if !out.violations.is_empty() {
             assert!(!out.passed(), "violations must fail the campaign");
             assert!(
@@ -71,7 +74,9 @@ fn a_silently_skipped_update_is_caught_by_the_checker() {
 
 #[test]
 fn healthy_tardis_protocol_passes() {
-    let out = execute(&publish_plan(), Target::Tardis, &ExecOptions::default()).unwrap();
+    let out =
+        execute(&publish_plan(), &Backend::sim(TardisConfig::default()), &ExecOptions::default())
+            .unwrap();
     assert!(out.passed(), "{:?}", out.reasons);
     assert!(out.clean);
 }
@@ -84,9 +89,8 @@ fn a_skipped_timestamp_bump_is_caught_by_the_checker() {
     // version after the barrier — a violation check_campaign flags.
     let mut caught = false;
     for n in 1..=4u64 {
-        let mut opts = ExecOptions::default();
-        opts.tardis.chaos_skip_wts = n;
-        let out = execute(&publish_plan(), Target::Tardis, &opts).unwrap();
+        let cfg = TardisConfig { chaos_skip_wts: n, ..TardisConfig::default() };
+        let out = execute(&publish_plan(), &Backend::sim(cfg), &ExecOptions::default()).unwrap();
         if !out.violations.is_empty() {
             assert!(!out.passed(), "violations must fail the campaign");
             assert!(

@@ -53,7 +53,6 @@ pub struct MuninProto;
 impl Protocol for MuninProto {
     const TAG: u8 = 0;
     const NAME: &'static str = "munin";
-    const BACKEND_NAMES: [&'static str; 3] = ["Munin", "MuninRt", "MuninTcp"];
     type Config = MuninConfig;
     type Msg = MuninMsg;
     type Server = MuninServer;

@@ -30,7 +30,6 @@ pub struct IvyProto;
 impl Protocol for IvyProto {
     const TAG: u8 = 1;
     const NAME: &'static str = "ivy";
-    const BACKEND_NAMES: [&'static str; 3] = ["Ivy", "IvyRt", "IvyTcp"];
     type Config = IvyConfig;
     type Msg = IvyMsg;
     type Server = IvyServer;

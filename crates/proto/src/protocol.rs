@@ -4,12 +4,11 @@
 //! A backend is the product of a *protocol* (Munin's type-specific
 //! coherence, the Ivy page baseline, Tardis timestamp leases) and a
 //! *fabric* (the virtual-time simulator, the real-time kernel, the
-//! multi-process TCP mesh). Before this seam existed each fabric hardcoded
-//! every protocol: server construction in `match` arms, the wire codec
-//! enumerating message enums, the harness enumerating `Backend` variants.
-//! Now a fabric is written once against `Pr: Protocol` and a new protocol
-//! is one crate implementing this trait plus one registration line in
-//! `munin-api`.
+//! multi-process TCP mesh). Each fabric is written once against
+//! `Pr: Protocol`, and the harness's `Backend { proto, fabric }` turns the
+//! product into a type. A new protocol is one crate implementing this
+//! trait plus its registration in `munin-api`: one `Proto` variant and one
+//! `node_protos()` line.
 
 use crate::wire::Wire;
 use munin_net::PayloadInfo;
@@ -30,12 +29,9 @@ pub trait Protocol: 'static {
     const TAG: u8;
 
     /// Canonical lower-case protocol name (`"munin"`, `"ivy"`, `"tardis"`).
+    /// Every backend name derives from it: `munin-tcp` on the command line,
+    /// `MuninTcp` in reports.
     const NAME: &'static str;
-
-    /// Backend names per fabric, in `[sim, rt, tcp]` order — e.g.
-    /// `["tardis", "tardis-rt", "tardis-tcp"]`. Kept on the trait so the
-    /// harness's name/parse tables cannot drift from the protocol crate.
-    const BACKEND_NAMES: [&'static str; 3];
 
     /// Run configuration (knobs + cost model).
     type Config: Clone + Send + Sync + Wire + std::fmt::Debug + 'static;

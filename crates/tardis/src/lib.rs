@@ -47,7 +47,6 @@ pub struct TardisProto;
 impl Protocol for TardisProto {
     const TAG: u8 = 2;
     const NAME: &'static str = "tardis";
-    const BACKEND_NAMES: [&'static str; 3] = ["Tardis", "TardisRt", "TardisTcp"];
     type Config = TardisConfig;
     type Msg = TardisMsg;
     type Server = TardisServer;

@@ -168,8 +168,6 @@ pub struct StartConfig {
     /// Build-time object declarations (the initial registry snapshot).
     pub decls: Vec<ObjectDecl>,
     pub sync: SyncDecls,
-    /// Watchdog heartbeat period.
-    pub heartbeat: Duration,
     /// Loopback data-listener ports of every node, indexed by `NodeId`
     /// order (`peers[i]` belongs to node `i`; entry 0 is the coordinator).
     pub peers: Vec<(NodeId, u16)>,
@@ -193,7 +191,6 @@ wire_struct!(StartConfig {
     proto_cfg,
     decls,
     sync,
-    heartbeat,
     peers,
     test_fault,
     telemetry,

@@ -39,7 +39,7 @@
 //!   frames on the 0→j data stream and is resumed by `Resume` frames coming
 //!   back on it. The apps, the typed `Par` surface, and the harness are
 //!   unchanged — all six study applications run unmodified under
-//!   `Backend::MuninTcp`/`IvyTcp`/`TardisTcp`.
+//!   `Backend::tcp(..)`, whatever the protocol.
 //! * **A coordinator-hosted registry service** replaces the in-process
 //!   `Arc<RwLock>` registry: reads hit a per-process versioned snapshot;
 //!   writes (dynamic allocation, adaptive retyping) are request/reply
@@ -76,4 +76,4 @@ pub mod world;
 pub use frames::TestFault;
 pub use kernel::TcpKernel;
 pub use spawn::{node_binary, tcp_support};
-pub use world::{TcpTuning, TcpWorldBuilder};
+pub use world::TcpWorldBuilder;

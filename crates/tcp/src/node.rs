@@ -72,9 +72,13 @@ use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
-/// How long mesh setup may take before the child gives up (covers a
-/// coordinator that died mid-handshake).
-const MESH_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long process spawn, handshake and mesh setup may take, on either
+/// side: the coordinator gives up on children that never report Ready, a
+/// child on a coordinator that died mid-handshake.
+pub(crate) const MESH_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Child heartbeat period: the distributed stall watchdog's sampling feed.
+const HEARTBEAT: Duration = Duration::from_millis(25);
 
 fn loopback(port: u16) -> SocketAddr {
     SocketAddr::from(([127, 0, 0, 1], port))
@@ -493,11 +497,10 @@ where
     {
         let ctrl_writer = ctrl_writer.clone();
         let shared = shared.clone();
-        let period = start.heartbeat;
         std::thread::Builder::new()
             .name(format!("tcp-n{}-hb", me.index()))
             .spawn(move || loop {
-                match hb_stop_rx.recv_timeout(period) {
+                match hb_stop_rx.recv_timeout(HEARTBEAT) {
                     Err(RecvTimeoutError::Timeout) => {
                         let frame = CtrlFrame::Heartbeat {
                             activity: shared.activity.load(Ordering::Relaxed),

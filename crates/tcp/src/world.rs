@@ -30,7 +30,7 @@ use crate::frames::{
 };
 use crate::kernel::{ResumeSink, TcpKernel};
 use crate::link::Link;
-use crate::node::{spawn_data_reader, spawn_timer, InlinePort, LinkPort, NodeCell};
+use crate::node::{spawn_data_reader, spawn_timer, InlinePort, LinkPort, NodeCell, MESH_TIMEOUT};
 use crate::registry::{run_registry_service, RegCache, RegClient, RegEvent, RegPort, RegWritePath};
 use crate::sig;
 use crate::spawn::spawn_node;
@@ -53,54 +53,12 @@ fn loopback(port: u16) -> SocketAddr {
     SocketAddr::from(([127, 0, 0, 1], port))
 }
 
-/// Tuning of a distributed run. Embeds [`RtTuning`] (compute mode, stall
-/// timeout, telemetry — same meanings as on the in-process kernel) plus
-/// the fabric-specific knobs.
-#[derive(Clone)]
-pub struct TcpTuning {
-    pub rt: RtTuning,
-    /// Budget for process spawn + handshake + mesh establishment.
-    pub connect_timeout: Duration,
-    /// Child heartbeat period (the distributed watchdog's sampling feed).
-    pub heartbeat: Duration,
-    /// Deterministic fault injection for the fault-path tests.
-    pub test_fault: Option<TestFault>,
-    /// Test hook for the on-demand dump path: raise SIGUSR1 at ourselves
-    /// this long after the run starts.
-    pub dump_after: Option<Duration>,
-}
-
-impl Default for TcpTuning {
-    fn default() -> Self {
-        // `MUNIN_TCP_DUMP_AFTER_MS`: an environment override (read once at
-        // tuning construction) that the `study` binary uses to demonstrate
-        // the SIGUSR1 dump without plumbing a flag through every harness
-        // layer.
-        let dump_after = std::env::var("MUNIN_TCP_DUMP_AFTER_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(Duration::from_millis);
-        TcpTuning {
-            rt: RtTuning::default(),
-            connect_timeout: Duration::from_secs(30),
-            heartbeat: Duration::from_millis(25),
-            test_fault: None,
-            dump_after,
-        }
-    }
-}
-
-impl From<RtTuning> for TcpTuning {
-    fn from(rt: RtTuning) -> Self {
-        TcpTuning { rt, ..TcpTuning::default() }
-    }
-}
-
 /// Builder for a distributed world; mirrors `munin_rt::RtWorldBuilder` so
 /// the API harness drives either fabric identically.
 pub struct TcpWorldBuilder<P> {
     n_nodes: usize,
-    tuning: TcpTuning,
+    tuning: RtTuning,
+    test_fault: Option<TestFault>,
     decls: Vec<ObjectDecl>,
     next_object: u64,
     coverage: Option<Arc<munin_obs::CoverageMap>>,
@@ -114,7 +72,8 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
         assert!(n_nodes <= u16::MAX as usize, "node ids are u16");
         TcpWorldBuilder {
             n_nodes,
-            tuning: TcpTuning::default(),
+            tuning: RtTuning::default(),
+            test_fault: None,
             decls: Vec::new(),
             next_object: 0,
             coverage: None,
@@ -126,8 +85,16 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
         self.n_nodes
     }
 
-    pub fn tuning(mut self, tuning: TcpTuning) -> Self {
+    /// Compute mode, stall timeout and telemetry; same meanings as on the
+    /// in-process kernel.
+    pub fn tuning(mut self, tuning: RtTuning) -> Self {
         self.tuning = tuning;
+        self
+    }
+
+    /// Inject a deterministic process-level fault (the fault-path tests).
+    pub fn test_fault(mut self, fault: TestFault) -> Self {
+        self.test_fault = Some(fault);
         self
     }
 
@@ -211,7 +178,8 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
         let n_nodes = self.n_nodes;
         let n_threads = self.spawns.len();
         let tuning = self.tuning.clone();
-        let mut shared0 = Shared::new(Vec::new(), n_threads, tuning.rt.telemetry);
+        let test_fault = self.test_fault;
+        let mut shared0 = Shared::new(Vec::new(), n_threads, tuning.telemetry);
         shared0.coverage = self.coverage.clone();
         let shared = Arc::new(shared0);
         let finishing = Arc::new(AtomicBool::new(false));
@@ -241,7 +209,7 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
             children.push((NodeId(i as u16), child));
         }
 
-        let deadline = Instant::now() + tuning.connect_timeout;
+        let deadline = Instant::now() + MESH_TIMEOUT;
         let mut ctrl_streams: Vec<Option<TcpStream>> = (0..n_nodes).map(|_| None).collect();
         let mut data_ports: Vec<u16> = vec![0; n_nodes];
         accept_streams(&listener, deadline, n_nodes - 1, |kind, mut stream| {
@@ -284,10 +252,9 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
                 proto_cfg: proto_cfg.clone(),
                 decls: self.decls.clone(),
                 sync: sync.clone(),
-                heartbeat: tuning.heartbeat,
                 peers: peers_table.clone(),
-                test_fault: tuning.test_fault,
-                telemetry: tuning.rt.telemetry,
+                test_fault,
+                telemetry: tuning.telemetry,
                 coverage: shared.coverage.is_some(),
                 n_threads,
             };
@@ -383,10 +350,9 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
                 Ok(node) => {
                     ready.insert(node);
                 }
-                Err(_) => panic!(
-                    "node processes not Ready within {:?} (got {ready:?})",
-                    tuning.connect_timeout
-                ),
+                Err(_) => {
+                    panic!("node processes not Ready within {MESH_TIMEOUT:?} (got {ready:?})")
+                }
             }
         }
 
@@ -428,7 +394,7 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
             resume_txs,
             None,
             finishing.clone(),
-            tuning.test_fault,
+            test_fault,
         );
         for (i, stream) in data_streams.into_iter().enumerate() {
             if let Some(stream) = stream {
@@ -446,7 +412,7 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
             let cell = cell.clone();
             let dump0 = move || cell.dump(Duration::from_secs(2));
             let ctrl_writers = ctrl_writers.clone();
-            let tuning = tuning.clone();
+            let stall_timeout = tuning.stall_timeout;
             let dumps = dumps.clone();
             std::thread::Builder::new()
                 .name("tcp-watchdog".into())
@@ -457,7 +423,7 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
                         dump0,
                         ctrl_writers,
                         dump_rx,
-                        tuning,
+                        stall_timeout,
                         dumps,
                         watchdog_stop_rx,
                     )
@@ -482,7 +448,7 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
                 to_server,
                 resume_rx,
                 shared.clone(),
-                tuning.rt.clone(),
+                tuning.clone(),
             );
             app_joins.push(
                 std::thread::Builder::new()
@@ -568,7 +534,7 @@ impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Tc
         let errors = shared.errors.lock().expect("error log poisoned").clone();
         let mut dumps = std::mem::take(&mut *dumps.lock().expect("dump log poisoned"));
         dumps.extend(shared.take_dumps());
-        let metrics = tuning.rt.telemetry.enabled().then(|| shared.obs.snapshot(stats.clone()));
+        let metrics = tuning.telemetry.enabled().then(|| shared.obs.snapshot(stats.clone()));
         RunReport {
             finished_at: VirtualTime::micros(
                 u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
@@ -670,24 +636,17 @@ fn coordinator_watchdog(
     dump0: impl Fn() -> String,
     ctrl_writers: Vec<Option<SharedWriter>>,
     dump_rx: Receiver<(NodeId, String)>,
-    tuning: TcpTuning,
+    stall_timeout: Duration,
     dumps: Arc<Mutex<Vec<String>>>,
     stop: Receiver<()>,
 ) {
     let n_nodes = ctrl_writers.len();
     let mut fingerprint: Vec<u64> = Vec::new();
     let mut stable_since = Instant::now();
-    let mut dump_at = tuning.dump_after.map(|d| shared.start + d);
     loop {
         match stop.recv_timeout(WATCHDOG_POLL) {
             Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
             Err(RecvTimeoutError::Timeout) => {}
-        }
-        if let Some(at) = dump_at {
-            if Instant::now() >= at {
-                dump_at = None;
-                sig::raise_dump_signal();
-            }
         }
         if sig::take_dump_request() {
             let entries = collect_dumps(n_nodes, &dump0, &ctrl_writers, &dump_rx);
@@ -726,14 +685,14 @@ fn coordinator_watchdog(
             stable_since = Instant::now();
             continue;
         }
-        if stable_since.elapsed() < tuning.rt.stall_timeout {
+        if stable_since.elapsed() < stall_timeout {
             continue;
         }
         shared.error(format!(
             "stall: all {live} live thread(s) blocked in DSM operations with no activity on \
              any of the {n_nodes} node processes and no pending timer for {:?} — distributed \
              deadlock",
-            tuning.rt.stall_timeout
+            stall_timeout
         ));
         let entries = collect_dumps(n_nodes, &dump0, &ctrl_writers, &dump_rx);
         {

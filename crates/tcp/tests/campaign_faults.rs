@@ -7,14 +7,15 @@
 //!
 //! The `munin-node` binary lives in munin-api (the one crate linking every
 //! protocol); a workspace build produces it before these tests run, and
-//! `Target::MuninTcp.supported()` skips gracefully when it is absent.
+//! `tcp_support()` skips gracefully when it is absent.
 
 use munin_campaign::scenario::{find, run};
-use munin_campaign::{ExecOptions, Target};
+use munin_campaign::{parse_backend, ExecOptions};
+use munin_tcp::tcp_support;
 use std::time::{Duration, Instant};
 
 fn skip() -> bool {
-    if let Err(notice) = Target::MuninTcp.supported() {
+    if let Err(notice) = tcp_support() {
         eprintln!("skipping tcp campaign fault test: {notice}");
         return true;
     }
@@ -83,7 +84,8 @@ fn faultless_campaign_plan_passes_on_the_tcp_fabric() {
     }
     let mut plan = munin_campaign::generate(7);
     plan.faults.clear();
-    let out = munin_campaign::execute(&plan, Target::MuninTcp, &ExecOptions::default())
+    let backend = parse_backend("munin-tcp").unwrap();
+    let out = munin_campaign::execute(&plan, &backend, &ExecOptions::default())
         .unwrap_or_else(|e| panic!("{e}"));
     assert!(out.passed(), "seed 7 faultless plan failed on tcp: {:?}", out.reasons);
     assert!(out.clean);

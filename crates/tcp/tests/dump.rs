@@ -5,11 +5,11 @@
 //! poisoning the run.
 //!
 //! Exactly one test lives in this binary: the trigger is a real SIGUSR1
-//! delivered through the installed handler (raised at ourselves by the
-//! `dump_after` test knob), and process signals are global state.
+//! delivered through the installed handler (raised at ourselves from a
+//! timer thread), and process signals are global state.
 
 use munin_core::{MuninMsg, MuninProto};
-use munin_tcp::{tcp_support, TcpTuning, TcpWorldBuilder};
+use munin_tcp::{sig, tcp_support, TcpWorldBuilder};
 use munin_types::{BarrierDecl, BarrierId, LockDecl, LockId, MuninConfig, NodeId, SyncDecls};
 use std::time::Duration;
 
@@ -20,12 +20,16 @@ fn sigusr1_dumps_every_nodes_stuck_state_without_poisoning() {
         return;
     }
     let n_nodes = 2usize;
-    let mut tuning = TcpTuning::default();
     // Raise SIGUSR1 at ourselves 400 ms in — while thread 0 holds the lock
     // inside a long compute and thread 1 is blocked waiting for it, so both
-    // nodes have non-trivial lock state to dump.
-    tuning.dump_after = Some(Duration::from_millis(400));
-    let mut b = TcpWorldBuilder::<MuninMsg>::new(n_nodes).tuning(tuning);
+    // nodes have non-trivial lock state to dump. The handler goes in first:
+    // the signal's default action would end the process.
+    sig::install();
+    let raiser = std::thread::spawn(|| {
+        std::thread::sleep(Duration::from_millis(400));
+        sig::raise_dump_signal();
+    });
+    let mut b = TcpWorldBuilder::<MuninMsg>::new(n_nodes);
     let lock = LockId(0);
     b.spawn(NodeId(0), move |ctx| {
         ctx.lock(lock);
@@ -45,6 +49,7 @@ fn sigusr1_dumps_every_nodes_stuck_state_without_poisoning() {
         conds: Vec::new(),
     };
     let report = b.run_proto::<MuninProto>(MuninConfig::default(), sync);
+    raiser.join().expect("the signal thread only sleeps and raises");
 
     // The dump is diagnostic: the run itself must stay clean.
     report.assert_clean();

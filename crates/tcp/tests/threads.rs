@@ -19,9 +19,10 @@ use munin_core::MuninProto;
 use munin_ivy::IvyProto;
 use munin_net::PayloadInfo;
 use munin_proto::{Protocol, Wire};
+use munin_rt::RtTuning;
 use munin_sim::{DsmOp, RunReport};
 use munin_tardis::TardisProto;
-use munin_tcp::{tcp_support, TcpTuning, TcpWorldBuilder, TestFault};
+use munin_tcp::{tcp_support, TcpWorldBuilder, TestFault};
 use munin_types::{
     BarrierDecl, BarrierId, ByteRange, NodeId, ObjectDecl, ObjectId, SharingType, SyncDecls,
     TokenState,
@@ -164,11 +165,13 @@ where
     Pr::Msg: Msg,
 {
     let stall = Duration::from_secs(20);
-    let mut tuning = TcpTuning::default();
-    tuning.rt.stall_timeout = stall;
-    tuning.test_fault =
-        Some(TestFault::StepPanic { node: NodeId(victim), after: Duration::from_millis(300) });
-    let mut b = TcpWorldBuilder::<Pr::Msg>::new(2).tuning(tuning);
+    let mut tuning = RtTuning::default();
+    tuning.stall_timeout = stall;
+    let mut b =
+        TcpWorldBuilder::<Pr::Msg>::new(2).tuning(tuning).test_fault(TestFault::StepPanic {
+            node: NodeId(victim),
+            after: Duration::from_millis(300),
+        });
     let ctrs: Vec<ObjectId> = (0..2)
         .map(|home| {
             let (d, home) = decl("ctr", 8, SharingType::GeneralReadWrite, home);

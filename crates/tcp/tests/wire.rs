@@ -497,7 +497,6 @@ fn control_frames_roundtrip() {
             proto_cfg,
             decls: decls.clone(),
             sync: SyncDecls::round_robin(3, 2, 4, 4),
-            heartbeat: Duration::from_millis(25),
             peers: vec![(NodeId(0), 4000), (NodeId(1), 4001), (NodeId(2), 4002)],
             test_fault: Some(faults[tag as usize]),
             telemetry: munin_types::Telemetry::Spans,

@@ -21,7 +21,7 @@ fn main() {
     // Munin, eager producer-consumer boundaries (the paper's mechanism).
     {
         let (p, out) = life::build(&cfg);
-        let o = p.run(Backend::Munin(MuninConfig::default()));
+        let o = p.run(Backend::sim(MuninConfig::default()));
         o.assert_clean();
         life::check(&out, &want);
         let r = o.report();
@@ -40,7 +40,7 @@ fn main() {
         p.set_eager_all(false);
         let mut mc = MuninConfig::default();
         mc.pc_policy = UpdatePolicy::Invalidate;
-        let o = p.run(Backend::Munin(mc));
+        let o = p.run(Backend::sim(mc));
         o.assert_clean();
         life::check(&out, &want);
         let r = o.report();
@@ -57,7 +57,7 @@ fn main() {
     // comparison isolates the data protocol).
     {
         let (p, out) = life::build(&cfg);
-        let o = p.run(Backend::Ivy(IvyConfig::default().with_central_locks()));
+        let o = p.run(Backend::sim(IvyConfig::default().with_central_locks()));
         o.assert_clean();
         life::check(&out, &want);
         let r = o.report();

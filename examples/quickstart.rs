@@ -64,7 +64,7 @@ fn main() {
         });
     }
 
-    let outcome = p.run(Backend::Munin(MuninConfig::default()));
+    let outcome = p.run(Backend::sim(MuninConfig::default()));
     outcome.assert_clean();
     let report = outcome.report();
     println!("answer: {:.4}", *answer_out.lock().unwrap());

@@ -18,7 +18,7 @@ fn main() {
     // With the programmer's annotations.
     {
         let (p, out) = tsp::build(&cfg);
-        let o = p.run(Backend::Munin(MuninConfig::default()));
+        let o = p.run(Backend::sim(MuninConfig::default()));
         o.assert_clean();
         let r = o.report();
         println!(
@@ -38,7 +38,7 @@ fn main() {
     {
         let (mut p, out) = tsp::build(&cfg);
         p.retype_all(|_| SharingType::GeneralReadWrite);
-        let o = p.run(Backend::Munin(MuninConfig::default()));
+        let o = p.run(Backend::sim(MuninConfig::default()));
         o.assert_clean();
         let r = o.report();
         println!(

@@ -19,11 +19,11 @@ use std::sync::{Arc, Mutex};
 /// inline and hands back a ready token (simulators, native threads).
 fn all_backends() -> Vec<Backend> {
     vec![
-        Backend::Munin(MuninConfig::default()),
-        Backend::Ivy(IvyConfig::default()),
+        Backend::sim(MuninConfig::default()),
+        Backend::sim(IvyConfig::default()),
         Backend::Native,
-        Backend::MuninRt(MuninConfig::default()),
-        Backend::IvyRt(IvyConfig::default()),
+        Backend::rt(MuninConfig::default()),
+        Backend::rt(IvyConfig::default()),
     ]
 }
 
@@ -77,7 +77,7 @@ fn combined_writes_are_flushed_by_a_read_of_the_same_range() {
         assert_eq!(par.get(&arr, 1), 11);
         par.wait(t2);
     });
-    p.run(Backend::MuninRt(MuninConfig::default())).assert_clean();
+    p.run(Backend::rt(MuninConfig::default())).assert_clean();
 }
 
 /// Two threads keep a full window of pipelined fetch-adds in flight on one
@@ -87,8 +87,7 @@ fn combined_writes_are_flushed_by_a_read_of_the_same_range() {
 #[test]
 fn interleaved_pipelined_adds_from_two_threads_cover_every_slot() {
     const N: i64 = 32;
-    for backend in [Backend::MuninRt(MuninConfig::default()), Backend::IvyRt(IvyConfig::default())]
-    {
+    for backend in [Backend::rt(MuninConfig::default()), Backend::rt(IvyConfig::default())] {
         let name = backend.name();
         let mut p = ProgramBuilder::new(2);
         let ctr = p.scalar::<i64>("ctr", SharingType::GeneralReadWrite, 0);
@@ -130,6 +129,7 @@ fn sync_points_drain_unredeemed_tokens() {
         let ctr = p.scalar::<i64>("ctr", SharingType::GeneralReadWrite, 0);
         let bar = p.barrier(0, 2);
         for t in 0..2 {
+            let name = name.clone();
             p.thread(t, move |par: &mut dyn Par| {
                 if par.self_id() == 1 {
                     for _ in 0..8 {
@@ -177,7 +177,7 @@ fn pipelined_adds_cover_every_slot_on_the_tcp_fabric() {
             }
         });
     }
-    p.run(Backend::MuninTcp(MuninConfig::default())).assert_clean();
+    p.run(Backend::tcp(MuninConfig::default())).assert_clean();
     let mut all = prevs.lock().unwrap().clone();
     all.sort_unstable();
     assert_eq!(all, (0..workers as i64 * N).collect::<Vec<_>>());

@@ -58,7 +58,7 @@ fn gen_script(seed: u64, threads: usize, objects: usize, rounds: usize) -> Vec<V
 fn run_and_check(seed: u64, threads: usize, objects: usize, rounds: usize, policy: UpdatePolicy) {
     let mut cfg = MuninConfig::default();
     cfg.write_many_policy = policy;
-    run_and_check_on(seed, threads, objects, rounds, Backend::Munin(cfg));
+    run_and_check_on(seed, threads, objects, rounds, Backend::sim(cfg));
 }
 
 /// Backend-generic variant: strict backends (Ivy) must of course also pass
@@ -135,7 +135,7 @@ fn ivy_satisfies_loose_coherence_too() {
     // Strict coherence implies loose coherence; the Ivy baseline must pass
     // the same checker (central locks: the script uses barriers only).
     for seed in [1u64, 42] {
-        run_and_check_on(seed, 3, 2, 4, Backend::Ivy(IvyConfig::default().with_central_locks()));
+        run_and_check_on(seed, 3, 2, 4, Backend::sim(IvyConfig::default().with_central_locks()));
     }
 }
 

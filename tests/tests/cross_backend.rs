@@ -88,21 +88,21 @@ fn all_apps_bit_identical_on_tcp_backends_at_1_and_4_workers() {
 #[test]
 fn all_apps_correct_on_munin() {
     for app in App::ALL {
-        run_app(app, 4, Backend::Munin(MuninConfig::default()));
+        run_app(app, 4, Backend::sim(MuninConfig::default()));
     }
 }
 
 #[test]
 fn all_apps_correct_on_ivy_spin() {
     for app in App::ALL {
-        run_app(app, 4, Backend::Ivy(IvyConfig::default()));
+        run_app(app, 4, Backend::sim(IvyConfig::default()));
     }
 }
 
 #[test]
 fn all_apps_correct_on_ivy_central() {
     for app in App::ALL {
-        run_app(app, 4, Backend::Ivy(IvyConfig::default().with_central_locks()));
+        run_app(app, 4, Backend::sim(IvyConfig::default().with_central_locks()));
     }
 }
 
@@ -122,7 +122,7 @@ fn all_apps_correct_with_invalidate_policies() {
     cfg.pc_policy = UpdatePolicy::Invalidate;
     cfg.read_mostly = ReadMostlyMode::ReplicatedInvalidate;
     for app in App::ALL {
-        run_app(app, 4, Backend::Munin(cfg.clone()));
+        run_app(app, 4, Backend::sim(cfg.clone()));
     }
 }
 
@@ -133,7 +133,7 @@ fn all_apps_correct_with_adaptive_policies() {
     cfg.read_mostly = ReadMostlyMode::Adaptive;
     cfg.adaptive_typing = true;
     for app in App::ALL {
-        run_app(app, 3, Backend::Munin(cfg.clone()));
+        run_app(app, 3, Backend::sim(cfg.clone()));
     }
 }
 
@@ -141,7 +141,7 @@ fn all_apps_correct_with_adaptive_policies() {
 fn all_apps_correct_without_delayed_updates() {
     // The strict write-through ablation must be slower, never wrong.
     for app in App::ALL {
-        run_app(app, 3, Backend::Munin(MuninConfig::default().strict()));
+        run_app(app, 3, Backend::sim(MuninConfig::default().strict()));
     }
 }
 
@@ -152,7 +152,7 @@ fn all_apps_correct_when_everything_is_general_read_write() {
     for app in App::ALL {
         let (mut p, verify) = app.build_default(3);
         p.retype_all(|_| SharingType::GeneralReadWrite);
-        p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+        p.run(Backend::sim(MuninConfig::default())).assert_clean();
         verify();
     }
 }
@@ -164,7 +164,7 @@ fn all_apps_correct_on_small_pages_and_aligned_alloc() {
     cfg.alloc = munin_types::AllocPolicy::PageAligned;
     cfg.sync = munin_types::SyncStrategy::CentralServer;
     for app in App::ALL {
-        run_app(app, 3, Backend::Ivy(cfg.clone()));
+        run_app(app, 3, Backend::sim(cfg.clone()));
     }
 }
 
@@ -173,7 +173,7 @@ fn munin_runs_are_deterministic_across_repeats() {
     for app in [App::Matmul, App::Life, App::Qsort] {
         let run = || {
             let (p, verify) = app.build_default(3);
-            let o = p.run(Backend::Munin(MuninConfig::default()));
+            let o = p.run(Backend::sim(MuninConfig::default()));
             o.assert_clean();
             verify();
             let r = o.report();
@@ -188,13 +188,13 @@ fn hardware_multicast_reduces_messages_not_results() {
     let mut cfg = MuninConfig::default();
     cfg.cost.hardware_multicast = true;
     let (p, verify) = App::Life.build_default(4);
-    let o = p.run(Backend::Munin(cfg));
+    let o = p.run(Backend::sim(cfg));
     o.assert_clean();
     verify();
     let hw = o.report().stats.messages;
 
     let (p2, verify2) = App::Life.build_default(4);
-    let o2 = p2.run(Backend::Munin(MuninConfig::default()));
+    let o2 = p2.run(Backend::sim(MuninConfig::default()));
     o2.assert_clean();
     verify2();
     let sw = o2.report().stats.messages;

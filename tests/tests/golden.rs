@@ -19,9 +19,9 @@ const NODES: [usize; 2] = [4, 16];
 
 fn sim_backends() -> [Backend; 3] {
     [
-        Backend::Munin(MuninConfig::default()),
-        Backend::Ivy(IvyConfig::default()),
-        Backend::Tardis(TardisConfig::default()),
+        Backend::sim(MuninConfig::default()),
+        Backend::sim(IvyConfig::default()),
+        Backend::sim(TardisConfig::default()),
     ]
 }
 

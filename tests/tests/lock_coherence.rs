@@ -60,7 +60,7 @@ fn run_lock_validation(threads: usize, rounds: usize, policy: UpdatePolicy) {
     }
     let mut cfg = MuninConfig::default();
     cfg.write_many_policy = policy;
-    let o = p.run(Backend::Munin(cfg));
+    let o = p.run(Backend::sim(cfg));
     o.assert_clean();
 
     // Reconstruct the global critical-section order from the tickets.
@@ -147,7 +147,7 @@ fn lock_protected_write_many_is_coherent() {
             par.barrier(bar);
         });
     }
-    p.run(Backend::Munin(MuninConfig::default())).assert_clean();
+    p.run(Backend::sim(MuninConfig::default())).assert_clean();
 
     let mut sections: Vec<(i64, CsRecord)> = Vec::new();
     for log in &logs {

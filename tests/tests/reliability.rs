@@ -18,7 +18,7 @@ fn matmul_survives_10pct_loss() {
     let cfg = matmul::MatmulCfg { n: 16, nodes: 3, seed: 4 };
     let want = matmul::reference(&cfg);
     let (p, out) = matmul::build(&cfg);
-    let o = p.run_with(Backend::Munin(MuninConfig::default()), lossy(0.10, 42), None);
+    let o = p.run_with(Backend::sim(MuninConfig::default()), lossy(0.10, 42), None);
     o.assert_clean();
     matmul::check(&out, &want);
     let r = o.report();
@@ -34,7 +34,7 @@ fn life_survives_loss_with_eager_pushes() {
     let cfg = life::LifeCfg { width: 24, height: 24, generations: 4, nodes: 3, seed: 9 };
     let want = life::reference(&cfg);
     let (p, out) = life::build(&cfg);
-    let o = p.run_with(Backend::Munin(MuninConfig::default()), lossy(0.15, 7), None);
+    let o = p.run_with(Backend::sim(MuninConfig::default()), lossy(0.15, 7), None);
     o.assert_clean();
     life::check(&out, &want);
 }
@@ -66,7 +66,7 @@ fn locks_remain_exclusive_under_loss() {
             }
         });
     }
-    let o = p.run_with(Backend::Munin(MuninConfig::default()), lossy(0.2, 99), None);
+    let o = p.run_with(Backend::sim(MuninConfig::default()), lossy(0.2, 99), None);
     o.assert_clean();
     assert!(o.report().stats.retransmissions > 0);
 }
@@ -77,7 +77,7 @@ fn loss_runs_are_deterministic_given_seed() {
         let _guard = SeedGuard::new("matmul determinism probe", seed);
         let cfg = matmul::MatmulCfg { n: 16, nodes: 3, seed: 4 };
         let (p, _out) = matmul::build(&cfg);
-        let o = p.run_with(Backend::Munin(MuninConfig::default()), lossy(0.1, seed), None);
+        let o = p.run_with(Backend::sim(MuninConfig::default()), lossy(0.1, seed), None);
         o.assert_clean();
         let r = o.report();
         (r.stats.messages, r.stats.dropped, r.stats.retransmissions, r.finished_at)

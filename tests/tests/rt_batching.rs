@@ -98,10 +98,7 @@ fn assert_stats_identical(first: &NetStats, second: &NetStats, what: &str) {
 #[test]
 fn ordered_lock_counter_identical_stats_across_runs_munin_rt() {
     let run = || {
-        run_report(
-            ordered_lock_counter(4, 12, base_tuning()),
-            Backend::MuninRt(MuninConfig::default()),
-        )
+        run_report(ordered_lock_counter(4, 12, base_tuning()), Backend::rt(MuninConfig::default()))
     };
     let (first, second) = (run(), run());
     assert_stats_identical(&first.stats, &second.stats, "ordered lock counter (MuninRt)");
@@ -114,8 +111,7 @@ fn ordered_lock_counter_identical_stats_across_runs_ivy_rt_central() {
     // spin path arms wall-clock backoff timers, whose counts are timing-
     // dependent by nature).
     let cfg = IvyConfig::default().with_central_locks();
-    let run =
-        || run_report(ordered_lock_counter(4, 12, base_tuning()), Backend::IvyRt(cfg.clone()));
+    let run = || run_report(ordered_lock_counter(4, 12, base_tuning()), Backend::rt(cfg.clone()));
     let (first, second) = (run(), run());
     assert_stats_identical(&first.stats, &second.stats, "ordered lock counter (IvyRt)");
     assert_eq!(first.ops, second.ops, "op counts must match");
@@ -147,7 +143,7 @@ fn life_flush_fanout_identical_results_and_stats_across_runs() {
     let run = || {
         let (mut p, out) = life::build(&cfg);
         p.rt_tuning(base_tuning());
-        let o = p.run(Backend::MuninRt(MuninConfig::default()));
+        let o = p.run(Backend::rt(MuninConfig::default()));
         o.assert_clean();
         life::check(&out, &want);
         o.report().clone()

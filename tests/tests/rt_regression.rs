@@ -1,10 +1,37 @@
 //! Regression tests for the rt kernel's stall watchdog: idle inbox polls
 //! must never count as progress, and a timer in flight must never look
-//! like a stall.
+//! like a stall. Plus the rt backends' refusal of simulator-only transport
+//! settings, which they would otherwise silently ignore.
 
 use munin_api::{Backend, ComputeMode, Par, ParTyped, ProgramBuilder, RtTuning};
-use munin_types::{IvyConfig, MuninConfig, SharingType};
+use munin_net::{LinkFault, LinkSchedule};
+use munin_sim::TransportConfig;
+use munin_types::{IvyConfig, MuninConfig, NodeId, SharingType};
 use std::time::{Duration, Instant};
+
+/// Run a one-thread program on `MuninRt` with a transport `set` edits.
+fn run_rt_with(set: impl FnOnce(&mut TransportConfig)) {
+    let mut p = ProgramBuilder::new(2);
+    let ctr = p.scalar::<i64>("ctr", SharingType::GeneralReadWrite, 1);
+    p.thread(0, move |par: &mut dyn Par| par.store(&ctr, 1));
+    let mut transport = TransportConfig::default();
+    set(&mut transport);
+    p.run_with(Backend::rt(MuninConfig::default()), transport, None);
+}
+
+#[test]
+#[should_panic(expected = "cannot simulate")]
+fn rt_rejects_transport_jitter() {
+    run_rt_with(|t| t.jitter_us = 50);
+}
+
+#[test]
+#[should_panic(expected = "cannot simulate")]
+fn rt_rejects_scheduled_link_faults() {
+    run_rt_with(|t| {
+        t.link_faults = LinkSchedule::new(vec![LinkFault::isolate(NodeId(1), 0, 1_000)])
+    });
+}
 
 /// Idle inbox polls must not mask stalls: a server's 50 ms `recv_timeout`
 /// wake-ups are not activity, so a run whose servers sit idle forever (one
@@ -25,7 +52,7 @@ fn watchdog_fires_while_servers_are_completely_idle() {
         par.barrier(bar);
     });
     let started = Instant::now();
-    let o = p.run(Backend::MuninRt(MuninConfig::default()));
+    let o = p.run(Backend::rt(MuninConfig::default()));
     let elapsed = started.elapsed();
     let r = o.report();
     assert!(r.deadlocked, "watchdog never fired on an idle, stalled run");
@@ -66,7 +93,7 @@ fn watchdog_fires_after_real_traffic_goes_quiet() {
         });
     }
     let started = Instant::now();
-    let o = p.run(Backend::MuninRt(MuninConfig::default()));
+    let o = p.run(Backend::rt(MuninConfig::default()));
     let r = o.report();
     assert!(r.deadlocked, "watchdog missed the post-traffic stall");
     assert!(started.elapsed() < Duration::from_secs(30));
@@ -118,7 +145,7 @@ fn tight_stall_window_sees_no_false_stall_from_in_flight_timers() {
             }
         });
     }
-    let o = p.run(Backend::IvyRt(cfg));
+    let o = p.run(Backend::rt(cfg));
     let r = o.report();
     assert!(
         !r.deadlocked,

@@ -76,7 +76,7 @@ fn lock_counter_program(
 
 #[test]
 fn munin_rt_lock_counter_no_lost_updates() {
-    lock_counter_program(Backend::MuninRt(MuninConfig::default()), 4, 2, 50, 4);
+    lock_counter_program(Backend::rt(MuninConfig::default()), 4, 2, 50, 4);
 }
 
 #[test]
@@ -84,12 +84,12 @@ fn ivy_rt_spin_lock_counter_no_lost_updates() {
     // The DSM-resident ticket lock under genuine contention: ticket draws
     // ride the page protocol while other nodes' waiters spin on cached
     // copies of now_serving.
-    lock_counter_program(Backend::IvyRt(IvyConfig::default()), 4, 2, 25, 2);
+    lock_counter_program(Backend::rt(IvyConfig::default()), 4, 2, 25, 2);
 }
 
 #[test]
 fn ivy_rt_central_lock_counter_no_lost_updates() {
-    lock_counter_program(Backend::IvyRt(IvyConfig::default().with_central_locks()), 4, 2, 50, 2);
+    lock_counter_program(Backend::rt(IvyConfig::default().with_central_locks()), 4, 2, 50, 2);
 }
 
 /// Atomic fetch-and-add from every thread concurrently: the old values
@@ -123,7 +123,7 @@ fn munin_rt_fetch_add_is_globally_atomic() {
         });
     }
     let started = Instant::now();
-    p.run(Backend::MuninRt(MuninConfig::default())).assert_clean();
+    p.run(Backend::rt(MuninConfig::default())).assert_clean();
     assert!(started.elapsed() < WALL_BUDGET);
 }
 
@@ -184,7 +184,7 @@ fn munin_rt_condvar_handoff_loses_no_items() {
         assert_eq!(total, ITEMS * (ITEMS + 1) / 2, "items lost in handoff");
     });
     let started = Instant::now();
-    p.run(Backend::MuninRt(MuninConfig::default())).assert_clean();
+    p.run(Backend::rt(MuninConfig::default())).assert_clean();
     assert!(started.elapsed() < WALL_BUDGET);
 }
 
@@ -219,7 +219,7 @@ fn munin_rt_barrier_phases_publish_writes() {
         });
     }
     let started = Instant::now();
-    p.run(Backend::MuninRt(MuninConfig::default())).assert_clean();
+    p.run(Backend::rt(MuninConfig::default())).assert_clean();
     assert!(started.elapsed() < WALL_BUDGET);
 }
 
@@ -246,7 +246,7 @@ fn rt_watchdog_detects_deadlock_and_tears_down() {
     t.stall_timeout = Duration::from_millis(800);
     p.rt_tuning(t);
     let started = Instant::now();
-    let outcome = p.run(Backend::MuninRt(MuninConfig::default()));
+    let outcome = p.run(Backend::rt(MuninConfig::default()));
     let r = outcome.report();
     assert!(r.deadlocked, "watchdog missed a real deadlock");
     assert!(r.errors.iter().any(|e| e.contains("stall")), "stall not reported: {:?}", r.errors);

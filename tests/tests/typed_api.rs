@@ -75,8 +75,8 @@ fn typed_kitchen_sink(nodes: usize, backend: Backend) -> SinkOutput {
 #[test]
 fn typed_program_bit_identical_across_backends() {
     let nodes = 4;
-    let munin = typed_kitchen_sink(nodes, Backend::Munin(MuninConfig::default()));
-    let ivy = typed_kitchen_sink(nodes, Backend::Ivy(IvyConfig::default()));
+    let munin = typed_kitchen_sink(nodes, Backend::sim(MuninConfig::default()));
+    let ivy = typed_kitchen_sink(nodes, Backend::sim(IvyConfig::default()));
     let native = typed_kitchen_sink(nodes, Backend::Native);
     // Bit-identical: compare the f64 stripes through their bit patterns.
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
@@ -96,7 +96,7 @@ fn typed_program_bit_identical_across_backends() {
 fn munin_run_errors(body: impl FnOnce(&mut dyn Par) + Send + 'static) -> Vec<String> {
     let mut p = ProgramBuilder::new(1);
     p.thread(0, body);
-    let o = p.run(Backend::Munin(MuninConfig::default()));
+    let o = p.run(Backend::sim(MuninConfig::default()));
     o.report().errors.clone()
 }
 
@@ -107,7 +107,7 @@ fn out_of_bounds_get_fails_at_api_layer_on_munin() {
     p.thread(0, move |par: &mut dyn Par| {
         let _ = par.get(&arr, 8); // one past the end
     });
-    let o = p.run(Backend::Munin(MuninConfig::default()));
+    let o = p.run(Backend::sim(MuninConfig::default()));
     let errors = o.report().errors.clone();
     assert!(!errors.is_empty(), "out-of-bounds get must be reported");
     let msg = &errors[0];
@@ -123,7 +123,7 @@ fn out_of_bounds_bulk_write_fails_at_api_layer_on_munin() {
     p.thread(0, move |par: &mut dyn Par| {
         par.write_from(&arr, 2, &[1, 2, 3]); // elements 2..5 of 4
     });
-    let o = p.run(Backend::Munin(MuninConfig::default()));
+    let o = p.run(Backend::sim(MuninConfig::default()));
     let errors = o.report().errors.clone();
     assert!(
         errors.iter().any(|e| e.contains("index out of bounds: elements 2..5")),
@@ -185,11 +185,9 @@ fn type_size_mismatch_fails_at_cast() {
 fn cast_roundtrip_preserves_bytes_across_backends() {
     // Write through a u8 view, read through a u64 view: the little-endian
     // wire layout is part of the API contract, on every backend.
-    for backend in [
-        Backend::Munin(MuninConfig::default()),
-        Backend::Ivy(IvyConfig::default()),
-        Backend::Native,
-    ] {
+    for backend in
+        [Backend::sim(MuninConfig::default()), Backend::sim(IvyConfig::default()), Backend::Native]
+    {
         let mut p = ProgramBuilder::new(1);
         let words = p.array::<u64>("words", 2, SharingType::WriteMany, 0);
         let seen = Arc::new(Mutex::new(0u64));
