@@ -1,7 +1,7 @@
 //! `munin-node` — one node of a distributed run.
 //!
-//! Spawned by the coordinator (`munin_tcp::TcpWorldBuilder`); not meant to
-//! be started by hand. The process connects its control stream to the
+//! Spawned by the coordinator (`munin_tcp::run_proto`); not meant to be
+//! started by hand. The process connects its control stream to the
 //! coordinator, receives the run configuration — including the protocol
 //! tag, resolved against this binary's registry of linked protocols — and
 //! then runs its node's coherence server until told to finish.

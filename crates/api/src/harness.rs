@@ -16,7 +16,7 @@ use munin_proto::Protocol;
 use munin_rt::{RtCtx, RtTuning, RtWorldBuilder};
 use munin_sim::{RunReport, ThreadCtx, Tracer, TransportConfig, WorldBuilder};
 use munin_tardis::TardisProto;
-use munin_tcp::{TcpWorldBuilder, TestFault};
+use munin_tcp::TestFault;
 use munin_types::{
     BarrierDecl, BarrierId, CondDecl, CondId, CostModel, Element, IvyConfig, LockDecl, LockId,
     MuninConfig, NodeId, ObjectDecl, ObjectId, SharedArray, SharedScalar, SharingType, SyncDecls,
@@ -585,7 +585,10 @@ impl ProgramBuilder {
                 }
                 b.build(servers()).run()
             }
-            Fabric::Rt => {
+            // One world description for both wall-clock fabrics (same
+            // thread bodies, same `RtCtx` surface); only the final call
+            // picks the fabric.
+            Fabric::Rt | Fabric::Tcp => {
                 let mut b = RtWorldBuilder::<Pr::Msg>::new(n_nodes)
                     .cost(Pr::cost(&cfg).clone())
                     .tuning(self.rt_tuning);
@@ -599,26 +602,10 @@ impl ProgramBuilder {
                 for (node, body) in self.threads {
                     b.spawn(node, move |ctx: &mut RtCtx<Pr::Msg>| body(ctx));
                 }
-                b.run(servers())
-            }
-            // Same thread bodies, same `RtCtx` surface: the world builder
-            // forwards remote-node operations over the per-node streams.
-            Fabric::Tcp => {
-                let mut b = TcpWorldBuilder::<Pr::Msg>::new(n_nodes).tuning(self.rt_tuning);
-                if let Some(fault) = self.tcp_fault {
-                    b = b.test_fault(fault);
+                match fabric {
+                    Fabric::Rt => b.run(servers()),
+                    _ => munin_tcp::run_proto::<Pr>(b, cfg, sync, self.tcp_fault),
                 }
-                if let Some(map) = self.coverage {
-                    b = b.coverage(map);
-                }
-                for d in decls {
-                    let id = b.declare(d.clone(), d.home);
-                    debug_assert_eq!(id, d.id, "builder ids must stay dense");
-                }
-                for (node, body) in self.threads {
-                    b.spawn(node, move |ctx: &mut RtCtx<Pr::Msg>| body(ctx));
-                }
-                b.run_proto::<Pr>(cfg, sync)
             }
         }
     }

@@ -83,7 +83,7 @@ pub fn node_protos() -> Vec<(u8, munin_tcp::node::NodeRunFn)> {
 pub use harness::{Backend, Fabric, Outcome, ProgramBuilder, Proto};
 pub use monitor::Monitor;
 pub use munin_obs::{MetricsSnapshot, OpClass, OpSpan};
-pub use munin_rt::{ComputeMode, RtTuning};
+pub use munin_rt::{sig, ComputeMode, RtTuning};
 pub use munin_tcp::tcp_support;
 pub use munin_types::{
     Element, OpToken, SharedArray, SharedScalar, Telemetry, TokenState, TokenValue,

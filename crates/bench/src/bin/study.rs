@@ -10,10 +10,10 @@
 //!
 //! Every app is verified against its sequential reference (bit for bit) and
 //! the line per app reports wall clock, DSM ops and protocol messages. For
-//! the TCP backends each run spawns `nodes - 1` real `munin-node` processes;
+//! the TCP backends each run spawns `nodes - 1` real `munin-node` processes.
 //! `--dump-after-ms N` additionally raises SIGUSR1 once, N ms after start,
-//! to demonstrate the on-demand state dump of whichever TCP run is then in
-//! progress (or send it yourself: `kill -USR1 <pid>`).
+//! to demonstrate the on-demand state dump of whichever rt or TCP run is
+//! then in progress (or send it yourself: `kill -USR1 <pid>`).
 
 use munin_api::Backend;
 use munin_apps::App;
@@ -55,10 +55,10 @@ fn main() {
                 });
                 // The handler first: SIGUSR1's default action ends the
                 // process.
-                munin_tcp::sig::install();
+                munin_api::sig::install();
                 dump_timer = Some(std::thread::spawn(move || {
                     std::thread::sleep(std::time::Duration::from_millis(ms));
-                    munin_tcp::sig::raise_dump_signal();
+                    munin_api::sig::raise_dump_signal();
                 }));
             }
             other => {

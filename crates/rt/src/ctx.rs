@@ -643,7 +643,7 @@ mod tests {
             ctx.token_wait(state);
         }))
         .expect_err("token wait must panic on a poisoned run");
-        let msg = crate::serve::panic_message(err);
+        let msg = munin_sim::panic_message(&*err);
         assert!(
             msg.contains("real-time kernel stalled while thread was blocked in 'token_wait'"),
             "unexpected panic: {msg}"
@@ -659,7 +659,7 @@ mod tests {
             ctx.op_async(DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 });
         }))
         .expect_err("async issue must panic on a poisoned run");
-        let msg = crate::serve::panic_message(err);
+        let msg = munin_sim::panic_message(&*err);
         assert!(msg.contains("poisoned before 'fetch-add' was issued"), "unexpected: {msg}");
     }
 
@@ -808,7 +808,7 @@ mod tests {
             ctx.drain_ops();
         }))
         .expect_err("drain must panic on a poisoned run");
-        let msg = crate::serve::panic_message(err);
+        let msg = munin_sim::panic_message(&*err);
         assert!(
             msg.contains("real-time kernel stalled while thread was blocked in 'drain'"),
             "unexpected panic: {msg}"
@@ -826,7 +826,7 @@ mod tests {
             ctx.drain_ops();
         }))
         .expect_err("an errored claimed op must fail the drain");
-        let msg = crate::serve::panic_message(err);
+        let msg = munin_sim::panic_message(&*err);
         assert!(
             msg.contains("asynchronous 'fetch-add' failed before a sync point"),
             "unexpected panic: {msg}"

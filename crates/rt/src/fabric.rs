@@ -6,6 +6,7 @@ use munin_sim::DsmOp;
 use munin_types::{NodeId, ObjectDecl, ObjectId, Telemetry, ThreadId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -61,8 +62,9 @@ pub enum NodeEvent<P> {
     Batch(Vec<(NodeId, MsgBody<P>)>),
     /// A timer armed via `KernelApi::set_timer` came due.
     Timer(u64),
-    /// The watchdog wants `debug_stuck_state` captured into the error log.
-    DumpStuck,
+    /// The watchdog wants the node's `debug_stuck_state`: the step sends
+    /// it back on the channel (the watchdog waits a bounded time for it).
+    Dump(Sender<String>),
     /// The run is over; exit the server loop.
     Shutdown,
 }
@@ -110,9 +112,8 @@ pub struct Shared {
     /// recording never allocates). Sized by `telemetry` — `Off` keeps no
     /// slots at all.
     pub obs: ObsCollector,
-    /// Stuck-state dumps captured by the watchdog (`DumpStuck`) or the
-    /// SIGUSR1 path — surfaced as `RunReport::dumps`, mirroring what the
-    /// TCP coordinator collects over the wire.
+    /// Stuck-state dumps the watchdog captured, on a stall or on SIGUSR1,
+    /// from every node of either fabric; surfaced as `RunReport::dumps`.
     pub dumps: Mutex<Vec<String>>,
     /// Protocol-state coverage recorder, when the run is instrumented
     /// (campaign explore mode). Servers reach it through

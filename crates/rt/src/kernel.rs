@@ -56,10 +56,6 @@ impl<P> RtKernel<P> {
 }
 
 impl<P: PayloadInfo + Clone> crate::serve::NodeKernel<P> for RtKernel<P> {
-    fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     fn shared(&self) -> &Arc<Shared> {
         &self.shared
     }

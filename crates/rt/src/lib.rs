@@ -47,7 +47,19 @@
 //!   activity happens for a configurable window (and no timer is pending),
 //!   the run is declared stalled, every server's
 //!   [`munin_sim::Server::debug_stuck_state`] is captured into the report,
-//!   and blocked threads are torn down so the process never hangs.
+//!   and blocked threads are torn down so the process never hangs. SIGUSR1
+//!   ([`sig`]) makes the same watchdog dump every node mid-run.
+//!
+//! ## One wall-clock world
+//!
+//! [`RtWorldBuilder`] is the one description of a wall-clock world, for
+//! this kernel and for `munin-tcp`'s multi-process fabric alike, and
+//! [`RtWorldBuilder::run_on`] is the one run around it: the run state, the
+//! application threads, the watchdog and the report. A fabric supplies only
+//! what differs, through [`WallFabric`]: its start and teardown, an op port
+//! per node, the watchdog's progress probe and state dumps, and a hook for
+//! when the watchdog poisons the run. [`RtWorldBuilder::run`] starts this
+//! crate's channel fabric; `munin_tcp::run_proto` starts the TCP one.
 //!
 //! The protocol crates (`munin-core`, `munin-ivy`) are **unchanged**: they
 //! talk to whichever kernel hosts them through the [`munin_sim::KernelApi`]
@@ -72,11 +84,12 @@ mod ctx;
 pub mod fabric;
 mod kernel;
 pub mod serve;
+pub mod sig;
 pub mod timer;
 mod world;
 
 pub use ctx::{OpPort, RtCtx, MAX_INFLIGHT};
 pub use fabric::{MsgBody, NodeEvent, Shared};
 pub use kernel::RtKernel;
-pub use serve::{drive_app_thread, panic_message, server_loop, NodeKernel, NodeStep};
-pub use world::{ComputeMode, RtTuning, RtWorldBuilder, WATCHDOG_POLL};
+pub use serve::{server_loop, NodeKernel, NodeStep};
+pub use world::{ComputeMode, Launch, RtTuning, RtWorldBuilder, WallFabric, DUMP_WAIT};

@@ -2,7 +2,7 @@
 //!
 //! A [`NodeStep`] is a node's `{server, kernel, op gate}`. Its one entry
 //! point, [`NodeStep::step`], handles a run of [`NodeEvent`]s in order
-//! (dispatch through the gate / `on_message` / `on_timer` / stall dump),
+//! (dispatch through the gate / `on_message` / `on_timer` / state dump),
 //! settles the completions each event caused, and ends by flushing what the
 //! kernel queued outbound, under a single activity-epoch bump. The fabrics
 //! differ only in *which thread* calls it:
@@ -39,9 +39,6 @@ const BATCH_MAX: usize = 128;
 /// the protocol-facing [`KernelApi`]. Implemented by the in-process
 /// [`crate::RtKernel`] and by `munin-tcp`'s socket kernel.
 pub trait NodeKernel<P: PayloadInfo + Clone>: KernelApi<P> {
-    /// The node this kernel serves.
-    fn node_id(&self) -> NodeId;
-
     /// Run-wide shared state (activity epochs, poisoning, error log).
     fn shared(&self) -> &Arc<Shared>;
 
@@ -102,46 +99,6 @@ impl OpGate {
     }
 }
 
-/// Run one application thread's body to completion: catch panics, issue the
-/// implicit `Exit` synchronization, decrement the live count, and return the
-/// thread's wait table. Shared by the in-process rt world and the tcp
-/// coordinator (which hosts every application thread of a distributed run).
-pub fn drive_app_thread<P: Send + Sync + Clone + 'static>(
-    mut ctx: crate::RtCtx<P>,
-    body: Box<dyn FnOnce(&mut crate::RtCtx<P>) + Send>,
-) -> munin_sim::report::WaitTable {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let shared = ctx.shared.clone();
-    let tid = ctx.thread;
-    match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
-        Ok(()) => {
-            // Graceful exit is itself a synchronization point (flushes the
-            // delayed update queue). A panic here means the watchdog tore
-            // the run down mid-exit; it already reported.
-            let _ = catch_unwind(AssertUnwindSafe(|| ctx.op(DsmOp::Exit)));
-        }
-        Err(p) => {
-            let msg = panic_message(p);
-            // Teardown panics raised by RtCtx::op after poisoning are a
-            // consequence of the stall, not an application bug — the
-            // watchdog already reported the cause.
-            if !msg.starts_with("real-time kernel") {
-                shared.error(format!("{tid} panicked: {msg}"));
-            }
-        }
-    }
-    shared.live.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-    ctx.waits
-}
-
-/// The text of a caught panic payload.
-pub fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    p.downcast_ref::<String>()
-        .cloned()
-        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
 /// One node's protocol state and the step that advances it. Not `Sync` by
 /// itself: exactly one thread at a time may call [`NodeStep::step`] — the
 /// rt fabric owns it on the node's server thread, the TCP fabric guards it
@@ -192,7 +149,9 @@ where
                 }
             }
             NodeEvent::Timer(token) => self.server.on_timer(&mut self.kernel, token),
-            NodeEvent::DumpStuck => self.dump_stuck(),
+            NodeEvent::Dump(reply) => {
+                let _ = reply.send(self.server.debug_stuck_state());
+            }
             NodeEvent::Shutdown => return false,
         }
         // Settle: any event (a Done op, a protocol message, a timer) can
@@ -245,22 +204,6 @@ where
             }
         }
         self.server.on_message(&mut self.kernel, from, body.into_payload());
-    }
-
-    /// The rt watchdog's stall dump: captured state is both an error-log
-    /// diagnostic and a `RunReport::dumps` entry.
-    fn dump_stuck(&mut self) {
-        let dump = self.server.debug_stuck_state();
-        if dump.is_empty() {
-            return;
-        }
-        let shared = self.kernel.shared();
-        let msg = format!("[stall dump n{}] {dump}", self.kernel.node_id().index());
-        if shared.debug_errors {
-            eprintln!("{msg}");
-        }
-        shared.dump(msg.clone());
-        shared.errors.lock().expect("error log poisoned").push(msg);
     }
 }
 

@@ -1,11 +1,11 @@
 //! SIGUSR1 → on-demand state dumps.
 //!
-//! The ROADMAP item this implements: a long-running distributed workload
-//! that is *slow but not stalled* can be inspected without killing it —
-//! `kill -USR1 <coordinator pid>` makes the coordinator's watchdog request
-//! `debug_stuck_state` from every node (its own server in-process, the
-//! children over their control streams) and print the collected dump to
-//! stderr, also recording it in the run report's `dumps` section.
+//! A long-running wall-clock workload that is *slow but not stalled* can be
+//! inspected without killing it: `kill -USR1 <pid>` makes the run's
+//! watchdog request `debug_stuck_state` from every node (on the TCP fabric
+//! the children answer over their control streams) and print the collected
+//! dump to stderr, also recording it in the run report's `dumps` section.
+//! Every wall-clock run installs the handler when it starts.
 //!
 //! No `libc` crate exists in the offline vendor set, so the two calls this
 //! needs (`signal`, `raise`) are declared directly; the handler only stores
@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the signal handler, consumed by the coordinator's watchdog.
+/// Set by the signal handler, consumed by the run's watchdog.
 static DUMP_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 #[cfg(target_os = "linux")]
@@ -67,6 +67,6 @@ pub fn raise_dump_signal() {
 }
 
 /// Consume a pending dump request, if any.
-pub fn take_dump_request() -> bool {
+pub(crate) fn take_dump_request() -> bool {
     DUMP_REQUESTED.swap(false, Ordering::SeqCst)
 }

@@ -1,19 +1,26 @@
-//! Building and running a real-time world: one server thread per node,
-//! free-running application threads, a timer thread and a stall watchdog.
+//! Building and running a wall-clock world. [`RtWorldBuilder`] describes
+//! the world (objects, application threads, tuning) and owns the one run
+//! skeleton both wall-clock fabrics share: the run state, the application
+//! threads, the stall watchdog with its SIGUSR1 service, and the
+//! [`RunReport`]. What differs between the fabrics sits behind
+//! [`WallFabric`], implemented by this crate's channel fabric (one server
+//! thread per node, a timer thread) and by `munin-tcp`'s process fabric.
 
-use crate::ctx::RtCtx;
+use crate::ctx::{OpPort, RtCtx};
 use crate::fabric::{NodeEvent, Shared};
 use crate::kernel::RtKernel;
-use crate::serve::{drive_app_thread, server_loop};
-use crate::timer::run_timer_thread;
+use crate::serve::server_loop;
+use crate::sig;
+use crate::timer::{run_timer_thread, TimerReq};
+use munin_net::NetStats;
 use munin_sim::report::{RunReport, WaitTable, WallClock};
-use munin_sim::Server;
+use munin_sim::{panic_message, DsmOp, OpResult, Server};
 use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, Telemetry, ThreadId, VirtualTime};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
-use std::time::Instant;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// What an application `compute(us)` call does on the real-time kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,10 +33,6 @@ pub enum ComputeMode {
     /// Drop modelled compute entirely (pure protocol stress).
     Skip,
 }
-
-/// Sampling period of the stall watchdogs (this kernel's and the TCP
-/// coordinator's).
-pub const WATCHDOG_POLL: Duration = Duration::from_millis(50);
 
 /// What a real-time run lets its caller choose. Everything else about the
 /// client path is fixed: a thread keeps up to [`crate::MAX_INFLIGHT`] ops
@@ -59,9 +62,56 @@ impl Default for RtTuning {
     }
 }
 
-/// Builder for a real-time world: declare objects, spawn threads, then
-/// [`RtWorldBuilder::run`] with one server per node. The shape mirrors
-/// [`munin_sim::WorldBuilder`] so the API harness can drive either kernel.
+/// Sampling period of the stall watchdog.
+const WATCHDOG_POLL: Duration = Duration::from_millis(50);
+
+/// How long a state dump waits for the nodes' answers: a wedged node must
+/// not hang the watchdog.
+pub const DUMP_WAIT: Duration = Duration::from_secs(2);
+
+/// What the run skeleton hands a fabric to start on.
+pub struct Launch<'a> {
+    pub n_nodes: usize,
+    /// The build-time object declarations, ids dense from 0.
+    pub decls: &'a [ObjectDecl],
+    /// See [`RtWorldBuilder::cost`].
+    pub cost: &'a CostModel,
+    /// The state every thread of the run shares.
+    pub shared: &'a Arc<Shared>,
+    /// The application threads' resume channels, indexed by thread id.
+    pub resumes: Vec<Sender<OpResult>>,
+}
+
+/// What a wall-clock fabric supplies to [`RtWorldBuilder::run_on`], which
+/// does everything else. A value of this trait is a started fabric: the
+/// `start` closure handed to `run_on` builds it (this crate's fabric: the
+/// inboxes, server threads and timer; TCP: the child processes, the
+/// handshake, the registry, node 0's cell, its readers and timer).
+pub trait WallFabric {
+    /// The op port of an application thread placed on `node`.
+    fn port(&self, node: NodeId) -> Box<dyn OpPort>;
+
+    /// The watchdog's probe: push a fingerprint of every node's progress
+    /// (any change counts as progress) and return how many timers are
+    /// pending anywhere.
+    fn probe(&self, fingerprint: &mut Vec<u64>) -> u64;
+
+    /// Every node's `debug_stuck_state` in node order, waiting at most
+    /// [`DUMP_WAIT`] for the answers.
+    fn dumps(&self) -> Vec<(NodeId, String)>;
+
+    /// The watchdog has just poisoned the run.
+    fn on_poison(&self) {}
+
+    /// Tear down once every application thread has exited. Returns the
+    /// run's traffic counters, merged over every node.
+    fn teardown(self) -> NetStats;
+}
+
+/// Builder for a wall-clock world: declare objects, spawn threads, then
+/// [`RtWorldBuilder::run`] on the in-process fabric or hand the builder to
+/// `munin_tcp::run_proto`. The shape mirrors [`munin_sim::WorldBuilder`] so
+/// the API harness can drive any kernel.
 pub struct RtWorldBuilder<P> {
     n_nodes: usize,
     cost: CostModel,
@@ -93,14 +143,16 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
     }
 
     /// Attach a protocol-state coverage recorder (campaign explore mode);
-    /// servers note transitions into it through `KernelApi::coverage`.
+    /// servers note transitions into it through `KernelApi::coverage`. On
+    /// TCP, children keep a local map and ship their rows home at teardown.
     pub fn coverage(mut self, map: Arc<munin_obs::CoverageMap>) -> Self {
         self.coverage = Some(map);
         self
     }
 
-    /// Cost model handed to the servers (their bookkeeping reads it; the
-    /// kernel itself never charges modelled latencies).
+    /// Cost model handed to the in-process servers (their bookkeeping reads
+    /// it; the kernel itself never charges modelled latencies). The TCP
+    /// fabric takes every node's from the protocol config instead.
     pub fn cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
         self
@@ -125,6 +177,8 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
 
     /// Spawn an application thread on `node`. Unlike the simulator there is
     /// no start rendezvous: threads begin running as soon as the world does.
+    /// On every fabric the thread runs in this process; its ops enter
+    /// `node` through the fabric's op port.
     pub fn spawn(
         &mut self,
         node: NodeId,
@@ -136,132 +190,72 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
         id
     }
 
-    /// Run to completion with one server per node (`servers[i]` serves
-    /// `NodeId(i)`). Returns a [`RunReport`] whose `wall` section and wait
-    /// tables are real (host) microseconds.
+    /// Run to completion on the in-process channel fabric, with one server
+    /// per node (`servers[i]` serves `NodeId(i)`). Returns a [`RunReport`]
+    /// whose `wall` section and wait tables are real (host) microseconds.
     pub fn run<S>(self, servers: Vec<S>) -> RunReport
     where
         S: Server<Payload = P> + 'static,
-        S::Payload: Send,
     {
         assert_eq!(servers.len(), self.n_nodes, "need exactly one server per node");
-        let n_nodes = self.n_nodes;
-        let n_threads = self.spawns.len();
-        let mut shared0 = Shared::new(self.decls, n_threads, self.tuning.telemetry);
-        shared0.coverage = self.coverage;
-        let shared = Arc::new(shared0);
+        self.run_on(|launch| RtFabric::start(launch, servers))
+    }
 
-        let mut inbox_txs: Vec<Sender<NodeEvent<P>>> = Vec::with_capacity(n_nodes);
-        let mut inbox_rxs: Vec<Receiver<NodeEvent<P>>> = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let (tx, rx) = channel();
-            inbox_txs.push(tx);
-            inbox_rxs.push(rx);
-        }
-        let mut resume_txs = Vec::with_capacity(n_threads);
-        let mut resume_rxs = Vec::with_capacity(n_threads);
-        for _ in 0..n_threads {
-            let (tx, rx) = channel();
-            resume_txs.push(tx);
-            resume_rxs.push(rx);
-        }
-        let (timer_tx, timer_rx) = channel();
+    /// The run skeleton of every wall-clock fabric: create the run state
+    /// and the resume channels, `start` the fabric, launch the application
+    /// threads, watch them until they have all exited, tear the fabric down
+    /// and assemble the report.
+    pub fn run_on<F: WallFabric>(self, start: impl FnOnce(Launch<'_>) -> F) -> RunReport {
+        let RtWorldBuilder { n_nodes, cost, tuning, decls, spawns, coverage, .. } = self;
+        let n_threads = spawns.len();
+        let mut shared = Shared::new(decls.clone(), n_threads, tuning.telemetry);
+        shared.coverage = coverage;
+        let shared = Arc::new(shared);
+        let (resumes, resume_rxs): (Vec<Sender<OpResult>>, Vec<Receiver<OpResult>>) =
+            (0..n_threads).map(|_| channel()).unzip();
+        sig::install();
+        let fabric =
+            start(Launch { n_nodes, decls: &decls, cost: &cost, shared: &shared, resumes });
 
-        let timer_join = {
-            let inboxes = inbox_txs.clone();
-            let shared = shared.clone();
-            // Send errors are ignored: the node shut down during teardown.
-            let deliver = move |node: NodeId, token| {
-                let _ = inboxes[node.index()].send(NodeEvent::Timer(token));
-            };
-            std::thread::Builder::new()
-                .name("rt-timer".into())
-                .spawn(move || run_timer_thread(timer_rx, deliver, shared))
-                .expect("failed to spawn timer thread")
-        };
-
-        let mut server_joins = Vec::with_capacity(n_nodes);
-        for (i, (server, inbox)) in servers.into_iter().zip(inbox_rxs).enumerate() {
-            let kernel = RtKernel {
-                node: NodeId(i as u16),
-                cost: self.cost.clone(),
-                inboxes: inbox_txs.clone(),
-                resumes: resume_txs.clone(),
-                timer_tx: timer_tx.clone(),
-                shared: shared.clone(),
-                stats: munin_net::NetStats::new(),
-                outbox: (0..n_nodes).map(|_| Vec::new()).collect(),
-                completions: Vec::new(),
-            };
-            server_joins.push(
-                std::thread::Builder::new()
-                    .name(format!("rt-node-{i}"))
-                    .spawn(move || server_loop(server, kernel, inbox))
-                    .expect("failed to spawn server thread"),
-            );
-        }
-
-        // The watchdog parks on this channel between polls; dropping the
-        // sender wakes it instantly at teardown (a plain sleep would add a
-        // full poll interval to every run's wall clock).
-        let (watchdog_stop_tx, watchdog_stop_rx) = channel::<()>();
-        let watchdog_join = {
-            let shared = shared.clone();
-            let inboxes = inbox_txs.clone();
-            let tuning = self.tuning.clone();
-            std::thread::Builder::new()
-                .name("rt-watchdog".into())
-                .spawn(move || watchdog(shared, inboxes, tuning, watchdog_stop_rx))
-                .expect("failed to spawn watchdog thread")
-        };
-
-        let mut app_joins = Vec::with_capacity(n_threads);
-        for ((idx, (node, body)), resume_rx) in self.spawns.into_iter().enumerate().zip(resume_rxs)
-        {
+        // Every application thread holds a clone of `running` until it
+        // ends, so the watchdog's wait on `all_done` returns the moment the
+        // last one exits (a plain sleep would add a poll interval to every
+        // run's wall clock).
+        let (running, all_done) = channel::<()>();
+        let mut apps = Vec::with_capacity(n_threads);
+        for (idx, ((node, body), resume_rx)) in spawns.into_iter().zip(resume_rxs).enumerate() {
             let tid = ThreadId(idx as u32);
+            let port = fabric.port(node);
             let ctx = RtCtx::new(
                 tid,
                 node,
                 n_nodes,
                 n_threads,
-                Box::new(inbox_txs[node.index()].clone()),
+                port,
                 resume_rx,
                 shared.clone(),
-                self.tuning.clone(),
+                tuning.clone(),
             );
-            app_joins.push(
+            let running = running.clone();
+            apps.push(
                 std::thread::Builder::new()
-                    .name(format!("rt-{tid}"))
-                    .spawn(move || drive_app_thread(ctx, body))
+                    .name(format!("app-{tid}"))
+                    .spawn(move || {
+                        let _running = running;
+                        drive_app_thread(ctx, body)
+                    })
                     .expect("failed to spawn application thread"),
             );
         }
-
+        drop(running);
+        watch(&fabric, &shared, n_nodes, tuning.stall_timeout, &all_done);
         let thread_waits: Vec<WaitTable> =
-            app_joins.into_iter().map(|j| j.join().unwrap_or_default()).collect();
-
-        drop(watchdog_stop_tx);
-        let _ = watchdog_join.join();
-
-        for tx in &inbox_txs {
-            let _ = tx.send(NodeEvent::Shutdown);
-        }
-        // Each server thread returns its node's traffic shard; summing them
-        // here at teardown is the only place the counters ever meet — the
-        // send path never touches a cross-node lock.
-        let mut stats = munin_net::NetStats::new();
-        for j in server_joins {
-            if let Ok(node_stats) = j.join() {
-                stats.merge(&node_stats);
-            }
-        }
-        drop(inbox_txs);
-        drop(timer_tx);
-        let _ = timer_join.join();
+            apps.into_iter().map(|j| j.join().unwrap_or_default()).collect();
+        let stats = fabric.teardown();
 
         let elapsed = shared.start.elapsed();
         let errors = shared.errors.lock().expect("error log poisoned").clone();
-        let metrics = self.tuning.telemetry.enabled().then(|| shared.obs.snapshot(stats.clone()));
+        let metrics = tuning.telemetry.enabled().then(|| shared.obs.snapshot(stats.clone()));
         RunReport {
             finished_at: VirtualTime::micros(
                 u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
@@ -278,52 +272,226 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
     }
 }
 
-/// The real-time replacement for quiescence-based deadlock detection: a
-/// run is stalled when every live application thread is blocked inside a
-/// DSM operation, no server has processed an event for `stall_timeout`,
-/// and no timer is pending. On stall: report, capture every server's
-/// `debug_stuck_state`, then poison the run so blocked threads tear down.
-fn watchdog<P: Send + Sync + 'static>(
-    shared: Arc<Shared>,
-    inboxes: Vec<Sender<NodeEvent<P>>>,
-    tuning: RtTuning,
-    stop: Receiver<()>,
-) {
-    let mut last_epoch = shared.activity.load(Ordering::Relaxed);
-    let mut stable_since = Instant::now();
-    loop {
-        match stop.recv_timeout(WATCHDOG_POLL) {
-            // The run is over (sender dropped or an explicit stop).
-            Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
+/// Run one application thread's body to completion: catch panics, issue the
+/// implicit `Exit` synchronization, decrement the live count, and return the
+/// thread's wait table.
+fn drive_app_thread<P: Send + Sync + Clone + 'static>(
+    mut ctx: RtCtx<P>,
+    body: Box<dyn FnOnce(&mut RtCtx<P>) + Send>,
+) -> WaitTable {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let shared = ctx.shared.clone();
+    let tid = ctx.thread;
+    match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
+        Ok(()) => {
+            // Graceful exit is itself a synchronization point (flushes the
+            // delayed update queue). A panic here means the watchdog tore
+            // the run down mid-exit; it already reported.
+            let _ = catch_unwind(AssertUnwindSafe(|| ctx.op(DsmOp::Exit)));
         }
-        let epoch = shared.activity.load(Ordering::Relaxed);
-        if epoch != last_epoch {
-            last_epoch = epoch;
+        Err(p) => {
+            let msg = panic_message(&*p);
+            // Teardown panics raised by RtCtx::op after poisoning are a
+            // consequence of the stall, not an application bug — the
+            // watchdog already reported the cause.
+            if !msg.starts_with("real-time kernel") {
+                shared.error(format!("{tid} panicked: {msg}"));
+            }
+        }
+    }
+    shared.live.fetch_sub(1, Ordering::SeqCst);
+    ctx.waits
+}
+
+/// The stall watchdog of every wall-clock run, with the SIGUSR1 dump
+/// service. It runs on the thread that launched the application threads
+/// and returns once they have all exited (`all_done` disconnects) or once
+/// it has declared a stall.
+///
+/// The real-time replacement for quiescence-based deadlock detection: a
+/// run is stalled when the fabric's progress fingerprint stays unchanged
+/// for `stall_timeout` while every live application thread is blocked in a
+/// DSM operation and no timer is pending anywhere. Then the watchdog
+/// reports the stall, captures every node's stuck state into the errors
+/// and the report's dumps, and poisons the run so the blocked threads tear
+/// down instead of hanging.
+fn watch(
+    fabric: &impl WallFabric,
+    shared: &Shared,
+    n_nodes: usize,
+    stall_timeout: Duration,
+    all_done: &Receiver<()>,
+) {
+    let (mut last, mut fingerprint) = (Vec::new(), Vec::new());
+    let mut stable_since = Instant::now();
+    while let Err(RecvTimeoutError::Timeout) = all_done.recv_timeout(WATCHDOG_POLL) {
+        if sig::take_dump_request() {
+            dump_on_demand(fabric, shared);
+        }
+        fingerprint.clear();
+        let timers = fabric.probe(&mut fingerprint);
+        if fingerprint != last {
+            std::mem::swap(&mut fingerprint, &mut last);
             stable_since = Instant::now();
             continue;
         }
         let live = shared.live.load(Ordering::SeqCst);
         let blocked = shared.blocked.load(Ordering::SeqCst);
-        if live == 0 || blocked < live || shared.timers_pending.load(Ordering::Acquire) > 0 {
+        if live == 0 || blocked < live || timers > 0 {
             stable_since = Instant::now();
             continue;
         }
-        if stable_since.elapsed() < tuning.stall_timeout {
+        if stable_since.elapsed() < stall_timeout {
             continue;
         }
         shared.error(format!(
-            "stall: all {live} live thread(s) blocked in DSM operations with no kernel \
-             activity and no pending timer for {:?} — real-time deadlock",
-            tuning.stall_timeout
+            "stall: all {live} live thread(s) blocked in DSM operations with no activity on \
+             any of the {n_nodes} node(s) and no pending timer for {stall_timeout:?} — \
+             wall-clock deadlock"
         ));
-        for tx in &inboxes {
-            let _ = tx.send(NodeEvent::DumpStuck);
+        for (node, text) in fabric.dumps() {
+            if !text.is_empty() {
+                let line = format!("[stall dump n{}] {text}", node.index());
+                shared.error(line.clone());
+                shared.dump(line);
+            }
         }
-        // Give the (idle, hence responsive) servers a beat to dump state
-        // before the teardown panics start flying.
-        std::thread::sleep(Duration::from_millis(300));
         shared.poisoned.store(true, Ordering::Release);
+        fabric.on_poison();
         return;
+    }
+}
+
+/// SIGUSR1: print every node's state and the live metrics to stderr and
+/// keep them in the report; the run goes on.
+fn dump_on_demand(fabric: &impl WallFabric, shared: &Shared) {
+    let mut lines: Vec<String> = fabric
+        .dumps()
+        .into_iter()
+        .map(|(node, text)| {
+            let text = if text.is_empty() { "(no stuck state)".into() } else { text };
+            format!("[dump n{}] {text}", node.index())
+        })
+        .collect();
+    // The live metrics surface: the telemetry snapshot mid-run. Net
+    // counters are merged only at teardown, so it carries zeros there until
+    // the run ends.
+    if shared.obs.enabled() {
+        lines.push(format!("[metrics]\n{}", shared.obs.snapshot(NetStats::new()).render_text()));
+    }
+    for line in lines {
+        eprintln!("{line}");
+        shared.dump(line);
+    }
+}
+
+/// The in-process channel fabric: one server thread per node draining its
+/// inbox, and the timer thread.
+struct RtFabric<P> {
+    shared: Arc<Shared>,
+    inboxes: Vec<Sender<NodeEvent<P>>>,
+    servers: Vec<JoinHandle<NetStats>>,
+    timer_tx: Sender<TimerReq>,
+    timer: JoinHandle<()>,
+}
+
+impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtFabric<P> {
+    fn start<S: Server<Payload = P> + 'static>(launch: Launch<'_>, servers: Vec<S>) -> Self {
+        let Launch { n_nodes, cost, shared, resumes, .. } = launch;
+        let (inboxes, inbox_rxs): (Vec<Sender<NodeEvent<P>>>, Vec<Receiver<NodeEvent<P>>>) =
+            (0..n_nodes).map(|_| channel()).unzip();
+        let (timer_tx, timer_rx) = channel();
+        let timer = {
+            let inboxes = inboxes.clone();
+            let shared = shared.clone();
+            // Send errors are ignored: the node shut down during teardown.
+            let deliver = move |node: NodeId, token| {
+                let _ = inboxes[node.index()].send(NodeEvent::Timer(token));
+            };
+            std::thread::Builder::new()
+                .name("rt-timer".into())
+                .spawn(move || run_timer_thread(timer_rx, deliver, shared))
+                .expect("failed to spawn timer thread")
+        };
+        let servers = servers
+            .into_iter()
+            .zip(inbox_rxs)
+            .enumerate()
+            .map(|(i, (server, inbox))| {
+                let kernel = RtKernel {
+                    node: NodeId(i as u16),
+                    cost: cost.clone(),
+                    inboxes: inboxes.clone(),
+                    resumes: resumes.clone(),
+                    timer_tx: timer_tx.clone(),
+                    shared: shared.clone(),
+                    stats: NetStats::new(),
+                    outbox: (0..n_nodes).map(|_| Vec::new()).collect(),
+                    completions: Vec::new(),
+                };
+                std::thread::Builder::new()
+                    .name(format!("rt-node-{i}"))
+                    .spawn(move || server_loop(server, kernel, inbox))
+                    .expect("failed to spawn server thread")
+            })
+            .collect();
+        RtFabric { shared: shared.clone(), inboxes, servers, timer_tx, timer }
+    }
+}
+
+impl<P: Send + Sync + 'static> WallFabric for RtFabric<P> {
+    fn port(&self, node: NodeId) -> Box<dyn OpPort> {
+        Box::new(self.inboxes[node.index()].clone())
+    }
+
+    fn probe(&self, fingerprint: &mut Vec<u64>) -> u64 {
+        fingerprint.push(self.shared.activity.load(Ordering::Relaxed));
+        self.shared.timers_pending.load(Ordering::Acquire) as u64
+    }
+
+    /// Ask every server at once; each answers from its own thread.
+    fn dumps(&self) -> Vec<(NodeId, String)> {
+        let replies: Vec<Receiver<String>> = self
+            .inboxes
+            .iter()
+            .map(|inbox| {
+                let (tx, rx) = channel();
+                let _ = inbox.send(NodeEvent::Dump(tx));
+                rx
+            })
+            .collect();
+        let deadline = Instant::now() + DUMP_WAIT;
+        replies
+            .into_iter()
+            .enumerate()
+            .map(|(i, rx)| {
+                let text = match rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                {
+                    Ok(text) => text,
+                    Err(RecvTimeoutError::Timeout) => "(server loop unresponsive)".into(),
+                    Err(RecvTimeoutError::Disconnected) => "(server loop gone)".into(),
+                };
+                (NodeId(i as u16), text)
+            })
+            .collect()
+    }
+
+    fn teardown(self) -> NetStats {
+        for tx in &self.inboxes {
+            let _ = tx.send(NodeEvent::Shutdown);
+        }
+        // Each server thread returns its node's traffic shard; summing them
+        // here at teardown is the only place the counters ever meet — the
+        // send path never touches a cross-node lock.
+        let mut stats = NetStats::new();
+        for j in self.servers {
+            if let Ok(node_stats) = j.join() {
+                stats.merge(&node_stats);
+            }
+        }
+        drop(self.inboxes);
+        drop(self.timer_tx);
+        let _ = self.timer.join();
+        stats
     }
 }

@@ -42,7 +42,7 @@ pub use kernel::KernelApi;
 pub use munin_obs::{CovRow, CoverageMap, CoverageSnapshot, Transition};
 pub use op::{DsmOp, OpOutcome, OpResult};
 pub use report::RunReport;
-pub use thread::ThreadCtx;
+pub use thread::{panic_message, ThreadCtx};
 pub use tracer::{NullTracer, TraceEvent, Tracer};
 pub use transport::TransportConfig;
 pub use world::{Kernel, Server, World, WorldBuilder};

@@ -187,7 +187,9 @@ impl ThreadCtx {
     }
 }
 
-fn panic_message(p: &(dyn Any + Send)) -> String {
+/// The text of a caught panic payload (every kernel reports application
+/// and step panics through this).
+pub fn panic_message(p: &(dyn Any + Send)) -> String {
     p.downcast_ref::<String>()
         .cloned()
         .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))

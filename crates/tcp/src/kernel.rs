@@ -135,10 +135,6 @@ impl<P> TcpKernel<P> {
 }
 
 impl<P: PayloadInfo + Wire + Clone> NodeKernel<P> for TcpKernel<P> {
-    fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     fn shared(&self) -> &Arc<Shared> {
         &self.shared
     }

@@ -46,12 +46,15 @@
 //!   frames whose reply arrives only after every node's snapshot acked the
 //!   update (see [`registry`] for why that ack-barrier makes cross-stream
 //!   ordering a non-issue).
-//! * **A distributed stall watchdog**: children heartbeat their activity
-//!   epochs and pending-timer counts; when every live thread is blocked
-//!   and nothing progresses anywhere for the stall timeout, the
-//!   coordinator pulls `debug_stuck_state` from every node over the wire
-//!   into the report and poisons the run. `SIGUSR1` triggers the same
-//!   collection on demand for runs that are slow but not stuck.
+//! * **The wall-clock world of `munin-rt`**: a run is an ordinary
+//!   `munin_rt::RtWorldBuilder` handed to [`run_proto`], which plugs this
+//!   fabric into the one run skeleton (`munin_rt::WallFabric`). The stall
+//!   watchdog is `munin-rt`'s: children heartbeat their activity epochs
+//!   and pending-timer counts into its probe; when every live thread is
+//!   blocked and nothing progresses anywhere for the stall timeout, it
+//!   pulls `debug_stuck_state` from every node over the wire into the
+//!   report and the coordinator poisons every child. `SIGUSR1` triggers
+//!   the same collection on demand for runs that are slow but not stuck.
 //! * **Faults surface, they don't hang.** A dead node process or a
 //!   half-closed stream is noticed by the affected reader/writer, recorded
 //!   as an error naming the peer, and poisons the run; blocked threads
@@ -69,11 +72,10 @@ pub mod kernel;
 pub mod link;
 pub mod node;
 pub mod registry;
-pub mod sig;
 pub mod spawn;
 pub mod world;
 
 pub use frames::TestFault;
 pub use kernel::TcpKernel;
 pub use spawn::{node_binary, tcp_support};
-pub use world::TcpWorldBuilder;
+pub use world::run_proto;

@@ -61,8 +61,8 @@ use crate::registry::{RegCache, RegClient, RegWritePath};
 use munin_net::NetStats;
 use munin_proto::{Protocol, Wire};
 use munin_rt::timer::run_timer_thread;
-use munin_rt::{panic_message, MsgBody, NodeEvent, NodeKernel, NodeStep, OpPort, Shared};
-use munin_sim::{DsmOp, OpResult, Server};
+use munin_rt::{MsgBody, NodeEvent, NodeKernel, NodeStep, OpPort, Shared, DUMP_WAIT};
+use munin_sim::{panic_message, DsmOp, OpResult, Server};
 use munin_types::{CostModel, NodeId, ThreadId};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -239,7 +239,7 @@ where
         match catch_unwind(run) {
             Ok(stepped) => stepped.is_some(),
             Err(p) => {
-                let msg = panic_message(p);
+                let msg = panic_message(&*p);
                 self.report(format!("node n{}: protocol step panicked: {msg}", self.node.index()));
                 false
             }
@@ -612,7 +612,7 @@ fn spawn_ctrl_reader<S>(
                         let _ = send_shared(&ctrl_writer, &CtrlFrame::RegUpdateAck { seq });
                     }
                     Ok(CtrlFrame::DumpReq) => {
-                        let text = cell.dump(Duration::from_secs(2));
+                        let text = cell.dump(DUMP_WAIT);
                         let _ = send_shared(&ctrl_writer, &CtrlFrame::DumpReply { text });
                     }
                     Ok(CtrlFrame::Finish) => {

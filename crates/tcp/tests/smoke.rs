@@ -5,8 +5,9 @@
 
 use munin_core::{MuninMsg, MuninProto};
 use munin_ivy::{IvyMsg, IvyProto};
+use munin_rt::RtWorldBuilder;
 use munin_tardis::{TardisMsg, TardisProto};
-use munin_tcp::{tcp_support, TcpWorldBuilder};
+use munin_tcp::{run_proto, tcp_support};
 use munin_types::{
     BarrierDecl, BarrierId, IvyConfig, LockDecl, LockId, MuninConfig, NodeId, ObjectDecl,
     SharingType, SyncDecls, TardisConfig,
@@ -38,7 +39,7 @@ fn munin_counter_across_processes() {
         return;
     }
     for n_nodes in [2usize, 3] {
-        let mut b = TcpWorldBuilder::<MuninMsg>::new(n_nodes);
+        let mut b = RtWorldBuilder::<MuninMsg>::new(n_nodes);
         let ctr = b.declare(
             ObjectDecl::new(
                 munin_types::ObjectId(0),
@@ -63,7 +64,8 @@ fn munin_counter_across_processes() {
                 }
             });
         }
-        let report = b.run_proto::<MuninProto>(MuninConfig::default(), sync_decls(n_nodes as u32));
+        let report =
+            run_proto::<MuninProto>(b, MuninConfig::default(), sync_decls(n_nodes as u32), None);
         report.assert_clean();
         assert_eq!(total.load(Ordering::SeqCst), 10 * n_nodes as i64, "at {n_nodes} nodes");
         assert!(report.stats.messages > 0, "remote atomics must cross the wire");
@@ -77,7 +79,7 @@ fn ivy_lock_counter_across_processes() {
         return;
     }
     let n_nodes = 2usize;
-    let mut b = TcpWorldBuilder::<IvyMsg>::new(n_nodes);
+    let mut b = RtWorldBuilder::<IvyMsg>::new(n_nodes);
     let ctr = b.declare(
         ObjectDecl::new(
             munin_types::ObjectId(0),
@@ -111,7 +113,7 @@ fn ivy_lock_counter_across_processes() {
             }
         });
     }
-    let report = b.run_proto::<IvyProto>(IvyConfig::default(), sync_decls(n_nodes as u32));
+    let report = run_proto::<IvyProto>(b, IvyConfig::default(), sync_decls(n_nodes as u32), None);
     report.assert_clean();
     assert_eq!(total.load(Ordering::SeqCst), 5 * n_nodes as i64);
 }
@@ -125,7 +127,7 @@ fn tardis_lock_counter_across_processes() {
         return;
     }
     let n_nodes = 2usize;
-    let mut b = TcpWorldBuilder::<TardisMsg>::new(n_nodes);
+    let mut b = RtWorldBuilder::<TardisMsg>::new(n_nodes);
     let ctr = b.declare(
         ObjectDecl::new(
             munin_types::ObjectId(0),
@@ -159,7 +161,8 @@ fn tardis_lock_counter_across_processes() {
             }
         });
     }
-    let report = b.run_proto::<TardisProto>(TardisConfig::default(), sync_decls(n_nodes as u32));
+    let report =
+        run_proto::<TardisProto>(b, TardisConfig::default(), sync_decls(n_nodes as u32), None);
     report.assert_clean();
     assert_eq!(total.load(Ordering::SeqCst), 5 * n_nodes as i64);
 }

@@ -17,12 +17,11 @@
 
 use munin_core::MuninProto;
 use munin_ivy::IvyProto;
-use munin_net::PayloadInfo;
-use munin_proto::{Protocol, Wire};
-use munin_rt::RtTuning;
+use munin_proto::Protocol;
+use munin_rt::{RtTuning, RtWorldBuilder};
 use munin_sim::{DsmOp, RunReport};
 use munin_tardis::TardisProto;
-use munin_tcp::{tcp_support, TcpWorldBuilder, TestFault};
+use munin_tcp::{run_proto, tcp_support, TestFault};
 use munin_types::{
     BarrierDecl, BarrierId, ByteRange, NodeId, ObjectDecl, ObjectId, SharingType, SyncDecls,
     TokenState,
@@ -49,22 +48,15 @@ fn decl(name: &str, size: u32, sharing: SharingType, home: u16) -> (ObjectDecl, 
     (ObjectDecl::new(ObjectId(0), name, size, sharing, NodeId(home)), NodeId(home))
 }
 
-/// The bounds `TcpWorldBuilder` puts on a protocol's message type.
-trait Msg: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static {}
-impl<T: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> Msg for T {}
-
 const NODES: usize = 3;
 
 /// Every node writes all of a `share`-byte write-many object homed on the
 /// *next* node, then all meet at the barrier: three multi-MiB transfers
 /// cross at once, each node sending one while it receives another.
 /// Repeated, and the home checks what arrived.
-fn flow_control<Pr: Protocol>(cfg: Pr::Config, share: u32) -> RunReport
-where
-    Pr::Msg: Msg,
-{
+fn flow_control<Pr: Protocol>(cfg: Pr::Config, share: u32) -> RunReport {
     const ROUNDS: u8 = 3;
-    let mut b = TcpWorldBuilder::<Pr::Msg>::new(NODES);
+    let mut b = RtWorldBuilder::<Pr::Msg>::new(NODES);
     let objs: Vec<ObjectId> = (0..NODES)
         .map(|i| {
             let (d, home) = decl("share", share, SharingType::WriteMany, ((i + 1) % NODES) as u16);
@@ -88,7 +80,7 @@ where
             }
         });
     }
-    b.run_proto::<Pr>(cfg, one_barrier(NODES as u32))
+    run_proto::<Pr>(b, cfg, one_barrier(NODES as u32), None)
 }
 
 #[test]
@@ -111,13 +103,10 @@ fn crossing_multi_mib_flushes_finish_clean_on_every_protocol() {
 /// in flight against a counter homed on node 1, so node 1's readers queue
 /// on that lock the whole time. Nothing may be lost and the new objects
 /// must work.
-fn alloc_under_load<Pr: Protocol>(cfg: Pr::Config) -> RunReport
-where
-    Pr::Msg: Msg,
-{
+fn alloc_under_load<Pr: Protocol>(cfg: Pr::Config) -> RunReport {
     const ALLOCS: usize = 24;
     const ADDS: i64 = 400;
-    let mut b = TcpWorldBuilder::<Pr::Msg>::new(NODES);
+    let mut b = RtWorldBuilder::<Pr::Msg>::new(NODES);
     let (d, home) = decl("ctr", 8, SharingType::GeneralReadWrite, 1);
     let ctr = b.declare(d, home);
     for i in 0..NODES {
@@ -143,7 +132,7 @@ where
             }
         });
     }
-    b.run_proto::<Pr>(cfg, one_barrier(NODES as u32))
+    run_proto::<Pr>(b, cfg, one_barrier(NODES as u32), None)
 }
 
 /// (Ivy declares every object before the run; it has no `alloc`.)
@@ -160,18 +149,11 @@ fn registry_writes_proceed_under_full_async_windows() {
 /// injected fault, raised inside the step while the node's lock is held).
 /// The run must come back with an error naming the node, well inside the
 /// stall timeout — found by the panic's report, not by the watchdog.
-fn step_panic<Pr: Protocol>(cfg: Pr::Config, victim: u16)
-where
-    Pr::Msg: Msg,
-{
+fn step_panic<Pr: Protocol>(cfg: Pr::Config, victim: u16) {
     let stall = Duration::from_secs(20);
     let mut tuning = RtTuning::default();
     tuning.stall_timeout = stall;
-    let mut b =
-        TcpWorldBuilder::<Pr::Msg>::new(2).tuning(tuning).test_fault(TestFault::StepPanic {
-            node: NodeId(victim),
-            after: Duration::from_millis(300),
-        });
+    let mut b = RtWorldBuilder::<Pr::Msg>::new(2).tuning(tuning);
     let ctrs: Vec<ObjectId> = (0..2)
         .map(|home| {
             let (d, home) = decl("ctr", 8, SharingType::GeneralReadWrite, home);
@@ -186,7 +168,8 @@ where
         });
     }
     let started = Instant::now();
-    let report = b.run_proto::<Pr>(cfg, one_barrier(2));
+    let fault = TestFault::StepPanic { node: NodeId(victim), after: Duration::from_millis(300) };
+    let report = run_proto::<Pr>(b, cfg, one_barrier(2), Some(fault));
     let took = started.elapsed();
     let named = format!("node n{victim}: protocol step panicked");
     assert!(

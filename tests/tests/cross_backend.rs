@@ -17,11 +17,7 @@ fn run_app(app: App, nodes: usize, backend: Backend) {
     // that produced it.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(verify));
     if let Err(p) = outcome {
-        let msg = p
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        let msg = munin_sim::panic_message(&*p);
         panic!("{} x{nodes} on {name}: wrong result: {msg}", app.name());
     }
 }

@@ -158,11 +158,7 @@ fn out_of_bounds_fails_on_native_too() {
         p.run(Backend::Native);
     }))
     .expect_err("out-of-bounds write must fail the native run");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
+    let msg = munin_sim::panic_message(&*err);
     assert!(msg.contains("panicked"), "got: {msg}");
 }
 
