@@ -294,7 +294,11 @@ pub struct ProgramBuilder {
 
 impl ProgramBuilder {
     pub fn new(n_nodes: usize) -> Self {
-        assert!(n_nodes > 0);
+        assert!(
+            (1..=u16::MAX as usize).contains(&n_nodes),
+            "a program has 1 to {} nodes, not {n_nodes}",
+            u16::MAX
+        );
         ProgramBuilder {
             n_nodes,
             objects: Vec::new(),
@@ -377,6 +381,7 @@ impl ProgramBuilder {
     }
 
     /// Declare a typed shared scalar of `T`, homed on node `home`.
+    #[track_caller]
     pub fn scalar<T: Element>(
         &mut self,
         name: &str,
@@ -389,6 +394,7 @@ impl ProgramBuilder {
 
     /// Declare a typed shared scalar from a declaration template (the
     /// scalar analogue of [`ProgramBuilder::array_decl`]).
+    #[track_caller]
     pub fn scalar_decl<T: Element>(
         &mut self,
         mut decl: ObjectDecl,
@@ -404,9 +410,11 @@ impl ProgramBuilder {
     /// return its raw id. Prefer the typed [`ProgramBuilder::array`] /
     /// [`ProgramBuilder::scalar`]; the raw form remains for runtimes and
     /// experiment plumbing that work below the typed layer.
+    #[track_caller]
     pub fn object(&mut self, name: &str, size: u32, sharing: SharingType, home: usize) -> ObjectId {
+        let home = self.home(format_args!("object `{name}`"), home);
         let id = ObjectId(self.objects.len() as u64);
-        let decl = ObjectDecl::new(id, name, size, sharing, NodeId(home as u16));
+        let decl = ObjectDecl::new(id, name, size, sharing, home);
         self.objects.push(decl);
         id
     }
@@ -414,33 +422,52 @@ impl ProgramBuilder {
     /// Declare a shared object from a full declaration template (for
     /// lock-associated migratory objects and eager producer-consumer
     /// objects). The id and home are overwritten.
+    #[track_caller]
     pub fn object_decl(&mut self, mut decl: ObjectDecl, home: usize) -> ObjectId {
+        decl.home = self.home(format_args!("object `{}`", decl.name), home);
         let id = ObjectId(self.objects.len() as u64);
         decl.id = id;
-        decl.home = NodeId(home as u16);
         self.objects.push(decl);
         id
     }
 
     /// Declare a distributed lock homed on `home`.
+    #[track_caller]
     pub fn lock(&mut self, home: usize) -> LockId {
         let id = LockId(self.locks.len() as u32);
-        self.locks.push(LockDecl { id, home: NodeId(home as u16) });
+        let home = self.home(format_args!("lock {}", id.0), home);
+        self.locks.push(LockDecl { id, home });
         id
     }
 
     /// Declare a barrier with `count` participants, homed on `home`.
+    #[track_caller]
     pub fn barrier(&mut self, home: usize, count: u32) -> BarrierId {
         let id = BarrierId(self.barriers.len() as u32);
-        self.barriers.push(BarrierDecl { id, home: NodeId(home as u16), count });
+        let home = self.home(format_args!("barrier {}", id.0), home);
+        self.barriers.push(BarrierDecl { id, home, count });
         id
     }
 
     /// Declare a condition variable homed on `home` (Munin backend only).
+    #[track_caller]
     pub fn cond(&mut self, home: usize) -> CondId {
         let id = CondId(self.conds.len() as u32);
-        self.conds.push(CondDecl { id, home: NodeId(home as u16) });
+        let home = self.home(format_args!("cond {}", id.0), home);
+        self.conds.push(CondDecl { id, home });
         id
+    }
+
+    /// `home` as a node id, checked where `what` is declared: every
+    /// protocol indexes its per-node tables by it.
+    #[track_caller]
+    fn home(&self, what: std::fmt::Arguments<'_>, home: usize) -> NodeId {
+        assert!(
+            home < self.n_nodes,
+            "{what} homed on node {home}, but the program has {} node(s)",
+            self.n_nodes
+        );
+        NodeId(home as u16)
     }
 
     /// Spawn a program thread on node `node`.
@@ -795,5 +822,60 @@ mod tests {
             "owned spin page: constant messages, got {}",
             ivy.stats.messages
         );
+    }
+
+    // A home past the node count is refused where it is declared, on every
+    // backend alike: the protocols index their per-node tables by it.
+
+    #[test]
+    #[should_panic(expected = "lock 1 homed on node 2, but the program has 2 node(s)")]
+    fn lock_homed_off_the_world_panics() {
+        let mut p = ProgramBuilder::new(2);
+        p.lock(1);
+        p.lock(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "barrier 0 homed on node 3, but the program has 2 node(s)")]
+    fn barrier_homed_off_the_world_panics() {
+        ProgramBuilder::new(2).barrier(3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "cond 0 homed on node 2, but the program has 2 node(s)")]
+    fn cond_homed_off_the_world_panics() {
+        ProgramBuilder::new(2).cond(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "object `grid` homed on node 4, but the program has 4 node(s)")]
+    fn object_homed_off_the_world_panics() {
+        ProgramBuilder::new(4).object("grid", 64, SharingType::WriteMany, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "object `queue` homed on node 9, but the program has 1 node(s)")]
+    fn object_decl_homed_off_the_world_panics() {
+        let decl = ObjectDecl::template("queue", SharingType::Migratory);
+        ProgramBuilder::new(1).object_decl(decl, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "object `v` homed on node 2, but the program has 2 node(s)")]
+    fn typed_array_homed_off_the_world_panics() {
+        ProgramBuilder::new(2).array::<f64>("v", 8, SharingType::WriteMany, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "object `s` homed on node 70000, but the program has 2 node(s)")]
+    fn typed_scalar_homed_off_the_world_panics() {
+        // Checked before the cast: `70_000 as u16` would wrap to node 4464.
+        ProgramBuilder::new(2).scalar::<i64>("s", SharingType::GeneralReadWrite, 70_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "a program has 1 to 65535 nodes, not 65536")]
+    fn program_with_more_nodes_than_node_ids_panics() {
+        ProgramBuilder::new(1 << 16);
     }
 }

@@ -1,96 +1,19 @@
 //! Regenerate every table/figure of the Munin paper's evaluation content.
 //!
 //! ```text
-//! repro all            # everything (the EXPERIMENTS.md data)
+//! repro all            # everything
 //! repro e1 e5 e13      # selected experiments
-//! repro --quick all    # reduced scales (what the test suite asserts on)
+//! repro --quick all    # reduced scales (tests/golden/repro_quick.txt)
 //! ```
-
-use munin_bench::{adapt_exp, false_sharing, hardware, proto_exp, study, traffic, Table};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let selected: Vec<String> =
         args.iter().filter(|a| !a.starts_with("--")).map(|a| a.to_lowercase()).collect();
-    let want = |id: &str| {
-        selected.is_empty() || selected.iter().any(|s| s == "all" || s == &id.to_lowercase())
-    };
+    let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == "all" || s == id);
 
-    let nodes = if quick { 3 } else { 4 };
-    let sweep: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
-
-    let mut tables: Vec<Table> = Vec::new();
-    if want("e1") {
-        eprintln!("running E1 (sharing taxonomy)...");
-        tables.push(study::e1_taxonomy(nodes));
-    }
-    if want("e2") {
-        eprintln!("running E2 (study statistics)...");
-        tables.push(study::e2_study_stats(nodes));
-    }
-    if want("e3") {
-        eprintln!("running E3 (figure 1)...");
-        tables.push(study::e3_figure1());
-    }
-    if want("e4") {
-        eprintln!("running E4 (Munin vs Ivy, all apps)...");
-        tables.push(traffic::e4_munin_vs_ivy(nodes));
-    }
-    if want("e5") {
-        eprintln!("running E5 (matmul delayed updates)...");
-        tables.push(traffic::e5_matmul_duq(nodes, if quick { &[16, 32] } else { &[16, 32, 48] }));
-    }
-    if want("e6") {
-        eprintln!("running E6 (migratory objects)...");
-        tables.push(proto_exp::e6_migratory(sweep, if quick { 4 } else { 8 }));
-    }
-    if want("e7") {
-        eprintln!("running E7 (producer-consumer)...");
-        tables.push(proto_exp::e7_producer_consumer(if quick { &[3] } else { &[2, 4, 8] }));
-    }
-    if want("e8") {
-        eprintln!("running E8 (invalidate vs refresh)...");
-        tables.push(adapt_exp::e8_inval_vs_refresh(
-            if quick { 3 } else { 6 },
-            if quick { 12 } else { 24 },
-        ));
-    }
-    if want("e9") {
-        eprintln!("running E9 (replication vs remote access)...");
-        tables.push(adapt_exp::e9_replication(
-            if quick { 2 } else { 4 },
-            if quick { 40 } else { 120 },
-        ));
-    }
-    if want("e10") {
-        eprintln!("running E10 (false sharing)...");
-        tables.push(false_sharing::e10_false_sharing(
-            if quick { 3 } else { 6 },
-            if quick { 6 } else { 16 },
-        ));
-    }
-    if want("e11") {
-        eprintln!("running E11 (adaptive typing)...");
-        tables.push(adapt_exp::e11_adaptive_typing(if quick { 30 } else { 60 }));
-    }
-    if want("e12") {
-        eprintln!("running E12 (scaling)...");
-        tables.push(traffic::e12_scaling(sweep));
-    }
-    if want("e13") {
-        eprintln!("running E13 (lock contention)...");
-        tables.push(proto_exp::e13_locks(sweep, if quick { 4 } else { 8 }));
-    }
-    if want("e15") {
-        eprintln!("running E15 (hardware sensitivity)...");
-        tables.push(hardware::e15_hardware(nodes));
-    }
-    if want("e14") {
-        eprintln!("running E14 (DUQ combining)...");
-        tables.push(proto_exp::e14_duq(&[1, 4, 16, 64]));
-    }
-
+    let tables = munin_bench::run_experiments(quick, want);
     for t in &tables {
         println!("{t}");
     }

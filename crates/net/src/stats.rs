@@ -1,6 +1,7 @@
 //! Traffic accounting.
 //!
-//! Every experiment table in `EXPERIMENTS.md` is ultimately a readout of this
+//! Every experiment table of the paper's evaluation (pinned in
+//! `tests/golden/repro_quick.txt`) is ultimately a readout of this
 //! structure: messages and bytes, split by [`MsgClass`] and by fine-grained
 //! message kind, plus multicast savings.
 

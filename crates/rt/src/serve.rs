@@ -23,9 +23,11 @@
 
 use crate::fabric::{MsgBody, NodeEvent, Shared};
 use munin_net::PayloadInfo;
-use munin_sim::{DsmOp, KernelApi, OpOutcome, OpResult, Server};
+use munin_sim::{panic_message, DsmOp, KernelApi, OpOutcome, OpResult, Server};
 use munin_types::{NodeId, ThreadId};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -212,7 +214,12 @@ where
 /// `try_recv`s up to `BATCH_MAX` events in total and hands them to
 /// [`NodeStep::step`] as one step. Returns this node's traffic shard for
 /// the world to merge at teardown.
+///
+/// A panicking step ends the loop the way it ends a TCP node's cell: one
+/// error naming the node, and the run poisoned, so the threads blocked on
+/// this node tear down instead of reporting a clean run.
 pub fn server_loop<S, K>(
+    node: NodeId,
     server: S,
     kernel: K,
     inbox: Receiver<NodeEvent<S::Payload>>,
@@ -222,7 +229,7 @@ where
     K: NodeKernel<S::Payload>,
 {
     let shared = kernel.shared().clone();
-    let mut node = NodeStep::new(server, kernel);
+    let mut step = NodeStep::new(server, kernel);
     loop {
         let first = match inbox.recv_timeout(Duration::from_millis(50)) {
             Ok(ev) => ev,
@@ -238,9 +245,17 @@ where
             Err(RecvTimeoutError::Disconnected) => break,
         };
         let rest = std::iter::from_fn(|| inbox.try_recv().ok());
-        if !node.step(std::iter::once(first).chain(rest).take(BATCH_MAX)) {
-            break;
+        let events = std::iter::once(first).chain(rest).take(BATCH_MAX);
+        match catch_unwind(AssertUnwindSafe(|| step.step(events))) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(p) => {
+                let msg = panic_message(&*p);
+                shared.error(format!("node n{}: protocol step panicked: {msg}", node.index()));
+                shared.poisoned.store(true, Ordering::Release);
+                break;
+            }
         }
     }
-    node.kernel.take_stats()
+    step.kernel.take_stats()
 }

@@ -431,7 +431,7 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtFabric<P> {
                 };
                 std::thread::Builder::new()
                     .name(format!("rt-node-{i}"))
-                    .spawn(move || server_loop(server, kernel, inbox))
+                    .spawn(move || server_loop(NodeId(i as u16), server, kernel, inbox))
                     .expect("failed to spawn server thread")
             })
             .collect();
@@ -493,5 +493,63 @@ impl<P: Send + Sync + 'static> WallFabric for RtFabric<P> {
         drop(self.timer_tx);
         let _ = self.timer.join();
         stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use munin_net::{MsgClass, PayloadInfo};
+    use munin_sim::{KernelApi, OpOutcome};
+    use munin_types::LockId;
+
+    #[derive(Debug, Clone)]
+    struct NoMsg;
+
+    impl PayloadInfo for NoMsg {
+        fn class(&self) -> MsgClass {
+            MsgClass::Control
+        }
+        fn kind(&self) -> &'static str {
+            "NoMsg"
+        }
+        fn wire_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    /// A server whose lock table was sized from the wrong count: a lock op
+    /// indexes past it, as a lock homed on a node that does not exist
+    /// would.
+    struct ShortLockTable {
+        holders: Vec<Option<ThreadId>>,
+    }
+
+    impl Server for ShortLockTable {
+        type Payload = NoMsg;
+        fn on_op(&mut self, _k: &mut dyn KernelApi<NoMsg>, t: ThreadId, op: DsmOp) -> OpOutcome {
+            if let DsmOp::Lock(lock) = op {
+                self.holders[lock.0 as usize] = Some(t);
+            }
+            OpOutcome::unit(0)
+        }
+        fn on_message(&mut self, _k: &mut dyn KernelApi<NoMsg>, _from: NodeId, _p: NoMsg) {}
+    }
+
+    /// A panicking protocol step is a run error naming the node, not a
+    /// clean run: the blocked thread's teardown panic stays silent, so
+    /// without the server loop's report nothing would say what happened.
+    #[test]
+    fn a_panicking_protocol_step_fails_the_run() {
+        let mut b = RtWorldBuilder::<NoMsg>::new(2);
+        b.spawn(NodeId(1), |ctx| ctx.lock(LockId(5)));
+        let report = b.run((0..2).map(|_| ShortLockTable { holders: Vec::new() }).collect());
+        assert!(!report.is_clean(), "a step panic must not leave a clean report");
+        assert!(
+            report.errors[0].starts_with("node n1: protocol step panicked: index out of bounds"),
+            "{:#?}",
+            report.errors
+        );
+        assert_eq!(report.errors.len(), 1, "{:#?}", report.errors);
     }
 }

@@ -49,49 +49,9 @@ impl Tracer for NullTracer {
     fn record(&mut self, _event: TraceEvent<'_>) {}
 }
 
-/// A tracer that counts events — handy in tests.
-#[derive(Debug, Default)]
-pub struct CountingTracer {
-    pub ops_issued: u64,
-    pub ops_completed: u64,
-    pub messages: u64,
-}
-
-impl Tracer for CountingTracer {
-    fn record(&mut self, event: TraceEvent<'_>) {
-        match event {
-            TraceEvent::OpIssued { .. } => self.ops_issued += 1,
-            TraceEvent::OpCompleted { .. } => self.ops_completed += 1,
-            TraceEvent::MessageSent { .. } => self.messages += 1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counting_tracer_counts() {
-        let mut t = CountingTracer::default();
-        t.record(TraceEvent::OpIssued {
-            at: VirtualTime::ZERO,
-            thread: ThreadId(0),
-            node: NodeId(0),
-            op: &DsmOp::Compute(5),
-        });
-        t.record(TraceEvent::MessageSent {
-            at: VirtualTime::ZERO,
-            src: NodeId(0),
-            dst: NodeId(1),
-            class: MsgClass::Data,
-            kind: "X",
-            bytes: 10,
-        });
-        assert_eq!(t.ops_issued, 1);
-        assert_eq!(t.messages, 1);
-        assert_eq!(t.ops_completed, 0);
-    }
 
     #[test]
     fn null_tracer_is_send() {
