@@ -627,7 +627,7 @@ impl ProgramBuilder {
                     debug_assert_eq!(id, d.id, "builder ids must stay dense");
                 }
                 for (node, body) in self.threads {
-                    b.spawn(node, move |ctx: &mut RtCtx<Pr::Msg>| body(ctx));
+                    b.spawn(node, move |ctx: &mut RtCtx| body(ctx));
                 }
                 match fabric {
                     Fabric::Rt => b.run(servers()),

@@ -15,16 +15,18 @@
 //!    (fetch once, edit locally, write back once), the natural shape for
 //!    stripe-local write-many access.
 
-use munin_sim::ThreadCtx;
+use munin_sim::DsmThread;
 use munin_types::element::{bytes_of, bytes_of_mut};
 use munin_types::{
     BarrierId, ByteRange, CondId, Element, LockId, ObjectId, OpToken, SharedArray, SharedScalar,
     TokenState, TokenValue,
 };
+use std::borrow::Cow;
 
 /// What a parallel program may do: shared-object access plus explicit
-/// synchronization. One implementation runs on the simulator (Munin or Ivy
-/// servers underneath), another on native threads.
+/// synchronization. Every DSM fabric (the simulator, rt, TCP; any protocol
+/// underneath) implements it once, through [`DsmThread`]; native threads
+/// implement it directly.
 ///
 /// Applications should not call the byte-level methods directly — use the
 /// typed layer ([`ParTyped`]) through [`SharedArray`] / [`SharedScalar`]
@@ -75,9 +77,9 @@ pub trait Par {
     //
     // The defaults complete the op immediately and hand back a Ready token,
     // which is the correct degenerate pipelining for backends whose ops
-    // already finish inline (the simulator, the native backend). The
-    // real-time kernels override these with a genuinely asynchronous issue
-    // path bounded by `munin_rt::MAX_INFLIGHT`.
+    // already finish inline (the native backend). The DSM contexts take
+    // theirs from `DsmThread`, whose wall-clock implementations keep up to
+    // `munin_rt::MAX_INFLIGHT` ops in flight.
 
     /// Issue a write without waiting for completion. The op is complete by
     /// the time the returned state is redeemed ([`Par::token_wait`]) or the
@@ -110,119 +112,68 @@ pub trait Par {
     fn drain_ops(&mut self) {}
 }
 
-impl Par for ThreadCtx {
+/// Every DSM thread context is a `Par`: the simulator's and both wall-clock
+/// fabrics' (generic over the protocol message type). The mapping is
+/// written once, over [`DsmThread`], which also owns the op encoding.
+impl<T: DsmThread + ?Sized> Par for T {
     fn self_id(&self) -> usize {
         self.thread_id().index()
     }
     fn n_threads(&self) -> usize {
-        ThreadCtx::n_threads(self)
+        DsmThread::n_threads(self)
     }
     fn read_raw_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
-        ThreadCtx::read_into(self, obj, range, out)
+        DsmThread::read_into(self, obj, range, out)
     }
     fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
-        ThreadCtx::write_raw(self, obj, start, data)
+        DsmThread::write_raw(self, obj, start, data)
     }
     fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        // The simulator's op already hands us an owned buffer; return it
-        // rather than copying into a second one.
-        ThreadCtx::read(self, obj, range)
-    }
-    fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        ThreadCtx::write(self, obj, start, data)
-    }
-    fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64 {
-        ThreadCtx::fetch_add(self, obj, offset, delta)
-    }
-    fn lock(&mut self, lock: LockId) {
-        ThreadCtx::lock(self, lock)
-    }
-    fn unlock(&mut self, lock: LockId) {
-        ThreadCtx::unlock(self, lock)
-    }
-    fn barrier(&mut self, barrier: BarrierId) {
-        ThreadCtx::barrier(self, barrier)
-    }
-    fn cond_wait(&mut self, cond: CondId, lock: LockId) {
-        ThreadCtx::cond_wait(self, cond, lock)
-    }
-    fn cond_signal(&mut self, cond: CondId, broadcast: bool) {
-        self.op(munin_sim::DsmOp::CondSignal { cond, broadcast }).expect_unit()
-    }
-    fn phase(&mut self, phase: u32) {
-        ThreadCtx::phase(self, phase)
-    }
-    fn compute(&mut self, us: u64) {
-        ThreadCtx::compute(self, us)
-    }
-    fn flush(&mut self) {
-        ThreadCtx::flush(self)
-    }
-}
-
-/// The real-time kernel's thread handle speaks the same op protocol as the
-/// simulator's, so the `Par` mapping is identical (generic over the
-/// protocol message type — one impl serves MuninRt and IvyRt).
-impl<P> Par for munin_rt::RtCtx<P> {
-    fn self_id(&self) -> usize {
-        self.thread_id().index()
-    }
-    fn n_threads(&self) -> usize {
-        munin_rt::RtCtx::n_threads(self)
-    }
-    fn read_raw_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
-        munin_rt::RtCtx::read_into(self, obj, range, out)
-    }
-    fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
-        munin_rt::RtCtx::write_raw(self, obj, start, data)
-    }
-    fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        // The op reply hands us an owned buffer; return it rather than
+        // The op already hands us an owned buffer; return it rather than
         // copying into a second one.
-        munin_rt::RtCtx::read(self, obj, range)
+        DsmThread::read(self, obj, range)
     }
     fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        munin_rt::RtCtx::write(self, obj, start, data)
+        DsmThread::write(self, obj, start, data)
     }
     fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64 {
-        munin_rt::RtCtx::fetch_add(self, obj, offset, delta)
+        DsmThread::fetch_add(self, obj, offset, delta)
     }
     fn lock(&mut self, lock: LockId) {
-        munin_rt::RtCtx::lock(self, lock)
+        DsmThread::lock(self, lock)
     }
     fn unlock(&mut self, lock: LockId) {
-        munin_rt::RtCtx::unlock(self, lock)
+        DsmThread::unlock(self, lock)
     }
     fn barrier(&mut self, barrier: BarrierId) {
-        munin_rt::RtCtx::barrier(self, barrier)
+        DsmThread::barrier(self, barrier)
     }
     fn cond_wait(&mut self, cond: CondId, lock: LockId) {
-        munin_rt::RtCtx::cond_wait(self, cond, lock)
+        DsmThread::cond_wait(self, cond, lock)
     }
     fn cond_signal(&mut self, cond: CondId, broadcast: bool) {
-        self.op(munin_sim::DsmOp::CondSignal { cond, broadcast }).expect_unit()
+        DsmThread::cond_signal(self, cond, broadcast)
     }
     fn phase(&mut self, phase: u32) {
-        munin_rt::RtCtx::phase(self, phase)
+        DsmThread::phase(self, phase)
     }
     fn compute(&mut self, us: u64) {
-        munin_rt::RtCtx::compute(self, us)
+        DsmThread::compute(self, us)
     }
     fn flush(&mut self) {
-        munin_rt::RtCtx::flush(self)
+        DsmThread::flush(self)
     }
     fn write_raw_async(&mut self, obj: ObjectId, start: u32, data: &[u8]) -> TokenState {
-        let range = ByteRange::new(start, data.len() as u32);
-        self.op_async(munin_sim::DsmOp::Write { obj, range, data: data.to_vec() })
+        DsmThread::write_raw_async(self, obj, start, data)
     }
     fn fetch_add_async(&mut self, obj: ObjectId, offset: u32, delta: i64) -> TokenState {
-        self.op_async(munin_sim::DsmOp::AtomicFetchAdd { obj, offset, delta })
+        DsmThread::fetch_add_async(self, obj, offset, delta)
     }
     fn token_wait(&mut self, state: TokenState) -> i64 {
-        munin_rt::RtCtx::token_wait(self, state)
+        DsmThread::token_wait(self, state)
     }
     fn drain_ops(&mut self) {
-        munin_rt::RtCtx::drain_ops(self)
+        DsmThread::drain_ops(self)
     }
 }
 
@@ -231,6 +182,19 @@ fn decode_into<T: Element>(bytes: &[u8], out: &mut [T]) {
     for (chunk, slot) in bytes.chunks_exact(T::SIZE).zip(out.iter_mut()) {
         *slot = T::read_le(chunk);
     }
+}
+
+/// `vals` in the little-endian wire format: borrowed as is on a
+/// little-endian host, transcoded into a fresh buffer on a big-endian one.
+fn le_bytes<T: Element>(vals: &[T]) -> Cow<'_, [u8]> {
+    if cfg!(target_endian = "little") {
+        return Cow::Borrowed(bytes_of(vals));
+    }
+    let mut bytes = vec![0u8; vals.len() * T::SIZE];
+    for (chunk, v) in bytes.chunks_exact_mut(T::SIZE).zip(vals) {
+        v.write_le(chunk);
+    }
+    Cow::Owned(bytes)
 }
 
 /// Typed, bounds-checked access to shared objects through
@@ -258,15 +222,7 @@ pub trait ParTyped: Par {
     #[track_caller]
     fn write_from<T: Element>(&mut self, arr: &SharedArray<T>, start: u32, vals: &[T]) {
         let range = arr.byte_range(start, vals.len() as u32);
-        if cfg!(target_endian = "little") {
-            self.write_raw(arr.id(), range.start, bytes_of(vals));
-        } else {
-            let mut bytes = vec![0u8; vals.len() * T::SIZE];
-            for (chunk, v) in bytes.chunks_exact_mut(T::SIZE).zip(vals) {
-                v.write_le(chunk);
-            }
-            self.write_raw(arr.id(), range.start, &bytes);
-        }
+        self.write_raw(arr.id(), range.start, &le_bytes(vals));
     }
 
     /// Read `n` elements starting at `start` into a fresh `Vec`.
@@ -337,16 +293,7 @@ pub trait ParTyped: Par {
         vals: &[T],
     ) -> OpToken<()> {
         let range = arr.byte_range(start, vals.len() as u32);
-        let state = if cfg!(target_endian = "little") {
-            self.write_raw_async(arr.id(), range.start, bytes_of(vals))
-        } else {
-            let mut bytes = vec![0u8; vals.len() * T::SIZE];
-            for (chunk, v) in bytes.chunks_exact_mut(T::SIZE).zip(vals) {
-                v.write_le(chunk);
-            }
-            self.write_raw_async(arr.id(), range.start, &bytes)
-        };
-        OpToken::from_state(state)
+        OpToken::from_state(self.write_raw_async(arr.id(), range.start, &le_bytes(vals)))
     }
 
     /// Asynchronous [`ParTyped::set`].
@@ -458,15 +405,7 @@ impl<P: Par + ?Sized, T: Element> Region<'_, P, T> {
         if self.dirty {
             self.dirty = false;
             let range = self.arr.byte_range(self.start, self.buf.len() as u32);
-            if cfg!(target_endian = "little") {
-                self.par.write_raw(self.arr.id(), range.start, bytes_of(&self.buf));
-            } else {
-                let mut bytes = vec![0u8; self.buf.len() * T::SIZE];
-                for (chunk, v) in bytes.chunks_exact_mut(T::SIZE).zip(&self.buf) {
-                    v.write_le(chunk);
-                }
-                self.par.write_raw(self.arr.id(), range.start, &bytes);
-            }
+            self.par.write_raw(self.arr.id(), range.start, &le_bytes(&self.buf));
         }
     }
 }

@@ -12,7 +12,7 @@
 
 use munin_net::{MsgClass, PayloadInfo};
 use munin_sim::{
-    DsmOp, KernelApi, OpOutcome, OpResult, RunReport, Server, ThreadCtx, WorldBuilder,
+    DsmOp, DsmThread, KernelApi, OpOutcome, OpResult, RunReport, Server, ThreadCtx, WorldBuilder,
 };
 use munin_types::{NodeId, ThreadId};
 use std::sync::{Arc, Mutex};

@@ -1,7 +1,7 @@
 //! Edge-case and failure-path tests for the Munin runtime.
 
 use munin_core::{MuninServer, SyncDecls};
-use munin_sim::{RunReport, ThreadCtx, WorldBuilder};
+use munin_sim::{DsmThread, RunReport, ThreadCtx, WorldBuilder};
 use munin_types::{
     BarrierId, ByteRange, CondId, LockId, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType,
 };
@@ -186,7 +186,7 @@ fn cond_broadcast_wakes_all_waiters() {
             ctx.compute(20_000);
             ctx.lock(LockId(0));
             ctx.write(flag, 0, 1i64.to_le_bytes().to_vec());
-            ctx.cond_broadcast(CondId(0));
+            ctx.cond_signal(CondId(0), true);
             ctx.unlock(LockId(0));
         });
     });

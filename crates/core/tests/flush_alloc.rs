@@ -8,7 +8,7 @@
 //! full-object-sized allocation.
 
 use munin_core::{MuninServer, SyncDecls};
-use munin_sim::{RunReport, ThreadCtx, WorldBuilder};
+use munin_sim::{DsmThread, RunReport, ThreadCtx, WorldBuilder};
 use munin_types::{ByteRange, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType};
 
 #[path = "../../mem/testsupport/counting_alloc.rs"]

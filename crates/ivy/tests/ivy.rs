@@ -2,7 +2,7 @@
 //! granularity and false sharing, DSM-resident synchronization.
 
 use munin_ivy::IvyServer;
-use munin_sim::{RunReport, ThreadCtx, WorldBuilder};
+use munin_sim::{DsmThread, RunReport, ThreadCtx, WorldBuilder};
 use munin_types::{
     AllocPolicy, BarrierId, ByteRange, IvyConfig, LockId, NodeId, ObjectDecl, ObjectId,
     SharingType, SyncDecls,

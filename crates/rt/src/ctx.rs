@@ -20,12 +20,9 @@ use crate::fabric::{NodeEvent, Shared};
 use crate::world::{ComputeMode, RtTuning};
 use munin_obs::{wall_us, AccessKind, OpClass};
 use munin_sim::report::WaitTable;
-use munin_sim::{DsmOp, OpResult};
-use munin_types::{
-    BarrierId, ByteRange, CondId, LockId, NodeId, ObjectDecl, ObjectId, ThreadId, TokenState,
-};
+use munin_sim::{DsmOp, DsmThread, OpResult};
+use munin_types::{ByteRange, NodeId, ObjectId, ThreadId, TokenState};
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -112,7 +109,7 @@ struct WcBuf {
 }
 
 /// Handle through which application code talks to the real-time DSM.
-pub struct RtCtx<P> {
+pub struct RtCtx {
     pub(crate) thread: ThreadId,
     pub(crate) node: NodeId,
     pub(crate) n_nodes: usize,
@@ -136,13 +133,9 @@ pub struct RtCtx<P> {
     claimable: Vec<(u64, &'static str, OpResult)>,
     /// Pending write-combining buffer, flushed by any non-write op.
     wc: Option<WcBuf>,
-    /// The protocol payload type of the world this context belongs to (the
-    /// harness picks the `Par` impl by it); the context itself never
-    /// touches a payload.
-    _payload: PhantomData<fn() -> P>,
 }
 
-impl<P> RtCtx<P> {
+impl RtCtx {
     /// Assemble a context over `to_server`, the fabric's [`OpPort`] for this
     /// thread's node. `munin-tcp`'s coordinator hosts every application
     /// thread and uses this to point each one at its logical node.
@@ -171,30 +164,11 @@ impl<P> RtCtx<P> {
             pending: VecDeque::new(),
             claimable: Vec::new(),
             wc: None,
-            _payload: PhantomData,
         }
     }
+}
 
-    /// This thread's global id.
-    pub fn thread_id(&self) -> ThreadId {
-        self.thread
-    }
-
-    /// The node this thread runs on.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Total nodes in the world.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// Total application threads in the world.
-    pub fn n_threads(&self) -> usize {
-        self.n_threads
-    }
-
+impl DsmThread for RtCtx {
     /// Issue a raw operation and block until the protocol completes it.
     ///
     /// `Compute` never reaches the server: the calling thread performs it
@@ -209,7 +183,7 @@ impl<P> RtCtx<P> {
     /// Panics if the watchdog poisoned the run (the panic is caught by the
     /// harness wrapper and reported as a run error, mirroring the
     /// simulator's deadlock teardown).
-    pub fn op(&mut self, op: DsmOp) -> OpResult {
+    fn op(&mut self, op: DsmOp) -> OpResult {
         let label = op.label();
         self.check_issue_poison(label);
         let issued = Instant::now();
@@ -230,10 +204,10 @@ impl<P> RtCtx<P> {
     }
 
     /// Issue an operation without waiting; returns a token state redeemable
-    /// with [`RtCtx::token_wait`]. Writes go through the combining buffer
+    /// with [`DsmThread::token_wait`]. Writes go through the combining buffer
     /// and come back [`TokenState::Ready`] — the combined op is emitted
     /// (still async) by the next non-write op.
-    pub fn op_async(&mut self, op: DsmOp) -> TokenState {
+    fn op_async(&mut self, op: DsmOp) -> TokenState {
         let label = op.label();
         self.check_issue_poison(label);
         let issued = Instant::now();
@@ -259,7 +233,7 @@ impl<P> RtCtx<P> {
     }
 
     /// Redeem a token: the raw result of the async op (0 for unit results).
-    pub fn token_wait(&mut self, state: TokenState) -> i64 {
+    fn token_wait(&mut self, state: TokenState) -> i64 {
         match state {
             TokenState::Ready(v) => v,
             TokenState::Pending(seq) => {
@@ -279,7 +253,7 @@ impl<P> RtCtx<P> {
     /// Complete every in-flight op (including the write-combining buffer).
     /// Blocking ops do this implicitly; applications only need it to bound
     /// the in-flight window by hand.
-    pub fn drain_ops(&mut self) {
+    fn drain_ops(&mut self) {
         self.flush_wc();
         if !self.pending.is_empty() {
             let issued = Instant::now();
@@ -298,6 +272,24 @@ impl<P> RtCtx<P> {
         }
     }
 
+    fn thread_id(&self) -> ThreadId {
+        self.thread
+    }
+
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn n_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    fn n_threads(&self) -> usize {
+        self.n_threads
+    }
+}
+
+impl RtCtx {
     // ---- the pipelined issue/receive machinery --------------------------
 
     /// Issue-time poison check: on a distributed run a lost peer poisons
@@ -507,96 +499,6 @@ impl<P> RtCtx<P> {
         self.issue(DsmOp::Write { obj: b.obj, range, data: b.data }, "write", false, true);
     }
 
-    // ---- convenience wrappers (same surface as the simulator's
-    // ThreadCtx, so the API harness treats both uniformly) ----------------
-
-    /// Allocate a shared object; `id`/`home` are filled in by the runtime.
-    pub fn alloc(&mut self, decl: ObjectDecl) -> ObjectId {
-        self.op(DsmOp::Alloc(decl)).into_object()
-    }
-
-    /// Read a byte range of an object.
-    pub fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        self.op(DsmOp::Read { obj, range }).into_bytes()
-    }
-
-    /// Read a byte range into a caller-owned buffer (`out.len()` must equal
-    /// `range.len`).
-    pub fn read_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
-        let bytes = self.op(DsmOp::Read { obj, range }).into_bytes();
-        assert_eq!(
-            out.len(),
-            bytes.len(),
-            "read_into buffer is {} bytes for a {} byte range",
-            out.len(),
-            bytes.len()
-        );
-        out.copy_from_slice(&bytes);
-    }
-
-    /// Write bytes at `start` within an object. Consecutive contiguous
-    /// writes coalesce client-side and complete asynchronously by the next
-    /// non-write op; program order per thread is preserved.
-    pub fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        let range = ByteRange::new(start, data.len() as u32);
-        // Always `Ready`: nothing to redeem, and an error of the combined
-        // write fails closed in `park_result`.
-        let _ = self.op_async(DsmOp::Write { obj, range, data });
-    }
-
-    /// Write borrowed bytes at `start` within an object.
-    pub fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
-        self.write(obj, start, data.to_vec());
-    }
-
-    /// Atomic fetch-and-add on the i64 at `offset`; returns the old value.
-    pub fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64 {
-        self.op(DsmOp::AtomicFetchAdd { obj, offset, delta }).into_value()
-    }
-
-    pub fn lock(&mut self, lock: LockId) {
-        self.op(DsmOp::Lock(lock)).expect_unit();
-    }
-
-    pub fn unlock(&mut self, lock: LockId) {
-        self.op(DsmOp::Unlock(lock)).expect_unit();
-    }
-
-    pub fn barrier(&mut self, barrier: BarrierId) {
-        self.op(DsmOp::BarrierWait(barrier)).expect_unit();
-    }
-
-    /// Monitor wait: releases `lock`, waits for a signal, re-acquires.
-    pub fn cond_wait(&mut self, cond: CondId, lock: LockId) {
-        self.op(DsmOp::CondWait { cond, lock }).expect_unit();
-    }
-
-    pub fn cond_signal(&mut self, cond: CondId) {
-        self.op(DsmOp::CondSignal { cond, broadcast: false }).expect_unit();
-    }
-
-    pub fn cond_broadcast(&mut self, cond: CondId) {
-        self.op(DsmOp::CondSignal { cond, broadcast: true }).expect_unit();
-    }
-
-    /// Flush this thread's delayed update queue.
-    pub fn flush(&mut self) {
-        self.op(DsmOp::Flush).expect_unit();
-    }
-
-    /// Mark the beginning of program phase `n`.
-    pub fn phase(&mut self, n: u32) {
-        self.op(DsmOp::Phase(n)).expect_unit();
-    }
-
-    /// Perform `us` microseconds of modelled computation on *this* thread
-    /// (see [`ComputeMode`]); never involves the server. Goes through
-    /// [`RtCtx::op`] so the op counter and wait table see it, like the
-    /// simulator's compute handling.
-    pub fn compute(&mut self, us: u64) {
-        self.op(DsmOp::Compute(us)).expect_unit();
-    }
-
     fn compute_inner(&mut self, us: u64) {
         if us == 0 || self.tuning.compute == ComputeMode::Skip {
             return;
@@ -610,9 +512,10 @@ impl<P> RtCtx<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use munin_types::BarrierId;
     use std::sync::mpsc::channel;
 
-    fn lone_ctx() -> (RtCtx<()>, Receiver<NodeEvent<()>>, Sender<OpResult>) {
+    fn lone_ctx() -> (RtCtx, Receiver<NodeEvent<()>>, Sender<OpResult>) {
         let (op_tx, op_rx) = channel();
         let (res_tx, res_rx) = channel();
         let shared = Arc::new(Shared::new(Vec::new(), 1, munin_types::Telemetry::default()));

@@ -1,7 +1,7 @@
 //! # munin-rt
 //!
-//! The **real-time parallel kernel** for the Munin and Ivy protocol
-//! servers — the counterpart of the deterministic virtual-time simulator in
+//! The **real-time parallel kernel** for every protocol server (Munin, Ivy,
+//! Tardis) — the counterpart of the deterministic virtual-time simulator in
 //! `munin-sim`.
 //!
 //! ## Why a second kernel
@@ -39,7 +39,9 @@
 //!   are delivered in send order;
 //! * **a pipelined client** — a thread keeps up to [`MAX_INFLIGHT`] ops in
 //!   flight, combines adjacent writes client-side, and parks on its resume
-//!   channel while it waits;
+//!   channel while it waits. [`RtCtx`] supplies only that issue path, through
+//!   the pipelining hooks of [`munin_sim::DsmThread`]; the application-facing
+//!   wrappers are the simulator's, written once there;
 //! * **a wall-clock timer thread** replacing virtual-time timers (Ivy's
 //!   spin backoff and barrier sense polling work unmodified);
 //! * **a stall watchdog** replacing quiescence-based deadlock detection:
@@ -61,9 +63,9 @@
 //! when the watchdog poisons the run. [`RtWorldBuilder::run`] starts this
 //! crate's channel fabric; `munin_tcp::run_proto` starts the TCP one.
 //!
-//! The protocol crates (`munin-core`, `munin-ivy`) are **unchanged**: they
-//! talk to whichever kernel hosts them through the [`munin_sim::KernelApi`]
-//! seam, and [`RtKernel`] implements it with channels, atomics and a shared
+//! The protocol crates (`munin-core`, `munin-ivy`, `munin-tardis`) know
+//! nothing of this kernel: they talk to whichever kernel hosts them through
+//! the [`munin_sim::KernelApi`] seam, and [`RtKernel`] implements it with channels, atomics and a shared
 //! declaration registry instead of an event queue.
 //!
 //! ## Time, cost, and `compute`

@@ -14,8 +14,9 @@ use crate::sig;
 use crate::timer::{run_timer_thread, TimerReq};
 use munin_net::NetStats;
 use munin_sim::report::{RunReport, WaitTable, WallClock};
-use munin_sim::{panic_message, DsmOp, OpResult, Server};
+use munin_sim::{panic_message, DsmOp, DsmThread, OpResult, Server};
 use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, Telemetry, ThreadId, VirtualTime};
+use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -119,8 +120,10 @@ pub struct RtWorldBuilder<P> {
     decls: Vec<ObjectDecl>,
     next_object: u64,
     #[allow(clippy::type_complexity)]
-    spawns: Vec<(NodeId, Box<dyn FnOnce(&mut RtCtx<P>) + Send + 'static>)>,
+    spawns: Vec<(NodeId, Box<dyn FnOnce(&mut RtCtx) + Send + 'static>)>,
     coverage: Option<Arc<munin_obs::CoverageMap>>,
+    /// The protocol payload type of the world: its servers' messages.
+    _payload: PhantomData<fn() -> P>,
 }
 
 impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P> {
@@ -135,6 +138,7 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
             next_object: 0,
             spawns: Vec::new(),
             coverage: None,
+            _payload: PhantomData,
         }
     }
 
@@ -179,11 +183,7 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
     /// no start rendezvous: threads begin running as soon as the world does.
     /// On every fabric the thread runs in this process; its ops enter
     /// `node` through the fabric's op port.
-    pub fn spawn(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut RtCtx<P>) + Send + 'static,
-    ) -> ThreadId {
+    pub fn spawn(&mut self, node: NodeId, f: impl FnOnce(&mut RtCtx) + Send + 'static) -> ThreadId {
         assert!(node.index() < self.n_nodes, "node {node} out of range");
         let id = ThreadId(self.spawns.len() as u32);
         self.spawns.push((node, Box::new(f)));
@@ -275,10 +275,7 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
 /// Run one application thread's body to completion: catch panics, issue the
 /// implicit `Exit` synchronization, decrement the live count, and return the
 /// thread's wait table.
-fn drive_app_thread<P: Send + Sync + Clone + 'static>(
-    mut ctx: RtCtx<P>,
-    body: Box<dyn FnOnce(&mut RtCtx<P>) + Send>,
-) -> WaitTable {
+fn drive_app_thread(mut ctx: RtCtx, body: Box<dyn FnOnce(&mut RtCtx) + Send>) -> WaitTable {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let shared = ctx.shared.clone();
     let tid = ctx.thread;
@@ -500,8 +497,9 @@ impl<P: Send + Sync + 'static> WallFabric for RtFabric<P> {
 mod tests {
     use super::*;
     use munin_net::{MsgClass, PayloadInfo};
-    use munin_sim::{KernelApi, OpOutcome};
-    use munin_types::LockId;
+    use munin_sim::{KernelApi, OpOutcome, ThreadCtx, WorldBuilder};
+    use munin_types::{BarrierId, ByteRange, CondId, LockId, SharingType};
+    use std::sync::Mutex;
 
     #[derive(Debug, Clone)]
     struct NoMsg;
@@ -551,5 +549,137 @@ mod tests {
             report.errors
         );
         assert_eq!(report.errors.len(), 1, "{:#?}", report.errors);
+    }
+
+    const OBJ: ObjectId = ObjectId(4);
+
+    /// What the fake node answers each op with.
+    fn reply(op: &DsmOp) -> OpResult {
+        match op {
+            DsmOp::Alloc(_) => OpResult::Object(ObjectId(9)),
+            DsmOp::Read { range, .. } => OpResult::Bytes(vec![7; range.len as usize]),
+            DsmOp::AtomicFetchAdd { .. } => OpResult::Value(41),
+            _ => OpResult::Unit,
+        }
+    }
+
+    /// Every wrapper of the thread surface, called once. No two writes
+    /// touch, except `write_raw`, which extends the `write` before it.
+    #[allow(clippy::type_complexity)]
+    const WRAPPERS: &[(&str, fn(&mut dyn DsmThread))] = &[
+        ("alloc", |t| {
+            let decl = ObjectDecl::template("o", SharingType::WriteMany);
+            assert_eq!(t.alloc(decl), ObjectId(9));
+        }),
+        ("read", |t| assert_eq!(t.read(OBJ, ByteRange::new(0, 3)), [7; 3])),
+        ("read_into", |t| {
+            let mut out = [0u8; 2];
+            t.read_into(OBJ, ByteRange::new(4, 2), &mut out);
+            assert_eq!(out, [7; 2]);
+        }),
+        ("write", |t| t.write(OBJ, 0, vec![1, 2])),
+        ("write_raw", |t| t.write_raw(OBJ, 2, &[3])),
+        ("fetch_add", |t| assert_eq!(t.fetch_add(OBJ, 8, 5), 41)),
+        ("write_raw_async", |t| {
+            let state = t.write_raw_async(OBJ, 16, &[4]);
+            assert_eq!(t.token_wait(state), 0);
+        }),
+        ("fetch_add_async", |t| {
+            let state = t.fetch_add_async(OBJ, 8, 1);
+            assert_eq!(t.token_wait(state), 41);
+        }),
+        ("lock", |t| t.lock(LockId(1))),
+        ("cond_wait", |t| t.cond_wait(CondId(3), LockId(1))),
+        ("cond_signal", |t| t.cond_signal(CondId(3), false)),
+        ("cond_signal broadcast", |t| t.cond_signal(CondId(3), true)),
+        ("unlock", |t| t.unlock(LockId(1))),
+        ("barrier", |t| t.barrier(BarrierId(2))),
+        ("flush", |t| t.flush()),
+        ("phase", |t| t.phase(1)),
+        // Modelled by the fabric on both: never reaches a node.
+        ("compute", |t| t.compute(0)),
+        ("drain_ops", |t| t.drain_ops()),
+    ];
+
+    fn call_every_wrapper(t: &mut dyn DsmThread) {
+        for (name, call) in WRAPPERS {
+            if let Err(p) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(t))) {
+                panic!("wrapper `{name}` failed: {}", panic_message(&*p));
+            }
+        }
+    }
+
+    /// The simulator's node: record each op and answer it at once.
+    struct Recorder(Arc<Mutex<Vec<DsmOp>>>);
+
+    impl Server for Recorder {
+        type Payload = NoMsg;
+        fn on_op(&mut self, _k: &mut dyn KernelApi<NoMsg>, _t: ThreadId, op: DsmOp) -> OpOutcome {
+            let result = reply(&op);
+            self.0.lock().unwrap().push(op);
+            OpOutcome::done(result, 0)
+        }
+        fn on_message(&mut self, _k: &mut dyn KernelApi<NoMsg>, _from: NodeId, _p: NoMsg) {}
+    }
+
+    /// The rt context's node: its op port records each op and answers it
+    /// on the resume channel at once.
+    struct RecordingPort {
+        ops: Arc<Mutex<Vec<DsmOp>>>,
+        resume: Sender<OpResult>,
+    }
+
+    impl OpPort for RecordingPort {
+        fn submit(&mut self, _thread: ThreadId, op: DsmOp) -> bool {
+            let _ = self.resume.send(reply(&op));
+            self.ops.lock().unwrap().push(op);
+            true
+        }
+    }
+
+    /// The wrappers are written once, so both thread contexts send their
+    /// node the same op for each call. The one difference is the rt
+    /// context's write combining: the contiguous `write` + `write_raw`
+    /// pair leaves it as one write.
+    #[test]
+    fn simulator_and_rt_contexts_send_the_same_ops() {
+        let sim_ops = Arc::new(Mutex::new(Vec::new()));
+        let mut b = WorldBuilder::new(1);
+        b.spawn(NodeId(0), |ctx: &mut ThreadCtx| call_every_wrapper(ctx));
+        b.build(vec![Recorder(sim_ops.clone())]).run().assert_clean();
+        let mut sim_ops = std::mem::take(&mut *sim_ops.lock().unwrap());
+        assert_eq!(sim_ops.pop(), Some(DsmOp::Exit), "the simulator's thread exits last");
+
+        let rt_ops = Arc::new(Mutex::new(Vec::new()));
+        let (resume, resume_rx) = channel();
+        let mut ctx = RtCtx::new(
+            ThreadId(0),
+            NodeId(0),
+            1,
+            1,
+            Box::new(RecordingPort { ops: rt_ops.clone(), resume }),
+            resume_rx,
+            Arc::new(Shared::new(Vec::new(), 1, Telemetry::default())),
+            RtTuning::default(),
+        );
+        call_every_wrapper(&mut ctx);
+        let rt_ops = std::mem::take(&mut *rt_ops.lock().unwrap());
+
+        let first_write = sim_ops.iter().position(|op| matches!(op, DsmOp::Write { .. })).unwrap();
+        let write = |start, data: Vec<u8>| DsmOp::Write {
+            obj: OBJ,
+            range: ByteRange::new(start, data.len() as u32),
+            data,
+        };
+        assert_eq!(
+            sim_ops[first_write..first_write + 2],
+            [write(0, vec![1, 2]), write(2, vec![3])]
+        );
+        let mut want_rt = sim_ops.clone();
+        want_rt.splice(first_write..first_write + 2, [write(0, vec![1, 2, 3])]);
+        assert_eq!(rt_ops, want_rt);
+        // One op per wrapper that reaches a node: all but compute and
+        // drain_ops.
+        assert_eq!(sim_ops.len(), WRAPPERS.len() - 2);
     }
 }

@@ -28,6 +28,11 @@
 //! Application code is written in ordinary blocking style against
 //! [`ThreadCtx`]; each DSM operation runs the event queue on the calling
 //! thread until some thread resumes.
+//!
+//! This crate also hosts the thread surface every fabric shares:
+//! [`DsmThread`] turns each application call into a [`DsmOp`] and unwraps
+//! its [`OpResult`], once, for the simulator's [`ThreadCtx`] and for the
+//! wall-clock fabrics' contexts alike.
 
 pub mod event;
 pub mod kernel;
@@ -40,7 +45,7 @@ pub mod world;
 
 pub use kernel::KernelApi;
 pub use munin_obs::{CovRow, CoverageMap, CoverageSnapshot, Transition};
-pub use op::{DsmOp, OpOutcome, OpResult};
+pub use op::{DsmOp, DsmThread, OpOutcome, OpResult};
 pub use report::RunReport;
 pub use thread::{panic_message, ThreadCtx};
 pub use tracer::{NullTracer, TraceEvent, Tracer};

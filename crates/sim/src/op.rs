@@ -6,7 +6,10 @@
 //! server's fault handlers see exactly what a VM-based implementation's
 //! handlers would see (object, byte range, read/write).
 
-use munin_types::{BarrierId, ByteRange, CondId, DsmError, LockId, ObjectDecl, ObjectId};
+use munin_types::{
+    BarrierId, ByteRange, CondId, DsmError, LockId, NodeId, ObjectDecl, ObjectId, ThreadId,
+    TokenState,
+};
 
 /// One request from an application thread to the DSM runtime.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,6 +137,164 @@ impl OpResult {
             OpResult::Err(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// An application thread's handle on the DSM, on any fabric: the one place
+/// that knows how an application call becomes a [`DsmOp`] and how its
+/// [`OpResult`] is unwrapped.
+///
+/// A context supplies [`DsmThread::op`] and its identity; the wrappers are
+/// provided. By default an op completes inline, which is right for the
+/// simulator. A fabric that keeps ops in flight (the wall-clock ones)
+/// overrides the three pipelining hooks, [`DsmThread::op_async`],
+/// [`DsmThread::token_wait`] and [`DsmThread::drain_ops`].
+pub trait DsmThread {
+    /// Issue a raw operation and block until it completes.
+    fn op(&mut self, op: DsmOp) -> OpResult;
+
+    /// This thread's global id.
+    fn thread_id(&self) -> ThreadId;
+
+    /// The node this thread runs on.
+    fn node(&self) -> NodeId;
+
+    /// Total nodes in the world.
+    fn n_nodes(&self) -> usize;
+
+    /// Total application threads in the world.
+    fn n_threads(&self) -> usize;
+
+    // ---- pipelining hooks -----------------------------------------------
+
+    /// Issue a write or a fetch-and-add without waiting for it; redeem the
+    /// state with [`DsmThread::token_wait`]. The op is complete by then or
+    /// by the next blocking op, whichever comes first. By default it
+    /// completes inline and the state is already ready.
+    fn op_async(&mut self, op: DsmOp) -> TokenState {
+        let fetch_add = matches!(op, DsmOp::AtomicFetchAdd { .. });
+        let result = self.op(op);
+        if fetch_add {
+            TokenState::Ready(result.into_value())
+        } else {
+            result.expect_unit();
+            TokenState::Ready(0)
+        }
+    }
+
+    /// Redeem a token state: the raw result of its async op (0 for unit
+    /// results).
+    fn token_wait(&mut self, state: TokenState) -> i64 {
+        match state {
+            TokenState::Ready(v) => v,
+            TokenState::Pending(seq) => {
+                panic!("this backend never issued pending token {seq} — token from another ctx?")
+            }
+        }
+    }
+
+    /// Complete every op this thread has in flight. Every blocking op does
+    /// this implicitly; a no-op where ops complete inline.
+    fn drain_ops(&mut self) {}
+
+    // ---- the wrappers ---------------------------------------------------
+
+    /// Allocate a shared object; the declaration's `id` and `home` fields are
+    /// filled in by the runtime (home = this thread's node).
+    fn alloc(&mut self, decl: ObjectDecl) -> ObjectId {
+        self.op(DsmOp::Alloc(decl)).into_object()
+    }
+
+    /// Read a byte range of an object into the op's own buffer.
+    fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
+        self.op(DsmOp::Read { obj, range }).into_bytes()
+    }
+
+    /// Read a byte range of an object into a caller-owned buffer
+    /// (`out.len()` must equal `range.len`).
+    fn read_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
+        let bytes = self.read(obj, range);
+        assert_eq!(
+            out.len(),
+            bytes.len(),
+            "read_into buffer is {} bytes for a {} byte range",
+            out.len(),
+            bytes.len()
+        );
+        out.copy_from_slice(&bytes);
+    }
+
+    /// Write bytes at `start` within an object. It goes through
+    /// [`DsmThread::op_async`], so a fabric may combine consecutive
+    /// contiguous writes and complete them by the next non-write op;
+    /// program order per thread is preserved either way.
+    fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
+        let range = ByteRange::new(start, data.len() as u32);
+        // Ready on every fabric: nothing to redeem, and an error fails
+        // closed where the write completes.
+        let _ = self.op_async(DsmOp::Write { obj, range, data });
+    }
+
+    /// Write borrowed bytes at `start` within an object. One copy into the
+    /// owned [`DsmOp`] is inherent; the caller keeps its buffer.
+    fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
+        self.write(obj, start, data.to_vec());
+    }
+
+    /// Asynchronous [`DsmThread::write_raw`].
+    fn write_raw_async(&mut self, obj: ObjectId, start: u32, data: &[u8]) -> TokenState {
+        let range = ByteRange::new(start, data.len() as u32);
+        self.op_async(DsmOp::Write { obj, range, data: data.to_vec() })
+    }
+
+    /// Atomic fetch-and-add on the i64 at `offset`; returns the old value.
+    fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64 {
+        self.op(DsmOp::AtomicFetchAdd { obj, offset, delta }).into_value()
+    }
+
+    /// Asynchronous [`DsmThread::fetch_add`]; the old value arrives when
+    /// the token is redeemed.
+    fn fetch_add_async(&mut self, obj: ObjectId, offset: u32, delta: i64) -> TokenState {
+        self.op_async(DsmOp::AtomicFetchAdd { obj, offset, delta })
+    }
+
+    fn lock(&mut self, lock: LockId) {
+        self.op(DsmOp::Lock(lock)).expect_unit();
+    }
+
+    fn unlock(&mut self, lock: LockId) {
+        self.op(DsmOp::Unlock(lock)).expect_unit();
+    }
+
+    fn barrier(&mut self, barrier: BarrierId) {
+        self.op(DsmOp::BarrierWait(barrier)).expect_unit();
+    }
+
+    /// Monitor wait: releases `lock`, waits for a signal, re-acquires.
+    fn cond_wait(&mut self, cond: CondId, lock: LockId) {
+        self.op(DsmOp::CondWait { cond, lock }).expect_unit();
+    }
+
+    /// Wake one (`broadcast = false`) or all waiters of `cond`.
+    fn cond_signal(&mut self, cond: CondId, broadcast: bool) {
+        self.op(DsmOp::CondSignal { cond, broadcast }).expect_unit();
+    }
+
+    /// Flush this thread's delayed update queue.
+    fn flush(&mut self) {
+        self.op(DsmOp::Flush).expect_unit();
+    }
+
+    /// Mark the beginning of program phase `n` (phase 0 = initialization; the
+    /// first call with `n >= 1` publishes write-once objects).
+    fn phase(&mut self, n: u32) {
+        self.op(DsmOp::Phase(n)).expect_unit();
+    }
+
+    /// Spend `us` microseconds of compute: virtual time on the simulator,
+    /// modelled locally on the thread by the wall-clock fabrics.
+    fn compute(&mut self, us: u64) {
+        self.op(DsmOp::Compute(us)).expect_unit();
     }
 }
 

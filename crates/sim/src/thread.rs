@@ -10,9 +10,9 @@
 //! Exactly one application thread executes at any wall-clock moment, which
 //! is what makes runs deterministic.
 
-use crate::op::{DsmOp, OpResult};
+use crate::op::{DsmOp, DsmThread, OpResult};
 use crossbeam_channel::Receiver;
-use munin_types::{BarrierId, ByteRange, CondId, LockId, NodeId, ObjectDecl, ObjectId, ThreadId};
+use munin_types::{NodeId, ThreadId};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -43,39 +43,37 @@ pub struct ThreadCtx {
     pub(crate) resume_rx: Receiver<OpResult>,
 }
 
-impl ThreadCtx {
-    /// This thread's global id.
-    pub fn thread_id(&self) -> ThreadId {
-        self.thread
-    }
-
-    /// The node this thread runs on.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Total nodes in the world.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// Total application threads in the world.
-    pub fn n_threads(&self) -> usize {
-        self.n_threads
-    }
-
+impl DsmThread for ThreadCtx {
     /// Issue a raw operation and block until it completes.
     ///
     /// If the world tears down while this thread is blocked, it unwinds
     /// with a private payload that its wrapper swallows: the run reports
     /// the deadlock once, not once per blocked thread.
-    pub fn op(&mut self, op: DsmOp) -> OpResult {
+    fn op(&mut self, op: DsmOp) -> OpResult {
         match self.baton.op(self.thread, op) {
             Some(result) => result,
             None => self.park(),
         }
     }
 
+    fn thread_id(&self) -> ThreadId {
+        self.thread
+    }
+
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn n_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    fn n_threads(&self) -> usize {
+        self.n_threads
+    }
+}
+
+impl ThreadCtx {
     /// Wait until an event resumes this thread.
     fn park(&self) -> OpResult {
         self.resume_rx.recv().unwrap_or_else(|_| resume_unwind(Box::new(TornDown)))
@@ -98,93 +96,6 @@ impl ThreadCtx {
         };
         self.baton.exit(self.thread, panic);
     }
-
-    // ---- convenience wrappers -------------------------------------------
-
-    /// Allocate a shared object; the declaration's `id` and `home` fields are
-    /// filled in by the runtime (home = this thread's node).
-    pub fn alloc(&mut self, decl: ObjectDecl) -> ObjectId {
-        self.op(DsmOp::Alloc(decl)).into_object()
-    }
-
-    /// Read a byte range of an object.
-    pub fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        self.op(DsmOp::Read { obj, range }).into_bytes()
-    }
-
-    /// Read a byte range of an object into a caller-owned buffer
-    /// (`out.len()` must equal `range.len`). The op still returns one owned
-    /// buffer from the server side, but the caller-facing path allocates
-    /// nothing, which is what the typed API layers on.
-    pub fn read_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
-        let bytes = self.op(DsmOp::Read { obj, range }).into_bytes();
-        assert_eq!(
-            out.len(),
-            bytes.len(),
-            "read_into buffer is {} bytes for a {} byte range",
-            out.len(),
-            bytes.len()
-        );
-        out.copy_from_slice(&bytes);
-    }
-
-    /// Write bytes at `start` within an object.
-    pub fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        let range = ByteRange::new(start, data.len() as u32);
-        self.op(DsmOp::Write { obj, range, data }).expect_unit();
-    }
-
-    /// Write borrowed bytes at `start` within an object. One copy into the
-    /// owned [`DsmOp`] is inherent; the caller keeps its buffer.
-    pub fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
-        self.write(obj, start, data.to_vec());
-    }
-
-    /// Atomic fetch-and-add on the i64 at `offset`; returns the old value.
-    pub fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64 {
-        self.op(DsmOp::AtomicFetchAdd { obj, offset, delta }).into_value()
-    }
-
-    pub fn lock(&mut self, lock: LockId) {
-        self.op(DsmOp::Lock(lock)).expect_unit();
-    }
-
-    pub fn unlock(&mut self, lock: LockId) {
-        self.op(DsmOp::Unlock(lock)).expect_unit();
-    }
-
-    pub fn barrier(&mut self, barrier: BarrierId) {
-        self.op(DsmOp::BarrierWait(barrier)).expect_unit();
-    }
-
-    /// Monitor wait: releases `lock`, waits for a signal, re-acquires.
-    pub fn cond_wait(&mut self, cond: CondId, lock: LockId) {
-        self.op(DsmOp::CondWait { cond, lock }).expect_unit();
-    }
-
-    pub fn cond_signal(&mut self, cond: CondId) {
-        self.op(DsmOp::CondSignal { cond, broadcast: false }).expect_unit();
-    }
-
-    pub fn cond_broadcast(&mut self, cond: CondId) {
-        self.op(DsmOp::CondSignal { cond, broadcast: true }).expect_unit();
-    }
-
-    /// Flush this thread's delayed update queue.
-    pub fn flush(&mut self) {
-        self.op(DsmOp::Flush).expect_unit();
-    }
-
-    /// Mark the beginning of program phase `n` (phase 0 = initialization; the
-    /// first call with `n >= 1` publishes write-once objects).
-    pub fn phase(&mut self, n: u32) {
-        self.op(DsmOp::Phase(n)).expect_unit();
-    }
-
-    /// Spend `us` microseconds of virtual compute time.
-    pub fn compute(&mut self, us: u64) {
-        self.op(DsmOp::Compute(us)).expect_unit();
-    }
 }
 
 /// The text of a caught panic payload (every kernel reports application
@@ -202,6 +113,7 @@ mod tests {
     // down the request encoding of the convenience wrappers via a fake
     // baton that records each dispatched op and completes it at once.
     use super::*;
+    use munin_types::{ByteRange, ObjectId};
     use std::sync::Mutex;
 
     #[derive(Default)]

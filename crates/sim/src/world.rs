@@ -486,7 +486,7 @@ impl<S: Server> World<S> {
     /// tracer's own shared state.
     ///
     /// The event queue runs on the application threads (see
-    /// [`ThreadCtx::op`]); the calling thread only starts the first one and
+    /// [`crate::DsmThread::op`]); the calling thread only starts the first one and
     /// waits for the queue to run dry. A panicking protocol handler ends the
     /// run and is rethrown here, on the caller's thread, with its payload.
     pub fn run(self) -> RunReport {
@@ -688,6 +688,7 @@ impl<S: Server> Sim<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DsmThread;
     use munin_net::MsgClass;
     use munin_types::{ByteRange, SharingType};
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -4,8 +4,8 @@
 
 use munin_net::{MsgClass, PayloadInfo};
 use munin_sim::{
-    DsmOp, KernelApi, OpOutcome, OpResult, Server, ThreadCtx, TraceEvent, Tracer, TransportConfig,
-    WorldBuilder,
+    DsmOp, DsmThread, KernelApi, OpOutcome, OpResult, Server, ThreadCtx, TraceEvent, Tracer,
+    TransportConfig, WorldBuilder,
 };
 use munin_types::{ByteRange, CostModel, NodeId, ObjectId, ThreadId, VirtualTime};
 use std::sync::atomic::{AtomicU64, Ordering};

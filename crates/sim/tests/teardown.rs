@@ -5,7 +5,7 @@
 //! A file of its own because it installs a process-wide panic hook.
 
 use munin_net::{MsgClass, PayloadInfo};
-use munin_sim::{DsmOp, KernelApi, OpOutcome, Server, ThreadCtx, WorldBuilder};
+use munin_sim::{DsmOp, DsmThread, KernelApi, OpOutcome, Server, ThreadCtx, WorldBuilder};
 use munin_types::{ByteRange, NodeId, ObjectId, ThreadId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

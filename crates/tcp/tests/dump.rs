@@ -12,7 +12,7 @@
 use munin_core::{MuninMsg, MuninProto};
 use munin_proto::Protocol;
 use munin_rt::{sig, RtWorldBuilder};
-use munin_sim::RunReport;
+use munin_sim::{DsmThread, RunReport};
 use munin_tcp::{run_proto, tcp_support};
 use munin_types::{BarrierDecl, BarrierId, LockDecl, LockId, MuninConfig, NodeId, SyncDecls};
 use std::time::Duration;

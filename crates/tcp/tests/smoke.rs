@@ -6,6 +6,7 @@
 use munin_core::{MuninMsg, MuninProto};
 use munin_ivy::{IvyMsg, IvyProto};
 use munin_rt::RtWorldBuilder;
+use munin_sim::DsmThread;
 use munin_tardis::{TardisMsg, TardisProto};
 use munin_tcp::{run_proto, tcp_support};
 use munin_types::{

@@ -19,7 +19,7 @@ use munin_core::MuninProto;
 use munin_ivy::IvyProto;
 use munin_proto::Protocol;
 use munin_rt::{RtTuning, RtWorldBuilder};
-use munin_sim::{DsmOp, RunReport};
+use munin_sim::{DsmOp, DsmThread, RunReport};
 use munin_tardis::TardisProto;
 use munin_tcp::{run_proto, tcp_support, TestFault};
 use munin_types::{
