@@ -112,9 +112,9 @@ pub trait Par {
     fn drain_ops(&mut self) {}
 }
 
-/// Every DSM thread context is a `Par`: the simulator's and both wall-clock
-/// fabrics' (generic over the protocol message type). The mapping is
-/// written once, over [`DsmThread`], which also owns the op encoding.
+/// Every DSM thread context is a `Par`: the simulator's and the wall-clock
+/// fabrics', whatever the protocol. The mapping is written once, over
+/// [`DsmThread`], which also owns the op encoding.
 impl<T: DsmThread + ?Sized> Par for T {
     fn self_id(&self) -> usize {
         self.thread_id().index()

@@ -137,9 +137,9 @@ pub struct RtCtx {
 
 impl RtCtx {
     /// Assemble a context over `to_server`, the fabric's [`OpPort`] for this
-    /// thread's node. `munin-tcp`'s coordinator hosts every application
-    /// thread and uses this to point each one at its logical node.
-    pub fn new(
+    /// thread's node (every fabric hosts its application threads in this
+    /// process; the port points each at its logical node).
+    pub(crate) fn new(
         thread: ThreadId,
         node: NodeId,
         n_nodes: usize,
