@@ -34,7 +34,7 @@ use munin_types::{NodeId, ObjectDecl, ObjectId, SharingType, SyncDecls, ThreadId
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Stream-kind byte sent immediately after connect.
 pub const STREAM_DATA: u8 = b'D';
@@ -318,56 +318,88 @@ impl Wire for Box<StartConfig> {
 
 // ---- framed stream IO ------------------------------------------------------
 
+/// [`poll_until`]'s first and longest nap. The events it waits for are
+/// usually tens of microseconds away; the cap bounds how late a long wait
+/// notices its event.
+const FIRST_NAP: Duration = Duration::from_micros(20);
+const NAP_CAP: Duration = Duration::from_millis(5);
+
+/// Run `attempt` until it yields a value, or until `deadline` has passed
+/// (`Ok(None)`), napping in between: [`FIRST_NAP`] first, then twice as
+/// long each time up to [`NAP_CAP`], never past the deadline. The fabric's
+/// one poll-with-deadline loop, for the waits `std` offers no deadline-bound
+/// blocking call for: the handshake's accepts and the teardown's reap.
+pub(crate) fn poll_until<T>(
+    deadline: Instant,
+    mut attempt: impl FnMut() -> io::Result<Option<T>>,
+) -> io::Result<Option<T>> {
+    let mut nap = FIRST_NAP;
+    loop {
+        if let Some(found) = attempt()? {
+            return Ok(Some(found));
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(None);
+        }
+        std::thread::sleep(nap.min(left));
+        nap = (nap * 2).min(NAP_CAP);
+    }
+}
+
 /// Accept `expected` connections on `listener` before `deadline`, reading
 /// each stream's kind byte and handing the (blocking, `TCP_NODELAY`,
 /// deadline-bounded-read) stream to `handle`. Shared by the coordinator's
-/// two handshake phases and the child mesh accept. Reads on a freshly
-/// accepted stream carry a read timeout bounded by the remaining deadline
-/// (cleared in `handle`'s successor code path once the stream joins the
-/// run), so a connected-but-silent peer — a port scanner, a wedged
-/// process — cannot hang the handshake past the deadline.
+/// two handshake phases and the child mesh accept.
+///
+/// The wait wakes on its event through [`poll_until`]: a peer is accepted
+/// within a short backoff of connecting, and a missing one fails the wait
+/// with `TimedOut` just after `deadline`. Between polls, an error from
+/// `alive` ends the wait at once (the coordinator's check fails on a child
+/// process that has exited). Reads on a freshly accepted stream carry a read timeout bounded by the remaining
+/// deadline (cleared by `handle` once the stream joins the run), so a
+/// connected-but-silent peer — a port scanner, a wedged process — cannot
+/// hang the handshake past the deadline. On success the listener is
+/// blocking again.
 pub fn accept_streams(
     listener: &TcpListener,
-    deadline: std::time::Instant,
+    deadline: Instant,
     expected: usize,
+    mut alive: impl FnMut() -> io::Result<()>,
     mut handle: impl FnMut(u8, TcpStream) -> io::Result<()>,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let mut accepted = 0usize;
     while accepted < expected {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                stream.set_nonblocking(false)?;
-                stream.set_nodelay(true)?;
-                let left = deadline.saturating_duration_since(std::time::Instant::now());
-                stream.set_read_timeout(Some(left.max(Duration::from_millis(10))))?;
-                // One malformed connection (a port scanner, a stray local
-                // prober, a crashed peer's half-written Hello) must not
-                // kill a handshake whose real peers are healthy: reject
-                // the stream and keep waiting — a genuinely missing peer
-                // still fails loudly via the deadline.
-                let mut kind = [0u8; 1];
-                if let Err(e) = stream.read_exact(&mut kind) {
-                    eprintln!("handshake: rejecting connection with unreadable kind byte: {e}");
-                    continue;
-                }
-                if let Err(e) = handle(kind[0], stream) {
-                    eprintln!("handshake: rejecting malformed connection: {e}");
-                    continue;
-                }
-                accepted += 1;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if std::time::Instant::now() > deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("handshake timed out with {accepted}/{expected} streams"),
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
+        let next = poll_until(deadline, || match listener.accept() {
+            Ok((stream, _)) => Ok(Some(stream)),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => alive().map(|()| None),
+            Err(e) => Err(e),
+        })?;
+        let Some(mut stream) = next else {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("handshake timed out with {accepted}/{expected} streams"),
+            ));
+        };
+        stream.set_nonblocking(false)?;
+        stream.set_nodelay(true)?;
+        let left = deadline.saturating_duration_since(Instant::now());
+        stream.set_read_timeout(Some(left.max(Duration::from_millis(10))))?;
+        // One malformed connection (a port scanner, a stray local prober, a
+        // crashed peer's half-written Hello) must not kill a handshake
+        // whose real peers are healthy: reject the stream and keep waiting
+        // — a genuinely missing peer still fails loudly via the deadline.
+        let mut kind = [0u8; 1];
+        if let Err(e) = stream.read_exact(&mut kind) {
+            eprintln!("handshake: rejecting connection with unreadable kind byte: {e}");
+            continue;
         }
+        if let Err(e) = handle(kind[0], stream) {
+            eprintln!("handshake: rejecting malformed connection: {e}");
+            continue;
+        }
+        accepted += 1;
     }
     listener.set_nonblocking(false)?;
     Ok(())
@@ -586,6 +618,68 @@ pub fn send_shared<T: Wire>(w: &SharedWriter, frame: &T) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn no_check() -> io::Result<()> {
+        Ok(())
+    }
+
+    #[test]
+    fn accept_streams_with_no_peer_times_out_at_its_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
+        let deadline = Instant::now() + Duration::from_millis(100);
+        let e = accept_streams(&listener, deadline, 1, no_check, |_, _| Ok(()))
+            .expect_err("nobody connects");
+        let returned = Instant::now();
+        assert_eq!(e.kind(), io::ErrorKind::TimedOut, "{e}");
+        assert!(e.to_string().contains("0/1 streams"), "{e}");
+        assert!(returned >= deadline, "gave up {:?} early", deadline - returned);
+        assert!(returned <= deadline + NAP_CAP, "overshot by {:?}", returned - deadline);
+    }
+
+    #[test]
+    fn accept_streams_stops_at_once_when_the_liveness_check_fails() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let dead = || Err(io::Error::other("n1 exited"));
+        let e = accept_streams(&listener, deadline, 1, dead, |_, _| Ok(()))
+            .expect_err("the peer is gone");
+        assert_eq!(e.to_string(), "n1 exited");
+    }
+
+    #[test]
+    fn accept_streams_rejects_a_stray_connection_and_accepts_the_real_peer() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
+        let addr = listener.local_addr().expect("addr");
+        // Connects and hangs up without a kind byte; queued ahead of the peer.
+        drop(TcpStream::connect(addr).expect("stray connect"));
+        let mut peer = TcpStream::connect(addr).expect("peer connect");
+        peer.write_all(&[STREAM_DATA]).expect("kind byte");
+        let mut kinds = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        accept_streams(&listener, deadline, 1, no_check, |kind, _| {
+            kinds.push(kind);
+            Ok(())
+        })
+        .expect("the real peer is accepted");
+        assert_eq!(kinds, [STREAM_DATA], "only the real peer reaches the handler");
+    }
+
+    #[test]
+    fn accept_streams_leaves_the_listener_blocking() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
+        let addr = listener.local_addr().expect("addr");
+        TcpStream::connect(addr).expect("connect").write_all(&[STREAM_CTRL]).expect("kind");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        accept_streams(&listener, deadline, 1, no_check, |_, _| Ok(())).expect("accepted");
+        // Nobody has connected yet when `accept` is called: a non-blocking
+        // listener would fail with `WouldBlock` instead of waiting.
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            TcpStream::connect(addr).expect("late connect")
+        });
+        listener.accept().expect("a blocking accept waits for the late peer");
+        late.join().expect("connector");
+    }
 
     /// What a hostile (or broken) peer sends: the largest announcement the
     /// cap admits, 16 bytes of it, then nothing.

@@ -50,6 +50,15 @@
 //! 5. on `Finish`, report `Done { stats, errors, .. }` and exit after
 //!    `Bye`; on `Poison`, a lost peer, or a lost coordinator, tear down
 //!    immediately with the cause recorded.
+//!
+//! Every wait in set-up and teardown, on either side, wakes on its event:
+//! a blocking read or channel receive where one exists, otherwise
+//! `frames::poll_until`'s short backoff (20 µs doubling to 5 ms) for the
+//! accepts and the coordinator's reap. Each is bounded by a deadline
+//! ([`MESH_TIMEOUT`] for the handshake, 5 s for the reap), and no wait
+//! naps a fixed interval. The coordinator checks its children between
+//! handshake polls, so a child that dies during the handshake fails the
+//! run at once, naming the node and its exit status.
 
 use crate::frames::{
     accept_streams, read_frame, send_shared, shared_writer, write_frame, CtrlFrame, DataFrame,
@@ -431,7 +440,9 @@ where
         *slot = Some(s);
     }
     let deadline = Instant::now() + MESH_TIMEOUT;
-    accept_streams(&listener, deadline, n_nodes - 1 - me.index(), |kind, mut s| {
+    // Every peer dials in on its own schedule; none is ours to watch.
+    let alive = || Ok(());
+    accept_streams(&listener, deadline, n_nodes - 1 - me.index(), alive, |kind, mut s| {
         if kind != STREAM_DATA {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,

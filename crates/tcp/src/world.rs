@@ -27,8 +27,8 @@
 //! tears down instead of hanging.
 
 use crate::frames::{
-    accept_streams, read_frame, send_shared, shared_writer, CtrlFrame, DataFrame, RegReply,
-    SharedWriter, StartConfig, TestFault, STREAM_CTRL, STREAM_DATA,
+    accept_streams, poll_until, read_frame, send_shared, shared_writer, CtrlFrame, DataFrame,
+    RegReply, SharedWriter, StartConfig, TestFault, STREAM_CTRL, STREAM_DATA,
 };
 use crate::kernel::{ResumeSink, TcpKernel};
 use crate::link::Link;
@@ -154,7 +154,8 @@ where
         let deadline = Instant::now() + MESH_TIMEOUT;
         let mut ctrl_streams: Vec<Option<TcpStream>> = (0..n_nodes).map(|_| None).collect();
         let mut data_ports: Vec<u16> = vec![0; n_nodes];
-        accept_streams(&listener, deadline, n_nodes - 1, |kind, mut stream| {
+        let alive = || children_alive(&mut children);
+        accept_streams(&listener, deadline, n_nodes - 1, alive, |kind, mut stream| {
             if kind != STREAM_CTRL {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -177,7 +178,7 @@ where
                 )),
             }
         })
-        .expect("control handshake with node processes");
+        .unwrap_or_else(|e| panic!("control handshake with node processes: {e}"));
 
         data_ports[0] = port;
         let peers: Vec<(NodeId, u16)> =
@@ -198,7 +199,8 @@ where
 
         // ---- accept the children's data streams to node 0 ---------------
         let mut data_streams: Vec<Option<TcpStream>> = (0..n_nodes).map(|_| None).collect();
-        accept_streams(&listener, deadline, n_nodes - 1, |kind, mut stream| {
+        let alive = || children_alive(&mut children);
+        accept_streams(&listener, deadline, n_nodes - 1, alive, |kind, mut stream| {
             if kind != STREAM_DATA {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -218,7 +220,7 @@ where
                 )),
             }
         })
-        .expect("data-stream handshake with node processes");
+        .unwrap_or_else(|e| panic!("data-stream handshake with node processes: {e}"));
 
         // ---- control readers, registry service, heartbeat table ---------
         let (reg_tx, reg_rx) = channel::<RegEvent>();
@@ -541,34 +543,36 @@ fn spawn_coord_ctrl_reader(
         .expect("failed to spawn control reader thread");
 }
 
-/// Wait for the children to exit; anything still alive shortly after
-/// teardown is killed (and that is not an error — poisoned runs kill by
-/// design).
+/// The coordinator's liveness check between handshake polls: a child
+/// that has already exited will never connect, so the handshake fails at
+/// once, naming it and its exit status, instead of at its deadline.
+fn children_alive(children: &mut [(NodeId, Child)]) -> io::Result<()> {
+    for (node, child) in children.iter_mut() {
+        if let Some(status) = child.try_wait()? {
+            return Err(io::Error::other(format!(
+                "node n{} process exited during the handshake ({status})",
+                node.index()
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Wait for the children to exit; anything still alive 5 s after teardown
+/// began is killed (and that is not an error — poisoned runs
+/// kill by design). A child is usually a fraction of a millisecond from
+/// exiting when the coordinator gets here (both just saw the end of the
+/// `Bye` phase), which `poll_until`'s short first nap catches.
 fn reap_children(children: Vec<(NodeId, Child)>, shared: &Shared) {
     let deadline = Instant::now() + Duration::from_secs(5);
-    // A child is usually a fraction of a millisecond from exiting when the
-    // coordinator gets here (both just saw the end of the `Bye` phase), so
-    // the poll starts short and backs off: a fixed 20 ms nap made every
-    // run's wall time bimodal on who won that race.
-    let mut nap = Duration::from_micros(250);
     for (node, mut child) in children {
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) => {
-                    if Instant::now() > deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                    std::thread::sleep(nap);
-                    nap = (nap * 2).min(Duration::from_millis(20));
-                }
-                Err(e) => {
-                    shared.error(format!("waiting for node n{} process: {e}", node.index()));
-                    break;
-                }
+        match poll_until(deadline, || child.try_wait()) {
+            Ok(Some(_)) => {}
+            Ok(None) => {
+                let _ = child.kill();
+                let _ = child.wait();
             }
+            Err(e) => shared.error(format!("waiting for node n{} process: {e}", node.index())),
         }
     }
 }
