@@ -15,6 +15,8 @@ use std::time::Instant;
 
 const N_THREADS: usize = 2;
 const ROUNDS: i64 = 20;
+/// Async fetch-adds thread 0 keeps in flight (the client's full window).
+const WINDOW: usize = 16;
 
 /// Two threads hammer one counter homed on node 1, so thread 0's adds are
 /// remote on every fabric with more than one node.
@@ -33,6 +35,35 @@ fn run_fetch_adds(backend: Backend) -> (MetricsSnapshot, u64) {
             }
         });
     }
+    run_with_spans(p, backend)
+}
+
+/// Thread 0 keeps a full window of async fetch-adds on the node-1 counter,
+/// so the op gate holds several of its ops inside the server at once;
+/// thread 1 only meets it at the barrier.
+fn run_async_fetch_adds(backend: Backend) -> (MetricsSnapshot, u64) {
+    let mut p = ProgramBuilder::new(2);
+    let ctr = p.scalar::<i64>("ctr", SharingType::GeneralReadWrite, 1);
+    let bar = p.barrier(0, N_THREADS as u32);
+    for t in 0..N_THREADS {
+        p.thread(t, move |par: &mut dyn Par| {
+            if par.self_id() == 0 {
+                for _ in 0..ROUNDS {
+                    let toks: Vec<_> =
+                        (0..WINDOW).map(|_| par.fetch_add_scalar_async(&ctr, 1)).collect();
+                    par.wait_all(toks);
+                }
+            }
+            par.barrier(bar);
+            if par.self_id() == 0 {
+                assert_eq!(par.fetch_add_scalar(&ctr, 0), ROUNDS * WINDOW as i64);
+            }
+        });
+    }
+    run_with_spans(p, backend)
+}
+
+fn run_with_spans(mut p: ProgramBuilder, backend: Backend) -> (MetricsSnapshot, u64) {
     let mut tuning = RtTuning::default();
     tuning.telemetry = Telemetry::Spans;
     p.rt_tuning(tuning);
@@ -42,6 +73,23 @@ fn run_fetch_adds(backend: Backend) -> (MetricsSnapshot, u64) {
     outcome.assert_clean();
     let metrics = outcome.metrics().expect("spans mode must fill RunReport::metrics").clone();
     (metrics, wall_us)
+}
+
+/// Every remote fetch-add of the async window carries its own server half:
+/// a dispatch stamp and a later reply stamp. A half closed on the spot
+/// (reply == dispatch) is what a gate overlap would leave if the collector
+/// still kept one open half per thread.
+fn check_overlapped_halves(m: &MetricsSnapshot, fabric: &str) {
+    let adds: Vec<_> = m
+        .spans
+        .iter()
+        .filter(|s| s.thread.0 == 0 && s.class == OpClass::FetchAdd && s.pipelined)
+        .collect();
+    assert!(adds.len() >= WINDOW, "{fabric}: the window left {} spans", adds.len());
+    for s in adds {
+        let (dispatch, reply) = (s.dispatch_us.expect("dispatch"), s.reply_us.expect("reply"));
+        assert!(reply > dispatch, "{fabric}: span closed on the spot: {s:?}");
+    }
 }
 
 /// The invariants every joined span tail must satisfy, on any fabric.
@@ -66,8 +114,8 @@ fn check_span_invariants(m: &MetricsSnapshot, fabric: &str) {
         assert_eq!(sum, s.total_us(), "{fabric}: segments must telescope in {s:?}");
     }
     // Per-thread FIFO: the tail is ordered by issue seq within a thread
-    // (the gate admits one op per thread at a time, so resume order is
-    // issue order).
+    // (the gate overlaps a thread's ops only when they complete in issue
+    // order, so resume order is issue order).
     for t in 0..N_THREADS as u32 {
         let seqs: Vec<u64> = m.spans.iter().filter(|s| s.thread.0 == t).map(|s| s.seq).collect();
         let mut sorted = seqs.clone();
@@ -116,4 +164,22 @@ fn tcp_remote_fetch_add_decomposes_into_wire_segments() {
         remote.total_us(),
         run_wall_us
     );
+}
+
+#[test]
+fn rt_async_window_keeps_one_span_per_op() {
+    let (m, _) = run_async_fetch_adds(Backend::rt(MuninConfig::default()));
+    check_span_invariants(&m, "rt async");
+    check_overlapped_halves(&m, "rt async");
+}
+
+#[test]
+fn tcp_async_window_keeps_one_span_per_op() {
+    if let Err(notice) = tcp_support() {
+        eprintln!("skipping tcp async span test: {notice}");
+        return;
+    }
+    let (m, _) = run_async_fetch_adds(Backend::tcp(MuninConfig::default()));
+    check_span_invariants(&m, "tcp async");
+    check_overlapped_halves(&m, "tcp async");
 }

@@ -165,26 +165,17 @@ fn main() {
         "pipelined {}w MuninRt {:>9.0} ops/s | MuninTcp {:>9.0} ops/s | tcp vs blocking {:>5.2}x",
         pipe.workers, pipe.rt_ops_s, pipe.tcp_ops_s, pipe_gain,
     );
-    // With fewer cores than nodes the hops of the remote chain timeslice
-    // and pipelining only amortizes the forward and resume legs (a 2-core
-    // host measures ~1.7x), so the 2x bar is only enforced where every node
-    // of the run has a core of its own to overlap the window on.
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    if cores >= pipe.workers {
-        assert!(
-            pipe_gain >= 2.0,
-            "pipelining should at least double MuninTcp ops/s over the blocking hammer: \
-             {:.0} vs {:.0}",
-            pipe.tcp_ops_s,
-            blocking.tcp_ops_s
-        );
-    } else {
-        println!(
-            "NOTE: {cores} core(s) for {} nodes — skipping the 2x pipelining bar (measured \
-             {pipe_gain:.2}x)",
-            pipe.workers
-        );
-    }
+    // The op gate overlaps each thread's fetch-adds to the remote home, so
+    // the window amortizes the home round trip too, not only the forward
+    // and resume legs: even a 2-core host clears 3.5x, and the bar holds
+    // on every host.
+    assert!(
+        pipe_gain >= 2.0,
+        "pipelining should at least double MuninTcp ops/s over the blocking hammer: \
+         {:.0} vs {:.0}",
+        pipe.tcp_ops_s,
+        blocking.tcp_ops_s
+    );
 
     // Per-op latency percentiles under full span telemetry, 4 workers.
     let metrics = run_latency_pass(4);

@@ -426,6 +426,18 @@ impl Server for MuninServer {
         }
     }
 
+    /// A fetch-add on an object homed elsewhere is one `AtomicReq` to the
+    /// home and completes on its `AtomicReply` (see `atomic.rs`), with no
+    /// per-thread state in between.
+    fn ordered_peer(&mut self, k: &dyn KernelApi<MuninMsg>, op: &DsmOp) -> Option<NodeId> {
+        match op {
+            DsmOp::AtomicFetchAdd { obj, .. } => {
+                self.decl(k, *obj).map(|d| d.home).filter(|&home| home != self.node)
+            }
+            _ => None,
+        }
+    }
+
     fn on_message(&mut self, k: &mut dyn KernelApi<MuninMsg>, from: NodeId, payload: MuninMsg) {
         self.handle_msg(k, from, payload);
     }

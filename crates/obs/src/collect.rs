@@ -33,6 +33,11 @@ pub const OBJ_TABLE_SLOTS: usize = 64;
 /// dispatch (the client windows in-flight ops far below this).
 const ARRIVAL_QUEUE_CAP: usize = 1024;
 
+/// Most server halves one thread keeps open at once (the client windows
+/// in-flight ops below this). A dispatch beyond it closes the oldest half
+/// on the spot, so an op that never resumed cannot grow the queue.
+const OPEN_HALVES_CAP: usize = 64;
+
 /// What an access did to an object — feeds the per-object counters the
 /// future retyping detectors read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +47,9 @@ pub enum AccessKind {
     Atomic,
 }
 
-/// Server-side per-thread span state. The gate admits one op per thread,
-/// so `cur` is the op the protocol server currently holds.
+/// Server-side per-thread span state. The gate may hold several of one
+/// thread's ops in the server at once, but they complete in dispatch order,
+/// so the open halves are a FIFO and each completion closes the oldest.
 #[derive(Debug)]
 struct SrvState {
     /// Wire-forward stamps for ops that arrived but are not yet
@@ -51,8 +57,9 @@ struct SrvState {
     arrivals: VecDeque<u64>,
     /// Dispatches counted so far — the server half of the span seq.
     next_seq: u64,
-    /// (seq, fwd_us, dispatch_us) of the op currently in the server.
-    cur: Option<(u64, u64, u64)>,
+    /// (seq, fwd_us, dispatch_us) of each op currently in the server,
+    /// oldest first.
+    open: VecDeque<(u64, u64, u64)>,
     done: Ring<SrvSpan>,
 }
 
@@ -73,7 +80,7 @@ impl ThreadObs {
             srv: Mutex::new(SrvState {
                 arrivals: VecDeque::with_capacity(ARRIVAL_QUEUE_CAP),
                 next_seq: 0,
-                cur: None,
+                open: VecDeque::with_capacity(OPEN_HALVES_CAP),
                 done: Ring::new(SPAN_RING_CAP),
             }),
             homes: Mutex::new(Ring::new(SPAN_RING_CAP)),
@@ -247,9 +254,10 @@ impl ObsCollector {
         }
         if let Some(s) = self.slot(t) {
             let mut srv = s.srv.lock().unwrap_or_else(|p| p.into_inner());
-            // A previous op that never resumed would leave `cur` behind;
-            // close it degenerately so seq alignment survives.
-            if let Some((seq, fwd, disp)) = srv.cur.take() {
+            // Only ops that never resumed can fill the queue; close the
+            // oldest degenerately so seq alignment survives.
+            if srv.open.len() == OPEN_HALVES_CAP {
+                let (seq, fwd, disp) = srv.open.pop_front().expect("queue is full");
                 srv.done.push(SrvSpan { seq, fwd_us: fwd, dispatch_us: disp, reply_us: disp });
             }
             // Pre-increment: the client numbers issues starting at 1, and
@@ -257,20 +265,20 @@ impl ObsCollector {
             srv.next_seq += 1;
             let seq = srv.next_seq;
             let fwd = srv.arrivals.pop_front().unwrap_or(0);
-            srv.cur = Some((seq, fwd, wall_us()));
+            srv.open.push_back((seq, fwd, wall_us()));
         }
     }
 
-    /// The op the server held for `t` just produced its result: stamp the
-    /// reply, file the span, and return it (the TCP child attaches it to
-    /// the `Resume` frame).
+    /// The oldest op the server holds for `t` just produced its result:
+    /// stamp the reply, file the span, and return it (the TCP child
+    /// attaches it to the `Resume` frame).
     pub fn srv_finish(&self, t: ThreadId) -> Option<SrvSpan> {
         if !self.mode.spans() {
             return None;
         }
         let s = self.slot(t)?;
         let mut srv = s.srv.lock().unwrap_or_else(|p| p.into_inner());
-        let (seq, fwd_us, dispatch_us) = srv.cur.take()?;
+        let (seq, fwd_us, dispatch_us) = srv.open.pop_front()?;
         let span = SrvSpan { seq, fwd_us, dispatch_us, reply_us: wall_us() };
         srv.done.push(span);
         Some(span)

@@ -11,9 +11,9 @@
 //!   blocking-vs-pipelined. Recording is a bucket index plus a few relaxed
 //!   atomic adds: no locks, no allocation, no syscalls on the hot path.
 //! * **Causal remote-op spans** — the fabric is per-thread FIFO and the
-//!   server-side `OpGate` admits at most one outstanding op per thread, so
-//!   a per-thread sequence number stamps each op exactly once on both
-//!   sides. Wall-clock (`SystemTime`) stamps at issue, wire forward,
+//!   server-side `OpGate` completes a thread's ops in dispatch order (it
+//!   overlaps only ops that return in issue order), so a per-thread
+//!   sequence number stamps each op exactly once on both sides. Wall-clock (`SystemTime`) stamps at issue, wire forward,
 //!   server dispatch, home-node handling, reply and resume are kept in
 //!   fixed rings and joined into [`OpSpan`]s at teardown.
 //! * **A live metrics surface** — [`MetricsSnapshot`] merges the

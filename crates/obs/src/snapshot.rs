@@ -195,9 +195,10 @@ impl MetricsSnapshot {
 /// dispatch..reply window and containment *is* causality — no slack.
 /// Widening the window would misattribute stamps: back-to-back ops finish
 /// microseconds apart, so any slack swallows the next op's home stamp.
-/// Ops of one thread are serialized by the gate, so the windows do not
-/// overlap and in-order matching is unambiguous; unmatched home stamps
-/// (e.g. a clock step mid-run) are dropped.
+/// The gate overlaps one thread's ops only when they go to one home and
+/// complete in issue order, so their home stamps and their windows are in
+/// the same order and in-order matching stays unambiguous; unmatched home
+/// stamps (e.g. a clock step mid-run) are dropped.
 pub(crate) fn join_spans(
     thread: ThreadId,
     clients: &[ClientSpan],

@@ -20,9 +20,10 @@
 //!
 //! Sequence numbers are per-thread: the client counts ops as it issues
 //! them and the serving side counts them as the gate dispatches them; the
-//! fabric is per-thread FIFO and the gate admits one op per thread at a
-//! time, so the two counts align exactly and `(thread, seq)` joins the
-//! halves without any id riding the data path.
+//! fabric is per-thread FIFO and the gate completes a thread's ops in the
+//! order it dispatched them (even the ones it overlaps), so the two counts
+//! align exactly and `(thread, seq)` joins the halves without any id
+//! riding the data path.
 
 use crate::hist::OpClass;
 use munin_types::ThreadId;

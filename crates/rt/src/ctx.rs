@@ -12,7 +12,11 @@
 //! [`MAX_INFLIGHT`] per thread) and completed later by a token wait or,
 //! implicitly, by the next blocking op — every blocking op waits for its
 //! *own* completion, which on the per-thread FIFO resume channel drains
-//! everything issued before it. Adjacent writes to the same object are
+//! everything issued before it. The node's op gate ([`crate::NodeStep`])
+//! hands the protocol server one of the thread's ops at a time, except a
+//! run of ops the server completes in order through one peer (Munin's
+//! fetch-adds to one remote home), which it lets overlap; either way
+//! results come back in issue order. Adjacent writes to the same object are
 //! always combined client-side and leave as one async write at the next
 //! non-write op.
 

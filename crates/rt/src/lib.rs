@@ -39,9 +39,13 @@
 //!   are delivered in send order;
 //! * **a pipelined client** — a thread keeps up to [`MAX_INFLIGHT`] ops in
 //!   flight, combines adjacent writes client-side, and parks on its resume
-//!   channel while it waits. [`RtCtx`] supplies only that issue path, through
-//!   the pipelining hooks of [`munin_sim::DsmThread`]; the application-facing
-//!   wrappers are the simulator's, written once there;
+//!   channel while it waits. The node's op gate ([`NodeStep`]) feeds the
+//!   protocol server those ops one at a time, except that ops the server
+//!   declares ordered through one peer ([`munin_sim::Server::ordered_peer`]:
+//!   Munin's fetch-adds to one remote home) overlap inside the server.
+//!   [`RtCtx`] supplies only that issue path, through the pipelining hooks
+//!   of [`munin_sim::DsmThread`]; the application-facing wrappers are the
+//!   simulator's, written once there;
 //! * **a wall-clock timer thread** replacing virtual-time timers (Ivy's
 //!   spin backoff and barrier sense polling work unmodified);
 //! * **a stall watchdog** replacing quiescence-based deadlock detection:

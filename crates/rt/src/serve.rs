@@ -15,8 +15,10 @@
 //!   that decoded the frames, the coordinator-hosted application thread
 //!   issuing an op on node 0, the timer thread. See `munin_tcp::node`.
 //!
-//! Either way the protocol server sees one event at a time and at most one
-//! outstanding op per thread, the concurrency model it was written for.
+//! Either way the protocol server sees one event at a time and, through the
+//! op gate, one outstanding op per thread, the concurrency model it was
+//! written for; only ops the server declares ordered through one peer
+//! ([`Server::ordered_peer`]) overlap.
 //! [`NodeKernel`] is the small extra contract the step needs beyond
 //! [`KernelApi`]: local thread resumption, access to the run-wide shared
 //! state, and the traffic shard taken at teardown.
@@ -59,45 +61,60 @@ pub trait NodeKernel<P: PayloadInfo + Clone>: KernelApi<P> {
     fn take_stats(&mut self) -> munin_net::NetStats;
 }
 
-/// The per-thread op gate: the protocol servers were written for at most
-/// one outstanding op per thread (their pending structures are keyed by
-/// thread), so pipelining is a *fabric* property — clients may have K ops
-/// in flight, but the step feeds the server a thread's ops strictly one at
-/// a time, queueing the rest here. Completions are per-thread FIFO by
-/// construction, which is what lets the client match results to tokens with
-/// a plain sequence counter.
+/// The per-thread op gate. The protocol servers were written for one
+/// outstanding op per thread (their pending structures are keyed by
+/// thread), so pipelining is a *fabric* property: clients may have K ops in
+/// flight, and the step feeds the server a thread's ops one at a time,
+/// queueing the rest here. The one exception is an op whose
+/// [`Server::ordered_peer`] names a peer: such ops complete in issue order
+/// through that peer's replies, so while a thread's in-flight ops all wait
+/// on one peer, its next op to the same peer goes in too. Either way
+/// completions are per-thread FIFO, which is what lets the client match
+/// results to tokens with a plain sequence counter.
 #[derive(Default)]
 struct OpGate {
-    /// Ops waiting behind the thread's in-flight op, oldest first.
-    queued: Vec<VecDeque<DsmOp>>,
-    /// Thread has an op inside the server that hasn't completed yet.
-    busy: Vec<bool>,
+    threads: Vec<GateSlot>,
+}
+
+#[derive(Default)]
+struct GateSlot {
+    /// Ops waiting behind the thread's in-flight ops, oldest first.
+    queued: VecDeque<DsmOp>,
+    /// Ops inside the server that haven't completed yet.
+    inflight: u32,
+    /// The peer every in-flight op completes through, when they are
+    /// ordered-peer ops (`None` while `inflight` is 0).
+    peer: Option<NodeId>,
 }
 
 impl OpGate {
-    fn ensure(&mut self, t: ThreadId) {
+    fn slot(&mut self, t: ThreadId) -> &mut GateSlot {
         let i = t.index();
-        if i >= self.busy.len() {
-            self.busy.resize(i + 1, false);
-            self.queued.resize_with(i + 1, Default::default);
+        if i >= self.threads.len() {
+            self.threads.resize_with(i + 1, Default::default);
         }
+        &mut self.threads[i]
     }
 
-    fn is_busy(&mut self, t: ThreadId) -> bool {
-        self.ensure(t);
-        self.busy[t.index()]
+    /// A Blocked dispatch put one more of `t`'s ops inside the server.
+    fn admit(&mut self, t: ThreadId, peer: Option<NodeId>) {
+        let s = self.slot(t);
+        debug_assert!(s.inflight == 0 || (peer.is_some() && s.peer == peer));
+        s.inflight += 1;
+        s.peer = peer;
     }
 
-    fn enqueue(&mut self, t: ThreadId, op: DsmOp) {
-        self.ensure(t);
-        self.queued[t.index()].push_back(op);
-    }
-
-    /// Mark `t`'s blocked op done and hand back its next queued op, if any.
-    fn unblock(&mut self, t: ThreadId) -> Option<DsmOp> {
-        self.ensure(t);
-        self.busy[t.index()] = false;
-        self.queued[t.index()].pop_front()
+    /// One of `t`'s blocked ops completed; once none is left, hand back the
+    /// thread's next queued op, if any.
+    fn complete(&mut self, t: ThreadId) -> Option<DsmOp> {
+        let s = self.slot(t);
+        debug_assert!(s.inflight > 0, "completion for {t:?} with no op in flight");
+        s.inflight = s.inflight.saturating_sub(1);
+        if s.inflight > 0 {
+            return None;
+        }
+        s.peer = None;
+        s.queued.pop_front()
     }
 }
 
@@ -136,10 +153,18 @@ where
     fn handle(&mut self, ev: NodeEvent<S::Payload>) -> bool {
         match ev {
             NodeEvent::Op(thread, op) => {
-                if self.gate.is_busy(thread) {
-                    self.gate.enqueue(thread, op);
-                } else {
+                // Admit at once when nothing is in flight, or when the op
+                // joins in-flight ops to the same ordered peer and nothing
+                // queued ahead of it.
+                let slot = self.gate.slot(thread);
+                let admit = slot.inflight == 0
+                    || (slot.queued.is_empty()
+                        && slot.peer.is_some()
+                        && self.server.ordered_peer(&self.kernel, &op) == slot.peer);
+                if admit {
                     self.dispatch(thread, op);
+                } else {
+                    slot.queued.push_back(op);
                 }
             }
             NodeEvent::Msg(from, body) => self.on_message(from, body),
@@ -166,7 +191,7 @@ where
                 return true;
             }
             for t in completed {
-                if let Some(op) = self.gate.unblock(t) {
+                if let Some(op) = self.gate.complete(t) {
                     self.dispatch(t, op);
                 }
             }
@@ -174,11 +199,13 @@ where
     }
 
     /// Feed one thread's op to the server, then keep feeding that thread's
-    /// queue while ops complete synchronously; a Blocked outcome closes the
-    /// thread's gate until the protocol calls `complete`.
+    /// queue while ops complete synchronously, or while they block on the
+    /// same ordered peer as the op before them. Any other Blocked outcome
+    /// closes the thread's gate until the protocol calls `complete`.
     fn dispatch(&mut self, thread: ThreadId, first: DsmOp) {
         let mut next = Some(first);
         while let Some(op) = next {
+            let peer = self.server.ordered_peer(&self.kernel, &op);
             // Gate dispatch *is* the protocol server's handle instant: the
             // span's dispatch timestamp and its server half open here. The
             // matching `srv_finish` happens inside the kernel's resume /
@@ -186,13 +213,25 @@ where
             self.kernel.shared().obs.srv_dispatch(thread);
             match self.server.on_op(&mut self.kernel, thread, op) {
                 OpOutcome::Done { result, cost_us: _ } => {
+                    // A Done op with a peer could overtake the in-flight
+                    // ops it was admitted behind.
+                    debug_assert!(peer.is_none(), "ordered-peer op completed synchronously");
                     self.kernel.resume(thread, result);
-                    next = self.gate.unblock(thread);
+                    let slot = self.gate.slot(thread);
+                    next = if slot.inflight == 0 { slot.queued.pop_front() } else { None };
                 }
                 OpOutcome::Blocked => {
-                    self.gate.ensure(thread);
-                    self.gate.busy[thread.index()] = true;
-                    next = None;
+                    self.gate.admit(thread, peer);
+                    let queued = &mut self.gate.threads[thread.index()].queued;
+                    next = match queued.front() {
+                        Some(front)
+                            if peer.is_some()
+                                && self.server.ordered_peer(&self.kernel, front) == peer =>
+                        {
+                            queued.pop_front()
+                        }
+                        _ => None,
+                    };
                 }
             }
         }
@@ -258,4 +297,190 @@ where
         }
     }
     step.kernel.take_stats()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use munin_net::{MsgClass, NetStats};
+    use munin_types::{
+        ByteRange, CostModel, LockId, ObjectDecl, ObjectId, SharingType, Telemetry, VirtualTime,
+    };
+
+    /// The one message of the fake protocol: `from`'s reply to `thread`'s
+    /// request.
+    #[derive(Debug, Clone)]
+    struct Reply(ThreadId);
+
+    impl PayloadInfo for Reply {
+        fn class(&self) -> MsgClass {
+            MsgClass::Sync
+        }
+        fn kind(&self) -> &'static str {
+            "Reply"
+        }
+        fn wire_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    /// A fake node 0 that records the order ops reach it. A fetch-add on
+    /// object `n` goes to node `n`: remote homes block on one request and
+    /// are ordered through their home, node 0's own completes at once. A
+    /// read blocks with no ordered peer.
+    #[derive(Default)]
+    struct Recorder {
+        dispatched: Vec<(ThreadId, DsmOp)>,
+    }
+
+    fn home(op: &DsmOp) -> Option<NodeId> {
+        match op {
+            DsmOp::AtomicFetchAdd { obj, .. } => Some(NodeId(obj.0 as u16)),
+            _ => None,
+        }
+    }
+
+    impl Server for Recorder {
+        type Payload = Reply;
+        fn on_op(&mut self, _k: &mut dyn KernelApi<Reply>, t: ThreadId, op: DsmOp) -> OpOutcome {
+            let local = home(&op) == Some(NodeId(0));
+            self.dispatched.push((t, op));
+            if local {
+                OpOutcome::done(OpResult::Value(self.dispatched.len() as i64), 0)
+            } else {
+                OpOutcome::Blocked
+            }
+        }
+        fn ordered_peer(&mut self, _k: &dyn KernelApi<Reply>, op: &DsmOp) -> Option<NodeId> {
+            home(op).filter(|&h| h != NodeId(0))
+        }
+        fn on_message(&mut self, k: &mut dyn KernelApi<Reply>, _from: NodeId, msg: Reply) {
+            k.complete(msg.0, OpResult::Unit, 0);
+        }
+    }
+
+    /// A kernel that only records which thread each result resumed.
+    struct FakeKernel {
+        shared: Arc<Shared>,
+        cost: CostModel,
+        resumed: Vec<ThreadId>,
+        completions: Vec<ThreadId>,
+    }
+
+    impl NodeKernel<Reply> for FakeKernel {
+        fn shared(&self) -> &Arc<Shared> {
+            &self.shared
+        }
+        fn resume(&mut self, thread: ThreadId, _result: OpResult) {
+            self.resumed.push(thread);
+        }
+        fn take_completions(&mut self) -> Vec<ThreadId> {
+            std::mem::take(&mut self.completions)
+        }
+        fn take_stats(&mut self) -> NetStats {
+            NetStats::new()
+        }
+    }
+
+    impl KernelApi<Reply> for FakeKernel {
+        fn now(&self) -> VirtualTime {
+            VirtualTime::ZERO
+        }
+        fn cost(&self) -> &CostModel {
+            &self.cost
+        }
+        fn send(&mut self, _src: NodeId, _dst: NodeId, _payload: Reply) {}
+        fn multicast(&mut self, _src: NodeId, _dsts: &[NodeId], _payload: Reply) {}
+        fn complete(&mut self, thread: ThreadId, _result: OpResult, _extra_cost_us: u64) {
+            self.resumed.push(thread);
+            self.completions.push(thread);
+        }
+        fn set_timer(&mut self, _node: NodeId, _delay_us: u64, _token: u64) {}
+        fn register_decl(&mut self, _decl: ObjectDecl, _home: NodeId) -> ObjectId {
+            unreachable!("the gate tests allocate nothing")
+        }
+        fn decl(&self, _obj: ObjectId) -> Option<ObjectDecl> {
+            None
+        }
+        fn assoc_objects(&self, _lock: LockId) -> Vec<ObjectId> {
+            Vec::new()
+        }
+        fn retype(&mut self, _obj: ObjectId, _sharing: SharingType) {}
+        fn registry_version(&self) -> u64 {
+            0
+        }
+        fn error(&mut self, msg: String) {
+            panic!("unexpected protocol error: {msg}");
+        }
+    }
+
+    const T0: ThreadId = ThreadId(0);
+    const T1: ThreadId = ThreadId(1);
+
+    fn node() -> NodeStep<Recorder, FakeKernel> {
+        let kernel = FakeKernel {
+            shared: Arc::new(Shared::new(Vec::new(), 2, Telemetry::Off)),
+            cost: CostModel::default(),
+            resumed: Vec::new(),
+            completions: Vec::new(),
+        };
+        NodeStep::new(Recorder::default(), kernel)
+    }
+
+    fn add(home: u64) -> DsmOp {
+        DsmOp::AtomicFetchAdd { obj: ObjectId(home), offset: 0, delta: 1 }
+    }
+
+    fn op(t: ThreadId, op: DsmOp) -> NodeEvent<Reply> {
+        NodeEvent::Op(t, op)
+    }
+
+    fn reply(from: u16, t: ThreadId) -> NodeEvent<Reply> {
+        NodeEvent::Msg(NodeId(from), MsgBody::Owned(Reply(t)))
+    }
+
+    fn dispatched(n: &NodeStep<Recorder, FakeKernel>) -> Vec<(ThreadId, DsmOp)> {
+        n.server.dispatched.clone()
+    }
+
+    #[test]
+    fn same_peer_ops_overlap_and_others_wait_for_the_drain() {
+        let mut n = node();
+        // Three fetch-adds to node 1's home all reach the server before
+        // any reply.
+        n.step([op(T0, add(1)), op(T0, add(1)), op(T0, add(1))]);
+        assert_eq!(dispatched(&n), vec![(T0, add(1)); 3]);
+        // A different peer, a local home, then the first peer again: all
+        // wait (the last one behind the two queued ahead of it), and
+        // another thread is not held up.
+        n.step([op(T0, add(2)), op(T0, add(0)), op(T0, add(1)), op(T1, add(2))]);
+        assert_eq!(dispatched(&n).len(), 4);
+        assert_eq!(dispatched(&n)[3], (T1, add(2)));
+        // Two of three replies leave one in flight: still nothing moves.
+        n.step([reply(1, T0), reply(1, T0)]);
+        assert_eq!(dispatched(&n).len(), 4);
+        // The last reply drains the window; the node-2 add goes in and
+        // blocks, and the local add behind it has no peer, so it waits.
+        n.step([reply(1, T0)]);
+        assert_eq!(dispatched(&n)[4..], [(T0, add(2))]);
+        // Its reply lets the local add complete inline and the queued
+        // node-1 add dispatch right behind it.
+        n.step([reply(2, T0)]);
+        assert_eq!(dispatched(&n)[5..], [(T0, add(0)), (T0, add(1))]);
+        n.step([reply(2, T1), reply(1, T0)]);
+        assert_eq!(n.kernel.resumed, [T0, T0, T0, T0, T0, T1, T0]);
+        assert_eq!(dispatched(&n).len(), 7);
+    }
+
+    #[test]
+    fn ops_behind_an_unordered_block_wait_even_for_the_same_peer() {
+        let mut n = node();
+        let read = DsmOp::Read { obj: ObjectId(1), range: ByteRange::new(0, 8) };
+        // A read blocks with no ordered peer: the fetch-adds behind it wait,
+        // then go in together once it completes.
+        n.step([op(T0, read.clone()), op(T0, add(1)), op(T0, add(1))]);
+        assert_eq!(dispatched(&n), [(T0, read.clone())]);
+        n.step([reply(1, T0)]);
+        assert_eq!(dispatched(&n), [(T0, read), (T0, add(1)), (T0, add(1))]);
+    }
 }

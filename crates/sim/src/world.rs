@@ -52,6 +52,28 @@ pub trait Server: Send {
         payload: Self::Payload,
     );
 
+    /// The peer an op of this kind completes through, when ops to that peer
+    /// complete in issue order; the wall-clock op gate then lets several of
+    /// one thread's ops to that peer be inside the server at once.
+    ///
+    /// `Some(p)` is a promise, for this `op` at this moment:
+    /// * [`Server::on_op`] returns [`OpOutcome::Blocked`] after sending
+    ///   exactly one request, to `p`;
+    /// * the op completes only when this server handles `p`'s reply, and
+    ///   `p` replies in request-arrival order (each node pair's stream is
+    ///   FIFO, so replies come back in issue order);
+    /// * the server keeps no per-thread state for the op.
+    ///
+    /// The default, `None`, keeps a thread's ops strictly one at a time.
+    /// The simulator never asks (it runs one op per thread by construction).
+    fn ordered_peer(
+        &mut self,
+        _kernel: &dyn KernelApi<Self::Payload>,
+        _op: &DsmOp,
+    ) -> Option<NodeId> {
+        None
+    }
+
     /// Handle a timer previously registered with [`KernelApi::set_timer`].
     fn on_timer(&mut self, _kernel: &mut dyn KernelApi<Self::Payload>, _token: u64) {}
 

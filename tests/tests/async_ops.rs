@@ -3,7 +3,10 @@
 //! client-side write-combining buffer, interleaved pipelined adds from two
 //! threads on one object, and implicit draining of unredeemed tokens at
 //! sync points — across every in-process backend, with a TCP-fabric pass
-//! when the environment supports it.
+//! when the environment supports it. One thread's window of fetch-adds
+//! spread over several homes pins the op gate's ordering: the gate lets
+//! adds to one remote home overlap, and results must still come back in
+//! issue order.
 //!
 //! (The companion failure-path test — pipelined ops against a killed TCP
 //! peer — lives in `crates/tcp/tests/campaign_faults.rs` as the
@@ -181,4 +184,66 @@ fn pipelined_adds_cover_every_slot_on_the_tcp_fabric() {
     let mut all = prevs.lock().unwrap().clone();
     all.sort_unstable();
     assert_eq!(all, (0..workers as i64 * N).collect::<Vec<_>>());
+}
+
+/// One thread keeps a window of async fetch-adds cycling, in runs of
+/// `RUN`, over counters homed on node 1, node 2 and its own node 0, with a
+/// blocking read in the middle. Munin's gate overlaps each run of adds to
+/// one remote home; every other op waits for the in-flight ones to drain. Whatever the backend
+/// does, each counter must hand out consecutive old values in issue order,
+/// and the tokens, redeemed in issue order, must carry exactly those.
+fn mixed_home_window(backend: Backend) {
+    const ADDS: usize = 192;
+    const HOMES: [usize; 3] = [1, 2, 0];
+    const RUN: usize = 4;
+    let home_of = |i: usize| i / RUN % HOMES.len();
+    let name = backend.name();
+    let mut p = ProgramBuilder::new(3);
+    let ctrs: Vec<_> = HOMES
+        .iter()
+        .map(|&h| p.scalar::<i64>(&format!("ctr{h}"), SharingType::GeneralReadWrite, h))
+        .collect();
+    let probe = p.scalar::<i64>("probe", SharingType::GeneralReadWrite, 2);
+    let got: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));
+    let out = got.clone();
+    p.thread(0, move |par: &mut dyn Par| {
+        par.store(&probe, 7);
+        let mut toks = Vec::with_capacity(ADDS);
+        for i in 0..ADDS {
+            toks.push(par.fetch_add_scalar_async(&ctrs[home_of(i)], 1));
+            if i == ADDS / 2 {
+                assert_eq!(par.load(&probe), 7, "the blocking read mid-window");
+            }
+        }
+        *out.lock().unwrap() = par.wait_all(toks);
+        for c in &ctrs {
+            assert_eq!(par.fetch_add_scalar(c, 0), (ADDS / HOMES.len()) as i64);
+        }
+    });
+    p.run(backend).assert_clean();
+    let got = got.lock().unwrap().clone();
+    let mut next = [0i64; HOMES.len()];
+    for (i, old) in got.iter().enumerate() {
+        let c = home_of(i);
+        assert_eq!(*old, next[c], "{name}: add {i} (counter on n{}) in {got:?}", HOMES[c]);
+        next[c] += 1;
+    }
+}
+
+#[test]
+fn a_window_over_three_homes_completes_in_issue_order() {
+    for backend in Backend::matrix().into_iter().filter(|b| !b.is_distributed()) {
+        mixed_home_window(backend);
+    }
+}
+
+#[test]
+fn a_window_over_three_homes_completes_in_issue_order_on_the_tcp_fabric() {
+    if let Err(notice) = munin_api::tcp_support() {
+        eprintln!("NOTICE: skipping TCP mixed-home window test: {notice}");
+        return;
+    }
+    for backend in Backend::matrix().into_iter().filter(|b| b.is_distributed()) {
+        mixed_home_window(backend);
+    }
 }
