@@ -2,9 +2,8 @@
 //! application threads, the timer thread and the watchdog together.
 
 use munin_obs::ObsCollector;
-use munin_sim::DsmOp;
-use munin_types::{NodeId, ObjectDecl, ObjectId, Telemetry, ThreadId};
-use std::collections::HashMap;
+use munin_sim::{DsmOp, Registry};
+use munin_types::{NodeId, ObjectDecl, Telemetry, ThreadId};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, RwLock};
@@ -73,15 +72,11 @@ pub enum NodeEvent<P> {
 pub struct Shared {
     /// Wall-clock origin of the run.
     pub start: Instant,
-    /// Global object-declaration registry — the moral equivalent of the
-    /// simulator kernel's registry map, shared because real nodes each run
-    /// their own kernel instance. Reads vastly outnumber writes (servers
-    /// cache declarations keyed on `registry_version`).
-    pub registry: RwLock<HashMap<ObjectId, ObjectDecl>>,
-    /// Bumped on every runtime retype; mirrors the simulator's counter.
-    pub registry_version: AtomicU64,
-    /// Allocator for dynamically registered object ids.
-    pub next_object: AtomicU64,
+    /// The object-declaration registry: on the in-process fabric the one
+    /// every node reads and writes; on TCP this process's copy, which the
+    /// registry service keeps in step with the others. Reads vastly
+    /// outnumber writes (servers cache declarations keyed on its version).
+    pub registry: RwLock<Registry>,
     /// Run errors (panics, stalls, server-reported invariant violations).
     pub errors: Mutex<Vec<String>>,
     /// Bumped every time any server thread processes an inbox event. The
@@ -123,12 +118,9 @@ pub struct Shared {
 
 impl Shared {
     pub fn new(decls: Vec<ObjectDecl>, n_threads: usize, telemetry: Telemetry) -> Self {
-        let next_object = decls.iter().map(|d| d.id.0 + 1).max().unwrap_or(0);
         Shared {
             start: Instant::now(),
-            registry: RwLock::new(decls.into_iter().map(|d| (d.id, d)).collect()),
-            registry_version: AtomicU64::new(0),
-            next_object: AtomicU64::new(next_object),
+            registry: RwLock::new(Registry::new(decls)),
             errors: Mutex::new(Vec::new()),
             activity: AtomicU64::new(0),
             blocked: AtomicUsize::new(0),

@@ -1,83 +1,144 @@
-//! [`RtKernel`]: the per-node-server implementation of the
-//! [`munin_sim::KernelApi`] seam over channels, atomics and wall-clock
-//! timers.
+//! [`WallKernel`]: the one implementation of the [`munin_sim::KernelApi`]
+//! seam for both wall-clock fabrics, generic over the [`Link`] that carries
+//! what differs between them.
 
 use crate::fabric::{MsgBody, NodeEvent, Shared};
-use crate::timer::TimerReq;
+use crate::timer::{self, TimerReq};
 use munin_net::PayloadInfo;
-use munin_sim::{KernelApi, OpResult};
-use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, SharingType, ThreadId, VirtualTime};
-use std::sync::atomic::Ordering;
+use munin_obs::SrvSpan;
+use munin_sim::{KernelApi, OpResult, Registry};
+use munin_types::{
+    CostModel, LockId, NodeId, ObjectDecl, ObjectId, SharingType, ThreadId, VirtualTime,
+};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-/// Kernel services for one node's server thread.
-///
-/// Each server thread owns its own `RtKernel` — including its own clones of
-/// every peer inbox sender — so sends from node A to node B always travel
-/// through A's clone of B's channel, preserving the per-(src,dst) FIFO
-/// ordering the protocols assume. Send failures are ignored by design: they
-/// only happen when the destination already shut down during teardown.
-///
-/// Protocol sends issued while the server handles one batch of inbox
-/// events are buffered per destination and flushed as a single
-/// [`NodeEvent::Batch`] channel message when the step ends
-/// ([`KernelApi::flush_outbound`], called by the server loop before it
-/// blocks again) — a K-item fan-out costs the fabric one channel operation
-/// and one receiver wake-up per destination instead of one per item. The
-/// outbox is strictly per-destination and in send order, so coalescing
-/// never reorders a (src,dst) pair.
-pub struct RtKernel<P> {
-    pub(crate) node: NodeId,
-    pub(crate) cost: CostModel,
-    pub(crate) inboxes: Vec<Sender<NodeEvent<P>>>,
-    pub(crate) resumes: Vec<Sender<OpResult>>,
-    pub(crate) timer_tx: Sender<TimerReq>,
-    pub(crate) shared: Arc<Shared>,
-    /// Per-kernel traffic accounting, returned by the owning server thread
-    /// when its loop exits and merged into the run totals there — keeps the
-    /// send path free of cross-node locking.
-    pub(crate) stats: munin_net::NetStats,
-    /// Outbound messages buffered during the current server step, one queue
-    /// per destination node.
-    pub(crate) outbox: Vec<Vec<(NodeId, MsgBody<P>)>>,
-    /// Threads whose blocked op completed this step (via
-    /// [`KernelApi::complete`]); drained by the server loop's op gate.
-    pub(crate) completions: Vec<ThreadId>,
-}
+/// What a wall-clock fabric puts under the kernel: the three things the
+/// in-process channel fabric and the TCP process fabric do differently.
+/// The kernel keeps everything else (traffic counts, completions, timers,
+/// registry reads, errors) once for both.
+pub trait Link<P> {
+    /// Queue `payload` for `dst`. Nothing leaves before [`Link::flush`],
+    /// and a (src, dst) pair keeps send order.
+    fn send(&mut self, dst: NodeId, payload: P);
 
-impl<P> RtKernel<P> {
-    /// This node's traffic counters, taken by the owning server loop when
-    /// it exits (the world merges every node's share into the run totals).
-    pub(crate) fn take_stats(&mut self) -> munin_net::NetStats {
-        std::mem::take(&mut self.stats)
+    /// Queue one `payload` for every node of `dsts` (never empty).
+    fn multicast(&mut self, dsts: &[NodeId], payload: P);
+
+    /// The end of a step: hand everything queued since the last flush to
+    /// the fabric, one hand-off per destination.
+    fn flush(&mut self);
+
+    /// Resume `thread` with `result`. `span` is the server half of the op's
+    /// telemetry span, for a fabric whose thread lives in another process.
+    fn resume(&mut self, thread: ThreadId, result: OpResult, span: Option<SrvSpan>);
+
+    /// Make a registry write visible to every node. The default writes the
+    /// process's one registry in place; `None` means the registry could not
+    /// be reached (the run is tearing down).
+    fn register_decl(
+        &mut self,
+        registry: &RwLock<Registry>,
+        decl: ObjectDecl,
+        home: NodeId,
+    ) -> Option<ObjectId> {
+        Some(registry.write().expect("registry poisoned").register_decl(decl, home))
+    }
+
+    /// As [`Link::register_decl`], for a retype; `false` when the registry
+    /// could not be reached.
+    fn retype(&mut self, registry: &RwLock<Registry>, obj: ObjectId, sharing: SharingType) -> bool {
+        registry.write().expect("registry poisoned").retype(obj, sharing);
+        true
     }
 }
 
-impl<P: PayloadInfo + Clone> crate::serve::NodeKernel<P> for RtKernel<P> {
-    fn shared(&self) -> &Arc<Shared> {
+/// Kernel services for one node's protocol steps on a wall-clock fabric.
+///
+/// One instance per node, used by one step at a time (the rt fabric's
+/// server thread owns it; the TCP fabric keeps it under the node's mutex).
+/// Sends are counted here and queued on the link, which delivers them when
+/// the step ends ([`KernelApi::flush_outbound`]). Registry reads go to the
+/// process's registry in [`Shared`]; writes go through the link.
+pub struct WallKernel<L> {
+    node: NodeId,
+    cost: CostModel,
+    link: L,
+    timer_tx: Sender<TimerReq>,
+    shared: Arc<Shared>,
+    /// This node's traffic counters, merged into the run totals at
+    /// teardown, so the send path takes no cross-node lock.
+    stats: munin_net::NetStats,
+    /// Threads whose blocked op completed this step (via
+    /// [`KernelApi::complete`]); drained by the step's op gate.
+    completions: Vec<ThreadId>,
+}
+
+impl<L> WallKernel<L> {
+    pub fn new(
+        node: NodeId,
+        cost: CostModel,
+        link: L,
+        timer_tx: Sender<TimerReq>,
+        shared: Arc<Shared>,
+    ) -> Self {
+        WallKernel {
+            node,
+            cost,
+            link,
+            timer_tx,
+            shared,
+            stats: munin_net::NetStats::new(),
+            completions: Vec::new(),
+        }
+    }
+
+    /// Run-wide shared state (activity epochs, poisoning, error log).
+    pub fn shared(&self) -> &Arc<Shared> {
         &self.shared
     }
 
-    fn resume(&mut self, thread: ThreadId, result: OpResult) {
-        // Close the span's server half; the in-process fabric has no wire
-        // hop, so the SrvSpan stays in the collector's ring (nothing to
-        // attach to a reply frame).
-        let _ = self.shared.obs.srv_finish(thread);
-        let _ = self.resumes[thread.index()].send(result);
+    /// The link under this kernel.
+    pub fn link(&self) -> &L {
+        &self.link
     }
 
-    fn take_completions(&mut self) -> Vec<ThreadId> {
+    /// This node's traffic counters, taken at teardown.
+    pub fn take_stats(&mut self) -> munin_net::NetStats {
+        std::mem::take(&mut self.stats)
+    }
+
+    /// Threads whose blocked op the protocol completed since the last
+    /// call. The op gate dispatches what they queued behind it.
+    pub(crate) fn take_completions(&mut self) -> Vec<ThreadId> {
         std::mem::take(&mut self.completions)
     }
 
-    fn take_stats(&mut self) -> munin_net::NetStats {
-        RtKernel::take_stats(self)
+    fn registry(&self) -> std::sync::RwLockReadGuard<'_, Registry> {
+        self.shared.registry.read().expect("registry poisoned")
+    }
+
+    fn unreachable_registry(&self, what: String) {
+        self.shared.error(format!(
+            "node n{}: registry unavailable for {what} (run tearing down)",
+            self.node.index()
+        ));
+    }
+
+    /// Resume a thread: close the op's server span half and hand the
+    /// result to the link. The step's Done path calls this directly, since
+    /// it dispatches the thread's next queued op itself.
+    pub(crate) fn resume<P>(&mut self, thread: ThreadId, result: OpResult)
+    where
+        L: Link<P>,
+    {
+        let span = self.shared.obs.srv_finish(thread);
+        self.link.resume(thread, result, span);
     }
 }
 
-impl<P: PayloadInfo + Clone> KernelApi<P> for RtKernel<P> {
+impl<L: Link<P>, P: PayloadInfo + Clone> KernelApi<P> for WallKernel<L> {
     fn now(&self) -> VirtualTime {
         VirtualTime::micros(self.shared.now_us())
     }
@@ -87,10 +148,10 @@ impl<P: PayloadInfo + Clone> KernelApi<P> for RtKernel<P> {
     }
 
     fn send(&mut self, src: NodeId, dst: NodeId, payload: P) {
-        debug_assert_eq!(src, self.node, "rt kernels send on behalf of their own node");
+        debug_assert_eq!(src, self.node, "a kernel sends on behalf of its own node");
         debug_assert_ne!(src, dst, "servers handle local work locally, not by self-send");
         self.stats.record(payload.class(), payload.kind(), payload.wire_bytes());
-        self.outbox[dst.index()].push((src, MsgBody::Owned(payload)));
+        self.link.send(dst, payload);
     }
 
     fn multicast(&mut self, src: NodeId, dsts: &[NodeId], payload: P) {
@@ -99,98 +160,61 @@ impl<P: PayloadInfo + Clone> KernelApi<P> for RtKernel<P> {
         if dsts.is_empty() {
             return;
         }
+        debug_assert!(!dsts.contains(&src), "servers handle local work locally");
         for _ in dsts {
             self.stats.record(payload.class(), payload.kind(), payload.wire_bytes());
         }
-        // No hardware multicast on a channel fabric: fanout == sends. The
-        // *payload*, however, is shared — one `Arc` for every destination
-        // instead of a deep clone per destination.
+        // No hardware multicast on either fabric: fanout == sends.
         self.stats.record_multicast(dsts.len(), dsts.len());
-        let shared_payload = Arc::new(payload);
-        for &dst in dsts {
-            debug_assert_ne!(src, dst);
-            self.outbox[dst.index()].push((src, MsgBody::Shared(shared_payload.clone())));
-        }
+        self.link.multicast(dsts, payload);
     }
 
     fn flush_outbound(&mut self) {
-        for dst in 0..self.outbox.len() {
-            match self.outbox[dst].len() {
-                0 => continue,
-                // A lone message needs no batch wrapper (and no Vec on the
-                // receiving side).
-                1 => {
-                    let (src, body) = self.outbox[dst].pop().expect("len checked");
-                    let _ = self.inboxes[dst].send(NodeEvent::Msg(src, body));
-                }
-                _ => {
-                    let items = std::mem::take(&mut self.outbox[dst]);
-                    let _ = self.inboxes[dst].send(NodeEvent::Batch(items));
-                }
-            }
-        }
+        self.link.flush();
     }
 
     fn complete(&mut self, thread: ThreadId, result: OpResult, _extra_cost_us: u64) {
         // Modelled completion cost is a virtual-time concept; here the
-        // thread's real wait *is* the cost, so resume immediately. Record
-        // the thread so the server loop's op gate can dispatch whatever
-        // pipelined ops queued behind the one that just completed.
-        let _ = self.shared.obs.srv_finish(thread);
-        let _ = self.resumes[thread.index()].send(result);
+        // thread's real wait *is* the cost, so resume at once. Record the
+        // thread so the op gate can dispatch what queued behind the op.
+        self.resume(thread, result);
         self.completions.push(thread);
     }
 
     fn set_timer(&mut self, node: NodeId, delay_us: u64, token: u64) {
-        // Count the timer as pending *before* the request is mailed, so the
-        // watchdog can never catch the arm in flight (it would otherwise
-        // see "all threads blocked, no activity, no pending timer" while
-        // the request sits in the timer thread's queue).
-        self.shared.timers_pending.fetch_add(1, Ordering::Release);
-        let req = TimerReq { due: Instant::now() + Duration::from_micros(delay_us), node, token };
-        if self.timer_tx.send(req).is_err() {
-            // Teardown: the timer thread is gone, the timer will never
-            // fire — don't leave the counter stuck above zero.
-            self.shared.timers_pending.fetch_sub(1, Ordering::Release);
+        debug_assert_eq!(node, self.node, "servers only arm timers for themselves");
+        let due = Instant::now() + Duration::from_micros(delay_us);
+        timer::arm(&self.timer_tx, &self.shared, node, due, token);
+    }
+
+    fn register_decl(&mut self, decl: ObjectDecl, home: NodeId) -> ObjectId {
+        match self.link.register_decl(&self.shared.registry, decl, home) {
+            Some(id) => id,
+            None => {
+                // The sentinel id keeps the (already failing) protocol from
+                // dereferencing a real object.
+                self.unreachable_registry("register_decl".into());
+                ObjectId(u64::MAX)
+            }
         }
     }
 
-    fn register_decl(&mut self, mut decl: ObjectDecl, home: NodeId) -> ObjectId {
-        let id = ObjectId(self.shared.next_object.fetch_add(1, Ordering::Relaxed));
-        decl.id = id;
-        decl.home = home;
-        self.shared.registry.write().expect("registry poisoned").insert(id, decl);
-        id
-    }
-
     fn decl(&self, obj: ObjectId) -> Option<ObjectDecl> {
-        self.shared.registry.read().expect("registry poisoned").get(&obj).cloned()
+        self.registry().decl(obj).cloned()
     }
 
-    fn assoc_objects(&self, lock: munin_types::LockId) -> Vec<ObjectId> {
-        let mut v: Vec<ObjectId> = self
-            .shared
-            .registry
-            .read()
-            .expect("registry poisoned")
-            .values()
-            .filter(|d| d.associated_lock == Some(lock))
-            .map(|d| d.id)
-            .collect();
-        v.sort_unstable();
-        v
+    fn assoc_objects(&self, lock: LockId) -> Vec<ObjectId> {
+        self.registry().assoc_objects(lock)
     }
 
     fn retype(&mut self, obj: ObjectId, sharing: SharingType) {
-        let mut reg = self.shared.registry.write().expect("registry poisoned");
-        if let Some(d) = reg.get_mut(&obj) {
-            d.sharing = sharing;
-            self.shared.registry_version.fetch_add(1, Ordering::Release);
+        if !self.link.retype(&self.shared.registry, obj, sharing) {
+            self.unreachable_registry(format!("retype of {obj}"));
         }
     }
 
     fn registry_version(&self) -> u64 {
-        self.shared.registry_version.load(Ordering::Acquire)
+        self.registry().version()
     }
 
     fn error(&mut self, msg: String) {
@@ -199,5 +223,56 @@ impl<P: PayloadInfo + Clone> KernelApi<P> for RtKernel<P> {
 
     fn coverage(&self) -> Option<&munin_obs::CoverageMap> {
         self.shared.coverage.as_deref()
+    }
+}
+
+/// The in-process channel fabric's link: a per-destination outbox flushed
+/// as one channel send per destination, and the threads' resume channels.
+///
+/// Each node's link holds its own clone of every peer's inbox sender, so a
+/// (src, dst) pair always travels through one channel and keeps FIFO order.
+/// A step's K messages to one destination cost one channel operation and
+/// one receiver wake-up ([`NodeEvent::Batch`]). Send failures are ignored:
+/// they only happen when the destination already shut down.
+pub(crate) struct ChanLink<P> {
+    pub(crate) me: NodeId,
+    pub(crate) inboxes: Vec<Sender<NodeEvent<P>>>,
+    pub(crate) resumes: Vec<Sender<OpResult>>,
+    /// Messages queued during the current step, one queue per destination.
+    pub(crate) outbox: Vec<Vec<(NodeId, MsgBody<P>)>>,
+}
+
+impl<P> Link<P> for ChanLink<P> {
+    fn send(&mut self, dst: NodeId, payload: P) {
+        self.outbox[dst.index()].push((self.me, MsgBody::Owned(payload)));
+    }
+
+    /// One `Arc` for every destination instead of a deep clone each.
+    fn multicast(&mut self, dsts: &[NodeId], payload: P) {
+        let shared = Arc::new(payload);
+        for &dst in dsts {
+            self.outbox[dst.index()].push((self.me, MsgBody::Shared(shared.clone())));
+        }
+    }
+
+    fn flush(&mut self) {
+        for (inbox, queued) in self.inboxes.iter().zip(&mut self.outbox) {
+            let _ = match queued.len() {
+                0 => continue,
+                // A lone message needs no batch wrapper (and no Vec on the
+                // receiving side).
+                1 => {
+                    let (src, body) = queued.pop().expect("len checked");
+                    inbox.send(NodeEvent::Msg(src, body))
+                }
+                _ => inbox.send(NodeEvent::Batch(std::mem::take(queued))),
+            };
+        }
+    }
+
+    /// The thread is in this process; the in-process fabric has no wire
+    /// hop, so the span stays in the collector's ring.
+    fn resume(&mut self, thread: ThreadId, result: OpResult, _span: Option<SrvSpan>) {
+        let _ = self.resumes[thread.index()].send(result);
     }
 }

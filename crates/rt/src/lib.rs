@@ -69,8 +69,12 @@
 //!
 //! The protocol crates (`munin-core`, `munin-ivy`, `munin-tardis`) know
 //! nothing of this kernel: they talk to whichever kernel hosts them through
-//! the [`munin_sim::KernelApi`] seam, and [`RtKernel`] implements it with channels, atomics and a shared
-//! declaration registry instead of an event queue.
+//! the [`munin_sim::KernelApi`] seam. [`WallKernel`] implements it once for
+//! both wall-clock fabrics, over a [`Link`] that owns what differs: where a
+//! step's messages go and when they leave, where a resume goes, and how a
+//! registry write is made. This crate's link is per-node channels, whose
+//! registry writes go in place; `munin-tcp`'s is sockets, with an
+//! ack-barriered registry RPC.
 //!
 //! ## Time, cost, and `compute`
 //!
@@ -96,6 +100,6 @@ mod world;
 
 pub use ctx::{OpPort, RtCtx, MAX_INFLIGHT};
 pub use fabric::{MsgBody, NodeEvent, Shared};
-pub use kernel::RtKernel;
-pub use serve::{server_loop, NodeKernel, NodeStep};
+pub use kernel::{Link, WallKernel};
+pub use serve::NodeStep;
 pub use world::{ComputeMode, Launch, RtTuning, RtWorldBuilder, WallFabric, DUMP_WAIT};

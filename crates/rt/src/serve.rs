@@ -1,11 +1,12 @@
 //! One node's protocol step, shared by every wall-clock fabric.
 //!
-//! A [`NodeStep`] is a node's `{server, kernel, op gate}`. Its one entry
+//! A [`NodeStep`] is a node's `{server, kernel, op gate}`, its kernel the
+//! one [`WallKernel`] over the fabric's [`crate::Link`]. Its one entry
 //! point, [`NodeStep::step`], handles a run of [`NodeEvent`]s in order
 //! (dispatch through the gate / `on_message` / `on_timer` / state dump),
 //! settles the completions each event caused, and ends by flushing what the
 //! kernel queued outbound, under a single activity-epoch bump. The fabrics
-//! differ only in *which thread* calls it:
+//! differ, above the link, only in *which thread* calls it:
 //!
 //! * the in-process channel fabric runs it on one server thread per node
 //!   ([`server_loop`]: a blocking `recv`, then `try_recv`s up to
@@ -19,47 +20,22 @@
 //! op gate, one outstanding op per thread, the concurrency model it was
 //! written for; only ops the server declares ordered through one peer
 //! ([`Server::ordered_peer`]) overlap.
-//! [`NodeKernel`] is the small extra contract the step needs beyond
-//! [`KernelApi`]: local thread resumption, access to the run-wide shared
-//! state, and the traffic shard taken at teardown.
 
-use crate::fabric::{MsgBody, NodeEvent, Shared};
+use crate::fabric::{MsgBody, NodeEvent};
+use crate::kernel::{Link, WallKernel};
 use munin_net::PayloadInfo;
-use munin_sim::{panic_message, DsmOp, KernelApi, OpOutcome, OpResult, Server};
+use munin_sim::{panic_message, DsmOp, KernelApi, OpOutcome, Server};
 use munin_types::{NodeId, ThreadId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Most inbox events one channel-fabric server wake-up drains (and
 /// processes under a single activity-epoch bump) before flushing its
 /// outbound batches and re-checking the channel.
 const BATCH_MAX: usize = 128;
-
-/// What a wall-clock fabric's kernel provides to the shared step, on top of
-/// the protocol-facing [`KernelApi`]. Implemented by the in-process
-/// [`crate::RtKernel`] and by `munin-tcp`'s socket kernel.
-pub trait NodeKernel<P: PayloadInfo + Clone>: KernelApi<P> {
-    /// Run-wide shared state (activity epochs, poisoning, error log).
-    fn shared(&self) -> &Arc<Shared>;
-
-    /// Resume a blocked application thread whose op completed locally
-    /// without going through [`KernelApi::complete`]'s bookkeeping.
-    fn resume(&mut self, thread: ThreadId, result: OpResult);
-
-    /// Threads whose *blocked* op the protocol completed (via
-    /// [`KernelApi::complete`]) since the last call. The op gate uses this
-    /// to dispatch those threads' queued pipelined ops; the synchronous
-    /// Done path never lands here (the step sees it inline).
-    fn take_completions(&mut self) -> Vec<ThreadId>;
-
-    /// This node's traffic counters, taken at teardown (the world merges
-    /// every node's shard into the run totals).
-    fn take_stats(&mut self) -> munin_net::NetStats;
-}
 
 /// The per-thread op gate. The protocol servers were written for one
 /// outstanding op per thread (their pending structures are keyed by
@@ -122,18 +98,18 @@ impl OpGate {
 /// itself: exactly one thread at a time may call [`NodeStep::step`] — the
 /// rt fabric owns it on the node's server thread, the TCP fabric guards it
 /// with the node's mutex.
-pub struct NodeStep<S, K> {
+pub struct NodeStep<S, L> {
     pub server: S,
-    pub kernel: K,
+    pub kernel: WallKernel<L>,
     gate: OpGate,
 }
 
-impl<S, K> NodeStep<S, K>
+impl<S, L> NodeStep<S, L>
 where
     S: Server,
-    K: NodeKernel<S::Payload>,
+    L: Link<S::Payload>,
 {
-    pub fn new(server: S, kernel: K) -> Self {
+    pub fn new(server: S, kernel: WallKernel<L>) -> Self {
         NodeStep { server, kernel, gate: OpGate::default() }
     }
 
@@ -257,15 +233,15 @@ where
 /// A panicking step ends the loop the way it ends a TCP node's cell: one
 /// error naming the node, and the run poisoned, so the threads blocked on
 /// this node tear down instead of reporting a clean run.
-pub fn server_loop<S, K>(
+pub(crate) fn server_loop<S, L>(
     node: NodeId,
     server: S,
-    kernel: K,
+    kernel: WallKernel<L>,
     inbox: Receiver<NodeEvent<S::Payload>>,
 ) -> munin_net::NetStats
 where
     S: Server,
-    K: NodeKernel<S::Payload>,
+    L: Link<S::Payload>,
 {
     let shared = kernel.shared().clone();
     let mut step = NodeStep::new(server, kernel);
@@ -302,10 +278,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use munin_net::{MsgClass, NetStats};
-    use munin_types::{
-        ByteRange, CostModel, LockId, ObjectDecl, ObjectId, SharingType, Telemetry, VirtualTime,
-    };
+    use crate::fabric::Shared;
+    use munin_net::MsgClass;
+    use munin_obs::SrvSpan;
+    use munin_sim::OpResult;
+    use munin_types::{ByteRange, CostModel, ObjectId, Telemetry};
+    use std::sync::mpsc::channel;
+    use std::sync::Arc;
 
     /// The one message of the fake protocol: `from`'s reply to `thread`'s
     /// request.
@@ -359,71 +338,27 @@ mod tests {
         }
     }
 
-    /// A kernel that only records which thread each result resumed.
-    struct FakeKernel {
-        shared: Arc<Shared>,
-        cost: CostModel,
-        resumed: Vec<ThreadId>,
-        completions: Vec<ThreadId>,
-    }
+    /// A link that only records which thread each result resumed.
+    #[derive(Default)]
+    struct Resumed(Vec<ThreadId>);
 
-    impl NodeKernel<Reply> for FakeKernel {
-        fn shared(&self) -> &Arc<Shared> {
-            &self.shared
-        }
-        fn resume(&mut self, thread: ThreadId, _result: OpResult) {
-            self.resumed.push(thread);
-        }
-        fn take_completions(&mut self) -> Vec<ThreadId> {
-            std::mem::take(&mut self.completions)
-        }
-        fn take_stats(&mut self) -> NetStats {
-            NetStats::new()
-        }
-    }
-
-    impl KernelApi<Reply> for FakeKernel {
-        fn now(&self) -> VirtualTime {
-            VirtualTime::ZERO
-        }
-        fn cost(&self) -> &CostModel {
-            &self.cost
-        }
-        fn send(&mut self, _src: NodeId, _dst: NodeId, _payload: Reply) {}
-        fn multicast(&mut self, _src: NodeId, _dsts: &[NodeId], _payload: Reply) {}
-        fn complete(&mut self, thread: ThreadId, _result: OpResult, _extra_cost_us: u64) {
-            self.resumed.push(thread);
-            self.completions.push(thread);
-        }
-        fn set_timer(&mut self, _node: NodeId, _delay_us: u64, _token: u64) {}
-        fn register_decl(&mut self, _decl: ObjectDecl, _home: NodeId) -> ObjectId {
-            unreachable!("the gate tests allocate nothing")
-        }
-        fn decl(&self, _obj: ObjectId) -> Option<ObjectDecl> {
-            None
-        }
-        fn assoc_objects(&self, _lock: LockId) -> Vec<ObjectId> {
-            Vec::new()
-        }
-        fn retype(&mut self, _obj: ObjectId, _sharing: SharingType) {}
-        fn registry_version(&self) -> u64 {
-            0
-        }
-        fn error(&mut self, msg: String) {
-            panic!("unexpected protocol error: {msg}");
+    impl Link<Reply> for Resumed {
+        fn send(&mut self, _dst: NodeId, _payload: Reply) {}
+        fn multicast(&mut self, _dsts: &[NodeId], _payload: Reply) {}
+        fn flush(&mut self) {}
+        fn resume(&mut self, thread: ThreadId, _result: OpResult, _span: Option<SrvSpan>) {
+            self.0.push(thread);
         }
     }
 
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
 
-    fn node() -> NodeStep<Recorder, FakeKernel> {
-        let kernel = FakeKernel {
-            shared: Arc::new(Shared::new(Vec::new(), 2, Telemetry::Off)),
-            cost: CostModel::default(),
-            resumed: Vec::new(),
-            completions: Vec::new(),
-        };
+    fn node() -> NodeStep<Recorder, Resumed> {
+        let shared = Arc::new(Shared::new(Vec::new(), 2, Telemetry::Off));
+        let (timer_tx, _) = channel();
+        let kernel =
+            WallKernel::new(NodeId(0), CostModel::default(), Resumed::default(), timer_tx, shared);
         NodeStep::new(Recorder::default(), kernel)
     }
 
@@ -439,7 +374,7 @@ mod tests {
         NodeEvent::Msg(NodeId(from), MsgBody::Owned(Reply(t)))
     }
 
-    fn dispatched(n: &NodeStep<Recorder, FakeKernel>) -> Vec<(ThreadId, DsmOp)> {
+    fn dispatched(n: &NodeStep<Recorder, Resumed>) -> Vec<(ThreadId, DsmOp)> {
         n.server.dispatched.clone()
     }
 
@@ -468,7 +403,7 @@ mod tests {
         n.step([reply(2, T0)]);
         assert_eq!(dispatched(&n)[5..], [(T0, add(0)), (T0, add(1))]);
         n.step([reply(2, T1), reply(1, T0)]);
-        assert_eq!(n.kernel.resumed, [T0, T0, T0, T0, T0, T1, T0]);
+        assert_eq!(n.kernel.link().0, [T0, T0, T0, T0, T0, T1, T0]);
         assert_eq!(dispatched(&n).len(), 7);
     }
 

@@ -2,8 +2,8 @@
 //! simulator's virtual-time timer events.
 //!
 //! Servers arm timers through `KernelApi::set_timer`; the kernel converts
-//! the relative delay into a deadline, bumps `timers_pending`, and mails it
-//! here. The thread keeps a min-heap of deadlines and hands `(node, token)`
+//! the relative delay into a deadline and [`arm`]s it: `timers_pending` is
+//! bumped, then the request is mailed here. The thread keeps a min-heap of deadlines and hands `(node, token)`
 //! to the fabric's `deliver` sink when each comes due: the channel fabric
 //! mails `NodeEvent::Timer(token)` to the owning node's inbox, the TCP
 //! fabric runs the node's step on this thread. It exits when every
@@ -25,7 +25,7 @@ use munin_types::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,6 +34,19 @@ pub struct TimerReq {
     pub due: Instant,
     pub node: NodeId,
     pub token: u64,
+}
+
+/// Arm a timer for `node`'s server. The timer counts as pending *before*
+/// the request is mailed, so the watchdog can never catch the arm in
+/// flight (it would otherwise see "all threads blocked, no activity, no
+/// pending timer" while the request sits in the timer thread's queue).
+/// When the timer thread is already gone (teardown) the timer will never
+/// fire, so the count is taken back.
+pub fn arm(tx: &Sender<TimerReq>, shared: &Shared, node: NodeId, due: Instant, token: u64) {
+    shared.timers_pending.fetch_add(1, Ordering::Release);
+    if tx.send(TimerReq { due, node, token }).is_err() {
+        shared.timers_pending.fetch_sub(1, Ordering::Release);
+    }
 }
 
 /// Heap entry ordered by deadline (earliest first via `Reverse`), with an
@@ -94,8 +107,7 @@ pub fn run_timer_thread(
 mod tests {
     use super::*;
     use crate::fabric::NodeEvent;
-    use std::sync::atomic::Ordering;
-    use std::sync::mpsc::{channel, Sender};
+    use std::sync::mpsc::channel;
     use std::time::Duration;
 
     // The payload type is irrelevant to the timer thread; any Send type do.
@@ -113,12 +125,9 @@ mod tests {
         (timer_tx, inbox_rx, shared, j)
     }
 
-    /// Arm a timer the way `RtKernel::set_timer` does: bump the pending
-    /// count *before* mailing the request.
-    fn arm(tx: &Sender<TimerReq>, shared: &Shared, delay: Duration, token: u64) {
-        shared.timers_pending.fetch_add(1, Ordering::Release);
-        tx.send(TimerReq { due: Instant::now() + delay, node: NodeId(0), token })
-            .expect("timer thread alive");
+    /// Arm a timer for node 0, `delay` from now.
+    fn arm_in(tx: &Sender<TimerReq>, shared: &Shared, delay: Duration, token: u64) {
+        arm(tx, shared, NodeId(0), Instant::now() + delay, token);
     }
 
     fn expect_timer(ev: Ev) -> u64 {
@@ -138,7 +147,7 @@ mod tests {
     fn pending_never_drops_before_the_event_is_delivered() {
         let (tx, inbox, shared, join) = harness();
         for round in 0..200u64 {
-            arm(&tx, &shared, Duration::from_micros(50), round);
+            arm_in(&tx, &shared, Duration::from_micros(50), round);
             // Spin until the timer thread claims nothing is pending …
             while shared.timers_pending.load(Ordering::Acquire) != 0 {
                 std::hint::spin_loop();
@@ -159,7 +168,7 @@ mod tests {
     fn firing_counts_as_kernel_activity() {
         let (tx, inbox, shared, join) = harness();
         let before = shared.activity.load(Ordering::Relaxed);
-        arm(&tx, &shared, Duration::from_micros(10), 7);
+        arm_in(&tx, &shared, Duration::from_micros(10), 7);
         assert_eq!(expect_timer(inbox.recv_timeout(Duration::from_secs(5)).unwrap()), 7);
         // The fire sequence is send → mark_activity → decrement, so the
         // epoch bump is guaranteed visible once the pending count drops.
@@ -180,11 +189,9 @@ mod tests {
     fn timers_fire_in_deadline_then_arming_order() {
         let (tx, inbox, shared, join) = harness();
         let due = Instant::now() + Duration::from_millis(20);
-        shared.timers_pending.fetch_add(3, Ordering::Release);
-        tx.send(TimerReq { due: due + Duration::from_millis(10), node: NodeId(0), token: 3 })
-            .unwrap();
-        tx.send(TimerReq { due, node: NodeId(0), token: 1 }).unwrap();
-        tx.send(TimerReq { due, node: NodeId(0), token: 2 }).unwrap();
+        arm(&tx, &shared, NodeId(0), due + Duration::from_millis(10), 3);
+        arm(&tx, &shared, NodeId(0), due, 1);
+        arm(&tx, &shared, NodeId(0), due, 2);
         let mut got = Vec::new();
         for _ in 0..3 {
             got.push(expect_timer(inbox.recv_timeout(Duration::from_secs(5)).unwrap()));
@@ -202,7 +209,7 @@ mod tests {
     fn idle_thread_exits_on_disconnect_and_drains_pending() {
         let (tx, inbox, shared, join) = harness();
         // Never fires: deadline far in the future.
-        arm(&tx, &shared, Duration::from_secs(3600), 9);
+        arm_in(&tx, &shared, Duration::from_secs(3600), 9);
         assert_eq!(shared.timers_pending.load(Ordering::Acquire), 1);
         drop(tx);
         join.join().unwrap();
@@ -212,5 +219,17 @@ mod tests {
             "undelivered heap entries must not leave the pending count stuck"
         );
         assert!(inbox.try_recv().is_err(), "nothing should have fired");
+    }
+
+    /// Arming once the timer thread is gone (its receiver dropped) takes
+    /// the pending count back: a timer that can never fire must not look
+    /// like progress to the watchdog.
+    #[test]
+    fn arming_after_the_timer_thread_is_gone_leaves_nothing_pending() {
+        let shared = Shared::new(Vec::new(), 0, munin_types::Telemetry::Off);
+        let (tx, rx) = channel();
+        drop(rx);
+        arm_in(&tx, &shared, Duration::from_micros(1), 5);
+        assert_eq!(shared.timers_pending.load(Ordering::Acquire), 0);
     }
 }

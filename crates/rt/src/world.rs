@@ -8,7 +8,7 @@
 
 use crate::ctx::{OpPort, RtCtx};
 use crate::fabric::{NodeEvent, Shared};
-use crate::kernel::RtKernel;
+use crate::kernel::{ChanLink, WallKernel};
 use crate::serve::server_loop;
 use crate::sig;
 use crate::timer::{run_timer_thread, TimerReq};
@@ -415,17 +415,19 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtFabric<P> {
             .zip(inbox_rxs)
             .enumerate()
             .map(|(i, (server, inbox))| {
-                let kernel = RtKernel {
-                    node: NodeId(i as u16),
-                    cost: cost.clone(),
+                let link = ChanLink {
+                    me: NodeId(i as u16),
                     inboxes: inboxes.clone(),
                     resumes: resumes.clone(),
-                    timer_tx: timer_tx.clone(),
-                    shared: shared.clone(),
-                    stats: NetStats::new(),
                     outbox: (0..n_nodes).map(|_| Vec::new()).collect(),
-                    completions: Vec::new(),
                 };
+                let kernel = WallKernel::new(
+                    NodeId(i as u16),
+                    cost.clone(),
+                    link,
+                    timer_tx.clone(),
+                    shared.clone(),
+                );
                 std::thread::Builder::new()
                     .name(format!("rt-node-{i}"))
                     .spawn(move || server_loop(NodeId(i as u16), server, kernel, inbox))

@@ -10,9 +10,10 @@
 //! * the **virtual-time kernel** ([`crate::Kernel`] inside
 //!   [`crate::World`]) — deterministic discrete-event simulation, one
 //!   runnable thread at a time;
-//! * the **real-time kernel** (`munin-rt`) — one OS thread per node server,
-//!   per-node message channels, app threads truly in parallel, wall-clock
-//!   timers.
+//! * the **wall-clock kernel** (`munin_rt::WallKernel`) — app threads truly
+//!   in parallel, wall-clock timers, and a link under it that is either
+//!   in-process channels (`munin-rt`) or sockets between processes
+//!   (`munin-tcp`).
 //!
 //! The trait is object-safe on purpose: servers take
 //! `&mut dyn KernelApi<P>`, which keeps every fault handler monomorphic
@@ -24,12 +25,14 @@ use munin_net::PayloadInfo;
 use munin_types::{
     CostModel, LockId, NodeId, ObjectDecl, ObjectId, SharingType, ThreadId, VirtualTime,
 };
+use std::collections::HashMap;
 
 /// Kernel services available to a [`crate::Server`] while it handles
 /// operations, messages and timers.
 ///
 /// Implemented by the deterministic virtual-time kernel
-/// ([`crate::Kernel`]) and by the real-time kernel (`munin_rt::RtKernel`).
+/// ([`crate::Kernel`]) and by the wall-clock kernel of the rt and TCP
+/// fabrics (`munin_rt::WallKernel`).
 pub trait KernelApi<P: PayloadInfo + Clone> {
     /// Current time: virtual microseconds on the simulator, wall-clock
     /// microseconds since run start on the real-time kernel.
@@ -101,6 +104,63 @@ pub trait KernelApi<P: PayloadInfo + Clone> {
     /// call `if let Some(c) = k.coverage() { c.note(...) }`.
     fn coverage(&self) -> Option<&munin_obs::CoverageMap> {
         None
+    }
+}
+
+/// The object-declaration registry behind [`KernelApi`]'s five registry
+/// methods, as a plain value: the simulator's kernel owns one, and each
+/// wall-clock process keeps one behind a lock (the TCP fabric replays every
+/// write to each process's copy in the same order, so all copies agree).
+#[derive(Debug)]
+pub struct Registry {
+    decls: HashMap<ObjectId, ObjectDecl>,
+    version: u64,
+    next_object: u64,
+}
+
+impl Registry {
+    /// A registry holding the build-time declarations; dynamically
+    /// registered ids continue after the largest one.
+    pub fn new(decls: impl IntoIterator<Item = ObjectDecl>) -> Self {
+        let decls: HashMap<ObjectId, ObjectDecl> = decls.into_iter().map(|d| (d.id, d)).collect();
+        let next_object = decls.keys().map(|id| id.0 + 1).max().unwrap_or(0);
+        Registry { decls, version: 0, next_object }
+    }
+
+    /// See [`KernelApi::register_decl`].
+    pub fn register_decl(&mut self, mut decl: ObjectDecl, home: NodeId) -> ObjectId {
+        let id = ObjectId(self.next_object);
+        self.next_object += 1;
+        decl.id = id;
+        decl.home = home;
+        self.decls.insert(id, decl);
+        id
+    }
+
+    /// See [`KernelApi::decl`].
+    pub fn decl(&self, obj: ObjectId) -> Option<&ObjectDecl> {
+        self.decls.get(&obj)
+    }
+
+    /// See [`KernelApi::assoc_objects`].
+    pub fn assoc_objects(&self, lock: LockId) -> Vec<ObjectId> {
+        let mut v: Vec<ObjectId> =
+            self.decls.values().filter(|d| d.associated_lock == Some(lock)).map(|d| d.id).collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// See [`KernelApi::retype`]. The version moves only when `obj` exists.
+    pub fn retype(&mut self, obj: ObjectId, sharing: SharingType) {
+        if let Some(d) = self.decls.get_mut(&obj) {
+            d.sharing = sharing;
+            self.version += 1;
+        }
+    }
+
+    /// See [`KernelApi::registry_version`].
+    pub fn version(&self) -> u64 {
+        self.version
     }
 }
 

@@ -43,7 +43,7 @@ pub mod tracer;
 pub mod transport;
 pub mod world;
 
-pub use kernel::KernelApi;
+pub use kernel::{KernelApi, Registry};
 pub use munin_obs::{CovRow, CoverageMap, CoverageSnapshot, Transition};
 pub use op::{DsmOp, DsmThread, OpOutcome, OpResult};
 pub use report::RunReport;

@@ -11,7 +11,7 @@
 //! configuration, seed).
 
 use crate::event::{EventKind, EventQueue};
-use crate::kernel::KernelApi;
+use crate::kernel::{KernelApi, Registry};
 use crate::op::{DsmOp, OpOutcome, OpResult};
 use crate::report::{RunReport, WaitTable};
 use crate::thread::{Baton, ThreadCtx};
@@ -21,7 +21,6 @@ use crossbeam_channel::{unbounded, Receiver, Sender};
 use munin_net::PayloadInfo;
 use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, ThreadId, VirtualTime};
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -100,11 +99,8 @@ pub struct Kernel<P: PayloadInfo + Clone> {
     events: EventQueue<Wire<P>>,
     transport: Transport<P>,
     stats_ext: munin_net::NetStats,
-    registry: HashMap<ObjectId, ObjectDecl>,
-    registry_version: u64,
-    next_object: u64,
+    registry: Registry,
     threads: Vec<ThreadRec>,
-    threads_on: Vec<Vec<ThreadId>>,
     tracer: Box<dyn Tracer>,
     ops: u64,
     errors: Vec<String>,
@@ -113,19 +109,18 @@ pub struct Kernel<P: PayloadInfo + Clone> {
     coverage: Option<std::sync::Arc<munin_obs::CoverageMap>>,
 }
 
-impl<P: PayloadInfo + Clone> Kernel<P> {
-    /// Current virtual time.
-    pub fn now(&self) -> VirtualTime {
+/// The virtual-time kernel: every send and timer becomes an event in the
+/// queue, and the clock is the queue's.
+impl<P: PayloadInfo + Clone> KernelApi<P> for Kernel<P> {
+    fn now(&self) -> VirtualTime {
         self.now
     }
 
-    /// The cost model in force.
-    pub fn cost(&self) -> &CostModel {
+    fn cost(&self) -> &CostModel {
         self.transport.cost()
     }
 
-    /// Send a protocol message to another node's server.
-    pub fn send(&mut self, src: NodeId, dst: NodeId, payload: P) {
+    fn send(&mut self, src: NodeId, dst: NodeId, payload: P) {
         debug_assert_ne!(src, dst, "servers handle local work locally, not by self-send");
         self.tracer.record(TraceEvent::MessageSent {
             at: self.now,
@@ -138,11 +133,9 @@ impl<P: PayloadInfo + Clone> Kernel<P> {
         self.transport.send(self.now, &mut self.events, &mut self.stats_ext, src, dst, payload);
     }
 
-    /// Multicast a protocol message. Destination list order does not affect
-    /// determinism (deliveries are scheduled in list order with stable
-    /// tie-breaking), but callers should pass sorted lists so traces are
-    /// stable across refactorings.
-    pub fn multicast(&mut self, src: NodeId, dsts: &[NodeId], payload: P) {
+    /// Destination list order does not affect determinism (deliveries are
+    /// scheduled in list order with stable tie-breaking).
+    fn multicast(&mut self, src: NodeId, dsts: &[NodeId], payload: P) {
         for &d in dsts {
             self.tracer.record(TraceEvent::MessageSent {
                 at: self.now,
@@ -163,9 +156,8 @@ impl<P: PayloadInfo + Clone> Kernel<P> {
         );
     }
 
-    /// Complete a blocked thread's pending operation: the thread resumes
-    /// `extra_cost_us` of virtual time from now.
-    pub fn complete(&mut self, thread: ThreadId, result: OpResult, extra_cost_us: u64) {
+    /// The thread resumes `extra_cost_us` of virtual time from now.
+    fn complete(&mut self, thread: ThreadId, result: OpResult, extra_cost_us: u64) {
         debug_assert!(
             !self.threads[thread.index()].done,
             "completing an op for exited thread {thread}"
@@ -173,139 +165,37 @@ impl<P: PayloadInfo + Clone> Kernel<P> {
         self.events.push(self.now + extra_cost_us, EventKind::ThreadResume { thread, result });
     }
 
-    /// Register a server timer: `on_timer(token)` fires on `node`'s server
-    /// after `delay_us`.
-    pub fn set_timer(&mut self, node: NodeId, delay_us: u64, token: u64) {
+    fn set_timer(&mut self, node: NodeId, delay_us: u64, token: u64) {
         self.events.push(self.now + delay_us, EventKind::Timer { node, token });
     }
 
-    /// Allocate a fresh object id and register its declaration. The
-    /// declaration's `id` field is overwritten with the assigned id and
-    /// `home` with the allocating node.
-    pub fn register_decl(&mut self, mut decl: ObjectDecl, home: NodeId) -> ObjectId {
-        let id = ObjectId(self.next_object);
-        self.next_object += 1;
-        decl.id = id;
-        decl.home = home;
-        self.registry.insert(id, decl);
-        id
+    fn register_decl(&mut self, decl: ObjectDecl, home: NodeId) -> ObjectId {
+        self.registry.register_decl(decl, home)
     }
 
-    /// Look up an object's declaration. Declarations are globally known
-    /// (the paper compiles them into the program), so this lookup models no
-    /// communication.
-    pub fn decl(&self, obj: ObjectId) -> Option<&ObjectDecl> {
-        self.registry.get(&obj)
+    fn decl(&self, obj: ObjectId) -> Option<ObjectDecl> {
+        self.registry.decl(obj).cloned()
     }
 
-    /// Change an object's sharing annotation at runtime — the paper's §4
-    /// "the system might be able to detect that an object is being
-    /// continuously updated by one thread and read by another [and] define
-    /// the object as a producer-consumer shared object and treat it
-    /// accordingly". The caller (the object's home server) is responsible
-    /// for resetting protocol state (invalidating outstanding copies).
-    pub fn retype(&mut self, obj: ObjectId, sharing: munin_types::SharingType) {
-        if let Some(d) = self.registry.get_mut(&obj) {
-            d.sharing = sharing;
-            self.registry_version += 1;
-        }
+    fn assoc_objects(&self, lock: munin_types::LockId) -> Vec<ObjectId> {
+        self.registry.assoc_objects(lock)
     }
 
-    /// Monotone counter bumped on every runtime retype; servers use it to
-    /// revalidate their declaration caches cheaply.
-    pub fn registry_version(&self) -> u64 {
-        self.registry_version
+    fn retype(&mut self, obj: ObjectId, sharing: munin_types::SharingType) {
+        self.registry.retype(obj, sharing);
     }
 
-    /// All registered declarations, sorted by id (stable for traces).
-    pub fn decls_sorted(&self) -> Vec<&ObjectDecl> {
-        let mut v: Vec<&ObjectDecl> = self.registry.values().collect();
-        v.sort_by_key(|d| d.id);
-        v
+    fn registry_version(&self) -> u64 {
+        self.registry.version()
     }
 
-    /// Node hosting `thread`.
-    pub fn node_of(&self, thread: ThreadId) -> NodeId {
-        self.threads[thread.index()].node
-    }
-
-    /// Threads placed on `node`.
-    pub fn threads_on(&self, node: NodeId) -> &[ThreadId] {
-        &self.threads_on[node.index()]
-    }
-
-    /// Total application threads.
-    pub fn n_threads(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Report a server-detected error (invariant violation, livelock). The
-    /// run continues but the report will not be clean.
-    pub fn error(&mut self, msg: impl Into<String>) {
-        let msg = msg.into();
+    fn error(&mut self, msg: String) {
         if std::env::var_os("MUNIN_DEBUG_ERRORS").is_some() {
             eprintln!("[kernel error] {msg}");
         }
         self.errors.push(msg);
     }
 
-    /// Network statistics so far (experiments read the final copy from the
-    /// [`RunReport`]).
-    pub fn stats(&self) -> &munin_net::NetStats {
-        &self.stats_ext
-    }
-}
-
-/// The virtual-time kernel exposes its services through the kernel seam, so
-/// the same servers run here and on the real-time kernel (`munin-rt`).
-impl<P: PayloadInfo + Clone> KernelApi<P> for Kernel<P> {
-    fn now(&self) -> VirtualTime {
-        Kernel::now(self)
-    }
-    fn cost(&self) -> &CostModel {
-        Kernel::cost(self)
-    }
-    fn send(&mut self, src: NodeId, dst: NodeId, payload: P) {
-        Kernel::send(self, src, dst, payload)
-    }
-    fn multicast(&mut self, src: NodeId, dsts: &[NodeId], payload: P) {
-        Kernel::multicast(self, src, dsts, payload)
-    }
-    fn flush_outbound(&mut self) {
-        // Trivial pass-through: `send`/`multicast` already pushed their
-        // deliveries into the event queue — there is nothing buffered.
-    }
-    fn complete(&mut self, thread: ThreadId, result: OpResult, extra_cost_us: u64) {
-        Kernel::complete(self, thread, result, extra_cost_us)
-    }
-    fn set_timer(&mut self, node: NodeId, delay_us: u64, token: u64) {
-        Kernel::set_timer(self, node, delay_us, token)
-    }
-    fn register_decl(&mut self, decl: ObjectDecl, home: NodeId) -> ObjectId {
-        Kernel::register_decl(self, decl, home)
-    }
-    fn decl(&self, obj: ObjectId) -> Option<ObjectDecl> {
-        Kernel::decl(self, obj).cloned()
-    }
-    fn assoc_objects(&self, lock: munin_types::LockId) -> Vec<ObjectId> {
-        let mut v: Vec<ObjectId> = self
-            .registry
-            .values()
-            .filter(|d| d.associated_lock == Some(lock))
-            .map(|d| d.id)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-    fn retype(&mut self, obj: ObjectId, sharing: munin_types::SharingType) {
-        Kernel::retype(self, obj, sharing)
-    }
-    fn registry_version(&self) -> u64 {
-        Kernel::registry_version(self)
-    }
-    fn error(&mut self, msg: String) {
-        Kernel::error(self, msg)
-    }
     fn coverage(&self) -> Option<&munin_obs::CoverageMap> {
         self.coverage.as_deref()
     }
@@ -390,10 +280,6 @@ impl WorldBuilder {
     pub fn build<S: Server + 'static>(self, servers: Vec<S>) -> World<S> {
         assert_eq!(servers.len(), self.n_nodes, "need exactly one server per node");
         let n_threads = self.spawns.len();
-        let mut registry = HashMap::new();
-        for d in self.decls {
-            registry.insert(d.id, d);
-        }
 
         let (done_tx, done_rx) = unbounded();
         let sim = Arc::new(Mutex::new(Sim {
@@ -402,11 +288,8 @@ impl WorldBuilder {
                 events: EventQueue::new(),
                 transport: Transport::new(self.transport),
                 stats_ext: munin_net::NetStats::new(),
-                registry,
-                registry_version: 0,
-                next_object: self.next_object,
+                registry: Registry::new(self.decls),
                 threads: Vec::with_capacity(n_threads),
-                threads_on: vec![Vec::new(); self.n_nodes],
                 tracer: self.tracer,
                 ops: 0,
                 errors: Vec::new(),
@@ -423,7 +306,6 @@ impl WorldBuilder {
         for (idx, (node, body)) in self.spawns.into_iter().enumerate() {
             let thread = ThreadId(idx as u32);
             let (resume_tx, resume_rx) = unbounded();
-            kernel.threads_on[node.index()].push(thread);
             kernel.threads.push(ThreadRec {
                 node,
                 resume_tx,
@@ -992,7 +874,7 @@ mod tests {
             EchoServer { node: NodeId(0), served: 0 },
             EchoServer { node: NodeId(1), served: 0 },
         ]);
-        let decl = w.sim.lock().unwrap().kernel.decl(id).cloned().unwrap();
+        let decl = w.sim.lock().unwrap().kernel.decl(id).unwrap();
         assert_eq!(decl.home, NodeId(1));
         assert_eq!(decl.name, "m");
         let report = w.run();

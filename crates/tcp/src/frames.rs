@@ -137,7 +137,9 @@ impl<P: Wire> Wire for DataFrame<P> {
 /// not set safely).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TestFault {
-    /// `node` exits abruptly (no teardown protocol) after `after`.
+    /// `node` exits abruptly (no teardown protocol) after `after`. With
+    /// `after` zero it exits at once when its mesh is up, before it reports
+    /// `Ready`.
     Exit { node: NodeId, after: Duration },
     /// `node` half-closes its data stream to `peer` after `after`.
     HalfClose { node: NodeId, peer: NodeId, after: Duration },
@@ -165,7 +167,7 @@ pub struct StartConfig {
     /// The protocol's `Wire`-encoded config, decoded by the registry
     /// entry that matched `proto_tag`. Opaque to the fabric.
     pub proto_cfg: Vec<u8>,
-    /// Build-time object declarations (the initial registry snapshot).
+    /// Build-time object declarations (the registry's initial contents).
     pub decls: Vec<ObjectDecl>,
     pub sync: SyncDecls,
     /// Loopback data-listener ports of every node, indexed by `NodeId`
@@ -199,7 +201,7 @@ wire_struct!(StartConfig {
 });
 
 /// A registry write, sent by any node's kernel to the coordinator-hosted
-/// registry service (reads are answered from the local versioned snapshot).
+/// registry service (reads are answered from the process's own copy).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegRequest {
     /// Allocate an id for `decl` and publish it (the `KernelApi::
@@ -215,19 +217,19 @@ wire_enum!(RegRequest {
 });
 
 /// The registry service's reply, sent only after the write has been applied
-/// to **every** node's snapshot (ack-barrier): any protocol message the
+/// to **every** node's copy (ack-barrier): any protocol message the
 /// writer sends afterwards is causally ordered after every peer learned the
 /// update, even though registry and protocol traffic ride different
 /// streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RegReply {
-    Decl { id: ObjectId, version: u64 },
-    Retype { version: u64 },
+    Decl { id: ObjectId },
+    Retype,
 }
 
 wire_enum!(RegReply {
-    0 => Decl { id, version },
-    1 => Retype { version },
+    0 => Decl { id },
+    1 => Retype,
 });
 
 /// One frame on a child's control stream: control plane only. Neither
@@ -248,10 +250,10 @@ pub enum CtrlFrame {
     Reg(RegRequest),
     /// Coordinator → child: registry write reply (ack-barrier done).
     RegReply(RegReply),
-    /// Coordinator → child: apply this declaration to your snapshot.
-    /// `seq` identifies the ack-barrier this update belongs to.
-    RegUpdate { decl: ObjectDecl, version: u64, seq: u64 },
-    /// Child → coordinator: snapshot updated (echoes the update's `seq`,
+    /// Coordinator → child: apply this write to your copy of the
+    /// registry. `seq` identifies the ack-barrier this update belongs to.
+    RegUpdate { req: RegRequest, seq: u64 },
+    /// Child → coordinator: registry copy updated (echoes the update's `seq`,
     /// so a late ack from a timed-out barrier can never satisfy a later
     /// one).
     RegUpdateAck { seq: u64 },
@@ -295,7 +297,7 @@ wire_enum!(CtrlFrame {
     2 => Ready,
     5 => Reg(req),
     6 => RegReply(reply),
-    7 => RegUpdate { decl, version, seq },
+    7 => RegUpdate { req, seq },
     8 => RegUpdateAck { seq },
     9 => Heartbeat { activity, timers_pending },
     10 => DumpReq,

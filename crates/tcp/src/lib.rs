@@ -9,8 +9,9 @@
 //!
 //! * **One OS process per node.** The coordinator process is node 0; every
 //!   other node is a `munin-node` child process running the *same protocol
-//!   step* as the in-process kernel (`munin_rt::NodeStep`), just with a
-//!   [`TcpKernel`] whose remote deliveries are socket writes. Protocol
+//!   step* over the *same kernel* as the in-process fabric
+//!   (`munin_rt::NodeStep`, `munin_rt::WallKernel`), just over
+//!   [`link::Links`], whose remote deliveries are socket writes. Protocol
 //!   logic in `munin-core`/`munin-ivy`/`munin-tardis` is untouched.
 //! * **No server thread.** A node's `{server, kernel, op gate}` sits behind
 //!   one mutex and each step runs on the thread that already holds the
@@ -40,10 +41,10 @@
 //!   back on it. The apps, the typed `Par` surface, and the harness are
 //!   unchanged — all six study applications run unmodified under
 //!   `Backend::tcp(..)`, whatever the protocol.
-//! * **A coordinator-hosted registry service** replaces the in-process
-//!   `Arc<RwLock>` registry: reads hit a per-process versioned snapshot;
+//! * **A coordinator-hosted registry service** keeps every process's copy
+//!   of the registry in step: reads hit the process's own copy;
 //!   writes (dynamic allocation, adaptive retyping) are request/reply
-//!   frames whose reply arrives only after every node's snapshot acked the
+//!   frames whose reply arrives only after every node's copy acked the
 //!   update (see [`registry`] for why that ack-barrier makes cross-stream
 //!   ordering a non-issue).
 //! * **The wall-clock world of `munin-rt`**: a run is an ordinary
@@ -68,7 +69,6 @@
 //! the buffered reader and the control/data frame vocabularies.
 
 pub mod frames;
-pub mod kernel;
 pub mod link;
 pub mod node;
 pub mod registry;
@@ -76,6 +76,5 @@ pub mod spawn;
 pub mod world;
 
 pub use frames::TestFault;
-pub use kernel::TcpKernel;
 pub use spawn::{node_binary, tcp_support};
 pub use world::run_proto;

@@ -1,4 +1,6 @@
-//! [`Link`]: the write half of one data stream.
+//! [`Link`]: the write half of one data stream, and [`Links`], one node's
+//! links to every peer: the fabric's `munin_rt::Link` under the one
+//! wall-clock kernel.
 //!
 //! One link per destination node. Frames are encoded once, straight into the
 //! link's out-buffer ([`Link::push`]); [`Link::flush`] hands the buffer to
@@ -20,14 +22,18 @@
 //! Lock order: node cell → link out-buffer, never the reverse; the
 //! out-buffer lock is never held across a blocking call.
 
-use crate::frames::append_frame;
+use crate::frames::{append_frame, put_msg, put_resume, RegReply, RegRequest};
+use crate::registry::RegClient;
+use munin_obs::SrvSpan;
+use munin_proto::Wire;
 use munin_rt::Shared;
-use munin_types::NodeId;
+use munin_sim::{OpResult, Registry};
+use munin_types::{NodeId, ObjectDecl, ObjectId, SharingType, ThreadId};
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// A buffer on its way to the overflow writer, and how much of its front
 /// the non-blocking send already took.
@@ -168,6 +174,125 @@ impl Link {
         out.failed = true;
         out.buf = Vec::new();
         report_failure(&self.shared, &self.finishing, self.me, self.peer, e);
+    }
+}
+
+/// Where completed operations resume their thread.
+pub enum ResumeSink {
+    /// The coordinator process hosts every application thread: resume on
+    /// the thread's in-process channel.
+    Local(Vec<Sender<OpResult>>),
+    /// A child process: the thread lives in the coordinator, so the resume
+    /// travels back as a `Resume` frame on the link to node 0.
+    Remote,
+}
+
+/// One node's links to every peer, under the node's kernel (so used only
+/// under the node's lock). A send encodes the payload once, straight into
+/// the destination link's out-buffer; the end of the step gives each link
+/// it wrote to one non-blocking socket write. The only blocking call a
+/// step can make through it is the registry RPC, which is served by
+/// threads that need no node state.
+pub struct Links {
+    /// Indexed by destination node (`None` at our own index).
+    peers: Vec<Option<Arc<Link>>>,
+    /// Links this step pushed frames onto; the flush writes these.
+    dirty: Vec<bool>,
+    resumes: ResumeSink,
+    registry: RegClient,
+}
+
+impl Links {
+    pub(crate) fn new(
+        peers: Vec<Option<Arc<Link>>>,
+        resumes: ResumeSink,
+        registry: RegClient,
+    ) -> Self {
+        Links { dirty: vec![false; peers.len()], peers, resumes, registry }
+    }
+
+    /// Queue one frame for `dst`; it leaves at the end of the step.
+    fn push(&mut self, dst: NodeId, encode: impl FnOnce(&mut Vec<u8>)) {
+        // No link can only mean a send to our own node index, which the
+        // protocols never make: fail the step loudly rather than stall.
+        let link = self.peers[dst.index()].as_ref().expect("send to self over the socket fabric");
+        link.push(encode);
+        self.dirty[dst.index()] = true;
+    }
+
+    /// The links whose non-blocking send stopped fitting (small socket
+    /// buffers, a slow peer), for the SIGUSR1 / stall dump; links that never
+    /// overflowed are left out, so an empty string means none did.
+    pub(crate) fn overflows(&self) -> String {
+        let overflowed: Vec<String> = self
+            .peers
+            .iter()
+            .flatten()
+            .filter_map(|l| match l.overflow_stats() {
+                (0, 0) => None,
+                (frames, bytes) => Some(format!(
+                    "to n{}: {frames} frame(s) took the overflow writer, {bytes} B left behind",
+                    l.peer().index()
+                )),
+            })
+            .collect();
+        overflowed.join("; ")
+    }
+}
+
+impl<P: Wire> munin_rt::Link<P> for Links {
+    fn send(&mut self, dst: NodeId, payload: P) {
+        self.push(dst, |out| put_msg(&payload, out));
+    }
+
+    /// Each destination's copy is encoded from the one payload.
+    fn multicast(&mut self, dsts: &[NodeId], payload: P) {
+        for &dst in dsts {
+            self.push(dst, |out| put_msg(&payload, out));
+        }
+    }
+
+    fn flush(&mut self) {
+        for (link, dirty) in self.peers.iter().zip(&mut self.dirty) {
+            if std::mem::take(dirty) {
+                link.as_ref().expect("only existing links get dirty").flush();
+            }
+        }
+    }
+
+    /// On a child the op's server span half rides the `Resume` frame to
+    /// the coordinator's span table.
+    fn resume(&mut self, thread: ThreadId, result: OpResult, span: Option<SrvSpan>) {
+        match &self.resumes {
+            ResumeSink::Local(resumes) => {
+                let _ = resumes[thread.index()].send(result);
+            }
+            ResumeSink::Remote => {
+                self.push(NodeId(0), |out| put_resume(thread, &result, &span, out))
+            }
+        }
+    }
+
+    /// The registry service writes every process's copy, this one's too.
+    fn register_decl(
+        &mut self,
+        _registry: &RwLock<Registry>,
+        decl: ObjectDecl,
+        home: NodeId,
+    ) -> Option<ObjectId> {
+        match self.registry.write(RegRequest::Decl { decl, home })? {
+            RegReply::Decl { id } => Some(id),
+            RegReply::Retype => None,
+        }
+    }
+
+    fn retype(
+        &mut self,
+        _registry: &RwLock<Registry>,
+        obj: ObjectId,
+        sharing: SharingType,
+    ) -> bool {
+        self.registry.write(RegRequest::Retype { obj, sharing }).is_some()
     }
 }
 

@@ -64,13 +64,12 @@ use crate::frames::{
     accept_streams, read_frame, send_shared, shared_writer, write_frame, CtrlFrame, DataFrame,
     FrameReader, SharedWriter, StartConfig, TestFault, STREAM_CTRL, STREAM_DATA,
 };
-use crate::kernel::{ResumeSink, TcpKernel};
-use crate::link::{fail_run, Link};
-use crate::registry::{RegCache, RegClient, RegWritePath};
+use crate::link::{fail_run, Link, Links, ResumeSink};
+use crate::registry::{apply, RegClient, RegWritePath};
 use munin_net::NetStats;
 use munin_proto::{Protocol, Wire};
 use munin_rt::timer::run_timer_thread;
-use munin_rt::{MsgBody, NodeEvent, NodeKernel, NodeStep, OpPort, Shared, DUMP_WAIT};
+use munin_rt::{MsgBody, NodeEvent, NodeStep, OpPort, Shared, WallKernel, DUMP_WAIT};
 use munin_sim::{panic_message, DsmOp, OpResult, Server};
 use munin_types::{CostModel, NodeId, ThreadId};
 use std::io::{self, Write};
@@ -188,7 +187,7 @@ fn run_node_inner(
 pub(crate) struct NodeCell<S: Server> {
     node: NodeId,
     /// `None` once teardown closed the node (late events are dropped).
-    step: Mutex<Option<NodeStep<S, TcpKernel<S::Payload>>>>,
+    step: Mutex<Option<NodeStep<S, Links>>>,
     pub(crate) shared: Arc<Shared>,
     finishing: Arc<AtomicBool>,
     /// Children only: the control stream, for telling the coordinator about
@@ -208,7 +207,7 @@ where
     pub(crate) fn new(
         node: NodeId,
         server: S,
-        kernel: TcpKernel<S::Payload>,
+        kernel: WallKernel<Links>,
         resumes: Vec<Sender<OpResult>>,
         ctrl: Option<SharedWriter>,
         finishing: Arc<AtomicBool>,
@@ -272,7 +271,9 @@ where
         let (state, links) = loop {
             match self.step.try_lock() {
                 Ok(guard) => match guard.as_ref() {
-                    Some(node) => break (node.server.debug_stuck_state(), node.kernel.overflows()),
+                    Some(node) => {
+                        break (node.server.debug_stuck_state(), node.kernel.link().overflows())
+                    }
                     None => return "(server loop gone)".into(),
                 },
                 Err(TryLockError::Poisoned(_)) => return "(protocol step panicked)".into(),
@@ -419,13 +420,12 @@ where
     // No application threads live here, but the observability collector
     // still needs one server-span slot per (coordinator-hosted) thread —
     // forwarded ops dispatch on this node under their issuing thread's id.
-    let mut shared0 = Shared::new(Vec::new(), start.n_threads, start.telemetry);
+    let mut shared0 = Shared::new(start.decls.clone(), start.n_threads, start.telemetry);
     if start.coverage {
         shared0.coverage = Some(Arc::new(munin_obs::CoverageMap::new()));
     }
     let shared = Arc::new(shared0);
     let finishing = Arc::new(AtomicBool::new(false));
-    let cache = Arc::new(RegCache::new(&start.decls));
     let ctrl_writer = shared_writer(ctrl.try_clone()?);
 
     // ---- mesh: dial lower-numbered nodes, accept higher-numbered ones ----
@@ -481,13 +481,12 @@ where
     let (timer_tx, timer_rx) = channel();
     let (reg_reply_tx, reg_reply_rx) = channel();
     let registry = RegClient {
-        cache: cache.clone(),
         path: RegWritePath::Remote { ctrl: ctrl_writer.clone() },
         reply_rx: reg_reply_rx,
         shared: shared.clone(),
     };
-    let kernel =
-        TcpKernel::new(me, cost, links, ResumeSink::Remote, timer_tx, registry, shared.clone());
+    let links = Links::new(links, ResumeSink::Remote, registry);
+    let kernel = WallKernel::new(me, cost, links, timer_tx, shared.clone());
     let cell = NodeCell::new(
         me,
         server,
@@ -532,7 +531,6 @@ where
         ctrl,
         cell.clone(),
         reg_reply_tx,
-        cache,
         ctrl_writer.clone(),
         finishing.clone(),
         finish_tx,
@@ -591,15 +589,14 @@ where
 }
 
 /// The child's control-stream reader: routes registry replies, applies
-/// snapshot updates (acking them), answers dump requests, and wakes the
-/// main thread on `Finish`/`Poison`. It never waits on the node cell; the
-/// dump's bounded `try_lock` is its only touch.
+/// registry updates to this process's copy (acking them), answers dump
+/// requests, and wakes the main thread on `Finish`/`Poison`. It never waits
+/// on the node cell; the dump's bounded `try_lock` is its only touch.
 #[allow(clippy::too_many_arguments)]
 fn spawn_ctrl_reader<S>(
     mut stream: TcpStream,
     cell: Arc<NodeCell<S>>,
     reg_reply_tx: Sender<crate::frames::RegReply>,
-    cache: Arc<RegCache>,
     ctrl_writer: SharedWriter,
     finishing: Arc<AtomicBool>,
     finish_tx: Sender<()>,
@@ -618,8 +615,8 @@ fn spawn_ctrl_reader<S>(
                     Ok(CtrlFrame::RegReply(r)) => {
                         let _ = reg_reply_tx.send(r);
                     }
-                    Ok(CtrlFrame::RegUpdate { decl, version, seq }) => {
-                        cache.apply(decl, version);
+                    Ok(CtrlFrame::RegUpdate { req, seq }) => {
+                        apply(&shared.registry, req);
                         let _ = send_shared(&ctrl_writer, &CtrlFrame::RegUpdateAck { seq });
                     }
                     Ok(CtrlFrame::DumpReq) => {
@@ -659,12 +656,18 @@ fn spawn_ctrl_reader<S>(
 fn spawn_test_fault(me: NodeId, fault: Option<TestFault>, raw_streams: &[Option<TcpStream>]) {
     match fault {
         Some(TestFault::Exit { node, after }) if node == me => {
+            let exit = move || {
+                eprintln!("munin-node n{}: test fault — exiting abruptly", me.index());
+                std::process::exit(42)
+            };
+            if after.is_zero() {
+                exit();
+            }
             std::thread::Builder::new()
                 .name("tcp-test-fault".into())
                 .spawn(move || {
                     std::thread::sleep(after);
-                    eprintln!("munin-node n{}: test fault — exiting abruptly", me.index());
-                    std::process::exit(42);
+                    exit();
                 })
                 .expect("failed to spawn fault thread");
         }
@@ -715,20 +718,13 @@ mod tests {
         let (reg_tx, _reg_rx) = channel();
         let (_reg_reply_tx, reply_rx) = channel();
         let registry = RegClient {
-            cache: Arc::new(RegCache::new(&[])),
             path: RegWritePath::Local { tx: reg_tx, node: NodeId(0) },
             reply_rx,
             shared: shared.clone(),
         };
-        let kernel = TcpKernel::new(
-            NodeId(0),
-            CostModel::default(),
-            vec![None, None],
-            ResumeSink::Local(Vec::new()),
-            timer_tx,
-            registry,
-            shared.clone(),
-        );
+        let links = Links::new(vec![None, None], ResumeSink::Local(Vec::new()), registry);
+        let kernel =
+            WallKernel::new(NodeId(0), CostModel::default(), links, timer_tx, shared.clone());
         let sync = SyncDecls { locks: Vec::new(), barriers: Vec::new(), conds: Vec::new() };
         let server = MuninServer::new(NodeId(0), MuninConfig::default(), sync);
         let cell = NodeCell::new(NodeId(0), server, kernel, Vec::new(), None, Arc::default(), None);

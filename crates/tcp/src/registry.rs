@@ -1,21 +1,22 @@
-//! The coordinator-hosted object-declaration registry.
+//! The coordinator-hosted registry service.
 //!
-//! The in-process kernels share one registry behind an `Arc<RwLock>`; real
-//! processes cannot. Here node 0's process hosts the authoritative map and
-//! every node (including node 0's own kernel) works against a **versioned
-//! local snapshot**:
+//! In-process nodes share one `munin_sim::Registry`; real processes cannot.
+//! Here every process keeps its own copy in its `munin_rt::Shared`, and the
+//! coordinator's copy is the master:
 //!
 //! * **reads** (`decl`, `assoc_objects`, `registry_version`) are answered
-//!   from the snapshot without any communication — matching the paper's
-//!   premise that declarations are "compiled into the program";
+//!   from the process's copy without any communication — matching the
+//!   paper's premise that declarations are "compiled into the program";
 //! * **writes** (`register_decl`, `retype`) are request/reply messages to
-//!   the registry service, which applies the write to the master map,
-//!   pushes a `RegUpdate` to every other node's snapshot, **waits for all
-//!   acks, and only then replies** to the writer.
+//!   the registry service, which applies the write to the master copy,
+//!   pushes the same write to every child, **waits for all acks, and only
+//!   then replies** to the writer. The service makes one write at a time
+//!   and every child replays them in its order, so every copy assigns the
+//!   same ids.
 //!
 //! The ack-barrier is what makes the split correct without cross-stream
 //! ordering guarantees: when the writer's kernel returns from the blocking
-//! write, every peer snapshot already contains the update, so any protocol
+//! write, every peer's copy already contains the update, so any protocol
 //! message the writer sends next — on whatever stream — is causally ordered
 //! after the update everywhere it could matter. Writes are rare (dynamic
 //! allocation, adaptive retyping), so the barrier costs nothing on the
@@ -23,63 +24,35 @@
 
 use crate::frames::{send_shared, CtrlFrame, RegReply, RegRequest, SharedWriter};
 use munin_rt::Shared;
-use munin_types::{LockId, NodeId, ObjectDecl, ObjectId};
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use munin_sim::Registry;
+use munin_types::NodeId;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-/// How long the registry service waits for snapshot acks before giving up
-/// on a silent node (the run is already failing if a node stops acking; the
+/// How long the registry service waits for acks before giving up on a
+/// silent node (the run is already failing if a node stops acking; the
 /// fault paths will name it).
 const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One process's snapshot of the registry.
-pub struct RegCache {
-    map: Mutex<HashMap<ObjectId, ObjectDecl>>,
-    version: AtomicU64,
-}
-
-impl RegCache {
-    pub fn new(decls: &[ObjectDecl]) -> Self {
-        RegCache {
-            map: Mutex::new(decls.iter().map(|d| (d.id, d.clone())).collect()),
-            version: AtomicU64::new(0),
+/// Apply one registry write to a process's copy: the service's to the
+/// master, a child's to its own, in the service's order.
+pub(crate) fn apply(registry: &RwLock<Registry>, req: RegRequest) -> RegReply {
+    let mut registry = registry.write().expect("registry poisoned");
+    match req {
+        RegRequest::Decl { decl, home } => {
+            RegReply::Decl { id: registry.register_decl(decl, home) }
+        }
+        RegRequest::Retype { obj, sharing } => {
+            registry.retype(obj, sharing);
+            RegReply::Retype
         }
     }
-
-    pub fn decl(&self, obj: ObjectId) -> Option<ObjectDecl> {
-        self.map.lock().expect("registry cache poisoned").get(&obj).cloned()
-    }
-
-    pub fn assoc_objects(&self, lock: LockId) -> Vec<ObjectId> {
-        let mut v: Vec<ObjectId> = self
-            .map
-            .lock()
-            .expect("registry cache poisoned")
-            .values()
-            .filter(|d| d.associated_lock == Some(lock))
-            .map(|d| d.id)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    /// Apply one pushed update (insert/replace the declaration, adopt the
-    /// service's version counter).
-    pub fn apply(&self, decl: ObjectDecl, version: u64) {
-        self.map.lock().expect("registry cache poisoned").insert(decl.id, decl);
-        self.version.store(version, Ordering::Release);
-    }
 }
 
-/// Input to the registry service thread: write requests and snapshot acks,
-/// funneled from every node's control reader plus node 0's local client.
+/// Input to the registry service thread: write requests and acks, funneled
+/// from every child's control reader plus node 0's local client.
 pub enum RegEvent {
     Request {
         from: NodeId,
@@ -92,31 +65,20 @@ pub enum RegEvent {
     },
 }
 
-/// Where the service sends a node's replies and updates.
-pub enum RegPort {
-    /// Node 0: its snapshot lives in this process; replies go down a local
-    /// channel, updates are applied directly (no ack round-trip needed).
-    Local { cache: Arc<RegCache>, reply_tx: Sender<RegReply> },
-    /// A child node, reached over its control stream.
-    Remote { ctrl: SharedWriter },
-}
-
 /// The registry service: runs on its own coordinator thread for the whole
-/// run, exits when the last funnel sender drops at teardown.
+/// run, exits when the last funnel sender drops at teardown. `ctrls` are
+/// the children's control streams, indexed by node (`None` at node 0, whose
+/// replies go down `local_reply`); the master copy is `shared.registry`.
 pub fn run_registry_service(
     rx: Receiver<RegEvent>,
-    ports: Vec<RegPort>,
-    initial: Vec<ObjectDecl>,
+    ctrls: Vec<Option<SharedWriter>>,
+    local_reply: Sender<RegReply>,
     shared: Arc<Shared>,
 ) {
-    let mut next_object = initial.iter().map(|d| d.id.0 + 1).max().unwrap_or(0);
-    let mut master: HashMap<ObjectId, ObjectDecl> =
-        initial.into_iter().map(|d| (d.id, d)).collect();
-    let mut version: u64 = 0;
     // Barrier sequence: every broadcast gets a fresh value, and only acks
     // echoing the *current* value count — a late ack from a barrier that
     // timed out (its node descheduled past ACK_TIMEOUT) must not release
-    // a later barrier before that node's snapshot actually applied it.
+    // a later barrier before that node's copy actually applied it.
     let mut seq: u64 = 0;
     // Requests that arrived while an ack-barrier was in progress.
     let mut backlog: VecDeque<RegEvent> = VecDeque::new();
@@ -134,65 +96,40 @@ pub fn run_registry_service(
             // with per-seq attribution it is safely ignorable noise.
             RegEvent::Ack { .. } => continue,
         };
-        let reply = match req {
-            RegRequest::Decl { mut decl, home } => {
-                let id = ObjectId(next_object);
-                next_object += 1;
-                decl.id = id;
-                decl.home = home;
-                master.insert(id, decl.clone());
-                seq += 1;
-                broadcast(&ports, &rx, &mut backlog, &shared, decl, version, seq);
-                RegReply::Decl { id, version }
+        let reply = apply(&shared.registry, req.clone());
+        seq += 1;
+        broadcast(&ctrls, &rx, &mut backlog, &shared, req, seq);
+        match &ctrls[from.index()] {
+            None => {
+                let _ = local_reply.send(reply);
             }
-            RegRequest::Retype { obj, sharing } => {
-                if let Some(d) = master.get_mut(&obj) {
-                    d.sharing = sharing;
-                    version += 1;
-                    let decl = d.clone();
-                    seq += 1;
-                    broadcast(&ports, &rx, &mut backlog, &shared, decl, version, seq);
-                }
-                RegReply::Retype { version }
-            }
-        };
-        match &ports[from.index()] {
-            RegPort::Local { reply_tx, .. } => {
-                let _ = reply_tx.send(reply);
-            }
-            RegPort::Remote { ctrl } => {
+            Some(ctrl) => {
                 let _ = send_shared(ctrl, &CtrlFrame::RegReply(reply));
             }
         }
     }
 }
 
-/// Push `decl` to every node's snapshot and wait until all remote nodes
-/// acked **this barrier** (acks carry the barrier's `seq` and are
-/// attributed per node, so neither a stale ack from a timed-out earlier
-/// barrier nor a duplicate from one node can release it early). Unrelated
-/// requests arriving mid-barrier are buffered into `backlog`.
+/// Push `req` to every child's copy and wait until all of them acked
+/// **this barrier** (acks carry the barrier's `seq` and are attributed per
+/// node, so neither a stale ack from a timed-out earlier barrier nor a
+/// duplicate from one node can release it early). Unrelated requests
+/// arriving mid-barrier are buffered into `backlog`.
 fn broadcast(
-    ports: &[RegPort],
+    ctrls: &[Option<SharedWriter>],
     rx: &Receiver<RegEvent>,
     backlog: &mut VecDeque<RegEvent>,
     shared: &Shared,
-    decl: ObjectDecl,
-    version: u64,
+    req: RegRequest,
     seq: u64,
 ) {
     let mut pending: BTreeSet<NodeId> = BTreeSet::new();
-    for (i, port) in ports.iter().enumerate() {
-        match port {
-            RegPort::Local { cache, .. } => cache.apply(decl.clone(), version),
-            RegPort::Remote { ctrl } => {
-                let update = CtrlFrame::RegUpdate { decl: decl.clone(), version, seq };
-                if send_shared(ctrl, &update).is_ok() {
-                    pending.insert(NodeId(i as u16));
-                }
-                // A failed send means the node is gone; the reader threads
-                // report lost peers, so just don't wait for its ack.
-            }
+    for (i, ctrl) in ctrls.iter().enumerate() {
+        let Some(ctrl) = ctrl else { continue };
+        // A failed send means the node is gone; the reader threads report
+        // lost peers, so just don't wait for its ack.
+        if send_shared(ctrl, &CtrlFrame::RegUpdate { req: req.clone(), seq }).is_ok() {
+            pending.insert(NodeId(i as u16));
         }
     }
     let deadline = Instant::now() + ACK_TIMEOUT;
@@ -209,9 +146,7 @@ fn broadcast(
             Ok(other) => backlog.push_back(other),
             Err(RecvTimeoutError::Timeout) => {
                 shared.error(format!(
-                    "registry: node(s) {pending:?} did not ack update of {} (v{version}) within \
-                     {ACK_TIMEOUT:?}",
-                    decl.id
+                    "registry: node(s) {pending:?} did not ack {req:?} within {ACK_TIMEOUT:?}"
                 ));
                 return;
             }
@@ -221,10 +156,9 @@ fn broadcast(
 }
 
 /// A node-side handle for registry **writes** (reads go straight to the
-/// snapshot). One outstanding write at a time per node — writes only ever
-/// originate from the node's single server thread.
+/// process's copy). One outstanding write at a time per node — writes only
+/// ever come from a step, which holds the node's lock.
 pub struct RegClient {
-    pub cache: Arc<RegCache>,
     pub path: RegWritePath,
     pub reply_rx: Receiver<RegReply>,
     pub shared: Arc<Shared>,

@@ -30,15 +30,14 @@ use crate::frames::{
     accept_streams, poll_until, read_frame, send_shared, shared_writer, CtrlFrame, DataFrame,
     RegReply, SharedWriter, StartConfig, TestFault, STREAM_CTRL, STREAM_DATA,
 };
-use crate::kernel::{ResumeSink, TcpKernel};
-use crate::link::Link;
+use crate::link::{Link, Links, ResumeSink};
 use crate::node::{spawn_data_reader, spawn_timer, InlinePort, LinkPort, NodeCell, MESH_TIMEOUT};
-use crate::registry::{run_registry_service, RegCache, RegClient, RegEvent, RegPort, RegWritePath};
+use crate::registry::{run_registry_service, RegClient, RegEvent, RegWritePath};
 use crate::spawn::spawn_node;
 use munin_net::NetStats;
 use munin_proto::wire::ProtoTag;
 use munin_proto::{Protocol, Wire};
-use munin_rt::{Launch, OpPort, RtWorldBuilder, Shared, WallFabric, DUMP_WAIT};
+use munin_rt::{Launch, OpPort, RtWorldBuilder, Shared, WallFabric, WallKernel, DUMP_WAIT};
 use munin_sim::report::RunReport;
 use munin_sim::Server;
 use munin_types::{CostModel, NodeId, SyncDecls, ThreadId};
@@ -47,7 +46,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -224,7 +223,7 @@ where
 
         // ---- control readers, registry service, heartbeat table ---------
         let (reg_tx, reg_rx) = channel::<RegEvent>();
-        let (ready_tx, ready_rx) = channel::<NodeId>();
+        let (ready_tx, ready_rx) = channel::<Option<NodeId>>();
         let (done_tx, done_rx) = channel::<DoneReport>();
         let (dump_tx, dump_rx) = channel::<(NodeId, String)>();
         let hb = Arc::new(HbTable::new(n_nodes));
@@ -246,37 +245,40 @@ where
         drop(done_tx);
         drop(dump_tx);
 
-        let cache0 = Arc::new(RegCache::new(&start.decls));
         let (reg_reply_tx0, reg_reply_rx0) = channel::<RegReply>();
-        let reg_ports: Vec<RegPort> = (0..n_nodes)
-            .map(|i| {
-                if i == 0 {
-                    RegPort::Local { cache: cache0.clone(), reply_tx: reg_reply_tx0.clone() }
-                } else {
-                    RegPort::Remote {
-                        ctrl: ctrl_writers[i].as_ref().expect("ctrl writer exists").clone(),
-                    }
-                }
-            })
-            .collect();
         let registry = {
-            let decls = start.decls.clone();
+            let ctrls = ctrl_writers.clone();
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("tcp-registry".into())
-                .spawn(move || run_registry_service(reg_rx, reg_ports, decls, shared))
+                .spawn(move || run_registry_service(reg_rx, ctrls, reg_reply_tx0, shared))
                 .expect("failed to spawn registry thread")
         };
 
         // ---- wait for every child to report Ready -----------------------
+        // A control reader that loses its stream wakes the wait (`None`):
+        // the live children's readers would keep it open to the deadline.
         let mut ready: BTreeSet<NodeId> = BTreeSet::new();
         while ready.len() < n_nodes - 1 {
             let left = deadline.saturating_duration_since(Instant::now());
             match ready_rx.recv_timeout(left) {
-                Ok(node) => {
+                Ok(Some(node)) => {
                     ready.insert(node);
                 }
-                Err(_) => {
+                Ok(None) | Err(RecvTimeoutError::Disconnected) => {
+                    // The lost stream's process is exiting: give it a moment,
+                    // to name it and its exit status.
+                    let grace = Instant::now() + Duration::from_secs(1);
+                    let exited = poll_until(grace, || Ok(children_alive(&mut children).err()));
+                    match exited {
+                        Ok(Some(e)) | Err(e) => panic!("node processes not Ready: {e}"),
+                        Ok(None) => panic!(
+                            "node processes not Ready (got {ready:?}): {:?}",
+                            shared.errors.lock().expect("error log poisoned")
+                        ),
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {
                     panic!("node processes not Ready within {MESH_TIMEOUT:?} (got {ready:?})")
                 }
             }
@@ -299,20 +301,12 @@ where
             .collect();
         let (timer_tx, timer_rx) = channel();
         let registry_client = RegClient {
-            cache: cache0,
             path: RegWritePath::Local { tx: reg_tx, node: NodeId(0) },
             reply_rx: reg_reply_rx0,
             shared: shared.clone(),
         };
-        let kernel = TcpKernel::new(
-            NodeId(0),
-            cost,
-            links.clone(),
-            ResumeSink::Local(resumes.clone()),
-            timer_tx,
-            registry_client,
-            shared.clone(),
-        );
+        let links0 = Links::new(links.clone(), ResumeSink::Local(resumes.clone()), registry_client);
+        let kernel = WallKernel::new(NodeId(0), cost, links0, timer_tx, shared.clone());
         let cell = NodeCell::new(
             NodeId(0),
             server0,
@@ -328,7 +322,6 @@ where
             }
         }
         let timer = spawn_timer(&cell, timer_rx);
-        drop(reg_reply_tx0);
 
         TcpFabric {
             shared,
@@ -480,7 +473,7 @@ fn spawn_coord_ctrl_reader(
     mut stream: TcpStream,
     node: NodeId,
     reg_tx: Sender<RegEvent>,
-    ready_tx: Sender<NodeId>,
+    ready_tx: Sender<Option<NodeId>>,
     done_tx: Sender<DoneReport>,
     dump_tx: Sender<(NodeId, String)>,
     hb: Arc<HbTable>,
@@ -494,7 +487,7 @@ fn spawn_coord_ctrl_reader(
             loop {
                 match read_frame::<CtrlFrame>(&mut stream, &mut buf) {
                     Ok(CtrlFrame::Ready) => {
-                        let _ = ready_tx.send(node);
+                        let _ = ready_tx.send(Some(node));
                     }
                     Ok(CtrlFrame::Reg(req)) => {
                         let _ = reg_tx.send(RegEvent::Request { from: node, req });
@@ -535,6 +528,7 @@ fn spawn_coord_ctrl_reader(
                             ));
                             shared.poisoned.store(true, Ordering::Release);
                         }
+                        let _ = ready_tx.send(None);
                         return;
                     }
                 }

@@ -10,12 +10,18 @@
 //!   held — while every other thread keeps a full window of pipelined ops
 //!   aimed at that node;
 //! * a panic inside a step, on the coordinator and on a child: a run error
-//!   naming the node and a prompt teardown, not a hang.
+//!   naming the node and a prompt teardown, not a hang;
+//! * a child that dies before it reports `Ready`: the start fails at once,
+//!   naming the child, not at the handshake deadline.
 //!
-//! Skips with a notice when the sandbox has no loopback sockets or the
-//! `munin-node` binary is missing.
+//! The registry writes (`alloc`, and a runtime retype by Munin's adaptive
+//! typing) also run on the in-process fabric, since both fabrics share one
+//! kernel and differ in how that kernel's registry writes are made.
+//!
+//! The TCP runs skip with a notice when the sandbox has no loopback sockets
+//! or the `munin-node` binary is missing.
 
-use munin_core::MuninProto;
+use munin_core::{MuninMsg, MuninProto};
 use munin_ivy::IvyProto;
 use munin_proto::Protocol;
 use munin_rt::{RtTuning, RtWorldBuilder};
@@ -23,9 +29,10 @@ use munin_sim::{DsmOp, DsmThread, RunReport};
 use munin_tardis::TardisProto;
 use munin_tcp::{run_proto, tcp_support, TestFault};
 use munin_types::{
-    BarrierDecl, BarrierId, ByteRange, NodeId, ObjectDecl, ObjectId, SharingType, SyncDecls,
-    TokenState,
+    BarrierDecl, BarrierId, ByteRange, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType,
+    SyncDecls, TokenState,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 fn skip() -> bool {
@@ -49,6 +56,23 @@ fn decl(name: &str, size: u32, sharing: SharingType, home: u16) -> (ObjectDecl, 
 }
 
 const NODES: usize = 3;
+
+/// Run `b` under `Pr` on TCP, or on the in-process fabric. (Munin and
+/// Tardis resolve declarations through the registry, so their servers need
+/// none at construction.)
+fn run_wall<Pr: Protocol>(
+    tcp: bool,
+    b: RtWorldBuilder<Pr::Msg>,
+    cfg: Pr::Config,
+    sync: SyncDecls,
+) -> RunReport {
+    if tcp {
+        return run_proto::<Pr>(b, cfg, sync, None);
+    }
+    let n = b.n_nodes();
+    let servers = (0..n).map(|i| Pr::server(&cfg, NodeId(i as u16), n, &[], &sync)).collect();
+    b.cost(Pr::cost(&cfg).clone()).run(servers)
+}
 
 /// Every node writes all of a `share`-byte write-many object homed on the
 /// *next* node, then all meet at the barrier: three multi-MiB transfers
@@ -103,7 +127,7 @@ fn crossing_multi_mib_flushes_finish_clean_on_every_protocol() {
 /// in flight against a counter homed on node 1, so node 1's readers queue
 /// on that lock the whole time. Nothing may be lost and the new objects
 /// must work.
-fn alloc_under_load<Pr: Protocol>(cfg: Pr::Config) -> RunReport {
+fn alloc_under_load<Pr: Protocol>(tcp: bool, cfg: Pr::Config) -> RunReport {
     const ALLOCS: usize = 24;
     const ADDS: i64 = 400;
     let mut b = RtWorldBuilder::<Pr::Msg>::new(NODES);
@@ -132,17 +156,96 @@ fn alloc_under_load<Pr: Protocol>(cfg: Pr::Config) -> RunReport {
             }
         });
     }
-    run_proto::<Pr>(b, cfg, one_barrier(NODES as u32), None)
+    run_wall::<Pr>(tcp, b, cfg, one_barrier(NODES as u32))
 }
 
 /// (Ivy declares every object before the run; it has no `alloc`.)
 #[test]
 fn registry_writes_proceed_under_full_async_windows() {
+    for tcp in [false, true] {
+        if tcp && skip() {
+            return;
+        }
+        alloc_under_load::<MuninProto>(tcp, Default::default()).assert_clean();
+        alloc_under_load::<TardisProto>(tcp, Default::default()).assert_clean();
+    }
+}
+
+/// The program of munin-core's `detector_promotes_general_to_producer_consumer`
+/// on a wall-clock fabric: the home (node 0) sees a pure producer-consumer
+/// pattern on a general read-write object and retypes it at run time, a
+/// registry write made inside a step. After that the consumer stops
+/// re-faulting and updates flow as refreshes.
+fn detector(tcp: bool) -> RunReport {
+    let mut cfg = MuninConfig::default();
+    cfg.adaptive_typing = true;
+    cfg.adapt_min_samples = 16;
+    let mut b = RtWorldBuilder::<MuninMsg>::new(NODES);
+    let (d, home) = decl("pc?", 32, SharingType::GeneralReadWrite, 0);
+    let obj = b.declare(d, home);
+    b.spawn(NodeId(1), move |ctx| {
+        for g in 0..30u8 {
+            ctx.write(obj, 0, vec![g; 32]);
+            ctx.barrier(BarrierId(0));
+            ctx.barrier(BarrierId(0));
+        }
+    });
+    b.spawn(NodeId(2), move |ctx| {
+        for g in 0..30u8 {
+            ctx.barrier(BarrierId(0));
+            assert_eq!(ctx.read(obj, ByteRange::new(0, 32)), vec![g; 32]);
+            ctx.barrier(BarrierId(0));
+        }
+    });
+    let report = run_wall::<MuninProto>(tcp, b, cfg, SyncDecls::round_robin(0, 1, 2, 2));
+    report.assert_clean();
+    let rr = report.stats.kind("ReadReq").count;
+    assert!(rr < 25, "tcp={tcp}: detector cut read faults: {rr} ReadReqs");
+    assert!(report.stats.kind("FlushOut").count > 0, "tcp={tcp}: no refreshes after promotion");
+    report
+}
+
+/// The barriers fix the order of everything the detector sees, so both
+/// fabrics send the same messages.
+#[test]
+fn a_runtime_retype_works_on_both_wall_fabrics_with_equal_traffic() {
+    let rt = detector(false);
     if skip() {
         return;
     }
-    alloc_under_load::<MuninProto>(Default::default()).assert_clean();
-    alloc_under_load::<TardisProto>(Default::default()).assert_clean();
+    let tcp = detector(true);
+    let counts = |r: &RunReport| -> Vec<(String, u64)> {
+        r.stats.by_kind.iter().map(|(k, s)| (k.clone(), s.count)).collect()
+    };
+    assert_eq!(counts(&rt), counts(&tcp), "per-kind message counts, rt vs tcp");
+}
+
+/// A child that dies once its mesh is up but before it reports `Ready`
+/// (`TestFault::Exit` with a zero delay exits at exactly that point) fails
+/// the start at once, naming the node and its exit status. With three
+/// nodes the live child's control reader keeps the `Ready` channel open,
+/// so only a wait that wakes on the dead child's lost stream notices.
+#[test]
+fn a_child_that_dies_before_ready_fails_the_start_at_once() {
+    if skip() {
+        return;
+    }
+    let mut b = RtWorldBuilder::<MuninMsg>::new(NODES);
+    b.spawn(NodeId(1), |_ctx| {});
+    let fault = TestFault::Exit { node: NodeId(2), after: Duration::ZERO };
+    let began = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        run_proto::<MuninProto>(b, MuninConfig::default(), one_barrier(1), Some(fault))
+    }));
+    let took = began.elapsed();
+    let payload = outcome.expect_err("a run whose child dies before Ready must fail");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(took < Duration::from_secs(5), "the failure took {took:?}: {msg}");
+    assert!(msg.contains("n2") && msg.contains("exit status: 42"), "not named: {msg}");
 }
 
 /// Two threads trade fetch-adds until `victim`'s next step panics (an

@@ -512,8 +512,12 @@ fn control_frames_roundtrip() {
             obj: ObjectId(9),
             sharing: SharingType::ProducerConsumer,
         }),
-        CtrlFrame::RegReply(RegReply::Decl { id: ObjectId(17), version: 3 }),
-        CtrlFrame::RegUpdate { decl: arb_decl(&mut rng), version: 4, seq: 6 },
+        CtrlFrame::RegReply(RegReply::Decl { id: ObjectId(17) }),
+        CtrlFrame::RegReply(RegReply::Retype),
+        CtrlFrame::RegUpdate {
+            req: RegRequest::Decl { decl: arb_decl(&mut rng), home: NodeId(2) },
+            seq: 6,
+        },
         CtrlFrame::RegUpdateAck { seq: 6 },
         CtrlFrame::Heartbeat { activity: 12345, timers_pending: 2 },
         CtrlFrame::DumpReq,

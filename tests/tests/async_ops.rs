@@ -150,9 +150,9 @@ fn sync_points_drain_unredeemed_tokens() {
 }
 
 /// The interleaving test on the real multi-process fabric, when the
-/// environment supports it: pipelined ops cross real sockets (and ride the
-/// batched `OpBatch` frames) yet the same atomicity and FIFO guarantees
-/// hold.
+/// environment supports it: pipelined ops cross real sockets (one `Op`
+/// frame each, a thread's queued frames leaving in one socket write when it
+/// is about to wait) yet the same atomicity and FIFO guarantees hold.
 #[test]
 fn pipelined_adds_cover_every_slot_on_the_tcp_fabric() {
     if let Err(notice) = munin_api::tcp_support() {
