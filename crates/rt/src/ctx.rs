@@ -3,15 +3,15 @@
 //! Unlike the simulator's rendezvous ([`munin_sim::ThreadCtx`]), an
 //! [`RtCtx`] never hands control to a scheduler: threads run whenever the
 //! OS runs them, submit operations to their node through an [`OpPort`], and
-//! block on a private resume channel until the protocol completes the fault. The
-//! recv loop wakes periodically to check the stall watchdog's poison flag,
+//! block on a private [`ResumeSlot`] until the protocol completes the fault.
+//! The wait wakes periodically to check the stall watchdog's poison flag,
 //! so a wedged protocol tears the thread down (with a panic the harness
 //! reports) instead of hanging the process.
 //!
 //! The issue path is pipelined: ops can be issued asynchronously (up to
 //! [`MAX_INFLIGHT`] per thread) and completed later by a token wait or,
 //! implicitly, by the next blocking op — every blocking op waits for its
-//! *own* completion, which on the per-thread FIFO resume channel drains
+//! *own* completion, which on the per-thread FIFO resume slot drains
 //! everything issued before it. The node's op gate ([`crate::NodeStep`])
 //! hands the protocol server one of the thread's ops at a time, except a
 //! run of ops the server completes in order through one peer (Munin's
@@ -24,11 +24,11 @@ use crate::fabric::{NodeEvent, Shared};
 use crate::world::{ComputeMode, RtTuning};
 use munin_obs::{wall_us, AccessKind, OpClass};
 use munin_sim::report::WaitTable;
-use munin_sim::{DsmOp, DsmThread, OpResult};
+use munin_sim::{DsmOp, DsmThread, OpResult, ResumeSlot, TakeError};
 use munin_types::{ByteRange, NodeId, ObjectId, ThreadId, TokenState};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -119,7 +119,7 @@ pub struct RtCtx {
     pub(crate) n_nodes: usize,
     pub(crate) n_threads: usize,
     pub(crate) to_server: Box<dyn OpPort>,
-    pub(crate) resume_rx: Receiver<OpResult>,
+    pub(crate) slot: Arc<ResumeSlot>,
     pub(crate) shared: Arc<Shared>,
     pub(crate) tuning: RtTuning,
     /// Real-microsecond wait accounting per op label (feeds the report's
@@ -127,10 +127,10 @@ pub struct RtCtx {
     pub(crate) waits: WaitTable,
     /// Sequence number of the most recently issued op (0 = none yet).
     next_seq: u64,
-    /// Highest sequence whose result has been taken off the resume channel.
+    /// Highest sequence whose result has been taken out of the resume slot.
     received_through: u64,
     /// In-flight ops, oldest first. The per-thread server-side op gate
-    /// completes ops in issue order, so the resume channel is a FIFO over
+    /// completes ops in issue order, so the resume slot is a FIFO over
     /// exactly this queue.
     pending: VecDeque<InFlight>,
     /// Completed-but-unredeemed token results (`seq`, label, result).
@@ -149,7 +149,7 @@ impl RtCtx {
         n_nodes: usize,
         n_threads: usize,
         to_server: Box<dyn OpPort>,
-        resume_rx: Receiver<OpResult>,
+        slot: Arc<ResumeSlot>,
         shared: Arc<Shared>,
         tuning: RtTuning,
     ) -> Self {
@@ -159,7 +159,7 @@ impl RtCtx {
             n_nodes,
             n_threads,
             to_server,
-            resume_rx,
+            slot,
             shared,
             tuning,
             waits: WaitTable::new(),
@@ -180,7 +180,7 @@ impl DsmThread for RtCtx {
     /// lets workers compute in parallel.
     ///
     /// Waiting for this op's own completion drains every async op issued
-    /// before it (the resume channel is a per-thread FIFO), which is what
+    /// before it (the resume slot is a per-thread FIFO), which is what
     /// makes every blocking op — and so every sync point — an implicit
     /// `drain`, as release consistency requires.
     ///
@@ -399,7 +399,7 @@ impl RtCtx {
         }
     }
 
-    /// Receive the oldest in-flight op's completion off the resume channel.
+    /// Receive the oldest in-flight op's completion from the resume slot.
     /// `wait_label` names the op the *caller* is blocked in, for
     /// poison/teardown panics.
     fn receive_one(&mut self, wait_label: &'static str) -> (u64, &'static str, bool, OpResult) {
@@ -428,23 +428,23 @@ impl RtCtx {
         (head.seq, head.label, head.claimed, result)
     }
 
-    /// One completion off the channel: a parked wait that wakes every
+    /// One completion from the slot: a parked wait that wakes every
     /// [`POISON_POLL`] to check the watchdog's flag. This is the *single*
     /// wait path — blocking ops and token waits both end here, so neither
     /// can miss poisoning.
     fn recv_result(&mut self, wait_label: &'static str) -> OpResult {
         self.to_server.flush();
         loop {
-            match self.resume_rx.recv_timeout(POISON_POLL) {
+            match self.slot.take_timeout(POISON_POLL) {
                 Ok(r) => return r,
-                Err(RecvTimeoutError::Timeout) => {
+                Err(TakeError::TimedOut) => {
                     if self.shared.is_poisoned() {
                         panic!(
                             "real-time kernel stalled while thread was blocked in '{wait_label}'"
                         );
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => {
+                Err(TakeError::Closed) => {
                     panic!("real-time kernel tore down while thread was blocked in '{wait_label}'")
                 }
             }
@@ -517,11 +517,11 @@ impl RtCtx {
 mod tests {
     use super::*;
     use munin_types::BarrierId;
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Receiver};
 
-    fn lone_ctx() -> (RtCtx, Receiver<NodeEvent<()>>, Sender<OpResult>) {
+    fn lone_ctx() -> (RtCtx, Receiver<NodeEvent<()>>, Arc<ResumeSlot>) {
         let (op_tx, op_rx) = channel();
-        let (res_tx, res_rx) = channel();
+        let slot = Arc::new(ResumeSlot::new());
         let shared = Arc::new(Shared::new(Vec::new(), 1, munin_types::Telemetry::default()));
         let ctx = RtCtx::new(
             ThreadId(0),
@@ -529,11 +529,11 @@ mod tests {
             1,
             1,
             Box::new(op_tx),
-            res_rx,
+            slot.clone(),
             shared,
             RtTuning::default(),
         );
-        (ctx, op_rx, res_tx)
+        (ctx, op_rx, slot)
     }
 
     /// Regression (PR 7 satellite): a thread blocked redeeming a token must
@@ -542,7 +542,7 @@ mod tests {
     /// a token waiter could have hung until the channel disconnected.
     #[test]
     fn blocked_token_waiter_sees_poison() {
-        let (mut ctx, _op_rx, _res_tx) = lone_ctx();
+        let (mut ctx, _op_rx, _res) = lone_ctx();
         let state = ctx.op_async(DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 });
         assert!(matches!(state, TokenState::Pending(_)));
         ctx.shared.poisoned.store(true, Ordering::Release);
@@ -560,7 +560,7 @@ mod tests {
     /// The issue path refuses new ops (sync or async) once poisoned.
     #[test]
     fn poisoned_issue_refuses_async_ops() {
-        let (mut ctx, _op_rx, _res_tx) = lone_ctx();
+        let (mut ctx, _op_rx, _res) = lone_ctx();
         ctx.shared.poisoned.store(true, Ordering::Release);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ctx.op_async(DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 });
@@ -574,14 +574,14 @@ mod tests {
     /// non-write op flushes the buffer first (program order on the wire).
     #[test]
     fn write_combining_coalesces_and_flushes_in_order() {
-        let (mut ctx, op_rx, res_tx) = lone_ctx();
+        let (mut ctx, op_rx, res) = lone_ctx();
         ctx.write(ObjectId(3), 0, vec![1, 2, 3, 4]);
         ctx.write(ObjectId(3), 4, vec![5, 6]); // appends
         ctx.write(ObjectId(3), 2, vec![9, 9]); // contained overwrite
         assert!(op_rx.try_recv().is_err(), "writes must buffer client-side");
         // A read flushes the combined write first, then issues itself.
-        res_tx.send(OpResult::Unit).unwrap(); // combined write completes
-        res_tx.send(OpResult::Bytes(vec![0u8; 4])).unwrap(); // read completes
+        res.deliver(OpResult::Unit); // combined write completes
+        res.deliver(OpResult::Bytes(vec![0u8; 4])); // read completes
         let bytes = ctx.read(ObjectId(3), ByteRange::new(0, 4));
         assert_eq!(bytes.len(), 4);
         let NodeEvent::Op(_, DsmOp::Write { obj, range, data }) =
@@ -603,7 +603,7 @@ mod tests {
     /// (async) and the second starts a fresh buffer.
     #[test]
     fn write_combining_splits_disjoint_ranges() {
-        let (mut ctx, op_rx, _res_tx) = lone_ctx();
+        let (mut ctx, op_rx, _res) = lone_ctx();
         ctx.write(ObjectId(1), 0, vec![1, 2]);
         ctx.write(ObjectId(1), 100, vec![3, 4]);
         let NodeEvent::Op(_, DsmOp::Write { range, .. }) =
@@ -619,11 +619,11 @@ mod tests {
     /// around both ranges, with the later write winning on the overlap.
     #[test]
     fn write_combining_merges_a_prepending_overlap() {
-        let (mut ctx, op_rx, res_tx) = lone_ctx();
+        let (mut ctx, op_rx, res) = lone_ctx();
         ctx.write(ObjectId(2), 4, vec![1, 2, 3, 4]); // buffer [4, 8)
         ctx.write(ObjectId(2), 2, vec![9, 9, 9]); // [2, 5): extends front, overwrites 4
         assert!(op_rx.try_recv().is_err(), "overlap must merge, not emit");
-        res_tx.send(OpResult::Unit).unwrap();
+        res.deliver(OpResult::Unit);
         ctx.drain_ops();
         let NodeEvent::Op(_, DsmOp::Write { range, data, .. }) =
             op_rx.try_recv().expect("one merged write")
@@ -638,7 +638,7 @@ mod tests {
     /// ranges look: the first buffer is emitted and the second starts fresh.
     #[test]
     fn write_combining_does_not_merge_across_objects() {
-        let (mut ctx, op_rx, _res_tx) = lone_ctx();
+        let (mut ctx, op_rx, _res) = lone_ctx();
         ctx.write(ObjectId(1), 0, vec![1, 2]);
         ctx.write(ObjectId(2), 2, vec![3, 4]); // would append if same object
         let NodeEvent::Op(_, DsmOp::Write { obj, .. }) =
@@ -655,7 +655,7 @@ mod tests {
     /// write at or above the ceiling is emitted immediately.
     #[test]
     fn write_combining_respects_the_byte_cap() {
-        let (mut ctx, op_rx, res_tx) = lone_ctx();
+        let (mut ctx, op_rx, res) = lone_ctx();
         let half = WC_MAX_BYTES / 2 + 1; // two halves together exceed the cap
         ctx.write(ObjectId(1), 0, vec![7u8; half]);
         ctx.write(ObjectId(1), half as u32, vec![8u8; half]); // adjacent, too big
@@ -667,8 +667,8 @@ mod tests {
         assert_eq!((range.start, range.len as usize), (0, half));
         assert!(op_rx.try_recv().is_err(), "the new write starts a fresh buffer");
 
-        res_tx.send(OpResult::Unit).unwrap(); // the emitted first buffer
-        res_tx.send(OpResult::Unit).unwrap(); // the second buffer, flushed now
+        res.deliver(OpResult::Unit); // the emitted first buffer
+        res.deliver(OpResult::Unit); // the second buffer, flushed now
         ctx.drain_ops();
         let _ = op_rx.try_recv();
         ctx.write(ObjectId(1), 0, vec![9u8; WC_MAX_BYTES]);
@@ -685,13 +685,13 @@ mod tests {
     /// order is write / barrier / write even though the byte ranges touch.
     #[test]
     fn sync_op_splits_adjacent_stores() {
-        let (mut ctx, op_rx, res_tx) = lone_ctx();
+        let (mut ctx, op_rx, res) = lone_ctx();
         ctx.write(ObjectId(5), 0, vec![1, 2]);
-        res_tx.send(OpResult::Unit).unwrap(); // flushed combined write
-        res_tx.send(OpResult::Unit).unwrap(); // the barrier itself
+        res.deliver(OpResult::Unit); // flushed combined write
+        res.deliver(OpResult::Unit); // the barrier itself
         ctx.barrier(BarrierId(0));
         ctx.write(ObjectId(5), 2, vec![3, 4]); // adjacent to the first
-        res_tx.send(OpResult::Unit).unwrap();
+        res.deliver(OpResult::Unit);
         ctx.drain_ops();
         let mut kinds = Vec::new();
         while let Ok(NodeEvent::Op(_, op)) = op_rx.try_recv() {
@@ -708,7 +708,7 @@ mod tests {
     /// explicit-drain analogue of the blocked-token-waiter regression.
     #[test]
     fn blocked_drain_sees_poison() {
-        let (mut ctx, _op_rx, _res_tx) = lone_ctx();
+        let (mut ctx, _op_rx, _res) = lone_ctx();
         ctx.op_async(DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 });
         ctx.shared.poisoned.store(true, Ordering::Release);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -722,13 +722,36 @@ mod tests {
         );
     }
 
+    /// A thread parked in a blocking op whose slot closes under it (the
+    /// fabric tore down) unwinds at once, naming the op, instead of
+    /// waiting for a poison flag nobody will set.
+    #[test]
+    fn a_closed_slot_tears_down_a_parked_thread() {
+        let (mut ctx, _op_rx, res) = lone_ctx();
+        let closer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            res.close();
+        });
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.fetch_add(ObjectId(0), 0, 1);
+        }))
+        .expect_err("a closed slot must tear the blocked thread down");
+        closer.join().unwrap();
+        let msg = munin_sim::panic_message(&*err);
+        assert!(
+            msg.contains("real-time kernel tore down while thread was blocked in 'fetch-add'"),
+            "unexpected panic: {msg}"
+        );
+        assert!(!ctx.shared.is_poisoned(), "no watchdog was involved");
+    }
+
     /// Fail closed: an errored op whose token was never redeemed must not
     /// survive a drain (= sync point) silently.
     #[test]
     fn unredeemed_errored_token_fails_the_next_drain() {
-        let (mut ctx, _op_rx, res_tx) = lone_ctx();
+        let (mut ctx, _op_rx, res) = lone_ctx();
         let _token = ctx.op_async(DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 });
-        res_tx.send(OpResult::Err(munin_types::DsmError::UnknownObject(ObjectId(0)))).unwrap();
+        res.deliver(OpResult::Err(munin_types::DsmError::UnknownObject(ObjectId(0))));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ctx.drain_ops();
         }))
@@ -744,19 +767,19 @@ mod tests {
     /// the oldest completion instead of queueing without bound.
     #[test]
     fn inflight_window_caps_at_max_inflight() {
-        let (mut ctx, op_rx, res_tx) = lone_ctx();
+        let (mut ctx, op_rx, res) = lone_ctx();
         let add = DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 };
         let tokens: Vec<TokenState> =
             (0..MAX_INFLIGHT).map(|_| ctx.op_async(add.clone())).collect();
         assert_eq!(ctx.pending.len(), MAX_INFLIGHT);
-        res_tx.send(OpResult::Value(10)).unwrap();
+        res.deliver(OpResult::Value(10));
         let last = ctx.op_async(add);
         assert_eq!(ctx.pending.len(), MAX_INFLIGHT, "issue retired the oldest op to make room");
         // The first op completed out from under the window; its token
-        // redeems from the claimable set without touching the channel.
+        // redeems from the claimable set without touching the slot.
         assert_eq!(ctx.token_wait(tokens[0]), 10);
         for v in 11..=(10 + MAX_INFLIGHT as i64) {
-            res_tx.send(OpResult::Value(v)).unwrap();
+            res.deliver(OpResult::Value(v));
         }
         assert_eq!(ctx.token_wait(last), 10 + MAX_INFLIGHT as i64);
         drop(op_rx);

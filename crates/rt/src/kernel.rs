@@ -6,7 +6,7 @@ use crate::fabric::{MsgBody, NodeEvent, Shared};
 use crate::timer::{self, TimerReq};
 use munin_net::PayloadInfo;
 use munin_obs::SrvSpan;
-use munin_sim::{KernelApi, OpResult, Registry};
+use munin_sim::{KernelApi, OpResult, Registry, ResumeSlot};
 use munin_types::{
     CostModel, LockId, NodeId, ObjectDecl, ObjectId, SharingType, ThreadId, VirtualTime,
 };
@@ -102,6 +102,12 @@ impl<L> WallKernel<L> {
     /// The link under this kernel.
     pub fn link(&self) -> &L {
         &self.link
+    }
+
+    /// The link under this kernel, for the fabric's own bookkeeping
+    /// between steps.
+    pub fn link_mut(&mut self) -> &mut L {
+        &mut self.link
     }
 
     /// This node's traffic counters, taken at teardown.
@@ -227,7 +233,7 @@ impl<L: Link<P>, P: PayloadInfo + Clone> KernelApi<P> for WallKernel<L> {
 }
 
 /// The in-process channel fabric's link: a per-destination outbox flushed
-/// as one channel send per destination, and the threads' resume channels.
+/// as one channel send per destination, and the threads' resume slots.
 ///
 /// Each node's link holds its own clone of every peer's inbox sender, so a
 /// (src, dst) pair always travels through one channel and keeps FIFO order.
@@ -237,7 +243,7 @@ impl<L: Link<P>, P: PayloadInfo + Clone> KernelApi<P> for WallKernel<L> {
 pub(crate) struct ChanLink<P> {
     pub(crate) me: NodeId,
     pub(crate) inboxes: Vec<Sender<NodeEvent<P>>>,
-    pub(crate) resumes: Vec<Sender<OpResult>>,
+    pub(crate) resumes: Vec<Arc<ResumeSlot>>,
     /// Messages queued during the current step, one queue per destination.
     pub(crate) outbox: Vec<Vec<(NodeId, MsgBody<P>)>>,
 }
@@ -271,8 +277,9 @@ impl<P> Link<P> for ChanLink<P> {
     }
 
     /// The thread is in this process; the in-process fabric has no wire
-    /// hop, so the span stays in the collector's ring.
+    /// hop, so the span stays in the collector's ring. The server thread
+    /// holds no lock, so the wake goes out at once.
     fn resume(&mut self, thread: ThreadId, result: OpResult, _span: Option<SrvSpan>) {
-        let _ = self.resumes[thread.index()].send(result);
+        self.resumes[thread.index()].deliver(result);
     }
 }

@@ -21,8 +21,9 @@
 //!   the concurrency model the servers were written for) while different
 //!   nodes genuinely run in parallel;
 //! * **truly parallel application threads** — app threads run free and
-//!   block on fault completion (a channel recv), not on a rendezvous with
-//!   a global scheduler;
+//!   block on fault completion (a take from their
+//!   [`munin_sim::ResumeSlot`]), not on a rendezvous with a global
+//!   scheduler;
 //! * **per-pair FIFO transport** — each kernel owns its own sender clone
 //!   per destination, so the per-(src,dst) FIFO ordering the protocols
 //!   assume carries over from the simulated transport;
@@ -39,13 +40,21 @@
 //!   are delivered in send order;
 //! * **a pipelined client** — a thread keeps up to [`MAX_INFLIGHT`] ops in
 //!   flight, combines adjacent writes client-side, and parks on its resume
-//!   channel while it waits. The node's op gate ([`NodeStep`]) feeds the
+//!   slot while it waits. The node's op gate ([`NodeStep`]) feeds the
 //!   protocol server those ops one at a time, except that ops the server
 //!   declares ordered through one peer ([`munin_sim::Server::ordered_peer`]:
 //!   Munin's fetch-adds to one remote home) overlap inside the server.
 //!   [`RtCtx`] supplies only that issue path, through the pipelining hooks
 //!   of [`munin_sim::DsmThread`]; the application-facing wrappers are the
 //!   simulator's, written once there;
+//! * **wake after release** — a result is queued in the thread's resume
+//!   slot by whoever completed the op, and the thread is woken only once
+//!   that waker holds no lock the thread needs next (here the server
+//!   thread holds none, so it wakes at once; the TCP fabric's node 0 wakes
+//!   after its cell's lock). A hand-off is then one context switch, not a
+//!   switch to a thread that blocks on the waker's lock and switches back.
+//!   The per-node inboxes are still `std::sync::mpsc` channels, whose send
+//!   wakes the server thread under the channel's own lock;
 //! * **a wall-clock timer thread** replacing virtual-time timers (Ivy's
 //!   spin backoff and barrier sense polling work unmodified);
 //! * **a stall watchdog** replacing quiescence-based deadlock detection:

@@ -14,7 +14,7 @@ use crate::sig;
 use crate::timer::{run_timer_thread, TimerReq};
 use munin_net::NetStats;
 use munin_sim::report::{RunReport, WaitTable, WallClock};
-use munin_sim::{panic_message, DsmOp, DsmThread, OpResult, Server};
+use munin_sim::{panic_message, DsmOp, DsmThread, ResumeSlot, Server};
 use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, Telemetry, ThreadId, VirtualTime};
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
@@ -38,7 +38,7 @@ pub enum ComputeMode {
 /// What a real-time run lets its caller choose. Everything else about the
 /// client path is fixed: a thread keeps up to [`crate::MAX_INFLIGHT`] ops
 /// in flight, adjacent writes are always combined client-side, a waiter
-/// always parks on its resume channel, and a server step drains a bounded
+/// always parks on its resume slot, and a server step drains a bounded
 /// batch of inbox events and coalesces its sends per destination.
 #[derive(Debug, Clone)]
 pub struct RtTuning {
@@ -79,8 +79,10 @@ pub struct Launch<'a> {
     pub cost: &'a CostModel,
     /// The state every thread of the run shares.
     pub shared: &'a Arc<Shared>,
-    /// The application threads' resume channels, indexed by thread id.
-    pub resumes: Vec<Sender<OpResult>>,
+    /// The application threads' resume slots, indexed by thread id. A
+    /// fabric pushes a result under whatever lock ordered it and wakes the
+    /// thread only after releasing that lock (see [`ResumeSlot`]).
+    pub resumes: Vec<Arc<ResumeSlot>>,
 }
 
 /// What a wall-clock fabric supplies to [`RtWorldBuilder::run_on`], which
@@ -202,7 +204,7 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
     }
 
     /// The run skeleton of every wall-clock fabric: create the run state
-    /// and the resume channels, `start` the fabric, launch the application
+    /// and the resume slots, `start` the fabric, launch the application
     /// threads, watch them until they have all exited, tear the fabric down
     /// and assemble the report.
     pub fn run_on<F: WallFabric>(self, start: impl FnOnce(Launch<'_>) -> F) -> RunReport {
@@ -211,9 +213,10 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
         let mut shared = Shared::new(decls.clone(), n_threads, tuning.telemetry);
         shared.coverage = coverage;
         let shared = Arc::new(shared);
-        let (resumes, resume_rxs): (Vec<Sender<OpResult>>, Vec<Receiver<OpResult>>) =
-            (0..n_threads).map(|_| channel()).unzip();
+        let slots: Vec<Arc<ResumeSlot>> =
+            (0..n_threads).map(|_| Arc::new(ResumeSlot::new())).collect();
         sig::install();
+        let resumes = slots.clone();
         let fabric =
             start(Launch { n_nodes, decls: &decls, cost: &cost, shared: &shared, resumes });
 
@@ -223,7 +226,7 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
         // run's wall clock).
         let (running, all_done) = channel::<()>();
         let mut apps = Vec::with_capacity(n_threads);
-        for (idx, ((node, body), resume_rx)) in spawns.into_iter().zip(resume_rxs).enumerate() {
+        for (idx, ((node, body), slot)) in spawns.into_iter().zip(slots).enumerate() {
             let tid = ThreadId(idx as u32);
             let port = fabric.port(node);
             let ctx = RtCtx::new(
@@ -232,7 +235,7 @@ impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P
                 n_nodes,
                 n_threads,
                 port,
-                resume_rx,
+                slot,
                 shared.clone(),
                 tuning.clone(),
             );
@@ -499,7 +502,7 @@ impl<P: Send + Sync + 'static> WallFabric for RtFabric<P> {
 mod tests {
     use super::*;
     use munin_net::{MsgClass, PayloadInfo};
-    use munin_sim::{KernelApi, OpOutcome, ThreadCtx, WorldBuilder};
+    use munin_sim::{KernelApi, OpOutcome, OpResult, ThreadCtx, WorldBuilder};
     use munin_types::{BarrierId, ByteRange, CondId, LockId, SharingType};
     use std::sync::Mutex;
 
@@ -625,15 +628,15 @@ mod tests {
     }
 
     /// The rt context's node: its op port records each op and answers it
-    /// on the resume channel at once.
+    /// in the resume slot at once.
     struct RecordingPort {
         ops: Arc<Mutex<Vec<DsmOp>>>,
-        resume: Sender<OpResult>,
+        resume: Arc<ResumeSlot>,
     }
 
     impl OpPort for RecordingPort {
         fn submit(&mut self, _thread: ThreadId, op: DsmOp) -> bool {
-            let _ = self.resume.send(reply(&op));
+            self.resume.deliver(reply(&op));
             self.ops.lock().unwrap().push(op);
             true
         }
@@ -653,14 +656,14 @@ mod tests {
         assert_eq!(sim_ops.pop(), Some(DsmOp::Exit), "the simulator's thread exits last");
 
         let rt_ops = Arc::new(Mutex::new(Vec::new()));
-        let (resume, resume_rx) = channel();
+        let resume = Arc::new(ResumeSlot::new());
         let mut ctx = RtCtx::new(
             ThreadId(0),
             NodeId(0),
             1,
             1,
-            Box::new(RecordingPort { ops: rt_ops.clone(), resume }),
-            resume_rx,
+            Box::new(RecordingPort { ops: rt_ops.clone(), resume: resume.clone() }),
+            resume,
             Arc::new(Shared::new(Vec::new(), 1, Telemetry::default())),
             RtTuning::default(),
         );

@@ -38,6 +38,7 @@ pub mod event;
 pub mod kernel;
 pub mod op;
 pub mod report;
+pub mod resume;
 pub mod thread;
 pub mod tracer;
 pub mod transport;
@@ -47,6 +48,7 @@ pub use kernel::{KernelApi, Registry};
 pub use munin_obs::{CovRow, CoverageMap, CoverageSnapshot, Transition};
 pub use op::{DsmOp, DsmThread, OpOutcome, OpResult};
 pub use report::RunReport;
+pub use resume::{ResumeSlot, TakeError};
 pub use thread::{panic_message, ThreadCtx};
 pub use tracer::{NullTracer, TraceEvent, Tracer};
 pub use transport::TransportConfig;

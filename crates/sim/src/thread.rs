@@ -6,12 +6,14 @@
 //! operation takes the baton, dispatches itself and runs the event queue on
 //! the calling thread until an event resumes some thread. If that is the
 //! caller, the operation returns without a thread switch; otherwise the
-//! caller wakes that thread and parks until an event resumes it in turn.
+//! caller queues the result in that thread's [`ResumeSlot`], releases the
+//! baton, and only then wakes that thread and parks until an event resumes
+//! it in turn (a thread woken under the baton would block on it at once).
 //! Exactly one application thread executes at any wall-clock moment, which
 //! is what makes runs deterministic.
 
 use crate::op::{DsmOp, DsmThread, OpResult};
-use crossbeam_channel::Receiver;
+use crate::resume::ResumeSlot;
 use munin_types::{NodeId, ThreadId};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -22,7 +24,7 @@ use std::sync::Arc;
 pub(crate) trait Baton: Send + Sync {
     /// Dispatch `op` for `thread`, then run events until one resumes a
     /// thread: `Some(result)` if that is `thread` itself, `None` if `thread`
-    /// must park on its resume channel.
+    /// must park on its resume slot.
     fn op(&self, thread: ThreadId, op: DsmOp) -> Option<OpResult>;
     /// `thread`'s body returned (`None`) or panicked (`Some(msg)`): retire
     /// it and pass the baton on.
@@ -40,7 +42,7 @@ pub struct ThreadCtx {
     pub(crate) n_nodes: usize,
     pub(crate) n_threads: usize,
     pub(crate) baton: Arc<dyn Baton>,
-    pub(crate) resume_rx: Receiver<OpResult>,
+    pub(crate) slot: Arc<ResumeSlot>,
 }
 
 impl DsmThread for ThreadCtx {
@@ -76,7 +78,7 @@ impl DsmThread for ThreadCtx {
 impl ThreadCtx {
     /// Wait until an event resumes this thread.
     fn park(&self) -> OpResult {
-        self.resume_rx.recv().unwrap_or_else(|_| resume_unwind(Box::new(TornDown)))
+        self.slot.take().unwrap_or_else(|_| resume_unwind(Box::new(TornDown)))
     }
 
     /// A simulated thread's whole life: wait for the t=0 resume, run `body`,
@@ -135,7 +137,7 @@ mod tests {
             n_nodes: 4,
             n_threads: 8,
             baton: baton.clone(),
-            resume_rx: crossbeam_channel::unbounded().1,
+            slot: Arc::new(ResumeSlot::new()),
         };
         (ctx, baton)
     }

@@ -14,6 +14,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::kernel::{KernelApi, Registry};
 use crate::op::{DsmOp, OpOutcome, OpResult};
 use crate::report::{RunReport, WaitTable};
+use crate::resume::ResumeSlot;
 use crate::thread::{Baton, ThreadCtx};
 use crate::tracer::{NullTracer, TraceEvent, Tracer};
 use crate::transport::{Transport, TransportConfig, Wire};
@@ -84,7 +85,7 @@ pub trait Server: Send {
 
 struct ThreadRec {
     node: NodeId,
-    resume_tx: Sender<OpResult>,
+    slot: Arc<ResumeSlot>,
     done: bool,
     /// (issue time, op label) of the operation currently awaiting completion.
     pending: Option<(VirtualTime, &'static str)>,
@@ -305,10 +306,10 @@ impl WorldBuilder {
         let kernel = &mut state.kernel;
         for (idx, (node, body)) in self.spawns.into_iter().enumerate() {
             let thread = ThreadId(idx as u32);
-            let (resume_tx, resume_rx) = unbounded();
+            let slot = Arc::new(ResumeSlot::new());
             kernel.threads.push(ThreadRec {
                 node,
-                resume_tx,
+                slot: slot.clone(),
                 done: false,
                 pending: None,
                 waits: WaitTable::new(),
@@ -324,7 +325,7 @@ impl WorldBuilder {
                 n_nodes: self.n_nodes,
                 n_threads,
                 baton: baton.clone(),
-                resume_rx,
+                slot,
             };
             bodies.push((ctx, body));
         }
@@ -362,24 +363,56 @@ fn take<S: Server>(baton: &Mutex<Sim<S>>) -> MutexGuard<'_, Sim<S>> {
     baton.lock().expect("a panic escaped while the baton was held")
 }
 
+/// Where a pass over the event queue ends. Only [`Handoff::finish`], called
+/// once the baton is released, wakes anyone.
+enum Handoff {
+    /// An event resumed the calling thread itself.
+    Mine(OpResult),
+    /// Another thread's result is queued in its slot, and it is parked.
+    Wake(Arc<ResumeSlot>),
+    /// Nobody to wake: the resumed thread has not parked yet, the queue ran
+    /// dry, or a handler panicked.
+    Nobody,
+}
+
+impl Handoff {
+    /// The caller's own result, if the event was for it; otherwise wake the
+    /// resumed thread. Call with the baton released: the woken thread's
+    /// first move is to take it.
+    fn finish(self) -> Option<OpResult> {
+        match self {
+            Handoff::Mine(result) => Some(result),
+            Handoff::Wake(slot) => {
+                slot.wake();
+                None
+            }
+            Handoff::Nobody => None,
+        }
+    }
+}
+
 impl<S: Server> Baton for Mutex<Sim<S>> {
     fn op(&self, thread: ThreadId, op: DsmOp) -> Option<OpResult> {
-        take(self).guarded(|sim| {
+        let handoff = take(self).guarded(|sim| {
             sim.dispatch_op(thread, op);
             sim.run_events(Some(thread))
-        })
+        });
+        handoff.finish()
     }
 
     fn exit(&self, thread: ThreadId, panic: Option<String>) {
-        let mut sim = take(self);
-        if sim.torn_down {
-            return;
-        }
-        sim.kernel.threads[thread.index()].done = true;
-        if let Some(msg) = panic {
-            sim.kernel.error(format!("{thread} panicked: {msg}"));
-        }
-        sim.guarded(|sim| sim.run_events(None));
+        let handoff = {
+            let mut sim = take(self);
+            if sim.torn_down {
+                return;
+            }
+            sim.kernel.threads[thread.index()].done = true;
+            if let Some(msg) = panic {
+                sim.kernel.error(format!("{thread} panicked: {msg}"));
+            }
+            sim.guarded(|sim| sim.run_events(None))
+        };
+        handoff.finish();
     }
 }
 
@@ -395,6 +428,7 @@ impl<S: Server> World<S> {
     /// run and is rethrown here, on the caller's thread, with its payload.
     pub fn run(self) -> RunReport {
         let World { sim, bodies, done_rx } = self;
+        let slots: Vec<Arc<ResumeSlot>> = bodies.iter().map(|(ctx, _)| ctx.slot.clone()).collect();
         let joins: Vec<_> = bodies
             .into_iter()
             .map(|(ctx, body)| {
@@ -405,16 +439,14 @@ impl<S: Server> World<S> {
             })
             .collect();
         // Hand the baton to the first thread.
-        take(&sim).guarded(|sim| sim.run_events(None));
+        let handoff = take(&sim).guarded(|sim| sim.run_events(None));
+        handoff.finish();
         let handler_panic = done_rx.recv().ok().flatten();
 
-        {
-            let mut sim = take(&sim);
-            sim.torn_down = true;
-            // Dropping the resume senders unwinds every parked thread.
-            for rec in &mut sim.kernel.threads {
-                rec.resume_tx = unbounded().0;
-            }
+        take(&sim).torn_down = true;
+        // Closing the slots unwinds every parked thread.
+        for slot in &slots {
+            slot.close();
         }
         for j in joins {
             let _ = j.join();
@@ -484,22 +516,23 @@ impl<S: Server> Sim<S> {
     /// Run `step` with the baton held. A protocol handler that panics ends
     /// the run: its payload is kept for `World::run` to rethrow, and the
     /// caller parks like any other thread until teardown.
-    fn guarded(&mut self, step: impl FnOnce(&mut Self) -> Option<OpResult>) -> Option<OpResult> {
+    fn guarded(&mut self, step: impl FnOnce(&mut Self) -> Handoff) -> Handoff {
         match catch_unwind(AssertUnwindSafe(|| step(self))) {
-            Ok(resumed) => resumed,
+            Ok(handoff) => handoff,
             Err(payload) => {
                 let _ = self.done_tx.send(Some(payload));
-                None
+                Handoff::Nobody
             }
         }
     }
 
     /// Pop events in `(time, seq)` order until one resumes a thread. That
     /// thread gets the result directly if it is `me`, else through its
-    /// resume channel; either way it dispatches its next op (or exits)
-    /// before anything else is popped, since nobody else holds the baton.
-    /// When the queue runs dry, wake `World::run`.
-    fn run_events(&mut self, me: Option<ThreadId>) -> Option<OpResult> {
+    /// resume slot, woken by the caller once it has released the baton;
+    /// either way it dispatches its next op (or exits) before anything else
+    /// is popped, since nobody else holds the baton. When the queue runs
+    /// dry, wake `World::run`.
+    fn run_events(&mut self, me: Option<ThreadId>) -> Handoff {
         while let Some(ev) = self.kernel.events.pop() {
             self.kernel.now = ev.at;
             match ev.kind {
@@ -523,12 +556,13 @@ impl<S: Server> Sim<S> {
                         });
                     }
                     if me == Some(thread) {
-                        return Some(result);
+                        return Handoff::Mine(result);
                     }
-                    rec.resume_tx
-                        .send(result)
-                        .expect("a thread keeps its resume channel until it exits");
-                    return None;
+                    return if rec.slot.push(result) {
+                        Handoff::Wake(rec.slot.clone())
+                    } else {
+                        Handoff::Nobody
+                    };
                 }
                 EventKind::Deliver { src, dst, seq, wire } => {
                     let released = self.kernel.transport.receive(
@@ -559,7 +593,7 @@ impl<S: Server> Sim<S> {
             }
         }
         let _ = self.done_tx.send(None);
-        None
+        Handoff::Nobody
     }
 
     fn dispatch_op(&mut self, thread: ThreadId, op: DsmOp) {

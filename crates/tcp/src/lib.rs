@@ -26,7 +26,10 @@
 //!   | node-j thread, remote op, home 0 | app → reader_j → reader_0 → reader_j → reader_0 → app | 5 / 10 |
 //!
 //!   Lock order: node cell → link out-buffer, never the reverse, and never
-//!   a cell across a blocking call other than the registry RPC. No thread
+//!   a cell across a blocking call other than the registry RPC. Wake after
+//!   release: a step queues a node-0 thread's result in its resume slot
+//!   under the cell and wakes the thread only once the cell is released,
+//!   so each hand-off in the table is one context switch. No thread
 //!   that reads a socket or holds a cell ever blocks in a data-socket
 //!   write: what a non-blocking send does not take goes to the link's
 //!   overflow writer. See [`node`] and [`link`].

@@ -27,7 +27,7 @@ use crate::registry::RegClient;
 use munin_obs::SrvSpan;
 use munin_proto::Wire;
 use munin_rt::Shared;
-use munin_sim::{OpResult, Registry};
+use munin_sim::{OpResult, Registry, ResumeSlot};
 use munin_types::{NodeId, ObjectDecl, ObjectId, SharingType, ThreadId};
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -179,9 +179,9 @@ impl Link {
 
 /// Where completed operations resume their thread.
 pub enum ResumeSink {
-    /// The coordinator process hosts every application thread: resume on
-    /// the thread's in-process channel.
-    Local(Vec<Sender<OpResult>>),
+    /// The coordinator process hosts every application thread: queue the
+    /// result in the thread's resume slot, indexed by thread id.
+    Local(Vec<Arc<ResumeSlot>>),
     /// A child process: the thread lives in the coordinator, so the resume
     /// travels back as a `Resume` frame on the link to node 0.
     Remote,
@@ -199,6 +199,10 @@ pub struct Links {
     /// Links this step pushed frames onto; the flush writes these.
     dirty: Vec<bool>,
     resumes: ResumeSink,
+    /// Threads whose result this step queued while they were parked. The
+    /// step runs under the node's lock, which the woken thread's next
+    /// inline op needs, so their wakes wait until the lock is released.
+    owed_wakes: Vec<ThreadId>,
     registry: RegClient,
 }
 
@@ -208,7 +212,13 @@ impl Links {
         resumes: ResumeSink,
         registry: RegClient,
     ) -> Self {
-        Links { dirty: vec![false; peers.len()], peers, resumes, registry }
+        Links { dirty: vec![false; peers.len()], peers, resumes, owed_wakes: Vec::new(), registry }
+    }
+
+    /// The parked threads the steps since the last call resumed; the
+    /// caller wakes them once it has released the node's lock.
+    pub(crate) fn take_owed_wakes(&mut self) -> Vec<ThreadId> {
+        std::mem::take(&mut self.owed_wakes)
     }
 
     /// Queue one frame for `dst`; it leaves at the end of the step.
@@ -260,12 +270,16 @@ impl<P: Wire> munin_rt::Link<P> for Links {
         }
     }
 
+    /// On the coordinator the result is queued now, so a thread's results
+    /// keep step order, and the wake is owed until the lock is released.
     /// On a child the op's server span half rides the `Resume` frame to
     /// the coordinator's span table.
     fn resume(&mut self, thread: ThreadId, result: OpResult, span: Option<SrvSpan>) {
         match &self.resumes {
-            ResumeSink::Local(resumes) => {
-                let _ = resumes[thread.index()].send(result);
+            ResumeSink::Local(slots) => {
+                if slots[thread.index()].push(result) {
+                    self.owed_wakes.push(thread);
+                }
             }
             ResumeSink::Remote => {
                 self.push(NodeId(0), |out| put_resume(thread, &result, &span, out))

@@ -16,7 +16,7 @@
 //!   encodes an `Op` frame onto the coordinator's link to `j` and is
 //!   resumed by a `Resume` frame that `j`'s reader-side step wrote and the
 //!   coordinator's reader of that stream hands straight to the thread's
-//!   resume channel;
+//!   resume slot;
 //! * the timer thread runs `on_timer` steps.
 //!
 //! Thread hand-offs (wake-ups on the critical path) / system calls per op:
@@ -28,9 +28,18 @@
 //! | node-0 thread, remote op, home j | app → reader_j → reader_0 → app | 3 / 6-7 |
 //! | node-j thread, remote op, home 0 | app → reader_j → reader_0 → reader_j → reader_0 → app | 5 / 10 |
 //!
+//! Each hand-off is one context switch, because no thread is woken while
+//! its waker holds a lock it needs next (the wake-after-release rule
+//! below).
+//!
 //! ## Locks and blocking
 //!
-//! Lock order: node cell → link out-buffer, never the reverse. A cell is
+//! Lock order: node cell → link out-buffer, never the reverse. Wake after
+//! release: a step queues each result in the thread's resume slot while
+//! it holds the cell (so a thread's results keep step order), and
+//! `NodeCell::step` wakes the parked threads after dropping the cell's
+//! lock, which the woken thread's next inline op needs. A `Resume` frame
+//! goes into the slot from the reader, which holds no lock. A cell is
 //! never held across a blocking call other than the registry RPC, and no
 //! thread that reads a socket or holds a cell ever blocks in a data-socket
 //! write (see [`crate::link`]); control-stream writes do block, which is
@@ -70,7 +79,7 @@ use munin_net::NetStats;
 use munin_proto::{Protocol, Wire};
 use munin_rt::timer::run_timer_thread;
 use munin_rt::{MsgBody, NodeEvent, NodeStep, OpPort, Shared, WallKernel, DUMP_WAIT};
-use munin_sim::{panic_message, DsmOp, OpResult, Server};
+use munin_sim::{panic_message, DsmOp, ResumeSlot, Server};
 use munin_types::{CostModel, NodeId, ThreadId};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -193,9 +202,9 @@ pub(crate) struct NodeCell<S: Server> {
     /// Children only: the control stream, for telling the coordinator about
     /// a lost peer or a panicked step right away.
     ctrl: Option<SharedWriter>,
-    /// Coordinator only: the application threads' resume channels; `Resume`
+    /// Coordinator only: the application threads' resume slots; `Resume`
     /// frames go straight there, without the lock.
-    resumes: Vec<Sender<OpResult>>,
+    resumes: Vec<Arc<ResumeSlot>>,
     /// [`TestFault::StepPanic`] aimed at this node.
     panic_at: Option<Instant>,
 }
@@ -208,7 +217,7 @@ where
         node: NodeId,
         server: S,
         kernel: WallKernel<Links>,
-        resumes: Vec<Sender<OpResult>>,
+        resumes: Vec<Arc<ResumeSlot>>,
         ctrl: Option<SharedWriter>,
         finishing: Arc<AtomicBool>,
         fault: Option<TestFault>,
@@ -231,7 +240,8 @@ where
         })
     }
 
-    /// Run `events` as one protocol step on the calling thread. `false`
+    /// Run `events` as one protocol step on the calling thread, then wake
+    /// the node-0 threads it resumed, after releasing the lock. `false`
     /// when the node is gone: closed by teardown, or dead after a step
     /// panicked. The panicking step's thread reports it, once: an error
     /// naming the node, the run poisoned, the coordinator told.
@@ -242,10 +252,18 @@ where
             if self.panic_at.is_some_and(|at| Instant::now() >= at) {
                 panic!("test fault: injected step panic");
             }
-            guard.as_mut().map(|node| node.step(events))
+            let node = guard.as_mut()?;
+            node.step(events);
+            Some(node.kernel.link_mut().take_owed_wakes())
         });
         match catch_unwind(run) {
-            Ok(stepped) => stepped.is_some(),
+            Ok(Some(woken)) => {
+                for thread in woken {
+                    self.resumes[thread.index()].wake();
+                }
+                true
+            }
+            Ok(None) => false,
             Err(p) => {
                 let msg = panic_message(&*p);
                 self.report(format!("node n{}: protocol step panicked: {msg}", self.node.index()));
@@ -346,9 +364,7 @@ where
                                 cell.shared.obs.srv_record(thread, span);
                             }
                             match cell.resumes.get(thread.index()) {
-                                Some(tx) => {
-                                    let _ = tx.send(result);
-                                }
+                                Some(slot) => slot.deliver(result),
                                 None => cell
                                     .shared
                                     .error(format!("n{} resumed unknown {thread}", src.index())),

@@ -13,7 +13,7 @@
 //! process) through `Op` frames it encodes onto the coordinator's data link
 //! to `j`; the completion comes back on the same stream as a `Resume` frame,
 //! which the coordinator's reader of that stream hands straight to the
-//! thread's ordinary resume channel. No server thread, no inbox, no
+//! thread's ordinary resume slot. No server thread, no inbox, no
 //! forwarder: see [`crate::node`] for the thread model, the lock order and
 //! the flow-control invariant. The programming model, the typed `Par`
 //! surface, and the apps are completely unchanged — only the fabric under

@@ -154,9 +154,11 @@ cargo bench --no-run
 # - the test-only counting tracer, and the `cond_broadcast` call (the thread
 #   surface is `DsmThread`, whose `cond_signal` takes `broadcast`);
 # - the two wall-clock kernels, the step's kernel trait and the TCP registry
-#   cache (one `WallKernel` over a link, one `Registry` value type).
+#   cache (one `WallKernel` over a link, one `Registry` value type);
+# - the per-thread resume channels: their two ends and the sender type (a
+#   thread waits on a `ResumeSlot`, woken only after its waker lets go).
 step "Deleted names stay deleted"
-if git grep -nE 'RtKerne[l]|TcpKerne[l]|NodeKerne[l]|RegCach[e]|SpinWai[t]|unbatched[(]|compute_scal[e]|watchdog_pol[l]|[.]max_infligh[t]|write_combin[e]|batch_ma[x]|ParEx[t]|MUNIN_RT_STALL_M[S]|MUNIN_BENCH_BYTE_PAT[H]|traffic_r[t]|ThreadRe[q]|req_t[x]|req_r[x]|BACKEND_NAME[S]|TcpTunin[g]|MUNIN_TCP_DUMP_AFTER_M[S]|Backend::(Muni[n]|Iv[y]|Tardi[s])|Target::(Muni[n]|Iv[y]|Tardi[s])|TcpWorldBuilde[r]|coordinator_watchdo[g]|DumpStuc[k]|dump_stuc[k]|munin_tcp::si[g]|CountingTrace[r]|cond_broadcas[t][(]' -- crates/ tests/ examples/ scripts/ README.md; then
+if git grep -nE 'RtKerne[l]|TcpKerne[l]|NodeKerne[l]|RegCach[e]|SpinWai[t]|unbatched[(]|compute_scal[e]|watchdog_pol[l]|[.]max_infligh[t]|write_combin[e]|batch_ma[x]|ParEx[t]|MUNIN_RT_STALL_M[S]|MUNIN_BENCH_BYTE_PAT[H]|traffic_r[t]|ThreadRe[q]|req_t[x]|req_r[x]|BACKEND_NAME[S]|TcpTunin[g]|MUNIN_TCP_DUMP_AFTER_M[S]|Backend::(Muni[n]|Iv[y]|Tardi[s])|Target::(Muni[n]|Iv[y]|Tardi[s])|TcpWorldBuilde[r]|coordinator_watchdo[g]|DumpStuc[k]|dump_stuc[k]|munin_tcp::si[g]|CountingTrace[r]|cond_broadcas[t][(]|resume_r[x]|resume_t[x]|Sender<OpResul[t]>' -- crates/ tests/ examples/ scripts/ README.md; then
     echo "a deleted name is referenced again"
     exit 1
 fi
