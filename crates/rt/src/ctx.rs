@@ -19,6 +19,15 @@
 //! results come back in issue order. Adjacent writes to the same object are
 //! always combined client-side and leave as one async write at the next
 //! non-write op.
+//!
+//! A pipelined op leaves its thread when the thread is about to park. The
+//! port may hold what `submit` handed it until [`OpPort::flush`], and the
+//! context flushes only before it parks for a result that is not queued
+//! yet and before modelled compute; a result already in the slot is taken
+//! without a flush. On TCP a window of `Op` frames so leaves in one socket
+//! write, whichever node the thread is placed on. A blocking op is sent
+//! by its own issue on every port but the TCP link to a child, and that
+//! one is flushed as the op parks.
 
 use crate::fabric::{NodeEvent, Shared};
 use crate::world::{ComputeMode, RtTuning};
@@ -52,18 +61,22 @@ const WC_MAX_BYTES: usize = 64 * 1024;
 /// gate sees.
 pub trait OpPort: Send {
     /// Hand `op` to the node. A port may only queue it: it is on its way
-    /// for certain once [`OpPort::flush`] returned. `false` means the
+    /// for certain once [`OpPort::flush`] returned. `pipelined` says the
+    /// thread will not wait for this op next (an async op or a combined
+    /// write), so a port that could send it now may hold it for the flush
+    /// instead; a blocking op is waited for at once. `false` means the
     /// fabric is gone (teardown).
-    fn submit(&mut self, thread: ThreadId, op: DsmOp) -> bool;
+    fn submit(&mut self, thread: ThreadId, op: DsmOp, pipelined: bool) -> bool;
 
-    /// Push out whatever `submit` queued. The context calls this before it
-    /// parks for a completion (a blocking op, a token wait, a full window)
-    /// and before it sleeps in modelled compute.
+    /// Push out whatever `submit` queued. The context calls this only when
+    /// the thread is about to park for a completion (a blocking op, a token
+    /// wait or a full window whose next result has not arrived) and before
+    /// it sleeps in modelled compute.
     fn flush(&mut self) {}
 }
 
 impl<P: Send + Sync> OpPort for Sender<NodeEvent<P>> {
-    fn submit(&mut self, thread: ThreadId, op: DsmOp) -> bool {
+    fn submit(&mut self, thread: ThreadId, op: DsmOp, _pipelined: bool) -> bool {
         self.send(NodeEvent::Op(thread, op)).is_ok()
     }
 }
@@ -342,7 +355,7 @@ impl RtCtx {
         }
         let class = op_class(&op);
         let issue_wall = if self.tuning.telemetry.spans() { wall_us() } else { 0 };
-        if !self.to_server.submit(self.thread, op) {
+        if !self.to_server.submit(self.thread, op, pipelined) {
             panic!("real-time kernel vanished while issuing '{label}'");
         }
         self.next_seq += 1;
@@ -405,7 +418,7 @@ impl RtCtx {
     fn receive_one(&mut self, wait_label: &'static str) -> (u64, &'static str, bool, OpResult) {
         let head = *self.pending.front().expect("receive with nothing in flight");
         self.shared.blocked.fetch_add(1, Ordering::SeqCst);
-        let result = self.recv_result(wait_label);
+        let result = self.recv_result(wait_label, head.pipelined);
         self.shared.blocked.fetch_sub(1, Ordering::SeqCst);
         self.pending.pop_front();
         self.received_through = head.seq;
@@ -432,7 +445,19 @@ impl RtCtx {
     /// [`POISON_POLL`] to check the watchdog's flag. This is the *single*
     /// wait path — blocking ops and token waits both end here, so neither
     /// can miss poisoning.
-    fn recv_result(&mut self, wait_label: &'static str) -> OpResult {
+    ///
+    /// The port is flushed only when the thread is about to park: a
+    /// pipelined op's result that is already queued is taken without one,
+    /// so the ops issued meanwhile keep collecting until the slot runs dry
+    /// and then leave together. A blocking op is awaited right after its
+    /// issue, so it goes straight to the flush and the wait, with no
+    /// extra try on the slot.
+    fn recv_result(&mut self, wait_label: &'static str, pipelined: bool) -> OpResult {
+        if pipelined {
+            if let Ok(r) = self.slot.take_timeout(Duration::ZERO) {
+                return r;
+            }
+        }
         self.to_server.flush();
         loop {
             match self.slot.take_timeout(POISON_POLL) {
@@ -517,6 +542,7 @@ impl RtCtx {
 mod tests {
     use super::*;
     use munin_types::BarrierId;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc::{channel, Receiver};
 
     fn lone_ctx() -> (RtCtx, Receiver<NodeEvent<()>>, Arc<ResumeSlot>) {
@@ -534,6 +560,76 @@ mod tests {
             RtTuning::default(),
         );
         (ctx, op_rx, slot)
+    }
+
+    /// A node that answers on flush: each op `submit` queued is completed
+    /// (with its issue number) only when the context flushes the port, and
+    /// the flushes are counted.
+    struct AnswerOnFlush {
+        slot: Arc<ResumeSlot>,
+        submitted: i64,
+        answered: i64,
+        flushes: Arc<AtomicUsize>,
+    }
+
+    impl OpPort for AnswerOnFlush {
+        fn submit(&mut self, _thread: ThreadId, _op: DsmOp, _pipelined: bool) -> bool {
+            self.submitted += 1;
+            true
+        }
+
+        fn flush(&mut self) {
+            self.flushes.fetch_add(1, Ordering::Relaxed);
+            for v in self.answered + 1..=self.submitted {
+                self.slot.deliver(OpResult::Value(v));
+            }
+            self.answered = self.submitted;
+        }
+    }
+
+    /// `lone_ctx` over an [`AnswerOnFlush`] port; the counter is its flushes.
+    fn flush_counting_ctx() -> (RtCtx, Arc<AtomicUsize>, Arc<ResumeSlot>) {
+        let (mut ctx, _op_rx, slot) = lone_ctx();
+        let flushes = Arc::new(AtomicUsize::new(0));
+        ctx.to_server = Box::new(AnswerOnFlush {
+            slot: slot.clone(),
+            submitted: 0,
+            answered: 0,
+            flushes: flushes.clone(),
+        });
+        (ctx, flushes, slot)
+    }
+
+    /// The flush rule: the port is flushed only when the thread is about to
+    /// park. A 32-op async run on a window of 16 parks twice, once when the
+    /// 17th issue finds the slot empty and once when the 17th token does;
+    /// every other result is already queued and taken without a flush.
+    #[test]
+    fn a_pipelined_run_flushes_only_when_the_slot_runs_dry() {
+        let (mut ctx, flushes, _slot) = flush_counting_ctx();
+        let add = DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 };
+        let tokens: Vec<TokenState> = (0..32).map(|_| ctx.op_async(add.clone())).collect();
+        assert_eq!(flushes.load(Ordering::Relaxed), 1, "the full window parked once");
+        let got: Vec<i64> = tokens.into_iter().map(|t| ctx.token_wait(t)).collect();
+        assert_eq!(got, (1..=32).collect::<Vec<_>>());
+        assert_eq!(flushes.load(Ordering::Relaxed), 2, "the 17th token parked once more");
+        ctx.drain_ops();
+        assert_eq!(flushes.load(Ordering::Relaxed), 2, "nothing left to drain");
+    }
+
+    /// A lone blocking op flushes exactly once, before it parks, even when
+    /// its result is already queued (a local hit on an inline port): it
+    /// makes no try on the slot first. Modelled compute flushes too.
+    #[test]
+    fn a_lone_blocking_op_and_compute_each_flush_once() {
+        let (mut ctx, flushes, slot) = flush_counting_ctx();
+        assert_eq!(ctx.fetch_add(ObjectId(0), 0, 1), 1);
+        assert_eq!(flushes.load(Ordering::Relaxed), 1);
+        slot.deliver(OpResult::Value(7));
+        assert_eq!(ctx.fetch_add(ObjectId(0), 0, 1), 7, "the queued result, not the flush's");
+        assert_eq!(flushes.load(Ordering::Relaxed), 2);
+        ctx.op(DsmOp::Compute(1));
+        assert_eq!(flushes.load(Ordering::Relaxed), 3);
     }
 
     /// Regression (PR 7 satellite): a thread blocked redeeming a token must

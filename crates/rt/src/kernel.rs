@@ -59,8 +59,9 @@ pub trait Link<P> {
 /// One instance per node, used by one step at a time (the rt fabric's
 /// server thread owns it; the TCP fabric keeps it under the node's mutex).
 /// Sends are counted here and queued on the link, which delivers them when
-/// the step ends ([`KernelApi::flush_outbound`]). Registry reads go to the
-/// process's registry in [`Shared`]; writes go through the link.
+/// the step ends ([`KernelApi::flush_outbound`]), or for an unflushed step
+/// ([`crate::NodeStep::step_unflushed`]) at the next flush. Registry reads
+/// go to the process's registry in [`Shared`]; writes go through the link.
 pub struct WallKernel<L> {
     node: NodeId,
     cost: CostModel,

@@ -5,8 +5,12 @@
 //! point, [`NodeStep::step`], handles a run of [`NodeEvent`]s in order
 //! (dispatch through the gate / `on_message` / `on_timer` / state dump),
 //! settles the completions each event caused, and ends by flushing what the
-//! kernel queued outbound, under a single activity-epoch bump. The fabrics
-//! differ, above the link, only in *which thread* calls it:
+//! kernel queued outbound, under a single activity-epoch bump. The one
+//! step that skips the flush is a TCP node-0 thread's pipelined op
+//! ([`NodeStep::step_unflushed`]): its frames wait in the link until the
+//! thread is about to park, or until any later step of the node flushes,
+//! so a window of them leaves in one socket write. The fabrics differ,
+//! above the link, only in *which thread* calls it:
 //!
 //! * the in-process channel fabric runs it on one server thread per node
 //!   ([`server_loop`]: a blocking `recv`, then `try_recv`s up to
@@ -113,16 +117,33 @@ where
         NodeStep { server, kernel, gate: OpGate::default() }
     }
 
-    /// One server step: handle `events` in order under a single
-    /// activity-epoch bump (the watchdog only needs to know the node made
-    /// progress, not how much), then flush everything the kernel queued
-    /// outbound, so nothing this step sent can be stranded while its caller
-    /// blocks again. Returns `false` once the events contained `Shutdown`.
+    /// One server step: [`NodeStep::step_unflushed`], then flush everything
+    /// the kernel queued outbound, so nothing this step sent can be stranded
+    /// while its caller blocks again. Returns `false` once the events
+    /// contained `Shutdown`.
     pub fn step(&mut self, events: impl IntoIterator<Item = NodeEvent<S::Payload>>) -> bool {
-        self.kernel.shared().mark_activity();
-        let live = events.into_iter().all(|ev| self.handle(ev));
-        self.kernel.flush_outbound();
+        let live = self.step_unflushed(events);
+        self.flush();
         live
+    }
+
+    /// Handle `events` in order under a single activity-epoch bump (the
+    /// watchdog only needs to know the node made progress, not how much),
+    /// leaving what they sent queued in the link: it leaves with the next
+    /// flush, the end of any later step or [`NodeStep::flush`]. Only a
+    /// caller that flushes before it waits may skip the flush: the TCP
+    /// fabric's node-0 application thread, for a pipelined op.
+    pub fn step_unflushed(
+        &mut self,
+        events: impl IntoIterator<Item = NodeEvent<S::Payload>>,
+    ) -> bool {
+        self.kernel.shared().mark_activity();
+        events.into_iter().all(|ev| self.handle(ev))
+    }
+
+    /// Hand everything the kernel queued outbound to the fabric.
+    pub fn flush(&mut self) {
+        self.kernel.flush_outbound();
     }
 
     /// Handle one event, then settle what it completed.

@@ -635,7 +635,7 @@ mod tests {
     }
 
     impl OpPort for RecordingPort {
-        fn submit(&mut self, _thread: ThreadId, op: DsmOp) -> bool {
+        fn submit(&mut self, _thread: ThreadId, op: DsmOp, _pipelined: bool) -> bool {
             self.resume.deliver(reply(&op));
             self.ops.lock().unwrap().push(op);
             true

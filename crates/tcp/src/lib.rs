@@ -24,12 +24,17 @@
 //!   | node-j thread, local hit | app → reader_j → reader_0 → app | 3 / 6 |
 //!   | node-0 thread, remote op, home j | app → reader_j → reader_0 → app | 3 / 6-7 |
 //!   | node-j thread, remote op, home 0 | app → reader_j → reader_0 → reader_j → reader_0 → app | 5 / 10 |
+//!   | node-0 thread, K-deep window, home j | app → reader_j → reader_0 → app | 3 / 6-7 per window |
+//!   | node-j thread, K-deep window, home j | app → reader_j → reader_0 → app | 3 / 6 per window |
 //!
 //!   Lock order: node cell → link out-buffer, never the reverse, and never
 //!   a cell across a blocking call other than the registry RPC. Wake after
 //!   release: a step queues a node-0 thread's result in its resume slot
 //!   under the cell and wakes the thread only once the cell is released,
-//!   so each hand-off in the table is one context switch. No thread
+//!   so each hand-off in the table is one context switch. Leave when about
+//!   to park: a thread's pipelined ops wait in the link's out-buffer until
+//!   it parks (or, on node 0, until any step of the node ends), so a window
+//!   of K `Op` frames leaves in one socket write. No thread
 //!   that reads a socket or holds a cell ever blocks in a data-socket
 //!   write: what a non-blocking send does not take goes to the link's
 //!   overflow writer. See [`node`] and [`link`].

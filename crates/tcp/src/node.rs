@@ -27,25 +27,41 @@
 //! | node-j thread, local hit | app → reader_j → reader_0 → app | 3 / 6 |
 //! | node-0 thread, remote op, home j | app → reader_j → reader_0 → app | 3 / 6-7 |
 //! | node-j thread, remote op, home 0 | app → reader_j → reader_0 → reader_j → reader_0 → app | 5 / 10 |
+//! | node-0 thread, K-deep window, home j | app → reader_j → reader_0 → app | 3 / 6-7 per window |
+//! | node-j thread, K-deep window, home j | app → reader_j → reader_0 → app | 3 / 6 per window |
 //!
 //! Each hand-off is one context switch, because no thread is woken while
 //! its waker holds a lock it needs next (the wake-after-release rule
-//! below).
+//! below). A window's K `Op` frames leave in one socket write (the
+//! leave-when-about-to-park rule below); the window rows assume the K
+//! replies also come back in one read, which holds for ops the node's gate
+//! overlaps (Munin's fetch-adds to one home) and for local hits at `j`.
 //!
 //! ## Locks and blocking
 //!
 //! Lock order: node cell → link out-buffer, never the reverse. Wake after
 //! release: a step queues each result in the thread's resume slot while
 //! it holds the cell (so a thread's results keep step order), and
-//! `NodeCell::step` wakes the parked threads after dropping the cell's
-//! lock, which the woken thread's next inline op needs. A `Resume` frame
-//! goes into the slot from the reader, which holds no lock. A cell is
-//! never held across a blocking call other than the registry RPC, and no
-//! thread that reads a socket or holds a cell ever blocks in a data-socket
-//! write (see [`crate::link`]); control-stream writes do block, which is
-//! safe because no reader of a control stream waits on a cell. A panic
-//! inside a step poisons the cell's mutex: it is reported once as a run
-//! error naming the node and poisons the run.
+//! `NodeCell::locked`, which runs every step, wakes the parked threads
+//! after dropping the cell's lock, which the woken thread's next inline op
+//! needs. A `Resume` frame goes into the slot from the reader, which holds
+//! no lock.
+//!
+//! Leave when about to park: a node-0 thread's pipelined op (an async op
+//! or a combined write) runs its step without the step-end write, so its
+//! frames wait in the link's out-buffer. The end of any later step of the
+//! node sends them; at the latest, the thread's next blocking op does (its
+//! step ends with the write, as every other step does, and takes the cell
+//! once), or the thread's flush as it parks or computes (`InlinePort`). A
+//! node-j thread's `Op` frames wait in the coordinator's link the same
+//! way, until its flush (`LinkPort`).
+//!
+//! A cell is never held across a blocking call other than the registry
+//! RPC, and no thread that reads a socket or holds a cell ever blocks in a
+//! data-socket write (see [`crate::link`]); control-stream writes do
+//! block, which is safe because no reader of a control stream waits on a
+//! cell. A panic inside a step poisons the cell's mutex: it is reported
+//! once as a run error naming the node and poisons the run.
 //!
 //! ## Child lifecycle
 //!
@@ -240,12 +256,20 @@ where
         })
     }
 
-    /// Run `events` as one protocol step on the calling thread, then wake
-    /// the node-0 threads it resumed, after releasing the lock. `false`
-    /// when the node is gone: closed by teardown, or dead after a step
-    /// panicked. The panicking step's thread reports it, once: an error
-    /// naming the node, the run poisoned, the coordinator told.
+    /// Run `events` as one protocol step on the calling thread (see
+    /// [`NodeCell::locked`]).
     pub(crate) fn step(&self, events: impl IntoIterator<Item = NodeEvent<S::Payload>>) -> bool {
+        self.locked(|node| {
+            node.step(events);
+        })
+    }
+
+    /// Run `f` on the node's state under its lock, then wake the node-0
+    /// threads it resumed, after releasing the lock. `false` when the node
+    /// is gone: closed by teardown, or dead after a step panicked. The
+    /// panicking step's thread reports it, once: an error naming the node,
+    /// the run poisoned, the coordinator told.
+    fn locked(&self, f: impl FnOnce(&mut NodeStep<S, Links>)) -> bool {
         let run = AssertUnwindSafe(|| {
             // A poisoned lock means an earlier step panicked and reported.
             let mut guard = self.step.lock().ok()?;
@@ -253,7 +277,7 @@ where
                 panic!("test fault: injected step panic");
             }
             let node = guard.as_mut()?;
-            node.step(events);
+            f(node);
             Some(node.kernel.link_mut().take_owed_wakes())
         });
         match catch_unwind(run) {
@@ -387,15 +411,47 @@ where
 }
 
 /// The op port of an application thread placed on node 0: the op runs as a
-/// step of its own on the issuing thread.
-pub(crate) struct InlinePort<S: Server>(pub(crate) Arc<NodeCell<S>>);
+/// step of its own on the issuing thread. A blocking op's step ends with
+/// its socket write, as every step does. A pipelined op's step leaves its
+/// frames in the links' out-buffers, so a window of them leaves in one
+/// write when the thread is about to park ([`OpPort::flush`]), or earlier
+/// with the end of any other step of the node.
+pub(crate) struct InlinePort<S: Server> {
+    cell: Arc<NodeCell<S>>,
+    /// An unflushed step ran since this thread's last flushing one.
+    deferred: bool,
+}
+
+impl<S: Server> InlinePort<S> {
+    pub(crate) fn new(cell: Arc<NodeCell<S>>) -> Self {
+        InlinePort { cell, deferred: false }
+    }
+}
 
 impl<S: Server> OpPort for InlinePort<S>
 where
     S::Payload: Wire + Sync,
 {
-    fn submit(&mut self, thread: ThreadId, op: DsmOp) -> bool {
-        self.0.step([NodeEvent::Op(thread, op)])
+    fn submit(&mut self, thread: ThreadId, op: DsmOp, pipelined: bool) -> bool {
+        let event = [NodeEvent::Op(thread, op)];
+        if pipelined {
+            self.deferred = true;
+            self.cell.locked(|node| {
+                node.step_unflushed(event);
+            })
+        } else {
+            // The step-end write carries the deferred frames too.
+            self.deferred = false;
+            self.cell.step(event)
+        }
+    }
+
+    /// A no-op unless a pipelined op's frames may still wait: a lone
+    /// blocking op takes the cell once, for its own step.
+    fn flush(&mut self) {
+        if std::mem::take(&mut self.deferred) {
+            self.cell.locked(NodeStep::flush);
+        }
     }
 }
 
@@ -409,7 +465,7 @@ pub(crate) struct LinkPort {
 }
 
 impl OpPort for LinkPort {
-    fn submit(&mut self, thread: ThreadId, op: DsmOp) -> bool {
+    fn submit(&mut self, thread: ThreadId, op: DsmOp, _pipelined: bool) -> bool {
         let fwd_us = if self.spans { munin_obs::wall_us() } else { 0 };
         self.link.push(|out| crate::frames::put_op(thread, &op, fwd_us, out));
         true
@@ -717,7 +773,58 @@ fn spawn_test_fault(me: NodeId, fault: Option<TestFault>, raw_streams: &[Option<
 mod tests {
     use super::*;
     use munin_core::MuninServer;
-    use munin_types::{MuninConfig, SyncDecls, Telemetry};
+    use munin_types::{MuninConfig, ObjectDecl, ObjectId, SharingType, SyncDecls, Telemetry};
+    use std::io::Read;
+
+    /// The inline port's flush rule on a real socket: a pipelined op's
+    /// frame waits in the link until the thread's flush, while a blocking
+    /// op's frame leaves with its own step and leaves the port nothing to
+    /// flush.
+    #[test]
+    fn an_inline_pipelined_op_waits_for_the_flush() {
+        let listener = TcpListener::bind(loopback(0)).expect("loopback listener");
+        let near = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut far, _) = listener.accept().expect("accept");
+        far.set_nonblocking(true).expect("non-blocking peer");
+
+        let ctr = ObjectDecl::new(ObjectId(0), "ctr", 8, SharingType::GeneralReadWrite, NodeId(1));
+        let shared = Arc::new(Shared::new(vec![ctr], 1, Telemetry::Off));
+        let (timer_tx, _timer_rx) = channel();
+        let (reg_tx, _reg_rx) = channel();
+        let (_reg_reply_tx, reply_rx) = channel();
+        let registry = RegClient {
+            path: RegWritePath::Local { tx: reg_tx, node: NodeId(0) },
+            reply_rx,
+            shared: shared.clone(),
+        };
+        let link = Link::new(NodeId(0), NodeId(1), near, shared.clone(), Arc::default());
+        let slots = vec![Arc::new(ResumeSlot::new())];
+        let links = Links::new(vec![None, Some(link)], ResumeSink::Local(slots.clone()), registry);
+        let kernel =
+            WallKernel::new(NodeId(0), CostModel::default(), links, timer_tx, shared.clone());
+        let sync = SyncDecls { locks: Vec::new(), barriers: Vec::new(), conds: Vec::new() };
+        let server = MuninServer::new(NodeId(0), MuninConfig::default(), sync);
+        let cell = NodeCell::new(NodeId(0), server, kernel, slots, None, Arc::default(), None);
+        let mut port = InlinePort::new(cell);
+        let add = || DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 };
+        let mut buf = [0u8; 256];
+        // Loopback delivers during the send, so "not readable" means "not sent".
+        let mut arrived = |far: &mut TcpStream| match far.read(&mut buf) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => 0,
+            Err(e) => panic!("peer read: {e}"),
+        };
+
+        assert!(port.submit(ThreadId(0), add(), true));
+        assert_eq!(arrived(&mut far), 0, "a pipelined op's frame left before the flush");
+        port.flush();
+        assert!(arrived(&mut far) > 0, "the flush sent nothing");
+
+        assert!(port.submit(ThreadId(0), add(), false));
+        assert!(arrived(&mut far) > 0, "a blocking op's frame waited");
+        assert!(!port.deferred, "a blocking op's step left frames for a flush");
+        assert!(!shared.is_poisoned(), "{:?}", shared.errors.lock().unwrap());
+    }
 
     /// Hostile input, end to end: a peer announces the largest frame the
     /// cap admits, sends 16 bytes of it and closes. The node's reader fails

@@ -345,7 +345,7 @@ where
 {
     fn port(&self, node: NodeId) -> Box<dyn OpPort> {
         match &self.links[node.index()] {
-            None => Box::new(InlinePort(self.cell.clone())),
+            None => Box::new(InlinePort::new(self.cell.clone())),
             Some(link) => Box::new(LinkPort { link: link.clone(), spans: self.shared.obs.spans() }),
         }
     }

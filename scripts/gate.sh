@@ -65,8 +65,10 @@ if grep -q "skipping the tcp half" rt_regression.log; then
 fi
 
 # The pipelined-op path (async tokens, write combining, sync-point drains)
-# explores real thread interleavings on the rt backends, so it runs in
-# release with the same hang bound as the other rt suites.
+# explores real thread interleavings on the rt backends, and on the TCP
+# backends guards the deferred flush (a thread's pipelined Op frames leave
+# only when it is about to park), so it runs in release with the same hang
+# bound as the other rt suites.
 step "Async op ordering edges (release)"
 timeout 600 cargo test --release -q -p xtests --test async_ops
 

@@ -6,7 +6,9 @@
 //! when the environment supports it. One thread's window of fetch-adds
 //! spread over several homes pins the op gate's ordering: the gate lets
 //! adds to one remote home overlap, and results must still come back in
-//! issue order.
+//! issue order. On TCP a node-0 thread's pipelined `Op` frame waits in the
+//! link until the thread is about to park; two cases pin that it still
+//! leaves, behind local hits and behind the thread's exit.
 //!
 //! (The companion failure-path test — pipelined ops against a killed TCP
 //! peer — lives in `crates/tcp/tests/campaign_faults.rs` as the
@@ -245,5 +247,56 @@ fn a_window_over_three_homes_completes_in_issue_order_on_the_tcp_fabric() {
     }
     for backend in Backend::matrix().into_iter().filter(|b| b.is_distributed()) {
         mixed_home_window(backend);
+    }
+}
+
+/// The TCP fabric sends a node-0 thread's pipelined op when the thread is
+/// about to park, not when the op's inline step ends; these pin that the
+/// deferred frame still leaves. Every distributed backend runs both cases.
+fn tcp_backends(what: &str) -> Vec<Backend> {
+    if let Err(notice) = munin_api::tcp_support() {
+        eprintln!("NOTICE: skipping TCP {what} test: {notice}");
+        return Vec::new();
+    }
+    Backend::matrix().into_iter().filter(|b| b.is_distributed()).collect()
+}
+
+/// A node-0 thread sends an async fetch-add to node 1's counter, then does
+/// only local hits, blocking ops that never wait on the wire, before it
+/// redeems the token: the deferred `Op` frame must still reach node 1
+/// (a frame left behind stalls the run, which the watchdog fails), and the
+/// token must carry the counter's old value.
+#[test]
+fn a_deferred_op_frame_leaves_behind_local_hits_on_the_tcp_fabric() {
+    const HITS: i64 = 64;
+    for backend in tcp_backends("deferred-frame") {
+        let mut p = ProgramBuilder::new(2);
+        let ctr = p.scalar::<i64>("ctr", SharingType::GeneralReadWrite, 1);
+        let local = p.scalar::<i64>("local", SharingType::GeneralReadWrite, 0);
+        p.thread(0, move |par: &mut dyn Par| {
+            par.store(&local, 5);
+            let tok = par.fetch_add_scalar_async(&ctr, 3);
+            let sum: i64 = (0..HITS).map(|_| par.load(&local)).sum();
+            assert_eq!(sum, 5 * HITS);
+            assert_eq!(par.wait(tok), 0, "the add's old value");
+            assert_eq!(par.fetch_add_scalar(&ctr, 0), 3);
+        });
+        p.run(backend).assert_clean();
+    }
+}
+
+/// A node-0 thread whose last act is an async fetch-add: its implicit
+/// `Exit` carries the deferred frame out. `Exit` is a blocking op, so it
+/// completes only once node 1 has answered the add; no other thread runs
+/// whose frames could carry it instead.
+#[test]
+fn a_thread_that_exits_behind_an_async_op_sends_it_on_the_tcp_fabric() {
+    for backend in tcp_backends("exit-behind-async") {
+        let mut p = ProgramBuilder::new(2);
+        let ctr = p.scalar::<i64>("ctr", SharingType::GeneralReadWrite, 1);
+        p.thread(0, move |par: &mut dyn Par| {
+            let _ = par.fetch_add_scalar_async(&ctr, 1);
+        });
+        p.run(backend).assert_clean();
     }
 }
