@@ -8,13 +8,13 @@
 //! "build program once, run under several backends/configurations, compare
 //! reports".
 
-use crate::native::{NativeCtx, NativeWorld};
+use crate::native::NativeWorld;
 use crate::par::Par;
 use munin_core::MuninProto;
 use munin_ivy::IvyProto;
 use munin_proto::Protocol;
-use munin_rt::{RtCtx, RtTuning, RtWorldBuilder};
-use munin_sim::{RunReport, ThreadCtx, Tracer, TransportConfig, WorldBuilder};
+use munin_rt::RtTuning;
+use munin_sim::{NullTracer, RunReport, Tracer, TransportConfig, World, WorldDesc};
 use munin_tardis::TardisProto;
 use munin_tcp::TestFault;
 use munin_types::{
@@ -277,38 +277,28 @@ impl Outcome {
     }
 }
 
-type ThreadBody = Box<dyn FnOnce(&mut dyn Par) + Send + 'static>;
-
-/// Builder for a portable parallel program.
+/// Builder for a portable parallel program: a typed declaration API and
+/// the synchronization objects over one [`WorldDesc`], which every backend
+/// runs.
 pub struct ProgramBuilder {
-    n_nodes: usize,
-    objects: Vec<ObjectDecl>,
+    desc: WorldDesc,
     locks: Vec<LockDecl>,
     barriers: Vec<BarrierDecl>,
     conds: Vec<CondDecl>,
-    threads: Vec<(NodeId, ThreadBody)>,
     rt_tuning: RtTuning,
     tcp_fault: Option<TestFault>,
-    coverage: Option<std::sync::Arc<munin_obs::CoverageMap>>,
 }
 
 impl ProgramBuilder {
+    #[track_caller]
     pub fn new(n_nodes: usize) -> Self {
-        assert!(
-            (1..=u16::MAX as usize).contains(&n_nodes),
-            "a program has 1 to {} nodes, not {n_nodes}",
-            u16::MAX
-        );
         ProgramBuilder {
-            n_nodes,
-            objects: Vec::new(),
+            desc: WorldDesc::new(n_nodes),
             locks: Vec::new(),
             barriers: Vec::new(),
             conds: Vec::new(),
-            threads: Vec::new(),
             rt_tuning: RtTuning::default(),
             tcp_fault: None,
-            coverage: None,
         }
     }
 
@@ -333,12 +323,12 @@ impl ProgramBuilder {
     /// protocol underneath. `None` (the default) keeps the note sites to a
     /// single predicted branch.
     pub fn coverage(&mut self, map: std::sync::Arc<munin_obs::CoverageMap>) -> &mut Self {
-        self.coverage = Some(map);
+        self.desc.set_coverage(map);
         self
     }
 
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.desc.n_nodes()
     }
 
     /// Declare a typed shared array of `len` elements of `T`, homed on node
@@ -413,22 +403,16 @@ impl ProgramBuilder {
     #[track_caller]
     pub fn object(&mut self, name: &str, size: u32, sharing: SharingType, home: usize) -> ObjectId {
         let home = self.home(format_args!("object `{name}`"), home);
-        let id = ObjectId(self.objects.len() as u64);
-        let decl = ObjectDecl::new(id, name, size, sharing, home);
-        self.objects.push(decl);
-        id
+        self.desc.declare(ObjectDecl::new(ObjectId(0), name, size, sharing, home), home)
     }
 
     /// Declare a shared object from a full declaration template (for
     /// lock-associated migratory objects and eager producer-consumer
     /// objects). The id and home are overwritten.
     #[track_caller]
-    pub fn object_decl(&mut self, mut decl: ObjectDecl, home: usize) -> ObjectId {
-        decl.home = self.home(format_args!("object `{}`", decl.name), home);
-        let id = ObjectId(self.objects.len() as u64);
-        decl.id = id;
-        self.objects.push(decl);
-        id
+    pub fn object_decl(&mut self, decl: ObjectDecl, home: usize) -> ObjectId {
+        let home = self.home(format_args!("object `{}`", decl.name), home);
+        self.desc.declare(decl, home)
     }
 
     /// Declare a distributed lock homed on `home`.
@@ -458,39 +442,45 @@ impl ProgramBuilder {
         id
     }
 
-    /// `home` as a node id, checked where `what` is declared: every
-    /// protocol indexes its per-node tables by it.
+    /// `home` as a node id, checked where `what` is declared (before the
+    /// cast, which would wrap): every protocol indexes its per-node tables
+    /// by it.
     #[track_caller]
     fn home(&self, what: std::fmt::Arguments<'_>, home: usize) -> NodeId {
         assert!(
-            home < self.n_nodes,
+            home < self.n_nodes(),
             "{what} homed on node {home}, but the program has {} node(s)",
-            self.n_nodes
+            self.n_nodes()
         );
         NodeId(home as u16)
     }
 
     /// Spawn a program thread on node `node`.
+    #[track_caller]
     pub fn thread(&mut self, node: usize, f: impl FnOnce(&mut dyn Par) + Send + 'static) {
-        assert!(node < self.n_nodes, "thread placed on unknown node {node}");
-        self.threads.push((NodeId(node as u16), Box::new(f)));
+        assert!(
+            node < self.n_nodes(),
+            "thread placed on node {node}, but the program has {} node(s)",
+            self.n_nodes()
+        );
+        self.desc.spawn(NodeId(node as u16), f);
     }
 
     /// Number of threads spawned so far.
     pub fn n_threads(&self) -> usize {
-        self.threads.len()
+        self.desc.n_threads()
     }
 
     /// Snapshot of the declared objects (for the sharing-study classifier,
     /// which compares observed behaviour against the annotations).
     pub fn objects(&self) -> Vec<ObjectDecl> {
-        self.objects.clone()
+        self.desc.decls().to_vec()
     }
 
     /// Clear (or set) the eager flag on every producer-consumer object —
     /// the lazy-propagation ablation of experiment E7.
     pub fn set_eager_all(&mut self, eager: bool) {
-        for d in &mut self.objects {
+        for d in self.desc.decls_mut() {
             if d.sharing == SharingType::ProducerConsumer {
                 d.eager = eager;
             }
@@ -502,7 +492,7 @@ impl ProgramBuilder {
     /// measure what Munin's type-specific dispatch buys). Lock associations
     /// are dropped when the type changes away from `Migratory`.
     pub fn retype_all(&mut self, f: impl Fn(SharingType) -> SharingType) {
-        for d in &mut self.objects {
+        for d in self.desc.decls_mut() {
             let nt = f(d.sharing);
             if nt != d.sharing {
                 d.sharing = nt;
@@ -539,7 +529,7 @@ impl ProgramBuilder {
         let started = std::time::Instant::now();
         let name = backend.name();
         let Backend::Dsm { proto, fabric } = backend else {
-            self.run_native();
+            NativeWorld::new(&self.desc, &self.sync_decls()).run(self.desc);
             return Outcome { report: None, wall: started.elapsed(), backend: name };
         };
         if fabric != Fabric::Sim {
@@ -555,28 +545,6 @@ impl ProgramBuilder {
         Outcome { report: Some(report), wall: started.elapsed(), backend: name }
     }
 
-    /// Run the threads on real shared memory.
-    fn run_native(self) {
-        let world = NativeWorld::new(
-            self.objects.iter().map(|d| (d.id, d.size as usize)),
-            self.locks.len(),
-            &self.barriers.iter().map(|b| b.count as usize).collect::<Vec<_>>(),
-            self.conds.len(),
-            self.threads.len(),
-        );
-        let mut joins = Vec::new();
-        for (i, (_node, body)) in self.threads.into_iter().enumerate() {
-            let w = world.clone();
-            joins.push(std::thread::spawn(move || {
-                let mut ctx = NativeCtx::new(w, i);
-                body(&mut ctx);
-            }));
-        }
-        for j in joins {
-            j.join().expect("native program thread panicked");
-        }
-    }
-
     /// Run protocol `Pr` on `fabric`. Only the simulator reads `transport`
     /// and `tracer`; `run_with` has already rejected them for the others.
     fn run_proto<Pr: Protocol>(
@@ -587,53 +555,18 @@ impl ProgramBuilder {
         tracer: Option<Box<dyn Tracer>>,
     ) -> RunReport {
         let sync = self.sync_decls();
-        let n_nodes = self.n_nodes;
-        let decls = &self.objects;
-        let servers = || -> Vec<Pr::Server> {
-            (0..n_nodes)
-                .map(|i| Pr::server(&cfg, NodeId(i as u16), n_nodes, decls, &sync))
-                .collect()
-        };
+        let ProgramBuilder { desc, rt_tuning, tcp_fault, .. } = self;
+        let n_nodes = desc.n_nodes();
+        let servers: Vec<Pr::Server> = (0..n_nodes)
+            .map(|i| Pr::server(&cfg, NodeId(i as u16), n_nodes, desc.decls(), &sync))
+            .collect();
         match fabric {
             Fabric::Sim => {
-                let mut b = WorldBuilder::new(n_nodes).transport(transport);
-                if let Some(t) = tracer {
-                    b = b.tracer(t);
-                }
-                if let Some(map) = self.coverage {
-                    b = b.coverage(map);
-                }
-                for d in decls {
-                    let id = b.declare(d.clone(), d.home);
-                    debug_assert_eq!(id, d.id, "builder ids must stay dense");
-                }
-                for (node, body) in self.threads {
-                    b.spawn(node, move |ctx: &mut ThreadCtx| body(ctx));
-                }
-                b.build(servers()).run()
+                let tracer = tracer.unwrap_or_else(|| Box::new(NullTracer));
+                World::new(desc, servers, transport, tracer).run()
             }
-            // One world description for both wall-clock fabrics (same
-            // thread bodies, same `RtCtx` surface); only the final call
-            // picks the fabric.
-            Fabric::Rt | Fabric::Tcp => {
-                let mut b = RtWorldBuilder::<Pr::Msg>::new(n_nodes)
-                    .cost(Pr::cost(&cfg).clone())
-                    .tuning(self.rt_tuning);
-                if let Some(map) = self.coverage {
-                    b = b.coverage(map);
-                }
-                for d in decls {
-                    let id = b.declare(d.clone(), d.home);
-                    debug_assert_eq!(id, d.id, "builder ids must stay dense");
-                }
-                for (node, body) in self.threads {
-                    b.spawn(node, move |ctx: &mut RtCtx| body(ctx));
-                }
-                match fabric {
-                    Fabric::Rt => b.run(servers()),
-                    _ => munin_tcp::run_proto::<Pr>(b, cfg, sync, self.tcp_fault),
-                }
-            }
+            Fabric::Rt => munin_rt::run(desc, servers, Pr::cost(&cfg).clone(), rt_tuning),
+            Fabric::Tcp => munin_tcp::run_proto::<Pr>(desc, cfg, sync, rt_tuning, tcp_fault),
         }
     }
 }

@@ -1,181 +1,24 @@
 //! The application-facing shared-memory interface.
 //!
-//! Three layers:
+//! [`Par`] is [`munin_sim::DsmThread`] under its application name: the
+//! one thread trait every backend implements (the simulator's, rt's and
+//! TCP's thread contexts, and native threads). It is object-safe and works
+//! in *raw bytes*; its zero-copy pair is `read_raw_into` / `write_raw`.
+//! Two layers sit over it here:
 //!
-//! 1. [`Par`] — the object-safe backend contract: identity, synchronization,
-//!    and *raw byte* access through the zero-copy pair
-//!    [`Par::read_raw_into`] / [`Par::write_raw`] (the allocating
-//!    [`Par::read`] / [`Par::write`] are provided shims over it).
-//! 2. [`ParTyped`] — the typed accessors every application uses, generic
+//! 1. [`ParTyped`] — the typed accessors every application uses, generic
 //!    over [`Element`] and driven by [`SharedArray`] / [`SharedScalar`]
 //!    handles. Bounds and element types are checked here, at the API layer,
 //!    with precise panics; buffers are caller-owned, so steady-state access
 //!    does not allocate.
-//! 3. [`Region`] — a scoped read-modify-write view of an array range
+//! 2. [`Region`] — a scoped read-modify-write view of an array range
 //!    (fetch once, edit locally, write back once), the natural shape for
 //!    stripe-local write-many access.
 
-use munin_sim::DsmThread;
+pub use munin_sim::DsmThread as Par;
 use munin_types::element::{bytes_of, bytes_of_mut};
-use munin_types::{
-    BarrierId, ByteRange, CondId, Element, LockId, ObjectId, OpToken, SharedArray, SharedScalar,
-    TokenState, TokenValue,
-};
+use munin_types::{ByteRange, Element, OpToken, SharedArray, SharedScalar, TokenValue};
 use std::borrow::Cow;
-
-/// What a parallel program may do: shared-object access plus explicit
-/// synchronization. Every DSM fabric (the simulator, rt, TCP; any protocol
-/// underneath) implements it once, through [`DsmThread`]; native threads
-/// implement it directly.
-///
-/// Applications should not call the byte-level methods directly — use the
-/// typed layer ([`ParTyped`]) through [`SharedArray`] / [`SharedScalar`]
-/// handles instead.
-pub trait Par {
-    /// This thread's index (0-based, dense).
-    fn self_id(&self) -> usize;
-    /// Total threads in the program.
-    fn n_threads(&self) -> usize;
-    /// Read `range` of a shared object into `out` (`out.len()` must equal
-    /// `range.len`). The zero-copy foundation of the typed layer.
-    fn read_raw_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]);
-    /// Write `data` at byte offset `start` of a shared object.
-    fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]);
-    /// Atomic fetch-and-add on the little-endian i64 at `offset`.
-    fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64;
-    fn lock(&mut self, lock: LockId);
-    fn unlock(&mut self, lock: LockId);
-    fn barrier(&mut self, barrier: BarrierId);
-    /// Monitor wait: release `lock`, sleep until signalled, re-acquire.
-    /// (Unsupported by the Ivy backend, true to the original system.)
-    fn cond_wait(&mut self, cond: CondId, lock: LockId);
-    /// Wake one (`broadcast=false`) or all waiters. Caller holds the lock.
-    fn cond_signal(&mut self, cond: CondId, broadcast: bool);
-    /// Mark a program phase boundary (phase 0 = initialization).
-    fn phase(&mut self, phase: u32);
-    /// Model `us` microseconds of local computation.
-    fn compute(&mut self, us: u64);
-    /// Flush this thread's delayed updates (no-op on strict backends).
-    fn flush(&mut self);
-
-    /// Read a byte range into a fresh buffer. Allocating shim over
-    /// [`Par::read_raw_into`]; backends may override when they already own
-    /// a buffer (the simulator's ops do).
-    fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        let mut out = vec![0u8; range.len as usize];
-        self.read_raw_into(obj, range, &mut out);
-        out
-    }
-
-    /// Write bytes at an offset of a shared object (by-value shim over
-    /// [`Par::write_raw`]).
-    fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        self.write_raw(obj, start, &data);
-    }
-
-    // ---- pipelined (asynchronous) ops -----------------------------------
-    //
-    // The defaults complete the op immediately and hand back a Ready token,
-    // which is the correct degenerate pipelining for backends whose ops
-    // already finish inline (the native backend). The DSM contexts take
-    // theirs from `DsmThread`, whose wall-clock implementations keep up to
-    // `munin_rt::MAX_INFLIGHT` ops in flight.
-
-    /// Issue a write without waiting for completion. The op is complete by
-    /// the time the returned state is redeemed ([`Par::token_wait`]) or the
-    /// next sync point, whichever comes first.
-    fn write_raw_async(&mut self, obj: ObjectId, start: u32, data: &[u8]) -> TokenState {
-        self.write_raw(obj, start, data);
-        TokenState::Ready(0)
-    }
-
-    /// Issue an atomic fetch-and-add without waiting; the old value rides
-    /// in the redeemed token.
-    fn fetch_add_async(&mut self, obj: ObjectId, offset: u32, delta: i64) -> TokenState {
-        TokenState::Ready(self.fetch_add(obj, offset, delta))
-    }
-
-    /// Redeem a token state: the raw result of its async op. Backends that
-    /// never return [`TokenState::Pending`] keep this default.
-    fn token_wait(&mut self, state: TokenState) -> i64 {
-        match state {
-            TokenState::Ready(v) => v,
-            TokenState::Pending(seq) => {
-                panic!("this backend never issued pending token {seq} — token from another ctx?")
-            }
-        }
-    }
-
-    /// Complete every op this thread has in flight (including any
-    /// client-side write-combining buffer). Implicit at every sync point;
-    /// a no-op on backends whose ops complete inline.
-    fn drain_ops(&mut self) {}
-}
-
-/// Every DSM thread context is a `Par`: the simulator's and the wall-clock
-/// fabrics', whatever the protocol. The mapping is written once, over
-/// [`DsmThread`], which also owns the op encoding.
-impl<T: DsmThread + ?Sized> Par for T {
-    fn self_id(&self) -> usize {
-        self.thread_id().index()
-    }
-    fn n_threads(&self) -> usize {
-        DsmThread::n_threads(self)
-    }
-    fn read_raw_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
-        DsmThread::read_into(self, obj, range, out)
-    }
-    fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
-        DsmThread::write_raw(self, obj, start, data)
-    }
-    fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        // The op already hands us an owned buffer; return it rather than
-        // copying into a second one.
-        DsmThread::read(self, obj, range)
-    }
-    fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        DsmThread::write(self, obj, start, data)
-    }
-    fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64 {
-        DsmThread::fetch_add(self, obj, offset, delta)
-    }
-    fn lock(&mut self, lock: LockId) {
-        DsmThread::lock(self, lock)
-    }
-    fn unlock(&mut self, lock: LockId) {
-        DsmThread::unlock(self, lock)
-    }
-    fn barrier(&mut self, barrier: BarrierId) {
-        DsmThread::barrier(self, barrier)
-    }
-    fn cond_wait(&mut self, cond: CondId, lock: LockId) {
-        DsmThread::cond_wait(self, cond, lock)
-    }
-    fn cond_signal(&mut self, cond: CondId, broadcast: bool) {
-        DsmThread::cond_signal(self, cond, broadcast)
-    }
-    fn phase(&mut self, phase: u32) {
-        DsmThread::phase(self, phase)
-    }
-    fn compute(&mut self, us: u64) {
-        DsmThread::compute(self, us)
-    }
-    fn flush(&mut self) {
-        DsmThread::flush(self)
-    }
-    fn write_raw_async(&mut self, obj: ObjectId, start: u32, data: &[u8]) -> TokenState {
-        DsmThread::write_raw_async(self, obj, start, data)
-    }
-    fn fetch_add_async(&mut self, obj: ObjectId, offset: u32, delta: i64) -> TokenState {
-        DsmThread::fetch_add_async(self, obj, offset, delta)
-    }
-    fn token_wait(&mut self, state: TokenState) -> i64 {
-        DsmThread::token_wait(self, state)
-    }
-    fn drain_ops(&mut self) {
-        DsmThread::drain_ops(self)
-    }
-}
 
 /// Decode a little-endian byte buffer in place into `out`.
 fn decode_into<T: Element>(bytes: &[u8], out: &mut [T]) {
@@ -438,43 +281,49 @@ impl<P: Par + ?Sized, T: Element> Drop for Region<'_, P, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use munin_types::SharingType;
+    use munin_sim::{DsmOp, DsmThread, OpResult};
+    use munin_types::{NodeId, ObjectId, SharingType, ThreadId};
     use std::collections::HashMap;
 
-    /// A toy in-memory Par for testing the access layers.
+    /// A toy in-memory, single-threaded [`Par`] for testing the access
+    /// layers: every op completes inline.
     pub(crate) struct MemPar {
         pub(crate) objs: HashMap<ObjectId, Vec<u8>>,
     }
 
-    impl Par for MemPar {
-        fn self_id(&self) -> usize {
-            0
+    impl DsmThread for MemPar {
+        fn op(&mut self, op: DsmOp) -> OpResult {
+            let span = |range: ByteRange| range.start as usize..range.end() as usize;
+            match op {
+                DsmOp::Read { obj, range } => {
+                    OpResult::Bytes(self.objs[&obj][span(range)].to_vec())
+                }
+                DsmOp::Write { obj, range, data } => {
+                    self.objs.get_mut(&obj).unwrap()[span(range)].copy_from_slice(&data);
+                    OpResult::Unit
+                }
+                DsmOp::AtomicFetchAdd { obj, offset, delta } => {
+                    let word =
+                        &mut self.objs.get_mut(&obj).unwrap()[span(ByteRange::new(offset, 8))];
+                    let old = i64::from_le_bytes((&*word).try_into().unwrap());
+                    word.copy_from_slice(&(old + delta).to_le_bytes());
+                    OpResult::Value(old)
+                }
+                _ => OpResult::Unit,
+            }
+        }
+        fn thread_id(&self) -> ThreadId {
+            ThreadId(0)
+        }
+        fn node(&self) -> NodeId {
+            NodeId(0)
+        }
+        fn n_nodes(&self) -> usize {
+            1
         }
         fn n_threads(&self) -> usize {
             1
         }
-        fn read_raw_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
-            out.copy_from_slice(&self.objs[&obj][range.start as usize..range.end() as usize]);
-        }
-        fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
-            let o = self.objs.get_mut(&obj).unwrap();
-            o[start as usize..start as usize + data.len()].copy_from_slice(data);
-        }
-        fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64 {
-            let mut buf = [0u8; 8];
-            self.read_raw_into(obj, ByteRange::new(offset, 8), &mut buf);
-            let old = i64::from_le_bytes(buf);
-            self.write_raw(obj, offset, &(old + delta).to_le_bytes());
-            old
-        }
-        fn lock(&mut self, _: LockId) {}
-        fn unlock(&mut self, _: LockId) {}
-        fn barrier(&mut self, _: BarrierId) {}
-        fn cond_wait(&mut self, _: CondId, _: LockId) {}
-        fn cond_signal(&mut self, _: CondId, _: bool) {}
-        fn phase(&mut self, _: u32) {}
-        fn compute(&mut self, _: u64) {}
-        fn flush(&mut self) {}
     }
 
     pub(crate) fn mempar(size: usize) -> (MemPar, ObjectId) {

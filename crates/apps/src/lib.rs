@@ -100,7 +100,10 @@ impl App {
                 (p, Box::new(move || tsp::check(&out, want)))
             }
             App::Life => {
-                let cfg = life::LifeCfg { width: 48, height: 48, generations: 6, nodes, seed: 17 };
+                // Every thread's block needs two rows (its top and bottom
+                // boundary), so the grid grows past 24 nodes.
+                let height = 48.max(2 * nodes as u32);
+                let cfg = life::LifeCfg { width: 48, height, generations: 6, nodes, seed: 17 };
                 let (p, out) = life::build(&cfg);
                 let want = life::reference(&cfg);
                 (p, Box::new(move || life::check(&out, &want)))

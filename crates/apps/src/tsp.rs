@@ -91,8 +91,14 @@ pub fn build(cfg: &TspCfg) -> (ProgramBuilder, OutputCell<(i64, Vec<i64>)>) {
     let mut p = ProgramBuilder::new(nodes);
     let dist = p.array::<i64>("distances", c * c, SharingType::WriteOnce, 0);
     let qlock = p.lock(0);
-    // Generous stack bound: c levels × c branching, times a safety factor.
-    let cap = (c * c * 4).max(256);
+    // Stack bound. One worker's depth-first walk keeps at most c levels of
+    // up to c siblings; concurrent workers each push their children on top
+    // of the others', so the peak grows with the worker count. The
+    // c²/4-records-per-worker term (not above the fixed bound up to 16
+    // workers at c = 8) covers the peaks the simulator shows at c = 8 on
+    // all three protocols: 209 records at 16 workers, 409 at 32, 498 at
+    // 48 and 497 at 64.
+    let cap = (c * c * 4).max(256).max(c * c * nodes as u32 / 4);
     let stack = p.array_decl::<i64>(
         ObjectDecl::template("tour stack", SharingType::Migratory).with_lock(qlock),
         STACK_HDR + cap * rec_slots(c),

@@ -2,45 +2,36 @@
 //! run-length diff machinery (the DUQ's hot path), the twin store, the
 //! receiver-side reorder buffer, vector clocks, the address-space
 //! translation Ivy performs on every access — and the typed zero-copy
-//! access path (time *and* allocations per access, measured on the native
-//! backend).
+//! access path, measured on the native backend (that it allocates nothing
+//! is pinned by `crates/api/tests/native_alloc.rs`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use munin_api::native::{NativeCtx, NativeWorld};
 use munin_api::ParTyped;
 use munin_check::VectorClock;
 use munin_mem::{AddressSpace, Diff, TwinStore};
-use munin_types::{AllocPolicy, ByteRange, ObjectId, SharedArray, SharingType, ThreadId};
+use munin_sim::WorldDesc;
+use munin_types::{
+    AllocPolicy, ByteRange, NodeId, ObjectDecl, ObjectId, SharedArray, SharingType, SyncDecls,
+    ThreadId,
+};
 
-/// Counts heap allocations so the typed access bench reports allocations
-/// per access, not just time.
-#[path = "../../mem/testsupport/counting_alloc.rs"]
-mod counting_alloc;
-use counting_alloc::{allocs_of, CountingAlloc};
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+/// A native thread context over one `bytes`-byte object, `ObjectId(0)`.
+fn native_ctx(bytes: u32) -> NativeCtx {
+    let mut desc = WorldDesc::new(1);
+    let decl = ObjectDecl::new(ObjectId(0), "arr", bytes, SharingType::WriteMany, NodeId(0));
+    desc.declare(decl, NodeId(0));
+    NativeCtx::new(NativeWorld::new(&desc, &SyncDecls::default()), ThreadId(0), NodeId(0))
+}
 
 /// Typed zero-copy access on the native backend (no simulator in the way,
-/// so the measurement isolates the API layer itself), plus the assertion
-/// that bulk typed access into caller buffers never allocates.
+/// so the measurement isolates the API layer itself).
 fn bench_typed_api(c: &mut Criterion) {
     const N: u32 = 256; // elements per bulk op
-    let world = NativeWorld::new([(ObjectId(0), N as usize * 8)], 0, &[], 0, 1);
-    let mut par = NativeCtx::new(world, 0);
+    let mut par = native_ctx(N * 8);
     let arr: SharedArray<f64> = SharedArray::from_raw(ObjectId(0), N, SharingType::WriteMany);
     let vals = vec![1.5f64; N as usize];
     let mut buf = vec![0f64; N as usize];
-
-    par.write_from(&arr, 0, &vals);
-    let typed_allocs = allocs_of(|| {
-        par.write_from(&arr, 0, black_box(&vals));
-        par.read_into(&arr, 0, black_box(&mut buf));
-    });
-    println!(
-        "alloc  typed zero-copy path                             ... {typed_allocs:>10} allocs / {N}-element read+write round"
-    );
-    assert_eq!(typed_allocs, 0, "typed bulk access into caller buffers is allocation-free");
 
     let mut g = c.benchmark_group("access256xf64");
     g.bench_function("typed_read_into", |b| {
@@ -138,8 +129,7 @@ fn bench_vclock(c: &mut Criterion) {
 /// plain blocking call isolates the cost of the token wrapper itself
 /// (state wrap, redeem dispatch) from any fabric latency it hides.
 fn bench_token_path(c: &mut Criterion) {
-    let world = NativeWorld::new([(ObjectId(0), 8 * 8)], 0, &[], 0, 1);
-    let mut par = NativeCtx::new(world, 0);
+    let mut par = native_ctx(8 * 8);
     let arr: SharedArray<i64> = SharedArray::from_raw(ObjectId(0), 8, SharingType::WriteMany);
     let mut g = c.benchmark_group("token_path");
     g.bench_function("set blocking", |b| b.iter(|| par.set(&arr, 0, black_box(1i64))));

@@ -12,7 +12,8 @@
 
 use munin_net::{MsgClass, PayloadInfo};
 use munin_sim::{
-    DsmOp, DsmThread, KernelApi, OpOutcome, OpResult, RunReport, Server, ThreadCtx, WorldBuilder,
+    DsmOp, KernelApi, NullTracer, OpOutcome, OpResult, RunReport, Server, TransportConfig, World,
+    WorldDesc,
 };
 use munin_types::{NodeId, ThreadId};
 use std::sync::{Arc, Mutex};
@@ -148,8 +149,8 @@ pub fn run_msgpass_matmul(cfg: &munin_apps::matmul::MatmulCfg) -> (Vec<f64>, Run
         (a, b)
     };
     let out = Arc::new(Mutex::new(None));
-    let mut builder = WorldBuilder::new(nodes);
-    builder.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+    let mut desc = WorldDesc::new(nodes);
+    desc.spawn(NodeId(0), |ctx| {
         ctx.flush(); // "go"
     });
     let servers: Vec<MpNode> = (0..nodes)
@@ -165,7 +166,7 @@ pub fn run_msgpass_matmul(cfg: &munin_apps::matmul::MatmulCfg) -> (Vec<f64>, Run
             out: out.clone(),
         })
         .collect();
-    let report = builder.build(servers).run();
+    let report = World::new(desc, servers, TransportConfig::default(), Box::new(NullTracer)).run();
     let result = out.lock().expect("out").take().expect("message-passing matmul finished");
     (result, report)
 }

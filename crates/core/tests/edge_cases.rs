@@ -1,7 +1,7 @@
 //! Edge-case and failure-path tests for the Munin runtime.
 
 use munin_core::{MuninServer, SyncDecls};
-use munin_sim::{DsmThread, RunReport, ThreadCtx, WorldBuilder};
+use munin_sim::{DsmThread, NullTracer, RunReport, TransportConfig, World, WorldDesc};
 use munin_types::{
     BarrierId, ByteRange, CondId, LockId, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType,
 };
@@ -12,14 +12,14 @@ fn run_world(
     n_nodes: usize,
     cfg: MuninConfig,
     sync: SyncDecls,
-    setup: impl FnOnce(&mut WorldBuilder),
+    setup: impl FnOnce(&mut WorldDesc),
 ) -> RunReport {
-    let mut b = WorldBuilder::new(n_nodes);
+    let mut b = WorldDesc::new(n_nodes);
     setup(&mut b);
     let servers: Vec<MuninServer> = (0..n_nodes)
         .map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone()))
         .collect();
-    b.build(servers).run()
+    World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run()
 }
 
 fn decl(name: &str, size: u32, sharing: SharingType) -> ObjectDecl {
@@ -30,7 +30,7 @@ fn decl(name: &str, size: u32, sharing: SharingType) -> ObjectDecl {
 fn out_of_bounds_read_is_reported_not_hung() {
     let report = run_world(1, MuninConfig::default(), SyncDecls::default(), |b| {
         let obj = b.declare(decl("small", 8, SharingType::WriteMany), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             let _ = ctx.read(obj, ByteRange::new(4, 8)); // 4..12 of size 8
         });
     });
@@ -41,7 +41,7 @@ fn out_of_bounds_read_is_reported_not_hung() {
 #[test]
 fn unknown_object_is_reported() {
     let report = run_world(1, MuninConfig::default(), SyncDecls::default(), |b| {
-        b.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), |ctx: &mut dyn DsmThread| {
             let _ = ctx.read(ObjectId(999), ByteRange::new(0, 4));
         });
     });
@@ -53,7 +53,7 @@ fn unknown_object_is_reported() {
 fn remote_private_access_is_a_sharing_violation() {
     let report = run_world(2, MuninConfig::default(), SyncDecls::default(), |b| {
         let obj = b.declare(decl("mine", 8, SharingType::Private), NodeId(0));
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             let _ = ctx.read(obj, ByteRange::new(0, 8));
         });
     });
@@ -65,7 +65,7 @@ fn remote_private_access_is_a_sharing_violation() {
 fn unlock_without_hold_is_reported() {
     let sync = SyncDecls::round_robin(1, 0, 0, 1);
     let report = run_world(1, MuninConfig::default(), sync, |b| {
-        b.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), |ctx: &mut dyn DsmThread| {
             ctx.unlock(LockId(0));
         });
     });
@@ -84,13 +84,13 @@ fn duq_pressure_triggers_background_flush() {
         let objs: Vec<ObjectId> = (0..8)
             .map(|i| b.declare(decl(&format!("o{i}"), 16, SharingType::WriteMany), NodeId(0)))
             .collect();
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             for (i, o) in objs.iter().enumerate() {
                 ctx.write(*o, 0, vec![i as u8 + 1; 16]);
             }
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
         });
     });
@@ -111,13 +111,13 @@ fn write_allocate_fetches_before_writing() {
     let s2 = seen.clone();
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         let obj = b.declare(decl("x", 16, SharingType::WriteMany), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![1; 16]); // home initializes
             ctx.barrier(BarrierId(0));
             ctx.barrier(BarrierId(0));
             s2.lock().unwrap().extend(ctx.read(obj, ByteRange::new(0, 16)));
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             ctx.write(obj, 4, vec![2; 4]); // write-allocate fault
             ctx.barrier(BarrierId(0));
@@ -136,15 +136,15 @@ fn multiple_threads_per_node_share_the_duq() {
         let obj = b.declare(decl("x", 32, SharingType::WriteMany), NodeId(0));
         // Two threads on node 1 write disjoint halves; their updates flush
         // together (per-node DUQ).
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![1; 16]);
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 16, vec![2; 16]);
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             let v = ctx.read(obj, ByteRange::new(0, 32));
             assert_eq!(&v[..16], &[1; 16]);
@@ -169,7 +169,7 @@ fn cond_broadcast_wakes_all_waiters() {
             b.declare(decl("flag", 8, SharingType::Migratory).with_lock(LockId(0)), NodeId(0));
         for i in 0..2 {
             let woken = woken.clone();
-            b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                 ctx.lock(LockId(0));
                 loop {
                     let v = ctx.read(flag, ByteRange::new(0, 8));
@@ -182,7 +182,7 @@ fn cond_broadcast_wakes_all_waiters() {
                 woken.fetch_add(1, Ordering::SeqCst);
             });
         }
-        b.spawn(NodeId(2), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(2), move |ctx: &mut dyn DsmThread| {
             ctx.compute(20_000);
             ctx.lock(LockId(0));
             ctx.write(flag, 0, 1i64.to_le_bytes().to_vec());
@@ -200,7 +200,7 @@ fn atomics_from_all_nodes_serialize_at_home() {
     let report = run_world(3, MuninConfig::default(), sync, |b| {
         let ctr = b.declare(decl("ctr", 16, SharingType::GeneralReadWrite), NodeId(2));
         for i in 0..3 {
-            b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                 for _ in 0..10 {
                     ctx.fetch_add(ctr, 8, 1);
                 }
@@ -225,7 +225,7 @@ fn eager_fence_orders_pushes_before_barrier_release() {
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         let obj =
             b.declare(decl("bnd", 8192, SharingType::ProducerConsumer).with_eager(true), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![1; 8192]);
             ctx.barrier(BarrierId(0));
             ctx.barrier(BarrierId(0));
@@ -233,7 +233,7 @@ fn eager_fence_orders_pushes_before_barrier_release() {
             ctx.write(obj, 0, vec![2; 8192]);
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             assert_eq!(ctx.read(obj, ByteRange::new(0, 4)), vec![1; 4]);
             ctx.barrier(BarrierId(0));
@@ -255,19 +255,19 @@ fn migratory_three_node_chain_follows_probable_holders() {
     let sync = SyncDecls::round_robin(0, 2, 3, 3);
     let report = run_world(3, MuninConfig::default(), sync, |b| {
         let obj = b.declare(decl("hot", 8, SharingType::Migratory), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![1; 8]);
             ctx.barrier(BarrierId(0));
             ctx.barrier(BarrierId(1));
             let v = ctx.read(obj, ByteRange::new(0, 8));
             assert_eq!(v, vec![3; 8], "value written by the last holder");
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             ctx.write(obj, 0, vec![2; 8]);
             ctx.barrier(BarrierId(1));
         });
-        b.spawn(NodeId(2), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(2), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             ctx.compute(50_000); // after node 1 took it
             ctx.write(obj, 0, vec![3; 8]);
@@ -283,7 +283,7 @@ fn dynamic_alloc_creates_usable_objects() {
     let shared_id = Arc::new(AtomicI64::new(-1));
     let s2 = shared_id.clone();
     let report = run_world(2, MuninConfig::default(), sync, |b| {
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             let id = ctx.alloc(decl("dyn", 64, SharingType::WriteMany));
             ctx.write(id, 0, vec![9; 64]);
             s2.store(id.0 as i64, Ordering::SeqCst);
@@ -291,7 +291,7 @@ fn dynamic_alloc_creates_usable_objects() {
             ctx.barrier(BarrierId(0));
         });
         let shared_id = shared_id.clone();
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             let id = ObjectId(shared_id.load(Ordering::SeqCst) as u64);
             assert_eq!(ctx.read(id, ByteRange::new(60, 4)), vec![9; 4]);
@@ -305,7 +305,7 @@ fn dynamic_alloc_creates_usable_objects() {
 fn zero_length_accesses_are_harmless() {
     let report = run_world(1, MuninConfig::default(), SyncDecls::default(), |b| {
         let obj = b.declare(decl("x", 8, SharingType::WriteMany), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             assert_eq!(ctx.read(obj, ByteRange::new(0, 0)), Vec::<u8>::new());
             ctx.write(obj, 8, vec![]); // zero-length write at the end: ok
             assert_eq!(ctx.read(obj, ByteRange::new(8, 0)), Vec::<u8>::new());

@@ -8,7 +8,7 @@
 //! full-object-sized allocation.
 
 use munin_core::{MuninServer, SyncDecls};
-use munin_sim::{DsmThread, RunReport, ThreadCtx, WorldBuilder};
+use munin_sim::{DsmThread, NullTracer, RunReport, TransportConfig, World, WorldDesc};
 use munin_types::{ByteRange, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType};
 
 #[path = "../../mem/testsupport/counting_alloc.rs"]
@@ -30,15 +30,15 @@ fn run_world(
     n_nodes: usize,
     cfg: MuninConfig,
     sync: SyncDecls,
-    setup: impl FnOnce(&mut WorldBuilder),
+    setup: impl FnOnce(&mut WorldDesc),
 ) -> RunReport {
     let _alone = ONE_WORLD.lock().unwrap_or_else(|p| p.into_inner());
-    let mut b = WorldBuilder::new(n_nodes);
+    let mut b = WorldDesc::new(n_nodes);
     setup(&mut b);
     let servers: Vec<MuninServer> = (0..n_nodes)
         .map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone()))
         .collect();
-    b.build(servers).run()
+    World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run()
 }
 
 /// One dirty byte in a 1 MiB write-many object: installing the replica is
@@ -53,7 +53,7 @@ fn sparse_flush_of_1mib_object_is_clone_free() {
             ObjectDecl::new(ObjectId(0), "big", MIB, SharingType::WriteMany, NodeId(0)),
             NodeId(0),
         );
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             // Fault the replica in (a legitimate full-object transfer).
             let v = ctx.read(obj, ByteRange::new(0, 64));
             assert_eq!(v, vec![0; 64]);
@@ -91,7 +91,7 @@ fn scattered_flush_of_1mib_object_is_clone_free() {
             ObjectDecl::new(ObjectId(0), "big", MIB, SharingType::WriteMany, NodeId(0)),
             NodeId(0),
         );
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             let _ = ctx.read(obj, ByteRange::new(0, 8));
             let before = big_allocs();
             for i in 0..32u32 {
@@ -106,7 +106,7 @@ fn scattered_flush_of_1mib_object_is_clone_free() {
             );
             ctx.barrier(munin_types::BarrierId(0));
         });
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             // Node 0 only verifies the result afterwards; the barrier
             // sequences it behind node 1's flush.
             ctx.barrier(munin_types::BarrierId(0));

@@ -2,7 +2,7 @@
 //! simulation kernel, exercised by scripted application threads.
 
 use munin_core::{MuninServer, SyncDecls};
-use munin_sim::{DsmThread, RunReport, ThreadCtx, WorldBuilder};
+use munin_sim::{DsmThread, NullTracer, RunReport, TransportConfig, World, WorldDesc};
 use munin_types::{
     BarrierId, ByteRange, LockId, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType,
 };
@@ -14,14 +14,14 @@ fn run_world(
     n_nodes: usize,
     cfg: MuninConfig,
     sync: SyncDecls,
-    setup: impl FnOnce(&mut WorldBuilder),
+    setup: impl FnOnce(&mut WorldDesc),
 ) -> RunReport {
-    let mut b = WorldBuilder::new(n_nodes);
+    let mut b = WorldDesc::new(n_nodes);
     setup(&mut b);
     let servers: Vec<MuninServer> = (0..n_nodes)
         .map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone()))
         .collect();
-    b.build(servers).run()
+    World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run()
 }
 
 fn decl(name: &str, size: u32, sharing: SharingType) -> ObjectDecl {
@@ -37,12 +37,12 @@ fn write_once_replicates_after_publication() {
     let sync = SyncDecls::round_robin(0, 1, 2, 2);
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         let obj = b.declare(decl("table", 64, SharingType::WriteOnce), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![7; 64]);
             ctx.phase(1); // publish
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             let v = ctx.read(obj, ByteRange::new(0, 64));
             assert_eq!(v, vec![7; 64]);
@@ -65,13 +65,13 @@ fn write_once_read_blocks_until_publication() {
     let seen2 = seen.clone();
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         let obj = b.declare(decl("table", 16, SharingType::WriteOnce), NodeId(0));
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             // Fault immediately at t=0, before initialization finishes.
             let v = ctx.read(obj, ByteRange::new(0, 16));
             seen2.lock().unwrap().extend(v);
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.compute(50_000); // slow initialization
             ctx.write(obj, 0, vec![9; 16]);
             ctx.phase(1);
@@ -87,7 +87,7 @@ fn write_once_write_after_publication_is_violation() {
     let sync = SyncDecls::round_robin(0, 0, 0, 1);
     let report = run_world(1, MuninConfig::default(), sync, |b| {
         let obj = b.declare(decl("table", 8, SharingType::WriteOnce), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![1; 8]);
             ctx.phase(1);
             ctx.write(obj, 0, vec![2; 8]); // must panic (violation)
@@ -104,12 +104,12 @@ fn large_write_once_pages_in_lazily() {
     let sync = SyncDecls::round_robin(0, 1, 2, 2);
     let report = run_world(2, cfg, sync, |b| {
         let obj = b.declare(decl("big", 8192, SharingType::WriteOnce), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![5; 8192]);
             ctx.phase(1);
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             // Touch only the first and last pages.
             assert_eq!(ctx.read(obj, ByteRange::new(0, 4)), vec![5; 4]);
@@ -134,17 +134,17 @@ fn write_many_disjoint_writers_merge() {
     let r2 = result.clone();
     let report = run_world(3, MuninConfig::default(), sync, |b| {
         let obj = b.declare(decl("grid", 32, SharingType::WriteMany), NodeId(0));
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![1; 16]);
             ctx.barrier(BarrierId(0));
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(2), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(2), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 16, vec![2; 16]);
             ctx.barrier(BarrierId(0));
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             let v = ctx.read(obj, ByteRange::new(0, 32));
             r2.lock().unwrap().extend(v);
@@ -162,14 +162,14 @@ fn duq_combines_many_writes_into_one_update() {
     let sync = SyncDecls::round_robin(0, 1, 2, 2);
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         let obj = b.declare(decl("obj", 1024, SharingType::WriteMany), NodeId(0));
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             // Fetch a copy first (write-allocate on first write).
             for i in 0..100u32 {
                 ctx.write(obj, (i * 8) % 1024, vec![i as u8; 8]);
             }
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
         });
     });
@@ -183,13 +183,13 @@ fn strict_ablation_sends_update_per_write() {
     let sync = SyncDecls::round_robin(0, 1, 2, 2);
     let report = run_world(2, MuninConfig::default().strict(), sync, |b| {
         let obj = b.declare(decl("obj", 256, SharingType::WriteMany), NodeId(0));
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             for i in 0..10u32 {
                 ctx.write(obj, i * 8, vec![1; 8]);
             }
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
         });
     });
@@ -213,19 +213,19 @@ fn unflushed_writes_survive_invalidation() {
     let r2 = result.clone();
     let report = run_world(3, cfg, sync, |b| {
         let obj = b.declare(decl("grid", 8, SharingType::WriteMany), NodeId(0));
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![1; 4]); // pending, not yet flushed
             ctx.compute(500_000); // hold the writes across node 2's flush
             ctx.barrier(BarrierId(0));
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(2), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(2), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 4, vec![2; 4]);
             ctx.flush(); // propagates early; invalidates node 1's copy
             ctx.barrier(BarrierId(0));
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             let v = ctx.read(obj, ByteRange::new(0, 8));
             r2.lock().unwrap().extend(v);
@@ -247,17 +247,17 @@ fn result_objects_collect_without_replication() {
     let c2 = collected.clone();
     let report = run_world(3, MuninConfig::default(), sync, |b| {
         let obj = b.declare(decl("result", 16, SharingType::Result), NodeId(0));
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![1; 8]);
             // Re-reading our own bytes is local.
             assert_eq!(ctx.read(obj, ByteRange::new(0, 8)), vec![1; 8]);
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(2), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(2), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 8, vec![2; 8]);
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             let v = ctx.read(obj, ByteRange::new(0, 16));
             c2.lock().unwrap().extend(v);
@@ -283,12 +283,12 @@ fn migratory_rides_the_lock() {
     let sync = SyncDecls::round_robin(1, 1, n as u32, n);
     let total = Arc::new(AtomicI64::new(0));
     let report = {
-        let mut b = WorldBuilder::new(n);
+        let mut b = WorldDesc::new(n);
         let obj =
             b.declare(decl("counter", 8, SharingType::Migratory).with_lock(LockId(0)), NodeId(0));
         for i in 0..n {
             let total = total.clone();
-            b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                 for _ in 0..5 {
                     ctx.lock(LockId(0));
                     let v = ctx.read(obj, ByteRange::new(0, 8));
@@ -308,7 +308,7 @@ fn migratory_rides_the_lock() {
         let cfg = MuninConfig::default();
         let servers: Vec<MuninServer> =
             (0..n).map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone())).collect();
-        b.build(servers).run()
+        World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run()
     };
     report.assert_clean();
     assert_eq!(total.load(Ordering::SeqCst), (n * 5) as i64, "mutual exclusion held");
@@ -322,11 +322,11 @@ fn unassociated_migratory_faults_and_migrates() {
     let sync = SyncDecls::round_robin(0, 1, 2, 2);
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         let obj = b.declare(decl("mig", 16, SharingType::Migratory), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![3; 16]);
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             assert_eq!(ctx.read(obj, ByteRange::new(0, 16)), vec![3; 16]);
             ctx.write(obj, 0, vec![4; 16]);
@@ -351,7 +351,7 @@ fn producer_consumer_eager_push_prefeeds_consumers() {
             decl("boundary", 64, SharingType::ProducerConsumer).with_eager(true),
             NodeId(0),
         );
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             // Generation 0: produce initial values; consumer joins.
             ctx.write(obj, 0, vec![1; 64]);
             ctx.barrier(BarrierId(0));
@@ -361,7 +361,7 @@ fn producer_consumer_eager_push_prefeeds_consumers() {
             ctx.barrier(BarrierId(0));
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             assert_eq!(ctx.read(obj, ByteRange::new(0, 64)), vec![1; 64]);
             ctx.barrier(BarrierId(0));
@@ -388,7 +388,7 @@ fn producer_consumer_demand_ablation_refaults() {
     let sync = SyncDecls::round_robin(0, 1, 2, 2);
     let report = run_world(2, cfg, sync, |b| {
         let obj = b.declare(decl("boundary", 64, SharingType::ProducerConsumer), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![1; 64]);
             ctx.barrier(BarrierId(0));
             ctx.barrier(BarrierId(0));
@@ -396,7 +396,7 @@ fn producer_consumer_demand_ablation_refaults() {
             ctx.barrier(BarrierId(0));
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             assert_eq!(ctx.read(obj, ByteRange::new(0, 64)), vec![1; 64]);
             ctx.barrier(BarrierId(0));
@@ -425,7 +425,7 @@ fn general_rw_ownership_transfers_and_invalidates() {
     let s2 = seen.clone();
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         let obj = b.declare(decl("grw", 8, SharingType::GeneralReadWrite), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.write(obj, 0, vec![1; 8]);
             ctx.barrier(BarrierId(0));
             // Node 1 then writes; our next read must see it (strict).
@@ -433,7 +433,7 @@ fn general_rw_ownership_transfers_and_invalidates() {
             let v = ctx.read(obj, ByteRange::new(0, 8));
             s2.lock().unwrap().extend(v);
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             assert_eq!(ctx.read(obj, ByteRange::new(0, 8)), vec![1; 8]);
             ctx.write(obj, 0, vec![2; 8]);
@@ -456,7 +456,7 @@ fn read_mostly_remote_access_pays_per_read() {
     let sync = SyncDecls::round_robin(0, 0, 0, 2);
     let report = run_world(2, cfg, sync, |b| {
         let obj = b.declare(decl("bound", 8, SharingType::ReadMostly), NodeId(0));
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             for _ in 0..5 {
                 ctx.read(obj, ByteRange::new(0, 8));
             }
@@ -471,7 +471,7 @@ fn read_mostly_replicated_refresh_updates_copies() {
     let sync = SyncDecls::round_robin(0, 1, 2, 2);
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         let obj = b.declare(decl("bound", 8, SharingType::ReadMostly), NodeId(0));
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             for _ in 0..5 {
                 ctx.read(obj, ByteRange::new(0, 8));
             }
@@ -480,7 +480,7 @@ fn read_mostly_replicated_refresh_updates_copies() {
             ctx.barrier(BarrierId(0));
             assert_eq!(ctx.read(obj, ByteRange::new(0, 8)), vec![9; 8]);
         });
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             ctx.write(obj, 0, vec![9; 8]); // write-through + refresh
             ctx.barrier(BarrierId(0));
@@ -499,7 +499,7 @@ fn read_mostly_replicated_refresh_updates_copies() {
 fn local_lock_reacquisition_is_free() {
     let sync = SyncDecls::round_robin(1, 0, 0, 2);
     let report = run_world(2, MuninConfig::default(), sync, |b| {
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             // Lock 0 is homed on node 0: the token never leaves.
             for _ in 0..100 {
                 ctx.lock(LockId(0));
@@ -517,12 +517,12 @@ fn contended_lock_is_fair_and_exclusive() {
     let sync = SyncDecls::round_robin(1, 1, n as u32, n);
     let log = Arc::new(Mutex::new(Vec::new()));
     let report = {
-        let mut b = WorldBuilder::new(n);
+        let mut b = WorldDesc::new(n);
         let obj =
             b.declare(decl("shared", 8, SharingType::Migratory).with_lock(LockId(0)), NodeId(0));
         for i in 0..n {
             let log = log.clone();
-            b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                 for _ in 0..3 {
                     ctx.lock(LockId(0));
                     let v = ctx.read(obj, ByteRange::new(0, 8));
@@ -538,7 +538,7 @@ fn contended_lock_is_fair_and_exclusive() {
         let cfg = MuninConfig::default();
         let servers: Vec<MuninServer> =
             (0..n).map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone())).collect();
-        b.build(servers).run()
+        World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run()
     };
     report.assert_clean();
     let log = log.lock().unwrap();
@@ -554,11 +554,11 @@ fn barrier_releases_all_threads_together() {
     let sync = SyncDecls::round_robin(0, 1, (n * 2) as u32, n);
     let order = Arc::new(Mutex::new(Vec::new()));
     let report = {
-        let mut b = WorldBuilder::new(n);
+        let mut b = WorldDesc::new(n);
         for i in 0..n {
             for j in 0..2 {
                 let order = order.clone();
-                b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+                b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                     ctx.compute((i * 100 + j * 17) as u64);
                     order.lock().unwrap().push(('b', ctx.thread_id().0));
                     ctx.barrier(BarrierId(0));
@@ -569,7 +569,7 @@ fn barrier_releases_all_threads_together() {
         let cfg = MuninConfig::default();
         let servers: Vec<MuninServer> =
             (0..n).map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone())).collect();
-        b.build(servers).run()
+        World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run()
     };
     report.assert_clean();
     let order = order.lock().unwrap();
@@ -592,7 +592,7 @@ fn condition_variable_handoff() {
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         let obj =
             b.declare(decl("slot", 8, SharingType::Migratory).with_lock(LockId(0)), NodeId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.lock(LockId(0));
             // Wait until the producer fills the slot.
             loop {
@@ -606,7 +606,7 @@ fn condition_variable_handoff() {
             }
             ctx.unlock(LockId(0));
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.compute(10_000);
             ctx.lock(LockId(0));
             ctx.write(obj, 0, 42i64.to_le_bytes().to_vec());
@@ -624,11 +624,11 @@ fn distributed_atomic_counter() {
     let sync = SyncDecls::round_robin(0, 1, n as u32, n);
     let finals = Arc::new(Mutex::new(Vec::new()));
     let report = {
-        let mut b = WorldBuilder::new(n);
+        let mut b = WorldDesc::new(n);
         let obj = b.declare(decl("ctr", 8, SharingType::GeneralReadWrite), NodeId(0));
         for i in 0..n {
             let finals = finals.clone();
-            b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                 let mut mine = Vec::new();
                 for _ in 0..10 {
                     mine.push(ctx.fetch_add(obj, 0, 1));
@@ -640,7 +640,7 @@ fn distributed_atomic_counter() {
         let cfg = MuninConfig::default();
         let servers: Vec<MuninServer> =
             (0..n).map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone())).collect();
-        b.build(servers).run()
+        World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run()
     };
     report.assert_clean();
     let mut vals = finals.lock().unwrap().clone();
@@ -662,14 +662,14 @@ fn detector_promotes_general_to_producer_consumer() {
         // Homed on node 0; producer on node 1, consumer on node 2: the home
         // observes a pure producer-consumer pattern.
         let obj = b.declare(decl("pc?", 32, SharingType::GeneralReadWrite), NodeId(0));
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             for g in 0..30u8 {
                 ctx.write(obj, 0, vec![g; 32]);
                 ctx.barrier(BarrierId(0));
                 ctx.barrier(BarrierId(0));
             }
         });
-        b.spawn(NodeId(2), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(2), move |ctx: &mut dyn DsmThread| {
             for g in 0..30u8 {
                 ctx.barrier(BarrierId(0));
                 assert_eq!(ctx.read(obj, ByteRange::new(0, 32)), vec![g; 32]);
@@ -694,12 +694,12 @@ fn full_stack_runs_are_bit_identical() {
     let run = || {
         let sync = SyncDecls::round_robin(2, 1, 4, 4);
         let report = {
-            let mut b = WorldBuilder::new(4);
+            let mut b = WorldDesc::new(4);
             let grid = b.declare(decl("grid", 256, SharingType::WriteMany), NodeId(0));
             let ctr =
                 b.declare(decl("ctr", 8, SharingType::Migratory).with_lock(LockId(0)), NodeId(1));
             for i in 0..4 {
-                b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+                b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                     for round in 0..3u32 {
                         ctx.write(grid, (i as u32) * 64, vec![round as u8; 64]);
                         ctx.lock(LockId(0));
@@ -715,7 +715,7 @@ fn full_stack_runs_are_bit_identical() {
             let servers: Vec<MuninServer> = (0..4)
                 .map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone()))
                 .collect();
-            b.build(servers).run()
+            World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run()
         };
         report.assert_clean();
         (report.finished_at, report.stats.messages, report.stats.bytes, report.ops)

@@ -2,7 +2,7 @@
 //! granularity and false sharing, DSM-resident synchronization.
 
 use munin_ivy::IvyServer;
-use munin_sim::{DsmThread, RunReport, ThreadCtx, WorldBuilder};
+use munin_sim::{DsmThread, NullTracer, RunReport, TransportConfig, World, WorldDesc};
 use munin_types::{
     AllocPolicy, BarrierId, ByteRange, IvyConfig, LockId, NodeId, ObjectDecl, ObjectId,
     SharingType, SyncDecls,
@@ -21,9 +21,9 @@ fn run_ivy(
     cfg: IvyConfig,
     sync: SyncDecls,
     objects: &[(&str, u32)],
-    setup: impl FnOnce(&mut WorldBuilder, &[ObjectId]),
+    setup: impl FnOnce(&mut WorldDesc, &[ObjectId]),
 ) -> RunReport {
-    let mut b = WorldBuilder::new(n_nodes);
+    let mut b = WorldDesc::new(n_nodes);
     let mut decls = Vec::new();
     let mut ids = Vec::new();
     for (i, (name, size)) in objects.iter().enumerate() {
@@ -39,14 +39,14 @@ fn run_ivy(
     let servers: Vec<IvyServer> = (0..n_nodes)
         .map(|i| IvyServer::new(NodeId(i as u16), cfg.clone(), n_nodes, &decls, &sync))
         .collect();
-    b.build(servers).run()
+    World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run()
 }
 
 #[test]
 fn reads_and_writes_roundtrip_locally() {
     let report = run_ivy(1, IvyConfig::default(), SyncDecls::default(), &[("x", 64)], |b, ids| {
         let x = ids[0];
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.write(x, 0, vec![42; 64]);
             assert_eq!(ctx.read(x, ByteRange::new(0, 64)), vec![42; 64]);
         });
@@ -67,7 +67,7 @@ fn strict_coherence_write_invalidates_readers() {
     let report =
         run_ivy(2, IvyConfig::default().with_central_locks(), sync, &[("x", 8)], |b, ids| {
             let x = ids[0];
-            b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
                 let _ = ctx.read(x, ByteRange::new(0, 8)); // cache a copy
                 ctx.barrier(BarrierId(0));
                 // Node 0 wrote during the barrier window... actually after;
@@ -82,7 +82,7 @@ fn strict_coherence_write_invalidates_readers() {
                     ctx.compute(1_000);
                 }
             });
-            b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
                 ctx.barrier(BarrierId(0));
                 ctx.write(x, 0, 7i64.to_le_bytes().to_vec());
             });
@@ -103,13 +103,13 @@ fn packed_objects_false_share_pages() {
         let sync = SyncDecls::round_robin(0, 1, 2, 2);
         let report = run_ivy(2, cfg, sync, &[("a", 64), ("b", 64)], |b, ids| {
             let (a, bb) = (ids[0], ids[1]);
-            b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
                 for i in 0..20u8 {
                     ctx.write(a, 0, vec![i; 64]);
                     ctx.barrier(BarrierId(0));
                 }
             });
-            b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
                 for i in 0..20u8 {
                     ctx.write(bb, 0, vec![i; 64]);
                     ctx.barrier(BarrierId(0));
@@ -133,7 +133,7 @@ fn dsm_spin_lock_provides_mutual_exclusion() {
     let sync = SyncDecls::round_robin(1, 0, 0, n);
     let log = Arc::new(Mutex::new(Vec::new()));
     let report = {
-        let mut b = WorldBuilder::new(n);
+        let mut b = WorldDesc::new(n);
         let counter = b.declare(decl("counter", 8), NodeId(0));
         let mut decls = vec![{
             let mut d = decl("counter", 8);
@@ -143,7 +143,7 @@ fn dsm_spin_lock_provides_mutual_exclusion() {
         decls[0].home = NodeId(0);
         for i in 0..n {
             let log = log.clone();
-            b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                 for _ in 0..4 {
                     ctx.lock(LockId(0));
                     let v = ctx.read(counter, ByteRange::new(0, 8));
@@ -159,7 +159,7 @@ fn dsm_spin_lock_provides_mutual_exclusion() {
         let servers: Vec<IvyServer> = (0..n)
             .map(|i| IvyServer::new(NodeId(i as u16), cfg.clone(), n, &decls, &sync))
             .collect();
-        b.build(servers).run()
+        World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run()
     };
     report.assert_clean();
     let values = log.lock().unwrap().clone();
@@ -176,7 +176,7 @@ fn dsm_spin_barrier_synchronizes() {
     let report = run_ivy(n, IvyConfig::default(), sync, &[("pad", 8)], |b, _ids| {
         for i in 0..n {
             let order = order.clone();
-            b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                 ctx.compute(i as u64 * 7_000);
                 order.lock().unwrap().push(('b', i));
                 ctx.barrier(BarrierId(0));
@@ -197,7 +197,7 @@ fn central_lock_ablation_is_quieter_than_spin() {
         let sync = SyncDecls::round_robin(1, 0, 0, n);
         let report = run_ivy(n, cfg, sync, &[("pad", 8)], |b, _ids| {
             for i in 0..n {
-                b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+                b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                     for _ in 0..5 {
                         ctx.lock(LockId(0));
                         ctx.compute(500);
@@ -226,7 +226,7 @@ fn atomic_fetch_add_is_exact_under_contention() {
         let ctr = ids[0];
         for i in 0..n {
             let finals = finals.clone();
-            b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                 let mut mine = Vec::new();
                 for _ in 0..8 {
                     mine.push(ctx.fetch_add(ctr, 0, 1));
@@ -249,11 +249,11 @@ fn object_spanning_pages_is_accessed_whole() {
     let sync = SyncDecls::round_robin(0, 1, 2, 2);
     let report = run_ivy(2, cfg, sync, &[("big", 1000)], |b, ids| {
         let big = ids[0];
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.write(big, 0, (0..250).flat_map(|i| vec![i as u8; 4]).collect());
             ctx.barrier(BarrierId(0));
         });
-        b.spawn(NodeId(1), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
             ctx.barrier(BarrierId(0));
             // Read a range straddling pages 0..=3.
             let v = ctx.read(big, ByteRange::new(200, 600));
@@ -275,7 +275,7 @@ fn ivy_runs_are_deterministic() {
         let report = run_ivy(n, IvyConfig::default(), sync, &[("x", 512)], |b, ids| {
             let x = ids[0];
             for i in 0..n {
-                b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
+                b.spawn(NodeId(i as u16), move |ctx: &mut dyn DsmThread| {
                     for r in 0..3u8 {
                         ctx.lock(LockId(0));
                         ctx.write(x, (i as u32) * 128, vec![r; 128]);

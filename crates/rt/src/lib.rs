@@ -67,15 +67,15 @@
 //!
 //! ## One wall-clock world
 //!
-//! [`RtWorldBuilder`] is the one description of a wall-clock world, for
-//! this kernel and for `munin-tcp`'s multi-process fabric alike, and
-//! [`RtWorldBuilder::run_on`] is the one run around it: the run state, the
-//! application threads, the watchdog and the report. A fabric supplies only
-//! what differs, through [`WallFabric`]: its start and teardown, an op port
-//! per node, the watchdog's progress probe and state dumps, and a hook for
-//! when the watchdog poisons the run. [`RtWorldBuilder::run`] starts this
-//! crate's channel fabric; `munin_tcp::run_proto` starts the TCP one.
-//!
+//! A wall-clock run takes the same [`munin_sim::WorldDesc`] the simulator
+//! and the native backend take. [`run_on`] is the one run around it, for
+//! this kernel and for `munin-tcp`'s multi-process fabric alike: the run
+//! state, the application threads, the watchdog and the report. A fabric
+//! supplies only what differs, through [`WallFabric`]: its start and
+//! teardown, an op port per node, the watchdog's progress probe and state
+//! dumps, and a hook for when the watchdog poisons the run. [`run`] starts
+//! this crate's channel fabric; `munin_tcp::run_proto` starts the TCP one.
+
 //! The protocol crates (`munin-core`, `munin-ivy`, `munin-tardis`) know
 //! nothing of this kernel: they talk to whichever kernel hosts them through
 //! the [`munin_sim::KernelApi`] seam. [`WallKernel`] implements it once for
@@ -111,4 +111,4 @@ pub use ctx::{OpPort, RtCtx, MAX_INFLIGHT};
 pub use fabric::{MsgBody, NodeEvent, Shared};
 pub use kernel::{Link, WallKernel};
 pub use serve::NodeStep;
-pub use world::{ComputeMode, Launch, RtTuning, RtWorldBuilder, WallFabric, DUMP_WAIT};
+pub use world::{run, run_on, ComputeMode, Launch, RtTuning, WallFabric, DUMP_WAIT};

@@ -7,7 +7,7 @@
 //! to the fabric's `deliver` sink when each comes due: the channel fabric
 //! mails `NodeEvent::Timer(token)` to the owning node's inbox, the TCP
 //! fabric runs the node's step on this thread. It exits when every
-//! `TimerReq` sender (one per node kernel plus the builder's) is gone.
+//! `TimerReq` sender (one per node kernel plus the fabric's) is gone.
 //!
 //! Two invariants matter for the stall watchdog:
 //!

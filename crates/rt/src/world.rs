@@ -1,10 +1,11 @@
-//! Building and running a wall-clock world. [`RtWorldBuilder`] describes
-//! the world (objects, application threads, tuning) and owns the one run
+//! Running a wall-clock world. [`run_on`] takes a [`WorldDesc`] (objects,
+//! application threads, coverage) and the [`RtTuning`], and is the one run
 //! skeleton both wall-clock fabrics share: the run state, the application
 //! threads, the stall watchdog with its SIGUSR1 service, and the
 //! [`RunReport`]. What differs between the fabrics sits behind
 //! [`WallFabric`], implemented by this crate's channel fabric (one server
-//! thread per node, a timer thread) and by `munin-tcp`'s process fabric.
+//! thread per node, a timer thread; [`run`]) and by `munin-tcp`'s process
+//! fabric.
 
 use crate::ctx::{OpPort, RtCtx};
 use crate::fabric::{NodeEvent, Shared};
@@ -14,9 +15,8 @@ use crate::sig;
 use crate::timer::{run_timer_thread, TimerReq};
 use munin_net::NetStats;
 use munin_sim::report::{RunReport, WaitTable, WallClock};
-use munin_sim::{panic_message, DsmOp, DsmThread, ResumeSlot, Server};
-use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, Telemetry, ThreadId, VirtualTime};
-use std::marker::PhantomData;
+use munin_sim::{panic_message, DsmOp, DsmThread, ResumeSlot, Server, ThreadBody, WorldDesc};
+use munin_types::{CostModel, NodeId, ObjectDecl, Telemetry, VirtualTime};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -75,8 +75,6 @@ pub struct Launch<'a> {
     pub n_nodes: usize,
     /// The build-time object declarations, ids dense from 0.
     pub decls: &'a [ObjectDecl],
-    /// See [`RtWorldBuilder::cost`].
-    pub cost: &'a CostModel,
     /// The state every thread of the run shares.
     pub shared: &'a Arc<Shared>,
     /// The application threads' resume slots, indexed by thread id. A
@@ -85,7 +83,7 @@ pub struct Launch<'a> {
     pub resumes: Vec<Arc<ResumeSlot>>,
 }
 
-/// What a wall-clock fabric supplies to [`RtWorldBuilder::run_on`], which
+/// What a wall-clock fabric supplies to [`run_on`], which
 /// does everything else. A value of this trait is a started fabric: the
 /// `start` closure handed to `run_on` builds it (this crate's fabric: the
 /// inboxes, server threads and timer; TCP: the child processes, the
@@ -111,174 +109,88 @@ pub trait WallFabric {
     fn teardown(self) -> NetStats;
 }
 
-/// Builder for a wall-clock world: declare objects, spawn threads, then
-/// [`RtWorldBuilder::run`] on the in-process fabric or hand the builder to
-/// `munin_tcp::run_proto`. The shape mirrors [`munin_sim::WorldBuilder`] so
-/// the API harness can drive any kernel.
-pub struct RtWorldBuilder<P> {
-    n_nodes: usize,
-    cost: CostModel,
-    tuning: RtTuning,
-    decls: Vec<ObjectDecl>,
-    next_object: u64,
-    #[allow(clippy::type_complexity)]
-    spawns: Vec<(NodeId, Box<dyn FnOnce(&mut RtCtx) + Send + 'static>)>,
-    coverage: Option<Arc<munin_obs::CoverageMap>>,
-    /// The protocol payload type of the world: its servers' messages.
-    _payload: PhantomData<fn() -> P>,
+/// Run `desc` to completion on the in-process channel fabric, with one
+/// server per node (`servers[i]` serves `NodeId(i)`). `cost` is handed to
+/// the servers (their bookkeeping reads it; the kernel itself never charges
+/// modelled latencies). Returns a [`RunReport`] whose `wall` section and
+/// wait tables are real (host) microseconds.
+pub fn run<S>(desc: WorldDesc, servers: Vec<S>, cost: CostModel, tuning: RtTuning) -> RunReport
+where
+    S: Server + 'static,
+    S::Payload: Send + Sync,
+{
+    assert_eq!(servers.len(), desc.n_nodes(), "need exactly one server per node");
+    run_on(desc, tuning, |launch| RtFabric::start(launch, servers, cost))
 }
 
-impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtWorldBuilder<P> {
-    pub fn new(n_nodes: usize) -> Self {
-        assert!(n_nodes > 0, "a world needs at least one node");
-        assert!(n_nodes <= u16::MAX as usize, "node ids are u16");
-        RtWorldBuilder {
-            n_nodes,
-            cost: CostModel::default(),
-            tuning: RtTuning::default(),
-            decls: Vec::new(),
-            next_object: 0,
-            spawns: Vec::new(),
-            coverage: None,
-            _payload: PhantomData,
-        }
+/// The run skeleton of every wall-clock fabric: create the run state and
+/// the resume slots, `start` the fabric, launch `desc`'s application
+/// threads (there is no start rendezvous: each begins as soon as it is
+/// launched, in this process, and its ops enter its node through the
+/// fabric's op port), watch them until they have all exited, tear the
+/// fabric down and assemble the report.
+pub fn run_on<F: WallFabric>(
+    desc: WorldDesc,
+    tuning: RtTuning,
+    start: impl FnOnce(Launch<'_>) -> F,
+) -> RunReport {
+    let n_nodes = desc.n_nodes();
+    let n_threads = desc.n_threads();
+    let mut shared = Shared::new(desc.decls().to_vec(), n_threads, tuning.telemetry);
+    shared.coverage = desc.coverage().cloned();
+    let shared = Arc::new(shared);
+    let slots: Vec<Arc<ResumeSlot>> = (0..n_threads).map(|_| Arc::new(ResumeSlot::new())).collect();
+    sig::install();
+    let resumes = slots.clone();
+    let fabric = start(Launch { n_nodes, decls: desc.decls(), shared: &shared, resumes });
+
+    // Every application thread holds a clone of `running` until it ends, so
+    // the watchdog's wait on `all_done` returns the moment the last one
+    // exits (a plain sleep would add a poll interval to every run's wall
+    // clock).
+    let (running, all_done) = channel::<()>();
+    let mut apps = Vec::with_capacity(n_threads);
+    for ((tid, node, body), slot) in desc.into_threads().zip(slots) {
+        let port = fabric.port(node);
+        let ctx =
+            RtCtx::new(tid, node, n_nodes, n_threads, port, slot, shared.clone(), tuning.clone());
+        let running = running.clone();
+        apps.push(
+            std::thread::Builder::new()
+                .name(format!("app-{tid}"))
+                .spawn(move || {
+                    let _running = running;
+                    drive_app_thread(ctx, body)
+                })
+                .expect("failed to spawn application thread"),
+        );
     }
+    drop(running);
+    watch(&fabric, &shared, n_nodes, tuning.stall_timeout, &all_done);
+    let thread_waits: Vec<WaitTable> =
+        apps.into_iter().map(|j| j.join().unwrap_or_default()).collect();
+    let stats = fabric.teardown();
 
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// Attach a protocol-state coverage recorder (campaign explore mode);
-    /// servers note transitions into it through `KernelApi::coverage`. On
-    /// TCP, children keep a local map and ship their rows home at teardown.
-    pub fn coverage(mut self, map: Arc<munin_obs::CoverageMap>) -> Self {
-        self.coverage = Some(map);
-        self
-    }
-
-    /// Cost model handed to the in-process servers (their bookkeeping reads
-    /// it; the kernel itself never charges modelled latencies). The TCP
-    /// fabric takes every node's from the protocol config instead.
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    pub fn tuning(mut self, tuning: RtTuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
-    /// Declare a shared object before the run starts. Returns the assigned
-    /// id (dense, in declaration order — same contract as the simulator).
-    pub fn declare(&mut self, mut decl: ObjectDecl, home: NodeId) -> ObjectId {
-        assert!(home.index() < self.n_nodes, "home {home} out of range");
-        let id = ObjectId(self.next_object);
-        self.next_object += 1;
-        decl.id = id;
-        decl.home = home;
-        self.decls.push(decl);
-        id
-    }
-
-    /// Spawn an application thread on `node`. Unlike the simulator there is
-    /// no start rendezvous: threads begin running as soon as the world does.
-    /// On every fabric the thread runs in this process; its ops enter
-    /// `node` through the fabric's op port.
-    pub fn spawn(&mut self, node: NodeId, f: impl FnOnce(&mut RtCtx) + Send + 'static) -> ThreadId {
-        assert!(node.index() < self.n_nodes, "node {node} out of range");
-        let id = ThreadId(self.spawns.len() as u32);
-        self.spawns.push((node, Box::new(f)));
-        id
-    }
-
-    /// Run to completion on the in-process channel fabric, with one server
-    /// per node (`servers[i]` serves `NodeId(i)`). Returns a [`RunReport`]
-    /// whose `wall` section and wait tables are real (host) microseconds.
-    pub fn run<S>(self, servers: Vec<S>) -> RunReport
-    where
-        S: Server<Payload = P> + 'static,
-    {
-        assert_eq!(servers.len(), self.n_nodes, "need exactly one server per node");
-        self.run_on(|launch| RtFabric::start(launch, servers))
-    }
-
-    /// The run skeleton of every wall-clock fabric: create the run state
-    /// and the resume slots, `start` the fabric, launch the application
-    /// threads, watch them until they have all exited, tear the fabric down
-    /// and assemble the report.
-    pub fn run_on<F: WallFabric>(self, start: impl FnOnce(Launch<'_>) -> F) -> RunReport {
-        let RtWorldBuilder { n_nodes, cost, tuning, decls, spawns, coverage, .. } = self;
-        let n_threads = spawns.len();
-        let mut shared = Shared::new(decls.clone(), n_threads, tuning.telemetry);
-        shared.coverage = coverage;
-        let shared = Arc::new(shared);
-        let slots: Vec<Arc<ResumeSlot>> =
-            (0..n_threads).map(|_| Arc::new(ResumeSlot::new())).collect();
-        sig::install();
-        let resumes = slots.clone();
-        let fabric =
-            start(Launch { n_nodes, decls: &decls, cost: &cost, shared: &shared, resumes });
-
-        // Every application thread holds a clone of `running` until it
-        // ends, so the watchdog's wait on `all_done` returns the moment the
-        // last one exits (a plain sleep would add a poll interval to every
-        // run's wall clock).
-        let (running, all_done) = channel::<()>();
-        let mut apps = Vec::with_capacity(n_threads);
-        for (idx, ((node, body), slot)) in spawns.into_iter().zip(slots).enumerate() {
-            let tid = ThreadId(idx as u32);
-            let port = fabric.port(node);
-            let ctx = RtCtx::new(
-                tid,
-                node,
-                n_nodes,
-                n_threads,
-                port,
-                slot,
-                shared.clone(),
-                tuning.clone(),
-            );
-            let running = running.clone();
-            apps.push(
-                std::thread::Builder::new()
-                    .name(format!("app-{tid}"))
-                    .spawn(move || {
-                        let _running = running;
-                        drive_app_thread(ctx, body)
-                    })
-                    .expect("failed to spawn application thread"),
-            );
-        }
-        drop(running);
-        watch(&fabric, &shared, n_nodes, tuning.stall_timeout, &all_done);
-        let thread_waits: Vec<WaitTable> =
-            apps.into_iter().map(|j| j.join().unwrap_or_default()).collect();
-        let stats = fabric.teardown();
-
-        let elapsed = shared.start.elapsed();
-        let errors = shared.errors.lock().expect("error log poisoned").clone();
-        let metrics = tuning.telemetry.enabled().then(|| shared.obs.snapshot(stats.clone()));
-        RunReport {
-            finished_at: VirtualTime::micros(
-                u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-            ),
-            stats,
-            ops: shared.ops.load(Ordering::Relaxed),
-            thread_waits,
-            errors,
-            deadlocked: shared.is_poisoned(),
-            wall: Some(WallClock { elapsed, workers: n_threads, nodes: n_nodes }),
-            dumps: shared.take_dumps(),
-            metrics,
-        }
+    let elapsed = shared.start.elapsed();
+    let errors = shared.errors.lock().expect("error log poisoned").clone();
+    let metrics = tuning.telemetry.enabled().then(|| shared.obs.snapshot(stats.clone()));
+    RunReport {
+        finished_at: VirtualTime::micros(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)),
+        stats,
+        ops: shared.ops.load(Ordering::Relaxed),
+        thread_waits,
+        errors,
+        deadlocked: shared.is_poisoned(),
+        wall: Some(WallClock { elapsed, workers: n_threads, nodes: n_nodes }),
+        dumps: shared.take_dumps(),
+        metrics,
     }
 }
 
 /// Run one application thread's body to completion: catch panics, issue the
 /// implicit `Exit` synchronization, decrement the live count, and return the
 /// thread's wait table.
-fn drive_app_thread(mut ctx: RtCtx, body: Box<dyn FnOnce(&mut RtCtx) + Send>) -> WaitTable {
+fn drive_app_thread(mut ctx: RtCtx, body: ThreadBody) -> WaitTable {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let shared = ctx.shared.clone();
     let tid = ctx.thread;
@@ -396,8 +308,12 @@ struct RtFabric<P> {
 }
 
 impl<P: munin_net::PayloadInfo + Send + Sync + Clone + 'static> RtFabric<P> {
-    fn start<S: Server<Payload = P> + 'static>(launch: Launch<'_>, servers: Vec<S>) -> Self {
-        let Launch { n_nodes, cost, shared, resumes, .. } = launch;
+    fn start<S: Server<Payload = P> + 'static>(
+        launch: Launch<'_>,
+        servers: Vec<S>,
+        cost: CostModel,
+    ) -> Self {
+        let Launch { n_nodes, shared, resumes, .. } = launch;
         let (inboxes, inbox_rxs): (Vec<Sender<NodeEvent<P>>>, Vec<Receiver<NodeEvent<P>>>) =
             (0..n_nodes).map(|_| channel()).unzip();
         let (timer_tx, timer_rx) = channel();
@@ -502,8 +418,8 @@ impl<P: Send + Sync + 'static> WallFabric for RtFabric<P> {
 mod tests {
     use super::*;
     use munin_net::{MsgClass, PayloadInfo};
-    use munin_sim::{KernelApi, OpOutcome, OpResult, ThreadCtx, WorldBuilder};
-    use munin_types::{BarrierId, ByteRange, CondId, LockId, SharingType};
+    use munin_sim::{KernelApi, NullTracer, OpOutcome, OpResult, TransportConfig, World};
+    use munin_types::{BarrierId, ByteRange, CondId, LockId, ObjectId, SharingType, ThreadId};
     use std::sync::Mutex;
 
     #[derive(Debug, Clone)]
@@ -544,9 +460,10 @@ mod tests {
     /// without the server loop's report nothing would say what happened.
     #[test]
     fn a_panicking_protocol_step_fails_the_run() {
-        let mut b = RtWorldBuilder::<NoMsg>::new(2);
+        let mut b = WorldDesc::new(2);
         b.spawn(NodeId(1), |ctx| ctx.lock(LockId(5)));
-        let report = b.run((0..2).map(|_| ShortLockTable { holders: Vec::new() }).collect());
+        let servers = (0..2).map(|_| ShortLockTable { holders: Vec::new() }).collect();
+        let report = run(b, servers, CostModel::default(), RtTuning::default());
         assert!(!report.is_clean(), "a step panic must not leave a clean report");
         assert!(
             report.errors[0].starts_with("node n1: protocol step panicked: index out of bounds"),
@@ -577,9 +494,9 @@ mod tests {
             assert_eq!(t.alloc(decl), ObjectId(9));
         }),
         ("read", |t| assert_eq!(t.read(OBJ, ByteRange::new(0, 3)), [7; 3])),
-        ("read_into", |t| {
+        ("read_raw_into", |t| {
             let mut out = [0u8; 2];
-            t.read_into(OBJ, ByteRange::new(4, 2), &mut out);
+            t.read_raw_into(OBJ, ByteRange::new(4, 2), &mut out);
             assert_eq!(out, [7; 2]);
         }),
         ("write", |t| t.write(OBJ, 0, vec![1, 2])),
@@ -649,9 +566,12 @@ mod tests {
     #[test]
     fn simulator_and_rt_contexts_send_the_same_ops() {
         let sim_ops = Arc::new(Mutex::new(Vec::new()));
-        let mut b = WorldBuilder::new(1);
-        b.spawn(NodeId(0), |ctx: &mut ThreadCtx| call_every_wrapper(ctx));
-        b.build(vec![Recorder(sim_ops.clone())]).run().assert_clean();
+        let mut b = WorldDesc::new(1);
+        b.spawn(NodeId(0), call_every_wrapper);
+        let servers = vec![Recorder(sim_ops.clone())];
+        World::new(b, servers, TransportConfig::default(), Box::new(NullTracer))
+            .run()
+            .assert_clean();
         let mut sim_ops = std::mem::take(&mut *sim_ops.lock().unwrap());
         assert_eq!(sim_ops.pop(), Some(DsmOp::Exit), "the simulator's thread exits last");
 

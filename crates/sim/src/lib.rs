@@ -26,14 +26,21 @@
 //!   V kernel's reliable layer), multicast, and full traffic accounting.
 //!
 //! Application code is written in ordinary blocking style against
-//! [`ThreadCtx`]; each DSM operation runs the event queue on the calling
-//! thread until some thread resumes.
+//! [`DsmThread`] (the simulator's context is [`ThreadCtx`]); each DSM
+//! operation runs the event queue on the calling thread until some thread
+//! resumes.
 //!
-//! This crate also hosts the thread surface every fabric shares:
-//! [`DsmThread`] turns each application call into a [`DsmOp`] and unwraps
-//! its [`OpResult`], once, for the simulator's [`ThreadCtx`] and for the
-//! wall-clock fabrics' contexts alike.
+//! This crate also hosts what every backend shares:
+//! * [`WorldDesc`], the one world description — node count, declarations,
+//!   threads, coverage recorder — which [`World::new`] takes with a
+//!   transport and a tracer, the wall-clock fabrics with their own
+//!   settings, and the native backend with its memory;
+//! * [`DsmThread`], the one thread trait (`munin_api::Par`), which turns
+//!   each application call into a [`DsmOp`] and unwraps its [`OpResult`],
+//!   once, for the simulator's [`ThreadCtx`], the wall-clock fabrics'
+//!   contexts and native threads alike.
 
+pub mod desc;
 pub mod event;
 pub mod kernel;
 pub mod op;
@@ -44,6 +51,7 @@ pub mod tracer;
 pub mod transport;
 pub mod world;
 
+pub use desc::{ThreadBody, WorldDesc};
 pub use kernel::{KernelApi, Registry};
 pub use munin_obs::{CovRow, CoverageMap, CoverageSnapshot, Transition};
 pub use op::{DsmOp, DsmThread, OpOutcome, OpResult};
@@ -52,4 +60,4 @@ pub use resume::{ResumeSlot, TakeError};
 pub use thread::{panic_message, ThreadCtx};
 pub use tracer::{NullTracer, TraceEvent, Tracer};
 pub use transport::TransportConfig;
-pub use world::{Kernel, Server, World, WorldBuilder};
+pub use world::{Kernel, Server, World};

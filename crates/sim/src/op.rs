@@ -140,15 +140,22 @@ impl OpResult {
     }
 }
 
-/// An application thread's handle on the DSM, on any fabric: the one place
-/// that knows how an application call becomes a [`DsmOp`] and how its
-/// [`OpResult`] is unwrapped.
+/// An application thread's handle on shared memory, on every backend: the
+/// one thread trait (`munin_api::Par` is this trait under its application
+/// name) and the one place that knows how an application call becomes a
+/// [`DsmOp`] and how its [`OpResult`] is unwrapped.
 ///
 /// A context supplies [`DsmThread::op`] and its identity; the wrappers are
 /// provided. By default an op completes inline, which is right for the
-/// simulator. A fabric that keeps ops in flight (the wall-clock ones)
-/// overrides the three pipelining hooks, [`DsmThread::op_async`],
-/// [`DsmThread::token_wait`] and [`DsmThread::drain_ops`].
+/// simulator and for native threads. A fabric that keeps ops in flight
+/// (the wall-clock ones) overrides the three pipelining hooks,
+/// [`DsmThread::op_async`], [`DsmThread::token_wait`] and
+/// [`DsmThread::drain_ops`]. A context whose memory is directly addressable
+/// (native threads) overrides the byte-level wrappers instead, so that
+/// access through borrowed buffers makes no copy into an op.
+///
+/// Applications use the typed layer over it (`munin_api::ParTyped`) rather
+/// than the byte-level wrappers.
 pub trait DsmThread {
     /// Issue a raw operation and block until it completes.
     fn op(&mut self, op: DsmOp) -> OpResult;
@@ -164,6 +171,11 @@ pub trait DsmThread {
 
     /// Total application threads in the world.
     fn n_threads(&self) -> usize;
+
+    /// This thread's index (0-based, dense): its id as a number.
+    fn self_id(&self) -> usize {
+        self.thread_id().index()
+    }
 
     // ---- pipelining hooks -----------------------------------------------
 
@@ -212,12 +224,12 @@ pub trait DsmThread {
 
     /// Read a byte range of an object into a caller-owned buffer
     /// (`out.len()` must equal `range.len`).
-    fn read_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
+    fn read_raw_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
         let bytes = self.read(obj, range);
         assert_eq!(
             out.len(),
             bytes.len(),
-            "read_into buffer is {} bytes for a {} byte range",
+            "read_raw_into buffer is {} bytes for a {} byte range",
             out.len(),
             bytes.len()
         );

@@ -12,6 +12,7 @@
 //! Exactly one application thread executes at any wall-clock moment, which
 //! is what makes runs deterministic.
 
+use crate::desc::ThreadBody;
 use crate::op::{DsmOp, DsmThread, OpResult};
 use crate::resume::ResumeSlot;
 use munin_types::{NodeId, ThreadId};
@@ -83,7 +84,7 @@ impl ThreadCtx {
 
     /// A simulated thread's whole life: wait for the t=0 resume, run `body`,
     /// exit, and report a panic as a run error.
-    pub(crate) fn run(mut self, body: impl FnOnce(&mut ThreadCtx)) {
+    pub(crate) fn run(mut self, body: ThreadBody) {
         let result = catch_unwind(AssertUnwindSafe(|| {
             self.park();
             body(&mut self);

@@ -10,13 +10,14 @@
 //! interleavings, traces — is a deterministic function of (program,
 //! configuration, seed).
 
+use crate::desc::{ThreadBody, WorldDesc};
 use crate::event::{EventKind, EventQueue};
 use crate::kernel::{KernelApi, Registry};
 use crate::op::{DsmOp, OpOutcome, OpResult};
 use crate::report::{RunReport, WaitTable};
 use crate::resume::ResumeSlot;
 use crate::thread::{Baton, ThreadCtx};
-use crate::tracer::{NullTracer, TraceEvent, Tracer};
+use crate::tracer::{TraceEvent, Tracer};
 use crate::transport::{Transport, TransportConfig, Wire};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use munin_net::PayloadInfo;
@@ -106,7 +107,7 @@ pub struct Kernel<P: PayloadInfo + Clone> {
     ops: u64,
     errors: Vec<String>,
     /// Protocol-state coverage recorder, when the run is instrumented
-    /// (campaign explore mode attaches one through the builder).
+    /// (campaign explore mode attaches one through the world description).
     coverage: Option<std::sync::Arc<munin_obs::CoverageMap>>,
 }
 
@@ -202,138 +203,6 @@ impl<P: PayloadInfo + Clone> KernelApi<P> for Kernel<P> {
     }
 }
 
-/// Builder for a [`World`]: configure nodes, transport, tracer; declare
-/// objects; spawn application threads; then [`WorldBuilder::build`] with one
-/// server per node.
-pub struct WorldBuilder {
-    n_nodes: usize,
-    transport: TransportConfig,
-    tracer: Box<dyn Tracer>,
-    #[allow(clippy::type_complexity)]
-    spawns: Vec<(NodeId, Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>)>,
-    decls: Vec<ObjectDecl>,
-    next_object: u64,
-    coverage: Option<std::sync::Arc<munin_obs::CoverageMap>>,
-}
-
-impl WorldBuilder {
-    pub fn new(n_nodes: usize) -> Self {
-        assert!(n_nodes > 0, "a world needs at least one node");
-        WorldBuilder {
-            n_nodes,
-            transport: TransportConfig::default(),
-            tracer: Box::new(NullTracer),
-            spawns: Vec::new(),
-            decls: Vec::new(),
-            next_object: 0,
-            coverage: None,
-        }
-    }
-
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    pub fn transport(mut self, cfg: TransportConfig) -> Self {
-        self.transport = cfg;
-        self
-    }
-
-    /// Attach a protocol-state coverage recorder: servers note transitions
-    /// into it through [`KernelApi::coverage`].
-    pub fn coverage(mut self, map: std::sync::Arc<munin_obs::CoverageMap>) -> Self {
-        self.coverage = Some(map);
-        self
-    }
-
-    pub fn tracer(mut self, tracer: Box<dyn Tracer>) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Declare a shared object before the run starts (the common case: the
-    /// paper's programs declare shared data with annotations processed at
-    /// compile time). Returns the assigned id.
-    pub fn declare(&mut self, mut decl: ObjectDecl, home: NodeId) -> ObjectId {
-        assert!(home.index() < self.n_nodes, "home {home} out of range");
-        let id = ObjectId(self.next_object);
-        self.next_object += 1;
-        decl.id = id;
-        decl.home = home;
-        self.decls.push(decl);
-        id
-    }
-
-    /// Spawn an application thread on `node`. Threads start simultaneously
-    /// at virtual time zero, in spawn order.
-    pub fn spawn(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut ThreadCtx) + Send + 'static,
-    ) -> ThreadId {
-        assert!(node.index() < self.n_nodes, "node {node} out of range");
-        let id = ThreadId(self.spawns.len() as u32);
-        self.spawns.push((node, Box::new(f)));
-        id
-    }
-
-    /// Finalize with one server per node (`servers[i]` serves `NodeId(i)`).
-    pub fn build<S: Server + 'static>(self, servers: Vec<S>) -> World<S> {
-        assert_eq!(servers.len(), self.n_nodes, "need exactly one server per node");
-        let n_threads = self.spawns.len();
-
-        let (done_tx, done_rx) = unbounded();
-        let sim = Arc::new(Mutex::new(Sim {
-            kernel: Kernel {
-                now: VirtualTime::ZERO,
-                events: EventQueue::new(),
-                transport: Transport::new(self.transport),
-                stats_ext: munin_net::NetStats::new(),
-                registry: Registry::new(self.decls),
-                threads: Vec::with_capacity(n_threads),
-                tracer: self.tracer,
-                ops: 0,
-                errors: Vec::new(),
-                coverage: self.coverage,
-            },
-            servers,
-            torn_down: false,
-            done_tx,
-        }));
-        let baton: Arc<dyn Baton> = sim.clone();
-        let mut bodies = Vec::with_capacity(n_threads);
-        let mut state = take(&sim);
-        let kernel = &mut state.kernel;
-        for (idx, (node, body)) in self.spawns.into_iter().enumerate() {
-            let thread = ThreadId(idx as u32);
-            let slot = Arc::new(ResumeSlot::new());
-            kernel.threads.push(ThreadRec {
-                node,
-                slot: slot.clone(),
-                done: false,
-                pending: None,
-                waits: WaitTable::new(),
-            });
-            // All threads become runnable at t=0 in spawn order.
-            kernel.events.push(
-                VirtualTime::ZERO,
-                EventKind::ThreadResume { thread, result: OpResult::Unit },
-            );
-            let ctx = ThreadCtx {
-                thread,
-                node,
-                n_nodes: self.n_nodes,
-                n_threads,
-                baton: baton.clone(),
-                slot,
-            };
-            bodies.push((ctx, body));
-        }
-        drop(state);
-        World { sim, bodies, done_rx }
-    }
-}
-
 /// A fully built distributed system, ready to run.
 pub struct World<S: Server> {
     sim: Arc<Mutex<Sim<S>>>,
@@ -344,8 +213,6 @@ pub struct World<S: Server> {
 }
 
 type HandlerPanic = Box<dyn Any + Send>;
-
-type ThreadBody = Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>;
 
 /// The world state: the baton that exactly one thread holds at a time.
 struct Sim<S: Server> {
@@ -417,6 +284,64 @@ impl<S: Server> Baton for Mutex<Sim<S>> {
 }
 
 impl<S: Server> World<S> {
+    /// The world `desc` describes, with one server per node (`servers[i]`
+    /// serves `NodeId(i)`), over `transport`, recording into `tracer`.
+    /// Threads start simultaneously at virtual time zero, in spawn order.
+    pub fn new(
+        desc: WorldDesc,
+        servers: Vec<S>,
+        transport: TransportConfig,
+        tracer: Box<dyn Tracer>,
+    ) -> Self
+    where
+        S: 'static,
+    {
+        let n_nodes = desc.n_nodes();
+        assert_eq!(servers.len(), n_nodes, "need exactly one server per node");
+        let n_threads = desc.n_threads();
+        let (done_tx, done_rx) = unbounded();
+        let sim = Arc::new(Mutex::new(Sim {
+            kernel: Kernel {
+                now: VirtualTime::ZERO,
+                events: EventQueue::new(),
+                transport: Transport::new(transport),
+                stats_ext: munin_net::NetStats::new(),
+                registry: Registry::new(desc.decls().iter().cloned()),
+                threads: Vec::with_capacity(n_threads),
+                tracer,
+                ops: 0,
+                errors: Vec::new(),
+                coverage: desc.coverage().cloned(),
+            },
+            servers,
+            torn_down: false,
+            done_tx,
+        }));
+        let baton: Arc<dyn Baton> = sim.clone();
+        let mut bodies = Vec::with_capacity(n_threads);
+        let mut state = take(&sim);
+        let kernel = &mut state.kernel;
+        for (thread, node, body) in desc.into_threads() {
+            let slot = Arc::new(ResumeSlot::new());
+            kernel.threads.push(ThreadRec {
+                node,
+                slot: slot.clone(),
+                done: false,
+                pending: None,
+                waits: WaitTable::new(),
+            });
+            // All threads become runnable at t=0 in spawn order.
+            kernel.events.push(
+                VirtualTime::ZERO,
+                EventKind::ThreadResume { thread, result: OpResult::Unit },
+            );
+            let ctx = ThreadCtx { thread, node, n_nodes, n_threads, baton: baton.clone(), slot };
+            bodies.push((ctx, body));
+        }
+        drop(state);
+        World { sim, bodies, done_rx }
+    }
+
     /// Run the world to completion: until every thread has exited and every
     /// in-flight message has been delivered. Returns the run report; the
     /// world (and its tracer) are consumed — retrieve tracer output via the
@@ -626,6 +551,7 @@ impl<S: Server> Sim<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tracer::NullTracer;
     use crate::DsmThread;
     use munin_net::MsgClass;
     use munin_types::{ByteRange, SharingType};
@@ -704,8 +630,13 @@ mod tests {
         }
     }
 
-    fn echo_world(bodies: Vec<(NodeId, Box<dyn FnOnce(&mut ThreadCtx) + Send>)>) -> RunReport {
-        let mut b = WorldBuilder::new(2);
+    /// `desc` on the default transport, without a tracer.
+    fn build<S: Server + 'static>(desc: WorldDesc, servers: Vec<S>) -> World<S> {
+        World::new(desc, servers, TransportConfig::default(), Box::new(NullTracer))
+    }
+
+    fn echo_world(bodies: Vec<(NodeId, ThreadBody)>) -> RunReport {
+        let mut b = WorldDesc::new(2);
         for (node, body) in bodies {
             b.spawn(node, body);
         }
@@ -713,7 +644,7 @@ mod tests {
             EchoServer { node: NodeId(0), served: 0 },
             EchoServer { node: NodeId(1), served: 0 },
         ];
-        b.build(servers).run()
+        build(b, servers).run()
     }
 
     #[test]
@@ -722,7 +653,7 @@ mod tests {
         let got2 = got.clone();
         let report = echo_world(vec![(
             NodeId(0),
-            Box::new(move |ctx: &mut ThreadCtx| {
+            Box::new(move |ctx: &mut dyn DsmThread| {
                 let bytes = ctx.read(ObjectId(0), ByteRange::new(0, 4));
                 got2.store(bytes[0] as u64, Ordering::SeqCst);
             }),
@@ -742,20 +673,20 @@ mod tests {
             let report = echo_world(vec![
                 (
                     NodeId(0),
-                    Box::new(|ctx: &mut ThreadCtx| {
+                    Box::new(|ctx: &mut dyn DsmThread| {
                         for _ in 0..5 {
                             ctx.read(ObjectId(0), ByteRange::new(0, 64));
                             ctx.compute(100);
                         }
-                    }) as Box<dyn FnOnce(&mut ThreadCtx) + Send>,
+                    }) as ThreadBody,
                 ),
                 (
                     NodeId(0),
-                    Box::new(|ctx: &mut ThreadCtx| {
+                    Box::new(|ctx: &mut dyn DsmThread| {
                         for _ in 0..3 {
                             ctx.read(ObjectId(0), ByteRange::new(0, 16));
                         }
-                    }) as Box<dyn FnOnce(&mut ThreadCtx) + Send>,
+                    }) as ThreadBody,
                 ),
             ]);
             (report.finished_at, report.stats.messages, report.stats.bytes, report.ops)
@@ -767,7 +698,7 @@ mod tests {
     fn local_reads_send_no_messages() {
         let report = echo_world(vec![(
             NodeId(1),
-            Box::new(|ctx: &mut ThreadCtx| {
+            Box::new(|ctx: &mut dyn DsmThread| {
                 for _ in 0..10 {
                     ctx.read(ObjectId(0), ByteRange::new(0, 8));
                 }
@@ -781,7 +712,7 @@ mod tests {
     fn panicking_thread_is_reported_not_hung() {
         let report = echo_world(vec![(
             NodeId(0),
-            Box::new(|_ctx: &mut ThreadCtx| {
+            Box::new(|_ctx: &mut dyn DsmThread| {
                 panic!("application bug!");
             }),
         )]);
@@ -807,11 +738,11 @@ mod tests {
 
     #[test]
     fn deadlock_is_detected_and_reported() {
-        let mut b = WorldBuilder::new(1);
-        b.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+        let mut b = WorldDesc::new(1);
+        b.spawn(NodeId(0), |ctx: &mut dyn DsmThread| {
             ctx.read(ObjectId(0), ByteRange::new(0, 4));
         });
-        let report = b.build(vec![BlackHoleServer]).run();
+        let report = build(b, vec![BlackHoleServer]).run();
         assert!(report.deadlocked);
         assert!(report.errors.iter().any(|e| e.contains("deadlock")), "{:?}", report.errors);
         assert!(report.errors.iter().any(|e| e.contains("read")), "{:?}", report.errors);
@@ -840,14 +771,14 @@ mod tests {
 
     #[test]
     fn handler_panic_leaves_run_on_the_callers_thread_with_its_payload() {
-        let mut b = WorldBuilder::new(2);
+        let mut b = WorldDesc::new(2);
         for _ in 0..3 {
-            b.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(0), |ctx: &mut dyn DsmThread| {
                 ctx.read(ObjectId(0), ByteRange::new(0, 4));
             });
         }
         let world =
-            b.build(vec![PanickyServer { node: NodeId(0) }, PanickyServer { node: NodeId(1) }]);
+            build(b, vec![PanickyServer { node: NodeId(0) }, PanickyServer { node: NodeId(1) }]);
         let payload = catch_unwind(AssertUnwindSafe(|| world.run())).expect_err("run must panic");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"handler bug"));
     }
@@ -878,9 +809,9 @@ mod tests {
 
     #[test]
     fn a_thread_panicking_before_a_barrier_reports_its_panic_and_the_deadlock_only() {
-        let mut b = WorldBuilder::new(1);
+        let mut b = WorldDesc::new(1);
         for i in 0..4 {
-            b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
                 ctx.compute(10);
                 if i == 2 {
                     panic!("boom");
@@ -888,7 +819,7 @@ mod tests {
                 ctx.barrier(munin_types::BarrierId(0));
             });
         }
-        let report = b.build(vec![BarrierServer { waiting: Vec::new() }]).run();
+        let report = build(b, vec![BarrierServer { waiting: Vec::new() }]).run();
         assert!(report.deadlocked);
         assert_eq!(report.errors.len(), 2, "{:?}", report.errors);
         assert_eq!(report.errors[0], "t2 panicked: boom");
@@ -897,17 +828,20 @@ mod tests {
 
     #[test]
     fn declared_objects_are_visible_in_registry() {
-        let mut b = WorldBuilder::new(2);
+        let mut b = WorldDesc::new(2);
         let decl = ObjectDecl::new(ObjectId(0), "m", 64, SharingType::WriteMany, NodeId(0));
         let id = b.declare(decl, NodeId(1));
         assert_eq!(id, ObjectId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
             ctx.compute(1);
         });
-        let w = b.build(vec![
-            EchoServer { node: NodeId(0), served: 0 },
-            EchoServer { node: NodeId(1), served: 0 },
-        ]);
+        let w = build(
+            b,
+            vec![
+                EchoServer { node: NodeId(0), served: 0 },
+                EchoServer { node: NodeId(1), served: 0 },
+            ],
+        );
         let decl = w.sim.lock().unwrap().kernel.decl(id).unwrap();
         assert_eq!(decl.home, NodeId(1));
         assert_eq!(decl.name, "m");
@@ -919,7 +853,7 @@ mod tests {
     fn compute_costs_virtual_time_without_server_involvement() {
         let report = echo_world(vec![(
             NodeId(0),
-            Box::new(|ctx: &mut ThreadCtx| {
+            Box::new(|ctx: &mut dyn DsmThread| {
                 ctx.compute(12_345);
             }),
         )]);
@@ -938,14 +872,14 @@ mod tests {
         let report = echo_world(vec![
             (
                 NodeId(0),
-                Box::new(move |ctx: &mut ThreadCtx| {
+                Box::new(move |ctx: &mut dyn DsmThread| {
                     ctx.compute(1_000_000);
                     o1.lock().unwrap().push('A');
                 }),
             ),
             (
                 NodeId(0),
-                Box::new(move |ctx: &mut ThreadCtx| {
+                Box::new(move |ctx: &mut dyn DsmThread| {
                     ctx.compute(10);
                     o2.lock().unwrap().push('B');
                 }),

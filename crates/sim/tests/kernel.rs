@@ -4,8 +4,8 @@
 
 use munin_net::{MsgClass, PayloadInfo};
 use munin_sim::{
-    DsmOp, DsmThread, KernelApi, OpOutcome, OpResult, Server, ThreadCtx, TraceEvent, Tracer,
-    TransportConfig, WorldBuilder,
+    DsmOp, DsmThread, KernelApi, NullTracer, OpOutcome, OpResult, Server, TraceEvent, Tracer,
+    TransportConfig, World, WorldDesc,
 };
 use munin_types::{ByteRange, CostModel, NodeId, ObjectId, ThreadId, VirtualTime};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,13 +63,13 @@ impl Server for TimerServer {
 #[test]
 fn timers_chain_with_exact_virtual_spacing() {
     let fired = Arc::new(Mutex::new(Vec::new()));
-    let mut b = WorldBuilder::new(1);
-    b.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+    let mut b = WorldDesc::new(1);
+    b.spawn(NodeId(0), |ctx: &mut dyn DsmThread| {
         let v = ctx.read(ObjectId(0), ByteRange::new(0, 1));
         assert_eq!(v, vec![7]);
     });
-    let report =
-        b.build(vec![TimerServer { node: NodeId(0), pending: None, fired: fired.clone() }]).run();
+    let servers = vec![TimerServer { node: NodeId(0), pending: None, fired: fired.clone() }];
+    let report = World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run();
     report.assert_clean();
     let fired = fired.lock().unwrap();
     assert_eq!(fired.len(), 3);
@@ -139,14 +139,15 @@ impl Server for PingServer {
 fn tracer_sees_every_op_and_message() {
     let ops = Arc::new(AtomicU64::new(0));
     let msgs = Arc::new(AtomicU64::new(0));
-    let mut b =
-        WorldBuilder::new(2).tracer(Box::new(KindTracer { ops: ops.clone(), msgs: msgs.clone() }));
-    b.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+    let mut b = WorldDesc::new(2);
+    b.spawn(NodeId(0), |ctx: &mut dyn DsmThread| {
         for _ in 0..3 {
             ctx.read(ObjectId(0), ByteRange::new(0, 1));
         }
     });
-    let report = b.build(vec![PingServer::new(NodeId(0)), PingServer::new(NodeId(1))]).run();
+    let tracer = Box::new(KindTracer { ops: ops.clone(), msgs: msgs.clone() });
+    let servers = vec![PingServer::new(NodeId(0)), PingServer::new(NodeId(1))];
+    let report = World::new(b, servers, TransportConfig::default(), tracer).run();
     report.assert_clean();
     assert_eq!(msgs.load(Ordering::Relaxed), 6, "2 pings per read");
     // 3 reads + 1 exit op.
@@ -158,16 +159,17 @@ fn serialized_medium_stretches_completion_time() {
     let run = |serialize: bool| {
         let mut cfg = TransportConfig::lossless(CostModel::ethernet_1990());
         cfg.serialize_medium = serialize;
-        let mut b = WorldBuilder::new(2).transport(cfg);
+        let mut b = WorldDesc::new(2);
         // Two concurrent requesters saturate the wire.
         for _ in 0..2 {
-            b.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+            b.spawn(NodeId(0), |ctx: &mut dyn DsmThread| {
                 for _ in 0..5 {
                     ctx.read(ObjectId(0), ByteRange::new(0, 1));
                 }
             });
         }
-        b.build(vec![PingServer::new(NodeId(0)), PingServer::new(NodeId(1))]).run()
+        let servers = vec![PingServer::new(NodeId(0)), PingServer::new(NodeId(1))];
+        World::new(b, servers, cfg, Box::new(NullTracer)).run()
     };
     let free = run(false);
     let shared = run(true);
@@ -182,7 +184,7 @@ fn serialized_medium_stretches_completion_time() {
 
 #[test]
 fn registry_assigns_dense_ids_and_survives_retype() {
-    let mut b = WorldBuilder::new(1);
+    let mut b = WorldDesc::new(1);
     let d1 = munin_types::ObjectDecl::new(
         ObjectId(0),
         "a",
@@ -194,14 +196,13 @@ fn registry_assigns_dense_ids_and_survives_retype() {
     let id2 = b.declare(d1, NodeId(0));
     assert_eq!(id1, ObjectId(0));
     assert_eq!(id2, ObjectId(1));
-    b.spawn(NodeId(0), |ctx: &mut ThreadCtx| ctx.compute(1));
-    let report = b
-        .build(vec![TimerServer {
-            node: NodeId(0),
-            pending: None,
-            fired: Arc::new(Mutex::new(Vec::new())),
-        }])
-        .run();
+    b.spawn(NodeId(0), |ctx: &mut dyn DsmThread| ctx.compute(1));
+    let servers = vec![TimerServer {
+        node: NodeId(0),
+        pending: None,
+        fired: Arc::new(Mutex::new(Vec::new())),
+    }];
+    let report = World::new(b, servers, TransportConfig::default(), Box::new(NullTracer)).run();
     report.assert_clean();
     assert_eq!(report.finished_at, VirtualTime::micros(1));
 }

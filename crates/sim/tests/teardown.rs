@@ -5,7 +5,9 @@
 //! A file of its own because it installs a process-wide panic hook.
 
 use munin_net::{MsgClass, PayloadInfo};
-use munin_sim::{DsmOp, DsmThread, KernelApi, OpOutcome, Server, ThreadCtx, WorldBuilder};
+use munin_sim::{
+    DsmOp, DsmThread, KernelApi, NullTracer, OpOutcome, Server, TransportConfig, World, WorldDesc,
+};
 use munin_types::{ByteRange, NodeId, ObjectId, ThreadId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,13 +51,14 @@ fn blocked_threads_leave_a_deadlock_without_panicking() {
         default_hook(info);
     }));
 
-    let mut b = WorldBuilder::new(1);
+    let mut b = WorldDesc::new(1);
     for _ in 0..3 {
-        b.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+        b.spawn(NodeId(0), |ctx: &mut dyn DsmThread| {
             ctx.read(ObjectId(0), ByteRange::new(0, 4));
         });
     }
-    let report = b.build(vec![BlackHole]).run();
+    let report =
+        World::new(b, vec![BlackHole], TransportConfig::default(), Box::new(NullTracer)).run();
 
     assert!(report.deadlocked);
     assert_eq!(report.errors.len(), 1, "{:?}", report.errors);

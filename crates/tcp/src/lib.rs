@@ -55,9 +55,10 @@
 //!   frames whose reply arrives only after every node's copy acked the
 //!   update (see [`registry`] for why that ack-barrier makes cross-stream
 //!   ordering a non-issue).
-//! * **The wall-clock world of `munin-rt`**: a run is an ordinary
-//!   `munin_rt::RtWorldBuilder` handed to [`run_proto`], which plugs this
-//!   fabric into the one run skeleton (`munin_rt::WallFabric`). The stall
+//! * **The wall-clock world of `munin-rt`**: a run is the same
+//!   `munin_sim::WorldDesc` every backend runs, handed to [`run_proto`],
+//!   which plugs this fabric into the one run skeleton (`munin_rt::run_on`,
+//!   through `munin_rt::WallFabric`). The stall
 //!   watchdog is `munin-rt`'s: children heartbeat their activity epochs
 //!   and pending-timer counts into its probe; when every live thread is
 //!   blocked and nothing progresses anywhere for the stall timeout, it

@@ -1,7 +1,7 @@
 //! The coordinator: the TCP fabric's side of `munin_rt`'s one wall-clock
-//! run. [`run_proto`] hands an ordinary `munin_rt::RtWorldBuilder` to the
-//! shared run skeleton (`RtWorldBuilder::run_on`) with a [`TcpFabric`] as
-//! its `munin_rt::WallFabric`: it spawns one `munin-node` process per
+//! run. [`run_proto`] hands an ordinary `munin_sim::WorldDesc` to the
+//! shared run skeleton (`munin_rt::run_on`) with a [`TcpFabric`] as its
+//! `munin_rt::WallFabric`: it spawns one `munin-node` process per
 //! remote node, hosts node 0's protocol state, and tears the process tree
 //! down at the end. The skeleton launches **every** application thread in
 //! this process, runs the stall watchdog and assembles the report.
@@ -37,9 +37,9 @@ use crate::spawn::spawn_node;
 use munin_net::NetStats;
 use munin_proto::wire::ProtoTag;
 use munin_proto::{Protocol, Wire};
-use munin_rt::{Launch, OpPort, RtWorldBuilder, Shared, WallFabric, WallKernel, DUMP_WAIT};
+use munin_rt::{Launch, OpPort, RtTuning, Shared, WallFabric, WallKernel, DUMP_WAIT};
 use munin_sim::report::RunReport;
-use munin_sim::Server;
+use munin_sim::{Server, WorldDesc};
 use munin_types::{CostModel, NodeId, SyncDecls, ThreadId};
 use std::collections::BTreeSet;
 use std::io;
@@ -55,7 +55,7 @@ fn loopback(port: u16) -> SocketAddr {
     SocketAddr::from(([127, 0, 0, 1], port))
 }
 
-/// Run `world` under protocol `Pr` on the TCP fabric: node 0's protocol
+/// Run `desc` under protocol `Pr` on the TCP fabric: node 0's protocol
 /// state in this process, one `munin-node` process per remote node. The
 /// children rebuild the same server from `Pr::TAG` plus the `Wire`-encoded
 /// config in the start frame, so any protocol whose tag the node binary
@@ -63,12 +63,13 @@ fn loopback(port: u16) -> SocketAddr {
 /// from `cfg`. `fault` injects a deterministic process-level fault (the
 /// fault-path tests).
 pub fn run_proto<Pr: Protocol>(
-    world: RtWorldBuilder<Pr::Msg>,
+    desc: WorldDesc,
     cfg: Pr::Config,
     sync: SyncDecls,
+    tuning: RtTuning,
     fault: Option<TestFault>,
 ) -> RunReport {
-    world.run_on(|launch| {
+    munin_rt::run_on(desc, tuning, |launch| {
         let server0 = Pr::server(&cfg, NodeId(0), launch.n_nodes, launch.decls, &sync);
         let start = StartConfig {
             node: NodeId(0),

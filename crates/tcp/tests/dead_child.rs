@@ -3,8 +3,9 @@
 //! holds one test because it points `MUNIN_NODE_BIN` at `/bin/false` for
 //! its whole process. Skips with a notice where `/bin/false` is absent.
 
-use munin_core::{MuninMsg, MuninProto};
-use munin_rt::RtWorldBuilder;
+use munin_core::MuninProto;
+use munin_rt::RtTuning;
+use munin_sim::WorldDesc;
 use munin_tcp::run_proto;
 use munin_types::{MuninConfig, NodeId, SyncDecls};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,12 +21,12 @@ fn a_child_that_exits_during_the_handshake_fails_the_run_at_once() {
     }
     std::env::set_var("MUNIN_NODE_BIN", dead);
 
-    let mut b = RtWorldBuilder::<MuninMsg>::new(2);
+    let mut b = WorldDesc::new(2);
     b.spawn(NodeId(1), |_ctx| {});
     let sync = SyncDecls { locks: Vec::new(), barriers: Vec::new(), conds: Vec::new() };
     let began = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_proto::<MuninProto>(b, MuninConfig::default(), sync, None)
+        run_proto::<MuninProto>(b, MuninConfig::default(), sync, RtTuning::default(), None)
     }));
     let took = began.elapsed();
 

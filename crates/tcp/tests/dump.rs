@@ -9,10 +9,10 @@
 //! timer thread), and process signals are global state. It runs the same
 //! program on the in-process fabric and then on TCP.
 
-use munin_core::{MuninMsg, MuninProto};
+use munin_core::MuninProto;
 use munin_proto::Protocol;
-use munin_rt::{sig, RtWorldBuilder};
-use munin_sim::{DsmThread, RunReport};
+use munin_rt::{sig, RtTuning};
+use munin_sim::{RunReport, WorldDesc};
 use munin_tcp::{run_proto, tcp_support};
 use munin_types::{BarrierDecl, BarrierId, LockDecl, LockId, MuninConfig, NodeId, SyncDecls};
 use std::time::Duration;
@@ -22,8 +22,8 @@ const LOCK: LockId = LockId(0);
 
 /// Thread 0 holds the lock inside a long compute while thread 1 is blocked
 /// waiting for it, so both nodes have non-trivial lock state to dump.
-fn lock_held_world() -> (RtWorldBuilder<MuninMsg>, SyncDecls) {
-    let mut b = RtWorldBuilder::<MuninMsg>::new(NODES);
+fn lock_held_world() -> (WorldDesc, SyncDecls) {
+    let mut b = WorldDesc::new(NODES);
     b.spawn(NodeId(0), move |ctx| {
         ctx.lock(LOCK);
         ctx.compute(1_500_000); // hold the lock across the dump point
@@ -102,7 +102,7 @@ fn sigusr1_dumps_every_nodes_stuck_state_without_poisoning() {
         let (b, sync) = lock_held_world();
         let servers =
             (0..NODES).map(|i| MuninProto::server(&cfg, NodeId(i as u16), NODES, &[], &sync));
-        b.run(servers.collect())
+        munin_rt::run(b, servers.collect(), cfg.cost.clone(), RtTuning::default())
     });
     if let Err(notice) = tcp_support() {
         eprintln!("skipping the tcp half of the dump test: {notice}");
@@ -110,6 +110,6 @@ fn sigusr1_dumps_every_nodes_stuck_state_without_poisoning() {
     }
     dump_while_lock_is_held("tcp", || {
         let (b, sync) = lock_held_world();
-        run_proto::<MuninProto>(b, cfg.clone(), sync, None)
+        run_proto::<MuninProto>(b, cfg.clone(), sync, RtTuning::default(), None)
     });
 }

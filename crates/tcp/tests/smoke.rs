@@ -3,11 +3,11 @@
 //! API harness). Skips with a notice when the sandbox has no loopback
 //! sockets or the `munin-node` binary is missing.
 
-use munin_core::{MuninMsg, MuninProto};
-use munin_ivy::{IvyMsg, IvyProto};
-use munin_rt::RtWorldBuilder;
-use munin_sim::DsmThread;
-use munin_tardis::{TardisMsg, TardisProto};
+use munin_core::MuninProto;
+use munin_ivy::IvyProto;
+use munin_rt::RtTuning;
+use munin_sim::WorldDesc;
+use munin_tardis::TardisProto;
 use munin_tcp::{run_proto, tcp_support};
 use munin_types::{
     BarrierDecl, BarrierId, IvyConfig, LockDecl, LockId, MuninConfig, NodeId, ObjectDecl,
@@ -40,7 +40,7 @@ fn munin_counter_across_processes() {
         return;
     }
     for n_nodes in [2usize, 3] {
-        let mut b = RtWorldBuilder::<MuninMsg>::new(n_nodes);
+        let mut b = WorldDesc::new(n_nodes);
         let ctr = b.declare(
             ObjectDecl::new(
                 munin_types::ObjectId(0),
@@ -65,8 +65,13 @@ fn munin_counter_across_processes() {
                 }
             });
         }
-        let report =
-            run_proto::<MuninProto>(b, MuninConfig::default(), sync_decls(n_nodes as u32), None);
+        let report = run_proto::<MuninProto>(
+            b,
+            MuninConfig::default(),
+            sync_decls(n_nodes as u32),
+            RtTuning::default(),
+            None,
+        );
         report.assert_clean();
         assert_eq!(total.load(Ordering::SeqCst), 10 * n_nodes as i64, "at {n_nodes} nodes");
         assert!(report.stats.messages > 0, "remote atomics must cross the wire");
@@ -80,7 +85,7 @@ fn ivy_lock_counter_across_processes() {
         return;
     }
     let n_nodes = 2usize;
-    let mut b = RtWorldBuilder::<IvyMsg>::new(n_nodes);
+    let mut b = WorldDesc::new(n_nodes);
     let ctr = b.declare(
         ObjectDecl::new(
             munin_types::ObjectId(0),
@@ -114,7 +119,13 @@ fn ivy_lock_counter_across_processes() {
             }
         });
     }
-    let report = run_proto::<IvyProto>(b, IvyConfig::default(), sync_decls(n_nodes as u32), None);
+    let report = run_proto::<IvyProto>(
+        b,
+        IvyConfig::default(),
+        sync_decls(n_nodes as u32),
+        RtTuning::default(),
+        None,
+    );
     report.assert_clean();
     assert_eq!(total.load(Ordering::SeqCst), 5 * n_nodes as i64);
 }
@@ -128,7 +139,7 @@ fn tardis_lock_counter_across_processes() {
         return;
     }
     let n_nodes = 2usize;
-    let mut b = RtWorldBuilder::<TardisMsg>::new(n_nodes);
+    let mut b = WorldDesc::new(n_nodes);
     let ctr = b.declare(
         ObjectDecl::new(
             munin_types::ObjectId(0),
@@ -162,8 +173,13 @@ fn tardis_lock_counter_across_processes() {
             }
         });
     }
-    let report =
-        run_proto::<TardisProto>(b, TardisConfig::default(), sync_decls(n_nodes as u32), None);
+    let report = run_proto::<TardisProto>(
+        b,
+        TardisConfig::default(),
+        sync_decls(n_nodes as u32),
+        RtTuning::default(),
+        None,
+    );
     report.assert_clean();
     assert_eq!(total.load(Ordering::SeqCst), 5 * n_nodes as i64);
 }

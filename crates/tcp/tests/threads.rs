@@ -21,11 +21,11 @@
 //! The TCP runs skip with a notice when the sandbox has no loopback sockets
 //! or the `munin-node` binary is missing.
 
-use munin_core::{MuninMsg, MuninProto};
+use munin_core::MuninProto;
 use munin_ivy::IvyProto;
 use munin_proto::Protocol;
-use munin_rt::{RtTuning, RtWorldBuilder};
-use munin_sim::{DsmOp, DsmThread, RunReport};
+use munin_rt::RtTuning;
+use munin_sim::{DsmOp, RunReport, WorldDesc};
 use munin_tardis::TardisProto;
 use munin_tcp::{run_proto, tcp_support, TestFault};
 use munin_types::{
@@ -60,18 +60,13 @@ const NODES: usize = 3;
 /// Run `b` under `Pr` on TCP, or on the in-process fabric. (Munin and
 /// Tardis resolve declarations through the registry, so their servers need
 /// none at construction.)
-fn run_wall<Pr: Protocol>(
-    tcp: bool,
-    b: RtWorldBuilder<Pr::Msg>,
-    cfg: Pr::Config,
-    sync: SyncDecls,
-) -> RunReport {
+fn run_wall<Pr: Protocol>(tcp: bool, b: WorldDesc, cfg: Pr::Config, sync: SyncDecls) -> RunReport {
     if tcp {
-        return run_proto::<Pr>(b, cfg, sync, None);
+        return run_proto::<Pr>(b, cfg, sync, RtTuning::default(), None);
     }
     let n = b.n_nodes();
     let servers = (0..n).map(|i| Pr::server(&cfg, NodeId(i as u16), n, &[], &sync)).collect();
-    b.cost(Pr::cost(&cfg).clone()).run(servers)
+    munin_rt::run(b, servers, Pr::cost(&cfg).clone(), RtTuning::default())
 }
 
 /// Every node writes all of a `share`-byte write-many object homed on the
@@ -80,7 +75,7 @@ fn run_wall<Pr: Protocol>(
 /// Repeated, and the home checks what arrived.
 fn flow_control<Pr: Protocol>(cfg: Pr::Config, share: u32) -> RunReport {
     const ROUNDS: u8 = 3;
-    let mut b = RtWorldBuilder::<Pr::Msg>::new(NODES);
+    let mut b = WorldDesc::new(NODES);
     let objs: Vec<ObjectId> = (0..NODES)
         .map(|i| {
             let (d, home) = decl("share", share, SharingType::WriteMany, ((i + 1) % NODES) as u16);
@@ -104,7 +99,7 @@ fn flow_control<Pr: Protocol>(cfg: Pr::Config, share: u32) -> RunReport {
             }
         });
     }
-    run_proto::<Pr>(b, cfg, one_barrier(NODES as u32), None)
+    run_proto::<Pr>(b, cfg, one_barrier(NODES as u32), RtTuning::default(), None)
 }
 
 #[test]
@@ -130,7 +125,7 @@ fn crossing_multi_mib_flushes_finish_clean_on_every_protocol() {
 fn alloc_under_load<Pr: Protocol>(tcp: bool, cfg: Pr::Config) -> RunReport {
     const ALLOCS: usize = 24;
     const ADDS: i64 = 400;
-    let mut b = RtWorldBuilder::<Pr::Msg>::new(NODES);
+    let mut b = WorldDesc::new(NODES);
     let (d, home) = decl("ctr", 8, SharingType::GeneralReadWrite, 1);
     let ctr = b.declare(d, home);
     for i in 0..NODES {
@@ -180,7 +175,7 @@ fn detector(tcp: bool) -> RunReport {
     let mut cfg = MuninConfig::default();
     cfg.adaptive_typing = true;
     cfg.adapt_min_samples = 16;
-    let mut b = RtWorldBuilder::<MuninMsg>::new(NODES);
+    let mut b = WorldDesc::new(NODES);
     let (d, home) = decl("pc?", 32, SharingType::GeneralReadWrite, 0);
     let obj = b.declare(d, home);
     b.spawn(NodeId(1), move |ctx| {
@@ -230,12 +225,18 @@ fn a_child_that_dies_before_ready_fails_the_start_at_once() {
     if skip() {
         return;
     }
-    let mut b = RtWorldBuilder::<MuninMsg>::new(NODES);
+    let mut b = WorldDesc::new(NODES);
     b.spawn(NodeId(1), |_ctx| {});
     let fault = TestFault::Exit { node: NodeId(2), after: Duration::ZERO };
     let began = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_proto::<MuninProto>(b, MuninConfig::default(), one_barrier(1), Some(fault))
+        run_proto::<MuninProto>(
+            b,
+            MuninConfig::default(),
+            one_barrier(1),
+            RtTuning::default(),
+            Some(fault),
+        )
     }));
     let took = began.elapsed();
     let payload = outcome.expect_err("a run whose child dies before Ready must fail");
@@ -256,7 +257,7 @@ fn step_panic<Pr: Protocol>(cfg: Pr::Config, victim: u16) {
     let stall = Duration::from_secs(20);
     let mut tuning = RtTuning::default();
     tuning.stall_timeout = stall;
-    let mut b = RtWorldBuilder::<Pr::Msg>::new(2).tuning(tuning);
+    let mut b = WorldDesc::new(2);
     let ctrs: Vec<ObjectId> = (0..2)
         .map(|home| {
             let (d, home) = decl("ctr", 8, SharingType::GeneralReadWrite, home);
@@ -272,7 +273,7 @@ fn step_panic<Pr: Protocol>(cfg: Pr::Config, victim: u16) {
     }
     let started = Instant::now();
     let fault = TestFault::StepPanic { node: NodeId(victim), after: Duration::from_millis(300) };
-    let report = run_proto::<Pr>(b, cfg, one_barrier(2), Some(fault));
+    let report = run_proto::<Pr>(b, cfg, one_barrier(2), tuning, Some(fault));
     let took = started.elapsed();
     let named = format!("node n{victim}: protocol step panicked");
     assert!(

@@ -92,6 +92,13 @@ timeout 600 cargo bench --bench obs_overhead
 step "Distributed 2-process smoke (release)"
 timeout 600 cargo run --release -p munin-bench --bin study -- --backend munin-tcp --apps life,matmul --nodes 2
 
+# tsp on Ivy at 64 nodes: ~3.8 M messages and ~6 s of host time, too slow
+# for the debug suite (which runs life and tsp on the other protocols at 64
+# nodes, `tests/tests/apps_at_scale.rs`); it guards the work stack's sizing
+# against the worker count on the protocol whose schedule fills it most.
+step "tsp at 64 nodes on Ivy (release)"
+timeout 600 cargo run --release -p munin-bench --bin study -- --backend ivy --apps tsp --nodes 64
+
 # Seeded fault campaigns: a fixed batch on the deterministic simulator (any
 # failure auto-shrinks and prints a one-line `munin-campaign --seed N`
 # repro), then the process-fault scenario subset against real munin-node
@@ -158,9 +165,12 @@ cargo bench --no-run
 # - the two wall-clock kernels, the step's kernel trait and the TCP registry
 #   cache (one `WallKernel` over a link, one `Registry` value type);
 # - the per-thread resume channels: their two ends and the sender type (a
-#   thread waits on a `ResumeSlot`, woken only after its waker lets go).
+#   thread waits on a `ResumeSlot`, woken only after its waker lets go);
+# - the simulator's and the wall-clock world builders, and any second
+#   implementation of the application thread trait (every backend runs one
+#   `WorldDesc`, and `Par` is `DsmThread`).
 step "Deleted names stay deleted"
-if git grep -nE 'RtKerne[l]|TcpKerne[l]|NodeKerne[l]|RegCach[e]|SpinWai[t]|unbatched[(]|compute_scal[e]|watchdog_pol[l]|[.]max_infligh[t]|write_combin[e]|batch_ma[x]|ParEx[t]|MUNIN_RT_STALL_M[S]|MUNIN_BENCH_BYTE_PAT[H]|traffic_r[t]|ThreadRe[q]|req_t[x]|req_r[x]|BACKEND_NAME[S]|TcpTunin[g]|MUNIN_TCP_DUMP_AFTER_M[S]|Backend::(Muni[n]|Iv[y]|Tardi[s])|Target::(Muni[n]|Iv[y]|Tardi[s])|TcpWorldBuilde[r]|coordinator_watchdo[g]|DumpStuc[k]|dump_stuc[k]|munin_tcp::si[g]|CountingTrace[r]|cond_broadcas[t][(]|resume_r[x]|resume_t[x]|Sender<OpResul[t]>' -- crates/ tests/ examples/ scripts/ README.md; then
+if git grep -nE 'RtWorldBuilde[r]|WorldBuilde[r]|impl(<[^>]*>)? Pa[r] for|RtKerne[l]|TcpKerne[l]|NodeKerne[l]|RegCach[e]|SpinWai[t]|unbatched[(]|compute_scal[e]|watchdog_pol[l]|[.]max_infligh[t]|write_combin[e]|batch_ma[x]|ParEx[t]|MUNIN_RT_STALL_M[S]|MUNIN_BENCH_BYTE_PAT[H]|traffic_r[t]|ThreadRe[q]|req_t[x]|req_r[x]|BACKEND_NAME[S]|TcpTunin[g]|MUNIN_TCP_DUMP_AFTER_M[S]|Backend::(Muni[n]|Iv[y]|Tardi[s])|Target::(Muni[n]|Iv[y]|Tardi[s])|TcpWorldBuilde[r]|coordinator_watchdo[g]|DumpStuc[k]|dump_stuc[k]|munin_tcp::si[g]|CountingTrace[r]|cond_broadcas[t][(]|resume_r[x]|resume_t[x]|Sender<OpResul[t]>' -- crates/ tests/ examples/ scripts/ README.md; then
     echo "a deleted name is referenced again"
     exit 1
 fi
