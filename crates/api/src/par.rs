@@ -123,9 +123,9 @@ pub trait ParTyped: Par {
     // [`ParTyped::wait`] / [`ParTyped::wait_all`], or let the next sync
     // point (acquire/release/barrier/flush/exit — any blocking op, in
     // fact) complete it implicitly, per release consistency. On the
-    // real-time kernels this keeps up to `munin_rt::MAX_INFLIGHT` ops in
-    // flight per thread; on the simulator and native backends the token
-    // comes back already complete.
+    // simulator and the wall-clock fabrics this keeps up to
+    // `munin_sim::MAX_INFLIGHT` ops in flight per thread; on the native
+    // backend the token comes back already complete.
 
     /// Asynchronous [`ParTyped::write_from`].
     #[track_caller]

@@ -43,7 +43,7 @@ fn tuning() -> RtTuning {
 
 /// (total DSM ops, wall seconds) for `workers` fetch-add hammers.
 /// `pipelined` issues the adds asynchronously (window bounded by
-/// `munin_rt::MAX_INFLIGHT`) and redeems every token at the end; otherwise
+/// `munin_sim::MAX_INFLIGHT`) and redeems every token at the end; otherwise
 /// each add blocks for its reply.
 fn run_counter(workers: usize, backend: Backend, pipelined: bool) -> (u64, f64) {
     let mut p = ProgramBuilder::new(workers);

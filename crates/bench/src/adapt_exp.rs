@@ -109,7 +109,10 @@ pub fn e9_replication(readers: usize, ops: usize) -> Table {
                         if (state >> 33) % 1000 < read_permille as u64 {
                             let _ = par.get(&obj, 0);
                         } else {
+                            // Each write is one access: drain it, so the
+                            // client does not combine a run of writes.
                             par.set(&obj, 0, i as i64);
+                            par.drain_ops();
                         }
                     }
                     par.barrier(bar);

@@ -294,10 +294,11 @@ fn run(args: &Args) -> Result<bool, String> {
         return run_plan(args, &plan);
     }
     if let Some(batch) = args.batch {
-        let mut failures = 0u64;
+        let (mut failures, mut pipelined_faults) = (0u64, 0u64);
         for seed in args.seed_base..args.seed_base + batch {
             let plan = generate_with(seed, &gen_cfg);
             let out = execute(&plan, &args.backend, &ExecOptions::default())?;
+            pipelined_faults += out.pipelined_faults;
             if out.passed() {
                 println!("{}", out.verdict_line());
             } else {
@@ -305,7 +306,12 @@ fn run(args: &Args) -> Result<bool, String> {
                 report_failure(args, &plan, &out);
             }
         }
-        println!("batch done: {}/{batch} passed on {}", batch - failures, args.backend.cli_name());
+        println!(
+            "batch done: {}/{batch} passed on {}; {pipelined_faults} injected fault(s) landed \
+             while a thread had 2+ ops in flight",
+            batch - failures,
+            args.backend.cli_name()
+        );
         return Ok(failures == 0);
     }
     let seed = args.seed.expect("mode check guarantees a seed");

@@ -108,6 +108,9 @@ pub struct CampaignOutcome {
     /// Network traffic totals from the run — scenarios assert on these
     /// (e.g. a healed partition must retransmit, never give up).
     pub stats: munin_net::NetStats,
+    /// Injected faults that landed while some thread had two or more ops
+    /// in flight (`RunReport::pipelined_faults`; simulator targets only).
+    pub pipelined_faults: u64,
     /// Telemetry snapshot from the run (latency histograms plus the
     /// remote-op span tail). Wall-clock fabrics only — the virtual-time
     /// simulator records no telemetry, so sim targets leave this `None`.
@@ -293,6 +296,7 @@ pub fn execute(
                             push(ObsEvent::FetchAdd {
                                 thread: me,
                                 obj: ctrs[*counter].id(),
+                                delta: *delta,
                                 observed_prev: prev,
                             });
                         }
@@ -308,6 +312,7 @@ pub fn execute(
                             let idx = push_at(ObsEvent::FetchAdd {
                                 thread: me,
                                 obj: ctrs[*counter].id(),
+                                delta: *delta,
                                 observed_prev: PENDING_PREV,
                             });
                             atoks.push((idx, par.fetch_add_scalar_async(&ctrs[*counter], *delta)));
@@ -399,6 +404,7 @@ pub fn execute(
         reasons,
         final_counters: finals,
         stats: report.stats.clone(),
+        pipelined_faults: report.pipelined_faults,
         metrics: report.metrics.clone(),
         coverage: opts.coverage.as_ref().map(|m| m.snapshot()),
     })

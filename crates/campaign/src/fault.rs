@@ -2,7 +2,7 @@
 //!
 //! The simulator gets the full treatment: loss, jitter and the shared
 //! medium configure the transport's random streams (seeded from the plan
-//! seed through [`derive`] substreams, so fault randomness is replayable);
+//! seed through [`derive()`] substreams, so fault randomness is replayable);
 //! partitions and isolation windows become a [`LinkSchedule`]; and the
 //! process-level faults lower to their closest wire analogue (a killed
 //! node is a permanent isolation, a half-closed stream a permanent

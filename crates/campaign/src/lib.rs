@@ -19,7 +19,7 @@
 //!   serialized plan, and on the simulator an identical verdict.
 //! * **Replayability** — every failure prints a one-line repro
 //!   (`munin-campaign --seed N`), and failing plans auto-shrink to a
-//!   locally minimal plan that still fails ([`shrink`]).
+//!   locally minimal plan that still fails ([`shrink()`]).
 //! * **Portability** — a campaign runs on a [`munin_api::Backend`]: plans
 //!   run on the virtual-time simulator for every fault class, and the
 //!   process-fault subset re-runs on the real multi-process TCP fabric.
@@ -30,7 +30,7 @@
 //! [`toml`] — the workspace's vendored `serde` is a no-op stub), and
 //! curated scenarios with expectations live in [`scenario`].
 //!
-//! **Explore mode** ([`explore`]) replaces blind generation with a
+//! **Explore mode** ([`explore()`]) replaces blind generation with a
 //! coverage-guided corpus loop: every run records the protocol-state
 //! transitions it fired ([`munin_obs::CoverageMap`], fed through the
 //! kernel seam by all three protocol crates), plans that discover new

@@ -8,7 +8,7 @@
 //!   the Munin simulator backend, and a subset passes on the Ivy baseline.
 
 use munin_api::Backend;
-use munin_campaign::{execute, generate, ExecOptions};
+use munin_campaign::{execute, generate, generate_with, ExecOptions, GenConfig};
 use munin_net::SeedGuard;
 use munin_types::{IvyConfig, MuninConfig};
 
@@ -56,4 +56,25 @@ fn seeded_campaigns_pass_on_the_ivy_baseline_too() {
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(out.passed(), "seed {seed} failed: {:?}", out.reasons);
     }
+}
+
+/// The async-heavy profile exists so that faults land while tokens are in
+/// flight. On the simulator they do: over a fixed list of seeds, injected
+/// faults drop transmissions while some thread has two or more ops in
+/// flight, and each seed's count replays exactly.
+#[test]
+fn async_heavy_faults_land_while_ops_are_in_flight() {
+    let cfg = GenConfig { async_heavy: true, ..GenConfig::default() };
+    let backend = Backend::sim(MuninConfig::default());
+    let mut landed = 0;
+    for seed in 0..30u64 {
+        let _guard = SeedGuard::new("async-heavy campaign", seed);
+        let plan = generate_with(seed, &cfg);
+        let run = || execute(&plan, &backend, &ExecOptions::default()).unwrap();
+        let (a, b) = (run(), run());
+        assert!(a.passed(), "seed {seed} failed: {:?}", a.reasons);
+        assert_eq!(a.pipelined_faults, b.pipelined_faults, "seed {seed}");
+        landed += a.pipelined_faults;
+    }
+    assert!(landed > 0, "no injected fault met a thread with two or more ops in flight");
 }

@@ -40,8 +40,9 @@ pub enum ObsEvent {
     Release { thread: ThreadId, lock: LockId },
     /// The thread is about to enter barrier `barrier`.
     BarrierArrive { thread: ThreadId, barrier: u64 },
-    /// Completed atomic fetch-add: the previous value it returned.
-    FetchAdd { thread: ThreadId, obj: ObjectId, observed_prev: i64 },
+    /// Completed atomic fetch-add of `delta`: the previous value it
+    /// returned.
+    FetchAdd { thread: ThreadId, obj: ObjectId, delta: i64, observed_prev: i64 },
 }
 
 /// The full observation log of one campaign run.
@@ -198,15 +199,20 @@ fn check_locked_chains(h: &CampaignHistory, locked_cells: &[(ObjectId, LockId)])
 }
 
 /// Atomic counters with positive deltas: per-thread previous values rise
-/// strictly, and no previous value repeats across the whole run.
+/// strictly, no previous value repeats across the whole run, and an add
+/// that saw a later value saw at least the earlier add's delta on top of
+/// that add's own previous value (an add whose result went to another
+/// add's caller breaks this when the deltas differ).
 fn check_counters(h: &CampaignHistory) -> Vec<Violation> {
     let mut per_thread: BTreeMap<(ThreadId, ObjectId), i64> = BTreeMap::new();
     let mut seen_prev: BTreeMap<ObjectId, BTreeMap<i64, usize>> = BTreeMap::new();
+    let mut deltas: BTreeMap<(ObjectId, i64), i64> = BTreeMap::new();
     let mut violations = Vec::new();
     for (i, ev) in h.events.iter().enumerate() {
-        let ObsEvent::FetchAdd { thread, obj, observed_prev } = ev else {
+        let ObsEvent::FetchAdd { thread, obj, delta, observed_prev } = ev else {
             continue;
         };
+        deltas.insert((*obj, *observed_prev), *delta);
         if let Some(prev) = per_thread.get(&(*thread, *obj)) {
             if observed_prev <= prev {
                 violations.push(Violation {
@@ -225,6 +231,18 @@ fn check_counters(h: &CampaignHistory) -> Vec<Violation> {
                 reason: format!(
                     "counter: two fetch-adds on {obj} observed previous value \
                      {observed_prev} (events {first} and {i}): lost update"
+                ),
+            });
+        }
+    }
+    for (((obj, prev), delta), ((next_obj, next), _)) in deltas.iter().zip(deltas.iter().skip(1)) {
+        if obj == next_obj && *next < prev + delta {
+            violations.push(Violation {
+                event_index: seen_prev[next_obj][next],
+                reason: format!(
+                    "counter: a fetch-add on {obj} observed {next}, but the add of {delta} \
+                     that observed {prev} had already made it {} (results out of order)",
+                    prev + delta
                 ),
             });
         }
@@ -300,8 +318,8 @@ mod tests {
     #[test]
     fn duplicate_counter_prev_is_a_lost_update() {
         let h = hist(vec![
-            ObsEvent::FetchAdd { thread: T0, obj: C, observed_prev: 0 },
-            ObsEvent::FetchAdd { thread: T1, obj: C, observed_prev: 0 }, // lost!
+            ObsEvent::FetchAdd { thread: T0, obj: C, delta: 1, observed_prev: 0 },
+            ObsEvent::FetchAdd { thread: T1, obj: C, delta: 1, observed_prev: 0 }, // lost!
         ]);
         let v = check_campaign(&h, &[]);
         assert!(v.iter().any(|v| v.reason.contains("lost update")), "{v:?}");
@@ -310,11 +328,29 @@ mod tests {
     #[test]
     fn per_thread_counter_regression_is_flagged() {
         let h = hist(vec![
-            ObsEvent::FetchAdd { thread: T0, obj: C, observed_prev: 5 },
-            ObsEvent::FetchAdd { thread: T0, obj: C, observed_prev: 3 },
+            ObsEvent::FetchAdd { thread: T0, obj: C, delta: 1, observed_prev: 5 },
+            ObsEvent::FetchAdd { thread: T0, obj: C, delta: 1, observed_prev: 3 },
         ]);
         let v = check_campaign(&h, &[]);
         assert!(v.iter().any(|v| v.reason.contains("strictly increasing")), "{v:?}");
+    }
+
+    /// Adds of 3 and then 1 by one thread whose results were handed out in
+    /// each other's place: the values still rise, and none repeats, but
+    /// the add that saw 0 added 3, so no add can have seen 1.
+    #[test]
+    fn results_handed_out_of_order_are_flagged() {
+        let h = hist(vec![
+            ObsEvent::FetchAdd { thread: T0, obj: C, delta: 3, observed_prev: 0 },
+            ObsEvent::FetchAdd { thread: T0, obj: C, delta: 1, observed_prev: 1 },
+        ]);
+        let v = check_campaign(&h, &[]);
+        assert!(v.iter().any(|v| v.reason.contains("out of order")), "{v:?}");
+        let ok = hist(vec![
+            ObsEvent::FetchAdd { thread: T0, obj: C, delta: 3, observed_prev: 0 },
+            ObsEvent::FetchAdd { thread: T1, obj: C, delta: 1, observed_prev: 5 },
+        ]);
+        assert!(check_campaign(&ok, &[]).is_empty(), "a gap is an unobserved add");
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub fn strict_outcome() -> [u32; 3] {
 }
 
 /// Legal loose-coherence sets for each read (independent of monotonicity,
-/// which couples R1/R2; see [`loose_pair_legal`]).
+/// which couples R1/R2; see [`loose_assignment_legal`]).
 pub fn loose_sets() -> [BTreeSet<u32>; 3] {
     let h = schedule(strict_outcome());
     [

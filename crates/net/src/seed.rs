@@ -2,7 +2,7 @@
 //!
 //! Every randomized model in this crate (loss, latency jitter) and every
 //! campaign generator derives its RNG stream from *one* u64 campaign seed via
-//! [`derive`], so a single number replays an entire run. [`SeedGuard`] makes
+//! [`derive()`], so a single number replays an entire run. [`SeedGuard`] makes
 //! red runs replayable: constructed at the top of a seeded test, it prints the
 //! seed when the thread unwinds, so the log of any failure carries the one
 //! value needed to reproduce it.

@@ -144,7 +144,7 @@ impl Histogram {
         }
     }
 
-    /// Approximate quantile (`q` in [0,1]) by linear interpolation inside
+    /// Approximate quantile (`q` in `[0, 1]`) by linear interpolation inside
     /// the covering power-of-2 bucket. Log buckets bound the relative
     /// error at 2x, which is plenty for p50/p90/p99 trend lines.
     pub fn quantile_us(&self, q: f64) -> u64 {

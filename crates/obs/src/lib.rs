@@ -17,7 +17,7 @@
 //!   server dispatch, home-node handling, reply and resume are kept in
 //!   fixed rings and joined into [`OpSpan`]s at teardown.
 //! * **A live metrics surface** — [`MetricsSnapshot`] merges the
-//!   histograms, per-object access counters and [`NetStats`] at any
+//!   histograms, per-object access counters and [`NetStats`](munin_net::NetStats) at any
 //!   moment (teardown, SIGUSR1, mid-run), renders as Prometheus-style
 //!   text exposition or first-party JSON, and lands in
 //!   `RunReport::metrics`.

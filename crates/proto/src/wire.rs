@@ -7,7 +7,7 @@
 //! application operations (`DsmOp`/`OpResult`), the registry's
 //! `ObjectDecl`s, run configuration, and traffic statistics. Protocol
 //! payloads (`MuninMsg`, `IvyMsg`, `TardisMsg`) implement [`Wire`] in their
-//! own crates via the exported [`wire_struct!`]/[`wire_enum!`] macros.
+//! own crates via the exported [`wire_struct!`](crate::wire_struct)/[`wire_enum!`](crate::wire_enum) macros.
 //!
 //! ## Format
 //!

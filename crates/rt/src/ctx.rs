@@ -1,77 +1,42 @@
-//! The application-thread side of the real-time kernel.
+//! The application-thread side of the real-time kernel: the one client
+//! path ([`munin_sim::Client`]) over an [`RtPort`]. Threads run whenever
+//! the OS runs them, submit ops to their node through the fabric's
+//! [`OpPort`], and park on a private [`ResumeSlot`], waking periodically to
+//! check the stall watchdog's poison flag, so a wedged protocol tears the
+//! thread down (with a panic the harness reports) instead of hanging.
 //!
-//! Unlike the simulator's rendezvous ([`munin_sim::ThreadCtx`]), an
-//! [`RtCtx`] never hands control to a scheduler: threads run whenever the
-//! OS runs them, submit operations to their node through an [`OpPort`], and
-//! block on a private [`ResumeSlot`] until the protocol completes the fault.
-//! The wait wakes periodically to check the stall watchdog's poison flag,
-//! so a wedged protocol tears the thread down (with a panic the harness
-//! reports) instead of hanging the process.
-//!
-//! The issue path is pipelined: ops can be issued asynchronously (up to
-//! [`MAX_INFLIGHT`] per thread) and completed later by a token wait or,
-//! implicitly, by the next blocking op — every blocking op waits for its
-//! *own* completion, which on the per-thread FIFO resume slot drains
-//! everything issued before it. The node's op gate ([`crate::NodeStep`])
-//! hands the protocol server one of the thread's ops at a time, except a
-//! run of ops the server completes in order through one peer (Munin's
-//! fetch-adds to one remote home), which it lets overlap; either way
-//! results come back in issue order. Adjacent writes to the same object are
-//! always combined client-side and leave as one async write at the next
-//! non-write op.
-//!
-//! A pipelined op leaves its thread when the thread is about to park. The
-//! port may hold what `submit` handed it until [`OpPort::flush`], and the
-//! context flushes only before it parks for a result that is not queued
-//! yet and before modelled compute; a result already in the slot is taken
-//! without a flush. On TCP a window of `Op` frames so leaves in one socket
-//! write, whichever node the thread is placed on. A blocking op is sent
-//! by its own issue on every port but the TCP link to a child, and that
-//! one is flushed as the op parks.
+//! A pipelined op leaves its thread when the thread is about to park: the
+//! port is flushed only before a wait for a result not queued yet and
+//! before modelled compute. On TCP a window of `Op` frames so leaves in one
+//! socket write, whichever node the thread is placed on.
 
 use crate::fabric::{NodeEvent, Shared};
 use crate::world::{ComputeMode, RtTuning};
 use munin_obs::{wall_us, AccessKind, OpClass};
-use munin_sim::report::WaitTable;
-use munin_sim::{DsmOp, DsmThread, OpResult, ResumeSlot, TakeError};
-use munin_types::{ByteRange, NodeId, ObjectId, ThreadId, TokenState};
+use munin_sim::{Client, DsmOp, OpResult, Port, ResumeSlot, TakeError};
+use munin_types::ThreadId;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Most ops one thread keeps in flight before an issue blocks on the
-/// oldest completion.
-pub const MAX_INFLIGHT: usize = 16;
-
 /// How often a blocked thread wakes to check for poisoning.
 const POISON_POLL: Duration = Duration::from_millis(25);
 
-/// Hard ceiling on the client-side write-combining buffer. A single
-/// combined write larger than this is emitted immediately rather than
-/// accumulating further.
-const WC_MAX_BYTES: usize = 64 * 1024;
-
-/// Where an application thread's ops enter its node. The in-process fabric
-/// mails them to the node server's inbox (this impl on the inbox `Sender`);
-/// the TCP fabric runs a node-0 thread's op inline under the node's mutex
-/// and encodes a node-j thread's op onto the coordinator's link to node j.
-/// Whatever the port, per-thread issue order is the order the node's op
-/// gate sees.
+/// Where an application thread's ops enter its node: the node server's
+/// inbox (this impl on the inbox `Sender`), or on TCP node 0's step run
+/// inline and the coordinator's link to node j. Per-thread issue order is
+/// the order the node's op gate sees.
 pub trait OpPort: Send {
-    /// Hand `op` to the node. A port may only queue it: it is on its way
-    /// for certain once [`OpPort::flush`] returned. `pipelined` says the
-    /// thread will not wait for this op next (an async op or a combined
-    /// write), so a port that could send it now may hold it for the flush
-    /// instead; a blocking op is waited for at once. `false` means the
-    /// fabric is gone (teardown).
+    /// Hand `op` to the node; it is on its way for certain once
+    /// [`OpPort::flush`] returned. A `pipelined` op (async, or a combined
+    /// write) may wait for the flush; a blocking op is waited for at once.
+    /// `false` means the fabric is gone (teardown).
     fn submit(&mut self, thread: ThreadId, op: DsmOp, pipelined: bool) -> bool;
 
-    /// Push out whatever `submit` queued. The context calls this only when
-    /// the thread is about to park for a completion (a blocking op, a token
-    /// wait or a full window whose next result has not arrived) and before
-    /// it sleeps in modelled compute.
+    /// Push out whatever `submit` queued: called only when the thread is
+    /// about to park, and before modelled compute.
     fn flush(&mut self) {}
 }
 
@@ -81,24 +46,31 @@ impl<P: Send + Sync> OpPort for Sender<NodeEvent<P>> {
     }
 }
 
-/// One op this thread has issued but not yet seen complete.
-#[derive(Clone, Copy)]
-struct InFlight {
+/// Handle through which application code talks to the real-time DSM.
+pub type RtCtx = Client<RtPort>;
+
+/// The wall-clock fabrics' [`Port`]: the fabric's [`OpPort`], the resume
+/// slot with its poison polling, modelled compute and telemetry.
+pub struct RtPort {
+    thread: ThreadId,
+    pub(crate) to_server: Box<dyn OpPort>,
+    slot: Arc<ResumeSlot>,
+    pub(crate) shared: Arc<Shared>,
+    tuning: RtTuning,
+    /// Ops submitted so far: the client's sequence numbers.
+    submitted: u64,
+    /// Each op in flight, oldest first, while telemetry is on.
+    issued: VecDeque<Issued>,
+}
+
+/// What telemetry keeps of one op in flight.
+struct Issued {
     seq: u64,
-    label: &'static str,
-    issued: Instant,
-    /// A token exists that may later claim this op's result. Unclaimed
-    /// non-unit results are dropped at receive time — except errors, which
-    /// panic immediately (fail-closed: a combined write with no token must
-    /// not fail silently).
-    claimed: bool,
-    /// Latency-accounting class (telemetry).
     class: OpClass,
-    /// Issued through the async path (telemetry splits blocking from
-    /// pipelined latencies — they measure different things).
     pipelined: bool,
+    at: Instant,
     /// Wall stamp at issue (µs since epoch); 0 unless spans are on.
-    issue_wall: u64,
+    wall: u64,
 }
 
 /// Classify an op for the latency recorders.
@@ -117,351 +89,29 @@ fn op_class(op: &DsmOp) -> OpClass {
     }
 }
 
-/// The client-side write-combining buffer: one contiguous byte range of one
-/// object, absorbed from consecutive `write` calls.
-struct WcBuf {
-    obj: ObjectId,
-    start: u32,
-    data: Vec<u8>,
-}
-
-/// Handle through which application code talks to the real-time DSM.
-pub struct RtCtx {
-    pub(crate) thread: ThreadId,
-    pub(crate) node: NodeId,
-    pub(crate) n_nodes: usize,
-    pub(crate) n_threads: usize,
-    pub(crate) to_server: Box<dyn OpPort>,
-    pub(crate) slot: Arc<ResumeSlot>,
-    pub(crate) shared: Arc<Shared>,
-    pub(crate) tuning: RtTuning,
-    /// Real-microsecond wait accounting per op label (feeds the report's
-    /// `thread_waits`, same shape as the simulator's virtual-time table).
-    pub(crate) waits: WaitTable,
-    /// Sequence number of the most recently issued op (0 = none yet).
-    next_seq: u64,
-    /// Highest sequence whose result has been taken out of the resume slot.
-    received_through: u64,
-    /// In-flight ops, oldest first. The per-thread server-side op gate
-    /// completes ops in issue order, so the resume slot is a FIFO over
-    /// exactly this queue.
-    pending: VecDeque<InFlight>,
-    /// Completed-but-unredeemed token results (`seq`, label, result).
-    claimable: Vec<(u64, &'static str, OpResult)>,
-    /// Pending write-combining buffer, flushed by any non-write op.
-    wc: Option<WcBuf>,
-}
-
-impl RtCtx {
-    /// Assemble a context over `to_server`, the fabric's [`OpPort`] for this
-    /// thread's node (every fabric hosts its application threads in this
-    /// process; the port points each at its logical node).
+impl RtPort {
+    /// A port over `to_server`, the fabric's [`OpPort`] for this thread's
+    /// node (every fabric hosts its application threads in this process;
+    /// the port points each at its logical node).
     pub(crate) fn new(
         thread: ThreadId,
-        node: NodeId,
-        n_nodes: usize,
-        n_threads: usize,
         to_server: Box<dyn OpPort>,
         slot: Arc<ResumeSlot>,
         shared: Arc<Shared>,
         tuning: RtTuning,
     ) -> Self {
-        RtCtx {
-            thread,
-            node,
-            n_nodes,
-            n_threads,
-            to_server,
-            slot,
-            shared,
-            tuning,
-            waits: WaitTable::new(),
-            next_seq: 0,
-            received_through: 0,
-            pending: VecDeque::new(),
-            claimable: Vec::new(),
-            wc: None,
-        }
-    }
-}
-
-impl DsmThread for RtCtx {
-    /// Issue a raw operation and block until the protocol completes it.
-    ///
-    /// `Compute` never reaches the server: the calling thread performs it
-    /// locally according to [`ComputeMode`] — that locality is exactly what
-    /// lets workers compute in parallel.
-    ///
-    /// Waiting for this op's own completion drains every async op issued
-    /// before it (the resume slot is a per-thread FIFO), which is what
-    /// makes every blocking op — and so every sync point — an implicit
-    /// `drain`, as release consistency requires.
-    ///
-    /// Panics if the watchdog poisoned the run (the panic is caught by the
-    /// harness wrapper and reported as a run error, mirroring the
-    /// simulator's deadlock teardown).
-    fn op(&mut self, op: DsmOp) -> OpResult {
-        let label = op.label();
-        self.check_issue_poison(label);
-        let issued = Instant::now();
-        self.shared.ops.fetch_add(1, Ordering::Relaxed);
-        self.note_access(&op);
-        let result = if let DsmOp::Compute(us) = op {
-            // Executed locally, but still counted as an op with a wait-table
-            // row so rt and simulator reports stay comparable.
-            self.compute_inner(us);
-            OpResult::Unit
-        } else {
-            self.flush_wc();
-            let seq = self.issue(op, label, false, false);
-            self.wait_seq(seq, label)
-        };
-        self.record_wait(label, issued);
-        result
+        RtPort { thread, to_server, slot, shared, tuning, submitted: 0, issued: VecDeque::new() }
     }
 
-    /// Issue an operation without waiting; returns a token state redeemable
-    /// with [`DsmThread::token_wait`]. Writes go through the combining buffer
-    /// and come back [`TokenState::Ready`] — the combined op is emitted
-    /// (still async) by the next non-write op.
-    fn op_async(&mut self, op: DsmOp) -> TokenState {
-        let label = op.label();
-        self.check_issue_poison(label);
-        let issued = Instant::now();
-        self.shared.ops.fetch_add(1, Ordering::Relaxed);
-        self.note_access(&op);
-        let state = match op {
-            DsmOp::Compute(us) => {
-                self.compute_inner(us);
-                TokenState::Ready(0)
-            }
-            DsmOp::Write { obj, range, data } => {
-                self.wc_absorb(obj, range.start, data);
-                TokenState::Ready(0)
-            }
-            other => {
-                self.flush_wc();
-                let seq = self.issue(other, label, true, true);
-                TokenState::Pending(seq)
-            }
-        };
-        self.record_wait(label, issued);
-        state
-    }
-
-    /// Redeem a token: the raw result of the async op (0 for unit results).
-    fn token_wait(&mut self, state: TokenState) -> i64 {
-        match state {
-            TokenState::Ready(v) => v,
-            TokenState::Pending(seq) => {
-                let issued = Instant::now();
-                let result = self.wait_seq(seq, "token_wait");
-                self.record_wait("token_wait", issued);
-                match result {
-                    OpResult::Unit => 0,
-                    OpResult::Value(v) => v,
-                    OpResult::Err(e) => panic!("asynchronous op failed: {e}"),
-                    other => panic!("async token redeemed a non-scalar result: {other:?}"),
-                }
-            }
-        }
-    }
-
-    /// Complete every in-flight op (including the write-combining buffer).
-    /// Blocking ops do this implicitly; applications only need it to bound
-    /// the in-flight window by hand.
-    fn drain_ops(&mut self) {
-        self.flush_wc();
-        if !self.pending.is_empty() {
-            let issued = Instant::now();
-            while !self.pending.is_empty() {
-                let (seq, label, claimed, r) = self.receive_one("drain");
-                self.park_result(seq, label, claimed, r);
-            }
-            self.record_wait("drain", issued);
-        }
-        // Fail closed: an errored op whose token was never redeemed must
-        // not survive a drain (= sync point) silently.
-        if let Some((_, label, OpResult::Err(e))) =
-            self.claimable.iter().find(|(_, _, r)| matches!(r, OpResult::Err(_)))
-        {
-            panic!("asynchronous '{label}' failed before a sync point: {e}");
-        }
-    }
-
-    fn thread_id(&self) -> ThreadId {
-        self.thread
-    }
-
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    fn n_threads(&self) -> usize {
-        self.n_threads
-    }
-}
-
-impl RtCtx {
-    // ---- the pipelined issue/receive machinery --------------------------
-
-    /// Issue-time poison check: on a distributed run a lost peer poisons
-    /// the world while threads whose ops still succeed locally are
-    /// unblocked — without this check they would grind on until their
-    /// bodies finish, stretching teardown from milliseconds to the whole
-    /// remaining run. (The message prefix marks this as a teardown
-    /// consequence, not an application bug — see `drive_app_thread`.)
-    fn check_issue_poison(&self, label: &'static str) {
-        if self.shared.is_poisoned() {
-            panic!("real-time kernel poisoned before '{label}' was issued");
-        }
-    }
-
-    /// Count the application-level access against its object (feeds the
-    /// per-object telemetry the retyping detectors will read). One branch
-    /// when telemetry is off.
-    #[inline]
-    fn note_access(&self, op: &DsmOp) {
-        if !self.tuning.telemetry.enabled() {
-            return;
-        }
-        match op {
-            DsmOp::Read { obj, .. } => self.shared.obs.note_access(*obj, AccessKind::Read),
-            DsmOp::Write { obj, .. } => self.shared.obs.note_access(*obj, AccessKind::Write),
-            DsmOp::AtomicFetchAdd { obj, .. } => {
-                self.shared.obs.note_access(*obj, AccessKind::Atomic)
-            }
-            _ => {}
-        }
-    }
-
-    fn record_wait(&mut self, label: &'static str, issued: Instant) {
-        let waited = u64::try_from(issued.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let e = self.waits.entry(label).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += waited;
-    }
-
-    /// Mail one op to the server and enqueue it in the in-flight window,
-    /// first making room if the window is full.
-    fn issue(&mut self, op: DsmOp, label: &'static str, claimed: bool, pipelined: bool) -> u64 {
-        while self.pending.len() >= MAX_INFLIGHT {
-            let (seq, l, c, r) = self.receive_one(label);
-            self.park_result(seq, l, c, r);
-        }
-        let class = op_class(&op);
-        let issue_wall = if self.tuning.telemetry.spans() { wall_us() } else { 0 };
-        if !self.to_server.submit(self.thread, op, pipelined) {
-            panic!("real-time kernel vanished while issuing '{label}'");
-        }
-        self.next_seq += 1;
-        let seq = self.next_seq;
-        self.pending.push_back(InFlight {
-            seq,
-            label,
-            issued: Instant::now(),
-            claimed,
-            class,
-            pipelined,
-            issue_wall,
-        });
-        seq
-    }
-
-    /// Block until op `seq` completes and return its result. Earlier
-    /// in-flight results received along the way are parked for their
-    /// tokens (or dropped if unit/unclaimed).
-    fn wait_seq(&mut self, seq: u64, wait_label: &'static str) -> OpResult {
-        if seq <= self.received_through {
-            return self.claim(seq);
-        }
-        loop {
-            let (s, label, claimed, r) = self.receive_one(wait_label);
-            if s == seq {
-                return r;
-            }
-            self.park_result(s, label, claimed, r);
-        }
-    }
-
-    /// Take one already-received result out of the claimable set (unit
-    /// results are never stored, so absence means unit).
-    fn claim(&mut self, seq: u64) -> OpResult {
-        match self.claimable.iter().position(|(s, _, _)| *s == seq) {
-            Some(i) => self.claimable.swap_remove(i).2,
-            None => OpResult::Unit,
-        }
-    }
-
-    /// File an out-of-order-received result: tokens redeem it later; unit
-    /// results vanish; an error nobody holds a claim on panics now rather
-    /// than getting lost.
-    fn park_result(&mut self, seq: u64, label: &'static str, claimed: bool, r: OpResult) {
-        match r {
-            OpResult::Unit => {}
-            OpResult::Err(e) if !claimed => panic!("asynchronous '{label}' failed: {e}"),
-            other => {
-                if claimed {
-                    self.claimable.push((seq, label, other));
-                }
-            }
-        }
-    }
-
-    /// Receive the oldest in-flight op's completion from the resume slot.
-    /// `wait_label` names the op the *caller* is blocked in, for
-    /// poison/teardown panics.
-    fn receive_one(&mut self, wait_label: &'static str) -> (u64, &'static str, bool, OpResult) {
-        let head = *self.pending.front().expect("receive with nothing in flight");
-        self.shared.blocked.fetch_add(1, Ordering::SeqCst);
-        let result = self.recv_result(wait_label, head.pipelined);
-        self.shared.blocked.fetch_sub(1, Ordering::SeqCst);
-        self.pending.pop_front();
-        self.received_through = head.seq;
-        // The single client-side completion point: every op's latency is
-        // recorded here, and the client half of its span when enabled.
-        if self.tuning.telemetry.enabled() {
-            let observed = u64::try_from(head.issued.elapsed().as_micros()).unwrap_or(u64::MAX);
-            self.shared.obs.record_op(self.thread, head.class, head.pipelined, observed);
-            if self.tuning.telemetry.spans() {
-                self.shared.obs.client_span(
-                    self.thread,
-                    head.seq,
-                    head.class,
-                    head.pipelined,
-                    head.issue_wall,
-                    wall_us(),
-                );
-            }
-        }
-        (head.seq, head.label, head.claimed, result)
-    }
-
-    /// One completion from the slot: a parked wait that wakes every
-    /// [`POISON_POLL`] to check the watchdog's flag. This is the *single*
-    /// wait path — blocking ops and token waits both end here, so neither
-    /// can miss poisoning.
-    ///
-    /// The port is flushed only when the thread is about to park: a
-    /// pipelined op's result that is already queued is taken without one,
-    /// so the ops issued meanwhile keep collecting until the slot runs dry
-    /// and then leave together. A blocking op is awaited right after its
-    /// issue, so it goes straight to the flush and the wait, with no
-    /// extra try on the slot.
-    fn recv_result(&mut self, wait_label: &'static str, pipelined: bool) -> OpResult {
-        if pipelined {
-            if let Ok(r) = self.slot.take_timeout(Duration::ZERO) {
-                return r;
-            }
-        }
+    /// Park for the next result: flush the port first, and wake every
+    /// [`POISON_POLL`] to check the watchdog's flag. Every wait ends here,
+    /// so none can miss poisoning.
+    fn park(&mut self, wait_label: &'static str) -> OpResult {
         self.to_server.flush();
-        loop {
+        self.shared.blocked.fetch_add(1, Ordering::SeqCst);
+        let result = loop {
             match self.slot.take_timeout(POISON_POLL) {
-                Ok(r) => return r,
+                Ok(r) => break r,
                 Err(TakeError::TimedOut) => {
                     if self.shared.is_poisoned() {
                         panic!(
@@ -473,75 +123,92 @@ impl RtCtx {
                     panic!("real-time kernel tore down while thread was blocked in '{wait_label}'")
                 }
             }
-        }
+        };
+        self.shared.blocked.fetch_sub(1, Ordering::SeqCst);
+        result
     }
+}
 
-    // ---- client-side write combining ------------------------------------
-
-    /// Fold a write into the combining buffer, or flush and restart it if
-    /// the write is not contiguous with what's buffered.
-    fn wc_absorb(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        if let Some(b) = &mut self.wc {
-            let bs = b.start as usize;
-            let be = bs + b.data.len();
-            let ns = start as usize;
-            let ne = ns + data.len();
-            let touches = b.obj == obj && ns <= be && ne >= bs;
-            if touches {
-                let merged_len = ne.max(be) - ns.min(bs);
-                if merged_len <= WC_MAX_BYTES {
-                    if ns == be {
-                        // Common case: strictly appending (stripe fills).
-                        b.data.extend_from_slice(&data);
-                    } else if ns >= bs && ne <= be {
-                        // Contained overwrite.
-                        b.data[ns - bs..ne - bs].copy_from_slice(&data);
-                    } else {
-                        // General overlap/extension: rebuild around both.
-                        let new_start = ns.min(bs);
-                        let mut merged = vec![0u8; merged_len];
-                        merged[bs - new_start..be - new_start].copy_from_slice(&b.data);
-                        merged[ns - new_start..ne - new_start].copy_from_slice(&data);
-                        b.start = new_start as u32;
-                        b.data = merged;
-                    }
-                    return;
-                }
-            }
+impl Port for RtPort {
+    /// Refuse new calls once the run is poisoned: on a distributed run a
+    /// lost peer poisons the world while threads whose ops still succeed
+    /// locally grind on, stretching teardown from milliseconds to the whole
+    /// remaining run. (The message prefix marks this as a teardown
+    /// consequence, not an application bug — see `drive_app_thread`.) Then
+    /// count the call, and note the access against its object for the
+    /// per-object telemetry (one branch when telemetry is off).
+    fn begin(&mut self, op: &DsmOp) {
+        if self.shared.is_poisoned() {
+            panic!("real-time kernel poisoned before '{}' was issued", op.label());
         }
-        self.flush_wc();
-        let oversized = data.len() >= WC_MAX_BYTES;
-        self.wc = Some(WcBuf { obj, start, data });
-        if oversized {
-            self.flush_wc();
-        }
-    }
-
-    /// Emit the combining buffer as one asynchronous write. Called by every
-    /// non-write op *before* it issues, so per-thread program order — and
-    /// with it read-your-writes — is preserved on the server's FIFO.
-    fn flush_wc(&mut self) {
-        let Some(b) = self.wc.take() else { return };
-        let range = ByteRange::new(b.start, b.data.len() as u32);
-        // Already counted in `shared.ops` once per app-level write when it
-        // was absorbed; the combined emission is fabric bookkeeping.
-        self.issue(DsmOp::Write { obj: b.obj, range, data: b.data }, "write", false, true);
-    }
-
-    fn compute_inner(&mut self, us: u64) {
-        if us == 0 || self.tuning.compute == ComputeMode::Skip {
+        self.shared.ops.fetch_add(1, Ordering::Relaxed);
+        if !self.tuning.telemetry.enabled() {
             return;
         }
-        // Going away for `us`: let queued async ops travel meanwhile.
-        self.to_server.flush();
-        std::thread::sleep(Duration::from_micros(us));
+        let (obj, kind) = match op {
+            DsmOp::Read { obj, .. } => (obj, AccessKind::Read),
+            DsmOp::Write { obj, .. } => (obj, AccessKind::Write),
+            DsmOp::AtomicFetchAdd { obj, .. } => (obj, AccessKind::Atomic),
+            _ => return,
+        };
+        self.shared.obs.note_access(*obj, kind);
+    }
+
+    fn submit(&mut self, op: DsmOp, pipelined: bool) {
+        let label = op.label();
+        self.submitted += 1;
+        let class = op_class(&op);
+        let wall = if self.tuning.telemetry.spans() { wall_us() } else { 0 };
+        if !self.to_server.submit(self.thread, op, pipelined) {
+            panic!("real-time kernel vanished while issuing '{label}'");
+        }
+        if self.tuning.telemetry.enabled() {
+            let seq = self.submitted;
+            self.issued.push_back(Issued { seq, class, pipelined, at: Instant::now(), wall });
+        }
+    }
+
+    /// The single client-side completion point: every op's latency is
+    /// recorded here, and the client half of its span when enabled. A
+    /// pipelined op's result already queued is taken without a flush, so
+    /// the ops issued meanwhile leave together once the slot runs dry; a
+    /// blocking op goes straight to the flush and the wait.
+    fn take(&mut self, pipelined: bool, wait_label: &'static str) -> OpResult {
+        let queued = pipelined.then(|| self.slot.take_timeout(Duration::ZERO).ok()).flatten();
+        let result = queued.unwrap_or_else(|| self.park(wait_label));
+        if let Some(op) = self.issued.pop_front() {
+            let observed = u64::try_from(op.at.elapsed().as_micros()).unwrap_or(u64::MAX);
+            let obs = &self.shared.obs;
+            obs.record_op(self.thread, op.class, op.pipelined, observed);
+            if self.tuning.telemetry.spans() {
+                obs.client_span(self.thread, op.seq, op.class, op.pipelined, op.wall, wall_us());
+            }
+        }
+        result
+    }
+
+    /// Modelled compute runs on the calling thread, never on the server:
+    /// that locality is what lets workers compute in parallel.
+    fn compute(&mut self, us: u64) -> bool {
+        if us > 0 && self.tuning.compute == ComputeMode::Sleep {
+            // Going away for `us`: let queued async ops travel meanwhile.
+            self.to_server.flush();
+            std::thread::sleep(Duration::from_micros(us));
+        }
+        true
+    }
+
+    fn now_us(&mut self) -> u64 {
+        self.shared.now_us()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use munin_types::BarrierId;
+    use munin_sim::client::WC_MAX_BYTES;
+    use munin_sim::{DsmThread, MAX_INFLIGHT};
+    use munin_types::{BarrierId, ByteRange, NodeId, ObjectId, TokenState};
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc::{channel, Receiver};
 
@@ -549,17 +216,9 @@ mod tests {
         let (op_tx, op_rx) = channel();
         let slot = Arc::new(ResumeSlot::new());
         let shared = Arc::new(Shared::new(Vec::new(), 1, munin_types::Telemetry::default()));
-        let ctx = RtCtx::new(
-            ThreadId(0),
-            NodeId(0),
-            1,
-            1,
-            Box::new(op_tx),
-            slot.clone(),
-            shared,
-            RtTuning::default(),
-        );
-        (ctx, op_rx, slot)
+        let port =
+            RtPort::new(ThreadId(0), Box::new(op_tx), slot.clone(), shared, RtTuning::default());
+        (RtCtx::new(port, ThreadId(0), NodeId(0), 1, 1), op_rx, slot)
     }
 
     /// A node that answers on flush: each op `submit` queued is completed
@@ -591,7 +250,7 @@ mod tests {
     fn flush_counting_ctx() -> (RtCtx, Arc<AtomicUsize>, Arc<ResumeSlot>) {
         let (mut ctx, _op_rx, slot) = lone_ctx();
         let flushes = Arc::new(AtomicUsize::new(0));
-        ctx.to_server = Box::new(AnswerOnFlush {
+        ctx.port_mut().to_server = Box::new(AnswerOnFlush {
             slot: slot.clone(),
             submitted: 0,
             answered: 0,
@@ -641,7 +300,7 @@ mod tests {
         let (mut ctx, _op_rx, _res) = lone_ctx();
         let state = ctx.op_async(DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 });
         assert!(matches!(state, TokenState::Pending(_)));
-        ctx.shared.poisoned.store(true, Ordering::Release);
+        ctx.port().shared.poisoned.store(true, Ordering::Release);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ctx.token_wait(state);
         }))
@@ -657,7 +316,7 @@ mod tests {
     #[test]
     fn poisoned_issue_refuses_async_ops() {
         let (mut ctx, _op_rx, _res) = lone_ctx();
-        ctx.shared.poisoned.store(true, Ordering::Release);
+        ctx.port().shared.poisoned.store(true, Ordering::Release);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ctx.op_async(DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 });
         }))
@@ -692,7 +351,7 @@ mod tests {
             panic!("expected the read")
         };
         // Ops counted per app-level call: 3 writes + 1 read.
-        assert_eq!(ctx.shared.ops.load(Ordering::Relaxed), 4);
+        assert_eq!(ctx.port().shared.ops.load(Ordering::Relaxed), 4);
     }
 
     /// Disjoint writes to the same object don't merge: the first is emitted
@@ -806,7 +465,7 @@ mod tests {
     fn blocked_drain_sees_poison() {
         let (mut ctx, _op_rx, _res) = lone_ctx();
         ctx.op_async(DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 });
-        ctx.shared.poisoned.store(true, Ordering::Release);
+        ctx.port().shared.poisoned.store(true, Ordering::Release);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ctx.drain_ops();
         }))
@@ -838,7 +497,7 @@ mod tests {
             msg.contains("real-time kernel tore down while thread was blocked in 'fetch-add'"),
             "unexpected panic: {msg}"
         );
-        assert!(!ctx.shared.is_poisoned(), "no watchdog was involved");
+        assert!(!ctx.port().shared.is_poisoned(), "no watchdog was involved");
     }
 
     /// Fail closed: an errored op whose token was never redeemed must not
@@ -867,10 +526,10 @@ mod tests {
         let add = DsmOp::AtomicFetchAdd { obj: ObjectId(0), offset: 0, delta: 1 };
         let tokens: Vec<TokenState> =
             (0..MAX_INFLIGHT).map(|_| ctx.op_async(add.clone())).collect();
-        assert_eq!(ctx.pending.len(), MAX_INFLIGHT);
         res.deliver(OpResult::Value(10));
         let last = ctx.op_async(add);
-        assert_eq!(ctx.pending.len(), MAX_INFLIGHT, "issue retired the oldest op to make room");
+        assert!(res.take_timeout(Duration::ZERO).is_err(), "issue retired the oldest op");
+        assert_eq!(op_rx.try_iter().count(), MAX_INFLIGHT + 1);
         // The first op completed out from under the window; its token
         // redeems from the claimable set without touching the slot.
         assert_eq!(ctx.token_wait(tokens[0]), 10);

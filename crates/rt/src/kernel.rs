@@ -6,7 +6,7 @@ use crate::fabric::{MsgBody, NodeEvent, Shared};
 use crate::timer::{self, TimerReq};
 use munin_net::PayloadInfo;
 use munin_obs::SrvSpan;
-use munin_sim::{KernelApi, OpResult, Registry, ResumeSlot};
+use munin_sim::{GateKernel, KernelApi, OpResult, Registry, ResumeSlot};
 use munin_types::{
     CostModel, LockId, NodeId, ObjectDecl, ObjectId, SharingType, ThreadId, VirtualTime,
 };
@@ -132,16 +132,24 @@ impl<L> WallKernel<L> {
             self.node.index()
         ));
     }
+}
 
-    /// Resume a thread: close the op's server span half and hand the
-    /// result to the link. The step's Done path calls this directly, since
-    /// it dispatches the thread's next queued op itself.
-    pub(crate) fn resume<P>(&mut self, thread: ThreadId, result: OpResult)
-    where
-        L: Link<P>,
-    {
+/// The op gate's side of the kernel. Modelled completion cost is a
+/// virtual-time concept: here the thread's real wait *is* the cost, so a
+/// finished op resumes at once.
+impl<L: Link<P>, P: PayloadInfo + Clone> GateKernel<P> for WallKernel<L> {
+    /// Close the op's server span half and hand the result to the link.
+    fn finish(&mut self, thread: ThreadId, result: OpResult, _cost_us: u64) -> bool {
         let span = self.shared.obs.srv_finish(thread);
         self.link.resume(thread, result, span);
+        true
+    }
+
+    /// Gate dispatch *is* the protocol server's handle instant: the span's
+    /// dispatch timestamp and its server half open here; `finish` closes
+    /// them, whichever path ends the op.
+    fn dispatching(&mut self, thread: ThreadId) {
+        self.shared.obs.srv_dispatch(thread);
     }
 }
 
@@ -180,11 +188,8 @@ impl<L: Link<P>, P: PayloadInfo + Clone> KernelApi<P> for WallKernel<L> {
         self.link.flush();
     }
 
-    fn complete(&mut self, thread: ThreadId, result: OpResult, _extra_cost_us: u64) {
-        // Modelled completion cost is a virtual-time concept; here the
-        // thread's real wait *is* the cost, so resume at once. Record the
-        // thread so the op gate can dispatch what queued behind the op.
-        self.resume(thread, result);
+    fn complete(&mut self, thread: ThreadId, result: OpResult, extra_cost_us: u64) {
+        self.finish(thread, result, extra_cost_us);
         self.completions.push(thread);
     }
 

@@ -1,36 +1,30 @@
 //! One node's protocol step, shared by every wall-clock fabric.
 //!
 //! A [`NodeStep`] is a node's `{server, kernel, op gate}`, its kernel the
-//! one [`WallKernel`] over the fabric's [`crate::Link`]. Its one entry
-//! point, [`NodeStep::step`], handles a run of [`NodeEvent`]s in order
-//! (dispatch through the gate / `on_message` / `on_timer` / state dump),
-//! settles the completions each event caused, and ends by flushing what the
-//! kernel queued outbound, under a single activity-epoch bump. The one
-//! step that skips the flush is a TCP node-0 thread's pipelined op
-//! ([`NodeStep::step_unflushed`]): its frames wait in the link until the
-//! thread is about to park, or until any later step of the node flushes,
-//! so a window of them leaves in one socket write. The fabrics differ,
-//! above the link, only in *which thread* calls it:
+//! one [`WallKernel`] over the fabric's [`crate::Link`]. [`NodeStep::step`]
+//! handles a run of [`NodeEvent`]s in order under one activity-epoch bump,
+//! settles the completions each caused through the gate, and flushes what
+//! the kernel queued outbound. A TCP node-0 thread's pipelined op skips the
+//! flush ([`NodeStep::step_unflushed`]), so a window of its frames leaves
+//! in one socket write. The fabrics differ only in *which thread* steps:
 //!
 //! * the in-process channel fabric runs it on one server thread per node
-//!   ([`server_loop`]: a blocking `recv`, then `try_recv`s up to
+//!   (`server_loop`: a blocking `recv`, then `try_recv`s up to
 //!   `BATCH_MAX` events in all, is one step);
 //! * the TCP fabric (`munin-tcp`) keeps the step behind a mutex and runs it
 //!   on whichever thread already holds the event: the data-stream reader
 //!   that decoded the frames, the coordinator-hosted application thread
 //!   issuing an op on node 0, the timer thread. See `munin_tcp::node`.
 //!
-//! Either way the protocol server sees one event at a time and, through the
-//! op gate, one outstanding op per thread, the concurrency model it was
-//! written for; only ops the server declares ordered through one peer
-//! ([`Server::ordered_peer`]) overlap.
+//! Either way the server sees one event at a time and, through the
+//! simulator's op gate ([`munin_sim::OpGate`]), one op per thread at a time
+//! but for ops ordered through one peer ([`Server::ordered_peer`]).
 
 use crate::fabric::{MsgBody, NodeEvent};
 use crate::kernel::{Link, WallKernel};
 use munin_net::PayloadInfo;
-use munin_sim::{panic_message, DsmOp, KernelApi, OpOutcome, Server};
-use munin_types::{NodeId, ThreadId};
-use std::collections::VecDeque;
+use munin_sim::{panic_message, KernelApi, OpGate, Server};
+use munin_types::NodeId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -40,63 +34,6 @@ use std::time::Duration;
 /// processes under a single activity-epoch bump) before flushing its
 /// outbound batches and re-checking the channel.
 const BATCH_MAX: usize = 128;
-
-/// The per-thread op gate. The protocol servers were written for one
-/// outstanding op per thread (their pending structures are keyed by
-/// thread), so pipelining is a *fabric* property: clients may have K ops in
-/// flight, and the step feeds the server a thread's ops one at a time,
-/// queueing the rest here. The one exception is an op whose
-/// [`Server::ordered_peer`] names a peer: such ops complete in issue order
-/// through that peer's replies, so while a thread's in-flight ops all wait
-/// on one peer, its next op to the same peer goes in too. Either way
-/// completions are per-thread FIFO, which is what lets the client match
-/// results to tokens with a plain sequence counter.
-#[derive(Default)]
-struct OpGate {
-    threads: Vec<GateSlot>,
-}
-
-#[derive(Default)]
-struct GateSlot {
-    /// Ops waiting behind the thread's in-flight ops, oldest first.
-    queued: VecDeque<DsmOp>,
-    /// Ops inside the server that haven't completed yet.
-    inflight: u32,
-    /// The peer every in-flight op completes through, when they are
-    /// ordered-peer ops (`None` while `inflight` is 0).
-    peer: Option<NodeId>,
-}
-
-impl OpGate {
-    fn slot(&mut self, t: ThreadId) -> &mut GateSlot {
-        let i = t.index();
-        if i >= self.threads.len() {
-            self.threads.resize_with(i + 1, Default::default);
-        }
-        &mut self.threads[i]
-    }
-
-    /// A Blocked dispatch put one more of `t`'s ops inside the server.
-    fn admit(&mut self, t: ThreadId, peer: Option<NodeId>) {
-        let s = self.slot(t);
-        debug_assert!(s.inflight == 0 || (peer.is_some() && s.peer == peer));
-        s.inflight += 1;
-        s.peer = peer;
-    }
-
-    /// One of `t`'s blocked ops completed; once none is left, hand back the
-    /// thread's next queued op, if any.
-    fn complete(&mut self, t: ThreadId) -> Option<DsmOp> {
-        let s = self.slot(t);
-        debug_assert!(s.inflight > 0, "completion for {t:?} with no op in flight");
-        s.inflight = s.inflight.saturating_sub(1);
-        if s.inflight > 0 {
-            return None;
-        }
-        s.peer = None;
-        s.queued.pop_front()
-    }
-}
 
 /// One node's protocol state and the step that advances it. Not `Sync` by
 /// itself: exactly one thread at a time may call [`NodeStep::step`] — the
@@ -150,19 +87,7 @@ where
     fn handle(&mut self, ev: NodeEvent<S::Payload>) -> bool {
         match ev {
             NodeEvent::Op(thread, op) => {
-                // Admit at once when nothing is in flight, or when the op
-                // joins in-flight ops to the same ordered peer and nothing
-                // queued ahead of it.
-                let slot = self.gate.slot(thread);
-                let admit = slot.inflight == 0
-                    || (slot.queued.is_empty()
-                        && slot.peer.is_some()
-                        && self.server.ordered_peer(&self.kernel, &op) == slot.peer);
-                if admit {
-                    self.dispatch(thread, op);
-                } else {
-                    slot.queued.push_back(op);
-                }
+                self.gate.offer(&mut self.server, &mut self.kernel, thread, op)
             }
             NodeEvent::Msg(from, body) => self.on_message(from, body),
             // One channel op from one peer step; per-(src,dst) FIFO is the
@@ -178,58 +103,15 @@ where
             }
             NodeEvent::Shutdown => return false,
         }
-        // Settle: any event (a Done op, a protocol message, a timer) can
-        // complete other threads' blocked ops; reopen their gates and
-        // dispatch what queued behind them — repeatedly, since a dispatched
-        // op can itself complete further threads.
+        // Settle: any event can complete blocked ops of this node's
+        // threads, and the ops that dispatches can complete more.
         loop {
             let completed = self.kernel.take_completions();
             if completed.is_empty() {
                 return true;
             }
             for t in completed {
-                if let Some(op) = self.gate.complete(t) {
-                    self.dispatch(t, op);
-                }
-            }
-        }
-    }
-
-    /// Feed one thread's op to the server, then keep feeding that thread's
-    /// queue while ops complete synchronously, or while they block on the
-    /// same ordered peer as the op before them. Any other Blocked outcome
-    /// closes the thread's gate until the protocol calls `complete`.
-    fn dispatch(&mut self, thread: ThreadId, first: DsmOp) {
-        let mut next = Some(first);
-        while let Some(op) = next {
-            let peer = self.server.ordered_peer(&self.kernel, &op);
-            // Gate dispatch *is* the protocol server's handle instant: the
-            // span's dispatch timestamp and its server half open here. The
-            // matching `srv_finish` happens inside the kernel's resume /
-            // complete paths (whichever ends this op).
-            self.kernel.shared().obs.srv_dispatch(thread);
-            match self.server.on_op(&mut self.kernel, thread, op) {
-                OpOutcome::Done { result, cost_us: _ } => {
-                    // A Done op with a peer could overtake the in-flight
-                    // ops it was admitted behind.
-                    debug_assert!(peer.is_none(), "ordered-peer op completed synchronously");
-                    self.kernel.resume(thread, result);
-                    let slot = self.gate.slot(thread);
-                    next = if slot.inflight == 0 { slot.queued.pop_front() } else { None };
-                }
-                OpOutcome::Blocked => {
-                    self.gate.admit(thread, peer);
-                    let queued = &mut self.gate.threads[thread.index()].queued;
-                    next = match queued.front() {
-                        Some(front)
-                            if peer.is_some()
-                                && self.server.ordered_peer(&self.kernel, front) == peer =>
-                        {
-                            queued.pop_front()
-                        }
-                        _ => None,
-                    };
-                }
+                self.gate.complete(&mut self.server, &mut self.kernel, t);
             }
         }
     }
@@ -302,8 +184,8 @@ mod tests {
     use crate::fabric::Shared;
     use munin_net::MsgClass;
     use munin_obs::SrvSpan;
-    use munin_sim::OpResult;
-    use munin_types::{ByteRange, CostModel, ObjectId, Telemetry};
+    use munin_sim::{DsmOp, OpOutcome, OpResult};
+    use munin_types::{ByteRange, CostModel, ObjectId, Telemetry, ThreadId};
     use std::sync::mpsc::channel;
     use std::sync::Arc;
 

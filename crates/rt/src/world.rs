@@ -7,7 +7,7 @@
 //! thread per node, a timer thread; [`run`]) and by `munin-tcp`'s process
 //! fabric.
 
-use crate::ctx::{OpPort, RtCtx};
+use crate::ctx::{OpPort, RtCtx, RtPort};
 use crate::fabric::{NodeEvent, Shared};
 use crate::kernel::{ChanLink, WallKernel};
 use crate::serve::server_loop;
@@ -35,11 +35,8 @@ pub enum ComputeMode {
     Skip,
 }
 
-/// What a real-time run lets its caller choose. Everything else about the
-/// client path is fixed: a thread keeps up to [`crate::MAX_INFLIGHT`] ops
-/// in flight, adjacent writes are always combined client-side, a waiter
-/// always parks on its resume slot, and a server step drains a bounded
-/// batch of inbox events and coalesces its sends per destination.
+/// What a real-time run lets its caller choose. Nothing else about the
+/// client path ([`munin_sim::Client`]) or the server step is a knob.
 #[derive(Debug, Clone)]
 pub struct RtTuning {
     pub compute: ComputeMode,
@@ -151,9 +148,8 @@ pub fn run_on<F: WallFabric>(
     let (running, all_done) = channel::<()>();
     let mut apps = Vec::with_capacity(n_threads);
     for ((tid, node, body), slot) in desc.into_threads().zip(slots) {
-        let port = fabric.port(node);
-        let ctx =
-            RtCtx::new(tid, node, n_nodes, n_threads, port, slot, shared.clone(), tuning.clone());
+        let port = RtPort::new(tid, fabric.port(node), slot, shared.clone(), tuning.clone());
+        let ctx = RtCtx::new(port, tid, node, n_nodes, n_threads);
         let running = running.clone();
         apps.push(
             std::thread::Builder::new()
@@ -184,6 +180,7 @@ pub fn run_on<F: WallFabric>(
         wall: Some(WallClock { elapsed, workers: n_threads, nodes: n_nodes }),
         dumps: shared.take_dumps(),
         metrics,
+        pipelined_faults: 0,
     }
 }
 
@@ -192,8 +189,8 @@ pub fn run_on<F: WallFabric>(
 /// thread's wait table.
 fn drive_app_thread(mut ctx: RtCtx, body: ThreadBody) -> WaitTable {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let shared = ctx.shared.clone();
-    let tid = ctx.thread;
+    let shared = ctx.port().shared.clone();
+    let tid = ctx.thread_id();
     match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
         Ok(()) => {
             // Graceful exit is itself a synchronization point (flushes the
@@ -212,7 +209,7 @@ fn drive_app_thread(mut ctx: RtCtx, body: ThreadBody) -> WaitTable {
         }
     }
     shared.live.fetch_sub(1, Ordering::SeqCst);
-    ctx.waits
+    ctx.into_waits()
 }
 
 /// The stall watchdog of every wall-clock run, with the SIGUSR1 dump
@@ -559,10 +556,9 @@ mod tests {
         }
     }
 
-    /// The wrappers are written once, so both thread contexts send their
-    /// node the same op for each call. The one difference is the rt
-    /// context's write combining: the contiguous `write` + `write_raw`
-    /// pair leaves it as one write.
+    /// The wrappers and the client path are written once, so both thread
+    /// contexts send their node the same ops, the contiguous `write` +
+    /// `write_raw` pair combined into one write on both.
     #[test]
     fn simulator_and_rt_contexts_send_the_same_ops() {
         let sim_ops = Arc::new(Mutex::new(Vec::new()));
@@ -577,34 +573,22 @@ mod tests {
 
         let rt_ops = Arc::new(Mutex::new(Vec::new()));
         let resume = Arc::new(ResumeSlot::new());
-        let mut ctx = RtCtx::new(
+        let port = RtPort::new(
             ThreadId(0),
-            NodeId(0),
-            1,
-            1,
             Box::new(RecordingPort { ops: rt_ops.clone(), resume: resume.clone() }),
             resume,
             Arc::new(Shared::new(Vec::new(), 1, Telemetry::default())),
             RtTuning::default(),
         );
+        let mut ctx = RtCtx::new(port, ThreadId(0), NodeId(0), 1, 1);
         call_every_wrapper(&mut ctx);
         let rt_ops = std::mem::take(&mut *rt_ops.lock().unwrap());
 
-        let first_write = sim_ops.iter().position(|op| matches!(op, DsmOp::Write { .. })).unwrap();
-        let write = |start, data: Vec<u8>| DsmOp::Write {
-            obj: OBJ,
-            range: ByteRange::new(start, data.len() as u32),
-            data,
-        };
-        assert_eq!(
-            sim_ops[first_write..first_write + 2],
-            [write(0, vec![1, 2]), write(2, vec![3])]
-        );
-        let mut want_rt = sim_ops.clone();
-        want_rt.splice(first_write..first_write + 2, [write(0, vec![1, 2, 3])]);
-        assert_eq!(rt_ops, want_rt);
+        assert_eq!(rt_ops, sim_ops);
+        let combined = DsmOp::Write { obj: OBJ, range: ByteRange::new(0, 3), data: vec![1, 2, 3] };
+        assert!(sim_ops.contains(&combined), "{sim_ops:?}");
         // One op per wrapper that reaches a node: all but compute and
-        // drain_ops.
-        assert_eq!(sim_ops.len(), WRAPPERS.len() - 2);
+        // drain_ops, and the two writes leave as one.
+        assert_eq!(sim_ops.len(), WRAPPERS.len() - 3);
     }
 }

@@ -146,9 +146,9 @@ impl OpResult {
 /// [`DsmOp`] and how its [`OpResult`] is unwrapped.
 ///
 /// A context supplies [`DsmThread::op`] and its identity; the wrappers are
-/// provided. By default an op completes inline, which is right for the
-/// simulator and for native threads. A fabric that keeps ops in flight
-/// (the wall-clock ones) overrides the three pipelining hooks,
+/// provided. By default an op completes inline, which is right for native
+/// threads. Every fabric keeps ops in flight through the one
+/// [`crate::Client`], which overrides the three pipelining hooks,
 /// [`DsmThread::op_async`], [`DsmThread::token_wait`] and
 /// [`DsmThread::drain_ops`]. A context whose memory is directly addressable
 /// (native threads) overrides the byte-level wrappers instead, so that
@@ -317,7 +317,7 @@ pub enum OpOutcome {
     /// time with `result`.
     Done { result: OpResult, cost_us: u64 },
     /// The op needs remote interaction (or must wait for a lock/barrier);
-    /// the server will call [`crate::Kernel::complete`] later.
+    /// the server will call [`crate::KernelApi::complete`] later.
     Blocked,
 }
 

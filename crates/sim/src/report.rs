@@ -60,6 +60,9 @@ pub struct RunReport {
     /// does not record telemetry (the virtual-time simulator, or a
     /// wall-clock run with `Telemetry::Off`).
     pub metrics: Option<munin_obs::MetricsSnapshot>,
+    /// Injected faults (dropped transmissions) that landed while some
+    /// thread had two or more ops in flight (simulator only).
+    pub pipelined_faults: u64,
 }
 
 impl RunReport {
@@ -112,6 +115,7 @@ mod tests {
             wall: None,
             dumps: Vec::new(),
             metrics: None,
+            pipelined_faults: 0,
         };
         assert_eq!(r.total_wait_us("read"), 350);
         assert_eq!(r.total_ops("read"), 4);
@@ -133,6 +137,7 @@ mod tests {
             wall: None,
             dumps: Vec::new(),
             metrics: None,
+            pipelined_faults: 0,
         };
         r.assert_clean();
     }

@@ -1,21 +1,21 @@
 //! The application-thread side of the simulation.
 //!
-//! Application code receives a [`ThreadCtx`] and performs blocking DSM
-//! operations on it. There is no event-loop thread: the world state is a
-//! [`Baton`] that exactly one application thread holds at a time. An
-//! operation takes the baton, dispatches itself and runs the event queue on
-//! the calling thread until an event resumes some thread. If that is the
-//! caller, the operation returns without a thread switch; otherwise the
-//! caller queues the result in that thread's [`ResumeSlot`], releases the
-//! baton, and only then wakes that thread and parks until an event resumes
-//! it in turn (a thread woken under the baton would block on it at once).
-//! Exactly one application thread executes at any wall-clock moment, which
-//! is what makes runs deterministic.
+//! Application code receives a [`ThreadCtx`]: the one [`Client`] over the
+//! simulator's [`SimPort`]. The world state is a `Baton` that one
+//! application thread holds at a time. A submitted op is dispatched through
+//! the world's op gate under the baton, and the thread runs on at the same
+//! virtual instant. To take a result, it runs the event queue until an
+//! event resumes some thread: itself, or another one, whose result it
+//! queues in that thread's [`ResumeSlot`] before it releases the baton,
+//! wakes that thread and parks. Exactly one application thread executes
+//! at any moment, which is what makes runs deterministic.
 
+use crate::client::{Client, Port};
 use crate::desc::ThreadBody;
 use crate::op::{DsmOp, DsmThread, OpResult};
+use crate::report::WaitTable;
 use crate::resume::ResumeSlot;
-use munin_types::{NodeId, ThreadId};
+use munin_types::ThreadId;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -23,70 +23,81 @@ use std::sync::Arc;
 /// The world state as a thread sees it: each call holds the baton until it
 /// returns.
 pub(crate) trait Baton: Send + Sync {
-    /// Dispatch `op` for `thread`, then run events until one resumes a
-    /// thread: `Some(result)` if that is `thread` itself, `None` if `thread`
-    /// must park on its resume slot.
-    fn op(&self, thread: ThreadId, op: DsmOp) -> Option<OpResult>;
+    /// `thread` began an application call: count and trace it.
+    fn begin(&self, thread: ThreadId, op: &DsmOp);
+    /// Dispatch `op` for `thread` through the op gate. `false` means a
+    /// protocol handler panicked: the world is ending.
+    fn submit(&self, thread: ThreadId, op: DsmOp) -> bool;
+    /// Run events until one resumes a thread: `Some(result)` if that is
+    /// `thread` itself, `None` if `thread` must park on its resume slot.
+    /// `label` names the call it is blocked in, for a deadlock report.
+    fn wait(&self, thread: ThreadId, label: &'static str) -> Option<OpResult>;
+    /// The virtual clock, in µs.
+    fn now(&self) -> u64;
     /// `thread`'s body returned (`None`) or panicked (`Some(msg)`): retire
     /// it and pass the baton on.
     fn exit(&self, thread: ThreadId, panic: Option<String>);
 }
 
 /// The payload a parked thread unwinds with when the world tears down
-/// (deadlock, handler panic); [`ThreadCtx::run`] swallows it silently.
+/// (deadlock, handler panic); [`ThreadCtx`]'s run swallows it silently.
 struct TornDown;
 
-/// Handle through which application code talks to the simulated DSM.
-pub struct ThreadCtx {
+/// The simulator's [`Port`]: the world's baton, and the slot this thread
+/// parks on.
+pub struct SimPort {
     pub(crate) thread: ThreadId,
-    pub(crate) node: NodeId,
-    pub(crate) n_nodes: usize,
-    pub(crate) n_threads: usize,
     pub(crate) baton: Arc<dyn Baton>,
     pub(crate) slot: Arc<ResumeSlot>,
+    /// The virtual time this thread last resumed at: nothing advances the
+    /// clock while it runs.
+    pub(crate) now: u64,
 }
 
-impl DsmThread for ThreadCtx {
-    /// Issue a raw operation and block until it completes.
-    ///
-    /// If the world tears down while this thread is blocked, it unwinds
-    /// with a private payload that its wrapper swallows: the run reports
-    /// the deadlock once, not once per blocked thread.
-    fn op(&mut self, op: DsmOp) -> OpResult {
-        match self.baton.op(self.thread, op) {
-            Some(result) => result,
-            None => self.park(),
+/// Handle through which application code talks to the simulated DSM.
+pub type ThreadCtx = Client<SimPort>;
+
+impl SimPort {
+    /// Wait until an event resumes this thread. If the world tears down
+    /// meanwhile, unwind with a private payload that the thread's run
+    /// swallows: the run reports the deadlock once, not once per blocked
+    /// thread.
+    fn park(&mut self) -> OpResult {
+        self.slot.take().unwrap_or_else(|_| resume_unwind(Box::new(TornDown)))
+    }
+}
+
+impl Port for SimPort {
+    fn begin(&mut self, op: &DsmOp) {
+        self.baton.begin(self.thread, op);
+    }
+
+    fn submit(&mut self, op: DsmOp, _pipelined: bool) {
+        if !self.baton.submit(self.thread, op) {
+            self.park();
         }
     }
 
-    fn thread_id(&self) -> ThreadId {
-        self.thread
+    fn take(&mut self, _pipelined: bool, wait_label: &'static str) -> OpResult {
+        let result = match self.baton.wait(self.thread, wait_label) {
+            Some(result) => result,
+            None => self.park(),
+        };
+        self.now = self.baton.now();
+        result
     }
 
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    fn n_threads(&self) -> usize {
-        self.n_threads
+    fn now_us(&mut self) -> u64 {
+        self.now
     }
 }
 
 impl ThreadCtx {
-    /// Wait until an event resumes this thread.
-    fn park(&self) -> OpResult {
-        self.slot.take().unwrap_or_else(|_| resume_unwind(Box::new(TornDown)))
-    }
-
     /// A simulated thread's whole life: wait for the t=0 resume, run `body`,
-    /// exit, and report a panic as a run error.
-    pub(crate) fn run(mut self, body: ThreadBody) {
+    /// exit, and report a panic as a run error. Returns its wait table.
+    pub(crate) fn run(mut self, body: ThreadBody) -> WaitTable {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            self.park();
+            self.port_mut().park();
             body(&mut self);
             // Graceful exit is itself a synchronization point (flushes the
             // delayed update queue).
@@ -94,10 +105,11 @@ impl ThreadCtx {
         }));
         let panic = match result {
             Ok(()) => None,
-            Err(p) if p.is::<TornDown>() => return,
+            Err(p) if p.is::<TornDown>() => return self.into_waits(),
             Err(p) => Some(panic_message(&*p)),
         };
-        self.baton.exit(self.thread, panic);
+        self.port().baton.exit(self.thread_id(), panic);
+        self.into_waits()
     }
 }
 
@@ -116,37 +128,43 @@ mod tests {
     // down the request encoding of the convenience wrappers via a fake
     // baton that records each dispatched op and completes it at once.
     use super::*;
-    use munin_types::{ByteRange, ObjectId};
+    use munin_types::{ByteRange, NodeId, ObjectId};
     use std::sync::Mutex;
 
     #[derive(Default)]
     struct FakeBaton(Mutex<Vec<(ThreadId, DsmOp)>>);
 
     impl Baton for FakeBaton {
-        fn op(&self, thread: ThreadId, op: DsmOp) -> Option<OpResult> {
+        fn begin(&self, _thread: ThreadId, _op: &DsmOp) {}
+        fn submit(&self, thread: ThreadId, op: DsmOp) -> bool {
             self.0.lock().unwrap().push((thread, op));
+            true
+        }
+        fn wait(&self, _thread: ThreadId, _label: &'static str) -> Option<OpResult> {
             Some(OpResult::Unit)
+        }
+        fn now(&self) -> u64 {
+            0
         }
         fn exit(&self, _thread: ThreadId, _panic: Option<String>) {}
     }
 
     fn fake_ctx() -> (ThreadCtx, Arc<FakeBaton>) {
         let baton = Arc::new(FakeBaton::default());
-        let ctx = ThreadCtx {
+        let port = SimPort {
             thread: ThreadId(3),
-            node: NodeId(1),
-            n_nodes: 4,
-            n_threads: 8,
             baton: baton.clone(),
             slot: Arc::new(ResumeSlot::new()),
+            now: 0,
         };
-        (ctx, baton)
+        (Client::new(port, ThreadId(3), NodeId(1), 4, 8), baton)
     }
 
     #[test]
     fn write_encodes_range_from_data_len() {
         let (mut ctx, baton) = fake_ctx();
         ctx.write(ObjectId(5), 8, vec![1, 2, 3]);
+        ctx.drain_ops();
         let ops = baton.0.lock().unwrap();
         match &ops[..] {
             [(ThreadId(3), DsmOp::Write { obj, range, data })] => {

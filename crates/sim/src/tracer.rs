@@ -1,8 +1,8 @@
 //! Tracing hooks.
 //!
 //! The sharing study (paper §2) needs a per-access record of who touched
-//! what, when, and how; the kernel emits one [`TraceEvent`] per operation
-//! issue/completion and per message. The default tracer is a no-op with zero
+//! what, when, and how; the kernel emits one [`TraceEvent`] per application
+//! call and per message. The default tracer is a no-op with zero
 //! allocation on the hot path.
 
 use crate::op::DsmOp;
@@ -12,17 +12,9 @@ use munin_types::{NodeId, ThreadId, VirtualTime};
 /// One observable event inside the kernel.
 #[derive(Debug, Clone)]
 pub enum TraceEvent<'a> {
-    /// A thread issued an operation.
+    /// A thread made an application call (a combined write is traced as
+    /// the calls it was made of).
     OpIssued { at: VirtualTime, thread: ThreadId, node: NodeId, op: &'a DsmOp },
-    /// A previously issued operation completed (the thread is being resumed).
-    /// `waited_us` is virtual time between issue and resume.
-    OpCompleted {
-        at: VirtualTime,
-        thread: ThreadId,
-        node: NodeId,
-        label: &'static str,
-        waited_us: u64,
-    },
     /// A message was placed on the wire.
     MessageSent {
         at: VirtualTime,

@@ -3,20 +3,22 @@
 //!
 //! One [`World`] = one distributed system: `n` nodes, each hosting one
 //! protocol server and any number of application threads. The world owns a
-//! virtual clock and an event queue; application threads are real OS threads
-//! but exactly one executes at a time. There is no loop thread: the world
-//! state is a baton, and the thread holding it pops events until one resumes
-//! a thread, then hands the baton to that thread. The run — message counts,
-//! interleavings, traces — is a deterministic function of (program,
-//! configuration, seed).
+//! virtual clock, an event queue and the op gate its threads' ops pass;
+//! application threads are real OS threads but exactly one executes at a
+//! time. There is no loop thread: the world state is a baton, and the
+//! thread holding it pops events until one resumes a thread, then hands the
+//! baton to that thread. The run — message counts, interleavings, traces —
+//! is a deterministic function of (program, configuration, seed).
 
+use crate::client::Client;
 use crate::desc::{ThreadBody, WorldDesc};
 use crate::event::{EventKind, EventQueue};
+use crate::gate::{GateKernel, OpGate};
 use crate::kernel::{KernelApi, Registry};
-use crate::op::{DsmOp, OpOutcome, OpResult};
-use crate::report::{RunReport, WaitTable};
+use crate::op::{DsmOp, DsmThread, OpOutcome, OpResult};
+use crate::report::RunReport;
 use crate::resume::ResumeSlot;
-use crate::thread::{Baton, ThreadCtx};
+use crate::thread::{Baton, SimPort, ThreadCtx};
 use crate::tracer::{TraceEvent, Tracer};
 use crate::transport::{Transport, TransportConfig, Wire};
 use crossbeam_channel::{unbounded, Receiver, Sender};
@@ -54,8 +56,9 @@ pub trait Server: Send {
     );
 
     /// The peer an op of this kind completes through, when ops to that peer
-    /// complete in issue order; the wall-clock op gate then lets several of
-    /// one thread's ops to that peer be inside the server at once.
+    /// complete in issue order; the op gate ([`crate::OpGate`]) then lets
+    /// several of one thread's ops to that peer be inside the server at
+    /// once, on every fabric.
     ///
     /// `Some(p)` is a promise, for this `op` at this moment:
     /// * [`Server::on_op`] returns [`OpOutcome::Blocked`] after sending
@@ -66,7 +69,6 @@ pub trait Server: Send {
     /// * the server keeps no per-thread state for the op.
     ///
     /// The default, `None`, keeps a thread's ops strictly one at a time.
-    /// The simulator never asks (it runs one op per thread by construction).
     fn ordered_peer(
         &mut self,
         _kernel: &dyn KernelApi<Self::Payload>,
@@ -88,9 +90,13 @@ struct ThreadRec {
     node: NodeId,
     slot: Arc<ResumeSlot>,
     done: bool,
-    /// (issue time, op label) of the operation currently awaiting completion.
-    pending: Option<(VirtualTime, &'static str)>,
-    waits: WaitTable,
+    /// The call the thread last waited in, for a deadlock report.
+    blocked_in: Option<&'static str>,
+    /// When the thread's latest scheduled resume fires: a later op of the
+    /// thread never resumes before it, whatever its own cost.
+    last_resume: VirtualTime,
+    /// Ops submitted whose result has not reached the thread yet.
+    in_flight: u32,
 }
 
 /// Kernel services available to servers while they handle ops, messages and
@@ -106,6 +112,10 @@ pub struct Kernel<P: PayloadInfo + Clone> {
     tracer: Box<dyn Tracer>,
     ops: u64,
     errors: Vec<String>,
+    /// Dropped transmissions seen so far, and how many of them dropped
+    /// while some thread had two or more ops in flight.
+    seen_drops: u64,
+    pipelined_faults: u64,
     /// Protocol-state coverage recorder, when the run is instrumented
     /// (campaign explore mode attaches one through the world description).
     coverage: Option<std::sync::Arc<munin_obs::CoverageMap>>,
@@ -160,11 +170,7 @@ impl<P: PayloadInfo + Clone> KernelApi<P> for Kernel<P> {
 
     /// The thread resumes `extra_cost_us` of virtual time from now.
     fn complete(&mut self, thread: ThreadId, result: OpResult, extra_cost_us: u64) {
-        debug_assert!(
-            !self.threads[thread.index()].done,
-            "completing an op for exited thread {thread}"
-        );
-        self.events.push(self.now + extra_cost_us, EventKind::ThreadResume { thread, result });
+        self.finish(thread, result, extra_cost_us);
     }
 
     fn set_timer(&mut self, node: NodeId, delay_us: u64, token: u64) {
@@ -203,6 +209,32 @@ impl<P: PayloadInfo + Clone> KernelApi<P> for Kernel<P> {
     }
 }
 
+/// An op is over when its result reaches the thread, so the modelled costs
+/// of one thread's ops add up, as its one server would spend them.
+impl<P: PayloadInfo + Clone> GateKernel<P> for Kernel<P> {
+    /// Never before the thread's previous op: results reach it in order.
+    fn finish(&mut self, thread: ThreadId, result: OpResult, cost_us: u64) -> bool {
+        let rec = &mut self.threads[thread.index()];
+        let at = (self.now + cost_us).max(rec.last_resume);
+        rec.last_resume = at;
+        self.events.push(at, EventKind::ThreadResume { thread, result });
+        false
+    }
+}
+
+impl<P: PayloadInfo + Clone> Kernel<P> {
+    /// Count the transmissions dropped since the last call if some thread
+    /// has two or more ops in flight. Called after every event and
+    /// dispatch: the in-flight counts change only between them.
+    fn note_drops(&mut self) {
+        let dropped = self.stats_ext.dropped;
+        if dropped > self.seen_drops && self.threads.iter().any(|t| t.in_flight >= 2) {
+            self.pipelined_faults += dropped - self.seen_drops;
+        }
+        self.seen_drops = dropped;
+    }
+}
+
 /// A fully built distributed system, ready to run.
 pub struct World<S: Server> {
     sim: Arc<Mutex<Sim<S>>>,
@@ -218,6 +250,7 @@ type HandlerPanic = Box<dyn Any + Send>;
 struct Sim<S: Server> {
     kernel: Kernel<S::Payload>,
     servers: Vec<S>,
+    gate: OpGate,
     /// Set when `World::run` tears the world down. A body that caught the
     /// teardown unwind and then exits must not touch the report.
     torn_down: bool,
@@ -259,12 +292,31 @@ impl Handoff {
 }
 
 impl<S: Server> Baton for Mutex<Sim<S>> {
-    fn op(&self, thread: ThreadId, op: DsmOp) -> Option<OpResult> {
+    fn begin(&self, thread: ThreadId, op: &DsmOp) {
+        let kernel = &mut take(self).kernel;
+        kernel.ops += 1;
+        let node = kernel.threads[thread.index()].node;
+        kernel.tracer.record(TraceEvent::OpIssued { at: kernel.now, thread, node, op });
+    }
+
+    fn submit(&self, thread: ThreadId, op: DsmOp) -> bool {
+        let alive = take(self).guarded(|sim| {
+            sim.submit(thread, op);
+            Handoff::Nobody
+        });
+        alive.is_some()
+    }
+
+    fn wait(&self, thread: ThreadId, label: &'static str) -> Option<OpResult> {
         let handoff = take(self).guarded(|sim| {
-            sim.dispatch_op(thread, op);
+            sim.kernel.threads[thread.index()].blocked_in = Some(label);
             sim.run_events(Some(thread))
         });
-        handoff.finish()
+        handoff.and_then(Handoff::finish)
+    }
+
+    fn now(&self) -> u64 {
+        take(self).kernel.now.as_micros()
     }
 
     fn exit(&self, thread: ThreadId, panic: Option<String>) {
@@ -279,7 +331,7 @@ impl<S: Server> Baton for Mutex<Sim<S>> {
             }
             sim.guarded(|sim| sim.run_events(None))
         };
-        handoff.finish();
+        handoff.and_then(Handoff::finish);
     }
 }
 
@@ -311,9 +363,12 @@ impl<S: Server> World<S> {
                 tracer,
                 ops: 0,
                 errors: Vec::new(),
+                seen_drops: 0,
+                pipelined_faults: 0,
                 coverage: desc.coverage().cloned(),
             },
             servers,
+            gate: OpGate::default(),
             torn_down: false,
             done_tx,
         }));
@@ -327,16 +382,17 @@ impl<S: Server> World<S> {
                 node,
                 slot: slot.clone(),
                 done: false,
-                pending: None,
-                waits: WaitTable::new(),
+                blocked_in: None,
+                last_resume: VirtualTime::ZERO,
+                in_flight: 0,
             });
             // All threads become runnable at t=0 in spawn order.
             kernel.events.push(
                 VirtualTime::ZERO,
                 EventKind::ThreadResume { thread, result: OpResult::Unit },
             );
-            let ctx = ThreadCtx { thread, node, n_nodes, n_threads, baton: baton.clone(), slot };
-            bodies.push((ctx, body));
+            let port = SimPort { thread, baton: baton.clone(), slot, now: 0 };
+            bodies.push((Client::new(port, thread, node, n_nodes, n_threads), body));
         }
         drop(state);
         World { sim, bodies, done_rx }
@@ -348,24 +404,25 @@ impl<S: Server> World<S> {
     /// tracer's own shared state.
     ///
     /// The event queue runs on the application threads (see
-    /// [`crate::DsmThread::op`]); the calling thread only starts the first one and
-    /// waits for the queue to run dry. A panicking protocol handler ends the
+    /// [`crate::ThreadCtx`]); the calling thread only starts the first one
+    /// and waits for the queue to run dry. A panicking protocol handler ends the
     /// run and is rethrown here, on the caller's thread, with its payload.
     pub fn run(self) -> RunReport {
         let World { sim, bodies, done_rx } = self;
-        let slots: Vec<Arc<ResumeSlot>> = bodies.iter().map(|(ctx, _)| ctx.slot.clone()).collect();
+        let slots: Vec<Arc<ResumeSlot>> =
+            bodies.iter().map(|(ctx, _)| ctx.port().slot.clone()).collect();
         let joins: Vec<_> = bodies
             .into_iter()
             .map(|(ctx, body)| {
                 std::thread::Builder::new()
-                    .name(format!("sim-{}", ctx.thread))
+                    .name(format!("sim-{}", ctx.thread_id()))
                     .spawn(move || ctx.run(body))
                     .expect("failed to spawn simulation thread")
             })
             .collect();
         // Hand the baton to the first thread.
         let handoff = take(&sim).guarded(|sim| sim.run_events(None));
-        handoff.finish();
+        handoff.and_then(Handoff::finish);
         let handler_panic = done_rx.recv().ok().flatten();
 
         take(&sim).torn_down = true;
@@ -373,9 +430,7 @@ impl<S: Server> World<S> {
         for slot in &slots {
             slot.close();
         }
-        for j in joins {
-            let _ = j.join();
-        }
+        let thread_waits = joins.into_iter().map(|j| j.join().unwrap_or_default()).collect();
         if let Some(payload) = handler_panic {
             std::panic::resume_unwind(payload);
         }
@@ -402,7 +457,7 @@ impl<S: Server> World<S> {
             .enumerate()
             .filter(|(_, r)| !r.done)
             .map(|(i, r)| {
-                let label = r.pending.map(|(_, l)| l).unwrap_or("<not blocked in an op>");
+                let label = r.blocked_in.unwrap_or("<not blocked in an op>");
                 format!("t{i} blocked in '{label}'")
             })
             .collect();
@@ -427,9 +482,10 @@ impl<S: Server> World<S> {
             finished_at: kernel.now,
             stats: kernel.stats_ext,
             ops: kernel.ops,
-            thread_waits: kernel.threads.into_iter().map(|t| t.waits).collect(),
+            thread_waits,
             errors: kernel.errors,
             deadlocked,
+            pipelined_faults: kernel.pipelined_faults,
             wall: None,
             dumps: Vec::new(),
             metrics: None,
@@ -440,15 +496,25 @@ impl<S: Server> World<S> {
 impl<S: Server> Sim<S> {
     /// Run `step` with the baton held. A protocol handler that panics ends
     /// the run: its payload is kept for `World::run` to rethrow, and the
-    /// caller parks like any other thread until teardown.
-    fn guarded(&mut self, step: impl FnOnce(&mut Self) -> Handoff) -> Handoff {
+    /// caller (`None`) parks like any other thread until teardown.
+    fn guarded(&mut self, step: impl FnOnce(&mut Self) -> Handoff) -> Option<Handoff> {
         match catch_unwind(AssertUnwindSafe(|| step(self))) {
-            Ok(handoff) => handoff,
+            Ok(handoff) => Some(handoff),
             Err(payload) => {
                 let _ = self.done_tx.send(Some(payload));
-                Handoff::Nobody
+                None
             }
         }
+    }
+
+    /// Offer `thread`'s op to the gate.
+    fn submit(&mut self, thread: ThreadId, op: DsmOp) {
+        let Sim { kernel, servers, gate, .. } = self;
+        let rec = &mut kernel.threads[thread.index()];
+        rec.in_flight += 1;
+        let server = &mut servers[rec.node.index()];
+        gate.offer(server, kernel, thread, op);
+        kernel.note_drops();
     }
 
     /// Pop events in `(time, seq)` order until one resumes a thread. That
@@ -463,22 +529,16 @@ impl<S: Server> Sim<S> {
             match ev.kind {
                 EventKind::ThreadResume { thread, result } => {
                     let rec = &mut self.kernel.threads[thread.index()];
+                    // Any resume but the t=0 start ends an op: let the
+                    // thread's next one in.
+                    if rec.in_flight > 0 {
+                        rec.in_flight -= 1;
+                        let server = &mut self.servers[rec.node.index()];
+                        self.gate.complete(server, &mut self.kernel, thread);
+                    }
+                    let rec = &self.kernel.threads[thread.index()];
                     if rec.done {
                         continue;
-                    }
-                    if let Some((issued, label)) = rec.pending.take() {
-                        let waited = self.kernel.now.since(issued);
-                        let e = rec.waits.entry(label).or_insert((0, 0));
-                        e.0 += 1;
-                        e.1 += waited;
-                        let node = rec.node;
-                        self.kernel.tracer.record(TraceEvent::OpCompleted {
-                            at: self.kernel.now,
-                            thread,
-                            node,
-                            label,
-                            waited_us: waited,
-                        });
                     }
                     if me == Some(thread) {
                         return Handoff::Mine(result);
@@ -516,35 +576,10 @@ impl<S: Server> Sim<S> {
                     );
                 }
             }
+            self.kernel.note_drops();
         }
         let _ = self.done_tx.send(None);
         Handoff::Nobody
-    }
-
-    fn dispatch_op(&mut self, thread: ThreadId, op: DsmOp) {
-        self.kernel.ops += 1;
-        let node = self.kernel.threads[thread.index()].node;
-        self.kernel.tracer.record(TraceEvent::OpIssued {
-            at: self.kernel.now,
-            thread,
-            node,
-            op: &op,
-        });
-        self.kernel.threads[thread.index()].pending = Some((self.kernel.now, op.label()));
-        match op {
-            DsmOp::Compute(us) => {
-                self.kernel.complete(thread, OpResult::Unit, us);
-            }
-            other => {
-                let outcome = self.servers[node.index()].on_op(&mut self.kernel, thread, other);
-                match outcome {
-                    OpOutcome::Done { result, cost_us } => {
-                        self.kernel.complete(thread, result, cost_us);
-                    }
-                    OpOutcome::Blocked => {}
-                }
-            }
-        }
     }
 }
 
@@ -552,11 +587,10 @@ impl<S: Server> Sim<S> {
 mod tests {
     use super::*;
     use crate::tracer::NullTracer;
-    use crate::DsmThread;
     use munin_net::MsgClass;
     use munin_types::{ByteRange, SharingType};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     /// A toy protocol: every `Read` asks the remote node `1` for bytes; node
     /// 1 replies with the requested length filled with the request count.
@@ -891,5 +925,105 @@ mod tests {
 
     fn parking_lot_free_vec() -> std::sync::Mutex<Vec<char>> {
         std::sync::Mutex::new(Vec::new())
+    }
+
+    /// Serves a write at once with a modelled cost of 100 us, and a read
+    /// with 1 us.
+    struct Costs;
+
+    impl Server for Costs {
+        type Payload = EchoMsg;
+        fn on_op(&mut self, _k: &mut dyn KernelApi<EchoMsg>, _t: ThreadId, op: DsmOp) -> OpOutcome {
+            match op {
+                DsmOp::Write { .. } => OpOutcome::unit(100),
+                DsmOp::Read { range, .. } => {
+                    OpOutcome::done(OpResult::Bytes(vec![0; range.len as usize]), 1)
+                }
+                _ => OpOutcome::unit(0),
+            }
+        }
+        fn on_message(&mut self, _k: &mut dyn KernelApi<EchoMsg>, _f: NodeId, _p: EchoMsg) {}
+    }
+
+    #[test]
+    fn a_later_op_with_a_cheaper_done_cost_resumes_after_the_earlier_one() {
+        let mut b = WorldDesc::new(1);
+        b.spawn(NodeId(0), |ctx: &mut dyn DsmThread| {
+            ctx.write(ObjectId(0), 0, vec![1]);
+            ctx.read(ObjectId(0), ByteRange::new(0, 1));
+        });
+        let report = build(b, vec![Costs]).run();
+        report.assert_clean();
+        // The write returned at once: the thread ran on while it was in
+        // flight, and the read waited for it.
+        assert_eq!(report.total_wait_us("write"), 0);
+        assert_eq!(report.total_wait_us("read"), 101);
+        assert_eq!(report.ops, 3, "write, read, exit: one op per call");
+    }
+
+    /// Fetch-adds from node 0 go to node 1 and are ordered through it; the
+    /// first reply costs 100 us to apply, every later one 1 us.
+    struct OrderedAdds {
+        node: NodeId,
+        served: u8,
+    }
+
+    impl Server for OrderedAdds {
+        type Payload = EchoMsg;
+        fn on_op(&mut self, k: &mut dyn KernelApi<EchoMsg>, t: ThreadId, op: DsmOp) -> OpOutcome {
+            match op {
+                DsmOp::AtomicFetchAdd { .. } => {
+                    k.send(self.node, NodeId(1), EchoMsg::Req { thread: t, len: 0 });
+                    OpOutcome::Blocked
+                }
+                _ => OpOutcome::unit(0),
+            }
+        }
+        fn ordered_peer(&mut self, _k: &dyn KernelApi<EchoMsg>, op: &DsmOp) -> Option<NodeId> {
+            matches!(op, DsmOp::AtomicFetchAdd { .. }).then_some(NodeId(1))
+        }
+        fn on_message(&mut self, k: &mut dyn KernelApi<EchoMsg>, from: NodeId, msg: EchoMsg) {
+            match msg {
+                EchoMsg::Req { thread, .. } => {
+                    self.served += 1;
+                    k.send(self.node, from, EchoMsg::Reply { thread, data: vec![self.served] });
+                }
+                EchoMsg::Reply { thread, data } => {
+                    let cost = if data[0] == 1 { 100 } else { 1 };
+                    k.complete(thread, OpResult::Value(data[0] as i64), cost);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overlapped_ops_resume_in_issue_order_whatever_their_completion_cost() {
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let mut b = WorldDesc::new(2);
+        let g = got.clone();
+        b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
+            let tokens: Vec<_> = (0..3).map(|_| ctx.fetch_add_async(ObjectId(0), 0, 1)).collect();
+            *g.lock().unwrap() = tokens.into_iter().map(|t| ctx.token_wait(t)).collect();
+        });
+        let servers = (0..2).map(|i| OrderedAdds { node: NodeId(i), served: 0 }).collect();
+        let report = build(b, servers).run();
+        report.assert_clean();
+        assert_eq!(*got.lock().unwrap(), [1, 2, 3]);
+        let one_round_trip = remote_read_round_trip_us();
+        assert!(
+            report.finished_at.as_micros() < 2 * one_round_trip,
+            "the three adds did not overlap: {} us",
+            report.finished_at
+        );
+    }
+
+    /// The virtual time of one thread's remote read round trip.
+    fn remote_read_round_trip_us() -> u64 {
+        let mut b = WorldDesc::new(2);
+        b.spawn(NodeId(0), |ctx: &mut dyn DsmThread| {
+            ctx.read(ObjectId(0), ByteRange::new(0, 1));
+        });
+        let servers = (0..2).map(|i| EchoServer { node: NodeId(i), served: 0 }).collect();
+        build(b, servers).run().finished_at.as_micros()
     }
 }

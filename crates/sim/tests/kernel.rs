@@ -94,7 +94,6 @@ impl Tracer for KindTracer {
                 assert_eq!(kind, "Ping");
                 self.msgs.fetch_add(1, Ordering::Relaxed);
             }
-            TraceEvent::OpCompleted { .. } => {}
         }
     }
 }

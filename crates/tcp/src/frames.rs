@@ -22,7 +22,7 @@
 //! larger frame is treated as corrupt and the stream is torn down. Both
 //! readers follow one rule for memory: the announced length is checked
 //! against the cap first, and a buffer grows with the bytes that have
-//! arrived (at most doubling, see [`grow_received`]), never with the
+//! arrived (at most doubling, see `grow_received`), never with the
 //! announced length — a peer that announces 256 MiB and stalls costs what it
 //! sent.
 
@@ -354,7 +354,7 @@ pub(crate) fn poll_until<T>(
 /// deadline-bounded-read) stream to `handle`. Shared by the coordinator's
 /// two handshake phases and the child mesh accept.
 ///
-/// The wait wakes on its event through [`poll_until`]: a peer is accepted
+/// The wait wakes on its event through `poll_until`: a peer is accepted
 /// within a short backoff of connecting, and a missing one fails the wait
 /// with `TimedOut` just after `deadline`. Between polls, an error from
 /// `alive` ends the wait at once (the coordinator's check fails on a child
@@ -536,7 +536,7 @@ impl FrameReader {
     /// `Ok(0)` is end of stream. Room is made first: an emptied buffer
     /// restarts at its front, a partial frame that cannot finish where it
     /// lies moves to the front, and a buffer full of one partial frame
-    /// grows by [`grow_received`].
+    /// grows by `grow_received`.
     pub fn fill(&mut self, src: &mut impl Read) -> io::Result<usize> {
         if self.start == self.end {
             (self.start, self.end) = (0, 0);

@@ -5,7 +5,7 @@
 //! ## Thread model
 //!
 //! There is no server thread and no inbox. A node's `{server, kernel, op
-//! gate}` (a `munin_rt::NodeStep`) sits in a [`NodeCell`], and each
+//! gate}` (a `munin_rt::NodeStep`) sits in a `NodeCell`, and each
 //! protocol step runs **on the thread that already holds the event**:
 //!
 //! * a data stream's reader decodes every complete frame its one `read`
@@ -80,7 +80,7 @@
 //! a blocking read or channel receive where one exists, otherwise
 //! `frames::poll_until`'s short backoff (20 µs doubling to 5 ms) for the
 //! accepts and the coordinator's reap. Each is bounded by a deadline
-//! ([`MESH_TIMEOUT`] for the handshake, 5 s for the reap), and no wait
+//! (`MESH_TIMEOUT` for the handshake, 5 s for the reap), and no wait
 //! naps a fixed interval. The coordinator checks its children between
 //! handshake polls, so a child that dies during the handshake fails the
 //! run at once, naming the node and its exit status.

@@ -1,6 +1,6 @@
 //! The coordinator: the TCP fabric's side of `munin_rt`'s one wall-clock
 //! run. [`run_proto`] hands an ordinary `munin_sim::WorldDesc` to the
-//! shared run skeleton (`munin_rt::run_on`) with a [`TcpFabric`] as its
+//! shared run skeleton (`munin_rt::run_on`) with a `TcpFabric` as its
 //! `munin_rt::WallFabric`: it spawns one `munin-node` process per
 //! remote node, hosts node 0's protocol state, and tears the process tree
 //! down at the end. The skeleton launches **every** application thread in
@@ -8,7 +8,7 @@
 //!
 //! Application thread bodies are closures, and closures do not cross
 //! process boundaries — so the coordinator keeps them. A thread placed on
-//! node 0 runs its ops inline, as steps of node 0's [`NodeCell`] on its own
+//! node 0 runs its ops inline, as steps of node 0's `NodeCell` on its own
 //! thread. A thread placed on node `j` reaches node `j` (in another
 //! process) through `Op` frames it encodes onto the coordinator's data link
 //! to `j`; the completion comes back on the same stream as a `Resume` frame,

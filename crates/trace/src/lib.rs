@@ -4,7 +4,7 @@
 //! regenerates the paper's §2 study ("Sharing in Parallel Programs").
 //!
 //! A [`StudyTracer`] plugs into the simulation kernel and records every data
-//! access, synchronization operation and phase mark. The [`classify`]
+//! access, synchronization operation and phase mark. The [`classify()`]
 //! function then derives, for each shared object, the access-pattern
 //! category it *behaves* as — using only the observed trace, never the
 //! programmer's annotation — and [`study_stats`] computes the study's

@@ -128,7 +128,6 @@ impl Tracer for StudyTracer {
             TraceEvent::MessageSent { .. } => {
                 self.log.lock().expect("tracer lock").messages += 1;
             }
-            TraceEvent::OpCompleted { .. } => {}
         }
     }
 }

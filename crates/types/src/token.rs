@@ -8,11 +8,12 @@
 //! consistency rules the checker enforces — so a token can outlive its sync
 //! block, but an op can never outlive one.
 //!
-//! Backends that complete ops immediately (the simulator's rendezvous, the
-//! native backend) hand back already-[`TokenState::Ready`] tokens; the
-//! real-time kernels return [`TokenState::Pending`] tokens carrying the
-//! per-thread issue sequence number that identifies the op's slot in the
-//! thread's in-flight window.
+//! The native backend completes ops immediately and hands back
+//! already-[`TokenState::Ready`] tokens; the simulator and the wall-clock
+//! fabrics return [`TokenState::Pending`] tokens carrying the per-thread
+//! issue sequence number that identifies the op's slot in the thread's
+//! in-flight window (a write, absorbed by write combining, comes back
+//! ready).
 
 use std::marker::PhantomData;
 
