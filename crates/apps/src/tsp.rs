@@ -201,6 +201,13 @@ pub fn build(cfg: &TspCfg) -> (ProgramBuilder, OutputCell<(i64, Vec<i64>)>) {
 
                 par.lock(qlock);
                 let mut top = par.get(&stack, 0);
+                if top as usize + children.len() > cap as usize {
+                    par.unlock(qlock);
+                    panic!(
+                        "tsp: work stack full: {top} + {} records over cap {cap}",
+                        children.len()
+                    );
+                }
                 for ch in &children {
                     par.write_from(&stack, STACK_HDR + (top as u32) * slots, ch);
                     top += 1;

@@ -12,8 +12,8 @@
 
 use crate::fabric::{NodeEvent, Shared};
 use crate::world::{ComputeMode, RtTuning};
-use munin_obs::{wall_us, AccessKind, OpClass};
-use munin_sim::{Client, DsmOp, OpResult, Port, ResumeSlot, TakeError};
+use munin_obs::{wall_us, OpClass};
+use munin_sim::{Client, DsmOp, OpHead, OpResult, Port, ResumeSlot, TakeError};
 use munin_types::ThreadId;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -137,21 +137,17 @@ impl Port for RtPort {
     /// consequence, not an application bug — see `drive_app_thread`.) Then
     /// count the call, and note the access against its object for the
     /// per-object telemetry (one branch when telemetry is off).
-    fn begin(&mut self, op: &DsmOp) {
+    fn begin(&mut self, head: OpHead<'_>) {
         if self.shared.is_poisoned() {
-            panic!("real-time kernel poisoned before '{}' was issued", op.label());
+            panic!("real-time kernel poisoned before '{}' was issued", head.label());
         }
         self.shared.ops.fetch_add(1, Ordering::Relaxed);
         if !self.tuning.telemetry.enabled() {
             return;
         }
-        let (obj, kind) = match op {
-            DsmOp::Read { obj, .. } => (obj, AccessKind::Read),
-            DsmOp::Write { obj, .. } => (obj, AccessKind::Write),
-            DsmOp::AtomicFetchAdd { obj, .. } => (obj, AccessKind::Atomic),
-            _ => return,
-        };
-        self.shared.obs.note_access(*obj, kind);
+        if let Some((obj, _, kind)) = head.access() {
+            self.shared.obs.note_access(obj, kind);
+        }
     }
 
     fn submit(&mut self, op: DsmOp, pipelined: bool) {
@@ -289,6 +285,19 @@ mod tests {
         assert_eq!(flushes.load(Ordering::Relaxed), 2);
         ctx.op(DsmOp::Compute(1));
         assert_eq!(flushes.load(Ordering::Relaxed), 3);
+    }
+
+    /// Modelled compute on the thread is that call's wait, although the
+    /// call takes no result; a write into the combined write waits for
+    /// nothing and books 0 µs.
+    #[test]
+    fn a_compute_sleep_is_booked_as_the_calls_wait() {
+        let (mut ctx, _op_rx, _res) = lone_ctx();
+        ctx.write_raw(ObjectId(0), 0, &[1; 8]);
+        ctx.compute(3_000);
+        let waits = ctx.into_waits();
+        assert!(waits["compute"].1 >= 3_000, "compute booked {:?}", waits["compute"]);
+        assert_eq!(waits["write"], (1, 0));
     }
 
     /// Regression (PR 7 satellite): a thread blocked redeeming a token must

@@ -55,8 +55,8 @@ pub use client::{Client, Port, MAX_INFLIGHT};
 pub use desc::{ThreadBody, WorldDesc};
 pub use gate::{GateKernel, OpGate};
 pub use kernel::{KernelApi, Registry};
-pub use munin_obs::{CovRow, CoverageMap, CoverageSnapshot, Transition};
-pub use op::{DsmOp, DsmThread, OpOutcome, OpResult};
+pub use munin_obs::{AccessKind, CovRow, CoverageMap, CoverageSnapshot, Transition};
+pub use op::{DsmOp, DsmThread, OpHead, OpOutcome, OpResult};
 pub use report::RunReport;
 pub use resume::{ResumeSlot, TakeError};
 pub use thread::{panic_message, SimPort, ThreadCtx};

@@ -6,6 +6,7 @@
 //! server's fault handlers see exactly what a VM-based implementation's
 //! handlers would see (object, byte range, read/write).
 
+use munin_obs::AccessKind;
 use munin_types::{
     BarrierId, ByteRange, CondId, DsmError, LockId, NodeId, ObjectDecl, ObjectId, ThreadId,
     TokenState,
@@ -67,22 +68,88 @@ impl DsmOp {
         )
     }
 
+    /// Every op's label, indexed by [`DsmOp::kind`].
+    pub const LABELS: [&'static str; 13] = [
+        "alloc",
+        "read",
+        "write",
+        "fetch-add",
+        "lock",
+        "unlock",
+        "barrier",
+        "cond-wait",
+        "cond-signal",
+        "flush",
+        "phase",
+        "compute",
+        "exit",
+    ];
+
+    /// The [`DsmOp::kind`] of a write.
+    pub const WRITE: usize = 2;
+
+    /// This op's variant as a small index: its label is `LABELS[kind]`.
+    pub fn kind(&self) -> usize {
+        match self {
+            DsmOp::Alloc(_) => 0,
+            DsmOp::Read { .. } => 1,
+            DsmOp::Write { .. } => Self::WRITE,
+            DsmOp::AtomicFetchAdd { .. } => 3,
+            DsmOp::Lock(_) => 4,
+            DsmOp::Unlock(_) => 5,
+            DsmOp::BarrierWait(_) => 6,
+            DsmOp::CondWait { .. } => 7,
+            DsmOp::CondSignal { .. } => 8,
+            DsmOp::Flush => 9,
+            DsmOp::Phase(_) => 10,
+            DsmOp::Compute(_) => 11,
+            DsmOp::Exit => 12,
+        }
+    }
+
     /// Short label for traces.
     pub fn label(&self) -> &'static str {
+        Self::LABELS[self.kind()]
+    }
+
+    /// The op as [`OpHead`]: a write without its bytes.
+    pub fn head(&self) -> OpHead<'_> {
         match self {
-            DsmOp::Alloc(_) => "alloc",
-            DsmOp::Read { .. } => "read",
-            DsmOp::Write { .. } => "write",
-            DsmOp::AtomicFetchAdd { .. } => "fetch-add",
-            DsmOp::Lock(_) => "lock",
-            DsmOp::Unlock(_) => "unlock",
-            DsmOp::BarrierWait(_) => "barrier",
-            DsmOp::CondWait { .. } => "cond-wait",
-            DsmOp::CondSignal { .. } => "cond-signal",
-            DsmOp::Flush => "flush",
-            DsmOp::Phase(_) => "phase",
-            DsmOp::Compute(_) => "compute",
-            DsmOp::Exit => "exit",
+            DsmOp::Write { obj, range, .. } => OpHead::Write { obj: *obj, range: *range },
+            op => OpHead::Other(op),
+        }
+    }
+}
+
+/// An application call as its port and the tracer see it when it begins:
+/// the op, but a write only by its header, so that a write copied from the
+/// caller's slice into the combined write needs no op of its own.
+#[derive(Debug, Clone, Copy)]
+pub enum OpHead<'a> {
+    /// A write of `range` of `obj`.
+    Write { obj: ObjectId, range: ByteRange },
+    /// Any op but a write.
+    Other(&'a DsmOp),
+}
+
+impl OpHead<'_> {
+    pub fn label(&self) -> &'static str {
+        match self {
+            OpHead::Write { .. } => DsmOp::LABELS[DsmOp::WRITE],
+            OpHead::Other(op) => op.label(),
+        }
+    }
+
+    /// The bytes the call touches, and how: a fetch-add is an atomic
+    /// access to its 8 bytes. `None` for the ops that touch no object.
+    pub fn access(&self) -> Option<(ObjectId, ByteRange, AccessKind)> {
+        match *self {
+            OpHead::Write { obj, range } => Some((obj, range, AccessKind::Write)),
+            OpHead::Other(&DsmOp::Read { obj, range }) => Some((obj, range, AccessKind::Read)),
+            OpHead::Other(&DsmOp::AtomicFetchAdd { obj, offset, .. }) => {
+                Some((obj, ByteRange::new(offset, 8), AccessKind::Atomic))
+            }
+            OpHead::Other(_) => None,
         }
     }
 }
@@ -150,9 +217,12 @@ impl OpResult {
 /// threads. Every fabric keeps ops in flight through the one
 /// [`crate::Client`], which overrides the three pipelining hooks,
 /// [`DsmThread::op_async`], [`DsmThread::token_wait`] and
-/// [`DsmThread::drain_ops`]. A context whose memory is directly addressable
-/// (native threads) overrides the byte-level wrappers instead, so that
-/// access through borrowed buffers makes no copy into an op.
+/// [`DsmThread::drain_ops`], and the borrowed writes,
+/// [`DsmThread::write_raw`] and [`DsmThread::write_raw_async`], whose bytes
+/// it copies straight into its combined write. A context whose memory is
+/// directly addressable (native threads) overrides the byte-level wrappers
+/// instead, so that access through borrowed buffers makes no copy into an
+/// op.
 ///
 /// Applications use the typed layer over it (`munin_api::ParTyped`) rather
 /// than the byte-level wrappers.
@@ -371,5 +441,45 @@ mod tests {
     fn alloc_label() {
         let decl = ObjectDecl::new(ObjectId(0), "x", 8, SharingType::WriteMany, NodeId(0));
         assert_eq!(DsmOp::Alloc(decl).label(), "alloc");
+    }
+
+    #[test]
+    fn every_op_kind_names_its_own_label() {
+        let decl = ObjectDecl::new(ObjectId(0), "x", 8, SharingType::WriteMany, NodeId(0));
+        let (obj, range) = (ObjectId(0), ByteRange::new(0, 1));
+        let ops = [
+            (DsmOp::Alloc(decl), "alloc"),
+            (DsmOp::Read { obj, range }, "read"),
+            (DsmOp::Write { obj, range, data: vec![0] }, "write"),
+            (DsmOp::AtomicFetchAdd { obj, offset: 0, delta: 1 }, "fetch-add"),
+            (DsmOp::Lock(LockId(0)), "lock"),
+            (DsmOp::Unlock(LockId(0)), "unlock"),
+            (DsmOp::BarrierWait(BarrierId(0)), "barrier"),
+            (DsmOp::CondWait { cond: CondId(0), lock: LockId(0) }, "cond-wait"),
+            (DsmOp::CondSignal { cond: CondId(0), broadcast: false }, "cond-signal"),
+            (DsmOp::Flush, "flush"),
+            (DsmOp::Phase(1), "phase"),
+            (DsmOp::Compute(1), "compute"),
+            (DsmOp::Exit, "exit"),
+        ];
+        for (i, (op, label)) in ops.iter().enumerate() {
+            assert_eq!((op.kind(), op.label()), (i, *label));
+        }
+    }
+
+    #[test]
+    fn a_write_head_keeps_the_header_and_the_label() {
+        let range = ByteRange::new(8, 3);
+        let write = DsmOp::Write { obj: ObjectId(4), range, data: vec![1, 2, 3] };
+        assert_eq!(write.kind(), DsmOp::WRITE);
+        assert_eq!(write.head().label(), "write");
+        assert_eq!(write.head().access(), Some((ObjectId(4), range, AccessKind::Write)));
+        let add = DsmOp::AtomicFetchAdd { obj: ObjectId(2), offset: 16, delta: 1 };
+        assert_eq!(
+            add.head().access(),
+            Some((ObjectId(2), ByteRange::new(16, 8), AccessKind::Atomic))
+        );
+        assert_eq!(DsmOp::Flush.head().label(), "flush");
+        assert_eq!(DsmOp::Flush.head().access(), None);
     }
 }

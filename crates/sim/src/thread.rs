@@ -12,7 +12,7 @@
 
 use crate::client::{Client, Port};
 use crate::desc::ThreadBody;
-use crate::op::{DsmOp, DsmThread, OpResult};
+use crate::op::{DsmOp, DsmThread, OpHead, OpResult};
 use crate::report::WaitTable;
 use crate::resume::ResumeSlot;
 use munin_types::ThreadId;
@@ -24,7 +24,7 @@ use std::sync::Arc;
 /// returns.
 pub(crate) trait Baton: Send + Sync {
     /// `thread` began an application call: count and trace it.
-    fn begin(&self, thread: ThreadId, op: &DsmOp);
+    fn begin(&self, thread: ThreadId, op: OpHead<'_>);
     /// Dispatch `op` for `thread` through the op gate. `false` means a
     /// protocol handler panicked: the world is ending.
     fn submit(&self, thread: ThreadId, op: DsmOp) -> bool;
@@ -68,8 +68,8 @@ impl SimPort {
 }
 
 impl Port for SimPort {
-    fn begin(&mut self, op: &DsmOp) {
-        self.baton.begin(self.thread, op);
+    fn begin(&mut self, head: OpHead<'_>) {
+        self.baton.begin(self.thread, head);
     }
 
     fn submit(&mut self, op: DsmOp, _pipelined: bool) {
@@ -135,7 +135,7 @@ mod tests {
     struct FakeBaton(Mutex<Vec<(ThreadId, DsmOp)>>);
 
     impl Baton for FakeBaton {
-        fn begin(&self, _thread: ThreadId, _op: &DsmOp) {}
+        fn begin(&self, _thread: ThreadId, _op: OpHead<'_>) {}
         fn submit(&self, thread: ThreadId, op: DsmOp) -> bool {
             self.0.lock().unwrap().push((thread, op));
             true

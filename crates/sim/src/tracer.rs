@@ -5,7 +5,7 @@
 //! call and per message. The default tracer is a no-op with zero
 //! allocation on the hot path.
 
-use crate::op::DsmOp;
+use crate::op::OpHead;
 use munin_net::MsgClass;
 use munin_types::{NodeId, ThreadId, VirtualTime};
 
@@ -13,8 +13,8 @@ use munin_types::{NodeId, ThreadId, VirtualTime};
 #[derive(Debug, Clone)]
 pub enum TraceEvent<'a> {
     /// A thread made an application call (a combined write is traced as
-    /// the calls it was made of).
-    OpIssued { at: VirtualTime, thread: ThreadId, node: NodeId, op: &'a DsmOp },
+    /// the calls it was made of, each by its header).
+    OpIssued { at: VirtualTime, thread: ThreadId, node: NodeId, op: OpHead<'a> },
     /// A message was placed on the wire.
     MessageSent {
         at: VirtualTime,

@@ -15,7 +15,7 @@ use crate::desc::{ThreadBody, WorldDesc};
 use crate::event::{EventKind, EventQueue};
 use crate::gate::{GateKernel, OpGate};
 use crate::kernel::{KernelApi, Registry};
-use crate::op::{DsmOp, DsmThread, OpOutcome, OpResult};
+use crate::op::{DsmOp, DsmThread, OpHead, OpOutcome, OpResult};
 use crate::report::RunReport;
 use crate::resume::ResumeSlot;
 use crate::thread::{Baton, SimPort, ThreadCtx};
@@ -292,7 +292,7 @@ impl Handoff {
 }
 
 impl<S: Server> Baton for Mutex<Sim<S>> {
-    fn begin(&self, thread: ThreadId, op: &DsmOp) {
+    fn begin(&self, thread: ThreadId, op: OpHead<'_>) {
         let kernel = &mut take(self).kernel;
         kernel.ops += 1;
         let node = kernel.threads[thread.index()].node;

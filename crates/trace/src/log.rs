@@ -1,6 +1,6 @@
 //! The trace log and the kernel tracer that fills it.
 
-use munin_sim::{DsmOp, TraceEvent, Tracer};
+use munin_sim::{AccessKind, DsmOp, OpHead, TraceEvent, Tracer};
 use munin_types::{ByteRange, NodeId, ObjectId, ThreadId, VirtualTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -75,55 +75,33 @@ impl Tracer for StudyTracer {
         match event {
             TraceEvent::OpIssued { at, thread, node, op } => {
                 let mut log = self.log.lock().expect("tracer lock");
-                match op {
-                    DsmOp::Read { obj, range } => log.accesses.push(Access {
+                if let Some((obj, range, kind)) = op.access() {
+                    let init_phase = !self.past_init.contains(&thread);
+                    let is_write = kind != AccessKind::Read;
+                    log.accesses.push(Access {
                         at,
                         thread,
                         node,
-                        obj: *obj,
-                        range: *range,
-                        is_write: false,
-                        init_phase: !self.past_init.contains(&thread),
-                    }),
-                    DsmOp::Write { obj, range, .. } => log.accesses.push(Access {
-                        at,
-                        thread,
-                        node,
-                        obj: *obj,
-                        range: *range,
-                        is_write: true,
-                        init_phase: !self.past_init.contains(&thread),
-                    }),
-                    DsmOp::AtomicFetchAdd { obj, offset, .. } => log.accesses.push(Access {
-                        at,
-                        thread,
-                        node,
-                        obj: *obj,
-                        range: ByteRange::new(*offset, 8),
-                        is_write: true,
-                        init_phase: !self.past_init.contains(&thread),
-                    }),
-                    DsmOp::Lock(l) => {
-                        log.syncs.push(SyncEvent { at, thread, kind: "lock", id: l.0 })
-                    }
-                    DsmOp::Unlock(l) => {
-                        log.syncs.push(SyncEvent { at, thread, kind: "unlock", id: l.0 })
-                    }
-                    DsmOp::BarrierWait(b) => {
-                        drop(log);
-                        self.past_init.insert(thread);
-                        let mut log = self.log.lock().expect("tracer lock");
-                        log.syncs.push(SyncEvent { at, thread, kind: "barrier", id: b.0 });
-                    }
-                    DsmOp::CondWait { cond, .. } => {
-                        log.syncs.push(SyncEvent { at, thread, kind: "cond-wait", id: cond.0 })
-                    }
-                    DsmOp::CondSignal { cond, .. } => {
-                        log.syncs.push(SyncEvent { at, thread, kind: "cond-signal", id: cond.0 })
-                    }
-                    DsmOp::Flush => log.syncs.push(SyncEvent { at, thread, kind: "flush", id: 0 }),
-                    _ => {}
+                        obj,
+                        range,
+                        is_write,
+                        init_phase,
+                    });
+                    return;
                 }
+                let (kind, id) = match op {
+                    OpHead::Other(DsmOp::Lock(l)) => ("lock", l.0),
+                    OpHead::Other(DsmOp::Unlock(l)) => ("unlock", l.0),
+                    OpHead::Other(DsmOp::BarrierWait(b)) => {
+                        self.past_init.insert(thread);
+                        ("barrier", b.0)
+                    }
+                    OpHead::Other(DsmOp::CondWait { cond, .. }) => ("cond-wait", cond.0),
+                    OpHead::Other(DsmOp::CondSignal { cond, .. }) => ("cond-signal", cond.0),
+                    OpHead::Other(DsmOp::Flush) => ("flush", 0),
+                    _ => return,
+                };
+                log.syncs.push(SyncEvent { at, thread, kind, id });
             }
             TraceEvent::MessageSent { .. } => {
                 self.log.lock().expect("tracer lock").messages += 1;
@@ -146,19 +124,19 @@ mod tests {
             at: VirtualTime::ZERO,
             thread: t0,
             node: NodeId(0),
-            op: &read,
+            op: read.head(),
         });
         tracer.record(TraceEvent::OpIssued {
             at: VirtualTime::micros(5),
             thread: t0,
             node: NodeId(0),
-            op: &DsmOp::BarrierWait(munin_types::BarrierId(0)),
+            op: DsmOp::BarrierWait(munin_types::BarrierId(0)).head(),
         });
         tracer.record(TraceEvent::OpIssued {
             at: VirtualTime::micros(10),
             thread: t0,
             node: NodeId(0),
-            op: &read,
+            op: read.head(),
         });
         let log = log.lock().unwrap();
         assert_eq!(log.accesses.len(), 2);
@@ -174,11 +152,28 @@ mod tests {
             at: VirtualTime::ZERO,
             thread: ThreadId(1),
             node: NodeId(0),
-            op: &DsmOp::AtomicFetchAdd { obj: ObjectId(2), offset: 8, delta: 1 },
+            op: DsmOp::AtomicFetchAdd { obj: ObjectId(2), offset: 8, delta: 1 }.head(),
         });
         let log = log.lock().unwrap();
         assert!(log.accesses[0].is_write);
         assert_eq!(log.accesses[0].range, ByteRange::new(8, 8));
+    }
+
+    #[test]
+    fn a_write_is_traced_by_its_header() {
+        let (mut tracer, log) = StudyTracer::new();
+        tracer.record(TraceEvent::OpIssued {
+            at: VirtualTime::ZERO,
+            thread: ThreadId(0),
+            node: NodeId(0),
+            op: OpHead::Write { obj: ObjectId(2), range: ByteRange::new(16, 8) },
+        });
+        let log = log.lock().unwrap();
+        assert!(log.accesses[0].is_write);
+        assert_eq!(
+            (log.accesses[0].obj, log.accesses[0].range),
+            (ObjectId(2), ByteRange::new(16, 8))
+        );
     }
 
     #[test]
@@ -188,7 +183,7 @@ mod tests {
             at: VirtualTime::ZERO,
             thread: ThreadId(0),
             node: NodeId(0),
-            op: &DsmOp::Lock(LockId(3)),
+            op: DsmOp::Lock(LockId(3)).head(),
         });
         let log = log.lock().unwrap();
         assert_eq!(log.syncs[0].kind, "lock");

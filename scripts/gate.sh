@@ -47,6 +47,13 @@ timeout 600 cargo test --release -q -p munin-tardis
 step "Diff scan and wire codec tests (release)"
 timeout 600 cargo test --release -q -p munin-mem -p munin-proto
 
+# The one client path every fabric runs (op window, tokens, write combining,
+# the wait table) is hot-path code the benchmark measures in release; its
+# fast-path tests (no clock read, no allocation per absorbed write) run at
+# that optimisation level here.
+step "Client and simulator kernel tests (release)"
+timeout 600 cargo test --release -q -p munin-sim
+
 step "Real-time sync-object stress (release)"
 timeout 600 cargo test --release -q -p xtests --test rt_stress
 
