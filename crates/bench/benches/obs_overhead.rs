@@ -9,6 +9,9 @@
 //!   repository's benchmark does, so every run sees the same wake-up
 //!   costs (on a 2-vCPU VM a cross-CPU wake costs tens of microseconds
 //!   and the kernel's choice of CPU drifts within a run);
+//! * one Off/Counters pair runs first as a warm-up and is discarded: the
+//!   first runs after a fresh build pay for cold page-cache and allocator
+//!   state that later runs do not;
 //! * the two modes run as [`PAIRS`] back-to-back pairs, alternating which
 //!   mode goes first, so drift hits both sides of a pair alike;
 //! * the verdict is the median of the per-pair ratios, so a pair hit by a
@@ -91,6 +94,8 @@ fn main() {
         return;
     }
     let cpu = confine_to_one_cpu();
+    one_run(Telemetry::Off);
+    one_run(Telemetry::Counters);
     // Counters/Off ops/s of each pair.
     let mut ratios: Vec<f64> = (0..PAIRS)
         .map(|i| {

@@ -21,6 +21,29 @@
 //!
 //! The server implements the same [`munin_sim::Server`] interface as the
 //! Munin runtime, so identical application code runs on both.
+//!
+//! ## The pending-op engine: cost per event
+//!
+//! A thread's access that misses waits in `pending` until its pages
+//! arrive. Every message, op and timer ends in a rescan, and a rescan's
+//! work follows what changed, not how much is waiting:
+//!
+//! * an op's needs are one [`munin_mem::PageSpan`] (`{first, end}` plus a
+//!   write flag), computed once when it is queued; checking it, requesting
+//!   its pages and copying its bytes allocate nothing, and a sync word is
+//!   read with one page lookup;
+//! * a pass re-checks only the ops queued since the last pass and those
+//!   whose span holds a page whose local state (presence, write flag,
+//!   `inflight` flags) changed. Any other op is known blocked with its
+//!   requests out. Parked ticket spinners are visited only on such pages
+//!   and on pages where a local unlock advanced the `now_serving` word;
+//! * every id-keyed table uses [`munin_types::IdMap`], an unseeded
+//!   one-multiply hash.
+//!
+//! The engine is deterministic: ops run in `pending` order and to
+//! fixpoint, so they execute and request pages exactly as a check of every
+//! op would. Woken spinners join `pending` in ascending page order, and no
+//! table's iteration order depends on a per-process hash seed.
 
 pub mod msg;
 pub mod pending;

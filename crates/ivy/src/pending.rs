@@ -6,7 +6,7 @@
 //! synchronization (test-and-set locks, counter+sense barriers) also parks
 //! here while its words' pages are acquired.
 
-use munin_mem::PageId;
+use munin_mem::PageSpan;
 use munin_types::{BarrierId, ByteRange, LockId, ObjectId, ThreadId};
 
 /// What a parked thread is waiting to do.
@@ -66,11 +66,23 @@ impl PageInflight {
     }
 }
 
-/// A page requirement of a pending op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The pages a pending op needs, and whether it needs them writable. An
+/// access is one run of bytes, so its pages are one span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PageNeed {
-    pub page: PageId,
+    pub span: PageSpan,
     pub write: bool,
+}
+
+/// A pending op and its needs, which are fixed by the layout and so never
+/// change while it waits.
+#[derive(Debug)]
+pub struct Waiting {
+    pub op: PendingIvyOp,
+    pub need: PageNeed,
+    /// Found blocked, with its page requests out, and no page of its span
+    /// has changed local state since: a rescan passes it by.
+    pub settled: bool,
 }
 
 #[cfg(test)]

@@ -2,14 +2,14 @@
 //! (or central) synchronization.
 
 use crate::msg::IvyMsg;
-use crate::pending::{PageInflight, PageNeed, PendingIvyOp};
-use munin_mem::{AddressSpace, PageId};
+use crate::pending::{PageInflight, PageNeed, PendingIvyOp, Waiting};
+use munin_mem::{page_pieces, AddressSpace, PageId, PagePiece, PageSpan};
 use munin_sim::{DsmOp, KernelApi, OpOutcome, OpResult, Server};
 use munin_types::{
-    BarrierId, ByteRange, DsmError, IvyConfig, LockId, NodeId, ObjectDecl, ObjectId, SyncStrategy,
+    BarrierId, DsmError, IdMap, IvyConfig, LockId, NodeId, ObjectDecl, ObjectId, SyncStrategy,
     ThreadId,
 };
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Note a protocol-state transition into the run's coverage map, if one is
 /// attached (campaign explore mode). One predicted branch when off.
@@ -39,12 +39,40 @@ struct PageDir {
     /// Nodes with copies — *including* the manager itself when it holds
     /// one (the manager's copy must be invalidated like any other, or a
     /// write transaction would leave it stale).
-    copyset: BTreeSet<NodeId>,
+    copyset: NodeSet,
     active: Option<ActivePageTxn>,
     /// Requesters whose forwarded read copies are in flight; write
     /// transactions wait for these confirmations.
-    pending_reads: BTreeSet<NodeId>,
+    pending_reads: NodeSet,
     queued: VecDeque<(NodeId, bool)>, // (requester, is_write)
+}
+
+/// A set of nodes, kept as a sorted `Vec`: copysets are small and change
+/// on every page transfer, and iterating in node order keeps the
+/// invalidation sends in a fixed order.
+#[derive(Debug, Default)]
+struct NodeSet(Vec<NodeId>);
+
+impl NodeSet {
+    fn insert(&mut self, n: NodeId) {
+        if let Err(i) = self.0.binary_search(&n) {
+            self.0.insert(i, n);
+        }
+    }
+
+    fn remove(&mut self, n: NodeId) {
+        if let Ok(i) = self.0.binary_search(&n) {
+            self.0.remove(i);
+        }
+    }
+
+    fn contains(&self, n: NodeId) -> bool {
+        self.0.binary_search(&n).is_ok()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 #[derive(Debug)]
@@ -76,30 +104,43 @@ pub struct IvyServer {
     cfg: IvyConfig,
     n_nodes: usize,
     space: AddressSpace,
-    lock_addr: HashMap<LockId, u64>,
-    barrier_addr: HashMap<BarrierId, u64>, // counter at addr, sense at addr+8
-    barrier_count: HashMap<BarrierId, u32>,
-    lock_home: HashMap<LockId, NodeId>,
-    barrier_home: HashMap<BarrierId, NodeId>,
+    lock_addr: IdMap<LockId, u64>,
+    barrier_addr: IdMap<BarrierId, u64>, // counter at addr, sense at addr+8
+    barrier_count: IdMap<BarrierId, u32>,
+    lock_home: IdMap<LockId, NodeId>,
+    barrier_home: IdMap<BarrierId, NodeId>,
 
-    pages: HashMap<PageId, PageCopy>,
-    dir: HashMap<PageId, PageDir>,
-    inflight: HashMap<PageId, PageInflight>,
-    pending: Vec<PendingIvyOp>,
+    pages: IdMap<PageId, PageCopy>,
+    dir: IdMap<PageId, PageDir>,
+    inflight: IdMap<PageId, PageInflight>,
+    pending: Vec<Waiting>,
+    /// Pages whose local state changed since the current rescan pass
+    /// began: presence or write flag in `pages`, or `inflight` flags
+    /// cleared (see [`IvyServer::touch`]).
+    changed: Vec<PageId>,
+    /// Bumped by every local page-state change and every rescan pass.
+    epoch: u64,
+    /// Pages whose `now_serving` word a local unlock advanced since the
+    /// current rescan pass began.
+    served: Vec<PageId>,
+    /// Spare buffers for [`IvyServer::rescan`], kept between passes.
+    spare_ops: Vec<Waiting>,
+    spare_needs: Vec<PageNeed>,
     /// Ops parked on a backoff timer, keyed by thread id (one op per thread).
-    parked: HashMap<u64, PendingIvyOp>,
+    parked: IdMap<u64, PendingIvyOp>,
     /// Consecutive failed spin attempts per thread (for backoff + livelock
     /// detection).
-    attempts: HashMap<ThreadId, u32>,
+    attempts: IdMap<ThreadId, u32>,
     /// Lock probes spinning on a locally cached copy of their lock word's
-    /// page. A cache-coherent test-and-test-and-set spinner costs nothing
-    /// while its copy stays valid; it is woken when the copy is invalidated
-    /// or the word reads free (see [`IvyServer::wake_lock_probes`]).
-    lock_waiters: HashMap<PageId, Vec<PendingIvyOp>>,
+    /// page, by page. A cache-coherent test-and-test-and-set spinner costs
+    /// nothing while its copy stays valid; it is woken when the copy is
+    /// invalidated or the word reads free (see
+    /// [`IvyServer::wake_lock_probes`]).
+    lock_waiters: BTreeMap<PageId, Vec<PendingIvyOp>>,
 
-    central_locks: HashMap<LockId, CentralLock>,
-    central_barriers: HashMap<BarrierId, CentralBarrier>,
-    barrier_parked: HashMap<BarrierId, Vec<ThreadId>>,
+    central_locks: IdMap<LockId, CentralLock>,
+    central_barriers: IdMap<BarrierId, CentralBarrier>,
+    barrier_parked: IdMap<BarrierId, Vec<ThreadId>>,
 }
 
 impl IvyServer {
@@ -119,8 +160,8 @@ impl IvyServer {
         }
         // Synchronization words live in the same shared space, after the
         // data objects (packed ⇒ locks share pages: authentic contention).
-        let mut lock_addr = HashMap::new();
-        let mut lock_home = HashMap::new();
+        let mut lock_addr = IdMap::default();
+        let mut lock_home = IdMap::default();
         let mut next_sync_obj = u64::MAX; // placement ids that never collide
         for l in &sync.locks {
             let id = ObjectId(next_sync_obj);
@@ -135,9 +176,9 @@ impl IvyServer {
             lock_addr.insert(l.id, base);
             lock_home.insert(l.id, l.home);
         }
-        let mut barrier_addr = HashMap::new();
-        let mut barrier_count = HashMap::new();
-        let mut barrier_home = HashMap::new();
+        let mut barrier_addr = IdMap::default();
+        let mut barrier_count = IdMap::default();
+        let mut barrier_home = IdMap::default();
         for b in &sync.barriers {
             let id = ObjectId(next_sync_obj);
             next_sync_obj -= 1;
@@ -156,16 +197,21 @@ impl IvyServer {
             barrier_count,
             lock_home,
             barrier_home,
-            pages: HashMap::new(),
-            dir: HashMap::new(),
-            inflight: HashMap::new(),
+            pages: IdMap::default(),
+            dir: IdMap::default(),
+            inflight: IdMap::default(),
             pending: Vec::new(),
-            parked: HashMap::new(),
-            attempts: HashMap::new(),
-            lock_waiters: HashMap::new(),
-            central_locks: HashMap::new(),
-            central_barriers: HashMap::new(),
-            barrier_parked: HashMap::new(),
+            changed: Vec::new(),
+            epoch: 0,
+            served: Vec::new(),
+            spare_ops: Vec::new(),
+            spare_needs: Vec::new(),
+            parked: IdMap::default(),
+            attempts: IdMap::default(),
+            lock_waiters: BTreeMap::new(),
+            central_locks: IdMap::default(),
+            central_barriers: IdMap::default(),
+            barrier_parked: IdMap::default(),
         }
     }
 
@@ -189,65 +235,81 @@ impl IvyServer {
         let node = self.node;
         self.dir.entry(page).or_insert_with(|| PageDir {
             owner: node,
-            copyset: BTreeSet::from([node]),
+            copyset: NodeSet(vec![node]),
             active: None,
-            pending_reads: BTreeSet::new(),
+            pending_reads: NodeSet::default(),
             queued: VecDeque::new(),
         });
         let owner_here = self.dir.get(&page).map(|d| d.owner) == Some(self.node);
         if owner_here && !self.pages.contains_key(&page) {
             self.pages.insert(page, PageCopy { data: vec![0; ps], write: true });
+            self.touch(page);
         }
+    }
+
+    /// Note that `page`'s local state changed: its presence or write flag
+    /// in `pages`, or a cleared `inflight` flag. The next rescan pass
+    /// re-checks the pending ops whose span holds it. Setting an `inflight`
+    /// flag is no change: it neither grants a page nor un-suppresses a
+    /// request.
+    fn touch(&mut self, page: PageId) {
+        self.changed.push(page);
+        self.epoch += 1;
     }
 
     // ==================================================================
     // Data access helpers
     // ==================================================================
 
-    /// Page requirements of an access.
-    fn needs_of(&self, obj: ObjectId, range: ByteRange, write: bool) -> Option<Vec<PageNeed>> {
-        let pieces = self.space.pieces(obj, range)?;
-        Some(pieces.iter().map(|p| PageNeed { page: p.page, write }).collect())
-    }
-
-    fn have(&self, need: PageNeed) -> bool {
-        match self.pages.get(&need.page) {
-            Some(c) => !need.write || c.write,
+    fn have(&self, page: PageId, write: bool) -> bool {
+        match self.pages.get(&page) {
+            Some(c) => !write || c.write,
             None => false,
         }
     }
 
-    /// Gather `range` of `obj` from local page copies (caller checked
-    /// availability).
-    fn gather(&self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        let mut out = Vec::with_capacity(range.len as usize);
-        for piece in self.space.pieces(obj, range).expect("validated") {
-            let copy = self.pages.get(&piece.page).expect("availability checked");
-            let s = piece.off_in_page as usize;
-            out.extend_from_slice(&copy.data[s..s + piece.len as usize]);
+    fn have_all(&self, need: PageNeed) -> bool {
+        need.span.pages().all(|p| self.have(p, need.write))
+    }
+
+    /// The page pieces of bytes `[addr, addr + len)`; a piece's
+    /// `obj_offset` is its offset in the access.
+    fn pieces_at(&self, addr: u64, len: usize) -> impl Iterator<Item = PagePiece> {
+        page_pieces(self.cfg.page_size, addr, 0, len as u32)
+    }
+
+    /// The local copy's bytes of `piece` (caller checked availability).
+    fn piece_bytes(&self, piece: PagePiece) -> &[u8] {
+        let copy = self.pages.get(&piece.page).expect("availability checked");
+        let off = piece.off_in_page as usize;
+        &copy.data[off..off + piece.len as usize]
+    }
+
+    /// Gather bytes `[addr, addr + len)` from local page copies.
+    fn gather(&self, addr: u64, len: u32) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len as usize);
+        for piece in self.pieces_at(addr, len as usize) {
+            out.extend_from_slice(self.piece_bytes(piece));
         }
         out
     }
 
-    /// Scatter `data` into local page copies.
-    fn scatter(&mut self, obj: ObjectId, range: ByteRange, data: &[u8]) {
-        let mut off = 0usize;
-        for piece in self.space.pieces(obj, range).expect("validated") {
-            let copy = self.pages.get_mut(&piece.page).expect("availability checked");
-            debug_assert!(copy.write);
-            let s = piece.off_in_page as usize;
-            copy.data[s..s + piece.len as usize]
-                .copy_from_slice(&data[off..off + piece.len as usize]);
-            off += piece.len as usize;
+    fn copy_addr(&self, addr: u64, out: &mut [u8]) {
+        for piece in self.pieces_at(addr, out.len()) {
+            let at = piece.obj_offset as usize;
+            out[at..at + piece.len as usize].copy_from_slice(self.piece_bytes(piece));
         }
     }
 
-    /// Byte-level access by flat address (sync words).
-    fn addr_needs(&self, addr: u64, len: u32, write: bool) -> Vec<PageNeed> {
-        let ps = self.cfg.page_size as u64;
-        let first = addr / ps;
-        let last = (addr + len as u64 - 1) / ps;
-        (first..=last).map(|p| PageNeed { page: PageId(p), write }).collect()
+    /// Scatter `data` into local page copies from flat address `addr`.
+    fn put_addr(&mut self, addr: u64, data: &[u8]) {
+        for piece in self.pieces_at(addr, data.len()) {
+            let copy = self.pages.get_mut(&piece.page).expect("availability checked");
+            debug_assert!(copy.write);
+            let (off, at, n) =
+                (piece.off_in_page as usize, piece.obj_offset as usize, piece.len as usize);
+            copy.data[off..off + n].copy_from_slice(&data[at..at + n]);
+        }
     }
 
     fn read_u64_at(&self, addr: u64) -> u64 {
@@ -260,153 +322,203 @@ impl IvyServer {
         self.put_addr(addr, &value.to_le_bytes());
     }
 
-    fn copy_addr(&self, addr: u64, out: &mut [u8]) {
-        let ps = self.cfg.page_size as u64;
-        for (i, byte) in out.iter_mut().enumerate() {
-            let a = addr + i as u64;
-            let copy = self.pages.get(&PageId(a / ps)).expect("availability checked");
-            *byte = copy.data[(a % ps) as usize];
-        }
-    }
-
-    fn put_addr(&mut self, addr: u64, data: &[u8]) {
-        let ps = self.cfg.page_size as u64;
-        for (i, byte) in data.iter().enumerate() {
-            let a = addr + i as u64;
-            let copy = self.pages.get_mut(&PageId(a / ps)).expect("availability checked");
-            debug_assert!(copy.write);
-            copy.data[(a % ps) as usize] = *byte;
-        }
+    /// Flat address of byte `offset` of a placed object.
+    fn addr_of(&self, obj: ObjectId, offset: u32) -> u64 {
+        self.space.base(obj).unwrap_or(0) + offset as u64
     }
 
     // ==================================================================
     // Pending-op engine
     // ==================================================================
 
+    fn addr_needs(&self, addr: u64, len: u32, write: bool) -> PageNeed {
+        PageNeed { span: PageSpan::of_bytes(addr, len, self.cfg.page_size), write }
+    }
+
     /// Page needs of a pending op.
-    fn op_needs(&self, op: &PendingIvyOp) -> Vec<PageNeed> {
+    fn op_needs(&self, op: &PendingIvyOp) -> PageNeed {
         match op {
-            PendingIvyOp::Read { obj, range, .. } => {
-                self.needs_of(*obj, *range, false).unwrap_or_default()
-            }
-            PendingIvyOp::Write { obj, range, .. } => {
-                self.needs_of(*obj, *range, true).unwrap_or_default()
+            PendingIvyOp::Read { obj, range, .. } | PendingIvyOp::Write { obj, range, .. } => {
+                let write = matches!(op, PendingIvyOp::Write { .. });
+                let span = self.space.span(*obj, *range).map(|(_, span)| span);
+                PageNeed { span: span.unwrap_or_default(), write }
             }
             PendingIvyOp::AtomicAdd { obj, offset, .. } => {
-                let base = self.space.base(*obj).unwrap_or(0);
-                self.addr_needs(base + *offset as u64, 8, true)
+                self.addr_needs(self.addr_of(*obj, *offset), 8, true)
             }
             PendingIvyOp::TicketTake { lock, .. } | PendingIvyOp::Unlock { lock, .. } => {
-                let addr = self.lock_addr[lock];
-                self.addr_needs(addr, 16, true)
+                self.addr_needs(self.lock_addr[lock], 16, true)
             }
             PendingIvyOp::TicketWait { lock, .. } => {
-                let addr = self.lock_addr[lock];
-                self.addr_needs(addr + 8, 8, false)
+                self.addr_needs(self.lock_addr[lock] + 8, 8, false)
             }
             PendingIvyOp::BarrierArrive { barrier, .. } => {
-                let addr = self.barrier_addr[barrier];
-                self.addr_needs(addr, 16, true)
+                self.addr_needs(self.barrier_addr[barrier], 16, true)
             }
             PendingIvyOp::BarrierPoll { barrier, .. } => {
-                let addr = self.barrier_addr[barrier];
-                self.addr_needs(addr + 8, 8, false)
+                self.addr_needs(self.barrier_addr[barrier] + 8, 8, false)
             }
         }
     }
 
+    /// Append an op to `pending`; the next rescan pass checks it.
+    fn queue(&mut self, op: PendingIvyOp) {
+        let need = self.op_needs(&op);
+        self.pending.push(Waiting { op, need, settled: false });
+    }
+
     /// Issue page requests for unmet needs (duplicate-suppressed; a write
     /// request waits for any in-flight read to land first).
-    fn request_needs(&mut self, k: &mut dyn KernelApi<IvyMsg>, needs: &[PageNeed]) {
-        for need in needs {
-            if self.have(*need) {
+    fn request_needs(&mut self, k: &mut dyn KernelApi<IvyMsg>, need: PageNeed) {
+        for page in need.span.pages() {
+            if self.have(page, need.write) {
                 continue;
             }
-            let fl = self.inflight.entry(need.page).or_default();
+            let fl = self.inflight.entry(page).or_default();
+            if fl.write || fl.read {
+                continue;
+            }
             if need.write {
-                if fl.write || fl.read {
-                    continue;
-                }
                 fl.write = true;
-                let upgrade = self.pages.contains_key(&need.page);
+                let upgrade = self.pages.contains_key(&page);
                 cover(k, "page", if upgrade { "read-only" } else { "invalid" }, "write-fault");
-                let mgr = self.manager(need.page);
-                self.route(k, mgr, IvyMsg::WReq { page: need.page });
+                let mgr = self.manager(page);
+                self.route(k, mgr, IvyMsg::WReq { page });
             } else {
-                if fl.read || fl.write {
-                    continue;
-                }
                 fl.read = true;
                 cover(k, "page", "invalid", "read-fault");
-                let mgr = self.manager(need.page);
-                self.route(k, mgr, IvyMsg::RReq { page: need.page });
+                let mgr = self.manager(page);
+                self.route(k, mgr, IvyMsg::RReq { page });
             }
         }
     }
 
     /// Wake parked ticket spinners whose parking condition no longer holds:
     /// the cached copy of the `now_serving` word's page vanished
-    /// (invalidated, yielded) or the word reached their ticket. Woken
-    /// spinners land in `pending` for the surrounding rescan pass.
-    fn wake_lock_probes(&mut self) {
+    /// (invalidated, yielded) or the word reached their ticket. Only pages
+    /// in `changed` (copy state) or `served` (word advanced) can hold such
+    /// spinners; they are visited in ascending page order, so woken
+    /// spinners land in `pending` in an order fixed by the run, for the
+    /// surrounding rescan pass.
+    fn wake_lock_probes(&mut self, changed: &mut Vec<PageId>) {
         if self.lock_waiters.is_empty() {
+            self.served.clear();
             return;
         }
-        let pages: Vec<PageId> = self.lock_waiters.keys().copied().collect();
-        for page in pages {
-            let Some(waiters) = self.lock_waiters.remove(&page) else { continue };
-            let mut still = Vec::new();
-            for op in waiters {
-                let (lock, ticket) = match &op {
-                    PendingIvyOp::TicketWait { lock, ticket, .. } => (*lock, *ticket),
-                    _ => {
-                        still.push(op);
-                        continue;
-                    }
+        changed.append(&mut self.served);
+        changed.sort_unstable();
+        changed.dedup();
+        let mut waiters = std::mem::take(&mut self.lock_waiters);
+        for page in changed.iter() {
+            let Some(spinners) = waiters.get_mut(page) else { continue };
+            spinners.retain(|op| {
+                let &PendingIvyOp::TicketWait { thread, lock, ticket } = op else {
+                    return true;
                 };
-                let needs = self.op_needs(&op);
-                let readable = needs.iter().all(|n| self.have(*n));
-                if readable && self.read_u64_at(self.lock_addr[&lock] + 8) != ticket {
-                    still.push(op); // copy valid, not our turn yet: keep spinning locally
+                let need = self.op_needs(op);
+                if self.have_all(need) && self.read_u64_at(self.lock_addr[&lock] + 8) != ticket {
+                    return true; // copy valid, not our turn yet: keep spinning locally
+                }
+                self.pending.push(Waiting {
+                    op: PendingIvyOp::TicketWait { thread, lock, ticket },
+                    need,
+                    settled: false,
+                });
+                false
+            });
+            if spinners.is_empty() {
+                waiters.remove(page);
+            }
+        }
+        self.lock_waiters = waiters;
+    }
+
+    /// Try to complete pending ops; request what is still missing. Runs to
+    /// fixpoint: completing one op can unblock another (barrier flips, lock
+    /// releases).
+    ///
+    /// Each pass does what a check of every pending op would, in the same
+    /// order, but only checks the ops that could act differently from last
+    /// time: those queued since (`settled` unset) and those whose span holds
+    /// a page in `changed`. A settled op elsewhere is still blocked and has
+    /// its requests out, so checking it would do nothing. Executing an op
+    /// changes no page's local state, so the pass's checks all see the
+    /// state it began with.
+    fn rescan(&mut self, k: &mut dyn KernelApi<IvyMsg>) {
+        loop {
+            self.epoch += 1;
+            let mut changed = std::mem::take(&mut self.changed);
+            self.wake_lock_probes(&mut changed);
+            if self.pending.is_empty() {
+                changed.clear();
+                self.changed = changed;
+                return;
+            }
+            let mut progressed = false;
+            let mut ops = std::mem::take(&mut self.pending);
+            let mut still = std::mem::take(&mut self.spare_ops);
+            for mut w in ops.drain(..) {
+                if w.settled && !changed.iter().any(|p| w.need.span.contains(*p)) {
+                    still.push(w);
+                } else if self.have_all(w.need) {
+                    self.execute(k, w.op);
+                    progressed = true;
                 } else {
-                    self.pending.push(op);
+                    w.settled = false;
+                    still.push(w);
                 }
             }
-            if !still.is_empty() {
-                self.lock_waiters.insert(page, still);
+            debug_assert!(self.changed.is_empty(), "an executed op changed a page's state");
+            // Ops queued by executed ops (a barrier arrival's sense poll) go
+            // before the blocked ones.
+            let first = self.pending.len();
+            if first == 0 {
+                std::mem::swap(&mut self.pending, &mut still);
+            } else {
+                self.pending.append(&mut still);
+            }
+            self.spare_ops = ops;
+            // Request everything still blocked. A request routed to this
+            // node's own manager may change page state and re-enter
+            // `rescan`, which reorders `pending`; from then on this pass
+            // re-issues every blocked op's requests from its own copy of
+            // their needs, as a full check would.
+            let mut needs = std::mem::take(&mut self.spare_needs);
+            needs.clear();
+            needs.extend(self.pending[first..].iter().map(|w| w.need));
+            let epoch = self.epoch;
+            for (i, &need) in needs.iter().enumerate() {
+                let in_place = self.epoch == epoch;
+                if in_place && self.pending[first + i].settled {
+                    continue;
+                }
+                self.request_needs(k, need);
+                if in_place && self.epoch == epoch {
+                    self.pending[first + i].settled = true;
+                }
+            }
+            self.spare_needs = needs;
+            if self.changed.is_empty() {
+                changed.clear();
+                self.changed = changed;
+            }
+            if !progressed {
+                debug_assert!(self.settled_ops_are_quiet(), "a settled op would act");
+                return;
             }
         }
     }
 
-    /// Try to complete every pending op; re-request what is still missing.
-    /// Runs to fixpoint: completing one op can unblock another (barrier
-    /// flips, lock releases).
-    fn rescan(&mut self, k: &mut dyn KernelApi<IvyMsg>) {
-        loop {
-            self.wake_lock_probes();
-            let mut progressed = false;
-            let mut still = Vec::new();
-            let ops = std::mem::take(&mut self.pending);
-            for op in ops {
-                let needs = self.op_needs(&op);
-                if needs.iter().all(|n| self.have(*n)) {
-                    self.execute(k, op);
-                    progressed = true;
-                } else {
-                    still.push(op);
-                }
-            }
-            // Collect requests for everything still blocked.
-            let mut all_needs = Vec::new();
-            for op in &still {
-                all_needs.extend(self.op_needs(op));
-            }
-            self.pending.extend(still);
-            self.request_needs(k, &all_needs);
-            if !progressed {
-                return;
-            }
-        }
+    /// What `settled` promises: the op is blocked and re-requesting its
+    /// pages would send nothing, unless one of its pages has changed since.
+    fn settled_ops_are_quiet(&self) -> bool {
+        self.pending.iter().filter(|w| w.settled).all(|w| {
+            let requested = |p: PageId| {
+                self.have(p, w.need.write) || self.inflight.get(&p).is_some_and(|f| f.any())
+            };
+            w.need.span.pages().any(|p| self.changed.contains(&p))
+                || (!self.have_all(w.need) && w.need.span.pages().all(requested))
+        })
     }
 
     /// Execute an op whose pages are all locally available.
@@ -414,15 +526,15 @@ impl IvyServer {
         let cost = k.cost().fault_overhead_us + k.cost().local_access_us;
         match op {
             PendingIvyOp::Read { thread, obj, range } => {
-                let bytes = self.gather(obj, range);
+                let bytes = self.gather(self.addr_of(obj, range.start), range.len);
                 k.complete(thread, OpResult::Bytes(bytes), cost);
             }
             PendingIvyOp::Write { thread, obj, range, data } => {
-                self.scatter(obj, range, &data);
+                self.put_addr(self.addr_of(obj, range.start), &data);
                 k.complete(thread, OpResult::Unit, cost);
             }
             PendingIvyOp::AtomicAdd { thread, obj, offset, delta } => {
-                let addr = self.space.base(obj).unwrap_or(0) + offset as u64;
+                let addr = self.addr_of(obj, offset);
                 let old = self.read_u64_at(addr) as i64;
                 self.write_u64_at(addr, old.wrapping_add(delta) as u64);
                 k.complete(thread, OpResult::Value(old), cost);
@@ -454,6 +566,7 @@ impl IvyServer {
                 let addr = self.lock_addr[&lock];
                 let serving = self.read_u64_at(addr + 8);
                 self.write_u64_at(addr + 8, serving + 1);
+                self.served.push(PageId((addr + 8) / self.cfg.page_size as u64));
                 k.complete(thread, OpResult::Unit, cost);
             }
             PendingIvyOp::BarrierArrive { thread, barrier } => {
@@ -471,7 +584,7 @@ impl IvyServer {
                     self.write_u64_at(addr, arrived);
                     let expected = (self.read_u64_at(addr + 8) ^ 1) as u8;
                     // Start polling the sense word.
-                    self.pending.push(PendingIvyOp::BarrierPoll {
+                    self.queue(PendingIvyOp::BarrierPoll {
                         thread,
                         barrier,
                         expected_sense: expected,
@@ -592,6 +705,7 @@ impl IvyServer {
                 copy.write = false;
                 copy.data.clone()
             };
+            self.touch(page);
             self.route(k, from, IvyMsg::PData { page, data, confirm: false });
             self.rescan(k);
         } else if owner == from {
@@ -614,6 +728,7 @@ impl IvyServer {
             copy.write = false;
             copy.data.clone()
         };
+        self.touch(page);
         self.route(k, requester, IvyMsg::PData { page, data, confirm: true });
         // Our own pending writes to this page lost write access.
         self.rescan(k);
@@ -638,10 +753,10 @@ impl IvyServer {
             let had_copy = if requester == self.node {
                 self.pages.contains_key(&page)
             } else {
-                d.copyset.contains(&requester)
+                d.copyset.contains(requester)
             };
             let to_inval: Vec<NodeId> =
-                d.copyset.iter().copied().filter(|n| *n != requester && *n != owner).collect();
+                d.copyset.0.iter().copied().filter(|n| *n != requester && *n != owner).collect();
             (owner, to_inval, had_copy)
         };
         let awaiting_yield = owner != requester && owner != self.node;
@@ -662,6 +777,7 @@ impl IvyServer {
         }
         if !self_inval.is_empty() {
             self.pages.remove(&page);
+            self.touch(page);
             self.rescan(k);
         }
         if !remote_inval.is_empty() {
@@ -678,6 +794,7 @@ impl IvyServer {
             k.error(format!("Yield at non-holder for {page}"));
             return;
         };
+        self.touch(page);
         self.route(k, from, IvyMsg::YieldData { page, data: copy.data });
         self.rescan(k);
     }
@@ -699,6 +816,7 @@ impl IvyServer {
     fn handle_inval(&mut self, k: &mut dyn KernelApi<IvyMsg>, from: NodeId, page: PageId) {
         cover(k, "page", "valid", "invalidated");
         self.pages.remove(&page);
+        self.touch(page);
         self.route(k, from, IvyMsg::InvalAck { page });
         self.rescan(k);
     }
@@ -730,6 +848,7 @@ impl IvyServer {
             Some(d) => Some(d),
             None => {
                 if requester != self.node {
+                    self.touch(page);
                     self.pages.remove(&page).map(|c| c.data)
                 } else {
                     None
@@ -739,8 +858,8 @@ impl IvyServer {
         {
             let d = self.dir.get_mut(&page).expect("exists");
             d.owner = requester;
-            d.copyset.clear();
-            d.copyset.insert(requester);
+            d.copyset.0.clear();
+            d.copyset.0.push(requester);
         }
         if requester == self.node {
             match source {
@@ -758,6 +877,7 @@ impl IvyServer {
                 }
             }
             self.inflight.remove(&page);
+            self.touch(page);
             self.rescan(k);
         } else {
             let data = if txn.requester_had_copy { None } else { source };
@@ -819,6 +939,7 @@ impl IvyServer {
         if let Some(fl) = self.inflight.get_mut(&page) {
             fl.read = false;
         }
+        self.touch(page);
         if confirm {
             let mgr = self.manager(page);
             self.route(k, mgr, IvyMsg::RConfirm { page });
@@ -831,7 +952,7 @@ impl IvyServer {
             let Some(d) = self.dir.get_mut(&page) else {
                 return;
             };
-            d.pending_reads.remove(&from);
+            d.pending_reads.remove(from);
             d.pending_reads.is_empty() && d.active.is_none()
         };
         if drained {
@@ -862,6 +983,7 @@ impl IvyServer {
             }
         }
         self.inflight.remove(&page);
+        self.touch(page);
         self.rescan(k);
     }
 
@@ -983,7 +1105,7 @@ impl IvyServer {
 
     /// Park a data/spin op and try to satisfy it.
     fn submit(&mut self, k: &mut dyn KernelApi<IvyMsg>, op: PendingIvyOp) {
-        self.pending.push(op);
+        self.queue(op);
         self.rescan(k);
     }
 }
@@ -997,16 +1119,16 @@ impl Server for IvyServer {
                 "Ivy requires all objects to be declared before the run".into(),
             )),
             DsmOp::Read { obj, range } => {
-                let Some(needs) = self.needs_of(obj, range, false) else {
+                let Some((addr, span)) = self.space.span(obj, range) else {
                     return OpOutcome::fail(DsmError::OutOfBounds {
                         obj,
                         range,
                         size: self.space.size(obj).unwrap_or(0),
                     });
                 };
-                if needs.iter().all(|n| self.have(*n)) {
+                if self.have_all(PageNeed { span, write: false }) {
                     return OpOutcome::done(
-                        OpResult::Bytes(self.gather(obj, range)),
+                        OpResult::Bytes(self.gather(addr, range.len)),
                         k.cost().local_access_us,
                     );
                 }
@@ -1014,15 +1136,15 @@ impl Server for IvyServer {
                 OpOutcome::Blocked
             }
             DsmOp::Write { obj, range, data } => {
-                let Some(needs) = self.needs_of(obj, range, true) else {
+                let Some((addr, span)) = self.space.span(obj, range) else {
                     return OpOutcome::fail(DsmError::OutOfBounds {
                         obj,
                         range,
                         size: self.space.size(obj).unwrap_or(0),
                     });
                 };
-                if needs.iter().all(|n| self.have(*n)) {
-                    self.scatter(obj, range, &data);
+                if self.have_all(PageNeed { span, write: true }) {
+                    self.put_addr(addr, &data);
                     return OpOutcome::unit(k.cost().local_access_us);
                 }
                 self.submit(k, PendingIvyOp::Write { thread, obj, range, data });
@@ -1107,7 +1229,9 @@ impl Server for IvyServer {
             }
         };
         let mut out = String::new();
-        for (l, addr) in &self.lock_addr {
+        let mut locks: Vec<_> = self.lock_addr.iter().collect();
+        locks.sort_unstable();
+        for (l, addr) in locks {
             let page = PageId(*addr / self.cfg.page_size as u64);
             let copy = self.pages.get(&page).map(|c| {
                 format!(
@@ -1119,18 +1243,23 @@ impl Server for IvyServer {
             });
             let _ = write!(out, "{l}@{addr} {copy:?}; ");
         }
-        let _ = write!(out, "pending={:?}; ", self.pending);
-        let _ = write!(out, "inflight={:?}; ", self.inflight);
+        let pending: Vec<_> = self.pending.iter().map(|w| &w.op).collect();
+        let _ = write!(out, "pending={pending:?}; ");
+        let mut inflight: Vec<_> = self.inflight.iter().collect();
+        inflight.sort_unstable_by_key(|(page, _)| **page);
+        let _ = write!(out, "inflight={inflight:?}; ");
         let _ = write!(out, "waiters={:?}; ", self.lock_waiters);
-        for (page, d) in &self.dir {
+        let mut dir: Vec<_> = self.dir.iter().collect();
+        dir.sort_unstable_by_key(|(page, _)| **page);
+        for (page, d) in dir {
             let _ = write!(
                 out,
                 "dir {page:?}: owner={} copyset={:?} active={} queued={:?} pending_reads={:?}; ",
                 d.owner,
-                d.copyset,
+                d.copyset.0,
                 d.active.is_some(),
                 d.queued,
-                d.pending_reads
+                d.pending_reads.0
             );
         }
         out
@@ -1138,8 +1267,135 @@ impl Server for IvyServer {
 
     fn on_timer(&mut self, k: &mut dyn KernelApi<IvyMsg>, token: u64) {
         if let Some(op) = self.parked.remove(&token) {
-            self.pending.push(op);
+            self.queue(op);
             self.rescan(k);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use munin_types::{CostModel, LockDecl, ObjectDecl, SharingType, SyncDecls, VirtualTime};
+
+    /// A kernel that records what the server sends and completes.
+    #[derive(Default)]
+    struct Recorder {
+        cost: CostModel,
+        sent: Vec<(NodeId, IvyMsg)>,
+        done: Vec<ThreadId>,
+    }
+
+    impl KernelApi<IvyMsg> for Recorder {
+        fn now(&self) -> VirtualTime {
+            VirtualTime::ZERO
+        }
+        fn cost(&self) -> &CostModel {
+            &self.cost
+        }
+        fn send(&mut self, _src: NodeId, dst: NodeId, payload: IvyMsg) {
+            self.sent.push((dst, payload));
+        }
+        fn multicast(&mut self, src: NodeId, dsts: &[NodeId], payload: IvyMsg) {
+            for d in dsts {
+                self.send(src, *d, payload.clone());
+            }
+        }
+        fn complete(&mut self, thread: ThreadId, result: OpResult, _extra_cost_us: u64) {
+            assert!(matches!(result, OpResult::Unit), "{thread}: {result:?}");
+            self.done.push(thread);
+        }
+        fn set_timer(&mut self, _node: NodeId, _delay_us: u64, _token: u64) {}
+        fn register_decl(&mut self, _decl: ObjectDecl, _home: NodeId) -> ObjectId {
+            unreachable!("Ivy declares everything up front")
+        }
+        fn decl(&self, _obj: ObjectId) -> Option<ObjectDecl> {
+            None
+        }
+        fn assoc_objects(&self, _lock: LockId) -> Vec<ObjectId> {
+            Vec::new()
+        }
+        fn retype(&mut self, _obj: ObjectId, _sharing: SharingType) {}
+        fn registry_version(&self) -> u64 {
+            0
+        }
+        fn error(&mut self, msg: String) {
+            panic!("server error: {msg}");
+        }
+    }
+
+    /// Node 2 of three, with 16-byte pages and two ticket locks: lock 0's
+    /// words fill page 0 (managed by node 0), lock 1's page 1 (node 1).
+    fn two_lock_server() -> IvyServer {
+        let cfg = IvyConfig { page_size: 16, ..IvyConfig::default() };
+        let sync = SyncDecls {
+            locks: (0..2).map(|i| LockDecl { id: LockId(i), home: NodeId(0) }).collect(),
+            ..SyncDecls::default()
+        };
+        IvyServer::new(NodeId(2), cfg, 3, &[], &sync)
+    }
+
+    /// Take `lock` with `holder` (faulting its page in writable from
+    /// `mgr`), then park `spinner` behind it on the local copy.
+    fn hold_and_park(
+        s: &mut IvyServer,
+        k: &mut Recorder,
+        lock: LockId,
+        mgr: NodeId,
+        holder: ThreadId,
+        spinner: ThreadId,
+    ) {
+        let page = PageId(lock.0 as u64);
+        assert!(matches!(s.on_op(k, holder, DsmOp::Lock(lock)), OpOutcome::Blocked));
+        assert_eq!(k.sent.pop(), Some((mgr, IvyMsg::WReq { page })));
+        s.on_message(k, mgr, IvyMsg::Grant { page, data: Some(vec![0; 16]) });
+        assert_eq!(k.done.pop(), Some(holder), "the free lock is taken at once");
+        assert!(matches!(s.on_op(k, spinner, DsmOp::Lock(lock)), OpOutcome::Blocked));
+        assert!(k.sent.is_empty() && k.done.is_empty(), "the spinner spins on its local copy");
+    }
+
+    #[test]
+    fn one_rescan_wakes_spinners_in_page_order() {
+        let mut s = two_lock_server();
+        let mut k = Recorder::default();
+        // Park lock 1's spinner first, so insertion order is not page order.
+        hold_and_park(&mut s, &mut k, LockId(1), NodeId(1), ThreadId(1), ThreadId(2));
+        hold_and_park(&mut s, &mut k, LockId(0), NodeId(0), ThreadId(3), ThreadId(4));
+        assert_eq!(s.lock_waiters.len(), 2);
+        // Both copies vanish before the next rescan (no single message
+        // drops two pages, so the test drops them itself).
+        for page in [PageId(1), PageId(0)] {
+            s.pages.remove(&page);
+            s.touch(page);
+        }
+        s.rescan(&mut k);
+        let woken: Vec<ThreadId> = s.pending.iter().map(|w| w.op.thread()).collect();
+        assert_eq!(woken, [ThreadId(4), ThreadId(2)], "lock 0's page first");
+        assert_eq!(
+            k.sent,
+            [
+                (NodeId(0), IvyMsg::RReq { page: PageId(0) }),
+                (NodeId(1), IvyMsg::RReq { page: PageId(1) })
+            ]
+        );
+        assert!(s.lock_waiters.is_empty());
+    }
+
+    #[test]
+    fn a_settled_op_is_passed_by_until_its_page_changes() {
+        let mut s = two_lock_server();
+        let mut k = Recorder::default();
+        assert!(matches!(s.on_op(&mut k, ThreadId(1), DsmOp::Lock(LockId(1))), OpOutcome::Blocked));
+        assert_eq!(k.sent.len(), 1);
+        assert!(s.pending[0].settled, "blocked, with its request out");
+        // A change to another page leaves it alone: no second request.
+        s.touch(PageId(0));
+        s.rescan(&mut k);
+        assert_eq!(k.sent.len(), 1);
+        assert!(s.pending[0].settled);
+        // Its own page arriving runs it.
+        s.on_message(&mut k, NodeId(1), IvyMsg::Grant { page: PageId(1), data: Some(vec![0; 16]) });
+        assert_eq!(k.done, [ThreadId(1)]);
+        assert!(s.pending.is_empty());
     }
 }

@@ -11,9 +11,8 @@
 //! computes the identical layout without communication — exactly like a
 //! linker laying out a shared segment.
 
-use munin_types::{AllocPolicy, ByteRange, ObjectId};
+use munin_types::{AllocPolicy, ByteRange, IdMap, ObjectId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A page number in the flat space.
@@ -32,6 +31,35 @@ impl fmt::Display for PageId {
     }
 }
 
+/// The contiguous run of pages `[first, end)` an access touches; empty for
+/// a zero-length access. Every access is one run of bytes, so its pages are
+/// one run too: the span is what [`AddressSpace::pieces`] would list,
+/// without the list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PageSpan {
+    pub first: u64,
+    pub end: u64,
+}
+
+impl PageSpan {
+    /// The pages bytes `[addr, addr + len)` touch, at `page_size`.
+    pub fn of_bytes(addr: u64, len: u32, page_size: u32) -> Self {
+        if len == 0 {
+            return PageSpan::default();
+        }
+        let ps = page_size as u64;
+        PageSpan { first: addr / ps, end: (addr + len as u64 - 1) / ps + 1 }
+    }
+
+    pub fn pages(self) -> impl Iterator<Item = PageId> {
+        (self.first..self.end).map(PageId)
+    }
+
+    pub fn contains(self, page: PageId) -> bool {
+        self.first <= page.0 && page.0 < self.end
+    }
+}
+
 /// One page-sized (or smaller) piece of an object access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PagePiece {
@@ -45,19 +73,47 @@ pub struct PagePiece {
     pub len: u32,
 }
 
+/// The pieces of bytes `[addr, addr + len)` at `page_size`, in page order,
+/// without a list. The first byte is at `offset` in its object, and each
+/// piece's `obj_offset` continues from there.
+pub fn page_pieces(
+    page_size: u32,
+    addr: u64,
+    offset: u32,
+    len: u32,
+) -> impl Iterator<Item = PagePiece> {
+    let ps = page_size as u64;
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let a = addr + done as u64;
+            let off_in_page = (a % ps) as u32;
+            let take = (len - done).min(page_size - off_in_page);
+            let piece = PagePiece {
+                page: PageId(a / ps),
+                off_in_page,
+                obj_offset: offset + done,
+                len: take,
+            };
+            done += take;
+            piece
+        })
+    })
+}
+
 /// Deterministic object placement + translation.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     page_size: u32,
     policy: AllocPolicy,
     next_addr: u64,
-    bases: HashMap<ObjectId, (u64, u32)>, // (base address, size)
+    bases: IdMap<ObjectId, (u64, u32)>, // (base address, size)
 }
 
 impl AddressSpace {
     pub fn new(page_size: u32, policy: AllocPolicy) -> Self {
         assert!(page_size.is_power_of_two(), "page size must be a power of two");
-        AddressSpace { page_size, policy, next_addr: 0, bases: HashMap::new() }
+        AddressSpace { page_size, policy, next_addr: 0, bases: IdMap::default() }
     }
 
     pub fn page_size(&self) -> u32 {
@@ -98,6 +154,17 @@ impl AddressSpace {
         PageId(addr / self.page_size as u64)
     }
 
+    /// Flat address of byte `range.start` of `obj` and the pages the access
+    /// touches; `None` for an unplaced object or a range past its end.
+    pub fn span(&self, obj: ObjectId, range: ByteRange) -> Option<(u64, PageSpan)> {
+        let (base, size) = *self.bases.get(&obj)?;
+        if !range.fits_in(size) {
+            return None;
+        }
+        let addr = base + range.start as u64;
+        Some((addr, PageSpan::of_bytes(addr, range.len, self.page_size)))
+    }
+
     /// Translate an access to `range` of `obj` into per-page pieces, in
     /// ascending page order.
     pub fn pieces(&self, obj: ObjectId, range: ByteRange) -> Option<Vec<PagePiece>> {
@@ -105,32 +172,14 @@ impl AddressSpace {
         if !range.fits_in(size) {
             return None;
         }
-        let ps = self.page_size as u64;
-        let mut out = Vec::new();
-        let mut obj_off = range.start;
-        let mut remaining = range.len;
-        while remaining > 0 {
-            let addr = base + obj_off as u64;
-            let page = PageId(addr / ps);
-            let off_in_page = (addr % ps) as u32;
-            let take = remaining.min(self.page_size - off_in_page);
-            out.push(PagePiece { page, off_in_page, obj_offset: obj_off, len: take });
-            obj_off += take;
-            remaining -= take;
-        }
-        Some(out)
+        let addr = base + range.start as u64;
+        Some(page_pieces(self.page_size, addr, range.start, range.len).collect())
     }
 
     /// All pages an object occupies (for sizing page tables).
     pub fn pages_of_object(&self, obj: ObjectId) -> Option<Vec<PageId>> {
         let (base, size) = *self.bases.get(&obj)?;
-        if size == 0 {
-            return Some(Vec::new());
-        }
-        let ps = self.page_size as u64;
-        let first = base / ps;
-        let last = (base + size as u64 - 1) / ps;
-        Some((first..=last).map(PageId).collect())
+        Some(PageSpan::of_bytes(base, size, self.page_size).pages().collect())
     }
 }
 
@@ -247,5 +296,52 @@ mod tests {
                 prop_assert!(w[1].page.0 == w[0].page.0 + 1);
             }
         }
+
+        /// The span lists exactly the pages of `pieces`, for either
+        /// placement policy and any range that fits, zero-length and
+        /// page-straddling ones included; the address is the first piece's.
+        #[test]
+        fn span_is_the_page_list_of_pieces(
+            page_pow in 3u32..12,
+            aligned in any::<bool>(),
+            sizes in proptest::collection::vec(0u32..5000, 1..10),
+            pick in any::<prop::sample::Index>(),
+            start_frac in 0.0f64..=1.0,
+            len_frac in 0.0f64..=1.0,
+        ) {
+            let ps = 1u32 << page_pow;
+            let policy = if aligned { AllocPolicy::PageAligned } else { AllocPolicy::Packed };
+            let mut a = AddressSpace::new(ps, policy);
+            for (i, s) in sizes.iter().enumerate() {
+                a.place(ObjectId(i as u64), *s);
+            }
+            let idx = pick.index(sizes.len());
+            let obj = ObjectId(idx as u64);
+            let size = sizes[idx];
+            let start = (size as f64 * start_frac) as u32;
+            let len = ((size - start) as f64 * len_frac) as u32;
+            let range = ByteRange::new(start, len);
+            let pieces = a.pieces(obj, range).unwrap();
+            let (addr, span) = a.span(obj, range).unwrap();
+            let listed: Vec<PageId> = pieces.iter().map(|p| p.page).collect();
+            prop_assert_eq!(span.pages().collect::<Vec<_>>(), listed);
+            prop_assert_eq!(addr, a.base(obj).unwrap() + start as u64);
+            if let Some(p) = pieces.first() {
+                prop_assert_eq!(addr % ps as u64, p.off_in_page as u64);
+            }
+            // Out-of-bounds agrees too.
+            let past = ByteRange::new(start, size - start + 1);
+            prop_assert_eq!(a.span(obj, past).is_none(), a.pieces(obj, past).is_none());
+        }
+    }
+
+    #[test]
+    fn span_of_bytes_edges() {
+        assert_eq!(PageSpan::of_bytes(100, 0, 64), PageSpan::default());
+        assert_eq!(PageSpan::of_bytes(64, 64, 64), PageSpan { first: 1, end: 2 });
+        assert_eq!(PageSpan::of_bytes(63, 2, 64), PageSpan { first: 0, end: 2 });
+        let s = PageSpan::of_bytes(60, 200, 64);
+        assert_eq!(s.pages().collect::<Vec<_>>(), (0..5).map(PageId).collect::<Vec<_>>());
+        assert!(s.contains(PageId(4)) && !s.contains(PageId(5)));
     }
 }

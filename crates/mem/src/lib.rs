@@ -45,7 +45,7 @@ pub mod diff;
 pub mod store;
 pub mod twin;
 
-pub use addr::{AddressSpace, PageId, PagePiece};
+pub use addr::{page_pieces, AddressSpace, PageId, PagePiece, PageSpan};
 pub use diff::Diff;
 pub use store::ObjectStore;
 pub use twin::TwinStore;

@@ -16,8 +16,8 @@ use crate::event::{EventKind, EventQueue};
 use munin_net::{
     derive, LatencyModel, LinkSchedule, LossModel, MsgClass, NetStats, PayloadInfo, ReorderBuffer,
 };
-use munin_types::{CostModel, NodeId, VirtualTime};
-use std::collections::{BTreeMap, HashMap};
+use munin_types::{CostModel, IdMap, NodeId, VirtualTime};
+use std::collections::BTreeMap;
 
 /// Transport configuration.
 ///
@@ -138,7 +138,7 @@ pub struct Transport<P> {
     /// Keyed by (src, dst): state for the directed pair. The entry at key
     /// (a, b) holds a's sender state towards b *and* b's receiver state from
     /// a (they are the two ends of the same directed channel).
-    pairs: HashMap<(NodeId, NodeId), PairState<P>>,
+    pairs: IdMap<(NodeId, NodeId), PairState<P>>,
     reliable: bool,
 }
 
@@ -151,7 +151,7 @@ impl<P: PayloadInfo + Clone> Transport<P> {
         // Link faults silently eat transmissions, so they need the same
         // ack/retransmission machinery that recovers injected loss.
         let reliable = cfg.drop_prob > 0.0 || !cfg.link_faults.is_empty();
-        Transport { cfg, latency, loss, pairs: HashMap::new(), reliable }
+        Transport { cfg, latency, loss, pairs: IdMap::default(), reliable }
     }
 
     pub fn cost(&self) -> &CostModel {

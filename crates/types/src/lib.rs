@@ -18,6 +18,7 @@ pub mod cost;
 pub mod element;
 pub mod error;
 pub mod handle;
+pub mod idhash;
 pub mod ids;
 pub mod range;
 pub mod sharing;
@@ -33,6 +34,7 @@ pub use cost::CostModel;
 pub use element::Element;
 pub use error::{DsmError, DsmResult};
 pub use handle::{SharedArray, SharedScalar};
+pub use idhash::IdMap;
 pub use ids::{BarrierId, CondId, LockId, NodeId, ObjectId, ThreadId};
 pub use range::ByteRange;
 pub use sharing::{ObjectDecl, SharingType};

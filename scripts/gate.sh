@@ -48,11 +48,12 @@ step "Diff scan and wire codec tests (release)"
 timeout 600 cargo test --release -q -p munin-mem -p munin-proto
 
 # The one client path every fabric runs (op window, tokens, write combining,
-# the wait table) is hot-path code the benchmark measures in release; its
-# fast-path tests (no clock read, no allocation per absorbed write) run at
-# that optimisation level here.
-step "Client and simulator kernel tests (release)"
-timeout 600 cargo test --release -q -p munin-sim
+# the wait table) and Ivy's pending-op engine (page spans, targeted
+# rescans) are hot-path code the benchmark measures in release; their
+# tests (no clock read, no allocation per absorbed write, spans against
+# `pieces`, page-order wakes) run at that optimisation level here.
+step "Client, simulator kernel and Ivy engine tests (release)"
+timeout 600 cargo test --release -q -p munin-sim -p munin-ivy -p munin-mem
 
 step "Real-time sync-object stress (release)"
 timeout 600 cargo test --release -q -p xtests --test rt_stress
@@ -99,12 +100,13 @@ timeout 600 cargo bench --bench obs_overhead
 step "Distributed 2-process smoke (release)"
 timeout 600 cargo run --release -p munin-bench --bin study -- --backend munin-tcp --apps life,matmul --nodes 2
 
-# tsp and qsort on Ivy at 64 nodes: ~3.8 M and ~0.5 M messages, too slow
-# for the debug suite (which runs every other app x protocol cell at 64
-# nodes, `tests/tests/apps_at_scale.rs`). tsp guards the work stack's sizing
-# against the worker count on the protocol whose schedule fills it most.
-step "tsp and qsort at 64 nodes on Ivy (release)"
-timeout 600 cargo run --release -p munin-bench --bin study -- --backend ivy --apps tsp,qsort --nodes 64
+# tsp on Ivy at 64 nodes: ~3.8 M messages, too slow for the debug suite
+# (which runs every other app x protocol cell at 64 nodes, qsort on Ivy
+# included, `tests/tests/apps_at_scale.rs`). tsp guards the work stack's
+# sizing against the worker count on the protocol whose schedule fills it
+# most.
+step "tsp at 64 nodes on Ivy (release)"
+timeout 600 cargo run --release -p munin-bench --bin study -- --backend ivy --apps tsp --nodes 64
 
 # Seeded fault campaigns: a fixed batch on the deterministic simulator (any
 # failure auto-shrinks and prints a one-line `munin-campaign --seed N`
