@@ -89,25 +89,6 @@ fn bench_twins(c: &mut Criterion) {
     });
 }
 
-fn bench_reorder(c: &mut Criterion) {
-    c.bench_function("reorder in-order x256", |b| {
-        b.iter(|| {
-            let mut rb = munin_net::ReorderBuffer::new();
-            for i in 0..256u64 {
-                black_box(rb.offer(i, i));
-            }
-        })
-    });
-    c.bench_function("reorder reversed x64", |b| {
-        b.iter(|| {
-            let mut rb = munin_net::ReorderBuffer::new();
-            for i in (0..64u64).rev() {
-                black_box(rb.offer(i, i));
-            }
-        })
-    });
-}
-
 fn bench_vclock(c: &mut Criterion) {
     c.bench_function("vclock join+leq 16 threads", |b| {
         let mut a = VectorClock::new(16);
@@ -157,7 +138,6 @@ criterion_group!(
     bench_typed_api,
     bench_diff,
     bench_twins,
-    bench_reorder,
     bench_vclock,
     bench_addr,
     bench_token_path

@@ -106,7 +106,7 @@ pub struct CampaignOutcome {
     /// died before the read-back).
     pub final_counters: Vec<i64>,
     /// Network traffic totals from the run — scenarios assert on these
-    /// (e.g. a healed partition must retransmit, never give up).
+    /// (e.g. a healed partition must hold its messages, never give up).
     pub stats: munin_net::NetStats,
     /// Injected faults that landed while some thread had two or more ops
     /// in flight (`RunReport::pipelined_faults`; simulator targets only).

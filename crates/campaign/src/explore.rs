@@ -290,8 +290,8 @@ fn mutate(parent: &InteractionPlan, rng: &mut SmallRng, tardis: bool) -> Interac
     parent.clone()
 }
 
-/// Healing fault windows, matching the generator's retransmission-budget
-/// bounds (see `gen.rs`).
+/// Healing fault windows, matching the generator's bounds: well inside the
+/// simulator's hold budget (see `gen.rs`).
 fn heal_window(rng: &mut SmallRng) -> (u64, u64) {
     let from = rng.gen_range(5_000..=40_000);
     (from, from + rng.gen_range(10_000..=60_000))

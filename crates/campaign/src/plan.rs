@@ -138,11 +138,11 @@ pub struct Round {
 /// One injected fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultSpec {
-    /// Drop each wire transmission with probability `per_mille`/1000
-    /// (reliable delivery recovers every drop).
+    /// Lose each transmission attempt with probability `per_mille`/1000
+    /// (the simulator holds the message until an attempt gets through).
     Loss { per_mille: u32 },
-    /// Per-message delivery jitter up to `max_us` — reorders the wire and
-    /// exercises the receiver-side reorder buffer.
+    /// Per-message delivery jitter up to `max_us` — reorders the wire, and
+    /// the transport must still deliver each pair in send order.
     Jitter { max_us: u64 },
     /// Model the network as a shared half-duplex medium.
     SerializeMedium,
@@ -164,8 +164,9 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
-    /// Does the run recover from this fault (reliable delivery or healing
-    /// window), so a clean report and full visibility are still required?
+    /// Does the run recover from this fault (a loss or a healing window only
+    /// delays delivery), so a clean report and full visibility are still
+    /// required?
     pub fn recoverable(&self) -> bool {
         match self {
             FaultSpec::Loss { .. }

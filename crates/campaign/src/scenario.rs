@@ -143,8 +143,9 @@ pub fn all() -> Vec<Scenario> {
         },
         Scenario {
             name: "partition-heal",
-            about: "a 50 ms partition separates node 0 mid-run; reliable \
-                    delivery retransmits across the heal and the run ends clean",
+            about: "a 50 ms partition separates node 0 mid-run; the \
+                    transport holds the cut messages until the heal and the \
+                    run ends clean",
             backend: Backend::sim(MuninConfig::default()),
             expect: Expect::CleanPass,
             build: || {
@@ -159,7 +160,7 @@ pub fn all() -> Vec<Scenario> {
         Scenario {
             name: "tardis-lease-partition",
             about: "the same healed 50 ms partition under Tardis: leases \
-                    expire during the outage, renewals retransmit across the \
+                    expire during the outage, renewals are held until the \
                     heal, and the run ends clean with no lost updates",
             backend: Backend::sim(TardisConfig::default()),
             expect: Expect::CleanPass,
@@ -274,7 +275,7 @@ mod tests {
         let out = run(&s, &ExecOptions::default()).unwrap();
         assert!(out.passed(), "{:?}", out.reasons);
         assert!(out.clean);
-        assert_eq!(out.stats.gave_up, 0, "reliable delivery must retransmit across the heal");
+        assert_eq!(out.stats.gave_up, 0, "a healed partition only holds messages");
     }
 
     #[test]

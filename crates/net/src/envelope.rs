@@ -21,7 +21,8 @@ pub enum MsgClass {
     Update,
     /// Lock/barrier/condition traffic.
     Sync,
-    /// Acknowledgements, including the reliability layer's acks.
+    /// Protocol acknowledgements (invalidation, flush, renewal and write
+    /// acks).
     Ack,
 }
 
@@ -72,8 +73,8 @@ pub trait PayloadInfo {
 pub struct Envelope<P> {
     pub src: NodeId,
     pub dst: NodeId,
-    /// Per-(src,dst) sequence number assigned by the transport; consumed by
-    /// the receiver's [`crate::ReorderBuffer`] to guarantee FIFO delivery.
+    /// The message's place in its (src, dst) pair's send order, which is
+    /// also its delivery order.
     pub seq: u64,
     /// Virtual time at which the message was handed to the transport.
     pub sent_at: VirtualTime,

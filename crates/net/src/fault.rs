@@ -1,10 +1,10 @@
 //! Link-level fault windows: partitions and node isolation.
 //!
 //! A [`LinkFault`] cuts a set of links for a window of virtual time. The
-//! transport consults [`LinkSchedule::cut`] for every transmission (data and
-//! acks alike); a cut transmission vanishes from the wire exactly like an
-//! injected loss, so the reliability layer's retransmission machinery is what
-//! carries traffic across a healed partition.
+//! simulator's transport consults [`LinkSchedule::cut`] at each retry
+//! instant of every transmission: a cut never drops a message, it holds it
+//! until the first retry instant at which the link is whole again, so
+//! traffic crosses a healed partition late but in order.
 
 use munin_types::NodeId;
 
@@ -22,7 +22,8 @@ pub enum LinkFaultKind {
 /// One fault window over virtual time `[from_us, until_us)`.
 ///
 /// `until_us == u64::MAX` means the fault never heals (a permanent partition;
-/// the transport's bounded retransmission then reports the give-up).
+/// the transport gives up a message held past its retry budget and the run
+/// reports it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkFault {
     pub from_us: u64,

@@ -22,8 +22,11 @@ pub struct LatencyModel {
     wire_free_at: VirtualTime,
     /// Seeded per-message jitter in `[0, max_us]`; `None` keeps latency a
     /// pure function of payload size. Jitter makes later sends overtake
-    /// earlier ones, which exercises the receiver's reorder buffer.
+    /// earlier ones on the wire.
     jitter: Option<(u64, SmallRng)>,
+    /// Seeded loss: each transmission attempt is lost with this
+    /// probability. `None` never consults a stream.
+    loss: Option<(f64, SmallRng)>,
 }
 
 impl LatencyModel {
@@ -33,6 +36,7 @@ impl LatencyModel {
             serialize_medium: false,
             wire_free_at: VirtualTime::ZERO,
             jitter: None,
+            loss: None,
         }
     }
 
@@ -48,6 +52,26 @@ impl LatencyModel {
         self.jitter =
             if max_us == 0 { None } else { Some((max_us, SmallRng::seed_from_u64(seed))) };
         self
+    }
+
+    /// Lose each transmission attempt with probability `drop_prob`
+    /// (clamped to at most 0.999), drawn from the seeded stream. Zero leaves
+    /// the model lossless (the RNG is never consulted).
+    pub fn with_loss(mut self, drop_prob: f64, seed: u64) -> Self {
+        self.loss =
+            (drop_prob > 0.0).then(|| (drop_prob.min(0.999), SmallRng::seed_from_u64(seed)));
+        self
+    }
+
+    /// Roll the loss stream once per attempt until one gets through: the
+    /// number of attempts lost, at most `max`.
+    pub fn lost_attempts(&mut self, max: u32) -> u32 {
+        let Some((p, rng)) = &mut self.loss else { return 0 };
+        let mut lost = 0;
+        while lost < max && rng.gen_bool(*p) {
+            lost += 1;
+        }
+        lost
     }
 
     pub fn cost(&self) -> &CostModel {

@@ -12,26 +12,24 @@
 //! * [`Envelope`] / [`PayloadInfo`] — typed messages with wire-size and
 //!   classification metadata,
 //! * [`LatencyModel`] — virtual-time delivery latency derived from the
-//!   [`munin_types::CostModel`],
+//!   [`munin_types::CostModel`], with seeded jitter and seeded loss (a lost
+//!   attempt only delays a transmission: the simulator holds it until a
+//!   retry gets through),
+//! * [`LinkSchedule`] — partition and isolation windows, which hold the
+//!   transmissions on the links they cut,
 //! * [`NetStats`] — per-class and per-kind message/byte accounting,
-//! * [`LossModel`] + [`ReorderBuffer`] — deterministic loss injection and the
-//!   receiver-side sequencing that the reliability layer uses to preserve
-//!   FIFO delivery per (source, destination) pair,
 //! * multicast accounting — one send with hardware multicast, `k` sends
 //!   without (the paper's "well designed network interface" discussion).
 
 pub mod envelope;
 pub mod fault;
 pub mod latency;
-pub mod loss;
-pub mod reorder;
+mod loss;
 pub mod seed;
 pub mod stats;
 
 pub use envelope::{Envelope, MsgClass, PayloadInfo};
 pub use fault::{LinkFault, LinkFaultKind, LinkSchedule};
 pub use latency::LatencyModel;
-pub use loss::LossModel;
-pub use reorder::ReorderBuffer;
 pub use seed::{derive, SeedGuard};
 pub use stats::{KindStat, NetStats};

@@ -1,111 +1,58 @@
-//! Deterministic message-loss injection.
-//!
-//! The 1990 prototype ran over raw Ethernet via the V kernel, which provided
-//! reliable request/response on top of an unreliable datagram layer. Our
-//! reliability layer (acks + retransmission, in `munin-sim`) plays that role;
-//! this module decides — deterministically, from a seed — which transmissions
-//! are dropped, so failure-injection tests are reproducible.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// Bernoulli message-loss model with a deterministic stream.
-#[derive(Debug, Clone)]
-pub struct LossModel {
-    drop_prob: f64,
-    rng: SmallRng,
-    dropped: u64,
-    offered: u64,
-}
-
-impl LossModel {
-    /// `drop_prob` is clamped to `[0, 1)`; a lossless model never consults
-    /// the RNG so adding `LossModel::lossless()` to a run cannot perturb a
-    /// seeded experiment.
-    pub fn new(drop_prob: f64, seed: u64) -> Self {
-        LossModel {
-            drop_prob: drop_prob.clamp(0.0, 0.999),
-            rng: SmallRng::seed_from_u64(seed),
-            dropped: 0,
-            offered: 0,
-        }
-    }
-
-    pub fn lossless() -> Self {
-        LossModel::new(0.0, 0)
-    }
-
-    /// Returns true if this transmission should be dropped.
-    pub fn should_drop(&mut self) -> bool {
-        self.offered += 1;
-        if self.drop_prob == 0.0 {
-            return false;
-        }
-        let drop = self.rng.gen_bool(self.drop_prob);
-        if drop {
-            self.dropped += 1;
-        }
-        drop
-    }
-
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-}
+//! Tests of the seeded loss roll, [`crate::LatencyModel::lost_attempts`]:
+//! each transmission attempt is lost with a clamped probability drawn from
+//! the model's own stream, and a lost attempt only delays the transmission.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::LatencyModel;
+    use munin_types::CostModel;
+
+    fn lossy(drop_prob: f64, seed: u64) -> LatencyModel {
+        LatencyModel::new(CostModel::ethernet_1990()).with_loss(drop_prob, seed)
+    }
+
+    /// One roll per attempt: `true` when the first attempt is lost.
+    fn rolls(m: &mut LatencyModel, n: usize) -> Vec<bool> {
+        (0..n).map(|_| m.lost_attempts(1) == 1).collect()
+    }
 
     #[test]
     fn lossless_never_drops() {
-        let mut m = LossModel::lossless();
-        for _ in 0..1000 {
-            assert!(!m.should_drop());
-        }
-        assert_eq!(m.dropped(), 0);
-        assert_eq!(m.offered(), 1000);
+        let mut m = lossy(0.0, 1);
+        assert!((0..1000).all(|_| m.lost_attempts(40) == 0));
+        let mut plain = LatencyModel::new(CostModel::ethernet_1990());
+        assert_eq!(plain.lost_attempts(40), 0, "a model without loss never loses");
     }
 
     #[test]
     fn seeded_stream_is_deterministic() {
-        let mut a = LossModel::new(0.3, 42);
-        let mut b = LossModel::new(0.3, 42);
-        let va: Vec<bool> = (0..200).map(|_| a.should_drop()).collect();
-        let vb: Vec<bool> = (0..200).map(|_| b.should_drop()).collect();
-        assert_eq!(va, vb);
-        assert!(a.dropped() > 0, "p=0.3 over 200 trials drops something");
+        let stream = || {
+            let mut m = lossy(0.3, 42);
+            (0..200).map(|_| m.lost_attempts(3)).collect::<Vec<u32>>()
+        };
+        let va = stream();
+        assert_eq!(va, stream());
+        assert!(va.iter().any(|&k| k > 0), "p=0.3 over 200 transmissions loses something");
+        assert!(va.iter().all(|&k| k <= 3), "never past the bound");
     }
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = LossModel::new(0.5, 1);
-        let mut b = LossModel::new(0.5, 2);
-        let va: Vec<bool> = (0..64).map(|_| a.should_drop()).collect();
-        let vb: Vec<bool> = (0..64).map(|_| b.should_drop()).collect();
-        assert_ne!(va, vb);
+        assert_ne!(rolls(&mut lossy(0.5, 1), 64), rolls(&mut lossy(0.5, 2), 64));
     }
 
     #[test]
     fn drop_rate_tracks_probability() {
-        let mut m = LossModel::new(0.25, 7);
-        for _ in 0..10_000 {
-            m.should_drop();
-        }
-        let rate = m.dropped() as f64 / m.offered() as f64;
+        let lost = rolls(&mut lossy(0.25, 7), 10_000).iter().filter(|&&d| d).count();
+        let rate = lost as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.03, "rate {rate}");
     }
 
     #[test]
     fn probability_is_clamped() {
-        let mut m = LossModel::new(5.0, 3);
-        // Must not drop with probability 1.0 (which would livelock the
-        // reliability layer): clamped to 0.999.
-        let all: Vec<bool> = (0..20_000).map(|_| m.should_drop()).collect();
+        // Clamped to 0.999: a certain loss would hold every transmission
+        // until it is given up.
+        let all = rolls(&mut lossy(5.0, 3), 20_000);
         assert!(all.iter().any(|d| !d));
     }
 }

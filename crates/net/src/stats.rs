@@ -33,14 +33,14 @@ pub struct NetStats {
     pub multicasts: u64,
     /// Transmissions saved by hardware multicast (fanout minus actual sends).
     pub multicast_saved: u64,
-    /// Transmissions dropped by loss injection (retransmissions then add to
-    /// `messages` when they occur).
+    /// Transmission attempts held back by injected loss or a cut link (a
+    /// held transmission is still one message).
     pub dropped: u64,
-    /// Retransmissions performed by the reliability layer.
+    /// Retry instants at which held transmissions were attempted again.
     pub retransmissions: u64,
-    /// Transmissions the reliability layer abandoned after exhausting its
-    /// retry budget (only possible under injected link faults that outlast
-    /// the budget, e.g. a permanent partition).
+    /// Messages the simulator gave up: held past its retry budget, or sent
+    /// on a pair that already gave one up (only possible under link faults
+    /// that outlast the budget, e.g. a permanent partition).
     pub gave_up: u64,
 }
 
@@ -72,12 +72,11 @@ impl NetStats {
         self.multicast_saved += (fanout.saturating_sub(actual_sends)) as u64;
     }
 
-    pub fn record_drop(&mut self) {
-        self.dropped += 1;
-    }
-
-    pub fn record_retransmission(&mut self) {
-        self.retransmissions += 1;
+    /// Record a transmission held through `attempts` lost or cut attempts,
+    /// `retries` of them at retry instants after the first.
+    pub fn record_hold(&mut self, attempts: u64, retries: u64) {
+        self.dropped += attempts;
+        self.retransmissions += retries;
     }
 
     pub fn record_gave_up(&mut self) {
@@ -92,8 +91,7 @@ impl NetStats {
         self.by_kind.get(k).copied().unwrap_or_default()
     }
 
-    /// Messages excluding acks — the figure most comparable across
-    /// reliability settings.
+    /// Messages excluding protocol acks.
     pub fn messages_excluding_acks(&self) -> u64 {
         self.messages - self.class(MsgClass::Ack).count
     }
@@ -138,7 +136,7 @@ impl fmt::Display for NetStats {
             )?;
         }
         if self.dropped > 0 || self.retransmissions > 0 {
-            writeln!(f, "  dropped: {}  retransmitted: {}", self.dropped, self.retransmissions)?;
+            writeln!(f, "  held: {}  retry instants: {}", self.dropped, self.retransmissions)?;
         }
         if self.gave_up > 0 {
             writeln!(f, "  gave up: {}", self.gave_up)?;
@@ -187,18 +185,18 @@ mod tests {
     fn merge_sums_everything() {
         let mut a = NetStats::new();
         a.record(MsgClass::Data, "X", 10);
-        a.record_drop();
+        a.record_hold(1, 0);
         let mut b = NetStats::new();
         b.record(MsgClass::Data, "X", 5);
         b.record(MsgClass::Sync, "LockReq", 0);
-        b.record_retransmission();
+        b.record_hold(2, 1);
         b.record_gave_up();
         a.merge(&b);
         assert_eq!(a.messages, 3);
         assert_eq!(a.bytes, 15);
         assert_eq!(a.kind("X").count, 2);
         assert_eq!(a.class(MsgClass::Sync).count, 1);
-        assert_eq!(a.dropped, 1);
+        assert_eq!(a.dropped, 3);
         assert_eq!(a.retransmissions, 1);
         assert_eq!(a.gave_up, 1);
     }

@@ -12,32 +12,30 @@ use std::collections::BinaryHeap;
 
 /// What happens when an event fires.
 #[derive(Debug)]
-pub enum EventKind<W> {
+pub enum EventKind {
     /// Resume an application thread with the result of its pending op.
     ThreadResume { thread: ThreadId, result: OpResult },
-    /// A wire transmission arrives at `dst`.
-    Deliver { src: NodeId, dst: NodeId, seq: u64, wire: W },
+    /// The transport hands `dst` the next message(s) from `src`.
+    Deliver { src: NodeId, dst: NodeId },
     /// A server timer registered via `Kernel::set_timer`.
     Timer { node: NodeId, token: u64 },
-    /// The transport's retransmission timer for the (src, dst) pair.
-    RetxTimer { src: NodeId, dst: NodeId },
 }
 
 #[derive(Debug)]
-pub struct Event<W> {
+pub struct Event {
     pub at: VirtualTime,
     pub seq: u64,
-    pub kind: EventKind<W>,
+    pub kind: EventKind,
 }
 
-impl<W> PartialEq for Event<W> {
+impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<W> Eq for Event<W> {}
+impl Eq for Event {}
 
-impl<W> Ord for Event<W> {
+impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
         // first.
@@ -45,37 +43,31 @@ impl<W> Ord for Event<W> {
     }
 }
 
-impl<W> PartialOrd for Event<W> {
+impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 /// Min-queue of events in (virtual time, insertion order).
-#[derive(Debug)]
-pub struct EventQueue<W> {
-    heap: BinaryHeap<Event<W>>,
+#[derive(Debug, Default)]
+pub struct EventQueue {
+    heap: BinaryHeap<Event>,
     next_seq: u64,
 }
 
-impl<W> Default for EventQueue<W> {
-    fn default() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
-    }
-}
-
-impl<W> EventQueue<W> {
+impl EventQueue {
     pub fn new() -> Self {
         Self::default()
     }
 
-    pub fn push(&mut self, at: VirtualTime, kind: EventKind<W>) {
+    pub fn push(&mut self, at: VirtualTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Event { at, seq, kind });
     }
 
-    pub fn pop(&mut self) -> Option<Event<W>> {
+    pub fn pop(&mut self) -> Option<Event> {
         self.heap.pop()
     }
 
@@ -92,7 +84,7 @@ impl<W> EventQueue<W> {
 mod tests {
     use super::*;
 
-    fn resume(t: u32) -> EventKind<()> {
+    fn resume(t: u32) -> EventKind {
         EventKind::ThreadResume { thread: ThreadId(t), result: OpResult::Unit }
     }
 
@@ -124,7 +116,7 @@ mod tests {
 
     #[test]
     fn len_and_empty() {
-        let mut q = EventQueue::<()>::new();
+        let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.push(VirtualTime::ZERO, resume(0));
         assert_eq!(q.len(), 1);

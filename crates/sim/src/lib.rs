@@ -17,8 +17,9 @@
 //!   (program, config, seed) always produces the same event sequence;
 //! * **a server abstraction** ([`Server`]): each node hosts a coherence
 //!   server that handles its threads' ops and remote protocol messages;
-//! * **a transport** with per-pair FIFO delivery, optional deterministic
-//!   loss, go-back-N retransmission, multicast and traffic accounting.
+//! * **a transport** with per-pair FIFO, exactly-once delivery, multicast
+//!   and traffic accounting, where injected loss and link cuts only hold a
+//!   transmission (for whole retransmit timeouts), never drop it.
 //!
 //! This crate also hosts what every backend shares:
 //! * [`WorldDesc`], the one world description (node count, declarations,
@@ -44,6 +45,7 @@ pub mod event;
 pub mod gate;
 pub mod kernel;
 pub mod op;
+mod reorder;
 pub mod report;
 pub mod resume;
 pub mod thread;

@@ -60,7 +60,7 @@ pub struct RunReport {
     /// does not record telemetry (the virtual-time simulator, or a
     /// wall-clock run with `Telemetry::Off`).
     pub metrics: Option<munin_obs::MetricsSnapshot>,
-    /// Injected faults (dropped transmissions) that landed while some
+    /// Injected faults (held transmission attempts) that landed while some
     /// thread had two or more ops in flight (simulator only).
     pub pipelined_faults: u64,
 }

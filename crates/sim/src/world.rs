@@ -20,7 +20,7 @@ use crate::report::RunReport;
 use crate::resume::ResumeSlot;
 use crate::thread::{Baton, SimPort, ThreadCtx};
 use crate::tracer::{TraceEvent, Tracer};
-use crate::transport::{Transport, TransportConfig, Wire};
+use crate::transport::{Transport, TransportConfig};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use munin_net::PayloadInfo;
 use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, ThreadId, VirtualTime};
@@ -104,7 +104,7 @@ struct ThreadRec {
 /// placement, timers and error reporting.
 pub struct Kernel<P: PayloadInfo + Clone> {
     now: VirtualTime,
-    events: EventQueue<Wire<P>>,
+    events: EventQueue,
     transport: Transport<P>,
     stats_ext: munin_net::NetStats,
     registry: Registry,
@@ -112,8 +112,8 @@ pub struct Kernel<P: PayloadInfo + Clone> {
     tracer: Box<dyn Tracer>,
     ops: u64,
     errors: Vec<String>,
-    /// Dropped transmissions seen so far, and how many of them dropped
-    /// while some thread had two or more ops in flight.
+    /// Held transmission attempts seen so far, and how many of them were
+    /// held while some thread had two or more ops in flight.
     seen_drops: u64,
     pipelined_faults: u64,
     /// Protocol-state coverage recorder, when the run is instrumented
@@ -223,7 +223,7 @@ impl<P: PayloadInfo + Clone> GateKernel<P> for Kernel<P> {
 }
 
 impl<P: PayloadInfo + Clone> Kernel<P> {
-    /// Count the transmissions dropped since the last call if some thread
+    /// Count the transmission attempts held since the last call if some thread
     /// has two or more ops in flight. Called after every event and
     /// dispatch: the in-flight counts change only between them.
     fn note_drops(&mut self) {
@@ -441,12 +441,12 @@ impl<S: Server> World<S> {
             sim.into_inner().expect("a panic escaped while the baton was held");
 
         if kernel.stats_ext.gave_up > 0 {
-            // A link fault outlasted the retransmission budget: messages were
-            // silently abandoned, so protocol state may be inconsistent. The
-            // run must not read as clean.
+            // A link fault outlasted the retry budget: messages were never
+            // delivered, so protocol state may be inconsistent. The run must
+            // not read as clean.
             kernel.error(format!(
-                "transport gave up on {} message(s) after exhausting retransmissions \
-                 (link fault outlasted the retry budget)",
+                "transport gave up on {} message(s) held past the retry budget \
+                 (link fault outlasted it)",
                 kernel.stats_ext.gave_up
             ));
         }
@@ -549,31 +549,15 @@ impl<S: Server> Sim<S> {
                         Handoff::Nobody
                     };
                 }
-                EventKind::Deliver { src, dst, seq, wire } => {
-                    let released = self.kernel.transport.receive(
-                        self.kernel.now,
-                        &mut self.kernel.events,
-                        &mut self.kernel.stats_ext,
-                        src,
-                        dst,
-                        seq,
-                        wire,
-                    );
-                    for payload in released {
+                EventKind::Deliver { src, dst } => {
+                    let mut first = true;
+                    while let Some(payload) = self.kernel.transport.receive(src, dst, first) {
+                        first = false;
                         self.servers[dst.index()].on_message(&mut self.kernel, src, payload);
                     }
                 }
                 EventKind::Timer { node, token } => {
                     self.servers[node.index()].on_timer(&mut self.kernel, token);
-                }
-                EventKind::RetxTimer { src, dst } => {
-                    self.kernel.transport.on_retx_timer(
-                        self.kernel.now,
-                        &mut self.kernel.events,
-                        &mut self.kernel.stats_ext,
-                        src,
-                        dst,
-                    );
                 }
             }
             self.kernel.note_drops();

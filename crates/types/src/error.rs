@@ -7,9 +7,9 @@ use std::fmt;
 
 /// Errors surfaced to application threads by a DSM runtime.
 ///
-/// Protocol-internal failures (lost messages before the reliability layer
-/// recovers them, etc.) are never visible here; these are programming errors
-/// or declared-semantics violations.
+/// Protocol-internal failures (a message held back by an injected fault,
+/// etc.) are never visible here; these are programming errors or
+/// declared-semantics violations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DsmError {
     /// Access to an object that was never allocated.

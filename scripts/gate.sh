@@ -180,7 +180,10 @@ cargo bench --no-run
 #   `WorldDesc`, and `Par` is `DsmThread`);
 # - a second op window, combining buffer or op gate in the real-time kernel
 #   (the one client path and the one gate live in `munin-sim`), checked
-#   under `crates/rt/src` below.
+#   under `crates/rt/src` below;
+# - the simulator's retransmit layer: its reorder buffer, loss model,
+#   retransmit timer, transport acks, timeout knob and unacked count (a
+#   fault holds a transmission, it never drops one).
 step "Deleted names stay deleted"
 if git grep -nE 'struct WcBu[f]|struct OpGat[e]|fn wc_absor[b]|MAX_INFLIGH[T]: usize' -- crates/rt/src; then
     echo "the real-time kernel has a client path or op gate of its own again"
@@ -188,6 +191,10 @@ if git grep -nE 'struct WcBu[f]|struct OpGat[e]|fn wc_absor[b]|MAX_INFLIGH[T]: u
 fi
 if git grep -nE 'RtWorldBuilde[r]|WorldBuilde[r]|impl(<[^>]*>)? Pa[r] for|RtKerne[l]|TcpKerne[l]|NodeKerne[l]|RegCach[e]|SpinWai[t]|unbatched[(]|compute_scal[e]|watchdog_pol[l]|[.]max_infligh[t]|write_combin[e]|batch_ma[x]|ParEx[t]|MUNIN_RT_STALL_M[S]|MUNIN_BENCH_BYTE_PAT[H]|traffic_r[t]|ThreadRe[q]|req_t[x]|req_r[x]|BACKEND_NAME[S]|TcpTunin[g]|MUNIN_TCP_DUMP_AFTER_M[S]|Backend::(Muni[n]|Iv[y]|Tardi[s])|Target::(Muni[n]|Iv[y]|Tardi[s])|TcpWorldBuilde[r]|coordinator_watchdo[g]|DumpStuc[k]|dump_stuc[k]|munin_tcp::si[g]|CountingTrace[r]|cond_broadcas[t][(]|resume_r[x]|resume_t[x]|Sender<OpResul[t]>' -- crates/ tests/ examples/ scripts/ README.md; then
     echo "a deleted name is referenced again"
+    exit 1
+fi
+if git grep -nE 'ReorderBuffe[r]|LossMode[l]|RetxTime[r]|NetAc[k]|retx_timeout_u[s]|total_unacke[d]' -- crates/ tests/ examples/ scripts/ README.md; then
+    echo "the simulator's retransmit layer is referenced again: faults hold, never drop"
     exit 1
 fi
 

@@ -1,12 +1,18 @@
-//! Failure injection: the coherence protocols must survive message loss —
-//! the transport's ack/retransmission layer (the V kernel's reliable
-//! request/response role) recovers dropped transmissions transparently.
+//! Failure injection: the coherence protocols must survive message loss.
+//! The simulator's transport never drops a message: a lost attempt holds
+//! it until a retry instant gets through (the V kernel's reliable
+//! request/response role), so loss only delays delivery, and each pair
+//! still delivers exactly once, in send order.
 
 use munin_api::{Backend, Par, ParTyped, ProgramBuilder};
 use munin_apps::{life, matmul};
-use munin_net::SeedGuard;
+use munin_net::{derive, LatencyModel, MsgClass, NetStats, PayloadInfo, SeedGuard};
+use munin_sim::event::{EventKind, EventQueue};
+use munin_sim::transport::Transport;
 use munin_sim::TransportConfig;
-use munin_types::{MuninConfig, SharingType};
+use munin_types::{CostModel, MuninConfig, NodeId, SharingType, VirtualTime};
+use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn lossy(drop_prob: f64, seed: u64) -> TransportConfig {
     TransportConfig::lossy(MuninConfig::default().cost, drop_prob, seed)
@@ -22,8 +28,9 @@ fn matmul_survives_10pct_loss() {
     o.assert_clean();
     matmul::check(&out, &want);
     let r = o.report();
-    assert!(r.stats.dropped > 0, "loss injection must actually drop something");
-    assert!(r.stats.retransmissions > 0, "recovery must actually retransmit");
+    assert!(r.stats.dropped > 0, "loss injection must actually hold something");
+    assert!(r.stats.retransmissions > 0, "held messages cross at a later retry instant");
+    assert_eq!(r.stats.gave_up, 0);
 }
 
 #[test]
@@ -37,6 +44,7 @@ fn life_survives_loss_with_eager_pushes() {
     let o = p.run_with(Backend::sim(MuninConfig::default()), lossy(0.15, 7), None);
     o.assert_clean();
     life::check(&out, &want);
+    assert!(o.report().stats.dropped > 0);
 }
 
 #[test]
@@ -84,4 +92,86 @@ fn loss_runs_are_deterministic_given_seed() {
     };
     assert_eq!(run(5), run(5), "same seed, same run");
     assert_ne!(run(5), run(6), "different loss pattern, different run");
+}
+
+/// Message `i` of a generated schedule, `bytes` long on the wire.
+#[derive(Debug, Clone)]
+struct Msg(usize, usize);
+
+impl PayloadInfo for Msg {
+    fn class(&self) -> MsgClass {
+        MsgClass::Data
+    }
+    fn kind(&self) -> &'static str {
+        "Msg"
+    }
+    fn wire_bytes(&self) -> usize {
+        self.1
+    }
+}
+
+proptest! {
+    /// Whatever the sizes, send instants and jitter, each pair of 3 nodes
+    /// delivers in send order. A message is handed over at the later of its
+    /// own arrival and its predecessors', in its predecessor's event exactly
+    /// when it arrived earlier than that.
+    #[test]
+    fn every_pair_delivers_in_send_order_at_its_release_instant(
+        sends in proptest::collection::vec((0u16..3, 1u16..3, 0u64..20, 0usize..5), 1..48),
+        jitter_ms in 0u64..4,
+        seed in any::<u64>(),
+    ) {
+        // Coarse grids (send instants in ms, sizes in 4 KiB steps, jitter
+        // bound in ms) make equal arrival instants common.
+        let mut sends = sends;
+        sends.sort_by_key(|s| s.2);
+        let jitter_us = jitter_ms * 1_000;
+        let cost = CostModel::ethernet_1990();
+        let mut cfg = TransportConfig::lossless(cost.clone()).with_jitter(jitter_us);
+        cfg.seed = seed;
+        let mut t = Transport::new(cfg);
+        // The transport's latency stream, replayed: each message's own arrival.
+        let mut wire = LatencyModel::new(cost).with_jitter(jitter_us, derive(seed, "latency"));
+        let (mut q, mut stats) = (EventQueue::new(), NetStats::new());
+        let mut sent = Vec::new();
+        for (i, &(src, hop, ms, kib4)) in sends.iter().enumerate() {
+            let (src, dst) = (NodeId(src), NodeId((src + hop) % 3));
+            let (now, bytes) = (VirtualTime::micros(ms * 1_000), kib4 * 4096);
+            sent.push((src, dst, wire.delivery_time(now, bytes)));
+            t.send(now, &mut q, &mut stats, src, dst, Msg(i, bytes));
+        }
+        // Message index -> (handover instant, event number), and each pair's
+        // handover order.
+        let mut got = HashMap::new();
+        let mut order: HashMap<(NodeId, NodeId), Vec<usize>> = HashMap::new();
+        let mut event = 0;
+        while let Some(ev) = q.pop() {
+            let EventKind::Deliver { src, dst } = ev.kind else { unreachable!() };
+            let mut first = true;
+            while let Some(Msg(i, _)) = t.receive(src, dst, first) {
+                first = false;
+                prop_assert_eq!(sent[i].0, src);
+                prop_assert!(got.insert(i, (ev.at, event)).is_none(), "message {} twice", i);
+                order.entry((src, dst)).or_default().push(i);
+            }
+            prop_assert!(!first, "an event without its own message");
+            event += 1;
+        }
+        prop_assert_eq!(got.len(), sent.len(), "every message exactly once");
+        for ((src, dst), handed) in order {
+            let want: Vec<usize> =
+                (0..sent.len()).filter(|&i| (sent[i].0, sent[i].1) == (src, dst)).collect();
+            prop_assert_eq!(&handed, &want, "send order on {:?} -> {:?}", src, dst);
+            let mut prev: Option<(VirtualTime, usize)> = None;
+            for i in handed {
+                let (at, ev) = got[&i];
+                let arrive = sent[i].2;
+                let release = prev.map_or(arrive, |(p, _)| arrive.max(p));
+                prop_assert_eq!(at, release, "message {} handed over late or early", i);
+                let rides = prev.is_some_and(|(p, _)| arrive < p);
+                prop_assert_eq!(prev.is_some_and(|(_, e)| e == ev), rides, "message {} event", i);
+                prev = Some((at, ev));
+            }
+        }
+    }
 }
