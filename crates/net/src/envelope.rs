@@ -1,6 +1,5 @@
-//! Message envelopes and payload metadata.
+//! Payload metadata: the message classes and what every payload exposes.
 
-use munin_types::{NodeId, VirtualTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -68,58 +67,9 @@ pub trait PayloadInfo {
     }
 }
 
-/// A message in flight from `src` to `dst`.
-#[derive(Debug, Clone)]
-pub struct Envelope<P> {
-    pub src: NodeId,
-    pub dst: NodeId,
-    /// The message's place in its (src, dst) pair's send order, which is
-    /// also its delivery order.
-    pub seq: u64,
-    /// Virtual time at which the message was handed to the transport.
-    pub sent_at: VirtualTime,
-    pub payload: P,
-}
-
-impl<P: PayloadInfo> Envelope<P> {
-    pub fn class(&self) -> MsgClass {
-        self.payload.class()
-    }
-
-    pub fn wire_bytes(&self) -> usize {
-        self.payload.wire_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Fake(usize);
-    impl PayloadInfo for Fake {
-        fn class(&self) -> MsgClass {
-            MsgClass::Data
-        }
-        fn kind(&self) -> &'static str {
-            "Fake"
-        }
-        fn wire_bytes(&self) -> usize {
-            self.0
-        }
-    }
-
-    #[test]
-    fn envelope_delegates_to_payload() {
-        let e = Envelope {
-            src: NodeId(0),
-            dst: NodeId(1),
-            seq: 7,
-            sent_at: VirtualTime::ZERO,
-            payload: Fake(128),
-        };
-        assert_eq!(e.class(), MsgClass::Data);
-        assert_eq!(e.wire_bytes(), 128);
-    }
 
     #[test]
     fn class_labels_unique() {

@@ -9,8 +9,8 @@
 //! must wait for round trips. This crate therefore provides exactly the
 //! mechanisms those measurements need:
 //!
-//! * [`Envelope`] / [`PayloadInfo`] — typed messages with wire-size and
-//!   classification metadata,
+//! * [`PayloadInfo`] / [`MsgClass`] — wire-size and classification
+//!   metadata every protocol message exposes,
 //! * [`LatencyModel`] — virtual-time delivery latency derived from the
 //!   [`munin_types::CostModel`], with seeded jitter and seeded loss (a lost
 //!   attempt only delays a transmission: the simulator holds it until a
@@ -28,7 +28,7 @@ mod loss;
 pub mod seed;
 pub mod stats;
 
-pub use envelope::{Envelope, MsgClass, PayloadInfo};
+pub use envelope::{MsgClass, PayloadInfo};
 pub use fault::{LinkFault, LinkFaultKind, LinkSchedule};
 pub use latency::LatencyModel;
 pub use seed::{derive, SeedGuard};

@@ -11,9 +11,9 @@
 //!
 //! * **virtual time**: every latency comes from the
 //!   [`munin_types::CostModel`]; wall clock never affects results;
-//! * **deterministic scheduling**: application threads are real OS
-//!   threads, but exactly one runs at a time, holding the world state as a
-//!   baton that it passes to the next thread an event resumes, so a
+//! * **deterministic scheduling**: application threads are fibers on the
+//!   thread that runs the world; the one running holds the world state as
+//!   a baton that it passes to the next thread an event resumes, so a
 //!   (program, config, seed) always produces the same event sequence;
 //! * **a server abstraction** ([`Server`]): each node hosts a coherence
 //!   server that handles its threads' ops and remote protocol messages;
@@ -42,6 +42,7 @@
 pub mod client;
 pub mod desc;
 pub mod event;
+mod fiber;
 pub mod gate;
 pub mod kernel;
 pub mod op;

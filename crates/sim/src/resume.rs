@@ -1,5 +1,5 @@
 //! [`ResumeSlot`]: where a blocked application thread waits for its ops'
-//! results, on every fabric.
+//! results on rt and TCP. (The simulator's threads are fibers: no slot.)
 //!
 //! The rule at every resume site: **enqueue the result while holding the
 //! lock that ordered it, and wake the thread only after releasing that

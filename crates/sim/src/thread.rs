@@ -1,54 +1,55 @@
 //! The application-thread side of the simulation.
 //!
 //! Application code receives a [`ThreadCtx`]: the one [`Client`] over the
-//! simulator's [`SimPort`]. The world state is a `Baton` that one
-//! application thread holds at a time. A submitted op is dispatched through
-//! the world's op gate under the baton, and the thread runs on at the same
+//! simulator's [`SimPort`]. Each application thread is a fiber on the
+//! thread that called `World::run`, and the world state is a `Baton` that
+//! one fiber holds at a time. A submitted op is dispatched through the
+//! world's op gate under the baton, and the thread runs on at the same
 //! virtual instant. To take a result, it runs the event queue until an
 //! event resumes some thread: itself, or another one, whose result it
-//! queues in that thread's [`ResumeSlot`] before it releases the baton,
-//! wakes that thread and parks. Exactly one application thread executes
-//! at any moment, which is what makes runs deterministic.
+//! leaves in the world state before it releases the baton and switches to
+//! that thread's fiber. One thread runs at a time: runs are deterministic.
 
 use crate::client::{Client, Port};
 use crate::desc::ThreadBody;
 use crate::op::{DsmOp, DsmThread, OpHead, OpResult};
 use crate::report::WaitTable;
-use crate::resume::ResumeSlot;
 use munin_types::ThreadId;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// The world state as a thread sees it: each call holds the baton until it
-/// returns.
+/// The world state as a thread sees it: each call holds the baton while it
+/// works and releases it before switching to another thread's fiber.
 pub(crate) trait Baton: Send + Sync {
     /// `thread` began an application call: count and trace it.
     fn begin(&self, thread: ThreadId, op: OpHead<'_>);
-    /// Dispatch `op` for `thread` through the op gate. `false` means a
-    /// protocol handler panicked: the world is ending.
-    fn submit(&self, thread: ThreadId, op: DsmOp) -> bool;
-    /// Run events until one resumes a thread: `Some(result)` if that is
-    /// `thread` itself, `None` if `thread` must park on its resume slot.
-    /// `label` names the call it is blocked in, for a deadlock report.
-    fn wait(&self, thread: ThreadId, label: &'static str) -> Option<OpResult>;
-    /// The virtual clock, in µs.
-    fn now(&self) -> u64;
-    /// `thread`'s body returned (`None`) or panicked (`Some(msg)`): retire
-    /// it and pass the baton on.
-    fn exit(&self, thread: ThreadId, panic: Option<String>);
+    /// Dispatch `op` for `thread` through the op gate.
+    fn submit(&self, thread: ThreadId, op: DsmOp);
+    /// Run events until one resumes `thread`, switching to any other thread
+    /// they resume first; return `thread`'s result and the virtual clock, in
+    /// µs. `label` names the call it is blocked in, for a deadlock report.
+    fn wait(&self, thread: ThreadId, label: &'static str) -> (OpResult, u64);
+    /// The result that a switch to `thread`'s fiber brought, and the clock.
+    fn resumed(&self, thread: ThreadId) -> (OpResult, u64);
+    /// `thread`'s body returned or panicked (`Some(msg)`): keep its `waits`,
+    /// retire it and pass the baton on for good.
+    fn exit(&self, thread: ThreadId, panic: Option<String>, waits: WaitTable);
 }
 
-/// The payload a parked thread unwinds with when the world tears down
-/// (deadlock, handler panic); [`ThreadCtx`]'s run swallows it silently.
+/// What a suspended thread unwinds with when the world tears down (deadlock,
+/// handler panic). [`ThreadCtx`]'s run swallows it silently, so the run
+/// reports a deadlock once, not once per blocked thread.
 struct TornDown;
 
-/// The simulator's [`Port`]: the world's baton, and the slot this thread
-/// parks on.
+pub(crate) fn torn_down() -> ! {
+    resume_unwind(Box::new(TornDown))
+}
+
+/// The simulator's [`Port`]: the world's baton.
 pub struct SimPort {
     pub(crate) thread: ThreadId,
     pub(crate) baton: Arc<dyn Baton>,
-    pub(crate) slot: Arc<ResumeSlot>,
     /// The virtual time this thread last resumed at: nothing advances the
     /// clock while it runs.
     pub(crate) now: u64,
@@ -57,33 +58,18 @@ pub struct SimPort {
 /// Handle through which application code talks to the simulated DSM.
 pub type ThreadCtx = Client<SimPort>;
 
-impl SimPort {
-    /// Wait until an event resumes this thread. If the world tears down
-    /// meanwhile, unwind with a private payload that the thread's run
-    /// swallows: the run reports the deadlock once, not once per blocked
-    /// thread.
-    fn park(&mut self) -> OpResult {
-        self.slot.take().unwrap_or_else(|_| resume_unwind(Box::new(TornDown)))
-    }
-}
-
 impl Port for SimPort {
     fn begin(&mut self, head: OpHead<'_>) {
         self.baton.begin(self.thread, head);
     }
 
     fn submit(&mut self, op: DsmOp, _pipelined: bool) {
-        if !self.baton.submit(self.thread, op) {
-            self.park();
-        }
+        self.baton.submit(self.thread, op);
     }
 
     fn take(&mut self, _pipelined: bool, wait_label: &'static str) -> OpResult {
-        let result = match self.baton.wait(self.thread, wait_label) {
-            Some(result) => result,
-            None => self.park(),
-        };
-        self.now = self.baton.now();
+        let (result, now) = self.baton.wait(self.thread, wait_label);
+        self.now = now;
         result
     }
 
@@ -93,23 +79,20 @@ impl Port for SimPort {
 }
 
 impl ThreadCtx {
-    /// A simulated thread's whole life: wait for the t=0 resume, run `body`,
-    /// exit, and report a panic as a run error. Returns its wait table.
-    pub(crate) fn run(mut self, body: ThreadBody) -> WaitTable {
+    /// A simulated thread's whole life, on its fiber: take the t=0 resume,
+    /// run `body`, exit, and report a panic as a run error.
+    pub(crate) fn run(mut self, body: ThreadBody) {
+        let thread = self.thread_id();
+        let baton = self.port().baton.clone();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            self.port_mut().park();
+            baton.resumed(thread);
             body(&mut self);
             // Graceful exit is itself a synchronization point (flushes the
             // delayed update queue).
             self.op(DsmOp::Exit);
         }));
-        let panic = match result {
-            Ok(()) => None,
-            Err(p) if p.is::<TornDown>() => return self.into_waits(),
-            Err(p) => Some(panic_message(&*p)),
-        };
-        self.port().baton.exit(self.thread_id(), panic);
-        self.into_waits()
+        let panic = result.err().filter(|p| !p.is::<TornDown>()).map(|p| panic_message(&*p));
+        baton.exit(thread, panic, self.into_waits());
     }
 }
 
@@ -136,27 +119,21 @@ mod tests {
 
     impl Baton for FakeBaton {
         fn begin(&self, _thread: ThreadId, _op: OpHead<'_>) {}
-        fn submit(&self, thread: ThreadId, op: DsmOp) -> bool {
+        fn submit(&self, thread: ThreadId, op: DsmOp) {
             self.0.lock().unwrap().push((thread, op));
-            true
         }
-        fn wait(&self, _thread: ThreadId, _label: &'static str) -> Option<OpResult> {
-            Some(OpResult::Unit)
+        fn wait(&self, _thread: ThreadId, _label: &'static str) -> (OpResult, u64) {
+            (OpResult::Unit, 0)
         }
-        fn now(&self) -> u64 {
-            0
+        fn resumed(&self, _thread: ThreadId) -> (OpResult, u64) {
+            (OpResult::Unit, 0)
         }
-        fn exit(&self, _thread: ThreadId, _panic: Option<String>) {}
+        fn exit(&self, _thread: ThreadId, _panic: Option<String>, _waits: WaitTable) {}
     }
 
     fn fake_ctx() -> (ThreadCtx, Arc<FakeBaton>) {
         let baton = Arc::new(FakeBaton::default());
-        let port = SimPort {
-            thread: ThreadId(3),
-            baton: baton.clone(),
-            slot: Arc::new(ResumeSlot::new()),
-            now: 0,
-        };
+        let port = SimPort { thread: ThreadId(3), baton: baton.clone(), now: 0 };
         (Client::new(port, ThreadId(3), NodeId(1), 4, 8), baton)
     }
 

@@ -3,29 +3,29 @@
 //!
 //! One [`World`] = one distributed system: `n` nodes, each hosting one
 //! protocol server and any number of application threads. The world owns a
-//! virtual clock, an event queue and the op gate its threads' ops pass;
-//! application threads are real OS threads but exactly one executes at a
-//! time. There is no loop thread: the world state is a baton, and the
-//! thread holding it pops events until one resumes a thread, then hands the
-//! baton to that thread. The run — message counts, interleavings, traces —
-//! is a deterministic function of (program, configuration, seed).
+//! virtual clock, an event queue and the op gate its threads' ops pass.
+//! Application threads are fibers on the thread that calls [`World::run`],
+//! so exactly one executes at a time. There is no loop thread: the world
+//! state is a baton, and the thread holding it pops events until one
+//! resumes a thread, then releases the baton and switches to that thread's
+//! fiber. The run — message counts, interleavings, traces — is a
+//! deterministic function of (program, configuration, seed).
 
 use crate::client::Client;
 use crate::desc::{ThreadBody, WorldDesc};
 use crate::event::{EventKind, EventQueue};
+use crate::fiber::Fibers;
 use crate::gate::{GateKernel, OpGate};
 use crate::kernel::{KernelApi, Registry};
-use crate::op::{DsmOp, DsmThread, OpHead, OpOutcome, OpResult};
-use crate::report::RunReport;
-use crate::resume::ResumeSlot;
-use crate::thread::{Baton, SimPort, ThreadCtx};
+use crate::op::{DsmOp, OpHead, OpOutcome, OpResult};
+use crate::report::{RunReport, WaitTable};
+use crate::thread::{torn_down, Baton, SimPort, ThreadCtx};
 use crate::tracer::{TraceEvent, Tracer};
 use crate::transport::{Transport, TransportConfig};
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use munin_net::PayloadInfo;
 use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, ThreadId, VirtualTime};
 use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A per-node coherence server: the software that the paper's page-fault
@@ -88,7 +88,8 @@ pub trait Server: Send {
 
 struct ThreadRec {
     node: NodeId,
-    slot: Arc<ResumeSlot>,
+    /// The result an event resumed it with, until its fiber takes it.
+    resumed: Option<OpResult>,
     done: bool,
     /// The call the thread last waited in, for a deadlock report.
     blocked_in: Option<&'static str>,
@@ -97,6 +98,8 @@ struct ThreadRec {
     last_resume: VirtualTime,
     /// Ops submitted whose result has not reached the thread yet.
     in_flight: u32,
+    /// Its per-call waits, left here before its fiber's final hand-off.
+    waits: WaitTable,
 }
 
 /// Kernel services available to servers while they handle ops, messages and
@@ -237,14 +240,16 @@ impl<P: PayloadInfo + Clone> Kernel<P> {
 
 /// A fully built distributed system, ready to run.
 pub struct World<S: Server> {
-    sim: Arc<Mutex<Sim<S>>>,
+    sim: Arc<Shared<S>>,
     bodies: Vec<(ThreadCtx, ThreadBody)>,
-    /// Signalled once, by whichever thread holds the baton when the event
-    /// queue runs dry (`None`) or a protocol handler panics (its payload).
-    done_rx: Receiver<Option<HandlerPanic>>,
 }
 
-type HandlerPanic = Box<dyn Any + Send>;
+/// The baton, and the fibers it passes between: thread `t` runs on fiber
+/// `t.index() + 1`, and `World::run`'s caller is context 0.
+struct Shared<S: Server> {
+    sim: Mutex<Sim<S>>,
+    fibers: Fibers,
+}
 
 /// The world state: the baton that exactly one thread holds at a time.
 struct Sim<S: Server> {
@@ -254,44 +259,42 @@ struct Sim<S: Server> {
     /// Set when `World::run` tears the world down. A body that caught the
     /// teardown unwind and then exits must not touch the report.
     torn_down: bool,
-    done_tx: Sender<Option<HandlerPanic>>,
+    /// A protocol handler's panic, for `World::run` to rethrow.
+    handler_panic: Option<Box<dyn Any + Send>>,
 }
 
 /// Take the baton. Every panic raised while it is held is caught by
 /// [`Sim::guarded`], so the lock is never poisoned.
-fn take<S: Server>(baton: &Mutex<Sim<S>>) -> MutexGuard<'_, Sim<S>> {
-    baton.lock().expect("a panic escaped while the baton was held")
+fn take<S: Server>(shared: &Shared<S>) -> MutexGuard<'_, Sim<S>> {
+    shared.sim.lock().expect("a panic escaped while the baton was held")
 }
 
-/// Where a pass over the event queue ends. Only [`Handoff::finish`], called
-/// once the baton is released, wakes anyone.
+/// Where a pass over the event queue leaves the thread that made it.
 enum Handoff {
-    /// An event resumed the calling thread itself.
-    Mine(OpResult),
-    /// Another thread's result is queued in its slot, and it is parked.
-    Wake(Arc<ResumeSlot>),
-    /// Nobody to wake: the resumed thread has not parked yet, the queue ran
-    /// dry, or a handler panicked.
-    Nobody,
+    /// An event resumed the calling thread itself, at this virtual µs.
+    Mine(OpResult, u64),
+    /// Switch to this fiber: a resumed thread's, or context 0's when the
+    /// queue ran dry or a handler panicked.
+    To(usize),
 }
 
-impl Handoff {
-    /// The caller's own result, if the event was for it; otherwise wake the
-    /// resumed thread. Call with the baton released: the woken thread's
-    /// first move is to take it.
-    fn finish(self) -> Option<OpResult> {
-        match self {
-            Handoff::Mine(result) => Some(result),
-            Handoff::Wake(slot) => {
-                slot.wake();
-                None
+impl<S: Server> Shared<S> {
+    /// End thread `me`'s pass (`None`: context 0's or an exiting thread's):
+    /// `me`'s own result, or a switch to the fiber named (context 0 after a
+    /// handler panic), never with the baton held, and then `me`'s result.
+    fn hand_off(&self, me: Option<ThreadId>, pass: Option<Handoff>) -> Option<(OpResult, u64)> {
+        match pass.unwrap_or(Handoff::To(0)) {
+            Handoff::Mine(result, now) => Some((result, now)),
+            Handoff::To(fiber) => {
+                debug_assert!(self.sim.try_lock().is_ok(), "a fiber switch with the baton held");
+                self.fibers.switch_to(fiber);
+                me.map(|me| self.resumed(me))
             }
-            Handoff::Nobody => None,
         }
     }
 }
 
-impl<S: Server> Baton for Mutex<Sim<S>> {
+impl<S: Server> Baton for Shared<S> {
     fn begin(&self, thread: ThreadId, op: OpHead<'_>) {
         let kernel = &mut take(self).kernel;
         kernel.ops += 1;
@@ -299,29 +302,33 @@ impl<S: Server> Baton for Mutex<Sim<S>> {
         kernel.tracer.record(TraceEvent::OpIssued { at: kernel.now, thread, node, op });
     }
 
-    fn submit(&self, thread: ThreadId, op: DsmOp) -> bool {
-        let alive = take(self).guarded(|sim| {
-            sim.submit(thread, op);
-            Handoff::Nobody
-        });
-        alive.is_some()
+    fn submit(&self, thread: ThreadId, op: DsmOp) {
+        if take(self).guarded(|sim| sim.submit(thread, op)).is_none() {
+            self.hand_off(Some(thread), None);
+        }
     }
 
-    fn wait(&self, thread: ThreadId, label: &'static str) -> Option<OpResult> {
-        let handoff = take(self).guarded(|sim| {
+    fn wait(&self, thread: ThreadId, label: &'static str) -> (OpResult, u64) {
+        let pass = take(self).guarded(|sim| {
             sim.kernel.threads[thread.index()].blocked_in = Some(label);
             sim.run_events(Some(thread))
         });
-        handoff.and_then(Handoff::finish)
+        self.hand_off(Some(thread), pass).expect("a thread's pass ends with its result")
     }
 
-    fn now(&self) -> u64 {
-        take(self).kernel.now.as_micros()
-    }
-
-    fn exit(&self, thread: ThreadId, panic: Option<String>) {
-        let handoff = {
+    /// No result means the world tore down.
+    fn resumed(&self, thread: ThreadId) -> (OpResult, u64) {
+        let (result, now) = {
             let mut sim = take(self);
+            (sim.kernel.threads[thread.index()].resumed.take(), sim.kernel.now.as_micros())
+        };
+        (result.unwrap_or_else(|| torn_down()), now)
+    }
+
+    fn exit(&self, thread: ThreadId, panic: Option<String>, waits: WaitTable) {
+        let pass = {
+            let mut sim = take(self);
+            sim.kernel.threads[thread.index()].waits = waits;
             if sim.torn_down {
                 return;
             }
@@ -331,7 +338,8 @@ impl<S: Server> Baton for Mutex<Sim<S>> {
             }
             sim.guarded(|sim| sim.run_events(None))
         };
-        handoff.and_then(Handoff::finish);
+        // The final hand-off: it returns only at teardown.
+        self.hand_off(None, pass);
     }
 }
 
@@ -351,8 +359,7 @@ impl<S: Server> World<S> {
         let n_nodes = desc.n_nodes();
         assert_eq!(servers.len(), n_nodes, "need exactly one server per node");
         let n_threads = desc.n_threads();
-        let (done_tx, done_rx) = unbounded();
-        let sim = Arc::new(Mutex::new(Sim {
+        let sim = Mutex::new(Sim {
             kernel: Kernel {
                 now: VirtualTime::ZERO,
                 events: EventQueue::new(),
@@ -370,32 +377,32 @@ impl<S: Server> World<S> {
             servers,
             gate: OpGate::default(),
             torn_down: false,
-            done_tx,
-        }));
-        let baton: Arc<dyn Baton> = sim.clone();
+            handler_panic: None,
+        });
+        let sim = Arc::new(Shared { sim, fibers: Fibers::new(n_threads) });
         let mut bodies = Vec::with_capacity(n_threads);
         let mut state = take(&sim);
         let kernel = &mut state.kernel;
         for (thread, node, body) in desc.into_threads() {
-            let slot = Arc::new(ResumeSlot::new());
             kernel.threads.push(ThreadRec {
                 node,
-                slot: slot.clone(),
+                resumed: None,
                 done: false,
                 blocked_in: None,
                 last_resume: VirtualTime::ZERO,
                 in_flight: 0,
+                waits: WaitTable::new(),
             });
             // All threads become runnable at t=0 in spawn order.
             kernel.events.push(
                 VirtualTime::ZERO,
                 EventKind::ThreadResume { thread, result: OpResult::Unit },
             );
-            let port = SimPort { thread, baton: baton.clone(), slot, now: 0 };
+            let port = SimPort { thread, baton: sim.clone(), now: 0 };
             bodies.push((Client::new(port, thread, node, n_nodes, n_threads), body));
         }
         drop(state);
-        World { sim, bodies, done_rx }
+        World { sim, bodies }
     }
 
     /// Run the world to completion: until every thread has exited and every
@@ -403,42 +410,34 @@ impl<S: Server> World<S> {
     /// world (and its tracer) are consumed — retrieve tracer output via the
     /// tracer's own shared state.
     ///
-    /// The event queue runs on the application threads (see
-    /// [`crate::ThreadCtx`]); the calling thread only starts the first one
-    /// and waits for the queue to run dry. A panicking protocol handler ends the
+    /// The application threads run as fibers on the calling thread (see
+    /// [`crate::ThreadCtx`]), which starts the first one and is switched
+    /// back to when the queue runs dry. A panicking protocol handler ends the
     /// run and is rethrown here, on the caller's thread, with its payload.
     pub fn run(self) -> RunReport {
-        let World { sim, bodies, done_rx } = self;
-        let slots: Vec<Arc<ResumeSlot>> =
-            bodies.iter().map(|(ctx, _)| ctx.port().slot.clone()).collect();
-        let joins: Vec<_> = bodies
-            .into_iter()
-            .map(|(ctx, body)| {
-                std::thread::Builder::new()
-                    .name(format!("sim-{}", ctx.thread_id()))
-                    .spawn(move || ctx.run(body))
-                    .expect("failed to spawn simulation thread")
-            })
-            .collect();
-        // Hand the baton to the first thread.
-        let handoff = take(&sim).guarded(|sim| sim.run_events(None));
-        handoff.and_then(Handoff::finish);
-        let handler_panic = done_rx.recv().ok().flatten();
+        let World { sim, bodies } = self;
+        let n_threads = bodies.len();
+        for (ctx, body) in bodies {
+            sim.fibers.spawn(move || ctx.run(body));
+        }
+        let pass = take(&sim).guarded(|sim| sim.run_events(None));
+        sim.hand_off(None, pass);
 
+        // Tear down: resume each fiber once more. A suspended or unstarted one
+        // unwinds, an exited one returns from its final hand-off; each drops
+        // its state before dropping the set unmaps the stacks.
         take(&sim).torn_down = true;
-        // Closing the slots unwinds every parked thread.
-        for slot in &slots {
-            slot.close();
+        for fiber in 1..=n_threads {
+            sim.fibers.switch_to(fiber);
         }
-        let thread_waits = joins.into_iter().map(|j| j.join().unwrap_or_default()).collect();
-        if let Some(payload) = handler_panic {
-            std::panic::resume_unwind(payload);
-        }
-        let Ok(sim) = Arc::try_unwrap(sim) else {
-            unreachable!("every thread context is dropped once its thread is joined")
+        let Ok(Shared { sim, .. }) = Arc::try_unwrap(sim) else {
+            unreachable!("every thread context is dropped once its fiber has finished")
         };
-        let Sim { mut kernel, servers, .. } =
+        let Sim { mut kernel, servers, handler_panic, .. } =
             sim.into_inner().expect("a panic escaped while the baton was held");
+        if let Some(payload) = handler_panic {
+            resume_unwind(payload);
+        }
 
         if kernel.stats_ext.gave_up > 0 {
             // A link fault outlasted the retry budget: messages were never
@@ -482,7 +481,7 @@ impl<S: Server> World<S> {
             finished_at: kernel.now,
             stats: kernel.stats_ext,
             ops: kernel.ops,
-            thread_waits,
+            thread_waits: kernel.threads.iter_mut().map(|r| std::mem::take(&mut r.waits)).collect(),
             errors: kernel.errors,
             deadlocked,
             pipelined_faults: kernel.pipelined_faults,
@@ -496,12 +495,12 @@ impl<S: Server> World<S> {
 impl<S: Server> Sim<S> {
     /// Run `step` with the baton held. A protocol handler that panics ends
     /// the run: its payload is kept for `World::run` to rethrow, and the
-    /// caller (`None`) parks like any other thread until teardown.
-    fn guarded(&mut self, step: impl FnOnce(&mut Self) -> Handoff) -> Option<Handoff> {
+    /// caller (`None`) switches to context 0 like any other thread.
+    fn guarded<T>(&mut self, step: impl FnOnce(&mut Self) -> T) -> Option<T> {
         match catch_unwind(AssertUnwindSafe(|| step(self))) {
-            Ok(handoff) => Some(handoff),
+            Ok(done) => Some(done),
             Err(payload) => {
-                let _ = self.done_tx.send(Some(payload));
+                self.handler_panic = Some(payload);
                 None
             }
         }
@@ -518,11 +517,11 @@ impl<S: Server> Sim<S> {
     }
 
     /// Pop events in `(time, seq)` order until one resumes a thread. That
-    /// thread gets the result directly if it is `me`, else through its
-    /// resume slot, woken by the caller once it has released the baton;
-    /// either way it dispatches its next op (or exits) before anything else
-    /// is popped, since nobody else holds the baton. When the queue runs
-    /// dry, wake `World::run`.
+    /// thread gets the result directly if it is `me`, else in its record,
+    /// switched to by the caller once it has released the baton; either
+    /// way it dispatches its next op (or exits) before anything else is
+    /// popped, since nobody else holds the baton. When the queue runs dry,
+    /// switch back to `World::run`.
     fn run_events(&mut self, me: Option<ThreadId>) -> Handoff {
         while let Some(ev) = self.kernel.events.pop() {
             self.kernel.now = ev.at;
@@ -536,18 +535,16 @@ impl<S: Server> Sim<S> {
                         let server = &mut self.servers[rec.node.index()];
                         self.gate.complete(server, &mut self.kernel, thread);
                     }
-                    let rec = &self.kernel.threads[thread.index()];
+                    let rec = &mut self.kernel.threads[thread.index()];
                     if rec.done {
                         continue;
                     }
                     if me == Some(thread) {
-                        return Handoff::Mine(result);
+                        return Handoff::Mine(result, ev.at.as_micros());
                     }
-                    return if rec.slot.push(result) {
-                        Handoff::Wake(rec.slot.clone())
-                    } else {
-                        Handoff::Nobody
-                    };
+                    debug_assert!(rec.resumed.is_none(), "{thread} resumed twice");
+                    rec.resumed = Some(result);
+                    return Handoff::To(thread.index() + 1);
                 }
                 EventKind::Deliver { src, dst } => {
                     let mut first = true;
@@ -562,14 +559,14 @@ impl<S: Server> Sim<S> {
             }
             self.kernel.note_drops();
         }
-        let _ = self.done_tx.send(None);
-        Handoff::Nobody
+        Handoff::To(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::DsmThread;
     use crate::tracer::NullTracer;
     use munin_net::MsgClass;
     use munin_types::{ByteRange, SharingType};
@@ -860,7 +857,7 @@ mod tests {
                 EchoServer { node: NodeId(1), served: 0 },
             ],
         );
-        let decl = w.sim.lock().unwrap().kernel.decl(id).unwrap();
+        let decl = take(&w.sim).kernel.decl(id).unwrap();
         assert_eq!(decl.home, NodeId(1));
         assert_eq!(decl.name, "m");
         let report = w.run();
@@ -999,6 +996,90 @@ mod tests {
             "the three adds did not overlap: {} us",
             report.finished_at
         );
+    }
+
+    /// Blocks every read; a write panics its handler.
+    struct Tripwire;
+
+    impl Server for Tripwire {
+        type Payload = EchoMsg;
+        fn on_op(&mut self, _k: &mut dyn KernelApi<EchoMsg>, _t: ThreadId, op: DsmOp) -> OpOutcome {
+            match op {
+                DsmOp::Read { .. } => OpOutcome::Blocked,
+                DsmOp::Write { .. } => panic!("write handler bug"),
+                _ => OpOutcome::unit(0),
+            }
+        }
+        fn on_message(&mut self, _k: &mut dyn KernelApi<EchoMsg>, _f: NodeId, _p: EchoMsg) {}
+    }
+
+    /// A one-node [`Tripwire`] world of `bodies`, each of which holds a
+    /// clone of the returned `Arc` until it is dropped.
+    fn tripwire_world(bodies: Vec<ThreadBody>) -> (World<Tripwire>, Arc<()>) {
+        let held = Arc::new(());
+        let mut b = WorldDesc::new(1);
+        for body in bodies {
+            let h = held.clone();
+            b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
+                let _held = h;
+                body(ctx)
+            });
+        }
+        (build(b, vec![Tripwire]), held)
+    }
+
+    #[test]
+    fn a_deadlock_drops_the_state_of_exited_and_suspended_threads() {
+        let read = |ctx: &mut dyn DsmThread| drop(ctx.read(ObjectId(0), ByteRange::new(0, 4)));
+        let (world, held) = tripwire_world(vec![
+            Box::new(|_ctx: &mut dyn DsmThread| {}),
+            Box::new(read),
+            Box::new(move |ctx: &mut dyn DsmThread| {
+                ctx.compute(10);
+                read(ctx)
+            }),
+        ]);
+        let report = world.run();
+        assert!(report.errors[0].starts_with("deadlock: 2 thread(s)"), "{:?}", report.errors);
+        assert_eq!(Arc::strong_count(&held), 1, "a body's captured state outlived the run");
+    }
+
+    #[test]
+    fn a_handler_panic_drops_the_state_of_exited_suspended_and_unstarted_threads() {
+        let started = Arc::new(AtomicU64::new(0));
+        let s = started.clone();
+        // t0 exits, then t1's write panics its handler at t=0, before t2's
+        // start is popped.
+        let (world, held) = tripwire_world(vec![
+            Box::new(|_ctx: &mut dyn DsmThread| {}),
+            Box::new(|ctx: &mut dyn DsmThread| ctx.write(ObjectId(0), 0, vec![1])),
+            Box::new(move |_ctx: &mut dyn DsmThread| {
+                s.fetch_add(1, Ordering::SeqCst);
+            }),
+        ]);
+        let payload = catch_unwind(AssertUnwindSafe(|| world.run())).expect_err("run must panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"write handler bug"));
+        assert_eq!(started.load(Ordering::SeqCst), 0, "t2 ran after the handler panic");
+        assert_eq!(Arc::strong_count(&held), 1, "a body's captured state outlived the run");
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[test]
+    fn every_body_runs_on_the_callers_os_thread() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let bodies = (0..3)
+            .map(|_| {
+                let seen = seen.clone();
+                let body: ThreadBody = Box::new(move |ctx: &mut dyn DsmThread| {
+                    seen.lock().unwrap().push(std::thread::current().id());
+                    ctx.read(ObjectId(0), ByteRange::new(0, 4));
+                    seen.lock().unwrap().push(std::thread::current().id());
+                });
+                (NodeId(0), body)
+            })
+            .collect();
+        echo_world(bodies).assert_clean();
+        assert_eq!(*seen.lock().unwrap(), vec![std::thread::current().id(); 6]);
     }
 
     /// The virtual time of one thread's remote read round trip.

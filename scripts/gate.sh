@@ -183,7 +183,10 @@ cargo bench --no-run
 #   under `crates/rt/src` below;
 # - the simulator's retransmit layer: its reorder buffer, loss model,
 #   retransmit timer, transport acks, timeout knob and unacked count (a
-#   fault holds a transmission, it never drops one).
+#   fault holds a transmission, it never drops one);
+# - OS threads in the simulator's world and thread modules (its application
+#   threads are fibers on the caller's thread, `crates/sim/src/fiber.rs`);
+# - `munin-net`'s message envelope, which nothing used.
 step "Deleted names stay deleted"
 if git grep -nE 'struct WcBu[f]|struct OpGat[e]|fn wc_absor[b]|MAX_INFLIGH[T]: usize' -- crates/rt/src; then
     echo "the real-time kernel has a client path or op gate of its own again"
@@ -195,6 +198,14 @@ if git grep -nE 'RtWorldBuilde[r]|WorldBuilde[r]|impl(<[^>]*>)? Pa[r] for|RtKern
 fi
 if git grep -nE 'ReorderBuffe[r]|LossMode[l]|RetxTime[r]|NetAc[k]|retx_timeout_u[s]|total_unacke[d]' -- crates/ tests/ examples/ scripts/ README.md; then
     echo "the simulator's retransmit layer is referenced again: faults hold, never drop"
+    exit 1
+fi
+if git grep -nE 'thread::(spaw[n]|Builde[r])' -- crates/sim/src/world.rs crates/sim/src/thread.rs; then
+    echo "the simulator spawns OS threads again: its application threads are fibers"
+    exit 1
+fi
+if git grep -nE 'Envelop[e]' -- crates/ tests/ examples/ scripts/ README.md; then
+    echo "munin_net's deleted message envelope is referenced again"
     exit 1
 fi
 
