@@ -35,8 +35,7 @@
 //! entries.
 
 use munin_mem::Diff;
-use munin_types::{ByteRange, ObjectId, ThreadId};
-use std::collections::HashMap;
+use munin_types::{ByteRange, IdMap, ObjectId, ThreadId};
 
 /// How a pending entry's update is materialized at flush time.
 #[derive(Debug)]
@@ -62,7 +61,7 @@ pub struct Duq {
     /// Program-order slots; `None` is a tombstone left by `remove`.
     entries: Vec<Option<DuqEntry>>,
     /// Live objects → slot in `entries`.
-    index: HashMap<ObjectId, usize>,
+    index: IdMap<ObjectId, usize>,
     /// Tombstoned slots in `entries` (== `entries.len() - index.len()`,
     /// tracked so the compaction trigger is O(1)).
     tombstones: usize,

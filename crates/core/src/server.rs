@@ -19,10 +19,10 @@ use crate::sync_objs::{BarrierHomeState, CondHomeState, LockHomeState, ProxyLock
 use munin_mem::{ObjectStore, TwinStore};
 use munin_sim::{DsmOp, KernelApi, OpOutcome, OpResult, Server};
 use munin_types::{
-    BarrierId, ByteRange, CondId, DsmError, LockId, MuninConfig, NodeId, ObjectId, SharingType,
-    ThreadId,
+    BarrierId, ByteRange, CondId, DsmError, IdMap, LockId, MuninConfig, NodeId, ObjectId,
+    SharingType, ThreadId,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Cached slice of an [`munin_types::ObjectDecl`] — everything the hot paths
 /// need without cloning the name string.
@@ -82,12 +82,12 @@ pub struct MuninServer {
     // ---- memory -----------------------------------------------------------
     pub(crate) store: ObjectStore,
     pub(crate) twins: TwinStore,
-    pub(crate) local: HashMap<ObjectId, LocalState>,
-    pub(crate) decl_cache: HashMap<ObjectId, DeclLite>,
+    pub(crate) local: IdMap<ObjectId, LocalState>,
+    pub(crate) decl_cache: IdMap<ObjectId, DeclLite>,
     pub(crate) decl_cache_version: u64,
 
     // ---- directory (for objects homed here) --------------------------------
-    pub(crate) dir: HashMap<ObjectId, DirEntry>,
+    pub(crate) dir: IdMap<ObjectId, DirEntry>,
 
     // ---- delayed updates ----------------------------------------------------
     pub(crate) duq: Duq,
@@ -100,25 +100,25 @@ pub struct MuninServer {
     pub(crate) sync_waiters: Vec<(ThreadId, SyncCont)>,
 
     // ---- fault service --------------------------------------------------------
-    pub(crate) faults: HashMap<ObjectId, Vec<PendingFault>>,
-    pub(crate) inflight: HashMap<ObjectId, BTreeSet<InflightKind>>,
+    pub(crate) faults: IdMap<ObjectId, Vec<PendingFault>>,
+    pub(crate) inflight: IdMap<ObjectId, BTreeSet<InflightKind>>,
 
     // ---- migratory chains --------------------------------------------------------
-    pub(crate) probable_holder: HashMap<ObjectId, NodeId>,
+    pub(crate) probable_holder: IdMap<ObjectId, NodeId>,
 
     // ---- synchronization objects ---------------------------------------------------
-    pub(crate) proxies: HashMap<LockId, ProxyLock>,
-    pub(crate) lock_homes: HashMap<LockId, LockHomeState>,
-    pub(crate) barrier_homes: HashMap<BarrierId, BarrierHomeState>,
-    pub(crate) barrier_parked: HashMap<BarrierId, Vec<ThreadId>>,
-    pub(crate) cond_homes: HashMap<CondId, CondHomeState>,
-    pub(crate) cv_parked: HashMap<ThreadId, LockId>,
+    pub(crate) proxies: IdMap<LockId, ProxyLock>,
+    pub(crate) lock_homes: IdMap<LockId, LockHomeState>,
+    pub(crate) barrier_homes: IdMap<BarrierId, BarrierHomeState>,
+    pub(crate) barrier_parked: IdMap<BarrierId, Vec<ThreadId>>,
+    pub(crate) cond_homes: IdMap<CondId, CondHomeState>,
+    pub(crate) cv_parked: IdMap<ThreadId, LockId>,
 
     // ---- result-object write logs (ranges this node wrote) --------------------------
-    pub(crate) result_written: HashMap<ObjectId, Vec<munin_types::ByteRange>>,
+    pub(crate) result_written: IdMap<ObjectId, Vec<munin_types::ByteRange>>,
 
     // ---- dynamic decisions ------------------------------------------------------------
-    pub(crate) detect: HashMap<ObjectId, DetectStat>,
+    pub(crate) detect: IdMap<ObjectId, DetectStat>,
 
     // ---- fault-campaign chaos (checker mutation tests) -------------------------------
     /// Copyset distribution sends performed so far, counted only when
@@ -128,8 +128,8 @@ pub struct MuninServer {
 
 impl MuninServer {
     pub fn new(node: NodeId, cfg: MuninConfig, sync: SyncDecls) -> Self {
-        let mut proxies = HashMap::new();
-        let mut lock_homes = HashMap::new();
+        let mut proxies = IdMap::default();
+        let mut lock_homes = IdMap::default();
         for l in &sync.locks {
             // The token starts at the lock's home.
             proxies.insert(l.id, ProxyLock::new(l.home == node));
@@ -137,13 +137,13 @@ impl MuninServer {
                 lock_homes.insert(l.id, LockHomeState::new(node));
             }
         }
-        let mut barrier_homes = HashMap::new();
+        let mut barrier_homes = IdMap::default();
         for b in &sync.barriers {
             if b.home == node {
                 barrier_homes.insert(b.id, BarrierHomeState::default());
             }
         }
-        let mut cond_homes = HashMap::new();
+        let mut cond_homes = IdMap::default();
         for c in &sync.conds {
             if c.home == node {
                 cond_homes.insert(c.id, CondHomeState::default());
@@ -158,27 +158,27 @@ impl MuninServer {
             sync,
             store: ObjectStore::new(),
             twins: TwinStore::new(),
-            local: HashMap::new(),
-            decl_cache: HashMap::new(),
+            local: IdMap::default(),
+            decl_cache: IdMap::default(),
             decl_cache_version: 0,
-            dir: HashMap::new(),
+            dir: IdMap::default(),
             duq: Duq::new(),
             eager_dirty: BTreeSet::new(),
             sessions: BTreeMap::new(),
             out_sessions: BTreeMap::new(),
             next_session,
             sync_waiters: Vec::new(),
-            faults: HashMap::new(),
-            inflight: HashMap::new(),
-            probable_holder: HashMap::new(),
+            faults: IdMap::default(),
+            inflight: IdMap::default(),
+            probable_holder: IdMap::default(),
             proxies,
             lock_homes,
             barrier_homes,
-            barrier_parked: HashMap::new(),
+            barrier_parked: IdMap::default(),
             cond_homes,
-            cv_parked: HashMap::new(),
-            result_written: HashMap::new(),
-            detect: HashMap::new(),
+            cv_parked: IdMap::default(),
+            result_written: IdMap::default(),
+            detect: IdMap::default(),
             chaos_dist_sends: 0,
         }
     }

@@ -129,6 +129,48 @@ fn write_allocate_fetches_before_writing() {
     assert_eq!(report.stats.kind("ReadReply").count, 1, "write-allocate fetched a copy");
 }
 
+/// Both nodes write their half of a write-many object and meet at a
+/// barrier. The message count depends on the interleaving: a remote
+/// write-allocate that reaches the home before the home's flush puts the
+/// remote node in the copyset, so the flush refreshes it (`FlushOut` and
+/// its ack, two messages more); one that arrives after the flush fetches a
+/// copy that already holds the home's writes. A count-based check of such
+/// a program on a wall-clock fabric must allow for either.
+#[test]
+fn a_write_allocate_that_beats_the_homes_flush_costs_one_refresh_more() {
+    let run = |home_late: bool| {
+        let sync = SyncDecls::round_robin(0, 1, 2, 2);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let s2 = seen.clone();
+        let report = run_world(2, MuninConfig::default(), sync, |b| {
+            let obj = b.declare(decl("x", 16, SharingType::WriteMany), NodeId(0));
+            b.spawn(NodeId(0), move |ctx: &mut dyn DsmThread| {
+                if home_late {
+                    ctx.compute(50_000);
+                }
+                ctx.write(obj, 0, vec![1; 8]);
+                ctx.barrier(BarrierId(0));
+            });
+            b.spawn(NodeId(1), move |ctx: &mut dyn DsmThread| {
+                if !home_late {
+                    ctx.compute(50_000);
+                }
+                ctx.write(obj, 8, vec![2; 8]);
+                ctx.barrier(BarrierId(0));
+                s2.lock().unwrap().extend(ctx.read(obj, ByteRange::new(0, 16)));
+            });
+        });
+        report.assert_clean();
+        let want: Vec<u8> = [[1; 8], [2; 8]].concat();
+        assert_eq!(*seen.lock().unwrap(), want, "home late: {home_late}");
+        report.stats
+    };
+    let (home_first, home_late) = (run(false), run(true));
+    assert_eq!(home_first.kind("FlushOut").count, 0, "{:?}", home_first.by_kind);
+    assert_eq!(home_late.kind("FlushOut").count, 1, "{:?}", home_late.by_kind);
+    assert_eq!(home_late.messages, home_first.messages + 2);
+}
+
 #[test]
 fn multiple_threads_per_node_share_the_duq() {
     let sync = SyncDecls::round_robin(0, 1, 3, 2);

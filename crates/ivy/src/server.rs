@@ -747,25 +747,23 @@ impl IvyServer {
     }
 
     fn start_page_txn(&mut self, k: &mut dyn KernelApi<IvyMsg>, requester: NodeId, page: PageId) {
-        let (owner, to_inval, had_copy) = {
-            let d = self.dir.get_mut(&page).expect("ensured");
-            let owner = d.owner;
-            let had_copy = if requester == self.node {
-                self.pages.contains_key(&page)
-            } else {
-                d.copyset.contains(requester)
-            };
-            let to_inval: Vec<NodeId> =
-                d.copyset.0.iter().copied().filter(|n| *n != requester && *n != owner).collect();
-            (owner, to_inval, had_copy)
+        let me = self.node;
+        let d = self.dir.get_mut(&page).expect("ensured");
+        let owner = d.owner;
+        let had_copy = if requester == me {
+            self.pages.contains_key(&page)
+        } else {
+            d.copyset.contains(requester)
         };
-        let awaiting_yield = owner != requester && owner != self.node;
+        // Copies to invalidate: every holder but the requester and the owner.
         // The manager's own stale copy dies locally (no message, no ack).
-        let (remote_inval, self_inval): (Vec<NodeId>, Vec<NodeId>) =
-            to_inval.into_iter().partition(|n| *n != self.node);
-        self.dir.get_mut(&page).expect("ensured").active = Some(ActivePageTxn {
+        let stale = move |n: NodeId| n != requester && n != owner;
+        let remote_invals = d.copyset.0.iter().filter(|&&n| stale(n) && n != me).count();
+        let self_inval = stale(me) && d.copyset.contains(me);
+        let awaiting_yield = owner != requester && owner != me;
+        d.active = Some(ActivePageTxn {
             requester,
-            pending_invals: remote_inval.len(),
+            pending_invals: remote_invals,
             awaiting_yield,
             requester_had_copy: had_copy,
             xfer: None,
@@ -775,16 +773,21 @@ impl IvyServer {
             cover(k, "page", "remote-owned", "yield-request");
             self.route(k, owner, IvyMsg::Yield { page });
         }
-        if !self_inval.is_empty() {
+        if self_inval {
             self.pages.remove(&page);
             self.touch(page);
             self.rescan(k);
         }
-        if !remote_inval.is_empty() {
+        if remote_invals > 0 {
             cover(k, "page", "copyset", "invalidate");
-        }
-        for n in remote_inval {
-            k.send(self.node, n, IvyMsg::Inval { page });
+            // The rescan left the copyset as it was: while the transaction
+            // is active, requests for the page queue, and only the acks of
+            // these invalidations (or the yield) complete it.
+            for &n in &self.dir[&page].copyset.0 {
+                if stale(n) && n != me {
+                    k.send(me, n, IvyMsg::Inval { page });
+                }
+            }
         }
         self.check_page_txn(k, page);
     }

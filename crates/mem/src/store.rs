@@ -5,13 +5,12 @@
 //! in the protocol layer; this is just bounds-checked bytes plus the
 //! little-endian integer views used by atomic counters and work queues.
 
-use munin_types::{ByteRange, DsmError, DsmResult, ObjectId};
-use std::collections::HashMap;
+use munin_types::{ByteRange, DsmError, DsmResult, IdMap, ObjectId};
 
 /// Bytes of local object copies.
 #[derive(Debug, Default)]
 pub struct ObjectStore {
-    objects: HashMap<ObjectId, Vec<u8>>,
+    objects: IdMap<ObjectId, Vec<u8>>,
 }
 
 impl ObjectStore {

@@ -22,8 +22,8 @@
 //! are never re-flushed.
 
 use crate::diff::Diff;
-use munin_types::{ByteRange, ObjectId};
-use std::collections::{HashMap, VecDeque};
+use munin_types::{ByteRange, IdMap, ObjectId};
+use std::collections::VecDeque;
 
 /// One dirty region: the range local writes have touched, plus the pristine
 /// bytes it held before the first of those writes.
@@ -154,7 +154,7 @@ impl TwinEntry {
 /// Twins for the objects with pending local modifications on one node.
 #[derive(Debug, Default)]
 pub struct TwinStore {
-    twins: HashMap<ObjectId, TwinEntry>,
+    twins: IdMap<ObjectId, TwinEntry>,
 }
 
 impl TwinStore {

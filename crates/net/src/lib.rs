@@ -17,7 +17,9 @@
 //!   retry gets through),
 //! * [`LinkSchedule`] — partition and isolation windows, which hold the
 //!   transmissions on the links they cut,
-//! * [`NetStats`] — per-class and per-kind message/byte accounting,
+//! * [`NetStats`] — per-class and per-kind message/byte accounting, kept
+//!   on a send path as a [`NetTally`] (a per-kind table folded into the
+//!   stats when a report takes them),
 //! * multicast accounting — one send with hardware multicast, `k` sends
 //!   without (the paper's "well designed network interface" discussion).
 
@@ -32,4 +34,4 @@ pub use envelope::{MsgClass, PayloadInfo};
 pub use fault::{LinkFault, LinkFaultKind, LinkSchedule};
 pub use latency::LatencyModel;
 pub use seed::{derive, SeedGuard};
-pub use stats::{KindStat, NetStats};
+pub use stats::{KindStat, NetStats, NetTally};

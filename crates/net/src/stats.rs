@@ -3,7 +3,8 @@
 //! Every experiment table of the paper's evaluation (pinned in
 //! `tests/golden/repro_quick.txt`) is ultimately a readout of this
 //! structure: messages and bytes, split by [`MsgClass`] and by fine-grained
-//! message kind, plus multicast savings.
+//! message kind, plus multicast savings. A send path counts into a
+//! [`NetTally`], which becomes a [`NetStats`] when a report takes it.
 
 use crate::envelope::MsgClass;
 use serde::{Deserialize, Serialize};
@@ -15,6 +16,13 @@ use std::fmt;
 pub struct KindStat {
     pub count: u64,
     pub bytes: u64,
+}
+
+impl std::ops::AddAssign for KindStat {
+    fn add_assign(&mut self, other: KindStat) {
+        self.count += other.count;
+        self.bytes += other.bytes;
+    }
 }
 
 /// Aggregated network statistics for one run.
@@ -49,24 +57,9 @@ impl NetStats {
         Self::default()
     }
 
-    /// Record one wire transmission.
-    pub fn record(&mut self, class: MsgClass, kind: &'static str, bytes: usize) {
-        self.messages += 1;
-        self.bytes += bytes as u64;
-        let c = self.by_class.entry(class).or_default();
-        c.count += 1;
-        c.bytes += bytes as u64;
-        let k = match self.by_kind.get_mut(kind) {
-            Some(k) => k,
-            None => self.by_kind.entry(kind.to_owned()).or_default(),
-        };
-        k.count += 1;
-        k.bytes += bytes as u64;
-    }
-
     /// Record a logical multicast of fanout `fanout` realized with
-    /// `actual_sends` transmissions (the per-transmission `record` calls are
-    /// made separately by the transport).
+    /// `actual_sends` transmissions (each transmission is counted on its
+    /// own, by [`NetTally::record`]).
     pub fn record_multicast(&mut self, fanout: usize, actual_sends: usize) {
         self.multicasts += 1;
         self.multicast_saved += (fanout.saturating_sub(actual_sends)) as u64;
@@ -107,15 +100,62 @@ impl NetStats {
         self.retransmissions += other.retransmissions;
         self.gave_up += other.gave_up;
         for (c, s) in &other.by_class {
-            let e = self.by_class.entry(*c).or_default();
-            e.count += s.count;
-            e.bytes += s.bytes;
+            *self.by_class.entry(*c).or_default() += *s;
         }
         for (k, s) in &other.by_kind {
-            let e = self.by_kind.entry(k.clone()).or_default();
-            e.count += s.count;
-            e.bytes += s.bytes;
+            *self.by_kind.entry(k.clone()).or_default() += *s;
         }
+    }
+}
+
+/// [`NetStats`] as a send path keeps them. A message bumps one row of a
+/// small table keyed by its kind and class, found by the kind's pointer
+/// (a kind is one static string) and else by its name; [`NetTally::take`]
+/// folds the rows into the stats. So a message costs no map walk and no
+/// string allocation, and the stats read as if each message had been added
+/// to them on its own.
+#[derive(Debug, Default)]
+pub struct NetTally {
+    /// Everything but the per-message counts: multicasts, holds, give-ups.
+    pub stats: NetStats,
+    /// (kind, class, messages) per pair seen since the last take.
+    rows: Vec<(&'static str, MsgClass, KindStat)>,
+}
+
+impl NetTally {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Record one wire transmission.
+    #[inline]
+    pub fn record(&mut self, class: MsgClass, kind: &'static str, bytes: usize) {
+        let rows = &mut self.rows;
+        let i = match rows
+            .iter()
+            .position(|r| std::ptr::eq(r.0, kind) && r.1 == class)
+            .or_else(|| rows.iter().position(|r| r.0 == kind && r.1 == class))
+        {
+            Some(i) => i,
+            None => {
+                rows.push((kind, class, KindStat::default()));
+                rows.len() - 1
+            }
+        };
+        rows[i].2 += KindStat { count: 1, bytes: bytes as u64 };
+    }
+
+    /// The stats, every message recorded so far included; the tally starts
+    /// over.
+    pub fn take(&mut self) -> NetStats {
+        let mut stats = std::mem::take(&mut self.stats);
+        for (kind, class, stat) in self.rows.drain(..) {
+            stats.messages += stat.count;
+            stats.bytes += stat.bytes;
+            *stats.by_class.entry(class).or_default() += stat;
+            *stats.by_kind.entry(kind.to_owned()).or_default() += stat;
+        }
+        stats
     }
 }
 
@@ -148,13 +188,24 @@ impl fmt::Display for NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Stats of the given transmissions, through a tally.
+    fn tallied(msgs: &[(MsgClass, &'static str, usize)]) -> NetStats {
+        let mut t = NetTally::new();
+        for &(class, kind, bytes) in msgs {
+            t.record(class, kind, bytes);
+        }
+        t.take()
+    }
 
     #[test]
     fn record_accumulates_by_class_and_kind() {
-        let mut s = NetStats::new();
-        s.record(MsgClass::Data, "ReadReply", 1024);
-        s.record(MsgClass::Data, "ReadReply", 1024);
-        s.record(MsgClass::Control, "ReadReq", 0);
+        let s = tallied(&[
+            (MsgClass::Data, "ReadReply", 1024),
+            (MsgClass::Data, "ReadReply", 1024),
+            (MsgClass::Control, "ReadReq", 0),
+        ]);
         assert_eq!(s.messages, 3);
         assert_eq!(s.bytes, 2048);
         assert_eq!(s.class(MsgClass::Data).count, 2);
@@ -163,11 +214,27 @@ mod tests {
         assert_eq!(s.kind("nonexistent").count, 0);
     }
 
+    /// A kind name that is not the first row's pointer still finds its
+    /// row, and a take starts the tally over but keeps nothing twice.
+    #[test]
+    fn a_copied_kind_name_shares_its_row_and_take_starts_over() {
+        let copy: &'static str = String::from("ReadReply").leak();
+        let mut t = NetTally::new();
+        t.record(MsgClass::Data, "ReadReply", 8);
+        t.record(MsgClass::Data, copy, 8);
+        assert_eq!(t.rows.len(), 1, "one row for both spellings");
+        t.stats.record_multicast(2, 2);
+        let first = t.take();
+        assert_eq!((first.messages, first.kind("ReadReply").count, first.multicasts), (2, 2, 1));
+        t.record(MsgClass::Sync, "LockReq", 0);
+        let second = t.take();
+        assert_eq!((second.messages, second.multicasts), (1, 0));
+        assert_eq!(second.kind("ReadReply").count, 0);
+    }
+
     #[test]
     fn ack_exclusion() {
-        let mut s = NetStats::new();
-        s.record(MsgClass::Update, "Diff", 64);
-        s.record(MsgClass::Ack, "DiffAck", 0);
+        let s = tallied(&[(MsgClass::Update, "Diff", 64), (MsgClass::Ack, "DiffAck", 0)]);
         assert_eq!(s.messages, 2);
         assert_eq!(s.messages_excluding_acks(), 1);
     }
@@ -183,12 +250,9 @@ mod tests {
 
     #[test]
     fn merge_sums_everything() {
-        let mut a = NetStats::new();
-        a.record(MsgClass::Data, "X", 10);
+        let mut a = tallied(&[(MsgClass::Data, "X", 10)]);
         a.record_hold(1, 0);
-        let mut b = NetStats::new();
-        b.record(MsgClass::Data, "X", 5);
-        b.record(MsgClass::Sync, "LockReq", 0);
+        let mut b = tallied(&[(MsgClass::Data, "X", 5), (MsgClass::Sync, "LockReq", 0)]);
         b.record_hold(2, 1);
         b.record_gave_up();
         a.merge(&b);
@@ -203,10 +267,44 @@ mod tests {
 
     #[test]
     fn display_renders_nonempty_classes() {
-        let mut s = NetStats::new();
-        s.record(MsgClass::Sync, "LockGrant", 16);
-        let out = s.to_string();
+        let out = tallied(&[(MsgClass::Sync, "LockGrant", 16)]).to_string();
         assert!(out.contains("sync"));
         assert!(!out.contains("control"), "empty classes omitted: {out}");
+    }
+
+    /// Add one transmission straight to the stats' maps: what the tally's
+    /// fold must agree with.
+    fn add_one(s: &mut NetStats, class: MsgClass, kind: &str, bytes: usize) {
+        let one = KindStat { count: 1, bytes: bytes as u64 };
+        s.messages += 1;
+        s.bytes += bytes as u64;
+        *s.by_class.entry(class).or_default() += one;
+        *s.by_kind.entry(kind.to_owned()).or_default() += one;
+    }
+
+    const KINDS: [&str; 6] = ["ReadReq", "ReadReply", "Diff", "DiffAck", "LockReq", "Inval"];
+
+    proptest! {
+        /// On random mixes of kinds and classes (a kind under several
+        /// classes too), with takes in between, folding the tally gives
+        /// the stats that per-message additions give.
+        #[test]
+        fn folding_the_tally_equals_per_message_records(
+            msgs in prop::collection::vec((0..5usize, 0..KINDS.len(), 0..5000usize, any::<bool>()), 0..200),
+        ) {
+            let mut t = NetTally::new();
+            let mut folded = NetStats::new();
+            let mut direct = NetStats::new();
+            for (class, kind, bytes, take) in msgs {
+                let (class, kind) = (MsgClass::ALL[class], KINDS[kind]);
+                t.record(class, kind, bytes);
+                add_one(&mut direct, class, kind, bytes);
+                if take {
+                    folded.merge(&t.take());
+                }
+            }
+            folded.merge(&t.take());
+            prop_assert_eq!(folded, direct);
+        }
     }
 }

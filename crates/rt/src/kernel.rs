@@ -70,7 +70,7 @@ pub struct WallKernel<L> {
     shared: Arc<Shared>,
     /// This node's traffic counters, merged into the run totals at
     /// teardown, so the send path takes no cross-node lock.
-    stats: munin_net::NetStats,
+    tally: munin_net::NetTally,
     /// Threads whose blocked op completed this step (via
     /// [`KernelApi::complete`]); drained by the step's op gate.
     completions: Vec<ThreadId>,
@@ -90,7 +90,7 @@ impl<L> WallKernel<L> {
             link,
             timer_tx,
             shared,
-            stats: munin_net::NetStats::new(),
+            tally: munin_net::NetTally::new(),
             completions: Vec::new(),
         }
     }
@@ -113,7 +113,7 @@ impl<L> WallKernel<L> {
 
     /// This node's traffic counters, taken at teardown.
     pub fn take_stats(&mut self) -> munin_net::NetStats {
-        std::mem::take(&mut self.stats)
+        self.tally.take()
     }
 
     /// Threads whose blocked op the protocol completed since the last
@@ -165,7 +165,7 @@ impl<L: Link<P>, P: PayloadInfo + Clone> KernelApi<P> for WallKernel<L> {
     fn send(&mut self, src: NodeId, dst: NodeId, payload: P) {
         debug_assert_eq!(src, self.node, "a kernel sends on behalf of its own node");
         debug_assert_ne!(src, dst, "servers handle local work locally, not by self-send");
-        self.stats.record(payload.class(), payload.kind(), payload.wire_bytes());
+        self.tally.record(payload.class(), payload.kind(), payload.wire_bytes());
         self.link.send(dst, payload);
     }
 
@@ -177,10 +177,10 @@ impl<L: Link<P>, P: PayloadInfo + Clone> KernelApi<P> for WallKernel<L> {
         }
         debug_assert!(!dsts.contains(&src), "servers handle local work locally");
         for _ in dsts {
-            self.stats.record(payload.class(), payload.kind(), payload.wire_bytes());
+            self.tally.record(payload.class(), payload.kind(), payload.wire_bytes());
         }
         // No hardware multicast on either fabric: fanout == sends.
-        self.stats.record_multicast(dsts.len(), dsts.len());
+        self.tally.stats.record_multicast(dsts.len(), dsts.len());
         self.link.multicast(dsts, payload);
     }
 

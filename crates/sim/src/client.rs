@@ -12,12 +12,17 @@
 //!
 //! The per-call contract. Every op call is one [`Port::begin`] and one
 //! entry in the wait table; a token wait or a drain that has something to
-//! wait for is one entry under a label of its own. A call that does not
-//! wait (a write the combined write absorbs, an async op issued into a
-//! window that is not full, a token whose result was already taken) reads
-//! no clock, walks no map and allocates nothing: a borrowed write is copied
-//! from the caller's slice straight into the combined write, and only a
-//! write that starts a new combined write gets a buffer. The wait clock
+//! wait for is one entry under a label of its own. A blocking op issued
+//! with nothing in flight and no combined write pending is one
+//! [`Port::call`] instead, which the simulator's port makes in one take of
+//! the world state (count, trace, gate, events up to the result); the
+//! wall-clock port declines it, and the client makes the begin, submit
+//! and take itself. A call that does not wait (a write the combined write
+//! absorbs, an async op issued into a window that is not full, a token
+//! whose result was already taken) reads no clock, walks no map and
+//! allocates nothing: a borrowed write is copied from the caller's slice
+//! straight into the combined write, and only a write that starts a new
+//! combined write gets a buffer. The wait clock
 //! starts when a call first takes a result from the port, or before
 //! modelled compute on the thread, and stops when the call ends; a call
 //! that never waits books 0 µs. On the simulator the clock moves only
@@ -74,6 +79,17 @@ pub trait Port {
 
     /// The clock of the wait table, in µs: read only by a call that waits.
     fn now_us(&mut self) -> u64;
+
+    /// A blocking op issued with nothing in flight and no combined write
+    /// pending, in one step: begin the call, hand `op` to the node and take
+    /// its result. Returns the result and the clock at the call's start
+    /// (when it began waiting), or gives `op` back, as the default does, for
+    /// the client to make [`Port::begin`], [`Port::submit`] and
+    /// [`Port::take`] one by one. A port that takes the step sends
+    /// modelled compute to the node: its [`Port::compute`] returns `false`.
+    fn call(&mut self, op: DsmOp, _wait_label: &'static str) -> Result<(OpResult, u64), DsmOp> {
+        Err(op)
+    }
 }
 
 /// One op issued and not yet taken from the port.
@@ -169,6 +185,17 @@ impl<P: Port> Client<P> {
     fn compute_here(&mut self, us: u64) -> bool {
         self.start_wait();
         self.port.compute(us)
+    }
+
+    /// A blocking op with nothing in flight and no combined write pending
+    /// is one [`Port::call`], if the port takes it; else `op` comes back.
+    fn one_step(&mut self, op: DsmOp, label: &'static str) -> Result<OpResult, DsmOp> {
+        if !self.pending.is_empty() || self.wc.is_some() {
+            return Err(op);
+        }
+        let (result, since) = self.port.call(op, label)?;
+        self.wait_since = Some(since);
+        Ok(result)
     }
 
     /// Emit the combined write, then hand `op` to the port behind it (which
@@ -281,13 +308,18 @@ impl<P: Port> DsmThread for Client<P> {
     /// each blocking op, so each sync point, is an implicit drain, as
     /// release consistency requires.
     fn op(&mut self, op: DsmOp) -> OpResult {
-        self.port.begin(op.head());
         let (slot, label) = (op.kind(), op.label());
-        let result = match op {
-            DsmOp::Compute(us) if self.compute_here(us) => OpResult::Unit,
-            op => {
-                let seq = self.issue(op, label, false, false);
-                self.wait_seq(seq, label)
+        let result = match self.one_step(op, label) {
+            Ok(result) => result,
+            Err(op) => {
+                self.port.begin(op.head());
+                match op {
+                    DsmOp::Compute(us) if self.compute_here(us) => OpResult::Unit,
+                    op => {
+                        let seq = self.issue(op, label, false, false);
+                        self.wait_seq(seq, label)
+                    }
+                }
             }
         };
         self.end_call(slot);
@@ -383,11 +415,15 @@ mod tests {
     use super::*;
 
     /// A port whose node answers every op at once, and whose clock moves
-    /// 10 µs on each read: it counts the reads, the calls begun and what
-    /// left for the node.
+    /// 10 µs on each read: it counts the reads, the calls begun, the
+    /// results taken, the one-step calls (taken only if `one_step`) and
+    /// what left for the node.
     #[derive(Default)]
     struct CountingPort {
+        one_step: bool,
         begun: usize,
+        takes: usize,
+        calls: usize,
         clock_reads: u64,
         sent: Vec<DsmOp>,
         untaken: VecDeque<OpResult>,
@@ -413,6 +449,7 @@ mod tests {
         }
 
         fn take(&mut self, _pipelined: bool, _wait_label: &'static str) -> OpResult {
+            self.takes += 1;
             self.untaken.pop_front().expect("take with nothing submitted")
         }
 
@@ -420,10 +457,68 @@ mod tests {
             self.clock_reads += 1;
             self.clock_reads * 10
         }
+
+        /// One step: the node's answer, the clock read at the start.
+        fn call(&mut self, op: DsmOp, _label: &'static str) -> Result<(OpResult, u64), DsmOp> {
+            if !self.one_step {
+                return Err(op);
+            }
+            self.calls += 1;
+            let since = self.now_us();
+            let (begun, takes) = (self.begun, self.takes);
+            self.submit(op, false);
+            let result = self.take(false, "call");
+            (self.begun, self.takes) = (begun, takes);
+            Ok((result, since))
+        }
     }
 
     fn client() -> Client<CountingPort> {
         Client::new(CountingPort::default(), ThreadId(0), NodeId(0), 1, 1)
+    }
+
+    fn one_step_client() -> Client<CountingPort> {
+        let port = CountingPort { one_step: true, ..CountingPort::default() };
+        Client::new(port, ThreadId(0), NodeId(0), 1, 1)
+    }
+
+    /// (one-step calls, begins, submits, takes) so far.
+    fn port_calls(c: &Client<CountingPort>) -> (usize, usize, usize, usize) {
+        let p = c.port();
+        (p.calls, p.begun, p.sent.len(), p.takes)
+    }
+
+    /// A blocking op with nothing in flight and no combined write is one
+    /// port call and nothing else; its wait is the clock's move over it.
+    #[test]
+    fn a_blocking_op_with_nothing_in_flight_is_one_port_call() {
+        let mut c = one_step_client();
+        assert_eq!(c.fetch_add(OBJ, 0, 1), 1);
+        assert_eq!(port_calls(&c), (1, 0, 1, 0), "one call: no begin, no take");
+        assert_eq!(c.read(OBJ, ByteRange::new(0, 4)), vec![0; 4]);
+        c.compute(5);
+        assert_eq!(port_calls(&c), (3, 0, 3, 0));
+        assert_eq!(c.port().clock_reads, 6, "at each call's start and end");
+        let waits = c.into_waits();
+        assert_eq!(waits["fetch-add"], (1, 10));
+        assert_eq!(waits["compute"], (1, 10));
+    }
+
+    /// Behind an async op, or behind a combined write, a blocking op takes
+    /// the begin / submit / take path; once the window is drained it is
+    /// one call again.
+    #[test]
+    fn a_blocking_op_behind_an_async_op_or_a_combined_write_takes_the_usual_path() {
+        let mut c = one_step_client();
+        let t = c.fetch_add_async(OBJ, 0, 1);
+        assert_eq!(c.fetch_add(OBJ, 0, 1), 2);
+        assert_eq!(port_calls(&c), (0, 2, 2, 2), "behind an async op");
+        assert_eq!(c.token_wait(t), 1);
+        c.write_raw(OBJ, 0, &[1; 8]);
+        assert_eq!(c.fetch_add(OBJ, 0, 1), 3);
+        assert_eq!(port_calls(&c), (0, 4, 4, 4), "behind a combined write");
+        assert_eq!(c.fetch_add(OBJ, 0, 1), 4);
+        assert_eq!(port_calls(&c), (1, 4, 5, 4), "nothing in flight: one call");
     }
 
     const OBJ: ObjectId = ObjectId(7);

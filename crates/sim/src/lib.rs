@@ -18,8 +18,10 @@
 //! * **a server abstraction** ([`Server`]): each node hosts a coherence
 //!   server that handles its threads' ops and remote protocol messages;
 //! * **a transport** with per-pair FIFO, exactly-once delivery, multicast
-//!   and traffic accounting, where injected loss and link cuts only hold a
-//!   transmission (for whole retransmit timeouts), never drop it.
+//!   and traffic accounting (a [`munin_net::NetTally`], folded into the
+//!   report's `NetStats` at the end of the run), where injected loss and
+//!   link cuts only hold a transmission (for whole retransmit timeouts),
+//!   never drop it.
 //!
 //! This crate also hosts what every backend shares:
 //! * [`WorldDesc`], the one world description (node count, declarations,
@@ -33,7 +35,9 @@
 //!   [`Port`]. The simulator's [`ThreadCtx`] and the wall-clock fabrics'
 //!   `munin_rt::RtCtx` are this client over their own ports, so a thread
 //!   runs on while its writes and async ops are in flight, in virtual time
-//!   too;
+//!   too. A blocking op with nothing in flight before it is one
+//!   [`Port::call`]: on the simulator, one take of the world state counts,
+//!   traces and dispatches it and runs events up to its result;
 //! * [`OpGate`], which feeds a server its threads' ops one at a time but
 //!   for ops ordered through one peer ([`Server::ordered_peer`]): the
 //!   simulator's world and the wall-clock node step (`munin_rt::NodeStep`)

@@ -8,14 +8,14 @@ mod tests {
     use crate::event::EventQueue;
     use crate::transport::tests::{drain, ids, P};
     use crate::transport::{Transport, TransportConfig};
-    use munin_net::{LinkFault, LinkSchedule, NetStats};
+    use munin_net::{LinkFault, LinkSchedule, NetTally};
     use munin_types::{CostModel, NodeId, VirtualTime};
 
     #[test]
     fn in_order_stream_passes_through() {
         let cost = CostModel::ethernet_1990();
         let mut t = Transport::new(TransportConfig::lossless(cost.clone()));
-        let (mut q, mut s) = (EventQueue::new(), NetStats::new());
+        let (mut q, mut s) = (EventQueue::new(), NetTally::new());
         for i in 0..5 {
             t.send(
                 VirtualTime::micros(i * 10),
@@ -45,13 +45,13 @@ mod tests {
                 LinkFault::partition(vec![NodeId(0)], 0, 15_000),
             ]));
         let mut t = Transport::new(cfg);
-        let (mut q, mut s) = (EventQueue::new(), NetStats::new());
+        let (mut q, mut s) = (EventQueue::new(), NetTally::new());
         let (a, b) = (NodeId(0), NodeId(1));
         t.send(VirtualTime::ZERO, &mut q, &mut s, a, b, P(0, 64));
         t.send(VirtualTime::micros(16_000), &mut q, &mut s, a, b, P(1, 64));
         t.send(VirtualTime::micros(17_000), &mut q, &mut s, a, b, P(2, 64));
         assert_eq!(q.len(), 1, "the early arrivals wait for the held message");
-        assert_eq!((s.dropped, s.retransmissions), (2, 2));
+        assert_eq!((s.stats.dropped, s.stats.retransmissions), (2, 2));
         let got = drain(&mut t, &mut q);
         assert_eq!(ids(&got), vec![0, 1, 2]);
         let release = 20_000 + cost.msg_latency_us(64);
@@ -69,7 +69,7 @@ mod tests {
             let cfg = TransportConfig::lossy(CostModel::ethernet_1990(), drop_prob, seed)
                 .with_jitter(seed % 4 * 2_000);
             let mut t = Transport::new(cfg);
-            let (mut q, mut s) = (EventQueue::new(), NetStats::new());
+            let (mut q, mut s) = (EventQueue::new(), NetTally::new());
             let mut pair_of = Vec::new();
             for i in 0..48u64 {
                 let src = (i % 3) as u16;
@@ -80,7 +80,7 @@ mod tests {
                 t.send(now, &mut q, &mut s, NodeId(src), NodeId(dst), P(i as u32, bytes));
             }
             let got = drain(&mut t, &mut q);
-            assert_eq!(s.gave_up, 0, "seed {seed}");
+            assert_eq!(s.stats.gave_up, 0, "seed {seed}");
             let mut all = ids(&got);
             all.sort_unstable();
             assert_eq!(all, (0..48).collect::<Vec<u32>>(), "exactly once, seed {seed}");
@@ -96,7 +96,7 @@ mod tests {
                     "{pair:?} out of order, seed {seed}"
                 );
             }
-            held += s.dropped;
+            held += s.stats.dropped;
             rode += got.len() - (got.last().map_or(0, |g| g.1) + 1);
         }
         assert!(held > 0 && rode > 0, "loss held something and early arrivals rode");

@@ -8,7 +8,9 @@
 //! virtual instant. To take a result, it runs the event queue until an
 //! event resumes some thread: itself, or another one, whose result it
 //! leaves in the world state before it releases the baton and switches to
-//! that thread's fiber. One thread runs at a time: runs are deterministic.
+//! that thread's fiber. A blocking op with nothing in flight before it
+//! does all of that in one take of the baton ([`Port::call`]). One thread
+//! runs at a time: runs are deterministic.
 
 use crate::client::{Client, Port};
 use crate::desc::ThreadBody;
@@ -30,6 +32,10 @@ pub(crate) trait Baton: Send + Sync {
     /// they resume first; return `thread`'s result and the virtual clock, in
     /// µs. `label` names the call it is blocked in, for a deadlock report.
     fn wait(&self, thread: ThreadId, label: &'static str) -> (OpResult, u64);
+    /// [`Baton::begin`], [`Baton::submit`] and [`Baton::wait`] for a
+    /// blocking op with nothing of `thread`'s in flight, in one take of the
+    /// world state.
+    fn call(&self, thread: ThreadId, op: DsmOp, label: &'static str) -> (OpResult, u64);
     /// The result that a switch to `thread`'s fiber brought, and the clock.
     fn resumed(&self, thread: ThreadId) -> (OpResult, u64);
     /// `thread`'s body returned or panicked (`Some(msg)`): keep its `waits`,
@@ -75,6 +81,15 @@ impl Port for SimPort {
 
     fn now_us(&mut self) -> u64 {
         self.now
+    }
+
+    /// Modelled compute goes to the node as [`DsmOp::Compute`], so any
+    /// blocking op can take the one step.
+    fn call(&mut self, op: DsmOp, wait_label: &'static str) -> Result<(OpResult, u64), DsmOp> {
+        let since = self.now;
+        let (result, now) = self.baton.call(self.thread, op, wait_label);
+        self.now = now;
+        Ok((result, since))
     }
 }
 
@@ -124,6 +139,10 @@ mod tests {
         }
         fn wait(&self, _thread: ThreadId, _label: &'static str) -> (OpResult, u64) {
             (OpResult::Unit, 0)
+        }
+        fn call(&self, thread: ThreadId, op: DsmOp, label: &'static str) -> (OpResult, u64) {
+            self.submit(thread, op);
+            self.wait(thread, label)
         }
         fn resumed(&self, _thread: ThreadId) -> (OpResult, u64) {
             (OpResult::Unit, 0)

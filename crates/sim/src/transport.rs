@@ -22,7 +22,7 @@
 //! send order with no reorder buffer.
 
 use crate::event::{EventKind, EventQueue};
-use munin_net::{derive, LatencyModel, LinkSchedule, NetStats, PayloadInfo};
+use munin_net::{derive, LatencyModel, LinkSchedule, NetTally, PayloadInfo};
 use munin_types::{CostModel, IdMap, NodeId, VirtualTime};
 use std::collections::VecDeque;
 
@@ -136,12 +136,12 @@ impl<P: PayloadInfo + Clone> Transport<P> {
         &mut self,
         now: VirtualTime,
         events: &mut EventQueue,
-        stats: &mut NetStats,
+        tally: &mut NetTally,
         src: NodeId,
         dst: NodeId,
         payload: P,
     ) {
-        self.transmit(now, events, stats, src, &[dst], payload);
+        self.transmit(now, events, tally, src, &[dst], payload);
     }
 
     /// Multicast `payload` from `src` to each node in `dsts`.
@@ -153,7 +153,7 @@ impl<P: PayloadInfo + Clone> Transport<P> {
         &mut self,
         now: VirtualTime,
         events: &mut EventQueue,
-        stats: &mut NetStats,
+        tally: &mut NetTally,
         src: NodeId,
         dsts: &[NodeId],
         payload: P,
@@ -162,12 +162,12 @@ impl<P: PayloadInfo + Clone> Transport<P> {
             return;
         }
         if self.cost().hardware_multicast {
-            stats.record_multicast(dsts.len(), 1);
-            self.transmit(now, events, stats, src, dsts, payload);
+            tally.stats.record_multicast(dsts.len(), 1);
+            self.transmit(now, events, tally, src, dsts, payload);
         } else {
-            stats.record_multicast(dsts.len(), dsts.len());
+            tally.stats.record_multicast(dsts.len(), dsts.len());
             for &dst in dsts {
-                self.transmit(now, events, stats, src, &[dst], payload.clone());
+                self.transmit(now, events, tally, src, &[dst], payload.clone());
             }
         }
     }
@@ -178,19 +178,19 @@ impl<P: PayloadInfo + Clone> Transport<P> {
         &mut self,
         now: VirtualTime,
         events: &mut EventQueue,
-        stats: &mut NetStats,
+        tally: &mut NetTally,
         src: NodeId,
         dsts: &[NodeId],
         payload: P,
     ) {
-        stats.record(payload.class(), payload.kind(), payload.wire_bytes());
+        tally.record(payload.class(), payload.kind(), payload.wire_bytes());
         let arrive = self.latency.delivery_time(now, payload.wire_bytes());
         let lost = self.latency.lost_attempts(MAX_RETX + 1);
         let mut held = lost;
         let mut copy = |t: &mut Self, dst: NodeId, payload: P| {
             let k = t.first_uncut(src, dst, now, lost);
             held = held.max(k);
-            t.schedule(events, stats, src, dst, arrive, k, payload);
+            t.schedule(events, tally, src, dst, arrive, k, payload);
         };
         let (&last, rest) = dsts.split_last().expect("a transmission has a destination");
         for &dst in rest {
@@ -198,7 +198,7 @@ impl<P: PayloadInfo + Clone> Transport<P> {
         }
         copy(self, last, payload);
         if held > 0 {
-            stats.record_hold(u64::from(held), u64::from(held.min(MAX_RETX)));
+            tally.stats.record_hold(u64::from(held), u64::from(held.min(MAX_RETX)));
         }
     }
 
@@ -217,7 +217,7 @@ impl<P: PayloadInfo + Clone> Transport<P> {
     fn schedule(
         &mut self,
         events: &mut EventQueue,
-        stats: &mut NetStats,
+        tally: &mut NetTally,
         src: NodeId,
         dst: NodeId,
         arrive: VirtualTime,
@@ -227,7 +227,7 @@ impl<P: PayloadInfo + Clone> Transport<P> {
         let pair = self.pairs.entry((src, dst)).or_default();
         if held > MAX_RETX || pair.gave_up {
             pair.gave_up = true;
-            stats.record_gave_up();
+            tally.stats.record_gave_up();
             return;
         }
         let at = arrive + u64::from(held) * RETX_TIMEOUT_US;
@@ -257,7 +257,7 @@ impl<P: PayloadInfo + Clone> Transport<P> {
 pub(crate) mod tests {
     use super::*;
     use crate::event::Event;
-    use munin_net::{LinkFault, MsgClass};
+    use munin_net::{LinkFault, MsgClass, NetStats};
 
     #[derive(Debug, Clone, PartialEq)]
     pub(crate) struct P(pub u32, pub usize); // id, bytes
@@ -298,7 +298,7 @@ pub(crate) mod tests {
 
     fn run_lossy(seed: u64) -> (Vec<(u64, usize, NodeId, P)>, NetStats) {
         let mut t = Transport::new(TransportConfig::lossy(CostModel::ethernet_1990(), 0.4, seed));
-        let (mut q, mut s) = (EventQueue::new(), NetStats::new());
+        let (mut q, mut s) = (EventQueue::new(), NetTally::new());
         for i in 0..20 {
             t.send(
                 VirtualTime::micros(i * 10),
@@ -309,22 +309,22 @@ pub(crate) mod tests {
                 P(i as u32, 128),
             );
         }
-        (drain(&mut t, &mut q), s)
+        (drain(&mut t, &mut q), s.take())
     }
 
     fn multicast(hw: bool, dsts: &[NodeId]) -> (Vec<(u64, usize, NodeId, P)>, NetStats) {
         let mut cost = CostModel::ethernet_1990();
         cost.hardware_multicast = hw;
         let mut t = Transport::new(TransportConfig::lossless(cost));
-        let (mut q, mut s) = (EventQueue::new(), NetStats::new());
+        let (mut q, mut s) = (EventQueue::new(), NetTally::new());
         t.multicast(VirtualTime::ZERO, &mut q, &mut s, NodeId(0), dsts, P(0, 1024));
-        (drain(&mut t, &mut q), s)
+        (drain(&mut t, &mut q), s.take())
     }
 
     #[test]
     fn lossless_unicast_delivers_fifo_despite_size_inversion() {
         let mut t = Transport::new(TransportConfig::lossless(CostModel::ethernet_1990()));
-        let (mut q, mut s) = (EventQueue::new(), NetStats::new());
+        let (mut q, mut s) = (EventQueue::new(), NetTally::new());
         let (a, b) = (NodeId(0), NodeId(1));
         // Big message first (slow), tiny message second (fast): the wire
         // would invert them; the pair must not.
@@ -334,6 +334,7 @@ pub(crate) mod tests {
         let got = drain(&mut t, &mut q);
         assert_eq!(ids(&got), vec![1, 2]);
         assert_eq!(got[0].0, got[1].0, "handed over at the big message's arrival");
+        let s = s.take();
         assert_eq!(s.messages, 2);
         assert_eq!((s.dropped, s.retransmissions), (0, 0));
     }
@@ -375,7 +376,7 @@ pub(crate) mod tests {
     fn jitter_reorders_the_wire_but_delivery_stays_fifo() {
         let cfg = TransportConfig::lossless(CostModel::ethernet_1990()).with_jitter(50_000);
         let mut t = Transport::new(cfg);
-        let (mut q, mut s) = (EventQueue::new(), NetStats::new());
+        let (mut q, mut s) = (EventQueue::new(), NetTally::new());
         for i in 0..32 {
             t.send(
                 VirtualTime::micros(i * 10),
@@ -398,12 +399,12 @@ pub(crate) mod tests {
             LinkSchedule::new(vec![LinkFault::partition(vec![NodeId(0)], 0, 60_000)]),
         );
         let mut t = Transport::new(cfg);
-        let (mut q, mut s) = (EventQueue::new(), NetStats::new());
+        let (mut q, mut s) = (EventQueue::new(), NetTally::new());
         t.send(VirtualTime::ZERO, &mut q, &mut s, NodeId(0), NodeId(1), P(7, 64));
         let got = drain(&mut t, &mut q);
         let latency = CostModel::ethernet_1990().msg_latency_us(64);
         assert_eq!(got, vec![(60_000 + latency, 0, NodeId(1), P(7, 64))], "held until the heal");
-        assert_eq!((s.dropped, s.retransmissions, s.gave_up), (6, 6, 0));
+        assert_eq!((s.stats.dropped, s.stats.retransmissions, s.stats.gave_up), (6, 6, 0));
     }
 
     #[test]
@@ -411,10 +412,10 @@ pub(crate) mod tests {
         let cfg = TransportConfig::lossless(CostModel::ethernet_1990())
             .with_link_faults(LinkSchedule::new(vec![LinkFault::isolate(NodeId(1), 0, u64::MAX)]));
         let mut t = Transport::new(cfg);
-        let (mut q, mut s) = (EventQueue::new(), NetStats::new());
+        let (mut q, mut s) = (EventQueue::new(), NetTally::new());
         t.send(VirtualTime::ZERO, &mut q, &mut s, NodeId(0), NodeId(1), P(1, 64));
         assert!(q.is_empty(), "nothing crosses a permanent isolation");
-        assert_eq!((s.gave_up, s.retransmissions, s.dropped), (1, 40, 41));
+        assert_eq!((s.stats.gave_up, s.stats.retransmissions, s.stats.dropped), (1, 40, 41));
     }
 
     #[test]
@@ -424,14 +425,14 @@ pub(crate) mod tests {
         let cfg = TransportConfig::lossless(CostModel::ethernet_1990())
             .with_link_faults(LinkSchedule::new(vec![LinkFault::isolate(NodeId(1), 0, 400_001)]));
         let mut t = Transport::new(cfg);
-        let (mut q, mut s) = (EventQueue::new(), NetStats::new());
+        let (mut q, mut s) = (EventQueue::new(), NetTally::new());
         let later = VirtualTime::micros(500_000);
         t.send(VirtualTime::ZERO, &mut q, &mut s, NodeId(0), NodeId(1), P(1, 64));
         t.send(later, &mut q, &mut s, NodeId(0), NodeId(1), P(2, 64));
         t.send(later, &mut q, &mut s, NodeId(1), NodeId(0), P(3, 64));
         let got = drain(&mut t, &mut q);
         assert_eq!(ids(&got), vec![3], "only the pair that never gave up delivers");
-        assert_eq!(s.gave_up, 2);
+        assert_eq!(s.stats.gave_up, 2);
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub struct Kernel<P: PayloadInfo + Clone> {
     now: VirtualTime,
     events: EventQueue,
     transport: Transport<P>,
-    stats_ext: munin_net::NetStats,
+    traffic: munin_net::NetTally,
     registry: Registry,
     threads: Vec<ThreadRec>,
     tracer: Box<dyn Tracer>,
@@ -145,7 +145,7 @@ impl<P: PayloadInfo + Clone> KernelApi<P> for Kernel<P> {
             kind: payload.kind(),
             bytes: payload.wire_bytes(),
         });
-        self.transport.send(self.now, &mut self.events, &mut self.stats_ext, src, dst, payload);
+        self.transport.send(self.now, &mut self.events, &mut self.traffic, src, dst, payload);
     }
 
     /// Destination list order does not affect determinism (deliveries are
@@ -161,14 +161,7 @@ impl<P: PayloadInfo + Clone> KernelApi<P> for Kernel<P> {
                 bytes: payload.wire_bytes(),
             });
         }
-        self.transport.multicast(
-            self.now,
-            &mut self.events,
-            &mut self.stats_ext,
-            src,
-            dsts,
-            payload,
-        );
+        self.transport.multicast(self.now, &mut self.events, &mut self.traffic, src, dsts, payload);
     }
 
     /// The thread resumes `extra_cost_us` of virtual time from now.
@@ -230,7 +223,7 @@ impl<P: PayloadInfo + Clone> Kernel<P> {
     /// has two or more ops in flight. Called after every event and
     /// dispatch: the in-flight counts change only between them.
     fn note_drops(&mut self) {
-        let dropped = self.stats_ext.dropped;
+        let dropped = self.traffic.stats.dropped;
         if dropped > self.seen_drops && self.threads.iter().any(|t| t.in_flight >= 2) {
             self.pipelined_faults += dropped - self.seen_drops;
         }
@@ -296,10 +289,7 @@ impl<S: Server> Shared<S> {
 
 impl<S: Server> Baton for Shared<S> {
     fn begin(&self, thread: ThreadId, op: OpHead<'_>) {
-        let kernel = &mut take(self).kernel;
-        kernel.ops += 1;
-        let node = kernel.threads[thread.index()].node;
-        kernel.tracer.record(TraceEvent::OpIssued { at: kernel.now, thread, node, op });
+        take(self).begin(thread, op);
     }
 
     fn submit(&self, thread: ThreadId, op: DsmOp) {
@@ -309,9 +299,15 @@ impl<S: Server> Baton for Shared<S> {
     }
 
     fn wait(&self, thread: ThreadId, label: &'static str) -> (OpResult, u64) {
+        let pass = take(self).guarded(|sim| sim.wait(thread, label));
+        self.hand_off(Some(thread), pass).expect("a thread's pass ends with its result")
+    }
+
+    fn call(&self, thread: ThreadId, op: DsmOp, label: &'static str) -> (OpResult, u64) {
         let pass = take(self).guarded(|sim| {
-            sim.kernel.threads[thread.index()].blocked_in = Some(label);
-            sim.run_events(Some(thread))
+            sim.begin(thread, op.head());
+            sim.submit(thread, op);
+            sim.wait(thread, label)
         });
         self.hand_off(Some(thread), pass).expect("a thread's pass ends with its result")
     }
@@ -364,7 +360,7 @@ impl<S: Server> World<S> {
                 now: VirtualTime::ZERO,
                 events: EventQueue::new(),
                 transport: Transport::new(transport),
-                stats_ext: munin_net::NetStats::new(),
+                traffic: munin_net::NetTally::new(),
                 registry: Registry::new(desc.decls().iter().cloned()),
                 threads: Vec::with_capacity(n_threads),
                 tracer,
@@ -439,14 +435,15 @@ impl<S: Server> World<S> {
             resume_unwind(payload);
         }
 
-        if kernel.stats_ext.gave_up > 0 {
+        let stats = kernel.traffic.take();
+        if stats.gave_up > 0 {
             // A link fault outlasted the retry budget: messages were never
             // delivered, so protocol state may be inconsistent. The run must
             // not read as clean.
             kernel.error(format!(
                 "transport gave up on {} message(s) held past the retry budget \
                  (link fault outlasted it)",
-                kernel.stats_ext.gave_up
+                stats.gave_up
             ));
         }
 
@@ -479,7 +476,7 @@ impl<S: Server> World<S> {
 
         RunReport {
             finished_at: kernel.now,
-            stats: kernel.stats_ext,
+            stats,
             ops: kernel.ops,
             thread_waits: kernel.threads.iter_mut().map(|r| std::mem::take(&mut r.waits)).collect(),
             errors: kernel.errors,
@@ -506,6 +503,14 @@ impl<S: Server> Sim<S> {
         }
     }
 
+    /// Count and trace an application call of `thread`'s.
+    fn begin(&mut self, thread: ThreadId, op: OpHead<'_>) {
+        let kernel = &mut self.kernel;
+        kernel.ops += 1;
+        let node = kernel.threads[thread.index()].node;
+        kernel.tracer.record(TraceEvent::OpIssued { at: kernel.now, thread, node, op });
+    }
+
     /// Offer `thread`'s op to the gate.
     fn submit(&mut self, thread: ThreadId, op: DsmOp) {
         let Sim { kernel, servers, gate, .. } = self;
@@ -514,6 +519,12 @@ impl<S: Server> Sim<S> {
         let server = &mut servers[rec.node.index()];
         gate.offer(server, kernel, thread, op);
         kernel.note_drops();
+    }
+
+    /// `thread` waits in the call `label`: run events.
+    fn wait(&mut self, thread: ThreadId, label: &'static str) -> Handoff {
+        self.kernel.threads[thread.index()].blocked_in = Some(label);
+        self.run_events(Some(thread))
     }
 
     /// Pop events in `(time, seq)` order until one resumes a thread. That

@@ -22,9 +22,10 @@
 use crate::msg::TardisMsg;
 use munin_sim::{DsmOp, KernelApi, OpOutcome, OpResult, Server};
 use munin_types::{
-    BarrierId, ByteRange, DsmError, LockId, NodeId, ObjectId, SyncDecls, TardisConfig, ThreadId,
+    BarrierId, ByteRange, DsmError, IdMap, LockId, NodeId, ObjectId, SyncDecls, TardisConfig,
+    ThreadId,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Timer token for the lease-decay sweep (Tardis arms no other timers).
 const SWEEP_TOKEN: u64 = u64::MAX;
@@ -102,20 +103,20 @@ pub struct TardisServer {
     cfg: TardisConfig,
     /// This node's logical program timestamp.
     pts: u64,
-    home: HashMap<ObjectId, HomeObj>,
-    cache: HashMap<ObjectId, CachedCopy>,
-    pending: HashMap<ThreadId, PendingTardisOp>,
+    home: IdMap<ObjectId, HomeObj>,
+    cache: IdMap<ObjectId, CachedCopy>,
+    pending: IdMap<ThreadId, PendingTardisOp>,
     /// Declaration cache (home node + size), invalidated by registry
     /// version like the other protocols' caches.
-    meta: HashMap<ObjectId, (NodeId, u32)>,
+    meta: IdMap<ObjectId, (NodeId, u32)>,
     meta_version: u64,
-    lock_home: HashMap<LockId, NodeId>,
-    barrier_home: HashMap<BarrierId, NodeId>,
-    barrier_count: HashMap<BarrierId, u32>,
-    locks: HashMap<LockId, LockState>,
-    barriers: HashMap<BarrierId, BarrierState>,
+    lock_home: IdMap<LockId, NodeId>,
+    barrier_home: IdMap<BarrierId, NodeId>,
+    barrier_count: IdMap<BarrierId, u32>,
+    locks: IdMap<LockId, LockState>,
+    barriers: IdMap<BarrierId, BarrierState>,
     /// Requester-side threads parked at a barrier.
-    barrier_parked: HashMap<BarrierId, Vec<ThreadId>>,
+    barrier_parked: IdMap<BarrierId, Vec<ThreadId>>,
     sweep_armed: bool,
     sweep_activity: bool,
     /// Home-side write applications seen so far; drives `chaos_skip_wts`.
@@ -124,12 +125,12 @@ pub struct TardisServer {
 
 impl TardisServer {
     pub fn new(node: NodeId, cfg: TardisConfig, sync: &SyncDecls) -> Self {
-        let mut lock_home = HashMap::new();
+        let mut lock_home = IdMap::default();
         for l in &sync.locks {
             lock_home.insert(l.id, l.home);
         }
-        let mut barrier_home = HashMap::new();
-        let mut barrier_count = HashMap::new();
+        let mut barrier_home = IdMap::default();
+        let mut barrier_count = IdMap::default();
         for b in &sync.barriers {
             barrier_home.insert(b.id, b.home);
             barrier_count.insert(b.id, b.count);
@@ -138,17 +139,17 @@ impl TardisServer {
             node,
             cfg,
             pts: 0,
-            home: HashMap::new(),
-            cache: HashMap::new(),
-            pending: HashMap::new(),
-            meta: HashMap::new(),
+            home: IdMap::default(),
+            cache: IdMap::default(),
+            pending: IdMap::default(),
+            meta: IdMap::default(),
             meta_version: 0,
             lock_home,
             barrier_home,
             barrier_count,
-            locks: HashMap::new(),
-            barriers: HashMap::new(),
-            barrier_parked: HashMap::new(),
+            locks: IdMap::default(),
+            barriers: IdMap::default(),
+            barrier_parked: IdMap::default(),
             sweep_armed: false,
             sweep_activity: false,
             chaos_writes: 0,

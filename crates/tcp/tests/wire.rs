@@ -545,11 +545,11 @@ fn control_frames_roundtrip() {
 }
 
 fn sample_stats() -> munin_net::NetStats {
-    let mut s = munin_net::NetStats::new();
-    s.record(munin_net::MsgClass::Data, "ReadReply", 4096);
-    s.record(munin_net::MsgClass::Sync, "LockReq", 0);
-    s.record_multicast(3, 3);
-    s
+    let mut t = munin_net::NetTally::new();
+    t.record(munin_net::MsgClass::Data, "ReadReply", 4096);
+    t.record(munin_net::MsgClass::Sync, "LockReq", 0);
+    t.stats.record_multicast(3, 3);
+    t.take()
 }
 
 /// Truncating a valid encoding at any byte boundary yields a decode error,

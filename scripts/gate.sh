@@ -208,6 +208,10 @@ if git grep -nE 'Envelop[e]' -- crates/ tests/ examples/ scripts/ README.md; the
     echo "munin_net's deleted message envelope is referenced again"
     exit 1
 fi
+if git grep -nE 'HashMa[p]<' -- crates/core/src crates/tardis/src crates/ivy/src crates/mem/src; then
+    echo "a protocol or store table hashes with SipHash again: use munin_types::IdMap"
+    exit 1
+fi
 
 step "Format"
 cargo fmt --check

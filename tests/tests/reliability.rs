@@ -6,7 +6,7 @@
 
 use munin_api::{Backend, Par, ParTyped, ProgramBuilder};
 use munin_apps::{life, matmul};
-use munin_net::{derive, LatencyModel, MsgClass, NetStats, PayloadInfo, SeedGuard};
+use munin_net::{derive, LatencyModel, MsgClass, NetTally, PayloadInfo, SeedGuard};
 use munin_sim::event::{EventKind, EventQueue};
 use munin_sim::transport::Transport;
 use munin_sim::TransportConfig;
@@ -132,7 +132,7 @@ proptest! {
         let mut t = Transport::new(cfg);
         // The transport's latency stream, replayed: each message's own arrival.
         let mut wire = LatencyModel::new(cost).with_jitter(jitter_us, derive(seed, "latency"));
-        let (mut q, mut stats) = (EventQueue::new(), NetStats::new());
+        let (mut q, mut stats) = (EventQueue::new(), NetTally::new());
         let mut sent = Vec::new();
         for (i, &(src, hop, ms, kib4)) in sends.iter().enumerate() {
             let (src, dst) = (NodeId(src), NodeId((src + hop) % 3));
