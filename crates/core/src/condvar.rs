@@ -13,10 +13,6 @@ use munin_sim::{KernelApi, OpResult};
 use munin_types::{CondId, LockId, NodeId, ThreadId};
 
 impl MuninServer {
-    fn cond_home(&self, c: CondId) -> NodeId {
-        self.sync.cond(c).map(|d| d.home).unwrap_or(NodeId(0))
-    }
-
     /// Thread-side wait (after the sync flush). The thread must hold `lock`.
     pub(crate) fn cond_wait(
         &mut self,
@@ -47,7 +43,7 @@ impl MuninServer {
         } else if let Some(dst) = p.pending_pass.pop_front() {
             self.pass_token(k, lock, dst);
         }
-        let home = self.cond_home(cond);
+        let home = self.sync.cond_home(cond);
         if home == self.node {
             self.handle_cv_wait(k, self.node, cond, thread);
         } else {
@@ -63,7 +59,7 @@ impl MuninServer {
         cond: CondId,
         broadcast: bool,
     ) {
-        let home = self.cond_home(cond);
+        let home = self.sync.cond_home(cond);
         if home == self.node {
             self.handle_cv_signal(k, self.node, cond, broadcast);
         } else {

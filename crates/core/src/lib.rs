@@ -20,7 +20,7 @@
 //! | read-mostly | replication with refresh/invalidate, or remote load/store | `faults`, `flush` |
 //! | general read-write | Berkeley-ownership directory protocol (strict) | `ownership` |
 //! | private | local only | `faults` |
-//! | synchronization | proxy locks, barriers, monitors, atomic integers | `locks`, `barrier`, `condvar`, `atomic` |
+//! | synchronization | proxy locks, barriers, monitors, atomic integers | `locks`, `munin_proto::sync`, `condvar`, `atomic` |
 //!
 //! Loose coherence: writes to write-many / result / producer-consumer
 //! objects are buffered in the delayed update queue and propagated — merged
@@ -53,7 +53,6 @@ pub(crate) fn cover(
 
 pub mod adapt;
 pub mod atomic;
-pub mod barrier;
 pub mod condvar;
 pub mod duq;
 pub mod faults;

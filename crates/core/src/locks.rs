@@ -24,10 +24,6 @@ use munin_sim::{KernelApi, OpResult};
 use munin_types::{DsmError, LockId, NodeId, ObjectId, ThreadId};
 
 impl MuninServer {
-    fn lock_home(&self, l: LockId) -> NodeId {
-        self.sync.lock(l).map(|d| d.home).unwrap_or(NodeId(0))
-    }
-
     /// Thread-side acquire (after the sync flush completed).
     pub(crate) fn lock_acquire(
         &mut self,
@@ -35,7 +31,7 @@ impl MuninServer {
         thread: ThreadId,
         l: LockId,
     ) {
-        let home = self.lock_home(l);
+        let home = self.sync.lock_home(l);
         let p = self.proxies.entry(l).or_insert_with(|| ProxyLock::new(false));
         if p.can_grant_locally() {
             cover(k, "lock", "token-here", "local-grant");
@@ -206,7 +202,7 @@ impl MuninServer {
             self.probable_holder.insert(obj, self.node);
             self.replay_faults(k, obj);
         }
-        let home = self.lock_home(l);
+        let home = self.sync.lock_home(l);
         {
             let p = self.proxies.get_mut(&l).expect("proxy exists for passed lock");
             p.has_token = true;

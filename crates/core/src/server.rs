@@ -8,15 +8,17 @@
 //!
 //! This file holds the server state and the top-level dispatch; the fault
 //! handlers themselves live in sibling modules (`faults`, `flush`,
-//! `ownership`, `migrate`, `locks`, `barrier`, `condvar`, `atomic`,
-//! `adapt`), each adding an `impl MuninServer` block.
+//! `ownership`, `migrate`, `locks`, `condvar`, `atomic`, `adapt`), each
+//! adding an `impl MuninServer` block; barriers run on the shared home
+//! barrier of [`munin_proto::sync`], here in the dispatch.
 
 use crate::adapt::DetectStat;
 use crate::duq::Duq;
 use crate::msg::MuninMsg;
 use crate::state::{DirEntry, InflightKind, LocalState, PendingFault, SyncDecls};
-use crate::sync_objs::{BarrierHomeState, CondHomeState, LockHomeState, ProxyLock};
+use crate::sync_objs::{CondHomeState, LockHomeState, ProxyLock};
 use munin_mem::{ObjectStore, TwinStore};
+use munin_proto::HomeSync;
 use munin_sim::{DsmOp, KernelApi, OpOutcome, OpResult, Server};
 use munin_types::{
     BarrierId, ByteRange, CondId, DsmError, IdMap, LockId, MuninConfig, NodeId, ObjectId,
@@ -77,7 +79,7 @@ pub(crate) enum SyncCont {
 pub struct MuninServer {
     pub(crate) node: NodeId,
     pub(crate) cfg: MuninConfig,
-    pub(crate) sync: SyncDecls,
+    pub(crate) sync: HomeSync<()>,
 
     // ---- memory -----------------------------------------------------------
     pub(crate) store: ObjectStore,
@@ -109,8 +111,6 @@ pub struct MuninServer {
     // ---- synchronization objects ---------------------------------------------------
     pub(crate) proxies: IdMap<LockId, ProxyLock>,
     pub(crate) lock_homes: IdMap<LockId, LockHomeState>,
-    pub(crate) barrier_homes: IdMap<BarrierId, BarrierHomeState>,
-    pub(crate) barrier_parked: IdMap<BarrierId, Vec<ThreadId>>,
     pub(crate) cond_homes: IdMap<CondId, CondHomeState>,
     pub(crate) cv_parked: IdMap<ThreadId, LockId>,
 
@@ -137,25 +137,13 @@ impl MuninServer {
                 lock_homes.insert(l.id, LockHomeState::new(node));
             }
         }
-        let mut barrier_homes = IdMap::default();
-        for b in &sync.barriers {
-            if b.home == node {
-                barrier_homes.insert(b.id, BarrierHomeState::default());
-            }
-        }
-        let mut cond_homes = IdMap::default();
-        for c in &sync.conds {
-            if c.home == node {
-                cond_homes.insert(c.id, CondHomeState::default());
-            }
-        }
         // Session ids must be globally unique (they cross the wire and come
         // back): partition the u64 space by node.
         let next_session = (node.0 as u64) << 48;
         MuninServer {
             node,
             cfg,
-            sync,
+            sync: HomeSync::new(node, &sync),
             store: ObjectStore::new(),
             twins: TwinStore::new(),
             local: IdMap::default(),
@@ -173,9 +161,7 @@ impl MuninServer {
             probable_holder: IdMap::default(),
             proxies,
             lock_homes,
-            barrier_homes,
-            barrier_parked: IdMap::default(),
-            cond_homes,
+            cond_homes: IdMap::default(),
             cv_parked: IdMap::default(),
             result_written: IdMap::default(),
             detect: IdMap::default(),
@@ -332,7 +318,10 @@ impl MuninServer {
             }
             SyncCont::Lock(l) => self.lock_acquire(k, thread, l),
             SyncCont::Unlock(l) => self.lock_release(k, thread, l),
-            SyncCont::Barrier(b) => self.barrier_arrive(k, thread, b),
+            SyncCont::Barrier(b) => {
+                let home = self.sync.park(b, thread);
+                self.route(k, home, MuninMsg::BarrierArrive { barrier: b, threads: 1 });
+            }
             SyncCont::CondWait { cond, lock } => self.cond_wait(k, thread, cond, lock),
             SyncCont::CondSignal { cond, broadcast } => {
                 self.cond_signal(k, thread, cond, broadcast)
@@ -385,6 +374,9 @@ impl Server for MuninServer {
     type Payload = MuninMsg;
 
     fn on_op(&mut self, k: &mut dyn KernelApi<MuninMsg>, thread: ThreadId, op: DsmOp) -> OpOutcome {
+        if let Err(e) = self.sync.check(&op) {
+            return OpOutcome::fail(e);
+        }
         match op {
             DsmOp::Alloc(decl) => {
                 let sharing = decl.sharing;
@@ -483,9 +475,7 @@ impl Server for MuninServer {
                 );
             }
         }
-        if !self.barrier_parked.is_empty() {
-            let _ = write!(out, "barrier_parked={:?}; ", self.barrier_parked);
-        }
+        out.push_str(&self.sync.stuck_state());
         if !self.cv_parked.is_empty() {
             let _ = write!(out, "cv_parked={:?}; ", self.cv_parked);
         }
@@ -538,9 +528,12 @@ impl MuninServer {
             LockPass { lock, piggyback } => self.handle_lock_pass(k, from, lock, piggyback),
             LockNotify { lock } => self.handle_lock_notify(k, from, lock),
             BarrierArrive { barrier, threads } => {
-                self.handle_barrier_arrive(k, from, barrier, threads)
+                if let Some(release) = self.sync.arrive(barrier, from, threads, ()) {
+                    k.multicast(self.node, &release.nodes, BarrierRelease { barrier });
+                    self.sync.wake(k, barrier);
+                }
             }
-            BarrierRelease { barrier } => self.handle_barrier_release(k, from, barrier),
+            BarrierRelease { barrier } => self.sync.wake(k, barrier),
             CvWait { cond, thread } => self.handle_cv_wait(k, from, cond, thread),
             CvSignal { cond, broadcast } => self.handle_cv_signal(k, from, cond, broadcast),
             CvWake { cond, thread } => self.handle_cv_wake(k, from, cond, thread),

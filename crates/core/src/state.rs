@@ -156,7 +156,7 @@ pub use munin_types::syncdecl::{BarrierDecl, CondDecl, LockDecl, SyncDecls};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use munin_types::{BarrierId, CondId, LockId};
+    use munin_types::{BarrierId, LockId};
 
     #[test]
     fn usage_stat_prior_favors_refresh() {
@@ -170,10 +170,10 @@ mod tests {
     fn round_robin_sync_decls() {
         let s = SyncDecls::round_robin(5, 2, 8, 3);
         assert_eq!(s.locks.len(), 5);
-        assert_eq!(s.lock(LockId(3)).unwrap().home, NodeId(0));
-        assert_eq!(s.lock(LockId(4)).unwrap().home, NodeId(1));
-        assert_eq!(s.barrier(BarrierId(1)).unwrap().count, 8);
-        assert!(s.cond(CondId(0)).is_none());
+        assert_eq!(s.locks[3], LockDecl { id: LockId(3), home: NodeId(0) });
+        assert_eq!(s.locks[4].home, NodeId(1));
+        assert_eq!(s.barriers[1], BarrierDecl { id: BarrierId(1), home: NodeId(1), count: 8 });
+        assert!(s.conds.is_empty());
     }
 
     #[test]

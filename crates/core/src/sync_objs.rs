@@ -65,15 +65,6 @@ impl LockHomeState {
     }
 }
 
-/// Coordinator-side state for one barrier episode.
-#[derive(Debug, Default)]
-pub struct BarrierHomeState {
-    /// Threads arrived so far this episode.
-    pub arrived: u32,
-    /// Remote nodes that sent arrivals (to be released by multicast).
-    pub nodes: Vec<NodeId>,
-}
-
 /// Home-side state for one condition variable.
 #[derive(Debug, Default)]
 pub struct CondHomeState {

@@ -17,7 +17,9 @@
 //!   words, so contended synchronization causes page-ownership ping-pong —
 //!   exactly the overhead Munin's proxy locks avoid. A central-lock-server
 //!   mode (`SyncStrategy::CentralServer`) is provided as the ablation that
-//!   isolates data-protocol effects from synchronization effects.
+//!   isolates data-protocol effects from synchronization effects; it runs
+//!   on the shared [`munin_proto::sync`] service (the FIFO home lock and
+//!   the home barrier), the same one Munin's barriers and Tardis use.
 //!
 //! The server implements the same [`munin_sim::Server`] interface as the
 //! Munin runtime, so identical application code runs on both.

@@ -4,6 +4,7 @@
 use crate::msg::IvyMsg;
 use crate::pending::{PageInflight, PageNeed, PendingIvyOp, Waiting};
 use munin_mem::{page_pieces, AddressSpace, PageId, PagePiece, PageSpan};
+use munin_proto::HomeSync;
 use munin_sim::{DsmOp, KernelApi, OpOutcome, OpResult, Server};
 use munin_types::{
     BarrierId, DsmError, IdMap, IvyConfig, LockId, NodeId, ObjectDecl, ObjectId, SyncStrategy,
@@ -85,19 +86,6 @@ struct ActivePageTxn {
     xfer: Option<Vec<u8>>,
 }
 
-/// Home-side state for central-server locks/barriers (the ablation mode).
-#[derive(Debug, Default)]
-struct CentralLock {
-    busy: bool,
-    queue: VecDeque<(NodeId, ThreadId)>,
-}
-
-#[derive(Debug, Default)]
-struct CentralBarrier {
-    arrived: u32,
-    nodes: Vec<NodeId>,
-}
-
 /// The Ivy server for one node.
 pub struct IvyServer {
     node: NodeId,
@@ -106,9 +94,8 @@ pub struct IvyServer {
     space: AddressSpace,
     lock_addr: IdMap<LockId, u64>,
     barrier_addr: IdMap<BarrierId, u64>, // counter at addr, sense at addr+8
-    barrier_count: IdMap<BarrierId, u32>,
-    lock_home: IdMap<LockId, NodeId>,
-    barrier_home: IdMap<BarrierId, NodeId>,
+    /// The declared sync objects, and the central-server mode's home state.
+    sync: HomeSync<()>,
 
     pages: IdMap<PageId, PageCopy>,
     dir: IdMap<PageId, PageDir>,
@@ -137,10 +124,6 @@ pub struct IvyServer {
     /// invalidated or the word reads free (see
     /// [`IvyServer::wake_lock_probes`]).
     lock_waiters: BTreeMap<PageId, Vec<PendingIvyOp>>,
-
-    central_locks: IdMap<LockId, CentralLock>,
-    central_barriers: IdMap<BarrierId, CentralBarrier>,
-    barrier_parked: IdMap<BarrierId, Vec<ThreadId>>,
 }
 
 impl IvyServer {
@@ -161,7 +144,6 @@ impl IvyServer {
         // Synchronization words live in the same shared space, after the
         // data objects (packed ⇒ locks share pages: authentic contention).
         let mut lock_addr = IdMap::default();
-        let mut lock_home = IdMap::default();
         let mut next_sync_obj = u64::MAX; // placement ids that never collide
         for l in &sync.locks {
             let id = ObjectId(next_sync_obj);
@@ -174,18 +156,13 @@ impl IvyServer {
             // starvation-free without any special synchronization support.
             let base = space.place(id, 16);
             lock_addr.insert(l.id, base);
-            lock_home.insert(l.id, l.home);
         }
         let mut barrier_addr = IdMap::default();
-        let mut barrier_count = IdMap::default();
-        let mut barrier_home = IdMap::default();
         for b in &sync.barriers {
             let id = ObjectId(next_sync_obj);
             next_sync_obj -= 1;
             let base = space.place(id, 16);
             barrier_addr.insert(b.id, base);
-            barrier_count.insert(b.id, b.count);
-            barrier_home.insert(b.id, b.home);
         }
         IvyServer {
             node,
@@ -194,9 +171,7 @@ impl IvyServer {
             space,
             lock_addr,
             barrier_addr,
-            barrier_count,
-            lock_home,
-            barrier_home,
+            sync: HomeSync::new(node, sync),
             pages: IdMap::default(),
             dir: IdMap::default(),
             inflight: IdMap::default(),
@@ -209,9 +184,6 @@ impl IvyServer {
             parked: IdMap::default(),
             attempts: IdMap::default(),
             lock_waiters: BTreeMap::new(),
-            central_locks: IdMap::default(),
-            central_barriers: IdMap::default(),
-            barrier_parked: IdMap::default(),
         }
     }
 
@@ -571,7 +543,7 @@ impl IvyServer {
             }
             PendingIvyOp::BarrierArrive { thread, barrier } => {
                 let addr = self.barrier_addr[&barrier];
-                let count = self.barrier_count[&barrier];
+                let count = self.sync.barrier_count(barrier);
                 let arrived = self.read_u64_at(addr) + 1;
                 if arrived as u32 >= count {
                     cover(k, "barrier", "gather", "sense-flip");
@@ -991,93 +963,6 @@ impl IvyServer {
     }
 
     // ==================================================================
-    // Central synchronization (ablation)
-    // ==================================================================
-
-    fn central_lock_req(
-        &mut self,
-        k: &mut dyn KernelApi<IvyMsg>,
-        from: NodeId,
-        lock: LockId,
-        thread: ThreadId,
-    ) {
-        let grant = {
-            let st = self.central_locks.entry(lock).or_default();
-            if st.busy {
-                cover(k, "lock", "central", "queue");
-                st.queue.push_back((from, thread));
-                None
-            } else {
-                cover(k, "lock", "central", "grant");
-                st.busy = true;
-                Some((from, thread))
-            }
-        };
-        if let Some((node, thread)) = grant {
-            if node == self.node {
-                k.complete(thread, OpResult::Unit, k.cost().local_lock_us);
-            } else {
-                self.route(k, node, IvyMsg::CLockGrant { thread });
-            }
-        }
-    }
-
-    fn central_unlock(&mut self, k: &mut dyn KernelApi<IvyMsg>, lock: LockId) {
-        let next = {
-            let st = self.central_locks.entry(lock).or_default();
-            match st.queue.pop_front() {
-                Some(n) => Some(n),
-                None => {
-                    st.busy = false;
-                    None
-                }
-            }
-        };
-        if let Some((node, thread)) = next {
-            if node == self.node {
-                k.complete(thread, OpResult::Unit, k.cost().local_lock_us);
-            } else {
-                self.route(k, node, IvyMsg::CLockGrant { thread });
-            }
-        }
-    }
-
-    fn central_barrier_arrive(
-        &mut self,
-        k: &mut dyn KernelApi<IvyMsg>,
-        from: NodeId,
-        b: BarrierId,
-        threads: u32,
-    ) {
-        let count = self.barrier_count[&b];
-        cover(k, "barrier", "central", "arrive");
-        let release = {
-            let st = self.central_barriers.entry(b).or_default();
-            st.arrived += threads;
-            if from != self.node && !st.nodes.contains(&from) {
-                st.nodes.push(from);
-            }
-            st.arrived >= count
-        };
-        if release {
-            let mut nodes = {
-                let st = self.central_barriers.get_mut(&b).expect("exists");
-                st.arrived = 0;
-                std::mem::take(&mut st.nodes)
-            };
-            nodes.sort_unstable();
-            k.multicast(self.node, &nodes, IvyMsg::CBarrierRelease { barrier: b });
-            self.central_barrier_release(k, b);
-        }
-    }
-
-    fn central_barrier_release(&mut self, k: &mut dyn KernelApi<IvyMsg>, b: BarrierId) {
-        for t in self.barrier_parked.remove(&b).unwrap_or_default() {
-            k.complete(t, OpResult::Unit, k.cost().local_lock_us);
-        }
-    }
-
-    // ==================================================================
     // Dispatch
     // ==================================================================
 
@@ -1094,15 +979,31 @@ impl IvyServer {
             Inval { page } => self.handle_inval(k, from, page),
             InvalAck { page } => self.handle_inval_ack(k, from, page),
             Grant { page, data } => self.handle_grant(k, from, page, data),
-            CLockReq { lock, thread } => self.central_lock_req(k, from, lock, thread),
+            CLockReq { lock, thread } => {
+                match self.sync.home_lock(lock).acquire(from, thread, ()) {
+                    Some(g) => {
+                        cover(k, "lock", "central", "grant");
+                        self.route(k, g.node, CLockGrant { thread: g.thread });
+                    }
+                    None => cover(k, "lock", "central", "queue"),
+                }
+            }
             CLockGrant { thread } => {
                 k.complete(thread, OpResult::Unit, k.cost().local_lock_us);
             }
-            CUnlock { lock } => self.central_unlock(k, lock),
-            CBarrierArrive { barrier, threads } => {
-                self.central_barrier_arrive(k, from, barrier, threads)
+            CUnlock { lock } => {
+                if let Some(g) = self.sync.home_lock(lock).release(()) {
+                    self.route(k, g.node, CLockGrant { thread: g.thread });
+                }
             }
-            CBarrierRelease { barrier } => self.central_barrier_release(k, barrier),
+            CBarrierArrive { barrier, threads } => {
+                cover(k, "barrier", "central", "arrive");
+                if let Some(release) = self.sync.arrive(barrier, from, threads, ()) {
+                    k.multicast(self.node, &release.nodes, CBarrierRelease { barrier });
+                    self.sync.wake(k, barrier);
+                }
+            }
+            CBarrierRelease { barrier } => self.sync.wake(k, barrier),
         }
     }
 
@@ -1117,6 +1018,9 @@ impl Server for IvyServer {
     type Payload = IvyMsg;
 
     fn on_op(&mut self, k: &mut dyn KernelApi<IvyMsg>, thread: ThreadId, op: DsmOp) -> OpOutcome {
+        if let Err(e) = self.sync.check(&op) {
+            return OpOutcome::fail(e);
+        }
         match op {
             DsmOp::Alloc(_) => OpOutcome::fail(DsmError::Internal(
                 "Ivy requires all objects to be declared before the run".into(),
@@ -1159,12 +1063,8 @@ impl Server for IvyServer {
             }
             DsmOp::Lock(l) => match self.cfg.sync {
                 SyncStrategy::CentralServer => {
-                    let home = self.lock_home[&l];
-                    if home == self.node {
-                        self.central_lock_req(k, self.node, l, thread);
-                    } else {
-                        self.route(k, home, IvyMsg::CLockReq { lock: l, thread });
-                    }
+                    let home = self.sync.lock_home(l);
+                    self.route(k, home, IvyMsg::CLockReq { lock: l, thread });
                     OpOutcome::Blocked
                 }
                 _ => {
@@ -1174,12 +1074,8 @@ impl Server for IvyServer {
             },
             DsmOp::Unlock(l) => match self.cfg.sync {
                 SyncStrategy::CentralServer => {
-                    let home = self.lock_home[&l];
-                    if home == self.node {
-                        self.central_unlock(k, l);
-                    } else {
-                        self.route(k, home, IvyMsg::CUnlock { lock: l });
-                    }
+                    let home = self.sync.lock_home(l);
+                    self.route(k, home, IvyMsg::CUnlock { lock: l });
                     OpOutcome::unit(k.cost().local_lock_us)
                 }
                 _ => {
@@ -1189,13 +1085,8 @@ impl Server for IvyServer {
             },
             DsmOp::BarrierWait(b) => match self.cfg.sync {
                 SyncStrategy::CentralServer => {
-                    self.barrier_parked.entry(b).or_default().push(thread);
-                    let home = self.barrier_home[&b];
-                    if home == self.node {
-                        self.central_barrier_arrive(k, self.node, b, 1);
-                    } else {
-                        self.route(k, home, IvyMsg::CBarrierArrive { barrier: b, threads: 1 });
-                    }
+                    let home = self.sync.park(b, thread);
+                    self.route(k, home, IvyMsg::CBarrierArrive { barrier: b, threads: 1 });
                     OpOutcome::Blocked
                 }
                 _ => {
@@ -1265,6 +1156,7 @@ impl Server for IvyServer {
                 d.pending_reads.0
             );
         }
+        out.push_str(&self.sync.stuck_state());
         out
     }
 

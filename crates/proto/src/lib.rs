@@ -1,8 +1,9 @@
 //! # munin-proto
 //!
-//! The protocol seam. Two things live here, and together they make a
+//! The protocol seam. Three things live here: the first two make a
 //! coherence protocol a *plug-in* rather than a hand-enumerated special
-//! case in every fabric:
+//! case in every fabric, and the third is the synchronization service the
+//! protocols share:
 //!
 //! * [`wire`] — the first-party binary codec ([`Wire`]) plus
 //!   implementations for every shared vocabulary type that crosses a
@@ -15,6 +16,11 @@
 //!   drivers are all generic over protocols. Adding a protocol means
 //!   implementing this trait in one crate and registering it once in
 //!   `munin-api`; no fabric changes.
+//! * [`sync`] — [`HomeSync`]: every declared lock, barrier and condition
+//!   variable indexed by id, the home barrier (arrivals, multicast release
+//!   set) and the FIFO home lock, with a [`sync::Stamp`] merged along each
+//!   release (`()` for Munin and Ivy, the logical clock for Tardis). Each
+//!   server keeps its own messages, coverage labels and stamp handling.
 //!
 //! This crate sits *below* the protocol crates (`munin-core`, `munin-ivy`,
 //! `munin-tardis`) and the fabrics (`munin-rt`, `munin-tcp`): it depends
@@ -24,7 +30,9 @@
 //! exactly where they belong.
 
 pub mod protocol;
+pub mod sync;
 pub mod wire;
 
 pub use protocol::Protocol;
+pub use sync::HomeSync;
 pub use wire::{Wire, WireError, WireResult};

@@ -402,6 +402,7 @@ wire_enum!(DsmError {
     4 => BarrierMisuse { expected, got },
     5 => Livelock(what),
     6 => Internal(msg),
+    7 => UndeclaredSync(name),
 });
 
 impl Wire for Diff {

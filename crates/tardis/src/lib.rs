@@ -22,7 +22,10 @@
 //!   `pts` to the lock's release timestamp and a barrier release lifts
 //!   every participant to the max arrival timestamp, which is exactly
 //!   release consistency — post-acquire reads see everything written
-//!   before the release because their `pts` now exceeds every stale lease;
+//!   before the release because their `pts` now exceeds every stale lease.
+//!   The locks and barriers are the shared [`munin_proto::sync`] service
+//!   (FIFO home lock, home barrier) with `pts` as its stamp; the server
+//!   keeps only the lift of `pts` on each grant and release;
 //! * a timer-driven **decay sweep** (riding the fabrics' existing timer
 //!   plumbing) evicts cached copies whose lease the local clock has
 //!   outrun, bounding memory without any protocol traffic.

@@ -20,12 +20,11 @@
 //! logical past, which is exactly what release consistency permits.
 
 use crate::msg::TardisMsg;
+use munin_proto::HomeSync;
 use munin_sim::{DsmOp, KernelApi, OpOutcome, OpResult, Server};
 use munin_types::{
-    BarrierId, ByteRange, DsmError, IdMap, LockId, NodeId, ObjectId, SyncDecls, TardisConfig,
-    ThreadId,
+    ByteRange, DsmError, IdMap, LockId, NodeId, ObjectId, SyncDecls, TardisConfig, ThreadId,
 };
-use std::collections::VecDeque;
 
 /// Timer token for the lease-decay sweep (Tardis arms no other timers).
 const SWEEP_TOKEN: u64 = u64::MAX;
@@ -78,25 +77,6 @@ enum PendingTardisOp {
     Lock { lock: LockId },
 }
 
-/// Home-side state of one lock.
-#[derive(Debug, Default)]
-struct LockState {
-    held: bool,
-    /// Release timestamp: the max clock of every releaser (and granted
-    /// acquirer) so far.
-    ts: u64,
-    queue: VecDeque<(NodeId, ThreadId, u64)>,
-}
-
-/// Home-side state of one barrier.
-#[derive(Debug, Default)]
-struct BarrierState {
-    arrived: u32,
-    /// Max arrival timestamp of the current episode.
-    ts: u64,
-    nodes: Vec<NodeId>,
-}
-
 /// The Tardis server for one node.
 pub struct TardisServer {
     node: NodeId,
@@ -110,13 +90,8 @@ pub struct TardisServer {
     /// version like the other protocols' caches.
     meta: IdMap<ObjectId, (NodeId, u32)>,
     meta_version: u64,
-    lock_home: IdMap<LockId, NodeId>,
-    barrier_home: IdMap<BarrierId, NodeId>,
-    barrier_count: IdMap<BarrierId, u32>,
-    locks: IdMap<LockId, LockState>,
-    barriers: IdMap<BarrierId, BarrierState>,
-    /// Requester-side threads parked at a barrier.
-    barrier_parked: IdMap<BarrierId, Vec<ThreadId>>,
+    /// Locks and barriers; each grant and release carries a timestamp.
+    sync: HomeSync<u64>,
     sweep_armed: bool,
     sweep_activity: bool,
     /// Home-side write applications seen so far; drives `chaos_skip_wts`.
@@ -125,16 +100,6 @@ pub struct TardisServer {
 
 impl TardisServer {
     pub fn new(node: NodeId, cfg: TardisConfig, sync: &SyncDecls) -> Self {
-        let mut lock_home = IdMap::default();
-        for l in &sync.locks {
-            lock_home.insert(l.id, l.home);
-        }
-        let mut barrier_home = IdMap::default();
-        let mut barrier_count = IdMap::default();
-        for b in &sync.barriers {
-            barrier_home.insert(b.id, b.home);
-            barrier_count.insert(b.id, b.count);
-        }
         TardisServer {
             node,
             cfg,
@@ -144,12 +109,7 @@ impl TardisServer {
             pending: IdMap::default(),
             meta: IdMap::default(),
             meta_version: 0,
-            lock_home,
-            barrier_home,
-            barrier_count,
-            locks: IdMap::default(),
-            barriers: IdMap::default(),
-            barrier_parked: IdMap::default(),
+            sync: HomeSync::new(node, sync),
             sweep_armed: false,
             sweep_activity: false,
             chaos_writes: 0,
@@ -385,120 +345,6 @@ impl TardisServer {
     }
 
     // ==================================================================
-    // Home side: timestamped synchronization
-    // ==================================================================
-
-    fn lock_req(
-        &mut self,
-        k: &mut dyn KernelApi<TardisMsg>,
-        from: NodeId,
-        lock: LockId,
-        thread: ThreadId,
-        pts: u64,
-    ) {
-        let grant = {
-            let st = self.locks.entry(lock).or_default();
-            if st.held {
-                cover(k, "lock", "held", "queue");
-                st.queue.push_back((from, thread, pts));
-                None
-            } else {
-                cover(k, "lock", "free", "grant");
-                st.held = true;
-                st.ts = st.ts.max(pts);
-                Some((from, thread, st.ts))
-            }
-        };
-        if let Some((node, thread, ts)) = grant {
-            self.grant_lock(k, node, thread, ts);
-        }
-    }
-
-    fn grant_lock(
-        &mut self,
-        k: &mut dyn KernelApi<TardisMsg>,
-        node: NodeId,
-        thread: ThreadId,
-        ts: u64,
-    ) {
-        if node == self.node {
-            self.pts = self.pts.max(ts);
-            self.pending.remove(&thread);
-            k.complete(thread, OpResult::Unit, k.cost().local_lock_us);
-        } else {
-            self.route(k, node, TardisMsg::LockGrant { thread, ts });
-        }
-    }
-
-    fn unlock(&mut self, k: &mut dyn KernelApi<TardisMsg>, lock: LockId, pts: u64) {
-        let next = {
-            let st = self.locks.entry(lock).or_default();
-            st.ts = st.ts.max(pts);
-            match st.queue.pop_front() {
-                Some((node, thread, req_pts)) => {
-                    cover(k, "lock", "held", "handoff");
-                    st.ts = st.ts.max(req_pts);
-                    Some((node, thread, st.ts))
-                }
-                None => {
-                    cover(k, "lock", "held", "release");
-                    st.held = false;
-                    None
-                }
-            }
-        };
-        if let Some((node, thread, ts)) = next {
-            self.grant_lock(k, node, thread, ts);
-        }
-    }
-
-    fn barrier_arrive(
-        &mut self,
-        k: &mut dyn KernelApi<TardisMsg>,
-        from: NodeId,
-        barrier: BarrierId,
-        threads: u32,
-        pts: u64,
-    ) {
-        let count = match self.barrier_count.get(&barrier) {
-            Some(c) => *c,
-            None => {
-                k.error(format!("BarrierArrive for undeclared {barrier}"));
-                return;
-            }
-        };
-        cover(k, "barrier", "gather", "arrive");
-        let release = {
-            let st = self.barriers.entry(barrier).or_default();
-            st.arrived += threads;
-            st.ts = st.ts.max(pts);
-            if from != self.node && !st.nodes.contains(&from) {
-                st.nodes.push(from);
-            }
-            st.arrived >= count
-        };
-        if release {
-            cover(k, "barrier", "gather", "release");
-            let (mut nodes, ts) = {
-                let st = self.barriers.get_mut(&barrier).expect("exists");
-                st.arrived = 0;
-                (std::mem::take(&mut st.nodes), st.ts)
-            };
-            nodes.sort_unstable();
-            k.multicast(self.node, &nodes, TardisMsg::BarrierRelease { barrier, pts: ts });
-            self.barrier_release(k, barrier, ts);
-        }
-    }
-
-    fn barrier_release(&mut self, k: &mut dyn KernelApi<TardisMsg>, barrier: BarrierId, ts: u64) {
-        self.pts = self.pts.max(ts);
-        for t in self.barrier_parked.remove(&barrier).unwrap_or_default() {
-            self.pending.remove(&t);
-            k.complete(t, OpResult::Unit, k.cost().local_lock_us);
-        }
-    }
-
-    // ==================================================================
     // Dispatch
     // ==================================================================
 
@@ -535,17 +381,40 @@ impl TardisServer {
                 self.pending.remove(&thread);
                 k.complete(thread, OpResult::Value(old), k.cost().fault_overhead_us);
             }
-            LockReq { lock, thread, pts } => self.lock_req(k, from, lock, thread, pts),
+            LockReq { lock, thread, pts } => {
+                match self.sync.home_lock(lock).acquire(from, thread, pts) {
+                    Some(g) => {
+                        cover(k, "lock", "free", "grant");
+                        self.route(k, g.node, LockGrant { thread: g.thread, ts: g.stamp });
+                    }
+                    None => cover(k, "lock", "held", "queue"),
+                }
+            }
             LockGrant { thread, ts } => {
                 self.pts = self.pts.max(ts);
                 self.pending.remove(&thread);
                 k.complete(thread, OpResult::Unit, k.cost().local_lock_us);
             }
-            Unlock { lock, pts } => self.unlock(k, lock, pts),
+            Unlock { lock, pts } => match self.sync.home_lock(lock).release(pts) {
+                Some(g) => {
+                    cover(k, "lock", "held", "handoff");
+                    self.route(k, g.node, LockGrant { thread: g.thread, ts: g.stamp });
+                }
+                None => cover(k, "lock", "held", "release"),
+            },
             BarrierArrive { barrier, threads, pts } => {
-                self.barrier_arrive(k, from, barrier, threads, pts)
+                cover(k, "barrier", "gather", "arrive");
+                if let Some(release) = self.sync.arrive(barrier, from, threads, pts) {
+                    cover(k, "barrier", "gather", "release");
+                    let pts = release.stamp;
+                    k.multicast(self.node, &release.nodes, BarrierRelease { barrier, pts });
+                    self.handle_msg(k, self.node, BarrierRelease { barrier, pts });
+                }
             }
-            BarrierRelease { barrier, pts } => self.barrier_release(k, barrier, pts),
+            BarrierRelease { barrier, pts } => {
+                self.pts = self.pts.max(pts);
+                self.sync.wake(k, barrier);
+            }
         }
     }
 }
@@ -559,6 +428,9 @@ impl Server for TardisServer {
         thread: ThreadId,
         op: DsmOp,
     ) -> OpOutcome {
+        if let Err(e) = self.sync.check(&op) {
+            return OpOutcome::fail(e);
+        }
         match op {
             DsmOp::Alloc(decl) => {
                 let id = k.register_decl(decl, self.node);
@@ -651,41 +523,19 @@ impl Server for TardisServer {
                 OpOutcome::Blocked
             }
             DsmOp::Lock(lock) => {
-                let Some(&home) = self.lock_home.get(&lock) else {
-                    return OpOutcome::fail(DsmError::Internal("undeclared lock".into()));
-                };
-                let pts = self.pts;
+                let (home, pts) = (self.sync.lock_home(lock), self.pts);
                 self.pending.insert(thread, PendingTardisOp::Lock { lock });
-                if home == self.node {
-                    self.lock_req(k, self.node, lock, thread, pts);
-                } else {
-                    self.route(k, home, TardisMsg::LockReq { lock, thread, pts });
-                }
+                self.route(k, home, TardisMsg::LockReq { lock, thread, pts });
                 OpOutcome::Blocked
             }
             DsmOp::Unlock(lock) => {
-                let Some(&home) = self.lock_home.get(&lock) else {
-                    return OpOutcome::fail(DsmError::Internal("undeclared lock".into()));
-                };
-                let pts = self.pts;
-                if home == self.node {
-                    self.unlock(k, lock, pts);
-                } else {
-                    self.route(k, home, TardisMsg::Unlock { lock, pts });
-                }
+                let (home, pts) = (self.sync.lock_home(lock), self.pts);
+                self.route(k, home, TardisMsg::Unlock { lock, pts });
                 OpOutcome::unit(k.cost().local_lock_us)
             }
             DsmOp::BarrierWait(barrier) => {
-                let Some(&home) = self.barrier_home.get(&barrier) else {
-                    return OpOutcome::fail(DsmError::Internal("undeclared barrier".into()));
-                };
-                self.barrier_parked.entry(barrier).or_default().push(thread);
-                let pts = self.pts;
-                if home == self.node {
-                    self.barrier_arrive(k, self.node, barrier, 1, pts);
-                } else {
-                    self.route(k, home, TardisMsg::BarrierArrive { barrier, threads: 1, pts });
-                }
+                let (home, pts) = (self.sync.park(barrier, thread), self.pts);
+                self.route(k, home, TardisMsg::BarrierArrive { barrier, threads: 1, pts });
                 OpOutcome::Blocked
             }
             DsmOp::CondWait { .. } | DsmOp::CondSignal { .. } => {
@@ -734,19 +584,7 @@ impl Server for TardisServer {
         let mut out = String::new();
         let _ = write!(out, "pts={}; ", self.pts);
         let _ = write!(out, "pending={:?}; ", self.pending);
-        for (l, st) in &self.locks {
-            let _ = write!(out, "{l}: held={} ts={} queue={:?}; ", st.held, st.ts, st.queue);
-        }
-        for (b, st) in &self.barriers {
-            let _ = write!(
-                out,
-                "{b}: arrived={} ts={} nodes={:?} parked={:?}; ",
-                st.arrived,
-                st.ts,
-                st.nodes,
-                self.barrier_parked.get(b)
-            );
-        }
+        out.push_str(&self.sync.stuck_state());
         for (o, c) in &self.cache {
             let _ = write!(out, "copy {o}: wts={} rts={}; ", c.wts, c.rts);
         }

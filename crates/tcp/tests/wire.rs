@@ -552,41 +552,56 @@ fn sample_stats() -> munin_net::NetStats {
     t.take()
 }
 
-/// Truncating a valid encoding at any byte boundary yields a decode error,
-/// never a panic or a bogus success; flipped tag bytes are rejected too.
+/// `T`'s own decoder rejects every truncation of `v`'s encoding, the
+/// encoding with a byte appended, and the encoding with an unknown leading
+/// tag (`v` is an enum): an error, never a panic or a bogus success.
+fn assert_fails_closed<T: Wire + std::fmt::Debug>(v: &T) {
+    let bytes = v.encode();
+    for cut in 0..bytes.len() {
+        assert!(
+            T::decode(&bytes[..cut]).is_err(),
+            "truncation accepted at {cut}/{}: {v:?}",
+            bytes.len()
+        );
+    }
+    let mut long = bytes.clone();
+    long.push(0);
+    assert!(T::decode(&long).is_err(), "trailing byte accepted: {v:?}");
+    let mut bad_tag = bytes;
+    bad_tag[0] = 0xff;
+    assert!(T::decode(&bad_tag).is_err(), "bad tag accepted: {v:?}");
+}
+
+/// Every `MuninMsg` variant and a control frame fail closed, each checked
+/// against its own decoder.
 #[test]
 fn corrupt_input_fails_closed() {
     let mut rng = SmallRng::seed_from_u64(11);
-    let mut encodings: Vec<Vec<u8>> = Vec::new();
     for variant in 0..MUNIN_VARIANTS {
-        encodings.push(arb_munin(&mut rng, variant).encode());
+        assert_fails_closed(&arb_munin(&mut rng, variant));
     }
-    encodings.push(
-        CtrlFrame::Done {
-            stats: sample_stats(),
-            errors: vec!["x".into()],
-            homes: vec![(ThreadId(1), 7)],
-            cover: Vec::new(),
-        }
-        .encode(),
-    );
-    for bytes in &encodings {
-        for cut in 0..bytes.len() {
-            assert!(
-                MuninMsg::decode(&bytes[..cut]).is_err()
-                    || CtrlFrame::decode(&bytes[..cut]).is_err(),
-                "truncation accepted at {cut}/{}",
-                bytes.len()
-            );
-        }
-    }
-    assert!(MuninMsg::decode(&[0xff, 0, 0, 0]).is_err(), "bad tag must be rejected");
+    assert_fails_closed(&CtrlFrame::Done {
+        stats: sample_stats(),
+        errors: vec!["x".into()],
+        homes: vec![(ThreadId(1), 7)],
+        cover: Vec::new(),
+    });
     // A count prefix larger than the remaining input must be rejected
     // before allocation.
     let mut evil = Vec::new();
     evil.push(19u8); // Eager tag
     evil.extend_from_slice(&u32::MAX.to_le_bytes()); // item count
     assert!(MuninMsg::decode(&evil).is_err());
+}
+
+/// The same for every `IvyMsg` variant, several samples each (page data
+/// of random length, grants with and without data).
+#[test]
+fn ivy_corrupt_input_fails_closed() {
+    let mut rng = SmallRng::seed_from_u64(12);
+    for variant in 0..4 * IVY_VARIANTS {
+        assert_fails_closed(&arb_ivy(&mut rng, variant));
+    }
 }
 
 /// The same fail-closed discipline for every `TardisMsg` variant:

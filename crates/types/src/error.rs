@@ -24,6 +24,9 @@ pub enum DsmError {
     NotLockHolder { lock: LockId, thread: ThreadId },
     /// A barrier was entered with an inconsistent participant count.
     BarrierMisuse { expected: u32, got: u32 },
+    /// A lock, barrier or condition variable that the program never
+    /// declared, by its display name (`lk7`, `bar9`, `cv3`).
+    UndeclaredSync(String),
     /// The runtime detected livelock (e.g. a DSM spin lock exceeded its
     /// attempt limit) — reported so experiments fail loudly instead of
     /// spinning forever.
@@ -49,6 +52,7 @@ impl fmt::Display for DsmError {
             DsmError::BarrierMisuse { expected, got } => {
                 write!(f, "barrier misuse: expected {expected} participants, got {got}")
             }
+            DsmError::UndeclaredSync(name) => write!(f, "undeclared synchronization object {name}"),
             DsmError::Livelock(what) => write!(f, "livelock detected: {what}"),
             DsmError::Internal(msg) => write!(f, "internal DSM error: {msg}"),
         }

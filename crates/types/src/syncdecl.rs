@@ -57,16 +57,4 @@ impl SyncDecls {
             conds: Vec::new(),
         }
     }
-
-    pub fn lock(&self, id: LockId) -> Option<&LockDecl> {
-        self.locks.iter().find(|l| l.id == id)
-    }
-
-    pub fn barrier(&self, id: BarrierId) -> Option<&BarrierDecl> {
-        self.barriers.iter().find(|b| b.id == id)
-    }
-
-    pub fn cond(&self, id: CondId) -> Option<&CondDecl> {
-        self.conds.iter().find(|c| c.id == id)
-    }
 }

@@ -186,13 +186,16 @@ cargo bench --no-run
 #   fault holds a transmission, it never drops one);
 # - OS threads in the simulator's world and thread modules (its application
 #   threads are fibers on the caller's thread, `crates/sim/src/fiber.rs`);
-# - `munin-net`'s message envelope, which nothing used.
+# - `munin-net`'s message envelope, which nothing used;
+# - the per-protocol home barriers and FIFO home locks (Munin's coordinator
+#   state, Ivy's central-server structs and handlers): every protocol runs
+#   the one `munin_proto::sync` service.
 step "Deleted names stay deleted"
 if git grep -nE 'struct WcBu[f]|struct OpGat[e]|fn wc_absor[b]|MAX_INFLIGH[T]: usize' -- crates/rt/src; then
     echo "the real-time kernel has a client path or op gate of its own again"
     exit 1
 fi
-if git grep -nE 'RtWorldBuilde[r]|WorldBuilde[r]|impl(<[^>]*>)? Pa[r] for|RtKerne[l]|TcpKerne[l]|NodeKerne[l]|RegCach[e]|SpinWai[t]|unbatched[(]|compute_scal[e]|watchdog_pol[l]|[.]max_infligh[t]|write_combin[e]|batch_ma[x]|ParEx[t]|MUNIN_RT_STALL_M[S]|MUNIN_BENCH_BYTE_PAT[H]|traffic_r[t]|ThreadRe[q]|req_t[x]|req_r[x]|BACKEND_NAME[S]|TcpTunin[g]|MUNIN_TCP_DUMP_AFTER_M[S]|Backend::(Muni[n]|Iv[y]|Tardi[s])|Target::(Muni[n]|Iv[y]|Tardi[s])|TcpWorldBuilde[r]|coordinator_watchdo[g]|DumpStuc[k]|dump_stuc[k]|munin_tcp::si[g]|CountingTrace[r]|cond_broadcas[t][(]|resume_r[x]|resume_t[x]|Sender<OpResul[t]>' -- crates/ tests/ examples/ scripts/ README.md; then
+if git grep -nE 'RtWorldBuilde[r]|WorldBuilde[r]|impl(<[^>]*>)? Pa[r] for|RtKerne[l]|TcpKerne[l]|NodeKerne[l]|RegCach[e]|SpinWai[t]|unbatched[(]|compute_scal[e]|watchdog_pol[l]|[.]max_infligh[t]|write_combin[e]|batch_ma[x]|ParEx[t]|MUNIN_RT_STALL_M[S]|MUNIN_BENCH_BYTE_PAT[H]|traffic_r[t]|ThreadRe[q]|req_t[x]|req_r[x]|BACKEND_NAME[S]|TcpTunin[g]|MUNIN_TCP_DUMP_AFTER_M[S]|Backend::(Muni[n]|Iv[y]|Tardi[s])|Target::(Muni[n]|Iv[y]|Tardi[s])|TcpWorldBuilde[r]|coordinator_watchdo[g]|DumpStuc[k]|dump_stuc[k]|munin_tcp::si[g]|CountingTrace[r]|cond_broadcas[t][(]|resume_r[x]|resume_t[x]|Sender<OpResul[t]>|CentralBarrie[r]|CentralLoc[k]|BarrierHomeStat[e]|central_barrier_arriv[e]' -- crates/ tests/ examples/ scripts/ README.md; then
     echo "a deleted name is referenced again"
     exit 1
 fi

@@ -7,11 +7,19 @@
 //! A PR that means to move them regenerates the file with
 //! `MUNIN_BLESS=1 cargo test -p xtests --test sync_costs`; a PR that must
 //! not move them leaves the file untouched.
+//!
+//! The same four algorithms reject an undeclared lock, barrier or
+//! condition variable alike: the op fails with
+//! `DsmError::UndeclaredSync`, and the run stays clean.
 
 use munin_api::{Backend, Par, ProgramBuilder};
 use munin_net::MsgClass;
-use munin_types::{IvyConfig, MuninConfig, SyncStrategy, TardisConfig};
+use munin_sim::{DsmOp, OpResult};
+use munin_types::{
+    BarrierId, CondId, DsmError, IvyConfig, LockId, MuninConfig, SyncStrategy, TardisConfig,
+};
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/sync_costs.tsv");
 const NODES: [usize; 3] = [2, 4, 16];
@@ -117,5 +125,42 @@ fn sync_cost_ledger_matches_golden_file() {
             got.lines().count(),
             diff.join("\n")
         );
+    }
+}
+
+#[test]
+fn undeclared_sync_ids_fail_the_op_alike_on_every_protocol() {
+    let ops = || {
+        [
+            DsmOp::Lock(LockId(7)),
+            DsmOp::Unlock(LockId(7)),
+            DsmOp::BarrierWait(BarrierId(9)),
+            DsmOp::CondWait { cond: CondId(3), lock: LockId(0) },
+            DsmOp::CondSignal { cond: CondId(3), broadcast: false },
+        ]
+    };
+    let want: Vec<OpResult> = ["lk7", "lk7", "bar9", "cv3", "cv3"]
+        .into_iter()
+        .map(|name| OpResult::Err(DsmError::UndeclaredSync(name.into())))
+        .collect();
+    for (label, backend) in sync_backends() {
+        // Lock 0 is declared, so the wait names only its condition wrongly.
+        // Both nodes try: one is every object's home, the other is not.
+        let mut p = ProgramBuilder::new(2);
+        p.lock(0);
+        let got: Arc<Mutex<Vec<Vec<OpResult>>>> = Arc::default();
+        for node in 0..2 {
+            let got = got.clone();
+            p.thread(node, move |par: &mut dyn Par| {
+                let results = ops().into_iter().map(|op| par.op(op)).collect();
+                got.lock().unwrap().push(results);
+            });
+        }
+        p.run(backend).assert_clean();
+        let got = got.lock().unwrap();
+        assert_eq!(got.len(), 2, "{label}");
+        for results in got.iter() {
+            assert_eq!(results, &want, "{label}");
+        }
     }
 }
